@@ -3,8 +3,9 @@ sweeps, surface maps, straightening, and SVG figure emission.
 
 One binary with subcommands; all outputs are deterministic for a fixed
 seed (JSON keys sorted, SVG attributes emitted in fixed order).  Exit
-codes: 0 ok, 2 validation failure, 3 parse error, 4 precondition error,
-1 internal error.
+codes: 0 ok, 2 validation failure or unreadable file, 3 parse error
+(malformed text or JSON, or bytes that are not UTF-8), 4 precondition
+error, 1 internal error.
 
 File formats: ``*.lines`` incidence text, ``*.seq.json`` move sequences,
 ``*.wd.json`` wiring diagrams, ``*.euclid.json`` Euclidean line input,
@@ -75,15 +76,25 @@ class JobConfig:
 # -- input loading -------------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"not UTF-8: {exc.reason}", line, column) from exc
+
+
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
 
 
 def load_structure(path: str) -> IncidenceStructure:
-    return parse_lines_text(Path(path).read_text())
+    return parse_lines_text(_read_text(path))
 
 
 def _plan_from_json(structure: IncidenceStructure, data: dict) -> RealizationPlan:
@@ -109,7 +120,7 @@ def _euclid_from_json(data: dict) -> GeneralizedWiringDiagram:
             tuple(Fraction(str(x)) for x in row) for row in data.get("points", [])
         ]
         labels = data.get("point_labels")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed euclidean JSON: {exc}") from exc
     return diagram_from_lines(lines, points, labels)
 
@@ -453,8 +464,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler, _ = COMMANDS[config.subcommand]
     try:
         return handler(config)
-    except FileNotFoundError as exc:
-        print(f"{config.subcommand}: cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"{config.subcommand}: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"{config.subcommand}: parse error: {exc}", file=sys.stderr)

@@ -9,11 +9,15 @@ outside the polygon.  Every breakpoint of every wire is a crossing, so
 the drawing has no bends.
 
 Coordinates are exact rationals throughout: the outer polygon vertices
-are rational points on the unit circle, interior vertices solve the
-barycentric (Tutte) system exactly, and the final drawing is audited
-with exact predicates (distinctness, pairwise segment disjointness,
-angular rotation orders, chord-line behavior).  The audit never passes
-a degenerate drawing; on failure the polygon parameters are re-chosen.
+are rational points on the unit circle, and interior vertices solve the
+barycentric (Tutte) system by fraction-free integer (Bareiss)
+elimination, over the one shared denominator det·den (the system's
+determinant times the common denominator of its right-hand side).  The
+final drawing is audited with exact predicates: distinctness, an O(E)
+embedding check (strictly convex outer polygon, one strict orientation
+for every face-star triangle), angular rotation orders, chord-line
+behavior.  The audit never passes a degenerate drawing; on failure the
+polygon parameters are re-chosen.
 """
 
 from __future__ import annotations
@@ -66,29 +70,6 @@ def _orient(a: Point, b: Point, c: Point) -> int:
     return (v > 0) - (v < 0)
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    """p lies on the closed segment [a, b] (collinearity included)."""
-    if _orient(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _segments_share_point(a: Point, b: Point, c: Point, d: Point) -> bool:
-    o1, o2 = _orient(a, b, c), _orient(a, b, d)
-    o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    return (
-        _on_segment(a, b, c)
-        or _on_segment(a, b, d)
-        or _on_segment(c, d, a)
-        or _on_segment(c, d, b)
-    )
-
-
 def _direction_cmp(u: Point, v: Point) -> int:
     """Counterclockwise comparison of direction vectors starting at the
     positive x-axis; ties mean equal directions."""
@@ -121,13 +102,24 @@ def _strictly_inside_convex(polygon: Sequence[Point], p: Point) -> bool:
     )
 
 
+def _strictly_convex(polygon: Sequence[Point]) -> bool:
+    """The closed polygon turns strictly left at every vertex and its edge
+    directions wind around exactly once: it is simple, strictly convex
+    and counterclockwise."""
+    k = len(polygon)
+    edges = [_sub(polygon[(i + 1) % k], polygon[i]) for i in range(k)]
+    if any(_cross(edges[i - 1], edges[i]) <= 0 for i in range(k)):
+        return False
+    return sum(_direction_cmp(edges[i - 1], edges[i]) > 0 for i in range(k)) == 1
+
+
 # -- crossing graph -----------------------------------------------------------
 
 
-def _finite_graph(diagram: GeneralizedWiringDiagram):
-    """G: events as vertices, finite arcs as edges.  Returns the rotation
-    map of G (closing darts dropped) and the list of (wire, arc) keys."""
-    full = arrangement_map(diagram)
+def _finite_graph(diagram: GeneralizedWiringDiagram, full: RotationMap):
+    """G: events as vertices, finite arcs as edges, from the diagram's
+    arrangement map ``full``.  Returns the rotation map of G (closing
+    darts dropped) and the list of (wire, arc) keys."""
     finite_ids = [e for e, s in enumerate(full.signature) if s == 1]
     renumber = {e: i for i, e in enumerate(finite_ids)}
     edges = tuple(full.edges[e] for e in finite_ids)
@@ -216,21 +208,17 @@ def _outer_orbit(
 
 
 def _face_vertex_cycles(gmap: RotationMap, outer) -> tuple[list, list]:
-    """Vertex cycles of internal faces (one per face) and the outer cycle."""
-    orbit_index: dict = {}
-    for i, orbit in enumerate(gmap.face_orbits):
-        for state in orbit:
-            orbit_index[state] = i
-    outer_i = orbit_index[outer[0]]
-    outer_rev = orbit_index[gmap._reverse_state(outer[0])]
-    internal = []
-    seen = {outer_i, outer_rev}
-    for i, orbit in enumerate(gmap.face_orbits):
-        if i in seen:
-            continue
-        j = orbit_index[gmap._reverse_state(orbit[0])]
-        seen.update((i, j))
-        internal.append([gmap.attach(d) for d, _ in orbit])
+    """Vertex cycles of internal faces and the outer cycle.
+
+    G carries no negative edge, so each face has one orbit of sense 1 and
+    one of sense -1.  Every internal face is walked along its sense-1
+    orbit, as the outer one is, so all the cycles run the same way round.
+    """
+    internal = [
+        [gmap.attach(d) for d, _ in orbit]
+        for orbit in gmap.face_orbits
+        if orbit[0][1] == 1 and orbit != outer
+    ]
     outer_cycle = [gmap.attach(d) for d, _ in outer]
     return internal, outer_cycle
 
@@ -241,43 +229,65 @@ def _face_vertex_cycles(gmap: RotationMap, outer) -> tuple[list, list]:
 def _circle_points(k: int, attempt: int) -> list[Point]:
     """k distinct rational points on the unit circle in counterclockwise
     order (tangent half-angle parametrization)."""
-    denom = 64 << attempt
-    offset = math.pi / (7 * k) * attempt
-    ts: list[Fraction] = []
-    for i in range(k):
-        theta = -math.pi + (2 * i + 1) * math.pi / k + offset
-        t = Fraction(round(math.tan(theta / 2) * denom), denom)
-        ts.append(t)
-    if len(set(ts)) != k or sorted(ts) != ts:
-        return _circle_points(k, attempt + 7)
-    return [
-        ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts
-    ]
+    while True:
+        denom = 64 << attempt
+        offset = math.pi / (7 * k) * attempt
+        ts: list[Fraction] = []
+        for i in range(k):
+            theta = -math.pi + (2 * i + 1) * math.pi / k + offset
+            t = Fraction(round(math.tan(theta / 2) * denom), denom)
+            ts.append(t)
+        if len(set(ts)) == k and sorted(ts) == ts:
+            return [
+                ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts
+            ]
+        attempt += 7
 
 
 # -- Tutte system -------------------------------------------------------------
 
 
-def _solve_fraction_system(
-    matrix: list[list[Fraction]], rhs: list[list[Fraction]]
+def _solve_exact(
+    matrix: list[list[int]], rhs: list[list[Fraction]]
 ) -> list[list[Fraction]]:
-    """Gaussian elimination over the rationals; rhs holds one column per
-    coordinate."""
+    """Solve ``matrix · X = rhs`` exactly; rhs holds one column per
+    coordinate.
+
+    The right-hand side is scaled to integers over its common denominator
+    den, and the system is eliminated fraction-free (Bareiss): every
+    entry stays an integer minor of the augmented system, so each
+    division by the previous pivot is exact.  The last pivot is the
+    determinant det, back-substitution yields the integers det·den·X,
+    and each coordinate is built once over det·den.
+    """
     m = len(matrix)
-    a = [row[:] + r[:] for row, r in zip(matrix, rhs)]
-    cols = len(a[0])
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+    den = math.lcm(*(x.denominator for row in rhs for x in row))
+    a = [
+        row[:] + [x.numerator * (den // x.denominator) for x in r]
+        for row, r in zip(matrix, rhs)
+    ]
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if a[r][k] != 0), None)
         if pivot is None:
             raise QuasilineError("singular barycentric system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[m:cols] for row in a]
+        a[k], a[pivot] = a[pivot], a[k]
+        p, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            if f:
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [p * x // prev for x in row[k + 1:]]
+        prev = p
+    det = prev
+    nums = [[0] * len(rhs[0]) for _ in range(m)]
+    for i in reversed(range(m)):
+        row = a[i]
+        for c in range(len(rhs[0])):
+            total = det * row[m + c] - sum(row[j] * nums[j][c] for j in range(i + 1, m))
+            nums[i][c] = total // row[i]
+    return [[Fraction(x, det * den) for x in r] for r in nums]
 
 
 def _tutte_positions(
@@ -287,18 +297,18 @@ def _tutte_positions(
         return dict(boundary)
     index = {v: i for i, v in enumerate(interior)}
     m = len(interior)
-    matrix = [[Fraction(0)] * m for _ in range(m)]
+    matrix = [[0] * m for _ in range(m)]
     rhs = [[Fraction(0), Fraction(0)] for _ in range(m)]
     for v in interior:
         i = index[v]
-        matrix[i][i] = Fraction(len(adjacency[v]))
+        matrix[i][i] = len(adjacency[v])
         for u in adjacency[v]:
             if u in index:
                 matrix[i][index[u]] -= 1
             else:
                 rhs[i][0] += boundary[u][0]
                 rhs[i][1] += boundary[u][1]
-    solution = _solve_fraction_system(matrix, rhs)
+    solution = _solve_exact(matrix, rhs)
     out = dict(boundary)
     for v, i in index.items():
         out[v] = (solution[i][0], solution[i][1])
@@ -315,37 +325,45 @@ def _chord_direction(
     return d if at_last else (-d[0], -d[1])
 
 
+def _embedded(
+    positions: Sequence[Point],
+    polygon: Sequence[Point],
+    stars: Sequence[Point],
+    faces: list[list[int]],
+) -> bool:
+    """Embedding check in O(E) exact orientation tests.
+
+    The star of each internal face triangulates it, so the triangles
+    (star, v_i, v_i+1) tile the disk bounded by the outer cycle.  With
+    that cycle on a strictly convex polygon and every triangle strictly
+    oriented the same way, each point of the polygon is covered exactly
+    once (Gortler-Gotsman-Thurston), so the finite arcs are drawn
+    pairwise disjoint except at shared crossings.
+    """
+    if not _strictly_convex(polygon):
+        return False
+    signs = {
+        _orient(star, positions[u], positions[v])
+        for star, cycle in zip(stars, faces)
+        for u, v in zip(cycle, cycle[1:] + cycle[:1])
+    }
+    return signs == {1} or signs == {-1}
+
+
 def _audit(
     diagram: GeneralizedWiringDiagram,
+    full: RotationMap,
     positions: list[Point],
+    stars: list[Point],
+    faces: list[list[int]],
     outer_cycle: list[int],
     chords: list[tuple[int, int]],
 ) -> bool:
     if len(set(positions)) != len(positions):
         return False
     polygon = [positions[v] for v in outer_cycle]
-
-    full = arrangement_map(diagram)
-    # Segment audit: finite arcs must be pairwise disjoint except at a
-    # shared crossing.
-    finite = [
-        (e, uv) for e, uv in enumerate(full.edges) if full.signature[e] == 1
-    ]
-    for (e1, (u1, v1)), (e2, (u2, v2)) in itertools.combinations(finite, 2):
-        shared = {u1, v1} & {u2, v2}
-        a, b = positions[u1], positions[v1]
-        c, d = positions[u2], positions[v2]
-        if not shared:
-            if _segments_share_point(a, b, c, d):
-                return False
-        else:
-            p = positions[next(iter(shared))]
-            for q in (a, b):
-                if q != p and _on_segment(c, d, q):
-                    return False
-            for q in (c, d):
-                if q != p and _on_segment(a, b, q):
-                    return False
+    if not _embedded(positions, polygon, stars, faces):
+        return False
 
     # Rotation audit: at every crossing the drawn counterclockwise order
     # of darts (chord rays included) must equal the stored rotation.
@@ -411,7 +429,8 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
         raise HasDigons(
             f"{len(digons)} digon(s) found; straightening needs a digon-free diagram"
         )
-    gmap, arcs = _finite_graph(diagram)
+    full = arrangement_map(diagram)
+    gmap, arcs = _finite_graph(diagram, full)
     _check_two_connected(gmap)
 
     wire_paths = tuple(diagram.wire_events(w) for w in range(1, diagram.n + 1))
@@ -450,12 +469,12 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
         boundary = {v: polygon[i] for i, v in enumerate(outer_ccw)}
         placed = _tutte_positions(adjacency, boundary, interior)
         positions = [placed[v] for v in range(diagram.event_count)]
-        candidates = [positions]
+        stars = [placed[("star", s)] for s in range(len(internal_faces))]
+        candidates = [(positions, stars, outer_ccw)]
         mirrored = [(x, -y) for x, y in positions]
-        candidates.append(mirrored)
-        for pts in candidates:
-            cycle = outer_ccw if pts is positions else list(reversed(outer_ccw))
-            if _audit(diagram, pts, cycle, chords):
+        candidates.append((mirrored, [(x, -y) for x, y in stars], outer_ccw[::-1]))
+        for pts, star_pts, cycle in candidates:
+            if _audit(diagram, full, pts, star_pts, internal_faces, cycle, chords):
                 return StraightDrawing(
                     diagram.n,
                     tuple(pts),

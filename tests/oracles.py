@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the implementation paths
 it checks: girth by plain BFS, sweep validity by explicit cut
 simulation, scheme isomorphism by brute-force search over relabellings
-and regaugings, and random generators driven by seeded ``random.Random``
-instances.
+and regaugings, straight drawings by a pairwise segment audit, linear
+systems by Gauss-Jordan elimination over ``Fraction``, and random
+generators driven by seeded ``random.Random`` instances.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from quasiline import (
     IncidenceStructure,
@@ -21,7 +23,7 @@ from quasiline import (
     build,
 )
 from quasiline.surface import EmbeddingScheme
-from quasiline.wiring import GeneralizedWiringDiagram
+from quasiline.wiring import GeneralizedWiringDiagram, arrangement_map
 
 
 # -- named configurations -----------------------------------------------------
@@ -148,7 +150,153 @@ def sweep_cut_ok(diagram: GeneralizedWiringDiagram, order) -> bool:
     )
 
 
+# -- straightening oracles ----------------------------------------------------
+
+
+def solve_fraction_system(matrix, rhs):
+    """Gauss-Jordan elimination over the rationals; rhs holds one column
+    per coordinate.  Raises ValueError on a singular matrix."""
+    m = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(x) for x in r] for row, r in zip(matrix, rhs)]
+    cols = len(a[0])
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[m:cols] for row in a]
+
+
+def _orient(a, b, c) -> int:
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def _on_segment(a, b, p) -> bool:
+    """p lies on the closed segment [a, b] (collinearity included)."""
+    if _orient(a, b, p) != 0:
+        return False
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _segments_share_point(a, b, c, d) -> bool:
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
+    if o1 != o2 and o3 != o4:
+        return True
+    return (
+        _on_segment(a, b, c)
+        or _on_segment(a, b, d)
+        or _on_segment(c, d, a)
+        or _on_segment(c, d, b)
+    )
+
+
+def arcs_pairwise_disjoint(diagram: GeneralizedWiringDiagram, positions) -> bool:
+    """Pairwise segment audit of a straight drawing, O(E^2): the finite arcs
+    of the diagram, drawn as segments between their crossings, meet only
+    at a shared crossing."""
+    full = arrangement_map(diagram)
+    finite = [uv for e, uv in enumerate(full.edges) if full.signature[e] == 1]
+    for (u1, v1), (u2, v2) in itertools.combinations(finite, 2):
+        shared = {u1, v1} & {u2, v2}
+        a, b = positions[u1], positions[v1]
+        c, d = positions[u2], positions[v2]
+        if not shared:
+            if _segments_share_point(a, b, c, d):
+                return False
+        else:
+            p = positions[next(iter(shared))]
+            for q in (a, b):
+                if q != p and _on_segment(c, d, q):
+                    return False
+            for q in (c, d):
+                if q != p and _on_segment(a, b, q):
+                    return False
+    return True
+
+
 # -- randomized generators ----------------------------------------------------
+
+
+def random_line_arrangement(rng: random.Random, n: int):
+    """n distinct integer lines a x + b y = c, not all through one point."""
+    while True:
+        lines = []
+        seen = set()
+        while len(lines) < n:
+            a, b, c = (rng.randint(-9, 9) for _ in range(3))
+            if a == 0 and b == 0:
+                continue
+            g = 0
+            for x in (a, b, c):
+                g = gcd(g, x)
+            key = tuple(x // g for x in (a, b, c))
+            if key[0] < 0 or (key[0] == 0 and key[1] < 0):
+                key = tuple(-x for x in key)
+            if key not in seen:
+                seen.add(key)
+                lines.append((a, b, c))
+        if not all(
+            _concurrent(lines[0], lines[1], l) for l in lines[2:]
+        ):
+            return lines
+
+
+def _concurrent(l1, l2, l3) -> bool:
+    """The three lines meet in one projective point."""
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = l1, l2, l3
+    det = (
+        a1 * (b2 * c3 - b3 * c2)
+        - b1 * (a2 * c3 - a3 * c2)
+        + c1 * (a2 * b3 - a3 * b2)
+    )
+    return det == 0
+
+
+def random_laplacian_system(rng: random.Random, m: int, boundary: int):
+    """The Tutte system of a random connected graph on m interior and
+    ``boundary`` pinned vertices: the integer Laplacian restricted to the
+    interior and, per coordinate, the sum of the neighbouring pinned
+    vertices' random rational positions."""
+    pinned = [
+        (Fraction(rng.randint(-50, 50), rng.randint(1, 40)),
+         Fraction(rng.randint(-50, 50), rng.randint(1, 40)))
+        for _ in range(boundary)
+    ]
+    nodes = [("i", i) for i in range(m)] + [("b", j) for j in range(boundary)]
+    edges = set()
+    order = nodes[:]
+    rng.shuffle(order)
+    for k in range(1, len(order)):  # random spanning tree: connected
+        edges.add(frozenset((order[k], order[rng.randrange(k)])))
+    for _ in range(rng.randint(0, 2 * m)):
+        u, v = rng.sample(nodes, 2)
+        edges.add(frozenset((u, v)))
+    matrix = [[0] * m for _ in range(m)]
+    rhs = [[Fraction(0), Fraction(0)] for _ in range(m)]
+    for edge in edges:
+        for (kind, i), (other_kind, j) in itertools.permutations(edge):
+            if kind != "i":
+                continue
+            matrix[i][i] += 1
+            if other_kind == "i":
+                matrix[i][j] -= 1
+            else:
+                rhs[i][0] += pinned[j][0]
+                rhs[i][1] += pinned[j][1]
+    return matrix, rhs
+
+
 
 
 def random_structure(rng: random.Random, max_points=8, max_lines=8) -> IncidenceStructure:

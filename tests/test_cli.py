@@ -64,6 +64,29 @@ def test_missing_file_exit_2(workdir):
     assert main(["validate", str(workdir / "nope.lines")]) == 2
 
 
+@pytest.mark.parametrize(
+    "name, content, code",
+    [
+        ("bad.seq.json", '{"n": 3, "moves": [[1, "x"]]}', 2),
+        ("bad.euclid.json", '{"lines": [["a", "1", "0"], ["1", "0", "0"]]}', 2),
+        ("dir.lines", None, 2),
+        ("latin1.lines", b"L1: caf\xe9 b\nL2: caf\xe9 c\n", 3),
+    ],
+    ids=["non-integer-move", "non-rational-coefficient", "directory", "non-utf8"],
+)
+def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):
+    path = workdir / name
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert main(["wiring", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("wiring: ") and "Traceback" not in err
+
+
 def test_realize_emits_sequence_and_points(workdir):
     out = workdir / "fano.seq.json"
     assert main(["realize", str(workdir / "fano.lines"), "-o", str(out)]) == 0

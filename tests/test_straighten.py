@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 
 from quasiline import default_plan, realize
-from quasiline.errors import HasDigons
+from quasiline.errors import HasDigons, QuasilineError
 from quasiline.rotmaps import RotationMap
 from quasiline.wiring import (
     diagram_from_lines,
@@ -16,13 +17,28 @@ from quasiline.wiring import (
     trace_faces_disk,
 )
 from quasiline.wiring.faces import arc_of_edge, arrangement_map
-from quasiline.wiring.straighten import _direction_cmp, _orient, _sub
+from quasiline.wiring.straighten import (
+    _circle_points,
+    _direction_cmp,
+    _embedded,
+    _face_vertex_cycles,
+    _finite_graph,
+    _orient,
+    _outer_orbit,
+    _solve_exact,
+    _strictly_convex,
+    _sub,
+)
 
 from oracles import (
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
+    arcs_pairwise_disjoint,
     random_allowable_sequence,
+    random_laplacian_system,
+    random_line_arrangement,
+    solve_fraction_system,
     triangle,
     two_lines_three_points,
 )
@@ -78,6 +94,8 @@ def check_straightening(diagram):
     # face structure is preserved under exact re-extraction
     expected = tuple(sorted(len(f) for f in trace_faces_disk(diagram)))
     assert reextracted_face_vector(diagram, drawing) == expected
+    # the O(E) embedding check agrees with the pairwise segment oracle
+    assert arcs_pairwise_disjoint(diagram, drawing.positions)
     return drawing
 
 
@@ -123,6 +141,96 @@ def test_random_pseudoline_diagrams_straighten():
         d = diagram_from_sequence(seq)
         check_straightening(d)
         done += 1
+
+
+def test_random_euclidean_arrangements_straighten():
+    rng = random.Random(2006)
+    for n in (3, 4, 5, 5, 6, 6, 7):
+        check_straightening(diagram_from_lines(random_line_arrangement(rng, n)))
+
+
+def test_exact_solve_matches_fraction_oracle():
+    rng = random.Random(1968)
+    for _ in range(40):
+        matrix, rhs = random_laplacian_system(rng, rng.randint(1, 12), rng.randint(1, 5))
+        assert _solve_exact(matrix, rhs) == solve_fraction_system(matrix, rhs)
+
+
+def test_exact_solve_pivots_and_rejects_singular_systems():
+    rng = random.Random(1963)
+    solved = 0
+    while solved < 30:
+        m = rng.randint(1, 6)
+        matrix = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(m)] for _ in range(m)]
+        rhs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))] for _ in range(m)]
+        try:
+            expected = solve_fraction_system(matrix, rhs)
+        except ValueError:
+            with pytest.raises(QuasilineError):
+                _solve_exact(matrix, rhs)
+            continue
+        assert _solve_exact(matrix, rhs) == expected
+        solved += 1
+
+
+def test_strictly_convex_polygon_check():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert _strictly_convex(square)
+    assert not _strictly_convex(square[::-1])  # clockwise
+    assert not _strictly_convex([(0, 0), (1, 0), (2, 0), (1, 1)])  # flat corner
+    assert not _strictly_convex([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)])  # reflex
+    pentagon = _circle_points(5, 0)
+    pentagram = [pentagon[(2 * i) % 5] for i in range(5)]  # winds twice
+    assert _strictly_convex(pentagon)
+    assert not _strictly_convex(pentagram)
+
+
+def test_embedding_check_is_sound_against_pairwise_oracle():
+    """Move one crossing of a correct drawing to random places, re-centre
+    the face stars, and compare the O(E) check with the pairwise audit:
+    whenever the check passes, the arcs must be pairwise disjoint."""
+
+    def centred_stars(positions, faces):
+        return [
+            tuple(sum(positions[w][i] for w in cycle) / len(cycle) for i in (0, 1))
+            for cycle in faces
+        ]
+
+    rng = random.Random(2014)
+    verdicts = set()
+    for n in (5, 6, 6, 7):
+        d = diagram_from_lines(random_line_arrangement(rng, n))
+        drawing = straighten(d)
+        gmap, arcs = _finite_graph(d, arrangement_map(d))
+        faces, _ = _face_vertex_cycles(gmap, _outer_orbit(d, gmap, arcs))
+        stars = centred_stars(drawing.positions, faces)
+        polygon = [drawing.positions[v] for v in drawing.outer_cycle]
+        assert _embedded(drawing.positions, polygon, stars, faces)
+        # the same drawing with its outer cycle listed clockwise is rejected
+        assert not _embedded(drawing.positions, polygon[::-1], stars, faces)
+        inner = [v for v in range(d.event_count) if v not in drawing.outer_cycle]
+        for _ in range(25 if inner else 0):
+            positions = list(drawing.positions)
+            v = rng.choice(inner)
+            u = rng.randrange(d.event_count)
+            t = Fraction(rng.randint(-20, 20), 8)
+            positions[v] = tuple(p + t * (q - p) for p, q in zip(positions[v], positions[u]))
+            stars = centred_stars(positions, faces)
+            fast = _embedded(positions, polygon, stars, faces)
+            if fast:
+                assert arcs_pairwise_disjoint(d, positions)
+            verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+def test_circle_points_retry_is_the_next_attempt():
+    # k = 202 is the smallest polygon whose first parameters collide
+    assert _circle_points(202, 0) == _circle_points(202, 7)
+    for k in (3, 7, 20, 202):
+        points = _circle_points(k, 0)
+        assert len(set(points)) == k
+        assert all(x * x + y * y == 1 for x, y in points)
+        assert _strictly_convex(points)
 
 
 def test_drawing_json_roundtrip():
