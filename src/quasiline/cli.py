@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,15 +61,11 @@ from .wiring.straighten import StraightDrawing
 
 DEFAULT_SEED = 20141007
 
-
-@dataclass
-class JobConfig:
-    subcommand: str
-    inputs: list[str]
-    output: Optional[str] = None
-    format: str = "json"
-    seed: int = DEFAULT_SEED
-    plan_path: Optional[str] = None
+# Wire colours of both SVG figures, cycled by wire number.
+PALETTE = (
+    "#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910",
+    "#17a589", "#7b241c", "#2e4053", "#a04000", "#5d6d7e",
+)
 
 
 # -- input loading -------------------------------------------------------------
@@ -154,9 +149,9 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text)
 
 
-def _emit_json(payload: dict, config: JobConfig) -> None:
-    payload = {"seed": config.seed, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.output)
+def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+    payload = {"seed": args.seed, **payload}
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
 
 
 # -- SVG -----------------------------------------------------------------------
@@ -189,10 +184,6 @@ def diagram_svg(diagram: GeneralizedWiringDiagram) -> str:
             "data-kind": "wiring-diagram",
         },
     )
-    palette = [
-        "#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910",
-        "#17a589", "#7b241c", "#2e4053", "#a04000", "#5d6d7e",
-    ]
     for w in range(1, diagram.n + 1):
         track = w
         pts = [(margin * 0.3, y_of(track))]
@@ -211,7 +202,7 @@ def diagram_svg(diagram: GeneralizedWiringDiagram) -> str:
             {
                 "points": " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts),
                 "fill": "none",
-                "stroke": palette[(w - 1) % len(palette)],
+                "stroke": PALETTE[(w - 1) % len(PALETTE)],
                 "stroke-width": "2",
             },
         )
@@ -276,12 +267,8 @@ def drawing_svg(drawing: StraightDrawing) -> str:
             attrs["stroke-dasharray"] = "6 4"
         ET.SubElement(svg, "line", attrs)
 
-    palette = [
-        "#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910",
-        "#17a589", "#7b241c", "#2e4053", "#a04000", "#5d6d7e",
-    ]
     for w, path in enumerate(drawing.wire_paths, start=1):
-        color = palette[(w - 1) % len(palette)]
+        color = PALETTE[(w - 1) % len(PALETTE)]
         for u, v in zip(path, path[1:]):
             seg(pts[u], pts[v], color)
         first, last = drawing.chords[w - 1]
@@ -304,8 +291,8 @@ def drawing_svg(drawing: StraightDrawing) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_validate(config: JobConfig) -> int:
-    structure = load_structure(config.inputs[0])
+def cmd_validate(args: argparse.Namespace) -> int:
+    structure = load_structure(args.inputs[0])
     levi = levi_graph(structure)
     signature = configuration_signature(structure)
     lineal = is_lineal(structure)
@@ -320,8 +307,8 @@ def cmd_validate(config: JobConfig) -> int:
             "edges": levi.edge_count,
         },
     }
-    if config.format == "json":
-        _emit_json(payload, config)
+    if args.format == "json":
+        _emit_json(payload, args)
     else:
         sig = ""
         if signature:
@@ -332,13 +319,13 @@ def cmd_validate(config: JobConfig) -> int:
             f"points={payload['points']} lines={payload['lines']} flags={payload['flags']} "
             f"levi: {levi.vertex_count} vertices, {levi.edge_count} edges\n"
         )
-        _emit(text, config.output)
+        _emit(text, args.output)
     return 0
 
 
-def cmd_realize(config: JobConfig) -> int:
-    structure = load_structure(config.inputs[0])
-    plan = load_plan(structure, config.plan_path)
+def cmd_realize(args: argparse.Namespace) -> int:
+    structure = load_structure(args.inputs[0])
+    plan = load_plan(structure, args.plan_path)
     r = realize(structure, plan)
     payload = {
         "sequence": sequence_to_json_dict(r.seq),
@@ -346,21 +333,21 @@ def cmd_realize(config: JobConfig) -> int:
         "line_numbering": [str(l) for l in r.line_numbering],
         "unwanted_crossings": unwanted_crossing_count(r),
     }
-    _emit_json(payload, config)
+    _emit_json(payload, args)
     return 0
 
 
-def cmd_wiring(config: JobConfig) -> int:
-    diagram = load_diagram(config.inputs[0], config.plan_path)
-    if config.format == "svg":
-        _emit(diagram_svg(diagram), config.output)
+def cmd_wiring(args: argparse.Namespace) -> int:
+    diagram = load_diagram(args.inputs[0], args.plan_path)
+    if args.format == "svg":
+        _emit(diagram_svg(diagram), args.output)
     else:
-        _emit_json({"diagram": diagram_to_json_dict(diagram)}, config)
+        _emit_json({"diagram": diagram_to_json_dict(diagram)}, args)
     return 0
 
 
-def cmd_sweep(config: JobConfig) -> int:
-    diagram = load_diagram(config.inputs[0], config.plan_path)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    diagram = load_diagram(args.inputs[0], args.plan_path)
     order = topological_sweep(diagram)
     digraph = sweep_digraph(diagram)
     payload = {
@@ -368,45 +355,45 @@ def cmd_sweep(config: JobConfig) -> int:
         "vertices": len(digraph.vertices),
         "arcs": [list(a) for a in digraph.arcs],
     }
-    if config.format == "text":
-        _emit(" ".join(str(v) for v in order) + "\n", config.output)
+    if args.format == "text":
+        _emit(" ".join(str(v) for v in order) + "\n", args.output)
     else:
-        _emit_json(payload, config)
+        _emit_json(payload, args)
     return 0
 
 
-def cmd_map(config: JobConfig) -> int:
-    diagram = load_diagram(config.inputs[0], config.plan_path)
+def cmd_map(args: argparse.Namespace) -> int:
+    diagram = load_diagram(args.inputs[0], args.plan_path)
     scheme = scheme_from_realization(diagram)
     summary = trace_and_summarize(scheme)
     payload = {
         "summary": summary_to_json_dict(summary),
         "scheme": scheme_to_json_dict(scheme),
     }
-    _emit_json(payload, config)
+    _emit_json(payload, args)
     return 0
 
 
-def cmd_straighten(config: JobConfig) -> int:
-    diagram = load_diagram(config.inputs[0], config.plan_path)
+def cmd_straighten(args: argparse.Namespace) -> int:
+    diagram = load_diagram(args.inputs[0], args.plan_path)
     drawing = straighten(diagram)
-    if config.format == "svg":
-        _emit(drawing_svg(drawing), config.output)
+    if args.format == "svg":
+        _emit(drawing_svg(drawing), args.output)
     else:
-        _emit_json({"drawing": drawing_to_json_dict(drawing)}, config)
+        _emit_json({"drawing": drawing_to_json_dict(drawing)}, args)
     return 0
 
 
-def cmd_compare(config: JobConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     fps = []
-    for path in config.inputs:
-        diagram = load_diagram(path, config.plan_path)
+    for path in args.inputs:
+        diagram = load_diagram(path, args.plan_path)
         fps.append(fingerprint(scheme_from_realization(diagram)))
     equal = fps[0] == fps[1]
-    if config.format == "text":
-        _emit(("equal" if equal else "distinct") + "\n", config.output)
+    if args.format == "text":
+        _emit(("equal" if equal else "distinct") + "\n", args.output)
     else:
-        _emit_json({"equal": equal, "fingerprints": fps}, config)
+        _emit_json({"equal": equal, "fingerprints": fps}, args)
     return 0
 
 
@@ -453,31 +440,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = JobConfig(
-        subcommand=args.subcommand,
-        inputs=list(args.inputs),
-        output=args.output,
-        format=args.format,
-        seed=args.seed,
-        plan_path=args.plan_path,
-    )
-    handler, _ = COMMANDS[config.subcommand]
+    handler, _ = COMMANDS[args.subcommand]
     try:
-        return handler(config)
+        return handler(args)
     except OSError as exc:
-        print(f"{config.subcommand}: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"{args.subcommand}: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ParseError as exc:
-        print(f"{config.subcommand}: parse error: {exc}", file=sys.stderr)
+        print(f"{args.subcommand}: parse error: {exc}", file=sys.stderr)
         return 3
     except PreconditionError as exc:
-        print(f"{config.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except ValidationError as exc:
-        print(f"{config.subcommand}: invalid input: {exc}", file=sys.stderr)
+        print(f"{args.subcommand}: invalid input: {exc}", file=sys.stderr)
         return 2
     except QuasilineError as exc:
-        print(f"{config.subcommand}: internal error: {exc}", file=sys.stderr)
+        print(f"{args.subcommand}: internal error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -117,19 +117,17 @@ class RotationMap:
     @cached_property
     def face_orbits(self) -> tuple[tuple[State, ...], ...]:
         """Orbits of the signed face-traversal step; two orbits per face."""
-        todo: set[State] = set()
-        for d in self.darts():
-            todo.add((d, 1))
-            todo.add((d, -1))
+        seen: set[State] = set()
         orbits: list[tuple[State, ...]] = []
-        while todo:
-            start = min(todo)
+        for start in ((d, s) for d in self.darts() for s in (-1, 1)):
+            if start in seen:
+                continue
             orbit = [start]
             state = self._step(start)
             while state != start:
                 orbit.append(state)
                 state = self._step(state)
-            todo.difference_update(orbit)
+            seen.update(orbit)
             orbits.append(tuple(orbit))
         return tuple(orbits)
 

@@ -19,6 +19,7 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Iterable, Optional
 
 from .errors import (
@@ -154,24 +155,17 @@ def pair_move_count(seq: PermSequence, x: int, y: int) -> int:
 def classify(seq: PermSequence) -> SequenceClass:
     """Classify as allowable, generalized allowable, or merely partial.
 
-    Allowable: every pair jointly reversed exactly once.  Generalized
-    allowable: every pair jointly reversed an odd number of times, which
-    is equivalent to the final permutation being the reverse permutation.
+    Generalized allowable: every pair jointly reversed an odd number of
+    times, which is equivalent to the final permutation being the reverse
+    permutation.  Allowable: every pair jointly reversed exactly once,
+    which for a generalized sequence means the moves reverse C(n, 2)
+    pairs in all.
     """
-    counts = pair_counts(seq)
-    all_pairs = [
-        counts[frozenset(p)] for p in itertools.combinations(range(1, seq.n + 1), 2)
-    ]
-    if all(c == 1 for c in all_pairs):
+    if permutation_after(seq, len(seq.moves)) != tuple(range(seq.n, 0, -1)):
+        return SequenceClass.PARTIAL
+    if sum(comb(m.length, 2) for m in seq.moves) == comb(seq.n, 2):
         return SequenceClass.ALLOWABLE
-    if all(c % 2 == 1 for c in all_pairs):
-        return SequenceClass.GENERALIZED_ALLOWABLE
-    return SequenceClass.PARTIAL
-
-
-def is_generalized(seq: PermSequence) -> bool:
-    """True for allowable and generalized allowable sequences alike."""
-    return classify(seq) is not SequenceClass.PARTIAL
+    return SequenceClass.GENERALIZED_ALLOWABLE
 
 
 def elementary_swap(seq: PermSequence, i: int) -> PermSequence:

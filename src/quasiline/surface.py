@@ -1,6 +1,7 @@
 """Maps on closed surfaces induced by designated crossings.
 
-Keeping only the designated crossings of a wiring diagram and joining
+The surface map of a wiring diagram is its arrangement map restricted to
+the designated crossings: keeping only those crossings and joining
 consecutive ones along each wire (one closing edge per wire runs through
 the line at infinity) yields a graph embedded on a closed surface via a
 rotation system and an edge signature: rotations are read counter-
@@ -17,18 +18,14 @@ regauging, and reflection, distinguishes mutation classes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Mapping, Optional, Sequence
 
-from .errors import (
-    DisconnectedScheme,
-    ValidationError,
-    WireWithoutPoint,
-)
+from .errors import DisconnectedScheme, ValidationError
 from .rotmaps import Dart, RotationMap
 from .wiring.diagram import GeneralizedWiringDiagram
+from .wiring.faces import wire_map
 
 Label = Hashable
 
@@ -107,52 +104,20 @@ def make_scheme(
 def scheme_from_realization(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
     """The surface map of a diagram's designated points.
 
-    Vertices are the designated points; edges join points consecutive
-    along a wire (non-designated crossings are skipped), with the closing
-    edge of each wire carrying signature -1.  Raises
-    ``WireWithoutPoint`` when some wire has no designated crossing.
+    This is the arrangement map restricted to the designated crossings
+    (:func:`quasiline.wiring.faces.wire_map`): vertices are the
+    designated points, edges join points consecutive along a wire
+    (non-designated crossings are skipped) and are tagged with their
+    wire, and the closing edge of each wire carries signature -1.
+    Raises ``WireWithoutPoint`` when some wire has no designated
+    crossing.
     """
-    designated = diagram.designated_events()
-    designated_set = set(designated)
-    label = {i: diagram.events[i].point for i in designated}
-    vertices = tuple(label[i] for i in designated)
-
-    wire_points: dict[int, list[int]] = {}
-    for w in range(1, diagram.n + 1):
-        pts = [i for i in diagram.wire_events(w) if i in designated_set]
-        if not pts:
-            raise WireWithoutPoint(f"wire {w} carries no designated point")
-        wire_points[w] = pts
-
-    edges: list[tuple[Label, Label]] = []
-    signature: list[int] = []
-    lines: list[Optional[Label]] = []
-    edge_id: dict[tuple[int, int], int] = {}
-    for w in range(1, diagram.n + 1):
-        pts = wire_points[w]
-        m = len(pts)
-        for j in range(m):
-            edge_id[(w, j)] = len(edges)
-            edges.append((label[pts[j]], label[pts[(j + 1) % m]]))
-            signature.append(-1 if j == m - 1 else 1)
-            lines.append(w)
-
-    def out_dart(w: int, event: int) -> Dart:
-        j = wire_points[w].index(event)
-        return (edge_id[(w, j)], 0)
-
-    def in_dart(w: int, event: int) -> Dart:
-        pts = wire_points[w]
-        j = pts.index(event)
-        return (edge_id[(w, (j - 1) % len(pts))], 1)
-
-    rotations: dict[Label, tuple[Dart, ...]] = {}
-    for i in designated:
-        wires = diagram.window_wires(i)
-        rotations[label[i]] = tuple(out_dart(w, i) for w in wires) + tuple(
-            in_dart(w, i) for w in wires
-        )
-    return make_scheme(vertices, edges, rotations, signature, lines)
+    rm, arcs = wire_map(
+        diagram, {i: diagram.events[i].point for i in diagram.designated_events()}
+    )
+    return make_scheme(
+        rm.vertices, rm.edges, rm.rotations, rm.signature, [w for w, _ in arcs]
+    )
 
 
 # -- analysis -----------------------------------------------------------------
@@ -230,10 +195,11 @@ def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ..
     def step(d: Dart) -> Dart:
         return opposite[rm.rev(d)]
 
-    remaining = set(rm.darts())
+    seen: set[Dart] = set()
     walks = []
-    while remaining:
-        start = min(remaining)
+    for start in rm.darts():
+        if start in seen:
+            continue
         orbit = [start]
         d = step(start)
         while d != start:
@@ -242,8 +208,8 @@ def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ..
         reverse = {rm.rev(d) for d in orbit}
         if reverse & set(orbit):
             raise ValidationError("straight-ahead walk retraces an edge")
-        remaining.difference_update(orbit)
-        remaining.difference_update(reverse)
+        seen.update(orbit)
+        seen.update(reverse)
         edge_indices = tuple(d[0] for d in orbit)
         line_tags = {scheme.lines[e] for e in edge_indices}
         line = line_tags.pop() if len(line_tags) == 1 else None
@@ -303,6 +269,3 @@ def summary_to_json_dict(summary: MapSummary) -> dict:
         "fingerprint": summary.fingerprint,
     }
 
-
-def summary_to_json(summary: MapSummary) -> str:
-    return json.dumps(summary_to_json_dict(summary), sort_keys=True)

@@ -13,7 +13,6 @@ from .diagram import (
     find_monotone_marking,
     is_acyclic,
     is_proper_marking,
-    sequence_from_diagram,
     sweep_digraph,
     topological_order,
     topological_sweep,
@@ -27,7 +26,6 @@ from .faces import (
     trace_faces_disk,
 )
 from .mutations import (
-    apply_digon_move,
     apply_triangle_move,
     insert_digon,
     remove_digon,
@@ -48,7 +46,6 @@ __all__ = [
     "GeneralizedWiringDiagram",
     "StraightDrawing",
     "SweepDigraph",
-    "apply_digon_move",
     "apply_triangle_move",
     "arrangement_from_diagram",
     "arrangement_map",
@@ -67,7 +64,6 @@ __all__ = [
     "is_proper_marking",
     "removable_digons",
     "remove_digon",
-    "sequence_from_diagram",
     "straighten",
     "sweep_digraph",
     "topological_order",

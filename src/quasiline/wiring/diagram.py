@@ -27,13 +27,7 @@ from ..errors import (
     ValidationError,
 )
 from ..realization import Realization
-from ..sequences import (
-    Move,
-    PermSequence,
-    SequenceClass,
-    classify,
-    pair_counts,
-)
+from ..sequences import Move, PermSequence
 
 Label = Hashable
 
@@ -76,11 +70,11 @@ class GeneralizedWiringDiagram:
         labels = [ev.point for ev in self.events if ev.point is not None]
         if len(labels) != len(set(labels)):
             raise DuplicateId("designated point labels must be distinct")
-        counts = pair_counts(self.sequence())
-        for x, y in itertools.combinations(range(1, self.n + 1), 2):
-            if counts[frozenset((x, y))] % 2 == 0:
+        final = self.permutations[-1]
+        for x, y in zip(final, final[1:]):
+            if x < y:
                 raise NotGeneralized(
-                    f"wires {x} and {y} cross {counts[frozenset((x, y))]} times; "
+                    f"wires {x} and {y} cross an even number of times; "
                     "every pair must cross an odd number of times"
                 )
 
@@ -147,8 +141,6 @@ def diagram_from_sequence(
     events; ``labels`` maps move indices to point labels, defaulting to
     p1, p2, ... in move order.
     """
-    if classify(seq) is SequenceClass.PARTIAL:
-        raise NotGeneralized("sequence does not end in the reverse permutation")
     if labels is None:
         labels = {
             idx: f"p{k}" for k, idx in enumerate(sorted(seq.designated), start=1)
@@ -165,11 +157,6 @@ def diagram_from_sequence(
 def diagram_from_realization(realization: Realization) -> GeneralizedWiringDiagram:
     """Diagram of a realization, keeping the structure's point labels."""
     return diagram_from_sequence(realization.seq, dict(realization.point_of_move))
-
-
-def sequence_from_diagram(diagram: GeneralizedWiringDiagram) -> PermSequence:
-    """Exact inverse of :func:`diagram_from_sequence` (labels drop away)."""
-    return diagram.sequence()
 
 
 # -- sweep digraphs ---------------------------------------------------------

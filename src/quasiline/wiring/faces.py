@@ -6,68 +6,78 @@ disk model).  Vertices, arcs and the faces traced from the rotation
 system form the arrangement's cell complex on the projective plane, so
 V - E + F = 1 always holds.  Digons (2-sided faces) are the obstruction
 to bend-free straightening.
+
+:func:`wire_map` is the one builder of signed rotation systems from
+wires: the arrangement map keeps every crossing, and the surface map of
+:mod:`quasiline.surface` is the same map restricted to the designated
+crossings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..rotmaps import RotationMap
+from typing import Hashable, Mapping
+
+from ..errors import WireWithoutPoint
+from ..rotmaps import Dart, RotationMap
 from .diagram import GeneralizedWiringDiagram
 
 ArcId = tuple[int, int]  # (wire, arc index along the wire); the last arc closes
                          # through infinity
 
 
-def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
-    """The diagram's cell complex as a signed rotation map.
+def wire_map(
+    diagram: GeneralizedWiringDiagram, vertex_of: Mapping[int, Hashable]
+) -> tuple[RotationMap, tuple[ArcId, ...]]:
+    """The signed rotation map of the diagram's wires through the events
+    kept in ``vertex_of``, and the (wire, arc index) of every edge.
 
-    Vertices are event indices.  Wire w with k events contributes k
-    edges; edge (w, j) joins its j-th and (j+1)-th events and the wrap
-    edge (w, k-1) carries signature -1 because it crosses the boundary.
-    Rotations follow the drawing counterclockwise: at an event with
-    window wires w_1..w_l (top to bottom) the order is
-    out(w_1)..out(w_l), in(w_1)..in(w_l).
+    Event i becomes vertex ``vertex_of[i]``; vertices follow the order
+    of ``vertex_of``.  Edges are numbered wire by wire: the wire's j-th
+    edge joins its j-th and (j+1)-th kept events, and its last edge
+    closes through infinity with signature -1.  Rotations follow the
+    drawing counterclockwise: at an event with window wires w_1..w_l
+    (top to bottom) the order is out(w_1)..out(w_l), in(w_1)..in(w_l).
+    Raises ``WireWithoutPoint`` when some wire meets no kept event.
     """
-    edge_ids: dict[ArcId, int] = {}
-    edges: list[tuple[int, int]] = []
+    edges: list[tuple[Hashable, Hashable]] = []
     signature: list[int] = []
+    arcs: list[ArcId] = []
+    out_dart: dict[tuple[int, int], Dart] = {}
+    in_dart: dict[tuple[int, int], Dart] = {}
     for w in range(1, diagram.n + 1):
-        evs = diagram.wire_events(w)
+        evs = [i for i in diagram.wire_events(w) if i in vertex_of]
+        if not evs:
+            raise WireWithoutPoint(f"wire {w} carries no designated point")
         k = len(evs)
-        for j in range(k):
-            edge_ids[(w, j)] = len(edges)
-            edges.append((evs[j], evs[(j + 1) % k]))
+        for j, i in enumerate(evs):
+            nxt = evs[(j + 1) % k]
+            out_dart[(w, i)] = (len(edges), 0)
+            in_dart[(w, nxt)] = (len(edges), 1)
+            edges.append((vertex_of[i], vertex_of[nxt]))
             signature.append(-1 if j == k - 1 else 1)
-
-    def out_dart(wire: int, event: int):
-        j = diagram.wire_events(wire).index(event)
-        return (edge_ids[(wire, j)], 0)
-
-    def in_dart(wire: int, event: int):
-        evs = diagram.wire_events(wire)
-        j = evs.index(event)
-        return (edge_ids[(wire, (j - 1) % len(evs))], 1)
-
+            arcs.append((w, j))
     rotations = {}
-    for i in range(diagram.event_count):
+    for i, v in vertex_of.items():
         wires = diagram.window_wires(i)
-        rotations[i] = tuple(out_dart(w, i) for w in wires) + tuple(
-            in_dart(w, i) for w in wires
+        rotations[v] = tuple(out_dart[(w, i)] for w in wires) + tuple(
+            in_dart[(w, i)] for w in wires
         )
-    return RotationMap(
-        tuple(range(diagram.event_count)), tuple(edges), rotations, tuple(signature)
-    )
+    rm = RotationMap(tuple(vertex_of.values()), tuple(edges), rotations, tuple(signature))
+    return rm, tuple(arcs)
 
 
-def arc_of_edge(diagram: GeneralizedWiringDiagram, edge_index: int) -> ArcId:
-    """Inverse of the edge numbering used by :func:`arrangement_map`."""
-    count = 0
-    for w in range(1, diagram.n + 1):
-        k = len(diagram.wire_events(w))
-        if edge_index < count + k:
-            return (w, edge_index - count)
-        count += k
-    raise IndexError(edge_index)
+def full_wire_map(
+    diagram: GeneralizedWiringDiagram,
+) -> tuple[RotationMap, tuple[ArcId, ...]]:
+    """:func:`wire_map` over every event, with event indices as vertices."""
+    return wire_map(diagram, {i: i for i in range(diagram.event_count)})
+
+
+def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
+    """The diagram's cell complex as a signed rotation map: every event
+    is a vertex and every arc an edge (see :func:`wire_map`)."""
+    return full_wire_map(diagram)[0]
 
 
 @dataclass(frozen=True)
@@ -82,11 +92,8 @@ class ArrangementFace:
 
 def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace, ...]:
     """All faces of the arrangement, infinity arcs included."""
-    rm = arrangement_map(diagram)
-    faces = []
-    for orbit in rm.faces:
-        sides = tuple(arc_of_edge(diagram, dart[0]) for dart, _ in orbit)
-        faces.append(ArrangementFace(sides))
+    rm, arcs = full_wire_map(diagram)
+    faces = [ArrangementFace(tuple(arcs[d[0]] for d, _ in orbit)) for orbit in rm.faces]
     return tuple(sorted(faces, key=lambda f: (len(f), f.sides)))
 
 
@@ -96,5 +103,4 @@ def detect_digons(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace, .
 
 
 def euler_characteristic(diagram: GeneralizedWiringDiagram) -> int:
-    rm = arrangement_map(diagram)
-    return rm.euler_characteristic()
+    return arrangement_map(diagram).euler_characteristic()

@@ -96,22 +96,6 @@ def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWirin
     return GeneralizedWiringDiagram(diagram.n, tuple(events))
 
 
-def apply_digon_move(
-    diagram: GeneralizedWiringDiagram,
-    pair: tuple[int, int],
-    at: int,
-    remove: bool = False,
-) -> GeneralizedWiringDiagram:
-    """Digon insertion (default) or removal at the given position."""
-    if remove:
-        if not 0 <= at < diagram.event_count:
-            raise NoSuchFace(f"no event at index {at}")
-        if set(diagram.window_wires(at)) != set(pair):
-            raise NoSuchFace(f"event {at} does not cross wires {pair}")
-        return remove_digon(diagram, at)
-    return insert_digon(diagram, pair, at)
-
-
 def triangle_moves(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int, int]]:
     """Admissible triangle-move sites: index triples i < j < k of regular
     non-designated crossings in braid position with no interfering event."""

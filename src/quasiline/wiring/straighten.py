@@ -32,7 +32,7 @@ from typing import Hashable, Sequence
 from ..errors import HasDigons, NotTwoConnected, QuasilineError
 from ..rotmaps import RotationMap
 from .diagram import GeneralizedWiringDiagram
-from .faces import arrangement_map, arc_of_edge, detect_digons
+from .faces import ArcId, full_wire_map
 
 Point = tuple[Fraction, Fraction]
 
@@ -116,10 +116,11 @@ def _strictly_convex(polygon: Sequence[Point]) -> bool:
 # -- crossing graph -----------------------------------------------------------
 
 
-def _finite_graph(diagram: GeneralizedWiringDiagram, full: RotationMap):
+def _finite_graph(full: RotationMap, arcs: Sequence[ArcId]):
     """G: events as vertices, finite arcs as edges, from the diagram's
-    arrangement map ``full``.  Returns the rotation map of G (closing
-    darts dropped) and the list of (wire, arc) keys."""
+    arrangement map ``full`` and its arc table ``arcs``.  Returns the
+    rotation map of G (closing darts dropped) and the list of (wire,
+    arc) keys."""
     finite_ids = [e for e, s in enumerate(full.signature) if s == 1]
     renumber = {e: i for i, e in enumerate(finite_ids)}
     edges = tuple(full.edges[e] for e in finite_ids)
@@ -128,8 +129,7 @@ def _finite_graph(diagram: GeneralizedWiringDiagram, full: RotationMap):
         for v in full.vertices
     }
     gmap = RotationMap(full.vertices, edges, rotations, (1,) * len(edges))
-    arcs = tuple(arc_of_edge(diagram, e) for e in finite_ids)
-    return gmap, arcs
+    return gmap, tuple(arcs[e] for e in finite_ids)
 
 
 def _check_two_connected(gmap: RotationMap) -> None:
@@ -351,8 +351,8 @@ def _embedded(
 
 
 def _audit(
-    diagram: GeneralizedWiringDiagram,
     full: RotationMap,
+    arcs: Sequence[ArcId],
     positions: list[Point],
     stars: list[Point],
     faces: list[list[int]],
@@ -367,10 +367,7 @@ def _audit(
 
     # Rotation audit: at every crossing the drawn counterclockwise order
     # of darts (chord rays included) must equal the stored rotation.
-    wire_first_last = {w + 1: (path[0], path[-1]) for w, path in enumerate(
-        tuple(diagram.wire_events(w + 1) for w in range(diagram.n))
-    )}
-    for v in range(diagram.event_count):
+    for v in full.vertices:
         rotation = full.rotations[v]
         directions = []
         for dart in rotation:
@@ -379,8 +376,7 @@ def _audit(
                 other = full.edges[e][1 - end]
                 directions.append(_sub(positions[other], positions[v]))
             else:
-                wire = arc_of_edge(diagram, e)[0]
-                first, last = wire_first_last[wire]
+                first, last = chords[arcs[e][0] - 1]
                 directions.append(
                     _chord_direction(positions, first, last, at_last=end == 0)
                 )
@@ -424,13 +420,13 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     crossing graph is verified simple and 2-connected
     (``NotTwoConnected`` signals an internal invariant violation).
     """
-    digons = detect_digons(diagram)
+    full, arcs = full_wire_map(diagram)
+    digons = sum(len(face) == 2 for face in full.faces)
     if digons:
         raise HasDigons(
-            f"{len(digons)} digon(s) found; straightening needs a digon-free diagram"
+            f"{digons} digon(s) found; straightening needs a digon-free diagram"
         )
-    full = arrangement_map(diagram)
-    gmap, arcs = _finite_graph(diagram, full)
+    gmap, finite_arcs = _finite_graph(full, arcs)
     _check_two_connected(gmap)
 
     wire_paths = tuple(diagram.wire_events(w) for w in range(1, diagram.n + 1))
@@ -441,16 +437,16 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
             )
     chords = [(path[0], path[-1]) for path in wire_paths]
 
-    outer = _outer_orbit(diagram, gmap, arcs)
+    outer = _outer_orbit(diagram, gmap, finite_arcs)
     internal_faces, outer_walk = _face_vertex_cycles(gmap, outer)
-    if len(set(outer_walk)) != len(outer_walk):
+    on_outer = set(outer_walk)
+    if len(on_outer) != len(outer_walk):
         raise NotTwoConnected("outer boundary is not a simple cycle")
     for w, (first, last) in enumerate(chords, start=1):
-        if first not in set(outer_walk) or last not in set(outer_walk):
+        if first not in on_outer or last not in on_outer:
             raise QuasilineError(
                 f"wire {w} does not reach the outer boundary; identification failed"
             )
-    outer_ccw = list(reversed(outer_walk))
 
     adjacency: dict = {v: [] for v in gmap.vertices}
     for u, v in gmap.edges:
@@ -463,25 +459,21 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
             adjacency[star].append(v)
             adjacency[v].append(star)
 
-    interior = [v for v in adjacency if v not in set(outer_ccw)]
+    # The outer walk goes counterclockwise round the polygon: it is laid on
+    # the circle points mirrored in the x-axis, taken in reverse order.  A
+    # mirror image reverses the rotation at every crossing, so only this
+    # orientation can pass the rotation audit.
+    interior = [v for v in adjacency if v not in on_outer]
     for attempt in range(_MAX_ATTEMPTS):
-        polygon = _circle_points(len(outer_ccw), attempt)
-        boundary = {v: polygon[i] for i, v in enumerate(outer_ccw)}
+        polygon = _circle_points(len(outer_walk), attempt)
+        boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
         placed = _tutte_positions(adjacency, boundary, interior)
         positions = [placed[v] for v in range(diagram.event_count)]
         stars = [placed[("star", s)] for s in range(len(internal_faces))]
-        candidates = [(positions, stars, outer_ccw)]
-        mirrored = [(x, -y) for x, y in positions]
-        candidates.append((mirrored, [(x, -y) for x, y in stars], outer_ccw[::-1]))
-        for pts, star_pts, cycle in candidates:
-            if _audit(diagram, full, pts, star_pts, internal_faces, cycle, chords):
-                return StraightDrawing(
-                    diagram.n,
-                    tuple(pts),
-                    tuple(cycle),
-                    tuple(chords),
-                    wire_paths,
-                )
+        if _audit(full, arcs, positions, stars, internal_faces, outer_walk, chords):
+            return StraightDrawing(
+                diagram.n, tuple(positions), tuple(outer_walk), tuple(chords), wire_paths
+            )
     raise QuasilineError("straightening audit failed for all polygon parameters")
 
 

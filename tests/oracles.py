@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the implementation paths
 it checks: girth by plain BFS, sweep validity by explicit cut
 simulation, scheme isomorphism by brute-force search over relabellings
-and regaugings, straight drawings by a pairwise segment audit, linear
+and regaugings, rotation systems by list scans along every wire,
+straight drawings by a pairwise segment audit, linear
 systems by Gauss-Jordan elimination over ``Fraction``, and random
 generators driven by seeded ``random.Random`` instances.
 """
@@ -22,8 +23,10 @@ from quasiline import (
     PermSequence,
     build,
 )
-from quasiline.surface import EmbeddingScheme
-from quasiline.wiring import GeneralizedWiringDiagram, arrangement_map
+from quasiline.errors import WireWithoutPoint
+from quasiline.rotmaps import RotationMap
+from quasiline.surface import EmbeddingScheme, make_scheme
+from quasiline.wiring import GeneralizedWiringDiagram
 
 
 # -- named configurations -----------------------------------------------------
@@ -205,7 +208,7 @@ def arcs_pairwise_disjoint(diagram: GeneralizedWiringDiagram, positions) -> bool
     """Pairwise segment audit of a straight drawing, O(E^2): the finite arcs
     of the diagram, drawn as segments between their crossings, meet only
     at a shared crossing."""
-    full = arrangement_map(diagram)
+    full = arrangement_map_by_scan(diagram)
     finite = [uv for e, uv in enumerate(full.edges) if full.signature[e] == 1]
     for (u1, v1), (u2, v2) in itertools.combinations(finite, 2):
         shared = {u1, v1} & {u2, v2}
@@ -223,6 +226,92 @@ def arcs_pairwise_disjoint(diagram: GeneralizedWiringDiagram, positions) -> bool
                 if q != p and _on_segment(a, b, q):
                     return False
     return True
+
+
+# -- rotation systems by list scans ------------------------------------------
+
+
+def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
+    """The arrangement map built separately from the library's builder:
+    edge (w, j) joins the j-th and (j+1)-th events of wire w, the wrap
+    edge is signed -1, and each rotation lists out-darts then in-darts of
+    the window wires top to bottom, every dart found by a list scan."""
+    edge_ids = {}
+    edges = []
+    signature = []
+    for w in range(1, diagram.n + 1):
+        evs = diagram.wire_events(w)
+        k = len(evs)
+        for j in range(k):
+            edge_ids[(w, j)] = len(edges)
+            edges.append((evs[j], evs[(j + 1) % k]))
+            signature.append(-1 if j == k - 1 else 1)
+
+    def out_dart(wire, event):
+        j = diagram.wire_events(wire).index(event)
+        return (edge_ids[(wire, j)], 0)
+
+    def in_dart(wire, event):
+        evs = diagram.wire_events(wire)
+        j = evs.index(event)
+        return (edge_ids[(wire, (j - 1) % len(evs))], 1)
+
+    rotations = {}
+    for i in range(diagram.event_count):
+        wires = diagram.window_wires(i)
+        rotations[i] = tuple(out_dart(w, i) for w in wires) + tuple(
+            in_dart(w, i) for w in wires
+        )
+    return RotationMap(
+        tuple(range(diagram.event_count)), tuple(edges), rotations, tuple(signature)
+    )
+
+
+def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
+    """The surface map of the designated points, built separately from the
+    library's builder in the same way as :func:`arrangement_map_by_scan`,
+    with non-designated crossings skipped along every wire."""
+    designated = diagram.designated_events()
+    designated_set = set(designated)
+    label = {i: diagram.events[i].point for i in designated}
+    vertices = tuple(label[i] for i in designated)
+
+    wire_points = {}
+    for w in range(1, diagram.n + 1):
+        pts = [i for i in diagram.wire_events(w) if i in designated_set]
+        if not pts:
+            raise WireWithoutPoint(f"wire {w} carries no designated point")
+        wire_points[w] = pts
+
+    edges = []
+    signature = []
+    lines = []
+    edge_id = {}
+    for w in range(1, diagram.n + 1):
+        pts = wire_points[w]
+        m = len(pts)
+        for j in range(m):
+            edge_id[(w, j)] = len(edges)
+            edges.append((label[pts[j]], label[pts[(j + 1) % m]]))
+            signature.append(-1 if j == m - 1 else 1)
+            lines.append(w)
+
+    def out_dart(w, event):
+        j = wire_points[w].index(event)
+        return (edge_id[(w, j)], 0)
+
+    def in_dart(w, event):
+        pts = wire_points[w]
+        j = pts.index(event)
+        return (edge_id[(w, (j - 1) % len(pts))], 1)
+
+    rotations = {}
+    for i in designated:
+        wires = diagram.window_wires(i)
+        rotations[label[i]] = tuple(out_dart(w, i) for w in wires) + tuple(
+            in_dart(w, i) for w in wires
+        )
+    return make_scheme(vertices, edges, rotations, signature, lines)
 
 
 # -- randomized generators ----------------------------------------------------

@@ -40,7 +40,6 @@ from quasiline.wiring import (
     insert_digon,
     remove_digon,
     removable_digons,
-    sequence_from_diagram,
     straighten,
     sweep_digraph,
     topological_sweep,
@@ -123,7 +122,7 @@ def test_criterion_1_realization_theorem(realization_corpus):
 
 def test_criterion_2_roundtrip(roundtrip_sequences):
     for seq in roundtrip_sequences:
-        assert sequence_from_diagram(diagram_from_sequence(seq)) == seq
+        assert diagram_from_sequence(seq).sequence() == seq
     report(2, "sequence -> diagram -> sequence is the identity on 100 random "
               "generalized allowable sequences (exact equality)")
 

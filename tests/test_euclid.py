@@ -8,7 +8,6 @@ from quasiline.wiring import (
     detect_digons,
     diagram_from_lines,
     euler_characteristic,
-    sequence_from_diagram,
 )
 
 from oracles import PAPPUS_EUCLIDEAN_LINES, PAPPUS_LABELS, PAPPUS_POINTS
@@ -19,7 +18,7 @@ def test_three_generic_lines():
     assert d.n == 3
     assert d.event_count == 3
     assert all(ev.length == 2 for ev in d.events)
-    assert classify(sequence_from_diagram(d)) is SequenceClass.ALLOWABLE
+    assert classify(d.sequence()) is SequenceClass.ALLOWABLE
 
 
 def test_two_parallel_lines_resolved_by_chart():
@@ -75,7 +74,7 @@ def test_pappus_unwanted_crossings():
     regular = [i for i in range(d.event_count) if d.events[i].point is None]
     assert all(d.events[i].length == 2 for i in regular)
     assert len(regular) == topological_unwanted_bound(9, 3) == 9
-    assert classify(sequence_from_diagram(d)) is SequenceClass.ALLOWABLE
+    assert classify(d.sequence()) is SequenceClass.ALLOWABLE
     assert euler_characteristic(d) == 1
     assert not detect_digons(d)
 

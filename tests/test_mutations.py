@@ -5,7 +5,6 @@ import pytest
 from quasiline import SequenceClass, classify, default_plan, realize
 from quasiline.errors import NoSuchFace, NotAdmissible
 from quasiline.wiring import (
-    apply_digon_move,
     apply_triangle_move,
     detect_digons,
     diagram_from_realization,
@@ -13,7 +12,6 @@ from quasiline.wiring import (
     insert_digon,
     removable_digons,
     remove_digon,
-    sequence_from_diagram,
     triangle_moves,
 )
 
@@ -48,7 +46,7 @@ def test_insert_digon_increases_digon_count():
     d = triangle_diagram()
     inserted = insert_digon(d, (1, 2), 0)
     assert len(detect_digons(inserted)) >= 1
-    assert classify(sequence_from_diagram(inserted)) is SequenceClass.GENERALIZED_ALLOWABLE
+    assert classify(inserted.sequence()) is SequenceClass.GENERALIZED_ALLOWABLE
 
 
 def test_remove_digon_rejects_designated():
@@ -70,29 +68,19 @@ def test_removable_digons_listing():
         assert back.event_count == inserted.event_count - 2
 
 
-def test_apply_digon_move_dispatch():
-    d = triangle_diagram()
-    ins = apply_digon_move(d, (1, 2), 0)
-    assert ins.event_count == d.event_count + 2
-    back = apply_digon_move(ins, (1, 2), 0, remove=True)
-    assert back == d
-    with pytest.raises(NoSuchFace):
-        apply_digon_move(ins, (1, 3), 0, remove=True)
-
-
 def test_triangle_move_on_triangle_diagram():
     d = triangle_diagram()
     # all three crossings designated: not admissible
     with pytest.raises(NotAdmissible):
         apply_triangle_move(d, (0, 1, 2))
     # strip the designations to make it admissible
-    seq = sequence_from_diagram(d)
+    seq = d.sequence()
     bare = diagram_from_sequence(
         seq.__class__(seq.n, seq.moves, frozenset())
     )
     moved = apply_triangle_move(bare, (0, 1, 2))
     assert [(e.start, e.length) for e in moved.events] == [(2, 2), (1, 2), (2, 2)]
-    assert classify(sequence_from_diagram(moved)) is SequenceClass.ALLOWABLE
+    assert classify(moved.sequence()) is SequenceClass.ALLOWABLE
     # and back
     again = apply_triangle_move(moved, (0, 1, 2))
     assert [(e.start, e.length) for e in again.events] == [(1, 2), (2, 2), (1, 2)]
@@ -100,7 +88,7 @@ def test_triangle_move_on_triangle_diagram():
 
 def test_triangle_move_bad_pattern():
     d = triangle_diagram()
-    seq = sequence_from_diagram(d)
+    seq = d.sequence()
     bare = diagram_from_sequence(seq.__class__(seq.n, seq.moves, frozenset()))
     with pytest.raises(NoSuchFace):
         apply_triangle_move(bare, (0, 1, 1))
@@ -120,7 +108,7 @@ def test_triangle_move_interference():
 
 def test_triangle_moves_finder():
     d = triangle_diagram()
-    seq = sequence_from_diagram(d)
+    seq = d.sequence()
     bare = diagram_from_sequence(seq.__class__(seq.n, seq.moves, frozenset()))
     assert (0, 1, 2) in list(triangle_moves(bare))
     assert list(triangle_moves(d)) == []
@@ -159,4 +147,4 @@ def test_random_move_sequences_stay_valid():
                 sites = list(removable_digons(d))
                 if sites:
                     d = remove_digon(d, sites[rng.randrange(len(sites))][0])
-        assert classify(sequence_from_diagram(d)) is not SequenceClass.PARTIAL
+        assert classify(d.sequence()) is not SequenceClass.PARTIAL

@@ -123,6 +123,11 @@ def test_generalized_iff_all_pair_counts_odd():
         )
         assert all_odd == final_reversed
         assert (classify(seq) is not SequenceClass.PARTIAL) == all_odd
+        all_once = all(
+            counts[frozenset(p)] == 1
+            for p in itertools.combinations(range(1, n + 1), 2)
+        )
+        assert (classify(seq) is SequenceClass.ALLOWABLE) == all_once
 
 
 def test_pair_count_total_identity():

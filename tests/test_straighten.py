@@ -16,7 +16,7 @@ from quasiline.wiring import (
     straighten,
     trace_faces_disk,
 )
-from quasiline.wiring.faces import arc_of_edge, arrangement_map
+from quasiline.wiring.faces import full_wire_map
 from quasiline.wiring.straighten import (
     _circle_points,
     _direction_cmp,
@@ -48,7 +48,7 @@ def reextracted_face_vector(diagram, drawing):
     """Independent oracle: re-derive every rotation from the drawn
     geometry (sorting dart directions counterclockwise with exact
     arithmetic), rebuild the signed map, and re-trace its faces."""
-    full = arrangement_map(diagram)
+    full, arcs = full_wire_map(diagram)
     positions = drawing.positions
     first_last = {
         w: (path[0], path[-1])
@@ -60,8 +60,7 @@ def reextracted_face_vector(diagram, drawing):
         if full.signature[e] == 1:
             other = full.edges[e][1 - end]
             return _sub(positions[other], positions[vertex])
-        wire = arc_of_edge(diagram, e)[0]
-        first, last = first_last[wire]
+        first, last = first_last[arcs[e][0]]
         d = _sub(positions[last], positions[first])
         return d if end == 0 else (-d[0], -d[1])
 
@@ -201,7 +200,7 @@ def test_embedding_check_is_sound_against_pairwise_oracle():
     for n in (5, 6, 6, 7):
         d = diagram_from_lines(random_line_arrangement(rng, n))
         drawing = straighten(d)
-        gmap, arcs = _finite_graph(d, arrangement_map(d))
+        gmap, arcs = _finite_graph(*full_wire_map(d))
         faces, _ = _face_vertex_cycles(gmap, _outer_orbit(d, gmap, arcs))
         stars = centred_stars(drawing.positions, faces)
         polygon = [drawing.positions[v] for v in drawing.outer_cycle]

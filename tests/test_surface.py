@@ -7,6 +7,7 @@ from quasiline import (
     default_plan,
     fingerprint,
     make_scheme,
+    make_sequence,
     realize,
     scheme_from_json_dict,
     scheme_from_realization,
@@ -17,16 +18,24 @@ from quasiline import (
 from quasiline.errors import DisconnectedScheme, ValidationError, WireWithoutPoint
 from quasiline.rotmaps import RotationMap
 from quasiline.wiring import (
+    arrangement_map,
+    diagram_from_lines,
     diagram_from_realization,
     diagram_from_sequence,
     insert_digon,
 )
 
 from oracles import (
+    PAPPUS_EUCLIDEAN_LINES,
+    PAPPUS_LABELS,
+    PAPPUS_POINTS,
+    arrangement_map_by_scan,
     fano,
     mobius_kantor,
+    random_generalized_sequence,
     random_scheme_transform,
     random_structure,
+    scheme_by_scan,
     triangle,
 )
 
@@ -105,12 +114,53 @@ def test_fano_scheme_counts():
 
 
 def test_wire_without_point_rejected():
-    from quasiline import make_sequence
-
     seq = make_sequence(3, [(1, 2), (2, 2), (1, 2)], designated=[1])
     d = diagram_from_sequence(seq)
     with pytest.raises(WireWithoutPoint):
         scheme_from_realization(d)
+
+
+def test_one_builder_matches_scan_oracles():
+    """The arrangement map and the surface map come from one builder; both
+    equal the list-scan oracles field by field, and the surface map fails
+    with the same error on the same inputs."""
+    rng = random.Random(2025)
+    diagrams = []
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        seq = random_generalized_sequence(rng, n)
+        share = rng.choice((0.3, 0.7, 1.0))
+        designated = [i for i in range(1, len(seq) + 1) if rng.random() < share]
+        diagrams.append(diagram_from_sequence(make_sequence(n, seq.moves, designated)))
+    diagrams.append(diagram_from_realization(realize(fano(), default_plan(fano()))))
+    diagrams.append(
+        diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
+    )
+    # one designated crossing of two wires: each wire closes up as a loop
+    diagrams.append(diagram_from_sequence(make_sequence(2, [(1, 2)], [1])))
+    built = loops = rejected = 0
+    for d in diagrams:
+        full, oracle = arrangement_map(d), arrangement_map_by_scan(d)
+        assert full.vertices == oracle.vertices
+        assert full.edges == oracle.edges
+        assert full.rotations == oracle.rotations
+        assert full.signature == oracle.signature
+        try:
+            expected = scheme_by_scan(d)
+        except (WireWithoutPoint, DisconnectedScheme) as exc:
+            with pytest.raises(type(exc)):
+                scheme_from_realization(d)
+            rejected += isinstance(exc, WireWithoutPoint)
+            continue
+        s = scheme_from_realization(d)
+        assert s.vertices == expected.vertices
+        assert s.edges == expected.edges
+        assert s.rotations == expected.rotations
+        assert s.signature == expected.signature
+        assert s.lines == expected.lines
+        built += 1
+        loops += any(u == v for u, v in s.edges)
+    assert built >= 100 and loops and rejected
 
 
 def test_disconnected_scheme_rejected():

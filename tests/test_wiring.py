@@ -25,7 +25,6 @@ from quasiline.wiring import (
     find_monotone_marking,
     is_acyclic,
     is_proper_marking,
-    sequence_from_diagram,
     sweep_digraph,
     topological_order,
     topological_sweep,
@@ -105,12 +104,12 @@ def test_roundtrip_sequence_diagram():
         n = rng.randint(2, 8)
         seq = random_generalized_sequence(rng, n, designate=True)
         d = diagram_from_sequence(seq)
-        assert sequence_from_diagram(d) == seq
+        assert d.sequence() == seq
 
 
 def test_roundtrip_fano():
     d = fano_diagram()
-    seq = sequence_from_diagram(d)
+    seq = d.sequence()
     assert diagram_from_sequence(seq, {i: d.events[j].point for i, j in
                                        zip(sorted(seq.designated), d.designated_events())}) == d
 
@@ -280,7 +279,7 @@ def test_crossing_number_identity():
     import math
 
     for d in random_diagrams(60):
-        seq = sequence_from_diagram(d)
+        seq = d.sequence()
         counts = pair_counts(seq)
         by_pairs = sum(
             counts[frozenset(p)]
