@@ -1,11 +1,11 @@
 """Command line front end: validation, realization, wiring diagrams,
 sweeps, surface maps, straightening, and SVG figure emission.
 
-One binary with subcommands; all outputs are deterministic for a fixed
-seed (JSON keys sorted, SVG attributes emitted in fixed order).  Exit
-codes: 0 ok, 2 validation failure or unreadable file, 3 parse error
-(malformed text or JSON, or bytes that are not UTF-8), 4 precondition
-error, 1 internal error.
+One binary with subcommands; all outputs are deterministic (nothing is
+random, JSON keys are sorted, SVG attributes are emitted in fixed
+order).  Exit codes: 0 ok, 2 validation failure or unreadable file,
+3 parse error (malformed text or JSON, or bytes that are not UTF-8),
+4 precondition error, 1 internal error.
 
 File formats: ``*.lines`` incidence text, ``*.seq.json`` move sequences,
 ``*.wd.json`` wiring diagrams, ``*.euclid.json`` Euclidean line input,
@@ -50,7 +50,6 @@ from .wiring import (
     diagram_from_json_dict,
     diagram_from_lines,
     diagram_from_realization,
-    diagram_from_sequence,
     diagram_to_json_dict,
     drawing_to_json_dict,
     straighten,
@@ -58,8 +57,6 @@ from .wiring import (
     topological_sweep,
 )
 from .wiring.straighten import StraightDrawing
-
-DEFAULT_SEED = 20141007
 
 # Wire colours of both SVG figures, cycled by wire number.
 PALETTE = (
@@ -133,7 +130,8 @@ def load_diagram(path: str, plan_path: Optional[str] = None) -> GeneralizedWirin
     elif "sequence" in data:
         data = data["sequence"]
     if name.endswith(".seq.json") or "moves" in data:
-        return diagram_from_sequence(sequence_from_json_dict(data))
+        seq = sequence_from_json_dict(data)
+        return GeneralizedWiringDiagram(seq.n, seq.moves)
     if name.endswith(".euclid.json") or ("lines" in data and "events" not in data):
         return _euclid_from_json(data)
     return diagram_from_json_dict(data)
@@ -150,7 +148,6 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    payload = {"seed": args.seed, **payload}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
 
 
@@ -188,7 +185,7 @@ def diagram_svg(diagram: GeneralizedWiringDiagram) -> str:
         track = w
         pts = [(margin * 0.3, y_of(track))]
         for i in diagram.wire_events(w):
-            ev = diagram.events[i]
+            ev = diagram.moves[i]
             perm = diagram.permutation_before(i)
             before = perm.index(w) + 1
             after = ev.start + ev.stop - before
@@ -206,7 +203,7 @@ def diagram_svg(diagram: GeneralizedWiringDiagram) -> str:
                 "stroke-width": "2",
             },
         )
-    for i, ev in enumerate(diagram.events):
+    for i, ev in enumerate(diagram.moves):
         cy = (y_of(ev.start) + y_of(ev.stop)) / 2
         common = {"cx": _fmt(x_of(i)), "cy": _fmt(cy), "r": "5"}
         if ev.point is not None:
@@ -433,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("json", "svg", "text"),
             default="json",
         )
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--plan", dest="plan_path", default=None)
     return parser
 

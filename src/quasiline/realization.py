@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 from .errors import PlanMismatch
 from .incidence import IncidenceStructure, Label
-from .sequences import Move, PermSequence, move_window_content
+from .sequences import Move, PermSequence
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,16 @@ class RealizationPlan:
 
 @dataclass(frozen=True)
 class Realization:
-    """A generalized allowable sequence with one designated move per point."""
+    """A generalized allowable sequence with one designated move per
+    point, labelled with that point."""
 
     seq: PermSequence
-    point_of_move: Mapping[int, Label]
     line_numbering: tuple[Label, ...]
 
-    def designated_window(self, move_index: int) -> tuple[int, ...]:
-        return move_window_content(self.seq, move_index)
+    @property
+    def point_of_move(self) -> dict[int, Label]:
+        """The point of each designated move, by 1-based move index."""
+        return {i + 1: self.seq.moves[i].point for i in self.seq.designated_events()}
 
 
 def _kendall_tau(p: list[int], q: list[int]) -> int:
@@ -159,30 +161,21 @@ def realize(structure: IncidenceStructure, plan: RealizationPlan) -> Realization
     n = len(plan.line_numbering)
     cur = list(range(1, n + 1))
     moves: list[Move] = []
-    designated: set[int] = set()
-    point_of_move: dict[int, Label] = {}
     for point in plan.point_order:
         content = _numbered_window(structure, plan, point)
         target = _best_target(cur, content)
         moves.extend(_bridge(cur, target))
         start = cur.index(content[0]) + 1
-        moves.append(Move(start, len(content)))
-        designated.add(len(moves))
-        point_of_move[len(moves)] = point
+        moves.append(Move(start, len(content), point))
         a, b = start - 1, start - 1 + len(content)
         cur[a:b] = cur[a:b][::-1]
     moves.extend(_bridge(cur, list(range(n, 0, -1))))
-    seq = PermSequence(n, tuple(moves), frozenset(designated))
-    return Realization(seq, point_of_move, plan.line_numbering)
+    return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
 
 
 def unwanted_crossing_count(realization: Realization) -> int:
     """Total local crossing number carried by non-designated moves."""
-    total = 0
-    for i, move in enumerate(realization.seq.moves, start=1):
-        if i not in realization.seq.designated:
-            total += math.comb(move.length, 2)
-    return total
+    return sum(math.comb(m.length, 2) for m in realization.seq.moves if m.point is None)
 
 
 def topological_unwanted_bound(n: int, k: int) -> int:

@@ -6,10 +6,15 @@ when every pair of elements is jointly reversed exactly once, and
 *generalized allowable* when the final permutation is the full reversal,
 which happens exactly when every pair is jointly reversed an odd number
 of times.  Moves are stored positionally as (start, length) with 1-based
-starts; the element sets they reverse are derived.
+starts; the permutations along the sequence and the window contents are
+derived once per sequence and cached.
 
-Some moves may be designated as carrying a structure point; designated
-flags travel with their moves under elementary interchanges.
+A move that carries a point label is *designated*: it is the reversal at
+a point of an incidence structure.  Labels travel with their moves under
+elementary interchanges.  A generalized wiring diagram
+(:mod:`quasiline.wiring.diagram`) is a generalized allowable sequence
+whose designated moves carry their labels: the same type, with one more
+condition.
 """
 
 from __future__ import annotations
@@ -17,25 +22,31 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from math import comb
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
 from .errors import (
     BadElement,
+    DuplicateId,
     IndexOutOfRange,
     NotDisjoint,
     ValidationError,
 )
 
+Label = Hashable
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True)
 class Move:
-    """Reversal of ``length`` consecutive entries starting at 1-based ``start``."""
+    """Reversal of ``length`` consecutive entries starting at 1-based
+    ``start``; a designated move carries its ``point`` label."""
 
     start: int
     length: int
+    point: Optional[Label] = None
 
     def __post_init__(self):
         if self.start < 1:
@@ -68,14 +79,13 @@ class SequenceClass(Enum):
 class PermSequence:
     """A partial sequence of window reversals on {1..n}.
 
-    ``designated`` holds 1-based indices of moves flagged as structure
-    points.  Permutations along the sequence are always derived, never
-    stored.
+    The designated moves are those carrying a point label; labels are
+    distinct.  Move indices are 1-based in the module functions and
+    0-based ("events") in the methods, which read the cached tables.
     """
 
     n: int
     moves: tuple[Move, ...]
-    designated: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.n < 1:
@@ -85,12 +95,64 @@ class PermSequence:
                 raise ValidationError(
                     f"move {i} window [{move.start},{move.stop}] exceeds n={self.n}"
                 )
-        bad = [i for i in self.designated if not 1 <= i <= len(self.moves)]
-        if bad:
-            raise ValidationError(f"designated indices out of range: {sorted(bad)}")
+        labels = [m.point for m in self.moves if m.point is not None]
+        if len(labels) != len(set(labels)):
+            raise DuplicateId("designated point labels must be distinct")
 
     def __len__(self) -> int:
         return len(self.moves)
+
+    @property
+    def event_count(self) -> int:
+        return len(self.moves)
+
+    @property
+    def designated(self) -> frozenset[int]:
+        """1-based indices of the designated moves."""
+        return frozenset(i + 1 for i in self.designated_events())
+
+    def designated_events(self) -> tuple[int, ...]:
+        """0-based indices of the designated moves, in order."""
+        return tuple(i for i, m in enumerate(self.moves) if m.point is not None)
+
+    @cached_property
+    def permutations(self) -> tuple[tuple[int, ...], ...]:
+        """Permutation before move i (0-based) at index i; index m is the
+        final one."""
+        perm = list(range(1, self.n + 1))
+        out = [tuple(perm)]
+        for move in self.moves:
+            a, b = move.start - 1, move.stop
+            perm[a:b] = perm[a:b][::-1]
+            out.append(tuple(perm))
+        return tuple(out)
+
+    def permutation_before(self, i: int) -> tuple[int, ...]:
+        return self.permutations[i]
+
+    @cached_property
+    def window_wires_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per move, the elements in its window read top to bottom just
+        before the reversal."""
+        return tuple(
+            perm[move.start - 1 : move.stop]
+            for perm, move in zip(self.permutations, self.moves)
+        )
+
+    def window_wires(self, i: int) -> tuple[int, ...]:
+        return self.window_wires_table[i]
+
+    @cached_property
+    def wire_event_table(self) -> dict[int, tuple[int, ...]]:
+        table: dict[int, list[int]] = {w: [] for w in range(1, self.n + 1)}
+        for i, wires in enumerate(self.window_wires_table):
+            for w in wires:
+                table[w].append(i)
+        return {w: tuple(evs) for w, evs in table.items()}
+
+    def wire_events(self, wire: int) -> tuple[int, ...]:
+        """Indices of the moves reversing ``wire``, left to right."""
+        return self.wire_event_table[wire]
 
 
 def make_sequence(
@@ -98,50 +160,49 @@ def make_sequence(
     moves: Iterable[tuple[int, int] | Move],
     designated: Iterable[int] = (),
 ) -> PermSequence:
-    """Convenience constructor accepting (start, length) pairs."""
+    """Convenience constructor accepting (start, length) pairs.  The moves
+    at the 1-based indices in ``designated`` are labelled p1, p2, ... in
+    move order."""
     ms = tuple(m if isinstance(m, Move) else Move(*m) for m in moves)
-    return PermSequence(n, ms, frozenset(designated))
+    marked = sorted(set(designated))
+    bad = [i for i in marked if not 1 <= i <= len(ms)]
+    if bad:
+        raise ValidationError(f"designated indices out of range: {bad}")
+    label = {i: f"p{k}" for k, i in enumerate(marked, start=1)}
+    return PermSequence(
+        n,
+        tuple(
+            replace(m, point=label[i]) if i in label else m
+            for i, m in enumerate(ms, start=1)
+        ),
+    )
 
 
 def permutation_after(seq: PermSequence, t: int) -> tuple[int, ...]:
     """The permutation after applying the first ``t`` moves to the identity."""
     if not 0 <= t <= len(seq.moves):
         raise IndexOutOfRange(f"t={t} not in [0, {len(seq.moves)}]")
-    perm = list(range(1, seq.n + 1))
-    for move in seq.moves[:t]:
-        a, b = move.start - 1, move.stop
-        perm[a:b] = perm[a:b][::-1]
-    return tuple(perm)
+    return seq.permutations[t]
 
 
 def move_elements(seq: PermSequence, i: int) -> frozenset[int]:
     """The set of elements reversed by move ``i`` (1-based)."""
-    if not 1 <= i <= len(seq.moves):
-        raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
-    perm = permutation_after(seq, i - 1)
-    move = seq.moves[i - 1]
-    return frozenset(perm[j] for j in move.window())
+    return frozenset(move_window_content(seq, i))
 
 
 def move_window_content(seq: PermSequence, i: int) -> tuple[int, ...]:
     """Window content of move ``i`` read top to bottom just before the reversal."""
     if not 1 <= i <= len(seq.moves):
         raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
-    perm = permutation_after(seq, i - 1)
-    move = seq.moves[i - 1]
-    return tuple(perm[j] for j in move.window())
+    return seq.window_wires_table[i - 1]
 
 
 def pair_counts(seq: PermSequence) -> Counter:
     """Counter mapping each unordered pair {x,y} to its joint move count."""
     counts: Counter = Counter()
-    perm = list(range(1, seq.n + 1))
-    for move in seq.moves:
-        a, b = move.start - 1, move.stop
-        window = perm[a:b]
+    for window in seq.window_wires_table:
         for x, y in itertools.combinations(window, 2):
             counts[frozenset((x, y))] += 1
-        perm[a:b] = window[::-1]
     return counts
 
 
@@ -161,7 +222,7 @@ def classify(seq: PermSequence) -> SequenceClass:
     which for a generalized sequence means the moves reverse C(n, 2)
     pairs in all.
     """
-    if permutation_after(seq, len(seq.moves)) != tuple(range(seq.n, 0, -1)):
+    if seq.permutations[-1] != tuple(range(seq.n, 0, -1)):
         return SequenceClass.PARTIAL
     if sum(comb(m.length, 2) for m in seq.moves) == comb(seq.n, 2):
         return SequenceClass.ALLOWABLE
@@ -170,7 +231,7 @@ def classify(seq: PermSequence) -> SequenceClass:
 
 def elementary_swap(seq: PermSequence, i: int) -> PermSequence:
     """Interchange moves ``i`` and ``i+1`` (1-based), which must have
-    disjoint position windows.  Designated flags follow their moves."""
+    disjoint position windows.  Point labels follow their moves."""
     if not 1 <= i <= len(seq.moves) - 1:
         raise IndexOutOfRange(f"swap index {i} not in [1, {len(seq.moves) - 1}]")
     a, b = seq.moves[i - 1], seq.moves[i]
@@ -180,19 +241,16 @@ def elementary_swap(seq: PermSequence, i: int) -> PermSequence:
             f"([{a.start},{a.stop}] vs [{b.start},{b.stop}])"
         )
     moves = list(seq.moves)
-    moves[i - 1], moves[i] = moves[i], moves[i - 1]
-    designated = set(seq.designated)
-    flip = {i: i + 1, i + 1: i}
-    designated = frozenset(flip.get(j, j) for j in designated)
-    return PermSequence(seq.n, tuple(moves), designated)
+    moves[i - 1], moves[i] = b, a
+    return PermSequence(seq.n, tuple(moves))
 
 
 def _swap_invariant(seq: PermSequence) -> Counter:
     # Multiset of (element set, designated?) pairs; preserved by swaps.
-    inv: Counter = Counter()
-    for i in range(1, len(seq.moves) + 1):
-        inv[(move_elements(seq, i), i in seq.designated)] += 1
-    return inv
+    return Counter(
+        (frozenset(window), move.point is not None)
+        for window, move in zip(seq.window_wires_table, seq.moves)
+    )
 
 
 def is_equivalent_bounded(
@@ -208,12 +266,12 @@ def is_equivalent_bounded(
         return None
     if _swap_invariant(seq1) != _swap_invariant(seq2):
         return None
-    key2 = (seq1.n, seq2.moves, seq2.designated)
 
     def key(s: PermSequence):
-        return (s.n, s.moves, s.designated)
+        # designation flags, not labels, distinguish the moves
+        return tuple((m.start, m.length, m.point is not None) for m in s.moves)
 
-    start = key(seq1)
+    start, key2 = key(seq1), key(seq2)
     if start == key2:
         return []
     parent: dict[tuple, tuple[tuple, int]] = {start: (start, 0)}

@@ -32,43 +32,38 @@ Label = Hashable
 
 @dataclass(frozen=True)
 class EmbeddingScheme:
-    """A graph with rotation system, signature and opposite-dart pairing.
+    """A rotation map with an opposite-dart pairing and per-edge line tags.
 
-    Vertex degrees are even and at least four (every line contributes two
-    darts at each of its points); the opposite pairing marks same-line
-    continuation and always sits deg/2 apart in the rotation.  ``lines``
-    optionally tags each edge with the line it belongs to.
+    The map is connected and its vertex degrees are even and at least
+    four (every line contributes two darts at each of its points); the
+    opposite pairing marks same-line continuation and always sits deg/2
+    apart in the rotation.  ``lines`` optionally tags each edge with the
+    line it belongs to.  The rotation system itself is checked once, when
+    ``rotmap`` is built.
     """
 
-    vertices: tuple[Label, ...]
-    edges: tuple[tuple[Label, Label], ...]
-    rotations: Mapping[Label, tuple[Dart, ...]]
-    signature: tuple[int, ...]
+    rotmap: RotationMap
     lines: tuple[Optional[Label], ...]
 
     def __post_init__(self):
         rm = self.rotmap
         if not rm.is_connected():
             raise DisconnectedScheme("embedding schemes must be connected")
-        for v in self.vertices:
+        for v in rm.vertices:
             deg = rm.degree(v)
             if deg < 4 or deg % 2 != 0:
                 raise ValidationError(
                     f"vertex {v!r} has degree {deg}; even degree >= 4 required"
                 )
-        if len(self.lines) != len(self.edges):
+        if len(self.lines) != len(rm.edges):
             raise ValidationError("need one line tag (or None) per edge")
-
-    @cached_property
-    def rotmap(self) -> RotationMap:
-        return RotationMap(self.vertices, self.edges, self.rotations, self.signature)
 
     @cached_property
     def opposite(self) -> dict[Dart, Dart]:
         """Same-line continuation: the dart deg/2 places along the rotation."""
         table: dict[Dart, Dart] = {}
-        for v in self.vertices:
-            rot = self.rotations[v]
+        for v in self.rotmap.vertices:
+            rot = self.rotmap.rotations[v]
             half = len(rot) // 2
             for i, d in enumerate(rot):
                 table[d] = rot[(i + half) % len(rot)]
@@ -76,11 +71,11 @@ class EmbeddingScheme:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.rotmap.vertices)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.rotmap.edges)
 
 
 def make_scheme(
@@ -92,13 +87,13 @@ def make_scheme(
 ) -> EmbeddingScheme:
     if lines is None:
         lines = [None] * len(edges)
-    return EmbeddingScheme(
+    rm = RotationMap(
         tuple(vertices),
         tuple((u, v) for u, v in edges),
         {v: tuple(r) for v, r in rotations.items()},
         tuple(signature),
-        tuple(lines),
     )
+    return EmbeddingScheme(rm, tuple(lines))
 
 
 def scheme_from_realization(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
@@ -113,11 +108,9 @@ def scheme_from_realization(diagram: GeneralizedWiringDiagram) -> EmbeddingSchem
     crossing.
     """
     rm, arcs = wire_map(
-        diagram, {i: diagram.events[i].point for i in diagram.designated_events()}
+        diagram, {i: diagram.moves[i].point for i in diagram.designated_events()}
     )
-    return make_scheme(
-        rm.vertices, rm.edges, rm.rotations, rm.signature, [w for w, _ in arcs]
-    )
+    return EmbeddingScheme(rm, tuple(w for w, _ in arcs))
 
 
 # -- analysis -----------------------------------------------------------------
@@ -218,9 +211,7 @@ def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ..
                 line=line,
                 vertices=tuple(rm.attach(d) for d in orbit),
                 edge_indices=edge_indices,
-                negative_count=sum(
-                    1 for e in edge_indices if scheme.signature[e] == -1
-                ),
+                negative_count=sum(1 for e in edge_indices if rm.signature[e] == -1),
             )
         )
     return tuple(walks)
@@ -230,14 +221,13 @@ def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ..
 
 
 def scheme_to_json_dict(scheme: EmbeddingScheme) -> dict:
-    vindex = {v: i for i, v in enumerate(scheme.vertices)}
+    rm = scheme.rotmap
+    vindex = {v: i for i, v in enumerate(rm.vertices)}
     return {
-        "vertices": [str(v) for v in scheme.vertices],
-        "edges": [[vindex[u], vindex[v]] for u, v in scheme.edges],
-        "rotations": [
-            [[e, end] for e, end in scheme.rotations[v]] for v in scheme.vertices
-        ],
-        "signature": list(scheme.signature),
+        "vertices": [str(v) for v in rm.vertices],
+        "edges": [[vindex[u], vindex[v]] for u, v in rm.edges],
+        "rotations": [[[e, end] for e, end in rm.rotations[v]] for v in rm.vertices],
+        "signature": list(rm.signature),
         "lines": [None if l is None else str(l) for l in scheme.lines],
     }
 

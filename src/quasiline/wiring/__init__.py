@@ -2,13 +2,11 @@
 
 from .diagram import (
     AbstractArrangement,
-    Event,
     GeneralizedWiringDiagram,
     SweepDigraph,
     arrangement_from_diagram,
     diagram_from_json_dict,
     diagram_from_realization,
-    diagram_from_sequence,
     diagram_to_json_dict,
     find_monotone_marking,
     is_acyclic,
@@ -42,7 +40,6 @@ from .straighten import (
 __all__ = [
     "AbstractArrangement",
     "ArrangementFace",
-    "Event",
     "GeneralizedWiringDiagram",
     "StraightDrawing",
     "SweepDigraph",
@@ -53,7 +50,6 @@ __all__ = [
     "diagram_from_json_dict",
     "diagram_from_lines",
     "diagram_from_realization",
-    "diagram_from_sequence",
     "diagram_to_json_dict",
     "drawing_from_json_dict",
     "drawing_to_json_dict",

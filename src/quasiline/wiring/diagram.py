@@ -7,10 +7,12 @@ pair of wires must cross an odd number of times, so the right-hand order
 is the full reversal and the closed-up picture (a disk with antipodal
 boundary points identified) is a monotone quasiline arrangement.
 
-Events may carry a designated point label, marking crossings that belong
-to an incidence structure.  The induced move sequence, the per-wire
-crossing orders, the sweep digraph, and abstract boundary data for
-monotonicity tests are all derived here.
+A diagram is a generalized allowable sequence whose designated moves
+carry their point labels: :class:`GeneralizedWiringDiagram` is a
+:class:`~quasiline.sequences.PermSequence` whose events are its moves,
+with the prefix permutations, window wires and per-wire crossing orders
+of that type.  The sweep digraph and abstract boundary data for
+monotonicity tests are derived here.
 """
 
 from __future__ import annotations
@@ -18,58 +20,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Optional
 
-from ..errors import (
-    CyclicInput,
-    DuplicateId,
-    NotGeneralized,
-    ValidationError,
-)
+from ..errors import CyclicInput, NotGeneralized, ValidationError
 from ..realization import Realization
 from ..sequences import Move, PermSequence
 
-Label = Hashable
-
 
 @dataclass(frozen=True)
-class Event:
-    """One crossing: the window [start, start+length-1] of tracks reverses."""
-
-    start: int
-    length: int
-    point: Optional[Label] = None
-
-    def __post_init__(self):
-        if self.start < 1:
-            raise ValidationError(f"event start {self.start} must be >= 1")
-        if self.length < 2:
-            raise ValidationError(f"event length {self.length} must be >= 2")
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length - 1
-
-    def move(self) -> Move:
-        return Move(self.start, self.length)
-
-
-@dataclass(frozen=True)
-class GeneralizedWiringDiagram:
-    n: int
-    events: tuple[Event, ...]
+class GeneralizedWiringDiagram(PermSequence):
+    """A generalized allowable sequence on at least two wires."""
 
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("an arrangement needs at least 2 wires")
-        for i, ev in enumerate(self.events):
-            if ev.stop > self.n:
-                raise ValidationError(
-                    f"event {i} window [{ev.start},{ev.stop}] exceeds n={self.n}"
-                )
-        labels = [ev.point for ev in self.events if ev.point is not None]
-        if len(labels) != len(set(labels)):
-            raise DuplicateId("designated point labels must be distinct")
+        super().__post_init__()
         final = self.permutations[-1]
         for x, y in zip(final, final[1:]):
             if x < y:
@@ -78,85 +43,9 @@ class GeneralizedWiringDiagram:
                     "every pair must cross an odd number of times"
                 )
 
-    def sequence(self) -> PermSequence:
-        """The induced move sequence; designated flags become move indices."""
-        moves = tuple(ev.move() for ev in self.events)
-        designated = frozenset(
-            i for i, ev in enumerate(self.events, start=1) if ev.point is not None
-        )
-        return PermSequence(self.n, moves, designated)
-
-    @cached_property
-    def permutations(self) -> tuple[tuple[int, ...], ...]:
-        """Permutation before event i at index i; index r is the final one."""
-        perm = list(range(1, self.n + 1))
-        out = [tuple(perm)]
-        for ev in self.events:
-            a, b = ev.start - 1, ev.stop
-            perm[a:b] = perm[a:b][::-1]
-            out.append(tuple(perm))
-        return tuple(out)
-
-    def permutation_before(self, i: int) -> tuple[int, ...]:
-        return self.permutations[i]
-
-    @cached_property
-    def window_wires_table(self) -> tuple[tuple[int, ...], ...]:
-        """Per event, the wires in its window read top to bottom just before."""
-        out = []
-        for i, ev in enumerate(self.events):
-            perm = self.permutations[i]
-            out.append(tuple(perm[ev.start - 1 : ev.stop]))
-        return tuple(out)
-
-    def window_wires(self, i: int) -> tuple[int, ...]:
-        return self.window_wires_table[i]
-
-    @cached_property
-    def wire_event_table(self) -> dict[int, tuple[int, ...]]:
-        table: dict[int, list[int]] = {w: [] for w in range(1, self.n + 1)}
-        for i, wires in enumerate(self.window_wires_table):
-            for w in wires:
-                table[w].append(i)
-        return {w: tuple(evs) for w, evs in table.items()}
-
-    def wire_events(self, wire: int) -> tuple[int, ...]:
-        """Indices of the events on ``wire``, left to right."""
-        return self.wire_event_table[wire]
-
-    def designated_events(self) -> tuple[int, ...]:
-        return tuple(i for i, ev in enumerate(self.events) if ev.point is not None)
-
-    @property
-    def event_count(self) -> int:
-        return len(self.events)
-
-
-def diagram_from_sequence(
-    seq: PermSequence, labels: Optional[Mapping[int, Label]] = None
-) -> GeneralizedWiringDiagram:
-    """Turn a generalized allowable sequence into a wiring diagram.
-
-    Events mirror moves one to one.  Designated moves become designated
-    events; ``labels`` maps move indices to point labels, defaulting to
-    p1, p2, ... in move order.
-    """
-    if labels is None:
-        labels = {
-            idx: f"p{k}" for k, idx in enumerate(sorted(seq.designated), start=1)
-        }
-    events = []
-    for i, move in enumerate(seq.moves, start=1):
-        point = labels.get(i) if i in seq.designated else None
-        if i in seq.designated and point is None:
-            raise ValidationError(f"designated move {i} lacks a point label")
-        events.append(Event(move.start, move.length, point))
-    return GeneralizedWiringDiagram(seq.n, tuple(events))
-
 
 def diagram_from_realization(realization: Realization) -> GeneralizedWiringDiagram:
-    """Diagram of a realization, keeping the structure's point labels."""
-    return diagram_from_sequence(realization.seq, dict(realization.point_of_move))
+    return GeneralizedWiringDiagram(realization.seq.n, realization.seq.moves)
 
 
 # -- sweep digraphs ---------------------------------------------------------
@@ -343,8 +232,8 @@ def diagram_to_json_dict(diagram: GeneralizedWiringDiagram) -> dict:
     return {
         "n": diagram.n,
         "events": [
-            [ev.start, ev.length, None if ev.point is None else str(ev.point)]
-            for ev in diagram.events
+            [m.start, m.length, None if m.point is None else str(m.point)]
+            for m in diagram.moves
         ],
     }
 
@@ -352,10 +241,10 @@ def diagram_to_json_dict(diagram: GeneralizedWiringDiagram) -> dict:
 def diagram_from_json_dict(data: dict) -> GeneralizedWiringDiagram:
     try:
         n = int(data["n"])
-        events = tuple(
-            Event(int(s), int(l), p if p is None else str(p))
+        moves = tuple(
+            Move(int(s), int(l), p if p is None else str(p))
             for s, l, p in data["events"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed diagram JSON: {exc}") from exc
-    return GeneralizedWiringDiagram(n, events)
+    return GeneralizedWiringDiagram(n, moves)

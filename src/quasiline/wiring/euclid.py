@@ -18,7 +18,8 @@ from math import gcd
 from typing import Hashable, Optional, Sequence
 
 from ..errors import DuplicateLine, UnresolvableChart, ValidationError
-from .diagram import Event, GeneralizedWiringDiagram
+from ..sequences import Move
+from .diagram import GeneralizedWiringDiagram
 
 Rational = Fraction | int
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -236,14 +237,14 @@ def diagram_from_lines(
     wire_of_line = {idx: w for w, (_, idx) in enumerate(slopes, start=1)}
 
     perm = list(range(1, n + 1))
-    events = []
+    moves = []
     for p in sorted(crossings, key=lambda q: q[0]):
         wires = sorted(wire_of_line[idx] for idx in crossings[p])
         tracks = sorted(perm.index(w) for w in wires)
         lo, hi = tracks[0], tracks[-1]
         assert tracks == list(range(lo, hi + 1)), "concurrent wires not adjacent"
         assert perm[lo : hi + 1] == wires, "window content out of order"
-        events.append(Event(lo + 1, hi - lo + 1, label_of.get(p)))
+        moves.append(Move(lo + 1, hi - lo + 1, label_of.get(p)))
         perm[lo : hi + 1] = perm[lo : hi + 1][::-1]
     assert perm == list(range(n, 0, -1)), "sweep did not end at the reversal"
-    return GeneralizedWiringDiagram(n, tuple(events))
+    return GeneralizedWiringDiagram(n, tuple(moves))

@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import NoSuchFace, NotAdmissible
-from .diagram import Event, GeneralizedWiringDiagram
+from ..sequences import Move
+from .diagram import GeneralizedWiringDiagram
 
 
 def insert_digon(
@@ -38,21 +39,21 @@ def insert_digon(
             f"(tracks {pa + 1} and {pb + 1})"
         )
     start = min(pa, pb) + 1
-    events = list(diagram.events)
-    events[at:at] = [Event(start, 2), Event(start, 2)]
-    return GeneralizedWiringDiagram(diagram.n, tuple(events))
+    moves = list(diagram.moves)
+    moves[at:at] = [Move(start, 2), Move(start, 2)]
+    return GeneralizedWiringDiagram(diagram.n, tuple(moves))
 
 
 def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int]]:
     """Pairs (i, j) of event indices that bound a removable digon: two
     crossings of the same wire pair, both regular and non-designated,
     with no other event on either wire between them."""
-    for i, ev in enumerate(diagram.events):
+    for i, ev in enumerate(diagram.moves):
         if ev.length != 2 or ev.point is not None:
             continue
         pair = set(diagram.window_wires(i))
         for j in range(i + 1, diagram.event_count):
-            other = diagram.events[j]
+            other = diagram.moves[j]
             touched = set(diagram.window_wires(j))
             if touched & pair:
                 if (
@@ -73,7 +74,7 @@ def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWirin
     """
     if not 0 <= at < diagram.event_count:
         raise NoSuchFace(f"no event at index {at}")
-    ev = diagram.events[at]
+    ev = diagram.moves[at]
     if ev.length != 2:
         raise NoSuchFace(f"event {at} is a singular crossing, not a digon side")
     if ev.point is not None:
@@ -87,13 +88,13 @@ def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWirin
             break
     if partner is None or set(diagram.window_wires(partner)) != pair:
         raise NoSuchFace(f"event {at} does not bound an empty digon")
-    other = diagram.events[partner]
+    other = diagram.moves[partner]
     if other.length != 2:
         raise NoSuchFace(f"event {at} does not bound an empty digon")
     if other.point is not None:
         raise NotAdmissible(f"event {partner} is designated ({other.point!r})")
-    events = [e for k, e in enumerate(diagram.events) if k not in (at, partner)]
-    return GeneralizedWiringDiagram(diagram.n, tuple(events))
+    moves = tuple(m for k, m in enumerate(diagram.moves) if k not in (at, partner))
+    return GeneralizedWiringDiagram(diagram.n, moves)
 
 
 def triangle_moves(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int, int]]:
@@ -115,7 +116,7 @@ def _check_triangle(
     i, j, k = sorted(triple)
     if len({i, j, k}) != 3 or not 0 <= i or k >= diagram.event_count:
         raise NoSuchFace(f"{triple} is not a triple of distinct event indices")
-    e1, e2, e3 = diagram.events[i], diagram.events[j], diagram.events[k]
+    e1, e2, e3 = diagram.moves[i], diagram.moves[j], diagram.moves[k]
     for idx, ev in ((i, e1), (j, e2), (k, e3)):
         if ev.length != 2:
             raise NoSuchFace(f"event {idx} is singular; triangle moves need regular crossings")
@@ -126,7 +127,7 @@ def _check_triangle(
     for m in range(i + 1, k):
         if m == j:
             continue
-        ev = diagram.events[m]
+        ev = diagram.moves[m]
         if any(pos in band for pos in range(ev.start, ev.stop + 1)):
             raise NoSuchFace(
                 f"event {m} interferes with the triangle across tracks "
@@ -145,8 +146,8 @@ def apply_triangle_move(
     braid pattern (t, u, t) at the three events to (u, t, u)."""
     t, u = _check_triangle(diagram, triple)
     i, j, k = sorted(triple)
-    events = list(diagram.events)
-    events[i] = Event(u, 2)
-    events[j] = Event(t, 2)
-    events[k] = Event(u, 2)
-    return GeneralizedWiringDiagram(diagram.n, tuple(events))
+    moves = list(diagram.moves)
+    moves[i] = Move(u, 2)
+    moves[j] = Move(t, 2)
+    moves[k] = Move(u, 2)
+    return GeneralizedWiringDiagram(diagram.n, tuple(moves))

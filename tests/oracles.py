@@ -22,8 +22,9 @@ from quasiline import (
     Move,
     PermSequence,
     build,
+    make_sequence,
 )
-from quasiline.errors import WireWithoutPoint
+from quasiline.errors import IndexOutOfRange, WireWithoutPoint
 from quasiline.rotmaps import RotationMap
 from quasiline.surface import EmbeddingScheme, make_scheme
 from quasiline.wiring import GeneralizedWiringDiagram
@@ -273,7 +274,7 @@ def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
     with non-designated crossings skipped along every wire."""
     designated = diagram.designated_events()
     designated_set = set(designated)
-    label = {i: diagram.events[i].point for i in designated}
+    label = {i: diagram.moves[i].point for i in designated}
     vertices = tuple(label[i] for i in designated)
 
     wire_points = {}
@@ -312,6 +313,35 @@ def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
             in_dart(w, i) for w in wires
         )
     return make_scheme(vertices, edges, rotations, signature, lines)
+
+
+# -- sequence replay oracle ---------------------------------------------------
+
+
+def as_diagram(seq: PermSequence) -> GeneralizedWiringDiagram:
+    """The wiring diagram whose events are the moves of ``seq``."""
+    return GeneralizedWiringDiagram(seq.n, seq.moves)
+
+
+def permutation_after_by_replay(seq: PermSequence, t: int) -> tuple[int, ...]:
+    """The permutation after the first ``t`` moves, replayed from the
+    identity on every call."""
+    if not 0 <= t <= len(seq.moves):
+        raise IndexOutOfRange(f"t={t} not in [0, {len(seq.moves)}]")
+    perm = list(range(1, seq.n + 1))
+    for move in seq.moves[:t]:
+        a, b = move.start - 1, move.stop
+        perm[a:b] = perm[a:b][::-1]
+    return tuple(perm)
+
+
+def move_window_content_by_replay(seq: PermSequence, i: int) -> tuple[int, ...]:
+    """Window content of move ``i`` (1-based) read top to bottom just
+    before the reversal, replaying the prefix."""
+    if not 1 <= i <= len(seq.moves):
+        raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
+    perm = permutation_after_by_replay(seq, i - 1)
+    return tuple(perm[j] for j in seq.moves[i - 1].window())
 
 
 # -- randomized generators ----------------------------------------------------
@@ -440,7 +470,7 @@ def random_allowable_sequence(rng: random.Random, n: int, singular_prob=0.2) -> 
         moves.append(Move(start, length))
         a, b = start - 1, start - 1 + length
         perm[a:b] = perm[a:b][::-1]
-    return PermSequence(n, tuple(moves), frozenset())
+    return PermSequence(n, tuple(moves))
 
 
 def random_generalized_sequence(
@@ -462,10 +492,10 @@ def random_generalized_sequence(
         moves.append(Move(start, 2))
         a, b = start - 1, start + 1
         perm[a:b] = perm[a:b][::-1]
-    designated = frozenset(
+    designated = [
         i for i in range(1, len(moves) + 1) if designate and rng.random() < 0.3
-    )
-    return PermSequence(n, tuple(moves), designated)
+    ]
+    return make_sequence(n, moves, designated)
 
 
 def random_partial_sequence(rng: random.Random, n: int, r: int) -> PermSequence:
@@ -474,7 +504,7 @@ def random_partial_sequence(rng: random.Random, n: int, r: int) -> PermSequence:
         length = rng.randint(2, n)
         start = rng.randint(1, n - length + 1)
         moves.append(Move(start, length))
-    return PermSequence(n, tuple(moves), frozenset())
+    return PermSequence(n, tuple(moves))
 
 
 # -- brute-force scheme isomorphism -------------------------------------------
@@ -482,7 +512,7 @@ def random_partial_sequence(rng: random.Random, n: int, r: int) -> PermSequence:
 
 def _scheme_tables(s: EmbeddingScheme):
     rm = s.rotmap
-    return rm, {v: s.rotations[v] for v in s.vertices}
+    return rm, {v: rm.rotations[v] for v in rm.vertices}
 
 
 def schemes_isomorphic_bruteforce(s1: EmbeddingScheme, s2: EmbeddingScheme) -> bool:
@@ -495,8 +525,8 @@ def schemes_isomorphic_bruteforce(s1: EmbeddingScheme, s2: EmbeddingScheme) -> b
     """
     rm1, rot1 = _scheme_tables(s1)
     rm2, rot2 = _scheme_tables(s2)
-    v1, v2 = list(s1.vertices), list(s2.vertices)
-    if len(v1) != len(v2) or len(s1.edges) != len(s2.edges):
+    v1, v2 = list(rm1.vertices), list(rm2.vertices)
+    if len(v1) != len(v2) or len(rm1.edges) != len(rm2.edges):
         return False
     if sorted(rm1.degree(v) for v in v1) != sorted(rm2.degree(v) for v in v2):
         return False
@@ -517,7 +547,7 @@ def schemes_isomorphic_bruteforce(s1: EmbeddingScheme, s2: EmbeddingScheme) -> b
                     src = r1[i]
                     dst = r2[(off + g * i) % k]
                     dart_map[src] = dst
-            for e, (a, b) in enumerate(s1.edges):
+            for e, (a, b) in enumerate(rm1.edges):
                 d0, d1 = (e, 0), (e, 1)
                 m0, m1 = dart_map[d0], dart_map[d1]
                 if m0[0] != m1[0] or m0[1] == m1[1]:
@@ -526,8 +556,8 @@ def schemes_isomorphic_bruteforce(s1: EmbeddingScheme, s2: EmbeddingScheme) -> b
                 e2 = m0[0]
                 gu = gauges[rm1.attach(d0)]
                 gv = gauges[rm1.attach(d1)]
-                expected = gu * gv * s1.signature[e]
-                if s2.signature[e2] != expected:
+                expected = gu * gv * rm1.signature[e]
+                if rm2.signature[e2] != expected:
                     ok = False
                     break
             if ok:
@@ -554,34 +584,34 @@ def random_scheme_transform(rng: random.Random, s: EmbeddingScheme) -> Embedding
     """A random relabelling + regauging (+ possible reflection) of ``s``."""
     from quasiline.surface import make_scheme
 
-    vertices = list(s.vertices)
+    vertices = list(s.rotmap.vertices)
     shuffled = vertices[:]
     rng.shuffle(shuffled)
     rename = dict(zip(vertices, shuffled))
     gauges = {v: rng.choice((1, -1)) for v in vertices}
     # edge order shuffle with end swaps
-    edge_perm = list(range(len(s.edges)))
+    edge_perm = list(range(len(s.rotmap.edges)))
     rng.shuffle(edge_perm)
     edge_pos = {e: i for i, e in enumerate(edge_perm)}
-    end_swap = [rng.random() < 0.5 for _ in s.edges]
+    end_swap = [rng.random() < 0.5 for _ in s.rotmap.edges]
 
     def map_dart(d):
         e, end = d
         return (edge_pos[e], end ^ end_swap[e])
 
-    new_edges = [None] * len(s.edges)
-    new_signature = [0] * len(s.edges)
-    new_lines = [None] * len(s.edges)
-    for e, (u, v) in enumerate(s.edges):
+    new_edges = [None] * len(s.rotmap.edges)
+    new_signature = [0] * len(s.rotmap.edges)
+    new_lines = [None] * len(s.rotmap.edges)
+    for e, (u, v) in enumerate(s.rotmap.edges):
         uu, vv = rename[u], rename[v]
         if end_swap[e]:
             uu, vv = vv, uu
         new_edges[edge_pos[e]] = (uu, vv)
-        new_signature[edge_pos[e]] = gauges[u] * gauges[v] * s.signature[e]
+        new_signature[edge_pos[e]] = gauges[u] * gauges[v] * s.rotmap.signature[e]
         new_lines[edge_pos[e]] = s.lines[e]
     new_rotations = {}
     for v in vertices:
-        rot = s.rotations[v]
+        rot = s.rotmap.rotations[v]
         rot = rot if gauges[v] == 1 else rot[::-1]
         shift = rng.randrange(len(rot))
         rot = rot[shift:] + rot[:shift]

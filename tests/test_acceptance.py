@@ -20,6 +20,8 @@ from quasiline import (
     permutation_after,
     realize,
     scheme_from_realization,
+    sequence_from_json_dict,
+    sequence_to_json_dict,
     straight_ahead_walks,
     topological_unwanted_bound,
     trace_and_summarize,
@@ -35,8 +37,9 @@ from quasiline.wiring import (
     apply_triangle_move,
     detect_digons,
     diagram_from_lines,
+    diagram_from_json_dict,
     diagram_from_realization,
-    diagram_from_sequence,
+    diagram_to_json_dict,
     insert_digon,
     remove_digon,
     removable_digons,
@@ -48,6 +51,7 @@ from quasiline.wiring import (
 from quasiline.wiring.diagram import is_acyclic
 
 from oracles import (
+    as_diagram,
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
@@ -122,14 +126,17 @@ def test_criterion_1_realization_theorem(realization_corpus):
 
 def test_criterion_2_roundtrip(roundtrip_sequences):
     for seq in roundtrip_sequences:
-        assert diagram_from_sequence(seq).sequence() == seq
-    report(2, "sequence -> diagram -> sequence is the identity on 100 random "
-              "generalized allowable sequences (exact equality)")
+        d = as_diagram(seq)
+        assert sequence_from_json_dict(sequence_to_json_dict(d)) == seq
+        assert diagram_from_json_dict(diagram_to_json_dict(d)) == d
+    report(2, "sequence -> diagram -> sequence JSON and diagram JSON are "
+              "identities on 100 random generalized allowable sequences "
+              "(exact equality)")
 
 
 def test_criterion_3_sweeps(realization_corpus, roundtrip_sequences):
     diagrams = [diagram_from_realization(r) for _, _, r, _ in realization_corpus]
-    diagrams += [diagram_from_sequence(s) for s in roundtrip_sequences]
+    diagrams += [as_diagram(s) for s in roundtrip_sequences]
     violations = 0
     for d in diagrams:
         if not is_acyclic(sweep_digraph(d)):
@@ -173,11 +180,11 @@ def test_criterion_4_classification():
 
 def test_criterion_5_pappus_unwanted():
     d = diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
-    unwanted = [i for i in range(d.event_count) if d.events[i].point is None]
-    assert all(d.events[i].length == 2 for i in unwanted)
+    unwanted = [i for i in range(d.event_count) if d.moves[i].point is None]
+    assert all(d.moves[i].length == 2 for i in unwanted)
     assert len(unwanted) == topological_unwanted_bound(9, 3)
     assert len(d.designated_events()) == 9
-    assert all(d.events[i].length == 3 for i in d.designated_events())
+    assert all(d.moves[i].length == 3 for i in d.designated_events())
     report(5, f"exact Pappus coordinates give 9 designated triple crossings and "
               f"exactly {len(unwanted)} regular unwanted crossings = C(9,2) - 9*C(3,2)")
 
@@ -306,11 +313,11 @@ def test_criterion_9_straightening():
     count = 0
     tri = diagram_from_realization(realize(triangle(), default_plan(triangle())))
     pappus = diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
-    braid = diagram_from_sequence(make_sequence(3, [(1, 2), (2, 2)] * 4 + [(1, 2)]))
+    braid = as_diagram(make_sequence(3, [(1, 2), (2, 2)] * 4 + [(1, 2)]))
     diagrams = [tri, pappus, braid]
     while len(diagrams) < 22:
         n = rng.randint(3, 7)
-        d = diagram_from_sequence(random_allowable_sequence(rng, n))
+        d = as_diagram(random_allowable_sequence(rng, n))
         if detect_digons(d):
             # a wire meeting all others in one singular crossing bounds
             # digons even in an allowable diagram; skip those

@@ -94,7 +94,7 @@ def test_realize_emits_sequence_and_points(workdir):
     seq = sequence_from_json_dict(data["sequence"])
     assert seq.n == 7
     assert len(data["points"]) == 7
-    assert data["seed"] == 20141007
+    assert "seed" not in data
 
 
 def test_wiring_json_roundtrips(workdir):

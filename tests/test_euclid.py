@@ -17,8 +17,8 @@ def test_three_generic_lines():
     d = diagram_from_lines([(1, -1, 0), (1, 1, 2), (0, 1, Fraction(1, 3))])
     assert d.n == 3
     assert d.event_count == 3
-    assert all(ev.length == 2 for ev in d.events)
-    assert classify(d.sequence()) is SequenceClass.ALLOWABLE
+    assert all(ev.length == 2 for ev in d.moves)
+    assert classify(d) is SequenceClass.ALLOWABLE
 
 
 def test_two_parallel_lines_resolved_by_chart():
@@ -31,7 +31,7 @@ def test_three_parallel_lines_merge_at_infinity():
     d = diagram_from_lines([(0, 1, 0), (0, 1, 1), (0, 1, 2)])
     # all three meet in one projective point: a single singular crossing
     assert d.event_count == 1
-    assert d.events[0].length == 3
+    assert d.moves[0].length == 3
 
 
 def test_duplicate_line_rejected():
@@ -52,7 +52,7 @@ def test_point_not_an_intersection_rejected():
 def test_selected_point_becomes_designated():
     d = diagram_from_lines([(1, 0, 0), (0, 1, 0)], points=[(0, 0)], point_labels=["O"])
     assert d.event_count == 1
-    assert d.events[0].point == "O"
+    assert d.moves[0].point == "O"
 
 
 def test_concurrent_lines_merge():
@@ -60,7 +60,7 @@ def test_concurrent_lines_merge():
     d = diagram_from_lines(
         [(1, -1, 0), (1, 1, 0), (0, 1, 0), (0, 1, 5)], points=[(0, 0)]
     )
-    merged = [ev for ev in d.events if ev.length == 3]
+    merged = [ev for ev in d.moves if ev.length == 3]
     assert len(merged) == 1
     assert merged[0].point == "P1"
 
@@ -70,18 +70,18 @@ def test_pappus_unwanted_crossings():
     assert d.n == 9
     designated = d.designated_events()
     assert len(designated) == 9
-    assert all(d.events[i].length == 3 for i in designated)
-    regular = [i for i in range(d.event_count) if d.events[i].point is None]
-    assert all(d.events[i].length == 2 for i in regular)
+    assert all(d.moves[i].length == 3 for i in designated)
+    regular = [i for i in range(d.event_count) if d.moves[i].point is None]
+    assert all(d.moves[i].length == 2 for i in regular)
     assert len(regular) == topological_unwanted_bound(9, 3) == 9
-    assert classify(d.sequence()) is SequenceClass.ALLOWABLE
+    assert classify(d) is SequenceClass.ALLOWABLE
     assert euler_characteristic(d) == 1
     assert not detect_digons(d)
 
 
 def test_pappus_designated_labels_complete():
     d = diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
-    labels = {d.events[i].point for i in d.designated_events()}
+    labels = {d.moves[i].point for i in d.designated_events()}
     assert labels == set(PAPPUS_LABELS)
 
 

@@ -2,24 +2,35 @@ import random
 
 import pytest
 
-from quasiline import SequenceClass, classify, default_plan, realize
+from quasiline import Move, SequenceClass, classify, default_plan, realize
 from quasiline.errors import NoSuchFace, NotAdmissible
 from quasiline.wiring import (
+    GeneralizedWiringDiagram,
     apply_triangle_move,
     detect_digons,
     diagram_from_realization,
-    diagram_from_sequence,
     insert_digon,
     removable_digons,
     remove_digon,
     triangle_moves,
 )
 
-from oracles import fano, random_generalized_sequence, triangle, two_lines_three_points
+from oracles import (
+    as_diagram,
+    fano,
+    random_generalized_sequence,
+    triangle,
+    two_lines_three_points,
+)
 
 
 def triangle_diagram():
     return diagram_from_realization(realize(triangle(), default_plan(triangle())))
+
+
+def unlabelled(d):
+    """The same diagram with every point label dropped."""
+    return GeneralizedWiringDiagram(d.n, tuple(Move(m.start, m.length) for m in d.moves))
 
 
 def test_insert_then_remove_is_identity():
@@ -46,7 +57,7 @@ def test_insert_digon_increases_digon_count():
     d = triangle_diagram()
     inserted = insert_digon(d, (1, 2), 0)
     assert len(detect_digons(inserted)) >= 1
-    assert classify(inserted.sequence()) is SequenceClass.GENERALIZED_ALLOWABLE
+    assert classify(inserted) is SequenceClass.GENERALIZED_ALLOWABLE
 
 
 def test_remove_digon_rejects_designated():
@@ -74,22 +85,17 @@ def test_triangle_move_on_triangle_diagram():
     with pytest.raises(NotAdmissible):
         apply_triangle_move(d, (0, 1, 2))
     # strip the designations to make it admissible
-    seq = d.sequence()
-    bare = diagram_from_sequence(
-        seq.__class__(seq.n, seq.moves, frozenset())
-    )
+    bare = unlabelled(d)
     moved = apply_triangle_move(bare, (0, 1, 2))
-    assert [(e.start, e.length) for e in moved.events] == [(2, 2), (1, 2), (2, 2)]
-    assert classify(moved.sequence()) is SequenceClass.ALLOWABLE
+    assert [(e.start, e.length) for e in moved.moves] == [(2, 2), (1, 2), (2, 2)]
+    assert classify(moved) is SequenceClass.ALLOWABLE
     # and back
     again = apply_triangle_move(moved, (0, 1, 2))
-    assert [(e.start, e.length) for e in again.events] == [(1, 2), (2, 2), (1, 2)]
+    assert [(e.start, e.length) for e in again.moves] == [(1, 2), (2, 2), (1, 2)]
 
 
 def test_triangle_move_bad_pattern():
-    d = triangle_diagram()
-    seq = d.sequence()
-    bare = diagram_from_sequence(seq.__class__(seq.n, seq.moves, frozenset()))
+    bare = unlabelled(triangle_diagram())
     with pytest.raises(NoSuchFace):
         apply_triangle_move(bare, (0, 1, 1))
     with pytest.raises(NoSuchFace):
@@ -101,15 +107,14 @@ def test_triangle_move_interference():
     from quasiline import make_sequence
 
     seq = make_sequence(3, [(1, 2), (2, 2), (2, 2), (2, 2), (1, 2)])
-    d = diagram_from_sequence(seq)
+    d = as_diagram(seq)
     with pytest.raises(NoSuchFace):
         apply_triangle_move(d, (0, 1, 4))
 
 
 def test_triangle_moves_finder():
     d = triangle_diagram()
-    seq = d.sequence()
-    bare = diagram_from_sequence(seq.__class__(seq.n, seq.moves, frozenset()))
+    bare = unlabelled(d)
     assert (0, 1, 2) in list(triangle_moves(bare))
     assert list(triangle_moves(d)) == []
 
@@ -117,15 +122,15 @@ def test_triangle_moves_finder():
 def test_moves_preserve_designated_data():
     d = diagram_from_realization(realize(fano(), default_plan(fano())))
     inserted = insert_digon(d, (1, 2), 0)
-    assert [e.point for e in inserted.events if e.point is not None] == [
-        e.point for e in d.events if e.point is not None
+    assert [e.point for e in inserted.moves if e.point is not None] == [
+        e.point for e in d.moves if e.point is not None
     ]
     # designated windows unchanged
     des_before = [
-        (d.window_wires(i), d.events[i].point) for i in d.designated_events()
+        (d.window_wires(i), d.moves[i].point) for i in d.designated_events()
     ]
     des_after = [
-        (inserted.window_wires(i), inserted.events[i].point)
+        (inserted.window_wires(i), inserted.moves[i].point)
         for i in inserted.designated_events()
     ]
     assert des_before == des_after
@@ -135,7 +140,7 @@ def test_random_move_sequences_stay_valid():
     rng = random.Random(73)
     for _ in range(30):
         n = rng.randint(3, 7)
-        d = diagram_from_sequence(random_generalized_sequence(rng, n, designate=True))
+        d = as_diagram(random_generalized_sequence(rng, n, designate=True))
         for _ in range(4):
             choice = rng.random()
             if choice < 0.5:
@@ -147,4 +152,4 @@ def test_random_move_sequences_stay_valid():
                 sites = list(removable_digons(d))
                 if sites:
                     d = remove_digon(d, sites[rng.randrange(len(sites))][0])
-        assert classify(d.sequence()) is not SequenceClass.PARTIAL
+        assert classify(d) is not SequenceClass.PARTIAL

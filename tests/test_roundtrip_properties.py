@@ -1,0 +1,93 @@
+"""Property tests: the ``.seq.json`` and ``.wd.json`` round trips of the
+one move-sequence type, on sequences and diagrams drawn by Hypothesis."""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasiline import (
+    Move,
+    PermSequence,
+    make_sequence,
+    sequence_from_json,
+    sequence_to_json,
+    sequence_to_json_dict,
+)
+from quasiline.wiring import (
+    GeneralizedWiringDiagram,
+    diagram_from_json_dict,
+    diagram_to_json_dict,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+LABELS = st.text(alphabet="ABCpq0123", min_size=1, max_size=3)
+
+
+@st.composite
+def windows(draw, n, max_moves=8):
+    if n < 2:
+        return []
+    count = draw(st.integers(0, max_moves))
+    out = []
+    for _ in range(count):
+        length = draw(st.integers(2, n))
+        out.append((draw(st.integers(1, n - length + 1)), length))
+    return out
+
+
+@st.composite
+def sequences(draw):
+    """A partial sequence whose designated moves are labelled p1, p2, ...
+    in move order, as sequence JSON loads them."""
+    n = draw(st.integers(1, 8))
+    moves = draw(windows(n))
+    designated = draw(st.sets(st.integers(1, len(moves)))) if moves else set()
+    return make_sequence(n, moves, designated)
+
+
+@st.composite
+def diagrams(draw):
+    """A generalized diagram: drawn moves, then adjacent transpositions of
+    drawn ascending pairs up to the reversal, with distinct drawn labels."""
+    n = draw(st.integers(2, 7))
+    moves = draw(windows(n, max_moves=5))
+    perm = list(range(1, n + 1))
+    for start, length in moves:
+        perm[start - 1 : start - 1 + length] = perm[start - 1 : start - 1 + length][::-1]
+    while perm != sorted(perm, reverse=True):
+        ascending = [i for i in range(n - 1) if perm[i] < perm[i + 1]]
+        i = draw(st.sampled_from(ascending))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        moves.append((i + 1, 2))
+    labels = draw(st.lists(st.one_of(st.none(), LABELS), min_size=len(moves), max_size=len(moves)))
+    seen = set()
+    labelled = []
+    for (start, length), label in zip(moves, labels):
+        if label in seen:
+            label = None
+        seen.add(label)
+        labelled.append(Move(start, length, label))
+    return GeneralizedWiringDiagram(n, tuple(labelled))
+
+
+@PROPERTY
+@given(sequences())
+def test_sequence_json_roundtrip(seq):
+    text = sequence_to_json(seq)
+    assert sequence_from_json(text) == seq
+    assert sequence_to_json(sequence_from_json(text)) == text
+
+
+@PROPERTY
+@given(diagrams())
+def test_diagram_json_roundtrip(d):
+    data = json.loads(json.dumps(diagram_to_json_dict(d)))
+    assert diagram_from_json_dict(data) == d
+    # its sequence JSON forgets the labels but keeps the designated moves
+    seq = sequence_from_json(sequence_to_json(d))
+    assert [(m.start, m.length) for m in seq.moves] == [(m.start, m.length) for m in d.moves]
+    assert seq.designated == d.designated
+    assert sequence_to_json_dict(seq) == sequence_to_json_dict(d)
+    assert isinstance(seq, PermSequence) and not isinstance(seq, GeneralizedWiringDiagram)

@@ -6,6 +6,7 @@ import pytest
 
 from quasiline import (
     Move,
+    PermSequence,
     SequenceClass,
     classify,
     elementary_swap,
@@ -20,6 +21,7 @@ from quasiline import (
 )
 from quasiline.errors import (
     BadElement,
+    DuplicateId,
     IndexOutOfRange,
     NotDisjoint,
     ValidationError,
@@ -27,6 +29,8 @@ from quasiline.errors import (
 from quasiline.sequences import pair_counts
 
 from oracles import (
+    move_window_content_by_replay,
+    permutation_after_by_replay,
     random_allowable_sequence,
     random_generalized_sequence,
     random_partial_sequence,
@@ -40,6 +44,8 @@ def test_move_validation():
         Move(1, 1)
     with pytest.raises(ValidationError):
         make_sequence(3, [(3, 2)])  # window exceeds n
+    with pytest.raises(DuplicateId):
+        PermSequence(3, (Move(1, 2, "p"), Move(2, 2, "p")))
 
 
 def test_permutation_after_three_swaps():
@@ -245,3 +251,59 @@ def test_json_roundtrip():
 def test_move_window_content_reads_top_to_bottom():
     seq = make_sequence(3, [(1, 2), (1, 3)])
     assert move_window_content(seq, 2) == (2, 1, 3)
+
+
+def test_cached_tables_match_replay_oracle():
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        seq = random_partial_sequence(rng, n, rng.randint(0, 8) if n > 1 else 0)
+        m = len(seq.moves)
+        checked += m == 0
+        assert seq.permutations == tuple(
+            permutation_after_by_replay(seq, t) for t in range(m + 1)
+        )
+        for t in range(m + 1):
+            assert permutation_after(seq, t) == permutation_after_by_replay(seq, t)
+        for i in range(1, m + 1):
+            window = move_window_content_by_replay(seq, i)
+            assert move_window_content(seq, i) == window
+            assert seq.window_wires(i - 1) == window
+            assert move_elements(seq, i) == frozenset(window)
+        for t in (-1, m + 1):
+            with pytest.raises(IndexOutOfRange):
+                permutation_after(seq, t)
+            with pytest.raises(IndexOutOfRange):
+                permutation_after_by_replay(seq, t)
+        for i in (0, m + 1):
+            with pytest.raises(IndexOutOfRange):
+                move_window_content(seq, i)
+            with pytest.raises(IndexOutOfRange):
+                move_elements(seq, i)
+    assert checked >= 10  # empty sequences, n = 1 among them
+
+
+def test_swaps_compare_designation_flags_and_carry_labels():
+    # a and b hold the same three disjoint windows in opposite orders,
+    # with the first and the last move designated: the designated windows
+    # (1,2) and (3,2) trade index order, so the labels p1, p2 that loading
+    # assigns in move order sit on different windows in a and b
+    a = make_sequence(6, [(1, 2), (5, 2), (3, 2)], designated=[1, 3])
+    b = make_sequence(6, [(3, 2), (5, 2), (1, 2)], designated=[1, 3])
+    assert [m.point for m in a.moves] == ["p1", None, "p2"]
+    assert [m.point for m in b.moves] == ["p1", None, "p2"]
+    chain = is_equivalent_bounded(a, b, budget=1000)
+    assert chain is not None and len(chain) >= 3
+    cur = a
+    for i in chain:
+        before = cur
+        cur = elementary_swap(cur, i)
+        assert (cur.moves[i - 1], cur.moves[i]) == (before.moves[i], before.moves[i - 1])
+    # the labels rode along with their moves: (1,2) still carries p1
+    assert [m.point for m in cur.moves] == ["p2", None, "p1"]
+    assert [(m.start, m.length) for m in cur.moves] == [(m.start, m.length) for m in b.moves]
+    assert cur.designated == b.designated
+    # a different flag pattern on the same windows is not reachable
+    c = make_sequence(6, [(3, 2), (5, 2), (1, 2)], designated=[1, 2])
+    assert is_equivalent_bounded(a, c, budget=1000) is None

@@ -10,7 +10,6 @@ from quasiline.rotmaps import RotationMap
 from quasiline.wiring import (
     diagram_from_lines,
     diagram_from_realization,
-    diagram_from_sequence,
     drawing_from_json_dict,
     drawing_to_json_dict,
     straighten,
@@ -31,6 +30,7 @@ from quasiline.wiring.straighten import (
 )
 
 from oracles import (
+    as_diagram,
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
@@ -126,7 +126,7 @@ def test_quasiline_alternating_braid_straightens():
     from quasiline import make_sequence
 
     seq = make_sequence(3, [(1, 2), (2, 2)] * 4 + [(1, 2)])
-    d = diagram_from_sequence(seq)
+    d = as_diagram(seq)
     drawing = check_straightening(d)
     assert len(drawing.positions) == 9
 
@@ -137,7 +137,7 @@ def test_random_pseudoline_diagrams_straighten():
     while done < 20:
         n = rng.randint(3, 7)
         seq = random_allowable_sequence(rng, n)
-        d = diagram_from_sequence(seq)
+        d = as_diagram(seq)
         check_straightening(d)
         done += 1
 

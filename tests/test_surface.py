@@ -21,11 +21,11 @@ from quasiline.wiring import (
     arrangement_map,
     diagram_from_lines,
     diagram_from_realization,
-    diagram_from_sequence,
     insert_digon,
 )
 
 from oracles import (
+    as_diagram,
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
@@ -106,7 +106,7 @@ def test_fano_scheme_counts():
     _, s = realization_scheme(fano())
     assert s.vertex_count == 7
     assert s.edge_count == 21
-    assert all(s.rotmap.degree(v) == 6 for v in s.vertices)
+    assert all(s.rotmap.degree(v) == 6 for v in s.rotmap.vertices)
     summary = trace_and_summarize(s)
     assert not summary.orientable
     assert summary.euler == summary.V - summary.E + summary.F
@@ -115,7 +115,7 @@ def test_fano_scheme_counts():
 
 def test_wire_without_point_rejected():
     seq = make_sequence(3, [(1, 2), (2, 2), (1, 2)], designated=[1])
-    d = diagram_from_sequence(seq)
+    d = as_diagram(seq)
     with pytest.raises(WireWithoutPoint):
         scheme_from_realization(d)
 
@@ -131,13 +131,13 @@ def test_one_builder_matches_scan_oracles():
         seq = random_generalized_sequence(rng, n)
         share = rng.choice((0.3, 0.7, 1.0))
         designated = [i for i in range(1, len(seq) + 1) if rng.random() < share]
-        diagrams.append(diagram_from_sequence(make_sequence(n, seq.moves, designated)))
+        diagrams.append(as_diagram(make_sequence(n, seq.moves, designated)))
     diagrams.append(diagram_from_realization(realize(fano(), default_plan(fano()))))
     diagrams.append(
         diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
     )
     # one designated crossing of two wires: each wire closes up as a loop
-    diagrams.append(diagram_from_sequence(make_sequence(2, [(1, 2)], [1])))
+    diagrams.append(as_diagram(make_sequence(2, [(1, 2)], [1])))
     built = loops = rejected = 0
     for d in diagrams:
         full, oracle = arrangement_map(d), arrangement_map_by_scan(d)
@@ -153,13 +153,13 @@ def test_one_builder_matches_scan_oracles():
             rejected += isinstance(exc, WireWithoutPoint)
             continue
         s = scheme_from_realization(d)
-        assert s.vertices == expected.vertices
-        assert s.edges == expected.edges
-        assert s.rotations == expected.rotations
-        assert s.signature == expected.signature
+        assert s.rotmap.vertices == expected.rotmap.vertices
+        assert s.rotmap.edges == expected.rotmap.edges
+        assert s.rotmap.rotations == expected.rotmap.rotations
+        assert s.rotmap.signature == expected.rotmap.signature
         assert s.lines == expected.lines
         built += 1
-        loops += any(u == v for u, v in s.edges)
+        loops += any(u == v for u, v in s.rotmap.edges)
     assert built >= 100 and loops and rejected
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,8 @@ from quasiline import (
     default_plan,
     make_sequence,
     realize,
+    sequence_from_json_dict,
+    sequence_to_json_dict,
 )
 from quasiline.errors import CyclicInput, NotGeneralized, ValidationError
 from quasiline.sequences import pair_counts
@@ -19,7 +22,6 @@ from quasiline.wiring import (
     detect_digons,
     diagram_from_json_dict,
     diagram_from_realization,
-    diagram_from_sequence,
     diagram_to_json_dict,
     euler_characteristic,
     find_monotone_marking,
@@ -32,6 +34,7 @@ from quasiline.wiring import (
 )
 
 from oracles import (
+    as_diagram,
     fano,
     random_generalized_sequence,
     sweep_cut_ok,
@@ -59,7 +62,7 @@ def random_diagrams(count, seed=61, n_max=8):
     while len(out) < count:
         n = rng.randint(2, n_max)
         seq = random_generalized_sequence(rng, n, designate=True)
-        out.append(diagram_from_sequence(seq))
+        out.append(as_diagram(seq))
     return out
 
 
@@ -75,7 +78,7 @@ def test_diagram_requires_odd_crossings():
     with pytest.raises(NotGeneralized):
         GeneralizedWiringDiagram(2, ())
     with pytest.raises(NotGeneralized):
-        diagram_from_sequence(make_sequence(3, [(1, 2)]))
+        as_diagram(make_sequence(3, [(1, 2)]))
 
 
 def test_triangle_diagram_three_crossings():
@@ -86,7 +89,7 @@ def test_triangle_diagram_three_crossings():
 
 def test_n2_triple_crossing_diagram():
     seq = make_sequence(2, [(1, 2), (1, 2), (1, 2)])
-    d = diagram_from_sequence(seq)
+    d = as_diagram(seq)
     assert d.n == 2 and d.event_count == 3
 
 
@@ -95,7 +98,7 @@ def test_fano_diagram_designated_triples():
     assert d.n == 7
     designated = d.designated_events()
     assert len(designated) == 7
-    assert all(d.events[i].length == 3 for i in designated)
+    assert all(d.moves[i].length == 3 for i in designated)
 
 
 def test_roundtrip_sequence_diagram():
@@ -103,15 +106,20 @@ def test_roundtrip_sequence_diagram():
     for _ in range(100):
         n = rng.randint(2, 8)
         seq = random_generalized_sequence(rng, n, designate=True)
-        d = diagram_from_sequence(seq)
-        assert d.sequence() == seq
+        d = as_diagram(seq)
+        assert sequence_from_json_dict(sequence_to_json_dict(d)) == seq
+        assert diagram_from_json_dict(diagram_to_json_dict(d)) == d
 
 
 def test_roundtrip_fano():
     d = fano_diagram()
-    seq = d.sequence()
-    assert diagram_from_sequence(seq, {i: d.events[j].point for i, j in
-                                       zip(sorted(seq.designated), d.designated_events())}) == d
+    # sequence JSON carries no labels: loading names the points p1..p7
+    seq = sequence_from_json_dict(sequence_to_json_dict(d))
+    assert [m.point for m in seq.moves if m.point is not None] == [
+        f"p{k}" for k in range(1, 8)
+    ]
+    relabelled = tuple(replace(m, point=d.moves[i].point) for i, m in enumerate(seq.moves))
+    assert GeneralizedWiringDiagram(seq.n, relabelled) == d
 
 
 def test_diagram_json_roundtrip():
@@ -130,7 +138,7 @@ def test_triangle_sweep_digraph():
 
 
 def test_single_event_sweep():
-    d = diagram_from_sequence(make_sequence(2, [(1, 2)]))
+    d = as_diagram(make_sequence(2, [(1, 2)]))
     g = sweep_digraph(d)
     assert len(g.vertices) == 1 and len(g.arcs) == 0
 
@@ -279,11 +287,10 @@ def test_crossing_number_identity():
     import math
 
     for d in random_diagrams(60):
-        seq = d.sequence()
-        counts = pair_counts(seq)
+        counts = pair_counts(d)
         by_pairs = sum(
             counts[frozenset(p)]
             for p in itertools.combinations(range(1, d.n + 1), 2)
         )
-        by_events = sum(math.comb(ev.length, 2) for ev in d.events)
+        by_events = sum(math.comb(ev.length, 2) for ev in d.moves)
         assert by_pairs == by_events
