@@ -15,6 +15,7 @@ deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Optional
@@ -169,23 +170,32 @@ def configuration_signature(
     return (len(structure.points), pdegs.pop(), len(structure.lines), ldegs.pop())
 
 
-def _refine_colors(levi: LeviGraph) -> dict[Label, int]:
-    # Iterated neighborhood refinement; the initial color separates the
-    # two sides of the bipartition and the degrees.
-    color: dict[Label, int] = {}
+def _refine_colors(*graphs: LeviGraph) -> list[dict[Label, int]]:
+    # Iterated neighborhood refinement of all graphs with one shared key
+    # table, so a color means the same in every graph; the initial color
+    # separates the two sides of the bipartition and the degrees.
     seed: dict[tuple, int] = {}
-    for v in levi.black + levi.white:
-        key = (v in set(levi.black), levi.degree(v))
-        color[v] = seed.setdefault(key, len(seed))
+    colors = []
+    for g in graphs:
+        black = set(g.black)
+        colors.append(
+            {v: seed.setdefault((v in black, g.degree(v)), len(seed)) for v in g.black + g.white}
+        )
+    count = len(seed)
     while True:
         fresh: dict[tuple, int] = {}
-        new_color: dict[Label, int] = {}
-        for v in levi.black + levi.white:
-            key = (color[v], tuple(sorted(color[u] for u in levi.adjacency[v])))
-            new_color[v] = fresh.setdefault(key, len(fresh))
-        if len(set(new_color.values())) == len(set(color.values())):
-            return new_color
-        color = new_color
+        colors = [
+            {
+                v: fresh.setdefault(
+                    (color[v], tuple(sorted(color[u] for u in g.adjacency[v]))), len(fresh)
+                )
+                for v in color
+            }
+            for g, color in zip(graphs, colors)
+        ]
+        if len(fresh) == count:
+            return colors
+        count = len(fresh)
 
 
 def are_isomorphic(
@@ -194,66 +204,59 @@ def are_isomorphic(
     """Search for an incidence-preserving bijection from ``c1`` onto ``c2``.
 
     Points map to points and lines to lines.  Returns the combined label
-    mapping, or None when no isomorphism exists.  Backtracking with
-    degree-and-neighborhood refinement; intended for desk-scale inputs.
+    mapping, or None when no isomorphism exists.  Both Levi graphs are
+    refined with one color table, and a pair is rejected unless every
+    color has the same count in both.  The search is depth-first on an
+    explicit stack; each vertex tries the vertices of the other graph on
+    its side with its degree.
     """
     if len(c1.points) != len(c2.points) or len(c1.lines) != len(c2.lines):
         return None
     if len(c1.flags) != len(c2.flags):
         return None
     g1, g2 = levi_graph(c1), levi_graph(c2)
-    col1, col2 = _refine_colors(g1), _refine_colors(g2)
-
-    def class_sizes(col):
-        sizes: dict[int, int] = {}
-        for c in col.values():
-            sizes[c] = sizes.get(c, 0) + 1
-        return sizes
-
-    if sorted(class_sizes(col1).values()) != sorted(class_sizes(col2).values()):
+    col1, col2 = _refine_colors(g1, g2)
+    sizes = Counter(col1.values())
+    if sizes != Counter(col2.values()):
         return None
 
-    verts1 = sorted(g1.black + g1.white, key=lambda v: (class_sizes(col1)[col1[v]], str(v)))
-    adj1 = {v: set(g1.adjacency[v]) for v in g1.black + g1.white}
-    adj2 = {v: set(g2.adjacency[v]) for v in g2.black + g2.white}
+    verts1 = sorted(col1, key=lambda v: (sizes[col1[v]], str(v)))
     black1, black2 = set(g1.black), set(g2.black)
+    by_kind: dict[tuple[bool, int], list[Label]] = {}
+    for w in col2:
+        by_kind.setdefault((w in black2, g2.degree(w)), []).append(w)
+    options = [by_kind.get((v in black1, g1.degree(v)), []) for v in verts1]
+    adj2 = {w: set(g2.adjacency[w]) for w in col2}
 
-    def candidates(v):
-        side = v in black1
-        return [
-            w
-            for w in (g2.black if side else g2.white)
-            if g2.degree(w) == g1.degree(v)
-        ]
-
+    # w fits v when it is unused and adjacent to the images of v's mapped
+    # neighbours; with equal flag counts that makes a full mapping an
+    # isomorphism.  Asking w to touch no other used vertex prunes early.
     mapping: dict[Label, Label] = {}
     used: set[Label] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(verts1):
-            return True
-        v = verts1[i]
-        for w in candidates(v):
-            if w in used:
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if (u in adj1[v]) != (x in adj2[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    tried = [0] * len(verts1)
+    depth = 0
+    while depth < len(verts1):
+        v = verts1[depth]
+        images = [mapping[u] for u in g1.adjacency[v] if u in mapping]
+        for k in range(tried[depth], len(options[depth])):
+            w = options[depth][k]
+            if (
+                w not in used
+                and all(x in adj2[w] for x in images)
+                and sum(x in used for x in adj2[w]) == len(images)
+            ):
+                tried[depth] = k + 1
+                mapping[v] = w
+                used.add(w)
+                depth += 1
+                break
+        else:
+            if depth == 0:
+                return None
+            tried[depth] = 0
+            depth -= 1
+            used.discard(mapping.pop(verts1[depth]))
+    return mapping
 
 
 def parse_lines_text(text: str) -> IncidenceStructure:

@@ -11,6 +11,12 @@ and global reflection) all derive from this structure.
 Darts are pairs (edge index, end); end 0 attaches at the first endpoint
 of the edge, end 1 at the second.  Rotations list darts counterclockwise
 in whatever drawing the map came from.
+
+The canonical encoding is the least of the encodings from every start
+dart in both senses.  It numbers darts as ints 2e+end, starts only at
+vertices of least degree, and abandons a candidate as soon as a final
+prefix of it exceeds the best so far, so most candidates stop after a
+few entries; the result is the same as encoding every candidate in full.
 """
 
 from __future__ import annotations
@@ -180,51 +186,106 @@ class RotationMap:
 
     # -- canonical encoding -------------------------------------------------
 
-    def _encode_from(self, start: Dart, reflect: int) -> tuple[int, ...]:
-        gauge: dict[Hashable, int] = {}
-        dart_number: dict[Dart, int] = {}
-        order: list[Dart] = []
-        degrees: list[int] = []
-
-        def discover(vertex: Hashable, entry: Dart, g: int) -> None:
-            gauge[vertex] = g
-            rot = self.rotations[vertex]
-            i = self._position[entry]
-            deg = len(rot)
-            degrees.append(deg)
-            for k in range(deg):
-                d = rot[(i + g * k) % deg]
-                dart_number[d] = len(order)
-                order.append(d)
-
-        discover(self.attach(start), start, reflect)
-        cursor = 0
-        while cursor < len(order):
-            d = order[cursor]
-            cursor += 1
-            r = self.rev(d)
-            u = self.attach(r)
-            if u not in gauge:
-                discover(u, r, gauge[self.attach(d)] * self.signature[d[0]])
-        if len(order) != 2 * len(self.edges):
-            raise ValidationError("canonical encoding requires a connected map")
-        out: list[int] = list(degrees)
-        for d in order:
-            e = d[0]
-            partner = dart_number[self.rev(d)]
-            eff = gauge[self.attach(d)] * self.signature[e] * gauge[self.attach(self.rev(d))]
-            out.append(partner * 2 + (0 if eff == 1 else 1))
-        return tuple(out)
-
     def canonical_encoding(self) -> tuple[int, ...]:
         """Lexicographic minimum over all starting darts and both global
         reflections; a complete invariant of the map up to relabelling,
-        regauging and mirror image."""
-        best: tuple[int, ...] | None = None
-        for d in self.darts():
-            for reflect in (1, -1):
-                enc = self._encode_from(d, reflect)
-                if best is None or enc < best:
-                    best = enc
-        assert best is not None
-        return best
+        regauging and mirror image.
+
+        The encoding from a start dart lists the degrees of the vertices
+        in discovery order, then, per numbered dart, twice its partner's
+        number plus one if the edge is negative in the gauge.  Its first
+        entry is the start's degree, so only darts at vertices of least
+        degree can win.  Each candidate is compared with the best so far
+        while it is built, and abandoned once it is known to be greater.
+        """
+        rots = [
+            [2 * e + end for e, end in self.rotations.get(v, ())]
+            for v in self.vertices
+        ]
+        vertex_of = [0] * (2 * len(self.edges))
+        position = [0] * (2 * len(self.edges))
+        for v, rot in enumerate(rots):
+            for k, d in enumerate(rot):
+                vertex_of[d] = v
+                position[d] = k
+        count: dict[int, int] = {}
+        for rot in rots:
+            if rot:
+                count[len(rot)] = count.get(len(rot), 0) + 1
+        tables = (rots, vertex_of, position, count)
+        low = min(count, default=0)
+        best = None
+        for rot in rots:
+            if len(rot) == low:
+                for d in rot:
+                    for reflect in (1, -1):
+                        best = self._encode(tables, d, reflect, best) or best
+        if best is None:
+            raise ValidationError("canonical encoding requires an edge")
+        return tuple(best[0] + best[1])
+
+    def _encode(self, tables, start: int, reflect: int, best):
+        """The (degrees, codes) encoding from dart ``start`` in sense
+        ``reflect`` if it is less than ``best``, else None.
+
+        Degree q is final once its vertex is discovered, and the code of
+        dart p once the cursor has processed p.  The candidate is
+        abandoned as soon as its degree prefix is greater than the
+        best's, or its code prefix is greater while the degree parts are
+        known to tie: equal prefixes, and one degree shared by every
+        undiscovered vertex.
+        """
+        rots, vertex_of, position, undiscovered = tables
+        undiscovered = undiscovered.copy()
+        kinds = len(undiscovered)
+        signature = self.signature
+        gauge = [0] * len(rots)
+        number = [0] * len(vertex_of)
+        order: list[int] = []
+        degrees: list[int] = []
+        codes: list[int] = []
+        best_degrees, best_codes = best or ((), ())
+        smaller = best is None
+        checked = 0
+        cursor = 0
+        v, entry, g = vertex_of[start], start, reflect
+        while True:
+            gauge[v] = g
+            rot = rots[v]
+            deg = len(rot)
+            i = position[entry]
+            for k in range(deg):
+                d = rot[(i + g * k) % deg]
+                number[d] = len(order)
+                order.append(d)
+            undiscovered[deg] -= 1
+            if not undiscovered[deg]:
+                kinds -= 1
+            if not smaller and deg != best_degrees[len(degrees)]:
+                if deg > best_degrees[len(degrees)]:
+                    return None
+                smaller = True
+            degrees.append(deg)
+            while cursor < len(order):
+                d = order[cursor]
+                r = d ^ 1
+                u = vertex_of[r]
+                s = gauge[vertex_of[d]] * signature[d >> 1]
+                if not gauge[u]:
+                    break
+                codes.append(2 * number[r] + (s != gauge[u]))
+                cursor += 1
+                if not smaller and kinds <= 1:
+                    while checked < cursor:
+                        if codes[checked] != best_codes[checked]:
+                            if codes[checked] > best_codes[checked]:
+                                return None
+                            smaller = True
+                            break
+                        checked += 1
+            else:
+                break
+            v, entry, g = u, r, s
+        if len(order) != len(vertex_of):
+            raise ValidationError("canonical encoding requires a connected map")
+        return (degrees, codes) if smaller else None

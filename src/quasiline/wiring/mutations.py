@@ -7,11 +7,19 @@ wire across the crossing of two others (the braid relation).  Moves are
 admissible only when no designated crossing is disturbed, so they never
 change the incidence structure carried by the diagram, nor its surface
 map.
+
+Sites are found without pairwise or triple scans.  A digon's partner is
+the next event on either wire of its left crossing, read from the
+per-wire event lists.  Triangle sites come from a braid scan: per
+regular event and neighbouring track, the next two events touching the
+three-track band are the only candidates, found by bisection in
+per-track event lists.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from bisect import bisect_right
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import NoSuchFace, NotAdmissible
 from ..sequences import Move
@@ -44,6 +52,22 @@ def insert_digon(
     return GeneralizedWiringDiagram(diagram.n, tuple(moves))
 
 
+def _next_after(event_lists: Iterable[Sequence[int]], after: int) -> int | None:
+    """The least event index greater than ``after`` in any of the sorted
+    lists, or None."""
+    later = []
+    for events in event_lists:
+        b = bisect_right(events, after)
+        if b < len(events):
+            later.append(events[b])
+    return min(later, default=None)
+
+
+def _next_on_wires(diagram: GeneralizedWiringDiagram, i: int) -> int | None:
+    """The first event after ``i`` on either wire of event ``i``."""
+    return _next_after(map(diagram.wire_events, diagram.window_wires(i)), i)
+
+
 def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int]]:
     """Pairs (i, j) of event indices that bound a removable digon: two
     crossings of the same wire pair, both regular and non-designated,
@@ -51,18 +75,14 @@ def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, i
     for i, ev in enumerate(diagram.moves):
         if ev.length != 2 or ev.point is not None:
             continue
-        pair = set(diagram.window_wires(i))
-        for j in range(i + 1, diagram.event_count):
-            other = diagram.moves[j]
-            touched = set(diagram.window_wires(j))
-            if touched & pair:
-                if (
-                    touched == pair
-                    and other.length == 2
-                    and other.point is None
-                ):
-                    yield (i, j)
-                break
+        j = _next_on_wires(diagram, i)
+        if j is None:
+            continue
+        other = diagram.moves[j]
+        if other.length == 2 and other.point is None and set(
+            diagram.window_wires(j)
+        ) == set(diagram.window_wires(i)):
+            yield (i, j)
 
 
 def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWiringDiagram:
@@ -79,14 +99,10 @@ def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWirin
         raise NoSuchFace(f"event {at} is a singular crossing, not a digon side")
     if ev.point is not None:
         raise NotAdmissible(f"event {at} is designated ({ev.point!r})")
-    pair = set(diagram.window_wires(at))
-    partner = None
-    for j in range(at + 1, diagram.event_count):
-        touched = set(diagram.window_wires(j))
-        if touched & pair:
-            partner = j
-            break
-    if partner is None or set(diagram.window_wires(partner)) != pair:
+    partner = _next_on_wires(diagram, at)
+    if partner is None or set(diagram.window_wires(partner)) != set(
+        diagram.window_wires(at)
+    ):
         raise NoSuchFace(f"event {at} does not bound an empty digon")
     other = diagram.moves[partner]
     if other.length != 2:
@@ -99,15 +115,42 @@ def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWirin
 
 def triangle_moves(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int, int]]:
     """Admissible triangle-move sites: index triples i < j < k of regular
-    non-designated crossings in braid position with no interfering event."""
-    for i in range(diagram.event_count):
-        for j in range(i + 1, diagram.event_count):
-            for k in range(j + 1, diagram.event_count):
-                try:
-                    _check_triangle(diagram, (i, j, k))
-                except (NoSuchFace, NotAdmissible):
-                    continue
-                yield (i, j, k)
+    non-designated crossings in braid position with no interfering event,
+    in increasing order.
+
+    A braid scan: for each regular non-designated event i starting at
+    track t and each u in {t-1, t+1}, j is the first later event touching
+    the band of tracks min(t, u)..min(t, u)+2 and k the first event after
+    j touching it.  Any other event in (i, k) touching the band would
+    interfere, so (i, j, k) is the only candidate for (i, u).  It is a
+    site when j and k are regular and non-designated, j starts at u and
+    k starts at t.
+    """
+    moves = diagram.moves
+    touching: list[list[int]] = [[] for _ in range(diagram.n + 1)]
+    for idx, ev in enumerate(moves):
+        for pos in range(ev.start, ev.stop + 1):
+            touching[pos].append(idx)
+
+    def free_at(idx: int | None, track: int) -> bool:
+        if idx is None:
+            return False
+        ev = moves[idx]
+        return ev.start == track and ev.length == 2 and ev.point is None
+
+    for i, ev in enumerate(moves):
+        if ev.length != 2 or ev.point is not None:
+            continue
+        t = ev.start
+        sites = []
+        for u in (t - 1, t + 1):
+            band = touching[min(t, u) : min(t, u) + 3]
+            j = _next_after(band, i)
+            if free_at(j, u):
+                k = _next_after(band, j)
+                if free_at(k, t):
+                    sites.append((i, j, k))
+        yield from sorted(sites)
 
 
 def _check_triangle(

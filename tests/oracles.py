@@ -5,7 +5,9 @@ it checks: girth by plain BFS, sweep validity by explicit cut
 simulation, scheme isomorphism by brute-force search over relabellings
 and regaugings, rotation systems by list scans along every wire,
 straight drawings by a pairwise segment audit, linear
-systems by Gauss-Jordan elimination over ``Fraction``, and random
+systems by Gauss-Jordan elimination over ``Fraction``, move sites by
+scanning every later event or index triple, canonical encodings by
+encoding from every dart to the end, and random
 generators driven by seeded ``random.Random`` instances.
 """
 
@@ -24,10 +26,17 @@ from quasiline import (
     build,
     make_sequence,
 )
-from quasiline.errors import IndexOutOfRange, WireWithoutPoint
+from quasiline.errors import (
+    IndexOutOfRange,
+    NoSuchFace,
+    NotAdmissible,
+    ValidationError,
+    WireWithoutPoint,
+)
 from quasiline.rotmaps import RotationMap
 from quasiline.surface import EmbeddingScheme, make_scheme
 from quasiline.wiring import GeneralizedWiringDiagram
+from quasiline.wiring.mutations import _check_triangle
 
 
 # -- named configurations -----------------------------------------------------
@@ -137,6 +146,39 @@ def bfs_girth(levi: LeviGraph) -> int:
                     best = min(best, dist[v] + dist[u] + 1)
         # even-girth bipartite graphs: the estimate above is exact over all sources
     return best
+
+
+def isomorphism_by_backtracking(c1: IncidenceStructure, c2: IncidenceStructure):
+    """An incidence-preserving bijection from ``c1`` onto ``c2`` or None,
+    by recursive search over same-side, same-degree images, each checked
+    against every vertex mapped before it."""
+    g1, g2 = LeviGraph(c1.points, c1.lines, c1.flags), LeviGraph(c2.points, c2.lines, c2.flags)
+    if (len(c1.points), len(c1.lines), len(c1.flags)) != (
+        len(c2.points),
+        len(c2.lines),
+        len(c2.flags),
+    ):
+        return None
+    verts1 = g1.black + g1.white
+    adj1 = {v: set(g1.adjacency[v]) for v in verts1}
+    adj2 = {w: set(g2.adjacency[w]) for w in g2.black + g2.white}
+    mapping = {}
+
+    def extend(i):
+        if i == len(verts1):
+            return True
+        v = verts1[i]
+        for w in g2.black if i < len(g1.black) else g2.white:
+            if w in mapping.values() or len(adj2[w]) != len(adj1[v]):
+                continue
+            if all((u in adj1[v]) == (x in adj2[w]) for u, x in mapping.items()):
+                mapping[v] = w
+                if extend(i + 1):
+                    return True
+                del mapping[v]
+        return False
+
+    return dict(mapping) if extend(0) else None
 
 
 def sweep_cut_ok(diagram: GeneralizedWiringDiagram, order) -> bool:
@@ -313,6 +355,82 @@ def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
             in_dart(w, i) for w in wires
         )
     return make_scheme(vertices, edges, rotations, signature, lines)
+
+
+# -- move sites and encodings by exhaustive search ---------------------------
+
+
+def removable_digons_by_scan(diagram: GeneralizedWiringDiagram):
+    """Removable digon pairs, each partner found by scanning every later
+    event for one that meets either wire of the left crossing."""
+    sites = []
+    for i, ev in enumerate(diagram.moves):
+        if ev.length != 2 or ev.point is not None:
+            continue
+        pair = set(diagram.window_wires(i))
+        for j in range(i + 1, diagram.event_count):
+            touched = set(diagram.window_wires(j))
+            if touched & pair:
+                other = diagram.moves[j]
+                if touched == pair and other.length == 2 and other.point is None:
+                    sites.append((i, j))
+                break
+    return sites
+
+
+def triangle_moves_by_triples(diagram: GeneralizedWiringDiagram):
+    """Triangle-move sites: every index triple i < j < k that passes the
+    library's own site check."""
+    sites = []
+    for triple in itertools.combinations(range(diagram.event_count), 3):
+        try:
+            _check_triangle(diagram, triple)
+        except (NoSuchFace, NotAdmissible):
+            continue
+        sites.append(triple)
+    return sites
+
+
+def _encode_from(rm: RotationMap, start, reflect: int) -> tuple[int, ...]:
+    gauge = {}
+    dart_number = {}
+    order = []
+    degrees = []
+
+    def discover(vertex, entry, g):
+        gauge[vertex] = g
+        rot = rm.rotations[vertex]
+        i = rm._position[entry]
+        deg = len(rot)
+        degrees.append(deg)
+        for k in range(deg):
+            d = rot[(i + g * k) % deg]
+            dart_number[d] = len(order)
+            order.append(d)
+
+    discover(rm.attach(start), start, reflect)
+    cursor = 0
+    while cursor < len(order):
+        d = order[cursor]
+        cursor += 1
+        r = rm.rev(d)
+        u = rm.attach(r)
+        if u not in gauge:
+            discover(u, r, gauge[rm.attach(d)] * rm.signature[d[0]])
+    if len(order) != 2 * len(rm.edges):
+        raise ValidationError("canonical encoding requires a connected map")
+    out = list(degrees)
+    for d in order:
+        r = rm.rev(d)
+        eff = gauge[rm.attach(d)] * rm.signature[d[0]] * gauge[rm.attach(r)]
+        out.append(dart_number[r] * 2 + (0 if eff == 1 else 1))
+    return tuple(out)
+
+
+def canonical_encoding_by_full_search(rm: RotationMap) -> tuple[int, ...]:
+    """The least full encoding over every starting dart and both global
+    reflections, each encoding built to the end."""
+    return min(_encode_from(rm, d, reflect) for d in rm.darts() for reflect in (1, -1))
 
 
 # -- sequence replay oracle ---------------------------------------------------
@@ -505,6 +623,62 @@ def random_partial_sequence(rng: random.Random, n: int, r: int) -> PermSequence:
         start = rng.randint(1, n - length + 1)
         moves.append(Move(start, length))
     return PermSequence(n, tuple(moves))
+
+
+# -- small schemes, enumerated ------------------------------------------------
+
+
+def interleaved_rotations(darts):
+    """All cyclic orders of 4 darts, first dart pinned."""
+    first, rest = darts[0], list(darts[1:])
+    for perm in itertools.permutations(rest):
+        yield (first,) + perm
+
+
+def degree4_schemes():
+    """Every connected degree-4 scheme with at most 3 vertices, one
+    representative per signature gauge (spanning-tree edges positive)."""
+    catalog = []
+
+    def add(vertices, edges, tree_edges):
+        free = [e for e in range(len(edges)) if e not in tree_edges]
+        dart_sets = {
+            v: tuple(
+                (e, end) for e in range(len(edges)) for end in (0, 1)
+                if edges[e][end] == v
+            )
+            for v in vertices
+        }
+        rotation_choices = [list(interleaved_rotations(dart_sets[v])) for v in vertices]
+        for rotations in itertools.product(*rotation_choices):
+            rot = dict(zip(vertices, rotations))
+            for bits in itertools.product((1, -1), repeat=len(free)):
+                signature = [1] * len(edges)
+                for e, b in zip(free, bits):
+                    signature[e] = b
+                try:
+                    catalog.append(
+                        make_scheme(vertices, edges, rot, signature)
+                    )
+                except ValidationError:
+                    pass
+
+    # V=1: two loops
+    add((0,), ((0, 0), (0, 0)), tree_edges=set())
+    # V=2: four parallel edges; tree = edge 0
+    add((0, 1), tuple(((0, 1),) * 4), tree_edges={0})
+    # V=2: doubled edge plus a loop at each vertex
+    add((0, 1), ((0, 1), (0, 1), (0, 0), (1, 1)), tree_edges={0})
+    # V=3: doubled triangle
+    add((0, 1, 2), ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)), tree_edges={0, 2})
+    # V=3: tripled edge + path + loop (one labelling; relabelings are
+    # isomorphic copies, which the transform check covers)
+    add((0, 1, 2), ((0, 1), (0, 1), (0, 1), (0, 2), (1, 2), (2, 2)), tree_edges={0, 3})
+    # V=3: doubled path with end loops
+    add((0, 1, 2), ((0, 1), (0, 1), (1, 2), (1, 2), (0, 0), (2, 2)), tree_edges={0, 2})
+    # V=3: triangle with a loop at every vertex
+    add((0, 1, 2), ((0, 1), (1, 2), (0, 2), (0, 0), (1, 1), (2, 2)), tree_edges={0, 1})
+    return catalog
 
 
 # -- brute-force scheme isomorphism -------------------------------------------

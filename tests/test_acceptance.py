@@ -52,6 +52,8 @@ from quasiline.wiring.diagram import is_acyclic
 
 from oracles import (
     as_diagram,
+    degree4_schemes,
+    interleaved_rotations,
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
@@ -337,59 +339,6 @@ def test_criterion_9_straightening():
 # -- criterion 10: fingerprint soundness ------------------------------------------
 
 
-def _interleaved_rotations(darts):
-    """All cyclic orders of 4 darts, first dart pinned."""
-    first, rest = darts[0], list(darts[1:])
-    for perm in itertools.permutations(rest):
-        yield (first,) + perm
-
-
-def _enumerate_degree4_schemes():
-    """Every connected degree-4 scheme with at most 3 vertices, one
-    representative per signature gauge (spanning-tree edges positive)."""
-    catalog = []
-
-    def add(vertices, edges, tree_edges):
-        free = [e for e in range(len(edges)) if e not in tree_edges]
-        dart_sets = {
-            v: tuple(
-                (e, end) for e in range(len(edges)) for end in (0, 1)
-                if edges[e][end] == v
-            )
-            for v in vertices
-        }
-        rotation_choices = [list(_interleaved_rotations(dart_sets[v])) for v in vertices]
-        for rotations in itertools.product(*rotation_choices):
-            rot = dict(zip(vertices, rotations))
-            for bits in itertools.product((1, -1), repeat=len(free)):
-                signature = [1] * len(edges)
-                for e, b in zip(free, bits):
-                    signature[e] = b
-                try:
-                    catalog.append(
-                        make_scheme(vertices, edges, rot, signature)
-                    )
-                except ValidationError:
-                    pass
-
-    # V=1: two loops
-    add((0,), ((0, 0), (0, 0)), tree_edges=set())
-    # V=2: four parallel edges; tree = edge 0
-    add((0, 1), tuple(((0, 1),) * 4), tree_edges={0})
-    # V=2: doubled edge plus a loop at each vertex
-    add((0, 1), ((0, 1), (0, 1), (0, 0), (1, 1)), tree_edges={0})
-    # V=3: doubled triangle
-    add((0, 1, 2), ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)), tree_edges={0, 2})
-    # V=3: tripled edge + path + loop (one labelling; relabelings are
-    # isomorphic copies, which the transform check covers)
-    add((0, 1, 2), ((0, 1), (0, 1), (0, 1), (0, 2), (1, 2), (2, 2)), tree_edges={0, 3})
-    # V=3: doubled path with end loops
-    add((0, 1, 2), ((0, 1), (0, 1), (1, 2), (1, 2), (0, 0), (2, 2)), tree_edges={0, 2})
-    # V=3: triangle with a loop at every vertex
-    add((0, 1, 2), ((0, 1), (1, 2), (0, 2), (0, 0), (1, 1), (2, 2)), tree_edges={0, 1})
-    return catalog
-
-
 def _doubled_cycle_samples(rng, V, count):
     edges = []
     for i in range(V):
@@ -405,7 +354,7 @@ def _doubled_cycle_samples(rng, V, count):
                 (e, end) for e in range(len(edges)) for end in (0, 1)
                 if edges[e][end] == v
             )
-            choices = list(_interleaved_rotations(darts))
+            choices = list(interleaved_rotations(darts))
             rotations[v] = choices[rng.randrange(len(choices))]
         signature = [rng.choice((1, -1)) for _ in edges]
         try:
@@ -417,7 +366,7 @@ def _doubled_cycle_samples(rng, V, count):
 
 def test_criterion_10_fingerprint_soundness():
     rng = random.Random(1551)
-    small = _enumerate_degree4_schemes()
+    small = degree4_schemes()
 
     by_fp = {}
     for s in small:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quasiline import (
@@ -11,7 +13,15 @@ from quasiline import (
 )
 from quasiline.errors import DegreeTooLow, DuplicateId, ParseError, UnknownId
 
-from oracles import bfs_girth, fano, mobius_kantor, triangle, two_lines_three_points
+from oracles import (
+    bfs_girth,
+    fano,
+    isomorphism_by_backtracking,
+    mobius_kantor,
+    random_structure,
+    triangle,
+    two_lines_three_points,
+)
 
 
 def test_fano_builds_with_21_flags():
@@ -164,6 +174,62 @@ def test_non_isomorphic_same_size():
         [(p, f"l{i}") for i, row in enumerate("123 145 167 246 257 345 367".split(), 1) for p in row],
     )
     assert are_isomorphic(c1, other) is None
+
+
+def relabelled(rng, c):
+    """``c`` under fresh random point and line names, both lists shuffled."""
+    names = [f"x{i}" for i in range(len(c.points) + len(c.lines))]
+    rng.shuffle(names)
+    rename = dict(zip(c.points + c.lines, names))
+    points = [rename[p] for p in c.points]
+    lines = [rename[l] for l in c.lines]
+    rng.shuffle(points)
+    rng.shuffle(lines)
+    return build(points, lines, [(rename[p], rename[l]) for p, l in c.flags])
+
+
+def assert_isomorphism(mapping, c1, c2):
+    assert {mapping[p] for p in c1.points} == set(c2.points)
+    assert {mapping[l] for l in c1.lines} == set(c2.lines)
+    assert {(mapping[p], mapping[l]) for p, l in c1.flags} == set(c2.flags)
+
+
+def cycle_of_lines(n, first=0):
+    """n two-point lines closing a cycle through n points, labelled
+    v<first>, v<first + 1>, ... in their order along the cycle."""
+    names = [f"v{k:04d}" for k in range(first, first + 2 * n)]
+    points, lines = names[0::2], names[1::2]
+    flags = [(points[k], lines[k]) for k in range(n)]
+    flags += [(points[(k + 1) % n], lines[k]) for k in range(n)]
+    return build(points, lines, flags)
+
+
+def test_isomorphism_search_is_iterative():
+    # a 1200-vertex Levi cycle is deeper than the default recursion limit
+    rng = random.Random(113)
+    c1 = cycle_of_lines(600)
+    c2 = relabelled(rng, c1)
+    assert_isomorphism(are_isomorphic(c1, c2), c1, c2)
+    # two 20-cycles against one 40-cycle: refinement cannot tell them apart
+    one = cycle_of_lines(40)
+    a, b = cycle_of_lines(20), cycle_of_lines(20, first=40)
+    two = build(a.points + b.points, a.lines + b.lines, a.flags | b.flags)
+    assert are_isomorphic(two, relabelled(rng, one)) is None
+    assert are_isomorphic(one, relabelled(rng, two)) is None
+
+
+def test_isomorphism_agrees_with_backtracking_oracle():
+    rng = random.Random(127)
+    found = 0
+    for _ in range(150):
+        c1 = random_structure(rng, max_points=6, max_lines=6)
+        for c2 in (relabelled(rng, c1), random_structure(rng, max_points=6, max_lines=6)):
+            mapping = are_isomorphic(c1, c2)
+            assert (mapping is None) == (isomorphism_by_backtracking(c1, c2) is None)
+            if mapping is not None:
+                assert_isomorphism(mapping, c1, c2)
+                found += 1
+    assert found >= 150
 
 
 def test_build_inverts_levi_graph():

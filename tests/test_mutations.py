@@ -19,7 +19,10 @@ from oracles import (
     as_diagram,
     fano,
     random_generalized_sequence,
+    removable_digons_by_scan,
     triangle,
+    triangle_moves_by_triples,
+    triple_structure,
     two_lines_three_points,
 )
 
@@ -153,3 +156,62 @@ def test_random_move_sequences_stay_valid():
                 if sites:
                     d = remove_digon(d, sites[rng.randrange(len(sites))][0])
         assert classify(d) is not SequenceClass.PARTIAL
+
+
+def with_random_digons(rng, d, count):
+    for _ in range(count):
+        at = rng.randint(0, d.event_count)
+        t = rng.randint(1, d.n - 1)
+        perm = d.permutation_before(at)
+        d = insert_digon(d, (perm[t - 1], perm[t]), at)
+    return d
+
+
+def cyclic_walk_diagrams(rng, steps=3):
+    """Diagrams met on walks from the realizations of cyclic (8_3) to
+    (11_3): insert a digon, then take a triangle move when there is one."""
+    for n in range(8, 12):
+        c = triple_structure([(i, (i + 1) % n, (i + 3) % n) for i in range(n)])
+        d = diagram_from_realization(realize(c, default_plan(c)))
+        for _ in range(steps):
+            d = with_random_digons(rng, d, 1)
+            yield d
+            sites = list(triangle_moves(d))
+            if sites:
+                d = apply_triangle_move(d, rng.choice(sites))
+                yield d
+
+
+def test_digon_partners_match_scan_oracle():
+    rng = random.Random(97)
+    pairs = 0
+    for _ in range(150):
+        d = as_diagram(random_generalized_sequence(rng, rng.randint(2, 7), designate=True))
+        d = with_random_digons(rng, d, rng.randint(0, 3))
+        expected = removable_digons_by_scan(d)
+        assert list(removable_digons(d)) == expected
+        partner = dict(expected)
+        for at in range(d.event_count):
+            if at in partner:
+                kept = (m for k, m in enumerate(d.moves) if k not in (at, partner[at]))
+                assert remove_digon(d, at) == GeneralizedWiringDiagram(d.n, tuple(kept))
+            else:
+                with pytest.raises((NoSuchFace, NotAdmissible)):
+                    remove_digon(d, at)
+        pairs += len(expected)
+    assert pairs >= 200
+
+
+def test_triangle_sites_match_triple_oracle():
+    rng = random.Random(101)
+    random_sites = walk_sites = 0
+    for _ in range(300):
+        d = as_diagram(random_generalized_sequence(rng, rng.randint(2, 7), designate=True))
+        expected = triangle_moves_by_triples(d)
+        assert list(triangle_moves(d)) == expected
+        random_sites += len(expected)
+    for d in cyclic_walk_diagrams(rng):
+        expected = triangle_moves_by_triples(d)
+        assert list(triangle_moves(d)) == expected
+        walk_sites += len(expected)
+    assert random_sites >= 40 and walk_sites >= 20

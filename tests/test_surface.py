@@ -30,6 +30,8 @@ from oracles import (
     PAPPUS_LABELS,
     PAPPUS_POINTS,
     arrangement_map_by_scan,
+    canonical_encoding_by_full_search,
+    degree4_schemes,
     fano,
     mobius_kantor,
     random_generalized_sequence,
@@ -161,6 +163,38 @@ def test_one_builder_matches_scan_oracles():
         built += 1
         loops += any(u == v for u, v in s.rotmap.edges)
     assert built >= 100 and loops and rejected
+
+
+def test_canonical_encoding_matches_full_search_oracle():
+    for s in degree4_schemes():
+        assert s.rotmap.canonical_encoding() == canonical_encoding_by_full_search(s.rotmap)
+    rng = random.Random(107)
+    irregular = 0
+    for _ in range(40):
+        d, s = realization_scheme(random_structure(rng, max_points=7, max_lines=7))
+        maps = [arrangement_map(d), s.rotmap]
+        maps += [random_scheme_transform(rng, s).rotmap for _ in range(2)]
+        for rm in maps:
+            assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
+        irregular += len({rm.degree(v) for v in s.rotmap.vertices}) > 1
+    assert irregular >= 20
+
+
+def test_canonical_encoding_rejects_disconnected_maps():
+    # a degree-2 component and a degree-4 component, and no edge at all
+    edges = (("a", "b"),) * 2 + (("c", "d"),) * 4
+    rotations = {
+        "a": ((0, 0), (1, 0)),
+        "b": ((1, 1), (0, 1)),
+        "c": ((2, 0), (3, 0), (4, 0), (5, 0)),
+        "d": ((5, 1), (4, 1), (3, 1), (2, 1)),
+    }
+    for rm in (
+        RotationMap(tuple("abcd"), edges, rotations, (1,) * 6),
+        RotationMap(("a",), (), {"a": ()}, ()),
+    ):
+        with pytest.raises(ValidationError):
+            rm.canonical_encoding()
 
 
 def test_disconnected_scheme_rejected():
