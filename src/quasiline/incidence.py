@@ -125,12 +125,18 @@ class LeviGraph:
 
     @cached_property
     def adjacency(self) -> dict[Label, tuple[Label, ...]]:
+        """Neighbours of every vertex, lines in ``white`` order and points
+        in ``black`` order, bucketed from the edges in O(edges)."""
+        lines_at: dict[Label, list[Label]] = {p: [] for p in self.black}
+        for p, l in self.edges:
+            lines_at[p].append(l)
         table: dict[Label, list[Label]] = {v: [] for v in self.black + self.white}
         for p in self.black:
-            for l in self.white:
-                if (p, l) in self.edges:
-                    table[p].append(l)
-                    table[l].append(p)
+            for l in lines_at[p]:
+                table[l].append(p)
+        for l in self.white:
+            for p in table[l]:
+                table[p].append(l)
         return {v: tuple(ns) for v, ns in table.items()}
 
     def degree(self, vertex: Label) -> int:

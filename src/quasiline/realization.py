@@ -11,10 +11,10 @@ transpositions are exactly the unwanted crossings of the realization.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import PlanMismatch
 from .incidence import IncidenceStructure, Label
@@ -50,55 +50,65 @@ class Realization:
         return {i + 1: self.seq.moves[i].point for i in self.seq.designated_events()}
 
 
-def _kendall_tau(p: list[int], q: list[int]) -> int:
-    pos = {x: i for i, x in enumerate(q)}
-    count = 0
-    for i, j in itertools.combinations(range(len(p)), 2):
-        if pos[p[i]] > pos[p[j]]:
-            count += 1
-    return count
+def _best_slot(cur: list[int], content: list[int]) -> tuple[int, int]:
+    """Cheapest way to make ``content`` consecutive, as ``(cost, slot)``.
+
+    The candidates are ``rest[:t] + content + rest[t:]``, where ``rest``
+    is ``cur`` without the content, and the cost is the adjacent-
+    transposition (Kendall tau) distance from ``cur``.  With ``k`` content
+    entries, ``inv`` the content's inversions relative to ``cur`` and
+    ``a_i`` the number of content entries before ``rest[i]`` in ``cur``,
+    slot t costs ``inv + sum(a_i for i < t) + sum(k - a_i for i >= t)``.
+    The cost changes by ``2*a_i - k`` from slot i to slot i+1, so one pass
+    over ``cur`` prices every slot.  The leftmost cheapest slot wins ties.
+    """
+    rank = {x: j for j, x in enumerate(content)}
+    k = len(content)
+    seen: list[int] = []  # ranks of the content entries passed, sorted
+    # slot 0 costs inv + cost; slot t costs that plus step after t rest entries
+    inv = cost = step = best_step = slot = t = 0
+    for x in cur:
+        j = rank.get(x)
+        if j is None:
+            a = len(seen)
+            cost += k - a
+            step += 2 * a - k
+            t += 1
+            if step < best_step:
+                best_step, slot = step, t
+        else:
+            inv += len(seen) - bisect.bisect(seen, j)
+            bisect.insort(seen, j)
+    return inv + cost + best_step, slot
 
 
-def _best_target(cur: list[int], content: list[int]) -> list[int]:
-    """Permutation with ``content`` consecutive, nearest to ``cur`` in
-    adjacent-transposition distance; leftmost placement breaks ties."""
-    rest = [x for x in cur if x not in set(content)]
-    best: Optional[list[int]] = None
-    best_cost = -1
-    for t in range(len(rest) + 1):
-        target = rest[:t] + content + rest[t:]
-        cost = _kendall_tau(cur, target)
-        if best is None or cost < best_cost:
-            best, best_cost = target, cost
-    assert best is not None
-    return best
+def _gathered(cur: list[int], content: list[int], slot: int) -> list[int]:
+    """``cur`` with ``content``, in the given order, moved to ``slot``."""
+    members = set(content)
+    rest = [x for x in cur if x not in members]
+    return rest[:slot] + content + rest[slot:]
 
 
 def _bridge(cur: list[int], target: list[int]) -> list[Move]:
     """Adjacent transpositions rewriting ``cur`` into ``target`` in place.
 
     Stable selection toward the target: entry j of the target is bubbled
-    leftward into place, emitting one length-2 move per swap.
+    leftward into place, emitting one length-2 move per swap.  A position
+    table, updated per swap, finds each entry.
     """
+    pos = {x: i for i, x in enumerate(cur)}
     moves: list[Move] = []
-    for j in range(len(target)):
-        q = cur.index(target[j])
+    for j, x in enumerate(target):
+        q = pos[x]
         while q > j:
-            cur[q - 1], cur[q] = cur[q], cur[q - 1]
+            y = cur[q - 1]
+            cur[q] = y
+            pos[y] = q
             moves.append(Move(q, 2))
             q -= 1
+        cur[q] = x
+        pos[x] = q
     return moves
-
-
-def _gather_cost(cur: list[int], content: list[int]) -> int:
-    return _kendall_tau(cur, _best_target(cur, content))
-
-
-def _numbered_window(
-    structure: IncidenceStructure, plan: RealizationPlan, point: Label
-) -> list[int]:
-    number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
-    return [number[l] for l in plan.point_line_orders[point]]
 
 
 def default_plan(structure: IncidenceStructure) -> RealizationPlan:
@@ -106,29 +116,30 @@ def default_plan(structure: IncidenceStructure) -> RealizationPlan:
     point's window in increasing line number, and points scheduled
     greedily so that the next point needs the fewest bridging
     transpositions from the current permutation (declaration order breaks
-    ties)."""
+    ties).
+
+    A point's bridging cost is that of its cheapest insertion slot, the
+    leftmost on ties.  :func:`_best_slot` prices slot t in closed form as
+    ``inv + sum(a_i for i < t) + sum(k - a_i for i >= t)`` in one pass
+    over the current permutation, so each step costs O(n) per remaining
+    point for n lines.
+    """
     numbering = tuple(structure.lines)
     number = {l: i + 1 for i, l in enumerate(numbering)}
     orders = {
         p: tuple(sorted(structure.lines_of(p), key=lambda l: number[l]))
         for p in structure.points
     }
+    contents = {p: [number[l] for l in orders[p]] for p in structure.points}
     remaining = list(structure.points)
     cur = list(range(1, len(numbering) + 1))
     schedule: list[Label] = []
     while remaining:
-        costs = [
-            (_gather_cost(cur, [number[l] for l in orders[p]]), i)
-            for i, p in enumerate(remaining)
-        ]
-        _, pick = min(costs)
+        priced = [_best_slot(cur, contents[p]) for p in remaining]
+        pick = min(range(len(priced)), key=lambda i: priced[i][0])
         point = remaining.pop(pick)
         schedule.append(point)
-        content = [number[l] for l in orders[point]]
-        target = _best_target(cur, content)
-        cur = target
-        start = cur.index(content[0])
-        cur[start : start + len(content)] = content[::-1]
+        cur = _gathered(cur, contents[point][::-1], priced[pick][1])
     return RealizationPlan(numbering, tuple(schedule), orders)
 
 
@@ -159,16 +170,15 @@ def realize(structure: IncidenceStructure, plan: RealizationPlan) -> Realization
     """
     validate_plan(structure, plan)
     n = len(plan.line_numbering)
+    number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
     cur = list(range(1, n + 1))
     moves: list[Move] = []
     for point in plan.point_order:
-        content = _numbered_window(structure, plan, point)
-        target = _best_target(cur, content)
-        moves.extend(_bridge(cur, target))
-        start = cur.index(content[0]) + 1
-        moves.append(Move(start, len(content), point))
-        a, b = start - 1, start - 1 + len(content)
-        cur[a:b] = cur[a:b][::-1]
+        content = [number[l] for l in plan.point_line_orders[point]]
+        _, slot = _best_slot(cur, content)
+        moves.extend(_bridge(cur, _gathered(cur, content, slot)))
+        moves.append(Move(slot + 1, len(content), point))
+        cur[slot : slot + len(content)] = content[::-1]
     moves.extend(_bridge(cur, list(range(n, 0, -1))))
     return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
 

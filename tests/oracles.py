@@ -7,8 +7,10 @@ and regaugings, rotation systems by list scans along every wire,
 straight drawings by a pairwise segment audit, linear
 systems by Gauss-Jordan elimination over ``Fraction``, move sites by
 scanning every later event or index triple, canonical encodings by
-encoding from every dart to the end, and random
-generators driven by seeded ``random.Random`` instances.
+encoding from every dart to the end, realization plans by measuring
+every insertion slot with a pairwise Kendall tau, Levi adjacency by
+testing every point-line pair, and random generators driven by seeded
+``random.Random`` instances.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from quasiline import (
     LeviGraph,
     Move,
     PermSequence,
+    Realization,
+    RealizationPlan,
     build,
     make_sequence,
 )
@@ -108,6 +112,20 @@ def anti_desargues():
     return triple_structure(ANTI_DESARGUES_LINES, prefix="D")
 
 
+def pappus():
+    """Pappus's (9_3) configuration, read off the exact Euclidean data."""
+    lines = [
+        tuple(p for p, (x, y) in zip(PAPPUS_LABELS, PAPPUS_POINTS) if a * x + b * y == c)
+        for a, b, c in PAPPUS_EUCLIDEAN_LINES
+    ]
+    return triple_structure(lines, prefix="P")
+
+
+def cyclic(n):
+    """The cyclic (n_3) configuration: lines {i, i+1, i+3} mod n."""
+    return triple_structure([(i, (i + 1) % n, (i + 3) % n) for i in range(n)], prefix="C")
+
+
 def triangle():
     return build(
         "abc",
@@ -146,6 +164,17 @@ def bfs_girth(levi: LeviGraph) -> int:
                     best = min(best, dist[v] + dist[u] + 1)
         # even-girth bipartite graphs: the estimate above is exact over all sources
     return best
+
+
+def levi_adjacency_by_pairs(levi: LeviGraph) -> dict:
+    """Neighbour tuples found by testing every (point, line) pair."""
+    table = {v: [] for v in levi.black + levi.white}
+    for p in levi.black:
+        for l in levi.white:
+            if (p, l) in levi.edges:
+                table[p].append(l)
+                table[l].append(p)
+    return {v: tuple(ns) for v, ns in table.items()}
 
 
 def isomorphism_by_backtracking(c1: IncidenceStructure, c2: IncidenceStructure):
@@ -460,6 +489,85 @@ def move_window_content_by_replay(seq: PermSequence, i: int) -> tuple[int, ...]:
         raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
     perm = permutation_after_by_replay(seq, i - 1)
     return tuple(perm[j] for j in seq.moves[i - 1].window())
+
+
+# -- realization oracle -------------------------------------------------------
+
+
+def kendall_tau(p: list[int], q: list[int]) -> int:
+    """Adjacent-transposition distance by testing every pair."""
+    pos = {x: i for i, x in enumerate(q)}
+    return sum(pos[p[i]] > pos[p[j]] for i, j in itertools.combinations(range(len(p)), 2))
+
+
+def best_target_by_slots(cur: list[int], content: list[int]) -> tuple[list[int], int]:
+    """Permutation with ``content`` consecutive nearest to ``cur``, and its
+    distance: every insertion slot is built and measured; the leftmost
+    cheapest wins."""
+    members = set(content)
+    rest = [x for x in cur if x not in members]
+    best, best_cost = None, -1
+    for t in range(len(rest) + 1):
+        target = rest[:t] + content + rest[t:]
+        cost = kendall_tau(cur, target)
+        if best is None or cost < best_cost:
+            best, best_cost = target, cost
+    return best, best_cost
+
+
+def default_plan_by_slots(structure: IncidenceStructure) -> RealizationPlan:
+    """``default_plan`` with every candidate priced by
+    ``best_target_by_slots``."""
+    numbering = tuple(structure.lines)
+    number = {l: i + 1 for i, l in enumerate(numbering)}
+    orders = {
+        p: tuple(sorted(structure.lines_of(p), key=lambda l: number[l]))
+        for p in structure.points
+    }
+    remaining = list(structure.points)
+    cur = list(range(1, len(numbering) + 1))
+    schedule = []
+    while remaining:
+        costs = [
+            (best_target_by_slots(cur, [number[l] for l in orders[p]])[1], i)
+            for i, p in enumerate(remaining)
+        ]
+        point = remaining.pop(min(costs)[1])
+        schedule.append(point)
+        content = [number[l] for l in orders[point]]
+        cur = best_target_by_slots(cur, content)[0]
+        start = cur.index(content[0])
+        cur[start : start + len(content)] = content[::-1]
+    return RealizationPlan(numbering, tuple(schedule), orders)
+
+
+def _bridge_by_index(cur: list[int], target: list[int]) -> list[Move]:
+    moves = []
+    for j in range(len(target)):
+        q = cur.index(target[j])
+        while q > j:
+            cur[q - 1], cur[q] = cur[q], cur[q - 1]
+            moves.append(Move(q, 2))
+            q -= 1
+    return moves
+
+
+def realize_by_slots(structure: IncidenceStructure, plan: RealizationPlan) -> Realization:
+    """``realize`` with targets from ``best_target_by_slots`` and bridges
+    that look every entry up with ``list.index``; the plan is trusted."""
+    n = len(plan.line_numbering)
+    cur = list(range(1, n + 1))
+    moves = []
+    for point in plan.point_order:
+        number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
+        content = [number[l] for l in plan.point_line_orders[point]]
+        moves.extend(_bridge_by_index(cur, best_target_by_slots(cur, content)[0]))
+        start = cur.index(content[0]) + 1
+        moves.append(Move(start, len(content), point))
+        a, b = start - 1, start - 1 + len(content)
+        cur[a:b] = cur[a:b][::-1]
+    moves.extend(_bridge_by_index(cur, list(range(n, 0, -1))))
+    return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
 
 
 # -- randomized generators ----------------------------------------------------

@@ -17,6 +17,7 @@ from oracles import (
     bfs_girth,
     fano,
     isomorphism_by_backtracking,
+    levi_adjacency_by_pairs,
     mobius_kantor,
     random_structure,
     triangle,
@@ -230,6 +231,19 @@ def test_isomorphism_agrees_with_backtracking_oracle():
                 assert_isomorphism(mapping, c1, c2)
                 found += 1
     assert found >= 150
+
+
+def test_levi_adjacency_matches_pair_scan():
+    # neighbour tuples keep declaration order, also under shuffled labels
+    rng = random.Random(131)
+    structures = [fano(), triangle(), mobius_kantor(), cycle_of_lines(600)]
+    for _ in range(150):
+        c = random_structure(rng)
+        structures += [c, relabelled(rng, c)]
+    for c in structures:
+        g = levi_graph(c)
+        assert g.adjacency == levi_adjacency_by_pairs(g)
+        assert list(g.adjacency) == list(levi_adjacency_by_pairs(g))
 
 
 def test_build_inverts_levi_graph():

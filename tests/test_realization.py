@@ -16,9 +16,22 @@ from quasiline import (
     unwanted_crossing_count,
 )
 from quasiline.errors import PlanMismatch
+from quasiline.realization import _best_slot, _gathered
 from quasiline.sequences import pair_counts
 
-from oracles import fano, random_structure, triangle, two_lines_three_points
+from oracles import (
+    anti_desargues,
+    best_target_by_slots,
+    cyclic,
+    default_plan_by_slots,
+    fano,
+    mobius_kantor,
+    pappus,
+    random_structure,
+    realize_by_slots,
+    triangle,
+    two_lines_three_points,
+)
 
 
 def numbered(plan, point):
@@ -179,3 +192,27 @@ def test_topological_unwanted_bound():
         assert topological_unwanted_bound(n, 2) == n * (n - 1) // 2 - n
     with pytest.raises(ValueError):
         topological_unwanted_bound(2, 3)
+
+
+def test_best_slot_matches_slot_oracle():
+    rng = random.Random(53)
+    for trial in range(2400):
+        n = rng.randint(1, 14)
+        cur = rng.sample(range(1, n + 1), n)
+        # a quarter of the pairs take all of cur (empty rest), a quarter one entry
+        k = (n, 1, rng.randint(1, n), rng.randint(1, n))[trial % 4]
+        content = rng.sample(cur, k)
+        cost, slot = _best_slot(cur, content)
+        assert 0 <= slot <= n - k
+        assert (_gathered(cur, content, slot), cost) == best_target_by_slots(cur, content)
+
+
+def test_plan_and_realize_match_slot_oracle():
+    rng = random.Random(59)
+    structures = [fano(), pappus(), mobius_kantor(), anti_desargues()]
+    structures += [cyclic(n) for n in range(8, 25)]
+    structures += [random_structure(rng) for _ in range(120)]
+    for c in structures:
+        plan = default_plan(c)
+        assert plan == default_plan_by_slots(c)
+        assert realize(c, plan) == realize_by_slots(c, plan)
