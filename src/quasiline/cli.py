@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Hashable, Optional, Sequence
 from xml.etree import ElementTree as ET
 
 from .errors import (
@@ -78,11 +78,26 @@ def _read_text(path: str) -> str:
         raise ParseError(f"not UTF-8: {exc.reason}", line, column) from exc
 
 
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return data
+
+
+def _labels(data, what: str) -> tuple:
+    if not isinstance(data, list) or not all(isinstance(x, Hashable) for x in data):
+        raise ValidationError(f"{what} must be a JSON array of labels")
+    return tuple(data)
+
+
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(_read_text(path))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply", 1) from exc
+    return _object(data, "the top level")
 
 
 def load_structure(path: str) -> IncidenceStructure:
@@ -91,12 +106,18 @@ def load_structure(path: str) -> IncidenceStructure:
 
 def _plan_from_json(structure: IncidenceStructure, data: dict) -> RealizationPlan:
     base = default_plan(structure)
-    numbering = tuple(data.get("line_numbering", base.line_numbering))
-    order = tuple(data.get("point_order", base.point_order))
+
+    def field(key: str, default: tuple) -> tuple:
+        return _labels(data[key], key) if key in data else default
+
     orders = dict(base.point_line_orders)
-    for p, ls in data.get("point_line_orders", {}).items():
-        orders[p] = tuple(ls)
-    return RealizationPlan(numbering, order, orders)
+    for p, ls in _object(data.get("point_line_orders", {}), "point_line_orders").items():
+        orders[p] = _labels(ls, f"point_line_orders[{p!r}]")
+    return RealizationPlan(
+        field("line_numbering", base.line_numbering),
+        field("point_order", base.point_order),
+        orders,
+    )
 
 
 def load_plan(structure: IncidenceStructure, path: Optional[str]) -> RealizationPlan:
@@ -111,9 +132,11 @@ def _euclid_from_json(data: dict) -> GeneralizedWiringDiagram:
         points = [
             tuple(Fraction(str(x)) for x in row) for row in data.get("points", [])
         ]
-        labels = data.get("point_labels")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed euclidean JSON: {exc}") from exc
+    labels = data.get("point_labels")
+    if labels is not None:
+        labels = _labels(labels, "point_labels")
     return diagram_from_lines(lines, points, labels)
 
 
@@ -126,9 +149,9 @@ def load_diagram(path: str, plan_path: Optional[str] = None) -> GeneralizedWirin
     data = _load_json(path)
     # outputs of other subcommands are accepted back as inputs
     if "diagram" in data:
-        data = data["diagram"]
+        data = _object(data["diagram"], "diagram")
     elif "sequence" in data:
-        data = data["sequence"]
+        data = _object(data["sequence"], "sequence")
     if name.endswith(".seq.json") or "moves" in data:
         seq = sequence_from_json_dict(data)
         return GeneralizedWiringDiagram(seq.n, seq.moves)
@@ -346,11 +369,10 @@ def cmd_wiring(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     diagram = load_diagram(args.inputs[0], args.plan_path)
     order = topological_sweep(diagram)
-    digraph = sweep_digraph(diagram)
     payload = {
         "order": order,
-        "vertices": len(digraph.vertices),
-        "arcs": [list(a) for a in digraph.arcs],
+        "vertices": diagram.event_count,
+        "arcs": [list(a) for a in sweep_digraph(diagram)],
     }
     if args.format == "text":
         _emit(" ".join(str(v) for v in order) + "\n", args.output)
@@ -394,14 +416,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# Per subcommand: handler, number of inputs, the output formats it emits
+# (the first is the default), and its help text.
 COMMANDS = {
-    "validate": (cmd_validate, 1),
-    "realize": (cmd_realize, 1),
-    "wiring": (cmd_wiring, 1),
-    "sweep": (cmd_sweep, 1),
-    "map": (cmd_map, 1),
-    "straighten": (cmd_straighten, 1),
-    "compare": (cmd_compare, 2),
+    "validate": (cmd_validate, 1, ("json", "text"),
+                 "check an incidence file and report lineality and signature"),
+    "realize": (cmd_realize, 1, ("json",),
+                "realize an incidence structure as a move sequence"),
+    "wiring": (cmd_wiring, 1, ("json", "svg"),
+               "produce a generalized wiring diagram (JSON or SVG)"),
+    "sweep": (cmd_sweep, 1, ("json", "text"),
+              "topologically sweep a diagram's crossings"),
+    "map": (cmd_map, 1, ("json",),
+            "compute the surface map summary of a diagram"),
+    "straighten": (cmd_straighten, 1, ("json", "svg"),
+                   "bend-free straight-line drawing of a digon-free diagram"),
+    "compare": (cmd_compare, 2, ("json", "text"),
+                "compare the surface-map fingerprints of two inputs"),
 }
 
 
@@ -411,32 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Incidence structures as monotone quasiline arrangements.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    help_texts = {
-        "validate": "check an incidence file and report lineality and signature",
-        "realize": "realize an incidence structure as a move sequence",
-        "wiring": "produce a generalized wiring diagram (JSON or SVG)",
-        "sweep": "topologically sweep a diagram's crossings",
-        "map": "compute the surface map summary of a diagram",
-        "straighten": "bend-free straight-line drawing of a digon-free diagram",
-        "compare": "compare the surface-map fingerprints of two inputs",
-    }
-    for name, help_text in help_texts.items():
+    for name, (_, nargs, formats, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        nargs = COMMANDS[name][1]
         p.add_argument("inputs", nargs=nargs, metavar="input")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument(
-            "--format",
-            choices=("json", "svg", "text"),
-            default="json",
-        )
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--plan", dest="plan_path", default=None)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _ = COMMANDS[args.subcommand]
+    handler = COMMANDS[args.subcommand][0]
     try:
         return handler(args)
     except OSError as exc:

@@ -61,10 +61,6 @@ class PlanMismatch(PreconditionError):
     """A realization plan does not cover the incidence structure."""
 
 
-class CyclicInput(PreconditionError):
-    """A hand-built sweep digraph contains a directed cycle."""
-
-
 class NotAdmissible(PreconditionError):
     """The local move would disturb a designated crossing."""
 

@@ -34,14 +34,6 @@ class IncidenceStructure:
     flags: frozenset[tuple[Label, Label]]
 
     @cached_property
-    def point_index(self) -> dict[Label, int]:
-        return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def line_index(self) -> dict[Label, int]:
-        return {l: i for i, l in enumerate(self.lines)}
-
-    @cached_property
     def _lines_of(self) -> dict[Label, tuple[Label, ...]]:
         table: dict[Label, list[Label]] = {p: [] for p in self.points}
         for l in self.lines:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import PlanMismatch
+from .errors import PlanMismatch, ValidationError
 from .incidence import IncidenceStructure, Label
 from .sequences import Move, PermSequence
 
@@ -192,5 +192,5 @@ def topological_unwanted_bound(n: int, k: int) -> int:
     """Unwanted crossing count of a topological (n_k) configuration in
     which all unwanted crossings are regular: C(n,2) - n*C(k,2)."""
     if not n >= k >= 2:
-        raise ValueError(f"need n >= k >= 2, got ({n}, {k})")
+        raise ValidationError(f"need n >= k >= 2, got ({n}, {k})")
     return math.comb(n, 2) - n * math.comb(k, 2)

@@ -312,7 +312,7 @@ def sequence_from_json_dict(data: dict) -> PermSequence:
         n = int(data["n"])
         moves = [Move(int(s), int(l)) for s, l in data["moves"]]
         designated = [int(i) for i in data.get("designated", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed sequence JSON: {exc}") from exc
     return make_sequence(n, moves, designated)
 

@@ -3,16 +3,13 @@
 from .diagram import (
     AbstractArrangement,
     GeneralizedWiringDiagram,
-    SweepDigraph,
     arrangement_from_diagram,
     diagram_from_json_dict,
     diagram_from_realization,
     diagram_to_json_dict,
     find_monotone_marking,
-    is_acyclic,
     is_proper_marking,
     sweep_digraph,
-    topological_order,
     topological_sweep,
 )
 from .euclid import diagram_from_lines
@@ -42,7 +39,6 @@ __all__ = [
     "ArrangementFace",
     "GeneralizedWiringDiagram",
     "StraightDrawing",
-    "SweepDigraph",
     "apply_triangle_move",
     "arrangement_from_diagram",
     "arrangement_map",
@@ -56,13 +52,11 @@ __all__ = [
     "euler_characteristic",
     "find_monotone_marking",
     "insert_digon",
-    "is_acyclic",
     "is_proper_marking",
     "removable_digons",
     "remove_digon",
     "straighten",
     "sweep_digraph",
-    "topological_order",
     "topological_sweep",
     "trace_faces_disk",
     "triangle_moves",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Optional
 
-from ..errors import CyclicInput, NotGeneralized, ValidationError
+from ..errors import NotGeneralized, ValidationError
 from ..realization import Realization
 from ..sequences import Move, PermSequence
 
@@ -51,67 +51,28 @@ def diagram_from_realization(realization: Realization) -> GeneralizedWiringDiagr
 # -- sweep digraphs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepDigraph:
-    """Crossing-adjacency digraph: one arc per pair of crossings that are
-    consecutive along a wire, oriented left to right (arcs never follow a
-    wire through infinity)."""
-
-    vertices: tuple[Hashable, ...]
-    arcs: tuple[tuple[Hashable, Hashable], ...]
-
-    @cached_property
-    def successors(self) -> dict[Hashable, tuple[Hashable, ...]]:
-        table: dict[Hashable, list[Hashable]] = {v: [] for v in self.vertices}
-        for u, v in self.arcs:
-            table[u].append(v)
-        return {u: tuple(vs) for u, vs in table.items()}
-
-
-def sweep_digraph(diagram: GeneralizedWiringDiagram) -> SweepDigraph:
+def sweep_digraph(diagram: GeneralizedWiringDiagram) -> tuple[tuple[int, int], ...]:
+    """Crossing-adjacency digraph on the events 0..m-1, as its sorted arc
+    tuple: one arc per pair of crossings that are consecutive along a
+    wire, oriented left to right (arcs never follow a wire through
+    infinity)."""
     arcs = set()
     for w in range(1, diagram.n + 1):
         evs = diagram.wire_events(w)
-        for u, v in zip(evs, evs[1:]):
-            arcs.add((u, v))
-    return SweepDigraph(tuple(range(diagram.event_count)), tuple(sorted(arcs)))
-
-
-def is_acyclic(digraph: SweepDigraph) -> bool:
-    try:
-        topological_order(digraph)
-        return True
-    except CyclicInput:
-        return False
-
-
-def topological_order(digraph: SweepDigraph) -> list[Hashable]:
-    """Kahn's algorithm with smallest-vertex tie-breaking; raises
-    ``CyclicInput`` on a directed cycle."""
-    indeg = {v: 0 for v in digraph.vertices}
-    for _, v in digraph.arcs:
-        indeg[v] += 1
-    import heapq
-
-    ready = [v for v in digraph.vertices if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for u in digraph.successors[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, u)
-    if len(order) != len(digraph.vertices):
-        raise CyclicInput("digraph contains a directed cycle")
-    return order
+        arcs.update(zip(evs, evs[1:]))
+    return tuple(sorted(arcs))
 
 
 def topological_sweep(diagram: GeneralizedWiringDiagram) -> list[int]:
     """A sweep order of the crossings: each prefix cuts every wire's event
-    list in a prefix, so consecutive sweep curves separate one vertex."""
-    return topological_order(sweep_digraph(diagram))
+    list in a prefix, so consecutive sweep curves separate one vertex.
+
+    The event order is one: a wire's events are listed left to right, so
+    every arc of :func:`sweep_digraph` goes from a lower event index to a
+    higher one, and the digraph is acyclic with the identity as its
+    smallest-first topological order.
+    """
+    return list(range(diagram.event_count))
 
 
 # -- abstract arrangements and monotone markings -----------------------------
@@ -120,6 +81,16 @@ def topological_sweep(diagram: GeneralizedWiringDiagram) -> list[int]:
 @dataclass(frozen=True)
 class AbstractArrangement:
     """Boundary endpoint order plus per-line crossing orders.
+
+    This is a quasiline arrangement given combinatorially, without a
+    drawing.  The marking code below decides whether it is monotone,
+    that is, whether it can be swept like a wiring diagram: a *marking*
+    cuts the boundary circle at one of its 2n gaps and orients every line
+    away from the end met first after the cut, and the arrangement can be
+    swept exactly when some marking is *proper* (every two lines meet
+    their shared crossings in the same order).  The diagram of a
+    generalized allowable sequence always has one, at gap 0
+    (:func:`arrangement_from_diagram`).
 
     ``boundary`` lists 2n tokens (line, end) in cyclic order around the
     disk; the token at position i and the one at position i+n must be the
@@ -218,7 +189,8 @@ def is_proper_marking(arrangement: AbstractArrangement, gap: int) -> bool:
 
 
 def find_monotone_marking(arrangement: AbstractArrangement) -> Optional[int]:
-    """First boundary gap that yields a proper marking, or None."""
+    """First boundary gap that yields a proper marking, or None when the
+    arrangement has no monotone marking and so cannot be swept."""
     for gap in range(2 * arrangement.n):
         if is_proper_marking(arrangement, gap):
             return gap
@@ -245,6 +217,6 @@ def diagram_from_json_dict(data: dict) -> GeneralizedWiringDiagram:
             Move(int(s), int(l), p if p is None else str(p))
             for s, l, p in data["events"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed diagram JSON: {exc}") from exc
     return GeneralizedWiringDiagram(n, moves)

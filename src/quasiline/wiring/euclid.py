@@ -31,8 +31,18 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"{x!r} is not a rational value") from exc
     raise ValidationError(f"expected a rational value, got {x!r}")
+
+
+def _rows(rows, size: int, what: str) -> list[tuple[Fraction, ...]]:
+    out = [tuple(map(_as_fraction, row)) for row in rows]
+    if any(len(row) != size for row in out):
+        raise ValidationError(f"every {what} needs {size} coordinates")
+    return out
 
 
 def _primitive(triple: Sequence[Fraction]) -> tuple[int, int, int]:
@@ -123,11 +133,10 @@ def diagram_from_lines(
     """
     covectors = []
     seen: set[tuple[int, int, int]] = set()
-    for a, b, c in lines:
-        fa, fb, fc = _as_fraction(a), _as_fraction(b), _as_fraction(c)
-        if fa == 0 and fb == 0:
+    for a, b, c in _rows(lines, 3, "line"):
+        if a == 0 and b == 0:
             raise ValidationError(f"({a}, {b}, {c}) is not a line")
-        prim = _primitive((fa, fb, -fc))
+        prim = _primitive((a, b, -c))
         if prim in seen:
             raise DuplicateLine(f"line ({a}, {b}, {c}) duplicates an earlier one")
         seen.add(prim)
@@ -140,9 +149,7 @@ def diagram_from_lines(
         point_labels = [f"P{i}" for i in range(1, len(points) + 1)]
     if len(point_labels) != len(points):
         raise ValidationError("need exactly one label per selected point")
-    selected = [
-        (_as_fraction(x), _as_fraction(y), Fraction(1)) for x, y in points
-    ]
+    selected = [(x, y, Fraction(1)) for x, y in _rows(points, 2, "point")]
 
     meets = [
         _cross(covectors[i], covectors[j])
@@ -183,7 +190,8 @@ def diagram_from_lines(
             for i in range(3)
         ]
         if img[2] == 0:
-            raise UnresolvableChart("a selected point landed at infinity")
+            # every crossing is finite in this chart
+            raise ValidationError("a selected point is not an intersection of the lines")
         return (img[0] / img[2], img[1] / img[2])
 
     abc = [transform_line(l) for l in covectors]

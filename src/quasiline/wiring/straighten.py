@@ -15,9 +15,12 @@ elimination, over the one shared denominator det·den (the system's
 determinant times the common denominator of its right-hand side).  The
 final drawing is audited with exact predicates: distinctness, an O(E)
 embedding check (strictly convex outer polygon, one strict orientation
-for every face-star triangle), angular rotation orders, chord-line
-behavior.  The audit never passes a degenerate drawing; on failure the
-polygon parameters are re-chosen.
+for every face-star triangle) and angular rotation orders.  The audit
+never passes a degenerate drawing; on failure the polygon parameters are
+re-chosen.  The chord lines need no geometry: on a strictly convex
+polygon they behave as required exactly when the chords' ends alternate
+round the outer walk (:func:`_chords_alternate`), which is checked once,
+before any polygon is chosen.
 """
 
 from __future__ import annotations
@@ -84,22 +87,6 @@ def _direction_cmp(u: Point, v: Point) -> int:
         return -1 if hu < hv else 1
     c = _cross(u, v)
     return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def _line_intersection(a1: Point, b1: Point, a2: Point, b2: Point) -> Point | None:
-    d1, d2 = _sub(b1, a1), _sub(b2, a2)
-    denom = _cross(d1, d2)
-    if denom == 0:
-        return None
-    s = _cross(_sub(a2, a1), d2) / denom
-    return (a1[0] + s * d1[0], a1[1] + s * d1[1])
-
-
-def _strictly_inside_convex(polygon: Sequence[Point], p: Point) -> bool:
-    k = len(polygon)
-    return all(
-        _orient(polygon[i], polygon[(i + 1) % k], p) > 0 for i in range(k)
-    )
 
 
 def _strictly_convex(polygon: Sequence[Point]) -> bool:
@@ -350,6 +337,29 @@ def _embedded(
     return signs == {1} or signs == {-1}
 
 
+def _chords_alternate(
+    outer_walk: Sequence[int], chords: Sequence[tuple[int, int]]
+) -> bool:
+    """Two chords share at most one end, and two chords with four distinct
+    ends alternate in the cyclic order of ``outer_walk``.
+
+    On a strictly convex polygon with distinct vertices in walk order,
+    this holds exactly when every two chord lines cross, either at a
+    shared end or strictly inside the polygon.  A line through two of the
+    polygon's vertices meets it only in their chord, so two such lines
+    meet inside exactly when the chords cross, that is, when their ends
+    alternate.  Chords sharing one end meet there, since no three
+    vertices are collinear; chords sharing both ends span the same line.
+    """
+    place = {v: i for i, v in enumerate(outer_walk)}
+    ends = [sorted((place[f], place[l])) for f, l in chords]
+    for (a, b), (c, d) in itertools.combinations(ends, 2):
+        shared = len({a, b} & {c, d})
+        if shared == 2 or (shared == 0 and (a < c < b) == (a < d < b)):
+            return False
+    return True
+
+
 def _audit(
     full: RotationMap,
     arcs: Sequence[ArcId],
@@ -390,27 +400,13 @@ def _audit(
         shift = order.index(0)
         if [order[(shift + i) % k] for i in range(k)] != list(range(k)):
             return False
-
-    # Chord audit: pairwise non-parallel; crossings confined to the
-    # polygon's interior or to a shared crossing vertex.
-    for (w1, (f1, l1)), (w2, (f2, l2)) in itertools.combinations(
-        list(enumerate(chords, start=1)), 2
-    ):
-        z = _line_intersection(positions[f1], positions[l1], positions[f2], positions[l2])
-        if z is None:
-            return False
-        shared = {f1, l1} & {f2, l2}
-        if shared:
-            if len(shared) != 1 or z != positions[next(iter(shared))]:
-                return False
-        elif not _strictly_inside_convex(polygon, z):
-            return False
     return True
 
 
 # -- main entry ---------------------------------------------------------------
 
 _MAX_ATTEMPTS = 6
+_AUDIT_FAILED = "straightening audit failed for all polygon parameters"
 
 
 def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
@@ -447,6 +443,8 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
             raise QuasilineError(
                 f"wire {w} does not reach the outer boundary; identification failed"
             )
+    if not _chords_alternate(outer_walk, chords):
+        raise QuasilineError(_AUDIT_FAILED)
 
     adjacency: dict = {v: [] for v in gmap.vertices}
     for u, v in gmap.edges:
@@ -474,7 +472,7 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
             return StraightDrawing(
                 diagram.n, tuple(positions), tuple(outer_walk), tuple(chords), wire_paths
             )
-    raise QuasilineError("straightening audit failed for all polygon parameters")
+    raise QuasilineError(_AUDIT_FAILED)
 
 
 # -- serialization ------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Everything here is deliberately independent of the implementation paths
 it checks: girth by plain BFS, sweep validity by explicit cut
-simulation, scheme isomorphism by brute-force search over relabellings
-and regaugings, rotation systems by list scans along every wire,
-straight drawings by a pairwise segment audit, linear
+simulation, sweep orders by Kahn's algorithm, scheme isomorphism by
+brute-force search over relabellings and regaugings, rotation systems by
+list scans along every wire, straight drawings by a pairwise segment
+audit, chord lines by intersecting every pair and testing the point
+against the polygon, linear
 systems by Gauss-Jordan elimination over ``Fraction``, move sites by
 scanning every later event or index triple, canonical encodings by
 encoding from every dart to the end, realization plans by measuring
@@ -15,6 +17,7 @@ testing every point-line pair, and random generators driven by seeded
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -225,6 +228,27 @@ def sweep_cut_ok(diagram: GeneralizedWiringDiagram, order) -> bool:
     )
 
 
+def kahn_order(vertex_count: int, arcs) -> list[int] | None:
+    """Kahn's algorithm with smallest-vertex tie-breaking on the vertices
+    0..vertex_count-1; None when the arcs contain a directed cycle."""
+    indeg = [0] * vertex_count
+    successors: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in arcs:
+        indeg[v] += 1
+        successors[u].append(v)
+    ready = [v for v in range(vertex_count) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for u in successors[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                heapq.heappush(ready, u)
+    return order if len(order) == vertex_count else None
+
+
 # -- straightening oracles ----------------------------------------------------
 
 
@@ -274,6 +298,31 @@ def _segments_share_point(a, b, c, d) -> bool:
         or _on_segment(c, d, a)
         or _on_segment(c, d, b)
     )
+
+
+def chord_lines_meet_inside(positions, outer_cycle, chords) -> bool:
+    """Pairwise geometric chord audit, O(n^2 k) exact predicates: no two
+    chord lines are parallel, and two lines meet either at the one
+    crossing their chords share or strictly inside the polygon that
+    ``outer_cycle`` spans counterclockwise."""
+    polygon = [positions[v] for v in outer_cycle]
+    k = len(polygon)
+    for (f1, l1), (f2, l2) in itertools.combinations(chords, 2):
+        a1, b1, a2, b2 = (positions[v] for v in (f1, l1, f2, l2))
+        d1 = (b1[0] - a1[0], b1[1] - a1[1])
+        d2 = (b2[0] - a2[0], b2[1] - a2[1])
+        denom = d1[0] * d2[1] - d1[1] * d2[0]
+        if denom == 0:
+            return False
+        s = Fraction((a2[0] - a1[0]) * d2[1] - (a2[1] - a1[1]) * d2[0]) / denom
+        z = (a1[0] + s * d1[0], a1[1] + s * d1[1])
+        shared = {f1, l1} & {f2, l2}
+        if shared:
+            if len(shared) != 1 or z != positions[next(iter(shared))]:
+                return False
+        elif not all(_orient(polygon[i], polygon[(i + 1) % k], z) > 0 for i in range(k)):
+            return False
+    return True
 
 
 def arcs_pairwise_disjoint(diagram: GeneralizedWiringDiagram, positions) -> bool:

@@ -48,7 +48,6 @@ from quasiline.wiring import (
     topological_sweep,
     triangle_moves,
 )
-from quasiline.wiring.diagram import is_acyclic
 
 from oracles import (
     as_diagram,
@@ -59,6 +58,7 @@ from oracles import (
     PAPPUS_POINTS,
     anti_desargues,
     fano,
+    kahn_order,
     mobius_kantor,
     random_allowable_sequence,
     random_generalized_sequence,
@@ -141,14 +141,15 @@ def test_criterion_3_sweeps(realization_corpus, roundtrip_sequences):
     diagrams += [as_diagram(s) for s in roundtrip_sequences]
     violations = 0
     for d in diagrams:
-        if not is_acyclic(sweep_digraph(d)):
-            violations += 1
-            continue
-        if not sweep_cut_ok(d, topological_sweep(d)):
+        arcs = sweep_digraph(d)
+        order = topological_sweep(d)
+        forward = all(u < v for u, v in arcs)
+        if not (forward and order == kahn_order(d.event_count, arcs) and sweep_cut_ok(d, order)):
             violations += 1
     assert violations == 0
-    report(3, f"all {len(diagrams)} sweep digraphs acyclic and every returned "
-              "order passed explicit one-vertex-per-cut simulation")
+    report(3, f"all {len(diagrams)} sweep digraphs acyclic (every arc goes "
+              "forward), every returned order equal to the smallest-first Kahn "
+              "order and passed explicit one-vertex-per-cut simulation")
 
 
 def test_criterion_4_classification():

@@ -3,7 +3,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from quasiline.cli import main
+from quasiline.cli import COMMANDS, main
 from quasiline.sequences import sequence_from_json_dict
 from quasiline.wiring import diagram_from_json_dict
 from quasiline.wiring.straighten import drawing_from_json_dict
@@ -71,8 +71,24 @@ def test_missing_file_exit_2(workdir):
         ("bad.euclid.json", '{"lines": [["a", "1", "0"], ["1", "0", "0"]]}', 2),
         ("dir.lines", None, 2),
         ("latin1.lines", b"L1: caf\xe9 b\nL2: caf\xe9 c\n", 3),
+        ("number.wd.json", "5", 2),
+        ("nested.wd.json", '{"diagram": 5}', 2),
+        ("deep.wd.json", "[" * 100000, 3),
+        ("infinite.seq.json", '{"n": 1e400, "moves": []}', 2),
+        ("labels.euclid.json", '{"lines": [["1", "0", "0"], ["0", "1", "0"]], "point_labels": 3}',
+         2),
     ],
-    ids=["non-integer-move", "non-rational-coefficient", "directory", "non-utf8"],
+    ids=[
+        "non-integer-move",
+        "non-rational-coefficient",
+        "directory",
+        "non-utf8",
+        "top-level-number",
+        "nested-non-object",
+        "nested-too-deep",
+        "infinite-size",
+        "labels-not-a-list",
+    ],
 )
 def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):
     path = workdir / name
@@ -213,3 +229,44 @@ def test_plan_override(workdir):
     ) == 0
     data = json.loads(out.read_text())
     assert data["unwanted_crossings"] == 0
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        5,
+        {"point_order": 5},
+        {"point_order": [["p"], "q", "r"]},
+        {"line_numbering": None},
+        {"point_line_orders": ["q"]},
+        {"point_line_orders": {"q": "BA"}},
+    ],
+)
+def test_malformed_plan_exit_2(workdir, capsys, plan):
+    path = workdir / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert main(["realize", str(workdir / "digon.lines"), "--plan", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("realize: invalid input") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [
+        ("validate", "svg"),
+        ("realize", "text"),
+        ("realize", "svg"),
+        ("wiring", "text"),
+        ("sweep", "svg"),
+        ("map", "text"),
+        ("map", "svg"),
+        ("straighten", "text"),
+        ("compare", "svg"),
+    ],
+)
+def test_format_a_subcommand_does_not_emit_is_a_usage_error(workdir, capsys, command, fmt):
+    inputs = [str(workdir / "fano.lines")] * COMMANDS[command][1]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -47,6 +47,9 @@ def test_degenerate_triple_rejected():
 def test_point_not_an_intersection_rejected():
     with pytest.raises(ValidationError):
         diagram_from_lines([(1, 0, 0), (0, 1, 0)], points=[(1, 1)])
+    # parallel lines move the chart, which sends this point to infinity
+    with pytest.raises(ValidationError):
+        diagram_from_lines([(1, 0, 0), (1, 0, 1)], points=[(0, 1)])
 
 
 def test_selected_point_becomes_designated():
@@ -88,3 +91,18 @@ def test_pappus_designated_labels_complete():
 def test_rational_string_coefficients():
     d = diagram_from_lines([("1", "-1", "0"), ("1", "1", "1/2"), ("0", "1", "1/3")])
     assert d.event_count == 3
+
+
+@pytest.mark.parametrize(
+    "lines, points",
+    [
+        ([("a", "1", "0"), ("1", "0", "0")], []),
+        ([("1/0", "1", "0"), ("1", "0", "0")], []),
+        ([("1", "0"), ("0", "1", "0")], []),
+        ([(1, 0, 0), (0, 1, 0)], [(0,)]),
+    ],
+    ids=["unparsable", "zero-denominator", "short-line", "short-point"],
+)
+def test_malformed_input_is_a_validation_error(lines, points):
+    with pytest.raises(ValidationError):
+        diagram_from_lines(lines, points)

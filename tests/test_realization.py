@@ -15,7 +15,7 @@ from quasiline import (
     topological_unwanted_bound,
     unwanted_crossing_count,
 )
-from quasiline.errors import PlanMismatch
+from quasiline.errors import PlanMismatch, ValidationError
 from quasiline.realization import _best_slot, _gathered
 from quasiline.sequences import pair_counts
 
@@ -190,7 +190,7 @@ def test_topological_unwanted_bound():
     assert topological_unwanted_bound(7, 3) == 0
     for n in range(2, 10):
         assert topological_unwanted_bound(n, 2) == n * (n - 1) // 2 - n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         topological_unwanted_bound(2, 3)
 
 

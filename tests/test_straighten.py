@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -17,6 +18,7 @@ from quasiline.wiring import (
 )
 from quasiline.wiring.faces import full_wire_map
 from quasiline.wiring.straighten import (
+    _chords_alternate,
     _circle_points,
     _direction_cmp,
     _embedded,
@@ -35,6 +37,7 @@ from oracles import (
     PAPPUS_LABELS,
     PAPPUS_POINTS,
     arcs_pairwise_disjoint,
+    chord_lines_meet_inside,
     random_allowable_sequence,
     random_laplacian_system,
     random_line_arrangement,
@@ -95,6 +98,8 @@ def check_straightening(diagram):
     assert reextracted_face_vector(diagram, drawing) == expected
     # the O(E) embedding check agrees with the pairwise segment oracle
     assert arcs_pairwise_disjoint(diagram, drawing.positions)
+    # the combinatorial chord check agrees with the pairwise line oracle
+    assert chord_lines_meet_inside(drawing.positions, drawing.outer_cycle, drawing.chords)
     return drawing
 
 
@@ -220,6 +225,46 @@ def test_embedding_check_is_sound_against_pairwise_oracle():
                 assert arcs_pairwise_disjoint(d, positions)
             verdicts.add(fast)
     assert verdicts == {True, False}
+
+
+def test_chord_alternation_matches_geometric_oracle():
+    """Random chord sets on strictly convex polygons (rational circle
+    points, or points on the parabola y = x^2), with the vertices given
+    shuffled ids: the alternation test and the pairwise line oracle
+    return the same verdict, including chords that share one end or both
+    ends."""
+    rng = random.Random(1989)
+    verdicts = set()
+    shares = set()
+    for _ in range(600):
+        k = rng.randint(3, 12)
+        if rng.random() < 0.5:
+            polygon = _circle_points(k, rng.randrange(3))
+        else:
+            xs = sorted(rng.sample(range(-40, 41), k))
+            polygon = [(Fraction(x, 7), Fraction(x * x, 49)) for x in xs]
+        assert _strictly_convex(polygon)
+        walk = rng.sample(range(k), k)
+        positions = [None] * k
+        for v, p in zip(walk, polygon):
+            positions[v] = p
+        chords = []
+        for _ in range(rng.randint(2, 5)):
+            roll = rng.random()
+            if chords and roll < 0.1:
+                chords.append(rng.choice(chords)[::-1])
+            elif chords and roll < 0.3:
+                end = rng.choice(rng.choice(chords))
+                chords.append((end, rng.choice([v for v in walk if v != end])))
+            else:
+                chords.append(tuple(rng.sample(walk, 2)))
+        for c1, c2 in itertools.combinations(chords, 2):
+            shares.add(len(set(c1) & set(c2)))
+        fast = _chords_alternate(walk, chords)
+        assert fast == chord_lines_meet_inside(positions, walk, chords)
+        verdicts.add(fast)
+    assert verdicts == {True, False}
+    assert shares == {0, 1, 2}
 
 
 def test_circle_points_retry_is_the_next_attempt():
