@@ -12,6 +12,13 @@ Darts are pairs (edge index, end); end 0 attaches at the first endpoint
 of the edge, end 1 at the second.  Rotations list darts counterclockwise
 in whatever drawing the map came from.
 
+A face-traversal state is a dart with a local sense s of +1 or -1.
+Faces are traced on ints: state ((e, end), s) is 4e + 2·end + (s == 1),
+so ``x >> 2`` is its edge, ``x >> 1 & 1`` its end and ``x & 1`` its
+sense, and the ints sort as the (dart, sense) tuples do.  Each map
+builds, once, the table of the next state of every state, and the face
+walks follow it.
+
 The canonical encoding is the least of the encodings from every start
 dart in both senses.  It numbers darts as ints 2e+end, starts only at
 vertices of least degree, and abandons a candidate as soon as a final
@@ -28,7 +35,6 @@ from typing import Hashable, Iterator, Mapping
 from .errors import ValidationError
 
 Dart = tuple[int, int]
-State = tuple[Dart, int]
 
 
 @dataclass(frozen=True)
@@ -75,19 +81,6 @@ class RotationMap:
     def degree(self, vertex: Hashable) -> int:
         return len(self.rotations[vertex])
 
-    @cached_property
-    def _position(self) -> dict[Dart, int]:
-        pos: dict[Dart, int] = {}
-        for v in self.vertices:
-            for i, d in enumerate(self.rotations[v]):
-                pos[d] = i
-        return pos
-
-    def rotation_next(self, dart: Dart, direction: int = 1) -> Dart:
-        rot = self.rotations[self.attach(dart)]
-        i = self._position[dart]
-        return rot[(i + direction) % len(rot)]
-
     def darts(self) -> Iterator[Dart]:
         for e in range(len(self.edges)):
             yield (e, 0)
@@ -109,49 +102,66 @@ class RotationMap:
 
     # -- faces -------------------------------------------------------------
 
-    def _step(self, state: State) -> State:
-        (e, end), s = state
-        s2 = s * self.signature[e]
-        r = (e, 1 - end)
-        d2 = self.rotation_next(r, 1 if s2 == 1 else -1)
-        return (d2, s2)
+    @cached_property
+    def _successor(self) -> list[int]:
+        """The next face-traversal state of every state.
 
-    def _reverse_state(self, state: State) -> State:
-        (e, end), s = state
-        return ((e, 1 - end), -s * self.signature[e])
+        From state ((e, end), s) the walk crosses edge e, which turns the
+        sense into s' = s·signature[e], and leaves the far vertex by the
+        dart after (e, 1 - end) in its rotation, counterclockwise when
+        s' = 1 and clockwise otherwise, keeping sense s'.
+        """
+        succ = [0] * (4 * len(self.edges))
+        for v in self.vertices:
+            rot = self.rotations.get(v, ())
+            for i, (e, end) in enumerate(rot):
+                e1, end1 = rot[(i + 1) % len(rot)]
+                e0, end0 = rot[i - 1]
+                ccw, cw = 4 * e1 + 2 * end1 + 1, 4 * e0 + 2 * end0
+                arrive = 4 * e + 2 * (1 - end)  # the states crossing e to here
+                if self.signature[e] == 1:
+                    succ[arrive], succ[arrive + 1] = cw, ccw
+                else:
+                    succ[arrive], succ[arrive + 1] = ccw, cw
+        return succ
 
     @cached_property
-    def face_orbits(self) -> tuple[tuple[State, ...], ...]:
-        """Orbits of the signed face-traversal step; two orbits per face."""
-        seen: set[State] = set()
-        orbits: list[tuple[State, ...]] = []
-        for start in ((d, s) for d in self.darts() for s in (-1, 1)):
-            if start in seen:
+    def face_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the signed face-traversal step on int states; two
+        orbits per face."""
+        succ = self._successor
+        seen = [False] * len(succ)
+        orbits: list[tuple[int, ...]] = []
+        for start in range(len(succ)):
+            if seen[start]:
                 continue
             orbit = [start]
-            state = self._step(start)
+            seen[start] = True
+            state = succ[start]
             while state != start:
                 orbit.append(state)
-                state = self._step(state)
-            seen.update(orbit)
+                seen[state] = True
+                state = succ[state]
             orbits.append(tuple(orbit))
         return tuple(orbits)
 
     @cached_property
-    def faces(self) -> tuple[tuple[State, ...], ...]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         """One traversal per face (each face is traced twice, in opposite
         directions; the lexicographically smaller traversal is kept)."""
         orbits = self.face_orbits
-        index_of: dict[State, int] = {}
+        index_of = [0] * (4 * len(self.edges))
         for i, orbit in enumerate(orbits):
             for state in orbit:
                 index_of[state] = i
-        kept: list[tuple[State, ...]] = []
+        kept: list[tuple[int, ...]] = []
         seen: set[int] = set()
         for i, orbit in enumerate(orbits):
             if i in seen:
                 continue
-            j = index_of[self._reverse_state(orbit[0])]
+            # the reverse of ((e, end), s) is ((e, 1 - end), -s·signature[e])
+            x = orbit[0]
+            j = index_of[x ^ 2 ^ (self.signature[x >> 2] == 1)]
             if j == i or j in seen:
                 raise ValidationError("face traversal pairing failed; invalid map")
             seen.update((i, j))

@@ -35,6 +35,15 @@ class GeneralizedWiringDiagram(PermSequence):
         if self.n < 2:
             raise ValidationError("an arrangement needs at least 2 wires")
         super().__post_init__()
+        # every pair of wires must cross and a move crosses C(length, 2)
+        # pairs: an O(m) bound, checked before any n-sized table is built
+        pairs = self.n * (self.n - 1) // 2
+        crossed = sum(m.length * (m.length - 1) // 2 for m in self.moves)
+        if crossed < pairs:
+            raise NotGeneralized(
+                f"the moves cross at most {crossed} of the {pairs} pairs of wires; "
+                "every pair must cross an odd number of times"
+            )
         final = self.permutations[-1]
         for x, y in zip(final, final[1:]):
             if x < y:

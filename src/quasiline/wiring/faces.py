@@ -93,7 +93,7 @@ class ArrangementFace:
 def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace, ...]:
     """All faces of the arrangement, infinity arcs included."""
     rm, arcs = full_wire_map(diagram)
-    faces = [ArrangementFace(tuple(arcs[d[0]] for d, _ in orbit)) for orbit in rm.faces]
+    faces = [ArrangementFace(tuple(arcs[x >> 2] for x in orbit)) for orbit in rm.faces]
     return tuple(sorted(faces, key=lambda f: (len(f), f.sides)))
 
 

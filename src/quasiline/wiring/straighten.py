@@ -8,14 +8,18 @@ along the straight line spanned by its first and last crossing, taken
 outside the polygon.  Every breakpoint of every wire is a crossing, so
 the drawing has no bends.
 
-Coordinates are exact rationals throughout: the outer polygon vertices
-are rational points on the unit circle, and interior vertices solve the
-barycentric (Tutte) system by fraction-free integer (Bareiss)
-elimination, over the one shared denominator det·den (the system's
-determinant times the common denominator of its right-hand side).  The
-final drawing is audited with exact predicates: distinctness, an O(E)
-embedding check (strictly convex outer polygon, one strict orientation
-for every face-star triangle) and angular rotation orders.  The audit
+Coordinates are exact, and integers until the drawing is built: the
+outer polygon vertices are rational points on the unit circle, scaled
+to integers over the lcm L of their denominators, and interior vertices
+solve the barycentric (Tutte) system by fraction-free integer (Bareiss)
+elimination, as integers over its determinant det.  Every point is then
+an integer pair over the one positive denominator D = det·L, and only
+the final :class:`StraightDrawing` divides by D.  The drawing is
+audited on the integer pairs with exact predicates: distinctness, an
+O(E) embedding check (strictly convex outer polygon, one strict
+orientation for every face-star triangle) and angular rotation orders.
+Dividing every point by the same positive D changes no sign and no
+equality, so each verdict is that of the rational drawing.  The audit
 never passes a degenerate drawing; on failure the polygon parameters are
 re-chosen.  The chord lines need no geometry: on a strictly convex
 polygon they behave as required exactly when the chords' ends alternate
@@ -38,6 +42,7 @@ from .diagram import GeneralizedWiringDiagram
 from .faces import ArcId, full_wire_map
 
 Point = tuple[Fraction, Fraction]
+Coords = tuple[int, int]  # integer numerators over a drawing's denominator D
 
 
 @dataclass(frozen=True)
@@ -58,26 +63,29 @@ class StraightDrawing:
 
 
 # -- exact geometric predicates ----------------------------------------------
+#
+# They use only ring operations and signs, so they answer alike on the
+# integer numerators of a drawing and on its Fraction points.
 
 
-def _sub(p: Point, q: Point) -> Point:
+def _sub(p: Coords, q: Coords) -> Coords:
     return (p[0] - q[0], p[1] - q[1])
 
 
-def _cross(p: Point, q: Point) -> Fraction:
+def _cross(p: Coords, q: Coords) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _orient(a: Point, b: Point, c: Point) -> int:
+def _orient(a: Coords, b: Coords, c: Coords) -> int:
     v = _cross(_sub(b, a), _sub(c, a))
     return (v > 0) - (v < 0)
 
 
-def _direction_cmp(u: Point, v: Point) -> int:
+def _direction_cmp(u: Coords, v: Coords) -> int:
     """Counterclockwise comparison of direction vectors starting at the
     positive x-axis; ties mean equal directions."""
 
-    def half(w: Point) -> int:
+    def half(w: Coords) -> int:
         if w[1] > 0 or (w[1] == 0 and w[0] > 0):
             return 0
         return 1
@@ -89,7 +97,7 @@ def _direction_cmp(u: Point, v: Point) -> int:
     return 0 if c == 0 else (-1 if c > 0 else 1)
 
 
-def _strictly_convex(polygon: Sequence[Point]) -> bool:
+def _strictly_convex(polygon: Sequence[Coords]) -> bool:
     """The closed polygon turns strictly left at every vertex and its edge
     directions wind around exactly once: it is simple, strictly convex
     and counterclockwise."""
@@ -187,7 +195,7 @@ def _outer_orbit(
     wires = diagram.window_wires(0)
     top_exit = wires[-1]
     gid = arcs.index((top_exit, 0))
-    target = ((gid, 1), 1)
+    target = 4 * gid + 2 + 1  # the state at dart (gid, 1) with sense 1
     for orbit in gmap.face_orbits:
         if target in orbit:
             return orbit
@@ -201,12 +209,13 @@ def _face_vertex_cycles(gmap: RotationMap, outer) -> tuple[list, list]:
     one of sense -1.  Every internal face is walked along its sense-1
     orbit, as the outer one is, so all the cycles run the same way round.
     """
+    edges = gmap.edges
     internal = [
-        [gmap.attach(d) for d, _ in orbit]
+        [edges[x >> 2][x >> 1 & 1] for x in orbit]
         for orbit in gmap.face_orbits
-        if orbit[0][1] == 1 and orbit != outer
+        if orbit[0] & 1 and orbit != outer
     ]
-    outer_cycle = [gmap.attach(d) for d, _ in outer]
+    outer_cycle = [edges[x >> 2][x >> 1 & 1] for x in outer]
     return internal, outer_cycle
 
 
@@ -215,44 +224,67 @@ def _face_vertex_cycles(gmap: RotationMap, outer) -> tuple[list, list]:
 
 def _circle_points(k: int, attempt: int) -> list[Point]:
     """k distinct rational points on the unit circle in counterclockwise
-    order (tangent half-angle parametrization)."""
+    order (tangent half-angle parametrization): t = p/q gives the point
+    ((q² - p²) / (q² + p²), 2pq / (q² + p²))."""
     while True:
-        denom = 64 << attempt
+        q = 64 << attempt
         offset = math.pi / (7 * k) * attempt
-        ts: list[Fraction] = []
-        for i in range(k):
-            theta = -math.pi + (2 * i + 1) * math.pi / k + offset
-            t = Fraction(round(math.tan(theta / 2) * denom), denom)
-            ts.append(t)
-        if len(set(ts)) == k and sorted(ts) == ts:
+        ps = [
+            round(math.tan((-math.pi + (2 * i + 1) * math.pi / k + offset) / 2) * q)
+            for i in range(k)
+        ]
+        if len(set(ps)) == k and sorted(ps) == ps:
             return [
-                ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts
+                (Fraction(q * q - p * p, q * q + p * p), Fraction(2 * p * q, q * q + p * p))
+                for p in ps
             ]
         attempt += 7
+
+
+def _numerators(points: Sequence[Point]) -> tuple[list[Coords], int]:
+    """The points as integer pairs over the lcm of their denominators,
+    and that lcm."""
+    scale = math.lcm(*(c.denominator for point in points for c in point))
+    return [
+        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for x, y in points
+    ], scale
 
 
 # -- Tutte system -------------------------------------------------------------
 
 
-def _solve_exact(
-    matrix: list[list[int]], rhs: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Solve ``matrix · X = rhs`` exactly; rhs holds one column per
-    coordinate.
+def _tutte_graph(gmap: RotationMap, internal_faces: list[list[int]]) -> dict:
+    """Adjacency lists of G with one more vertex ("star", s) per internal
+    face s, joined to every vertex of the face."""
+    adjacency: dict = {v: [] for v in gmap.vertices}
+    for u, v in gmap.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for s, cycle in enumerate(internal_faces):
+        star = ("star", s)
+        adjacency[star] = []
+        for v in cycle:
+            adjacency[star].append(v)
+            adjacency[v].append(star)
+    return adjacency
 
-    The right-hand side is scaled to integers over its common denominator
-    den, and the system is eliminated fraction-free (Bareiss): every
-    entry stays an integer minor of the augmented system, so each
-    division by the previous pivot is exact.  The last pivot is the
-    determinant det, back-substitution yields the integers det·den·X,
-    and each coordinate is built once over det·den.
+
+def _solve_exact(
+    matrix: list[list[int]], rhs: list[list[int]]
+) -> tuple[list[list[int]], int]:
+    """Solve ``matrix · X = rhs`` exactly over the integers; rhs holds one
+    column per coordinate.  Returns (nums, det) with det > 0 and
+    X = nums / det.
+
+    The system is eliminated fraction-free (Bareiss): every entry stays
+    an integer minor of the augmented system, so each division by the
+    previous pivot is exact.  The last pivot is the determinant det, and
+    back-substitution yields the integers det·X.  The signs are then
+    normalised so that det is positive.
     """
     m = len(matrix)
-    den = math.lcm(*(x.denominator for row in rhs for x in row))
-    a = [
-        row[:] + [x.numerator * (den // x.denominator) for x in r]
-        for row, r in zip(matrix, rhs)
-    ]
+    a = [row + r for row, r in zip(matrix, rhs)]
     prev = 1
     for k in range(m):
         pivot = next((r for r in range(k, m) if a[r][k] != 0), None)
@@ -274,18 +306,29 @@ def _solve_exact(
         for c in range(len(rhs[0])):
             total = det * row[m + c] - sum(row[j] * nums[j][c] for j in range(i + 1, m))
             nums[i][c] = total // row[i]
-    return [[Fraction(x, det * den) for x in r] for r in nums]
+    if det < 0:
+        det = -det
+        nums = [[-x for x in r] for r in nums]
+    return nums, det
 
 
 def _tutte_positions(
-    adjacency: dict, boundary: dict, interior: list
-) -> dict:
+    adjacency: dict, boundary: dict[Hashable, Coords], interior: list
+) -> tuple[dict[Hashable, Coords], int]:
+    """Barycentric positions of the interior vertices with the boundary
+    pinned, as integer numerators over a common positive denominator.
+
+    ``boundary`` holds integer numerators over some denominator L.
+    Returns (placed, det): every point of ``placed`` is over det·L,
+    interior points as the solver's numerators and boundary points
+    scaled by det.
+    """
     if not interior:
-        return dict(boundary)
+        return dict(boundary), 1
     index = {v: i for i, v in enumerate(interior)}
     m = len(interior)
     matrix = [[0] * m for _ in range(m)]
-    rhs = [[Fraction(0), Fraction(0)] for _ in range(m)]
+    rhs = [[0, 0] for _ in range(m)]
     for v in interior:
         i = index[v]
         matrix[i][i] = len(adjacency[v])
@@ -295,27 +338,27 @@ def _tutte_positions(
             else:
                 rhs[i][0] += boundary[u][0]
                 rhs[i][1] += boundary[u][1]
-    solution = _solve_exact(matrix, rhs)
-    out = dict(boundary)
+    nums, det = _solve_exact(matrix, rhs)
+    placed = {v: (x * det, y * det) for v, (x, y) in boundary.items()}
     for v, i in index.items():
-        out[v] = (solution[i][0], solution[i][1])
-    return out
+        placed[v] = (nums[i][0], nums[i][1])
+    return placed, det
 
 
 # -- audit --------------------------------------------------------------------
 
 
 def _chord_direction(
-    positions: Sequence[Point], first: int, last: int, at_last: bool
-) -> Point:
+    positions: Sequence[Coords], first: int, last: int, at_last: bool
+) -> Coords:
     d = _sub(positions[last], positions[first])
     return d if at_last else (-d[0], -d[1])
 
 
 def _embedded(
-    positions: Sequence[Point],
-    polygon: Sequence[Point],
-    stars: Sequence[Point],
+    positions: Sequence[Coords],
+    polygon: Sequence[Coords],
+    stars: Sequence[Coords],
     faces: list[list[int]],
 ) -> bool:
     """Embedding check in O(E) exact orientation tests.
@@ -363,8 +406,8 @@ def _chords_alternate(
 def _audit(
     full: RotationMap,
     arcs: Sequence[ArcId],
-    positions: list[Point],
-    stars: list[Point],
+    positions: list[Coords],
+    stars: list[Coords],
     faces: list[list[int]],
     outer_cycle: list[int],
     chords: list[tuple[int, int]],
@@ -446,31 +489,26 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     if not _chords_alternate(outer_walk, chords):
         raise QuasilineError(_AUDIT_FAILED)
 
-    adjacency: dict = {v: [] for v in gmap.vertices}
-    for u, v in gmap.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for s, cycle in enumerate(internal_faces):
-        star = ("star", s)
-        adjacency[star] = []
-        for v in cycle:
-            adjacency[star].append(v)
-            adjacency[v].append(star)
-
+    adjacency = _tutte_graph(gmap, internal_faces)
     # The outer walk goes counterclockwise round the polygon: it is laid on
     # the circle points mirrored in the x-axis, taken in reverse order.  A
     # mirror image reverses the rotation at every crossing, so only this
     # orientation can pass the rotation audit.
     interior = [v for v in adjacency if v not in on_outer]
     for attempt in range(_MAX_ATTEMPTS):
-        polygon = _circle_points(len(outer_walk), attempt)
+        polygon, scale = _numerators(_circle_points(len(outer_walk), attempt))
         boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
-        placed = _tutte_positions(adjacency, boundary, interior)
+        placed, det = _tutte_positions(adjacency, boundary, interior)
         positions = [placed[v] for v in range(diagram.event_count)]
         stars = [placed[("star", s)] for s in range(len(internal_faces))]
         if _audit(full, arcs, positions, stars, internal_faces, outer_walk, chords):
+            d = det * scale
             return StraightDrawing(
-                diagram.n, tuple(positions), tuple(outer_walk), tuple(chords), wire_paths
+                diagram.n,
+                tuple((Fraction(x, d), Fraction(y, d)) for x, y in positions),
+                tuple(outer_walk),
+                tuple(chords),
+                wire_paths,
             )
     raise QuasilineError(_AUDIT_FAILED)
 

@@ -21,7 +21,7 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from quasiline import (
     IncidenceStructure,
@@ -37,6 +37,7 @@ from quasiline.errors import (
     IndexOutOfRange,
     NoSuchFace,
     NotAdmissible,
+    QuasilineError,
     ValidationError,
     WireWithoutPoint,
 )
@@ -272,6 +273,64 @@ def solve_fraction_system(matrix, rhs):
     return [row[m:cols] for row in a]
 
 
+def solve_by_fraction_bareiss(matrix, rhs):
+    """Fraction-free (Bareiss) elimination of ``matrix · X = rhs`` with
+    rational rhs columns, each solution built as a Fraction over det·den
+    (the determinant times the common denominator of the rhs).  Raises
+    QuasilineError on a singular matrix."""
+    m = len(matrix)
+    den = lcm(*(x.denominator for row in rhs for x in row))
+    a = [
+        row[:] + [x.numerator * (den // x.denominator) for x in r]
+        for row, r in zip(matrix, rhs)
+    ]
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if a[r][k] != 0), None)
+        if pivot is None:
+            raise QuasilineError("singular barycentric system")
+        a[k], a[pivot] = a[pivot], a[k]
+        p, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    det = prev
+    nums = [[0] * len(rhs[0]) for _ in range(m)]
+    for i in reversed(range(m)):
+        row = a[i]
+        for c in range(len(rhs[0])):
+            total = det * row[m + c] - sum(row[j] * nums[j][c] for j in range(i + 1, m))
+            nums[i][c] = total // row[i]
+    return [[Fraction(x, det * den) for x in r] for r in nums]
+
+
+def tutte_positions_by_fractions(adjacency, boundary, interior) -> dict:
+    """Barycentric positions with the ``boundary`` vertices pinned at
+    their Fraction points: each interior vertex at the mean of its
+    neighbours, solved by :func:`solve_by_fraction_bareiss`."""
+    if not interior:
+        return dict(boundary)
+    index = {v: i for i, v in enumerate(interior)}
+    m = len(interior)
+    matrix = [[0] * m for _ in range(m)]
+    rhs = [[Fraction(0), Fraction(0)] for _ in range(m)]
+    for v in interior:
+        i = index[v]
+        matrix[i][i] = len(adjacency[v])
+        for u in adjacency[v]:
+            if u in index:
+                matrix[i][index[u]] -= 1
+            else:
+                rhs[i][0] += boundary[u][0]
+                rhs[i][1] += boundary[u][1]
+    solution = solve_by_fraction_bareiss(matrix, rhs)
+    out = dict(boundary)
+    for v, i in index.items():
+        out[v] = (solution[i][0], solution[i][1])
+    return out
+
+
 def _orient(a, b, c) -> int:
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (v > 0) - (v < 0)
@@ -475,10 +534,12 @@ def _encode_from(rm: RotationMap, start, reflect: int) -> tuple[int, ...]:
     order = []
     degrees = []
 
+    position = {d: i for rot in rm.rotations.values() for i, d in enumerate(rot)}
+
     def discover(vertex, entry, g):
         gauge[vertex] = g
         rot = rm.rotations[vertex]
-        i = rm._position[entry]
+        i = position[entry]
         deg = len(rot)
         degrees.append(deg)
         for k in range(deg):
@@ -503,6 +564,49 @@ def _encode_from(rm: RotationMap, start, reflect: int) -> tuple[int, ...]:
         eff = gauge[rm.attach(d)] * rm.signature[d[0]] * gauge[rm.attach(r)]
         out.append(dart_number[r] * 2 + (0 if eff == 1 else 1))
     return tuple(out)
+
+
+def face_orbits_by_tuples(rm: RotationMap):
+    """Face orbits traced on ((edge, end), sense) tuples, each step found
+    by a scan of the far vertex's rotation, starting from every dart and
+    both senses in order."""
+
+    def step(state):
+        (e, end), s = state
+        s2 = s * rm.signature[e]
+        r = (e, 1 - end)
+        rot = rm.rotations[rm.attach(r)]
+        return (rot[(rot.index(r) + s2) % len(rot)], s2)
+
+    seen = set()
+    orbits = []
+    for start in ((d, s) for d in rm.darts() for s in (-1, 1)):
+        if start in seen:
+            continue
+        orbit = [start]
+        state = step(start)
+        while state != start:
+            orbit.append(state)
+            state = step(state)
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def faces_by_tuples(rm: RotationMap):
+    """One tuple traversal per face: of the two orbits of each face, the
+    one that is lexicographically smaller."""
+    orbits = face_orbits_by_tuples(rm)
+    index_of = {state: i for i, orbit in enumerate(orbits) for state in orbit}
+    kept = []
+    seen = set()
+    for i, orbit in enumerate(orbits):
+        if i not in seen:
+            (e, end), s = orbit[0]
+            j = index_of[((e, 1 - end), -s * rm.signature[e])]
+            seen.update((i, j))
+            kept.append(min(orbit, orbits[j]))
+    return kept
 
 
 def canonical_encoding_by_full_search(rm: RotationMap) -> tuple[int, ...]:

@@ -75,6 +75,7 @@ def test_missing_file_exit_2(workdir):
         ("nested.wd.json", '{"diagram": 5}', 2),
         ("deep.wd.json", "[" * 100000, 3),
         ("infinite.seq.json", '{"n": 1e400, "moves": []}', 2),
+        ("huge.seq.json", '{"n": 10000000000000000000, "moves": [[1, 2]]}', 4),
         ("labels.euclid.json", '{"lines": [["1", "0", "0"], ["0", "1", "0"]], "point_labels": 3}',
          2),
     ],
@@ -87,6 +88,7 @@ def test_missing_file_exit_2(workdir):
         "nested-non-object",
         "nested-too-deep",
         "infinite-size",
+        "too-few-crossings",
         "labels-not-a-list",
     ],
 )

@@ -1,5 +1,6 @@
 """Property tests: the ``.seq.json`` and ``.wd.json`` round trips of the
-one move-sequence type, on sequences and diagrams drawn by Hypothesis."""
+one move-sequence type, on sequences and diagrams drawn by Hypothesis,
+and the scheme JSON round trip of their surface maps."""
 
 import json
 
@@ -9,11 +10,16 @@ from hypothesis import strategies as st
 from quasiline import (
     Move,
     PermSequence,
+    fingerprint,
     make_sequence,
+    scheme_from_json_dict,
+    scheme_from_realization,
+    scheme_to_json_dict,
     sequence_from_json,
     sequence_to_json,
     sequence_to_json_dict,
 )
+from quasiline.errors import DisconnectedScheme, WireWithoutPoint
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
     diagram_from_json_dict,
@@ -91,3 +97,27 @@ def test_diagram_json_roundtrip(d):
     assert seq.designated == d.designated
     assert sequence_to_json_dict(seq) == sequence_to_json_dict(d)
     assert isinstance(seq, PermSequence) and not isinstance(seq, GeneralizedWiringDiagram)
+
+
+def surface_scheme(d):
+    """The surface map of ``d``, or, when some wire has no designated
+    crossing or the map is disconnected, that of ``d`` with every move
+    designated."""
+    try:
+        return scheme_from_realization(d)
+    except (WireWithoutPoint, DisconnectedScheme):
+        moves = tuple(Move(m.start, m.length, f"e{i}") for i, m in enumerate(d.moves))
+        return scheme_from_realization(GeneralizedWiringDiagram(d.n, moves))
+
+
+@PROPERTY
+@given(diagrams())
+def test_scheme_json_roundtrip(d):
+    s = surface_scheme(d)
+    text = json.dumps(scheme_to_json_dict(s))
+    back = scheme_from_json_dict(json.loads(text))
+    assert json.dumps(scheme_to_json_dict(back)) == text
+    # vertex labels are strings already; line tags come back as strings
+    assert back.rotmap == s.rotmap
+    assert back.lines == tuple(str(line) for line in s.lines)
+    assert fingerprint(back) == fingerprint(s)

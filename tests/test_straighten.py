@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -9,6 +10,7 @@ from quasiline import default_plan, realize
 from quasiline.errors import HasDigons, QuasilineError
 from quasiline.rotmaps import RotationMap
 from quasiline.wiring import (
+    detect_digons,
     diagram_from_lines,
     diagram_from_realization,
     drawing_from_json_dict,
@@ -18,17 +20,22 @@ from quasiline.wiring import (
 )
 from quasiline.wiring.faces import full_wire_map
 from quasiline.wiring.straighten import (
+    _MAX_ATTEMPTS,
+    _audit,
     _chords_alternate,
     _circle_points,
     _direction_cmp,
     _embedded,
     _face_vertex_cycles,
     _finite_graph,
+    _numerators,
     _orient,
     _outer_orbit,
     _solve_exact,
     _strictly_convex,
     _sub,
+    _tutte_graph,
+    _tutte_positions,
 )
 
 from oracles import (
@@ -43,6 +50,7 @@ from oracles import (
     random_line_arrangement,
     solve_fraction_system,
     triangle,
+    tutte_positions_by_fractions,
     two_lines_three_points,
 )
 
@@ -153,11 +161,22 @@ def test_random_euclidean_arrangements_straighten():
         check_straightening(diagram_from_lines(random_line_arrangement(rng, n)))
 
 
+def solve_over(matrix, rhs):
+    """The integer solver on a rational rhs: scale the rhs to integers
+    over the lcm of its denominators, solve, and divide back.  The
+    returned determinant must be positive."""
+    scale = math.lcm(*(x.denominator for row in rhs for x in row))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in rhs]
+    nums, det = _solve_exact(matrix, rows)
+    assert det > 0
+    return [[Fraction(x, det * scale) for x in row] for row in nums]
+
+
 def test_exact_solve_matches_fraction_oracle():
     rng = random.Random(1968)
     for _ in range(40):
         matrix, rhs = random_laplacian_system(rng, rng.randint(1, 12), rng.randint(1, 5))
-        assert _solve_exact(matrix, rhs) == solve_fraction_system(matrix, rhs)
+        assert solve_over(matrix, rhs) == solve_fraction_system(matrix, rhs)
 
 
 def test_exact_solve_pivots_and_rejects_singular_systems():
@@ -171,9 +190,9 @@ def test_exact_solve_pivots_and_rejects_singular_systems():
             expected = solve_fraction_system(matrix, rhs)
         except ValueError:
             with pytest.raises(QuasilineError):
-                _solve_exact(matrix, rhs)
+                solve_over(matrix, rhs)
             continue
-        assert _solve_exact(matrix, rhs) == expected
+        assert solve_over(matrix, rhs) == expected
         solved += 1
 
 
@@ -189,42 +208,134 @@ def test_strictly_convex_polygon_check():
     assert not _strictly_convex(pentagram)
 
 
-def test_embedding_check_is_sound_against_pairwise_oracle():
-    """Move one crossing of a correct drawing to random places, re-centre
-    the face stars, and compare the O(E) check with the pairwise audit:
-    whenever the check passes, the arcs must be pairwise disjoint."""
+def centred_stars(positions, faces):
+    return [
+        tuple(sum(positions[w][i] for w in cycle) / len(cycle) for i in (0, 1))
+        for cycle in faces
+    ]
 
-    def centred_stars(positions, faces):
-        return [
-            tuple(sum(positions[w][i] for w in cycle) / len(cycle) for i in (0, 1))
-            for cycle in faces
-        ]
 
+def perturbed_drawings():
+    """Drawings of seeded random line arrangements, each with its internal
+    faces and 25 copies in which one inner crossing is moved to a random
+    place on the line through another crossing."""
     rng = random.Random(2014)
-    verdicts = set()
     for n in (5, 6, 6, 7):
         d = diagram_from_lines(random_line_arrangement(rng, n))
         drawing = straighten(d)
         gmap, arcs = _finite_graph(*full_wire_map(d))
         faces, _ = _face_vertex_cycles(gmap, _outer_orbit(d, gmap, arcs))
-        stars = centred_stars(drawing.positions, faces)
-        polygon = [drawing.positions[v] for v in drawing.outer_cycle]
-        assert _embedded(drawing.positions, polygon, stars, faces)
-        # the same drawing with its outer cycle listed clockwise is rejected
-        assert not _embedded(drawing.positions, polygon[::-1], stars, faces)
         inner = [v for v in range(d.event_count) if v not in drawing.outer_cycle]
+        variants = []
         for _ in range(25 if inner else 0):
             positions = list(drawing.positions)
             v = rng.choice(inner)
             u = rng.randrange(d.event_count)
             t = Fraction(rng.randint(-20, 20), 8)
             positions[v] = tuple(p + t * (q - p) for p, q in zip(positions[v], positions[u]))
+            variants.append(positions)
+        yield d, drawing, faces, variants
+
+
+def test_embedding_check_is_sound_against_pairwise_oracle():
+    """Move one crossing of a correct drawing to random places, re-centre
+    the face stars, and compare the O(E) check with the pairwise audit:
+    whenever the check passes, the arcs must be pairwise disjoint."""
+    verdicts = set()
+    for d, drawing, faces, variants in perturbed_drawings():
+        stars = centred_stars(drawing.positions, faces)
+        polygon = [drawing.positions[v] for v in drawing.outer_cycle]
+        assert _embedded(drawing.positions, polygon, stars, faces)
+        # the same drawing with its outer cycle listed clockwise is rejected
+        assert not _embedded(drawing.positions, polygon[::-1], stars, faces)
+        for positions in variants:
             stars = centred_stars(positions, faces)
             fast = _embedded(positions, polygon, stars, faces)
             if fast:
                 assert arcs_pairwise_disjoint(d, positions)
             verdicts.add(fast)
     assert verdicts == {True, False}
+
+
+def test_audit_verdicts_agree_on_integer_and_fraction_points():
+    """The perturbed drawings, audited once as Fraction points and once as
+    integer numerators over their common denominator: the embedding check
+    and the full audit give the same verdicts."""
+    verdicts = set()
+    for d, drawing, faces, variants in perturbed_drawings():
+        full, arcs = full_wire_map(d)
+        outer, chords = list(drawing.outer_cycle), list(drawing.chords)
+        m = d.event_count
+        for positions in [list(drawing.positions)] + variants:
+            stars = centred_stars(positions, faces)
+            nums, _ = _numerators(positions + stars)
+            assert _embedded(
+                nums[:m], [nums[v] for v in outer], nums[m:], faces
+            ) == _embedded(positions, [positions[v] for v in outer], stars, faces)
+            verdict = _audit(full, arcs, nums[:m], nums[m:], faces, outer, chords)
+            assert verdict == _audit(full, arcs, positions, stars, faces, outer, chords)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def straighten_corpus():
+    """The diagrams the straightening tests draw: random allowable
+    sequences, the quasiline braid, Pappus, the criterion-9 diagrams and
+    seeded random line arrangements."""
+    from quasiline import make_sequence
+
+    rng = random.Random(79)
+    for _ in range(20):
+        yield as_diagram(random_allowable_sequence(rng, rng.randint(3, 7)))
+    yield as_diagram(make_sequence(3, [(1, 2), (2, 2)] * 4 + [(1, 2)]))
+    yield diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
+    yield diagram_from_realization(realize(triangle(), default_plan(triangle())))
+    rng = random.Random(84)
+    count = 0
+    while count < 19:
+        d = as_diagram(random_allowable_sequence(rng, rng.randint(3, 7)))
+        if not detect_digons(d):
+            count += 1
+            yield d
+    rng = random.Random(2006)
+    for n in (3, 4, 5, 5, 6, 6, 7):
+        yield diagram_from_lines(random_line_arrangement(rng, n))
+
+
+def test_integer_tutte_positions_match_fraction_oracle():
+    """For every polygon attempt up to the one straighten keeps, the
+    integer positions over D = det·L equal the Fraction Tutte positions;
+    the drawing holds the positions of one of these attempts."""
+    for d in straighten_corpus():
+        drawing = straighten(d)
+        full, arcs = full_wire_map(d)
+        gmap, finite_arcs = _finite_graph(full, arcs)
+        faces, outer_walk = _face_vertex_cycles(
+            gmap, _outer_orbit(d, gmap, finite_arcs)
+        )
+        adjacency = _tutte_graph(gmap, faces)
+        interior = [v for v in adjacency if v not in outer_walk]
+        for attempt in range(_MAX_ATTEMPTS):
+            circle = _circle_points(len(outer_walk), attempt)
+            polygon, scale = _numerators(circle)
+            assert [(Fraction(x, scale), Fraction(y, scale)) for x, y in polygon] == circle
+            boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
+            placed, det = _tutte_positions(adjacency, boundary, interior)
+            assert det > 0
+            expected = tutte_positions_by_fractions(
+                adjacency,
+                {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), circle)},
+                interior,
+            )
+            denominator = det * scale
+            assert {
+                v: (Fraction(x, denominator), Fraction(y, denominator))
+                for v, (x, y) in placed.items()
+            } == expected
+            if drawing.positions == tuple(expected[v] for v in range(d.event_count)):
+                break
+        else:
+            raise AssertionError("the drawing matches no polygon attempt")
 
 
 def test_chord_alternation_matches_geometric_oracle():

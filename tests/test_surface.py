@@ -32,6 +32,8 @@ from oracles import (
     arrangement_map_by_scan,
     canonical_encoding_by_full_search,
     degree4_schemes,
+    face_orbits_by_tuples,
+    faces_by_tuples,
     fano,
     mobius_kantor,
     random_generalized_sequence,
@@ -163,6 +165,33 @@ def test_one_builder_matches_scan_oracles():
         built += 1
         loops += any(u == v for u, v in s.rotmap.edges)
     assert built >= 100 and loops and rejected
+
+
+def test_int_face_tracing_matches_tuple_oracle():
+    """Face orbits and faces traced on int states equal the tuple tracer's,
+    state for state, on arrangement maps, surface schemes and the
+    criterion-10 schemes."""
+
+    def as_tuples(orbits):
+        return [
+            tuple(((x >> 2, x >> 1 & 1), 1 if x & 1 else -1) for x in orbit)
+            for orbit in orbits
+        ]
+
+    rng = random.Random(1963)
+    maps = [s.rotmap for s in degree4_schemes()]
+    for _ in range(40):
+        d, s = realization_scheme(random_structure(rng, max_points=7, max_lines=7))
+        maps += [arrangement_map(d), s.rotmap]
+    for structure in (fano(), mobius_kantor(), triangle()):
+        d, s = realization_scheme(structure)
+        maps += [arrangement_map(d), s.rotmap]
+    negative = 0
+    for rm in maps:
+        assert as_tuples(rm.face_orbits) == face_orbits_by_tuples(rm)
+        assert as_tuples(rm.faces) == faces_by_tuples(rm)
+        negative += -1 in rm.signature
+    assert negative > len(maps) // 2
 
 
 def test_canonical_encoding_matches_full_search_oracle():
