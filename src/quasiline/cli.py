@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Hashable, Optional, Sequence
 from xml.etree import ElementTree as ET
@@ -56,6 +55,7 @@ from .wiring import (
     sweep_digraph,
     topological_sweep,
 )
+from .wiring.euclid import MAX_DIGITS
 from .wiring.straighten import StraightDrawing
 
 # Wire colours of both SVG figures, cycled by wire number.
@@ -90,13 +90,21 @@ def _labels(data, what: str) -> tuple:
     return tuple(data)
 
 
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"an integer literal has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(path: str) -> dict:
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(_read_text(path), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply", 1) from exc
+    except ValueError as exc:  # an integer literal over MAX_DIGITS
+        raise ParseError(str(exc), 1) from exc
     return _object(data, "the top level")
 
 
@@ -126,13 +134,17 @@ def load_plan(structure: IncidenceStructure, path: Optional[str]) -> Realization
     return _plan_from_json(structure, _load_json(path))
 
 
+def _row(row, what: str) -> tuple[str, ...]:
+    if not isinstance(row, list):
+        raise ValidationError(f"every {what} must be a JSON array")
+    return tuple(map(str, row))
+
+
 def _euclid_from_json(data: dict) -> GeneralizedWiringDiagram:
     try:
-        lines = [tuple(Fraction(str(x)) for x in row) for row in data["lines"]]
-        points = [
-            tuple(Fraction(str(x)) for x in row) for row in data.get("points", [])
-        ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        lines = [_row(row, "line") for row in data["lines"]]
+        points = [_row(row, "point") for row in data.get("points", [])]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed euclidean JSON: {exc}") from exc
     labels = data.get("point_labels")
     if labels is not None:

@@ -225,14 +225,18 @@ def _face_vertex_cycles(gmap: RotationMap, outer) -> tuple[list, list]:
 def _circle_points(k: int, attempt: int) -> list[Point]:
     """k distinct rational points on the unit circle in counterclockwise
     order (tangent half-angle parametrization): t = p/q gives the point
-    ((q² - p²) / (q² + p²), 2pq / (q² + p²))."""
+    ((q² - p²) / (q² + p²), 2pq / (q² + p²)).  Raises QuasilineError once
+    q outgrows the float range before the ps are distinct."""
     while True:
         q = 64 << attempt
         offset = math.pi / (7 * k) * attempt
-        ps = [
-            round(math.tan((-math.pi + (2 * i + 1) * math.pi / k + offset) / 2) * q)
-            for i in range(k)
-        ]
+        try:
+            ps = [
+                round(math.tan((-math.pi + (2 * i + 1) * math.pi / k + offset) / 2) * q)
+                for i in range(k)
+            ]
+        except OverflowError as exc:
+            raise QuasilineError(f"no {k} distinct circle points in float range") from exc
         if len(set(ps)) == k and sorted(ps) == ps:
             return [
                 (Fraction(q * q - p * p, q * q + p * p), Fraction(2 * p * q, q * q + p * p))

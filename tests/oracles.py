@@ -11,7 +11,8 @@ systems by Gauss-Jordan elimination over ``Fraction``, move sites by
 scanning every later event or index triple, canonical encodings by
 encoding from every dart to the end, realization plans by measuring
 every insertion slot with a pairwise Kendall tau, Levi adjacency by
-testing every point-line pair, and random generators driven by seeded
+testing every point-line pair, Euclidean sweeps by a general
+projective chart matrix and its inverse over ``Fraction``, and random generators driven by seeded
 ``random.Random`` instances.
 """
 
@@ -34,16 +35,25 @@ from quasiline import (
     make_sequence,
 )
 from quasiline.errors import (
+    DuplicateLine,
     IndexOutOfRange,
     NoSuchFace,
     NotAdmissible,
     QuasilineError,
+    UnresolvableChart,
     ValidationError,
     WireWithoutPoint,
 )
 from quasiline.rotmaps import RotationMap
 from quasiline.surface import EmbeddingScheme, make_scheme
 from quasiline.wiring import GeneralizedWiringDiagram
+from quasiline.wiring.euclid import (
+    _chart_candidates,
+    _cross,
+    _dot,
+    _rows,
+    _shear_candidates,
+)
 from quasiline.wiring.mutations import _check_triangle
 
 
@@ -723,11 +733,188 @@ def realize_by_slots(structure: IncidenceStructure, plan: RealizationPlan) -> Re
     return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
 
 
+# -- Euclidean sweep by projective chart matrices --------------------------------
+
+
+def _det3(m) -> Fraction:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _inv3(m) -> list[list[Fraction]]:
+    d = _det3(m)
+    if d == 0:
+        raise ValueError("singular matrix")
+
+    def cyc(r: int, c: int):
+        return (
+            m[(r + 1) % 3][(c + 1) % 3] * m[(r + 2) % 3][(c + 2) % 3]
+            - m[(r + 1) % 3][(c + 2) % 3] * m[(r + 2) % 3][(c + 1) % 3]
+        )
+
+    return [[Fraction(cyc(j, i)) / d for j in range(3)] for i in range(3)]
+
+
+def _primitive(triple) -> tuple[int, int, int]:
+    """Scale a nonzero rational triple to the primitive integer vector
+    whose first nonzero entry is positive, by one denominator and one
+    gcd loop."""
+    denom = 1
+    for x in triple:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in triple]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    ints = [v // g for v in ints]
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = [-u for u in ints]
+            break
+    return tuple(ints)
+
+
+def diagram_from_lines_by_fractions(lines, points=(), point_labels=None):
+    """``diagram_from_lines`` by a general projective change of chart:
+    a basis completing the chart covector, the inverse matrix by
+    cofactors, every line and selected point transformed, and every
+    crossing solved by Cramer's rule in ``Fraction``s."""
+    covectors = []
+    seen: set[tuple[int, int, int]] = set()
+    for a, b, c in _rows(lines, 3, "line"):
+        if a == 0 and b == 0:
+            raise ValidationError(f"({a}, {b}, {c}) is not a line")
+        prim = _primitive((a, b, -c))
+        if prim in seen:
+            raise DuplicateLine(f"line ({a}, {b}, {c}) duplicates an earlier one")
+        seen.add(prim)
+        covectors.append(prim)
+    n = len(covectors)
+    if n < 2:
+        raise ValidationError("an arrangement needs at least 2 lines")
+
+    if point_labels is None:
+        point_labels = [f"P{i}" for i in range(1, len(points) + 1)]
+    if len(point_labels) != len(points):
+        raise ValidationError("need exactly one label per selected point")
+    selected = [(x, y, Fraction(1)) for x, y in _rows(points, 2, "point")]
+
+    meets = [
+        _cross(covectors[i], covectors[j])
+        for i, j in itertools.combinations(range(n), 2)
+    ]
+
+    chart = None
+    for w in _chart_candidates():
+        if any(_dot(w, p) == 0 for p in meets):
+            continue
+        if any(_cross(w, l) == (0, 0, 0) for l in covectors):
+            continue
+        chart = w
+        break
+    if chart is None:
+        raise UnresolvableChart("no candidate chart separates the intersections")
+
+    basis = None
+    for r1, r2 in itertools.combinations(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2):
+        if _det3([r1, r2, chart]) != 0:
+            basis = (r1, r2)
+            break
+    assert basis is not None
+    matrix = [list(map(Fraction, basis[0])), list(map(Fraction, basis[1])), list(map(Fraction, chart))]
+    minv = _inv3(matrix)
+
+    def transform_line(l):
+        # Covectors transform by the inverse matrix: (a, b, -c) @ minv.
+        row = [
+            l[0] * minv[0][j] + l[1] * minv[1][j] + l[2] * minv[2][j]
+            for j in range(3)
+        ]
+        return (row[0], row[1], -row[2])
+
+    def transform_point(p):
+        img = [
+            matrix[i][0] * p[0] + matrix[i][1] * p[1] + matrix[i][2] * p[2]
+            for i in range(3)
+        ]
+        if img[2] == 0:
+            raise ValidationError("a selected point is not an intersection of the lines")
+        return (img[0] / img[2], img[1] / img[2])
+
+    abc = [transform_line(l) for l in covectors]
+
+    crossing_at: dict = {}
+    for i, j in itertools.combinations(range(n), 2):
+        a1, b1, c1 = abc[i]
+        a2, b2, c2 = abc[j]
+        det = a1 * b2 - a2 * b1
+        assert det != 0, "chart left two lines parallel"
+        x = (c1 * b2 - c2 * b1) / det
+        y = (a1 * c2 - a2 * c1) / det
+        crossing_at.setdefault((x, y), set()).update((i, j))
+
+    shear = None
+    positions = list(crossing_at)
+    for r, s in _shear_candidates():
+        t = Fraction(r, s)
+        if any(b - a * t == 0 for a, b, _ in abc):
+            continue
+        xs = [x + t * y for x, y in positions]
+        if len(set(xs)) != len(xs):
+            continue
+        shear = t
+        break
+    if shear is None:
+        raise UnresolvableChart("no candidate shear separates crossing abscissae")
+
+    def sheared(p):
+        return (p[0] + shear * p[1], p[1])
+
+    abc = [(a, b - a * shear, c) for a, b, c in abc]
+    crossings = {sheared(p): ls for p, ls in crossing_at.items()}
+
+    label_of: dict = {}
+    for label, p in zip(point_labels, selected):
+        q = sheared(transform_point(p))
+        if q not in crossings:
+            raise ValidationError(
+                f"selected point {label!r} is not an intersection of the lines"
+            )
+        if len(crossings[q]) < 2:
+            raise ValidationError(f"selected point {label!r} lies on fewer than 2 lines")
+        if q in label_of:
+            raise ValidationError(f"selected points {label_of[q]!r} and {label!r} coincide")
+        label_of[q] = label
+
+    slopes = sorted((-a / b, idx) for idx, (a, b, _) in enumerate(abc))
+    wire_of_line = {idx: w for w, (_, idx) in enumerate(slopes, start=1)}
+
+    perm = list(range(1, n + 1))
+    moves = []
+    for p in sorted(crossings, key=lambda q: q[0]):
+        wires = sorted(wire_of_line[idx] for idx in crossings[p])
+        tracks = sorted(perm.index(w) for w in wires)
+        lo, hi = tracks[0], tracks[-1]
+        assert tracks == list(range(lo, hi + 1)), "concurrent wires not adjacent"
+        assert perm[lo : hi + 1] == wires, "window content out of order"
+        moves.append(Move(lo + 1, hi - lo + 1, label_of.get(p)))
+        perm[lo : hi + 1] = perm[lo : hi + 1][::-1]
+    assert perm == list(range(n, 0, -1)), "sweep did not end at the reversal"
+    return GeneralizedWiringDiagram(n, tuple(moves))
+
+
 # -- randomized generators ----------------------------------------------------
 
 
 def random_line_arrangement(rng: random.Random, n: int):
-    """n distinct integer lines a x + b y = c, not all through one point."""
+    """n distinct integer lines a x + b y = c, not all through one point
+    (so n >= 3: two lines always meet in one point)."""
+    if n < 3:
+        raise ValueError("n distinct lines not all through one point need n >= 3")
     while True:
         lines = []
         seen = set()
@@ -748,6 +935,47 @@ def random_line_arrangement(rng: random.Random, n: int):
             _concurrent(lines[0], lines[1], l) for l in lines[2:]
         ):
             return lines
+
+
+SMALL_RATIONALS = sorted({Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)})
+
+
+def meet(l1, l2):
+    """The crossing (x, y) of lines a x + b y = c, or None when parallel."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        return None
+    return (Fraction(c1 * b2 - c2 * b1, 1) / det, Fraction(a1 * c2 - a2 * c1, 1) / det)
+
+
+def finite_crossings(lines) -> list:
+    """The distinct crossings (x, y) of pairs of lines, sorted."""
+    points = {meet(l1, l2) for l1, l2 in itertools.combinations(lines, 2)}
+    return sorted(points - {None})
+
+
+def small_rational_arrangement(rng: random.Random, n: int):
+    """n lines with coefficients in ``SMALL_RATIONALS``, drawn so that
+    parallel classes, vertical lines and concurrent triples are common;
+    a repeated or degenerate line is possible too."""
+    lines = []
+    while len(lines) < n:
+        kind = rng.random()
+        c = rng.choice(SMALL_RATIONALS)
+        if kind < 0.25 and lines:
+            a, b, _ = rng.choice(lines)
+            lines.append((a, b, c))
+        elif kind < 0.4:
+            lines.append((rng.choice([x for x in SMALL_RATIONALS if x]), 0, c))
+        elif kind < 0.6 and len(lines) >= 2:
+            point = meet(*rng.sample(lines, 2))
+            if point is not None:
+                a, b = rng.choice(SMALL_RATIONALS), rng.choice(SMALL_RATIONALS)
+                lines.append((a, b, a * point[0] + b * point[1]))
+        else:
+            lines.append((rng.choice(SMALL_RATIONALS), rng.choice(SMALL_RATIONALS), c))
+    return lines
 
 
 def _concurrent(l1, l2, l3) -> bool:

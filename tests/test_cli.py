@@ -1,3 +1,4 @@
+import hashlib
 import json
 from xml.etree import ElementTree as ET
 
@@ -78,6 +79,9 @@ def test_missing_file_exit_2(workdir):
         ("huge.seq.json", '{"n": 10000000000000000000, "moves": [[1, 2]]}', 4),
         ("labels.euclid.json", '{"lines": [["1", "0", "0"], ["0", "1", "0"]], "point_labels": 3}',
          2),
+        ("exponent.euclid.json", '{"lines": [["1e2000000", "1", "0"], ["1", "0", "0"]]}', 2),
+        ("digits.seq.json", '{"n": 1' + "0" * 5000 + ', "moves": [[1, 2]]}', 3),
+        ("rows.euclid.json", '{"lines": ["100", "010"]}', 2),
     ],
     ids=[
         "non-integer-move",
@@ -90,6 +94,9 @@ def test_missing_file_exit_2(workdir):
         "infinite-size",
         "too-few-crossings",
         "labels-not-a-list",
+        "exponent-over-digit-limit",
+        "integer-over-digit-limit",
+        "line-not-an-array",
     ],
 )
 def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):
@@ -272,3 +279,41 @@ def test_format_a_subcommand_does_not_emit_is_a_usage_error(workdir, capsys, com
         main([command, *inputs, "--format", fmt])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# SHA-256 of the output bytes of the README command lines on the workdir
+# files.  Outputs are exact, so any changed byte fails here; a change that
+# alters an output on purpose records the new digest and says why.
+GOLDEN_OUTPUTS = {
+    ("validate", "fano.lines", "json"): "760f953dc3571577f2f0e881cd2ee2c8426a2db42a68eecca5527a30eb3af0e5",
+    ("validate", "fano.lines", "text"): "55e2235b0389abb70ff78ab1dce44e8eb3aefadb08b4855e419a2e764df7624c",
+    ("validate", "triangle.lines", "text"): "133a70c85451e9f46dacde731d92196b92f6ecf3b855c710859c3bdcec377d17",
+    ("realize", "fano.lines", "json"): "b030d146c4fcbcb9e520b588ece7a3fdfca48f6394fd767eaeca5ff494df7c53",
+    ("realize", "triangle.lines", "json"): "e1f25b9df24b084b734bd0f25fdcd38446b195cbc69bf1ade44fe362efb7ec74",
+    ("wiring", "fano.lines", "json"): "6db8a8f971ff371183d271a2914cefbd0a4511991a9ab925dc869d9c4a934a18",
+    ("wiring", "fano.lines", "svg"): "c05baef0db59b1f373313e8fab70e41b9cc43836390c22ede319b4d357cf5b45",
+    ("wiring", "pappus.euclid.json", "json"): "83e23fa767f9654eaeb7ea3ba3ec48a629887c1fb0afe9b4059808699815d070",
+    ("wiring", "pappus.euclid.json", "svg"): "a2d3909c4c42698749444199ef64d1c793ecdec3e58ffab3933054c6f7d27169",
+    ("sweep", "fano.lines", "json"): "12b1588eb982e5fec4aeaa4a6e1171cf1b8405f83bedbee468f441b77a0f6d7b",
+    ("sweep", "fano.lines", "text"): "a8b3267ec96ca256957a925d747dd7840103f8bbb1b730dc790dda4624f903cc",
+    ("sweep", "pappus.euclid.json", "json"): "5b255a1146a73f1274c97ceffb6f334d4ea223539a8825b622ebc259b9020c2c",
+    ("sweep", "pappus.euclid.json", "text"): "c88a35577591b1a79578a9b5c479cebbdd8ddfc04f6ba1c2d530783a5ce21820",
+    ("map", "fano.lines", "json"): "b1bc6f2301076fa461db2f4a452e7e25508d5f3cfdf0917a35a9fc84f8b0636b",
+    ("map", "pappus.euclid.json", "json"): "5f4001bd464685e90a38d00afa34e53f11cd420ea88b54989133f3205154a265",
+    ("straighten", "pappus.euclid.json", "json"): "8cb3871668fb569ea9da2889f79c5c5925fc4b7503de9d75037d8d2f834ac35f",
+    ("straighten", "pappus.euclid.json", "svg"): "d9777d46f4a6e6e7a50b658b107e09b17f4eb5bb00d1e52226c5f5ff428d5c49",
+    ("straighten", "triangle.lines", "json"): "5d6b36fb4b0cae1b69f7a89f034e9609518c28c473ac43130e74e531784f60ab",
+    ("compare", "fano.lines pappus.euclid.json", "json"): "433e3c10c0f23eb8534c89a09863a6e75d3896e4bd82491e6160f0f17de74477",
+    ("compare", "fano.lines pappus.euclid.json", "text"): "972979ebb0d1ca111c18859c38d8683b4fed52f3333c8c333da0f13ed718de78",
+    ("compare", "pappus.euclid.json pappus.euclid.json", "text"): "1907d592edca123512edf021ad7230b31ee3b68b2e38b78b07acd5e85256a3d6",
+}
+
+
+@pytest.mark.parametrize(
+    "command, inputs, fmt", list(GOLDEN_OUTPUTS), ids=lambda x: x.replace(" ", "+")
+)
+def test_cli_output_bytes_are_golden(workdir, capsys, command, inputs, fmt):
+    paths = [str(workdir / name) for name in inputs.split()]
+    assert main([command, *paths, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_OUTPUTS[command, inputs, fmt]

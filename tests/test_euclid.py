@@ -1,16 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from quasiline import SequenceClass, classify, topological_unwanted_bound
-from quasiline.errors import DuplicateLine, ValidationError
+from quasiline.errors import DuplicateLine, QuasilineError, ValidationError
 from quasiline.wiring import (
     detect_digons,
     diagram_from_lines,
     euler_characteristic,
 )
 
-from oracles import PAPPUS_EUCLIDEAN_LINES, PAPPUS_LABELS, PAPPUS_POINTS
+from quasiline.wiring.euclid import MAX_DIGITS, _as_fraction
+
+from oracles import (
+    PAPPUS_EUCLIDEAN_LINES,
+    PAPPUS_LABELS,
+    PAPPUS_POINTS,
+    diagram_from_lines_by_fractions,
+    finite_crossings,
+    random_line_arrangement,
+    small_rational_arrangement,
+)
 
 
 def test_three_generic_lines():
@@ -100,9 +111,65 @@ def test_rational_string_coefficients():
         ([("1/0", "1", "0"), ("1", "0", "0")], []),
         ([("1", "0"), ("0", "1", "0")], []),
         ([(1, 0, 0), (0, 1, 0)], [(0,)]),
+        ([("1e2000000", "1", "0"), ("1", "0", "0")], []),
     ],
-    ids=["unparsable", "zero-denominator", "short-line", "short-point"],
+    ids=["unparsable", "zero-denominator", "short-line", "short-point", "huge-exponent"],
 )
 def test_malformed_input_is_a_validation_error(lines, points):
     with pytest.raises(ValidationError):
         diagram_from_lines(lines, points)
+
+
+def test_digit_bound_counts_mantissa_digits_and_exponent():
+    assert _as_fraction(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
+    assert _as_fraction(f"-2.5e-{MAX_DIGITS - 2}") == Fraction(-25, 10 ** (MAX_DIGITS - 1))
+    for text in (f"1e{MAX_DIGITS}", f"2.5e-{MAX_DIGITS}", f"1E+{10 * MAX_DIGITS}",
+                 "1" * (MAX_DIGITS + 1), f"0.0001e{MAX_DIGITS}"):
+        with pytest.raises(ValidationError, match="digits"):
+            _as_fraction(text)
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except QuasilineError as exc:
+        return type(exc)
+
+
+def _selections(rng, lines):
+    """Some crossings of the lines, sometimes a random point (rarely a
+    crossing) and sometimes one selection twice."""
+    crossings = finite_crossings(lines)
+    points = rng.sample(crossings, min(len(crossings), rng.randint(0, 4)))
+    if rng.random() < 0.2:
+        points.append((Fraction(rng.randint(-40, 40), 7), Fraction(rng.randint(-40, 40), 11)))
+    if points and rng.random() < 0.15:
+        points.append(rng.choice(points))
+    return points
+
+
+def test_sweep_matches_fraction_chart_oracle():
+    cases = [
+        ([(1, 0, 0), (1, 0, 1)], [(0, 1)], None),
+        ([(1, 0, 0), (1, 0, 1), (0, 1, 0)], [(1, 0), (0, 0)], ["right", "left"]),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 0), (0, 0)], ["O", "again"]),
+        ([(0, 1, 0), (0, 1, 1), (0, 1, 2)], [], None),
+        (PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS),
+        (PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS[::-1], [(k,) for k in range(9)]),
+    ]
+    rng = random.Random(20140)
+    for n in range(3, 10):
+        for _ in range(40):
+            lines = random_line_arrangement(rng, n)
+            cases.append((lines, _selections(rng, lines), None))
+    for _ in range(300):
+        lines = small_rational_arrangement(rng, rng.randint(2, 8))
+        points = _selections(rng, lines)
+        labels = [f"Q{k}" for k in range(len(points))] if rng.random() < 0.5 else None
+        cases.append((lines, points, labels))
+    outcomes = set()
+    for lines, points, labels in cases:
+        want = _outcome(diagram_from_lines_by_fractions, lines, points, labels)
+        assert _outcome(diagram_from_lines, lines, points, labels) == want, (lines, points)
+        outcomes.add(want if isinstance(want, type) else "diagram")
+    assert outcomes >= {"diagram", ValidationError, DuplicateLine}

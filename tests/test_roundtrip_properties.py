@@ -1,8 +1,12 @@
 """Property tests: the ``.seq.json`` and ``.wd.json`` round trips of the
 one move-sequence type, on sequences and diagrams drawn by Hypothesis,
-and the scheme JSON round trip of their surface maps."""
+the scheme JSON round trip of their surface maps, and ``.euclid.json``
+input read by the CLI as the library sweeps it."""
 
 import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +23,16 @@ from quasiline import (
     sequence_to_json,
     sequence_to_json_dict,
 )
+from quasiline.cli import main
 from quasiline.errors import DisconnectedScheme, WireWithoutPoint
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
     diagram_from_json_dict,
+    diagram_from_lines,
     diagram_to_json_dict,
 )
+
+from oracles import SMALL_RATIONALS, finite_crossings
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -121,3 +129,54 @@ def test_scheme_json_roundtrip(d):
     assert back.rotmap == s.rotmap
     assert back.lines == tuple(str(line) for line in s.lines)
     assert fingerprint(back) == fingerprint(s)
+
+
+def _line_key(line):
+    pivot = next(x for x in line if x)
+    return tuple(x / pivot for x in line)
+
+
+@st.composite
+def euclidean_inputs(draw):
+    """3-7 distinct lines with small rational coefficients (parallel,
+    vertical and concurrent lines included), and some of their crossings
+    with distinct labels."""
+    coefficient = st.sampled_from(SMALL_RATIONALS)
+    lines = draw(
+        st.lists(
+            st.tuples(coefficient, coefficient, coefficient).filter(lambda l: l[0] or l[1]),
+            min_size=3,
+            max_size=7,
+            unique_by=_line_key,
+        )
+    )
+    crossings = finite_crossings(lines)
+    points = draw(st.lists(st.sampled_from(crossings), unique=True, max_size=4)) if crossings else []
+    labels = draw(st.lists(LABELS, min_size=len(points), max_size=len(points), unique=True))
+    return lines, points, labels
+
+
+def _as_json_value(x: Fraction, integers: bool):
+    return x.numerator if integers and x.denominator == 1 else str(x)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(euclidean_inputs())
+def test_euclid_json_sweeps_as_the_library_does(arrangement):
+    lines, points, labels = arrangement
+    want = json.dumps(
+        {"diagram": diagram_to_json_dict(diagram_from_lines(lines, points, labels))},
+        sort_keys=True,
+        indent=2,
+    ) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        for integers in (False, True):
+            path, out = Path(tmp) / "in.euclid.json", Path(tmp) / "out.json"
+            rows = {
+                "lines": [[_as_json_value(x, integers) for x in row] for row in lines],
+                "points": [[_as_json_value(x, integers) for x in p] for p in points],
+                "point_labels": labels,
+            }
+            path.write_text(json.dumps(rows))
+            assert main(["wiring", str(path), "-o", str(out)]) == 0
+            assert out.read_text() == want

@@ -388,6 +388,12 @@ def test_circle_points_retry_is_the_next_attempt():
         assert _strictly_convex(points)
 
 
+def test_circle_points_past_float_range_raise_a_typed_error():
+    # every retry for k = 204 collides until the float product overflows
+    with pytest.raises(QuasilineError, match="float range"):
+        _circle_points(204, 0)
+
+
 def test_drawing_json_roundtrip():
     d = diagram_from_realization(realize(triangle(), default_plan(triangle())))
     drawing = straighten(d)
