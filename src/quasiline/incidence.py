@@ -34,28 +34,16 @@ class IncidenceStructure:
     flags: frozenset[tuple[Label, Label]]
 
     @cached_property
-    def _lines_of(self) -> dict[Label, tuple[Label, ...]]:
-        table: dict[Label, list[Label]] = {p: [] for p in self.points}
-        for l in self.lines:
-            for p in self.points_of(l):
-                table[p].append(l)
-        return {p: tuple(ls) for p, ls in table.items()}
-
-    @cached_property
-    def _points_of(self) -> dict[Label, tuple[Label, ...]]:
-        table: dict[Label, list[Label]] = {l: [] for l in self.lines}
-        flagged = self.flags
-        for l in self.lines:
-            table[l] = [p for p in self.points if (p, l) in flagged]
-        return {l: tuple(ps) for l, ps in table.items()}
+    def _levi(self) -> LeviGraph:
+        return LeviGraph(self.points, self.lines, self.flags)
 
     def lines_of(self, point: Label) -> tuple[Label, ...]:
         """Lines through ``point``, in line declaration order."""
-        return self._lines_of[point]
+        return self._levi.adjacency[point]
 
     def points_of(self, line: Label) -> tuple[Label, ...]:
         """Points on ``line``, in point declaration order."""
-        return self._points_of[line]
+        return self._levi.adjacency[line]
 
     def point_degree(self, point: Label) -> int:
         return len(self.lines_of(point))
@@ -144,8 +132,9 @@ class LeviGraph:
 
 
 def levi_graph(structure: IncidenceStructure) -> LeviGraph:
-    """The Levi graph of a structure; one edge per flag."""
-    return LeviGraph(structure.points, structure.lines, structure.flags)
+    """The Levi graph of a structure, one edge per flag; built once per
+    structure, and its adjacency is also the structure's incidence table."""
+    return structure._levi
 
 
 def is_lineal(structure: IncidenceStructure) -> bool:

@@ -233,16 +233,19 @@ def scheme_to_json_dict(scheme: EmbeddingScheme) -> dict:
 
 
 def scheme_from_json_dict(data: dict) -> EmbeddingScheme:
+    """The scheme of :func:`scheme_to_json_dict`.  Malformed input raises
+    ValidationError; an invalid map raises what :func:`make_scheme` does."""
     try:
         vertices = [str(v) for v in data["vertices"]]
-        edges = [(vertices[u], vertices[v]) for u, v in data["edges"]]
+        vertex_at = dict(enumerate(vertices))
+        edges = [(vertex_at[u], vertex_at[v]) for u, v in data["edges"]]
         rotations = {
             vertices[i]: tuple((int(e), int(end)) for e, end in rot)
             for i, rot in enumerate(data["rotations"])
         }
         signature = [int(s) for s in data["signature"]]
-        lines = data.get("lines") or [None] * len(edges)
-    except (KeyError, TypeError, IndexError) as exc:
+        lines = list(data.get("lines") or [None] * len(edges))
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed scheme JSON: {exc}") from exc
     return make_scheme(vertices, edges, rotations, signature, lines)
 

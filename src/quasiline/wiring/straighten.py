@@ -8,6 +8,12 @@ along the straight line spanned by its first and last crossing, taken
 outside the polygon.  Every breakpoint of every wire is a crossing, so
 the drawing has no bends.
 
+The crossing graph is never built as a map of its own: its faces are
+read from the diagram's one arrangement map (:func:`full_wire_map`).
+The bounded cells are its internal faces, its outer walk is traced on
+the same rotations with the chord darts skipped, and it is certified
+2-connected by every one of these face walks being a simple cycle.
+
 Coordinates are exact, and integers until the drawing is built: the
 outer polygon vertices are rational points on the unit circle, scaled
 to integers over the lcm L of their denominators, and interior vertices
@@ -36,9 +42,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Hashable, Sequence
 
-from ..errors import HasDigons, NotTwoConnected, QuasilineError
-from ..rotmaps import RotationMap
+from ..errors import HasDigons, NotTwoConnected, QuasilineError, ValidationError
+from ..rotmaps import Dart, RotationMap
 from .diagram import GeneralizedWiringDiagram
+from .euclid import _as_fraction
 from .faces import ArcId, full_wire_map
 
 Point = tuple[Fraction, Fraction]
@@ -111,112 +118,49 @@ def _strictly_convex(polygon: Sequence[Coords]) -> bool:
 # -- crossing graph -----------------------------------------------------------
 
 
-def _finite_graph(full: RotationMap, arcs: Sequence[ArcId]):
-    """G: events as vertices, finite arcs as edges, from the diagram's
-    arrangement map ``full`` and its arc table ``arcs``.  Returns the
-    rotation map of G (closing darts dropped) and the list of (wire,
-    arc) keys."""
-    finite_ids = [e for e, s in enumerate(full.signature) if s == 1]
-    renumber = {e: i for i, e in enumerate(finite_ids)}
-    edges = tuple(full.edges[e] for e in finite_ids)
-    rotations = {
-        v: tuple((renumber[e], end) for e, end in full.rotations[v] if e in renumber)
-        for v in full.vertices
-    }
-    gmap = RotationMap(full.vertices, edges, rotations, (1,) * len(edges))
-    return gmap, tuple(arcs[e] for e in finite_ids)
+def _crossing_graph_faces(
+    diagram: GeneralizedWiringDiagram, full: RotationMap, arcs: Sequence[ArcId]
+) -> tuple[list[list[int]], list[int]]:
+    """The internal face cycles and the outer walk of the crossing graph G
+    (events as vertices, finite arcs as edges), read from the arrangement
+    map ``full`` and its arc table ``arcs``.
 
-
-def _check_two_connected(gmap: RotationMap) -> None:
-    pairs = [tuple(sorted(e, key=str)) for e in gmap.edges]
-    if len(set(pairs)) != len(pairs) or any(u == v for u, v in gmap.edges):
+    The faces of ``full`` with no chord edge are the bounded cells, that
+    is G's internal faces.  The outer walk is G's face walk on ``full``'s
+    rotations with the chord darts skipped, from the far end of the first
+    arc of the last wire at event 0: event 0, the leftmost vertex, has
+    only out-darts finite, and the walk turns there from the last to the
+    first across the outer region.  Walks run along sense 1 and begin at
+    their least state.  G is connected, since every two wires cross, and
+    a connected plane graph on 3 or more vertices is 2-connected exactly
+    when every face walk is a simple cycle (Mohar-Thomassen); otherwise
+    ``NotTwoConnected`` is raised.
+    """
+    edges, signature = full.edges, full.signature
+    pairs = [tuple(sorted(uv)) for uv, s in zip(edges, signature) if s == 1]
+    if len(set(pairs)) != len(pairs) or any(u == v for u, v in pairs):
         raise NotTwoConnected("crossing graph is not simple")
-    vertices = gmap.vertices
-    if len(vertices) < 3:
+    if len(full.vertices) < 3:
         raise NotTwoConnected("crossing graph has fewer than 3 vertices")
-    adjacency: dict[Hashable, list[Hashable]] = {v: [] for v in vertices}
-    for u, v in gmap.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    # Iterative articulation-point search (Hopcroft-Tarjan).
-    index = {v: i for i, v in enumerate(vertices)}
-    disc = [0] * len(vertices)
-    low = [0] * len(vertices)
-    visited = [False] * len(vertices)
-    parent = [-1] * len(vertices)
-    timer = 1
-    root = index[vertices[0]]
-    stack = [(root, iter(adjacency[vertices[root]]))]
-    visited[root] = True
-    disc[root] = low[root] = timer
-    root_children = 0
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for u_label in it:
-            u = index[u_label]
-            if not visited[u]:
-                visited[u] = True
-                timer += 1
-                disc[u] = low[u] = timer
-                parent[u] = v
-                if v == root:
-                    root_children += 1
-                stack.append((u, iter(adjacency[u_label])))
-                advanced = True
-                break
-            elif u != parent[v]:
-                low[v] = min(low[v], disc[u])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if parent[v] == p and p != root and low[v] >= disc[p]:
-                    raise NotTwoConnected(
-                        f"crossing {gmap.vertices[p]!r} is a cutvertex"
-                    )
-    if not all(visited):
-        raise NotTwoConnected("crossing graph is disconnected")
-    if root_children > 1:
-        raise NotTwoConnected(f"crossing {gmap.vertices[root]!r} is a cutvertex")
-
-
-def _outer_orbit(
-    diagram: GeneralizedWiringDiagram, gmap: RotationMap, arcs
-) -> tuple:
-    """The face orbit of G that walks the outer boundary.
-
-    The globally first event is the leftmost vertex of G; the corner
-    between the out-darts of its window's bottom and top wires opens
-    toward the outer region, so the orbit arriving there is the outer
-    face walk.
-    """
-    wires = diagram.window_wires(0)
-    top_exit = wires[-1]
-    gid = arcs.index((top_exit, 0))
-    target = 4 * gid + 2 + 1  # the state at dart (gid, 1) with sense 1
-    for orbit in gmap.face_orbits:
-        if target in orbit:
-            return orbit
-    raise QuasilineError("outer face identification failed")
-
-
-def _face_vertex_cycles(gmap: RotationMap, outer) -> tuple[list, list]:
-    """Vertex cycles of internal faces and the outer cycle.
-
-    G carries no negative edge, so each face has one orbit of sense 1 and
-    one of sense -1.  Every internal face is walked along its sense-1
-    orbit, as the outer one is, so all the cycles run the same way round.
-    """
-    edges = gmap.edges
     internal = [
         [edges[x >> 2][x >> 1 & 1] for x in orbit]
-        for orbit in gmap.face_orbits
-        if orbit[0] & 1 and orbit != outer
+        for orbit in full.face_orbits
+        if orbit[0] & 1 and all(signature[x >> 2] == 1 for x in orbit)
     ]
-    outer_cycle = [edges[x >> 2][x >> 1 & 1] for x in outer]
-    return internal, outer_cycle
+    after: dict[Dart, Dart] = {}
+    for rot in full.rotations.values():
+        kept = [d for d in rot if signature[d[0]] == 1]
+        after.update(zip(kept, kept[1:] + kept[:1]))
+    start = (arcs.index((diagram.window_wires(0)[-1], 0)), 1)
+    walk = [start]
+    while (dart := after[full.rev(walk[-1])]) != start:
+        walk.append(dart)
+    least = walk.index(min(walk))
+    outer = [edges[e][end] for e, end in walk[least:] + walk[:least]]
+    for cycle in internal + [outer]:
+        if len(set(cycle)) != len(cycle):
+            raise NotTwoConnected(f"crossing graph face walk {cycle} repeats a vertex")
+    return internal, outer
 
 
 # -- outer polygon ------------------------------------------------------------
@@ -258,13 +202,15 @@ def _numerators(points: Sequence[Point]) -> tuple[list[Coords], int]:
 # -- Tutte system -------------------------------------------------------------
 
 
-def _tutte_graph(gmap: RotationMap, internal_faces: list[list[int]]) -> dict:
-    """Adjacency lists of G with one more vertex ("star", s) per internal
-    face s, joined to every vertex of the face."""
-    adjacency: dict = {v: [] for v in gmap.vertices}
-    for u, v in gmap.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+def _tutte_graph(full: RotationMap, internal_faces: list[list[int]]) -> dict:
+    """Adjacency lists of G, the positive edges of ``full``, with one more
+    vertex ("star", s) per internal face s, joined to every vertex of the
+    face."""
+    adjacency: dict = {v: [] for v in full.vertices}
+    for (u, v), s in zip(full.edges, full.signature):
+        if s == 1:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
     for s, cycle in enumerate(internal_faces):
         star = ("star", s)
         adjacency[star] = []
@@ -460,7 +406,8 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     """Embedding-preserving straight-line drawing with zero bends.
 
     Requires a digon-free diagram (``HasDigons`` otherwise).  The finite
-    crossing graph is verified simple and 2-connected
+    crossing graph's faces are read from the arrangement map, and the
+    graph is verified simple and 2-connected by its simple face walks
     (``NotTwoConnected`` signals an internal invariant violation).
     """
     full, arcs = full_wire_map(diagram)
@@ -469,9 +416,6 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
         raise HasDigons(
             f"{digons} digon(s) found; straightening needs a digon-free diagram"
         )
-    gmap, finite_arcs = _finite_graph(full, arcs)
-    _check_two_connected(gmap)
-
     wire_paths = tuple(diagram.wire_events(w) for w in range(1, diagram.n + 1))
     for w, path in enumerate(wire_paths, start=1):
         if len(path) < 2:
@@ -480,11 +424,8 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
             )
     chords = [(path[0], path[-1]) for path in wire_paths]
 
-    outer = _outer_orbit(diagram, gmap, finite_arcs)
-    internal_faces, outer_walk = _face_vertex_cycles(gmap, outer)
+    internal_faces, outer_walk = _crossing_graph_faces(diagram, full, arcs)
     on_outer = set(outer_walk)
-    if len(on_outer) != len(outer_walk):
-        raise NotTwoConnected("outer boundary is not a simple cycle")
     for w, (first, last) in enumerate(chords, start=1):
         if first not in on_outer or last not in on_outer:
             raise QuasilineError(
@@ -493,7 +434,7 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     if not _chords_alternate(outer_walk, chords):
         raise QuasilineError(_AUDIT_FAILED)
 
-    adjacency = _tutte_graph(gmap, internal_faces)
+    adjacency = _tutte_graph(full, internal_faces)
     # The outer walk goes counterclockwise round the polygon: it is laid on
     # the circle points mirrored in the x-axis, taken in reverse order.  A
     # mirror image reverses the rotation at every crossing, so only this
@@ -537,13 +478,24 @@ def drawing_to_json_dict(drawing: StraightDrawing) -> dict:
 
 
 def drawing_from_json_dict(data: dict) -> StraightDrawing:
-    positions = tuple(
-        (Fraction(x), Fraction(y)) for x, y in data["positions"]
-    )
-    return StraightDrawing(
-        int(data["n"]),
-        positions,
-        tuple(int(v) for v in data["outer_cycle"]),
-        tuple((int(a), int(b)) for a, b in data["chords"]),
-        tuple(tuple(int(v) for v in p) for p in data["wire_paths"]),
-    )
+    """The drawing of :func:`drawing_to_json_dict`.  Coordinates are read by
+    :func:`quasiline.wiring.euclid._as_fraction` (strings or integers, at
+    most ``MAX_DIGITS`` digits); malformed input, and a chord or wire count
+    other than ``n`` or an event index past the positions, raise
+    ValidationError."""
+    try:
+        drawing = StraightDrawing(
+            int(data["n"]),
+            tuple((_as_fraction(x), _as_fraction(y)) for x, y in data["positions"]),
+            tuple(int(v) for v in data["outer_cycle"]),
+            tuple((int(a), int(b)) for a, b in data["chords"]),
+            tuple(tuple(int(v) for v in p) for p in data["wire_paths"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed drawing JSON: {exc}") from exc
+    events = itertools.chain(drawing.outer_cycle, *drawing.chords, *drawing.wire_paths)
+    if not drawing.n == len(drawing.chords) == len(drawing.wire_paths) or not all(
+        0 <= v < len(drawing.positions) for v in events
+    ):
+        raise ValidationError("drawing JSON: wires or event indices do not fit the positions")
+    return drawing

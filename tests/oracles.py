@@ -4,15 +4,16 @@ Everything here is deliberately independent of the implementation paths
 it checks: girth by plain BFS, sweep validity by explicit cut
 simulation, sweep orders by Kahn's algorithm, scheme isomorphism by
 brute-force search over relabellings and regaugings, rotation systems by
-list scans along every wire, straight drawings by a pairwise segment
-audit, chord lines by intersecting every pair and testing the point
-against the polygon, linear
-systems by Gauss-Jordan elimination over ``Fraction``, move sites by
-scanning every later event or index triple, canonical encodings by
-encoding from every dart to the end, realization plans by measuring
-every insertion slot with a pairwise Kendall tau, Levi adjacency by
-testing every point-line pair, Euclidean sweeps by a general
-projective chart matrix and its inverse over ``Fraction``, and random generators driven by seeded
+list scans along every wire, the crossing graph's faces on a second
+rotation map and its 2-connectivity by Hopcroft-Tarjan, straight
+drawings by a pairwise segment audit, chord lines by intersecting every
+pair and testing the point against the polygon, linear systems by
+Gauss-Jordan elimination over ``Fraction``, move sites by scanning every
+later event or index triple, canonical encodings by encoding from every
+dart to the end, realization plans by measuring every insertion slot
+with a pairwise Kendall tau, Levi adjacency by testing every point-line
+pair, Euclidean sweeps by a general projective chart matrix and its
+inverse over ``Fraction``, and random generators driven by seeded
 ``random.Random`` instances.
 """
 
@@ -416,6 +417,95 @@ def arcs_pairwise_disjoint(diagram: GeneralizedWiringDiagram, positions) -> bool
                 if q != p and _on_segment(a, b, q):
                     return False
     return True
+
+
+# -- the crossing graph as a second rotation map ------------------------------
+
+
+def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
+    """The crossing graph G built as a rotation map of its own from the
+    arrangement map ``full`` (closing darts dropped, finite edges
+    renumbered), and its faces traced on that map.  Returns (gmap,
+    internal face cycles, outer cycle, Tutte adjacency of G): every face
+    is walked along its sense-1 orbit from its least state, the outer one
+    is the orbit of the dart at the far end of the first arc of the last
+    wire in event 0's window, and the adjacency lists follow G's edges,
+    then join one vertex ("star", s) to every vertex of internal face s."""
+    finite_ids = [e for e, s in enumerate(full.signature) if s == 1]
+    renumber = {e: i for i, e in enumerate(finite_ids)}
+    edges = tuple(full.edges[e] for e in finite_ids)
+    rotations = {
+        v: tuple((renumber[e], end) for e, end in full.rotations[v] if e in renumber)
+        for v in full.vertices
+    }
+    gmap = RotationMap(full.vertices, edges, rotations, (1,) * len(edges))
+    gid = renumber[arcs.index((diagram.window_wires(0)[-1], 0))]
+    outer = next(o for o in gmap.face_orbits if 4 * gid + 3 in o)
+    internal = [
+        [edges[x >> 2][x >> 1 & 1] for x in orbit]
+        for orbit in gmap.face_orbits
+        if orbit[0] & 1 and orbit != outer
+    ]
+    adjacency = {v: [] for v in gmap.vertices}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for s, cycle in enumerate(internal):
+        adjacency[("star", s)] = list(cycle)
+        for v in cycle:
+            adjacency[v].append(("star", s))
+    return gmap, internal, [edges[x >> 2][x >> 1 & 1] for x in outer], adjacency
+
+
+def two_connected_by_articulation(gmap: RotationMap) -> bool:
+    """Hopcroft-Tarjan: the graph of ``gmap`` is simple, has at least 3
+    vertices, is connected and has no cut vertex."""
+    pairs = [tuple(sorted(e, key=str)) for e in gmap.edges]
+    if len(set(pairs)) != len(pairs) or any(u == v for u, v in gmap.edges):
+        return False
+    vertices = gmap.vertices
+    if len(vertices) < 3:
+        return False
+    adjacency = {v: [] for v in vertices}
+    for u, v in gmap.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    index = {v: i for i, v in enumerate(vertices)}
+    disc = [0] * len(vertices)
+    low = [0] * len(vertices)
+    visited = [False] * len(vertices)
+    parent = [-1] * len(vertices)
+    timer = 1
+    root = 0
+    stack = [(root, iter(adjacency[vertices[root]]))]
+    visited[root] = True
+    disc[root] = low[root] = timer
+    root_children = 0
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for u_label in it:
+            u = index[u_label]
+            if not visited[u]:
+                visited[u] = True
+                timer += 1
+                disc[u] = low[u] = timer
+                parent[u] = v
+                if v == root:
+                    root_children += 1
+                stack.append((u, iter(adjacency[u_label])))
+                advanced = True
+                break
+            elif u != parent[v]:
+                low[v] = min(low[v], disc[u])
+        if not advanced:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if parent[v] == p and p != root and low[v] >= disc[p]:
+                    return False
+    return all(visited) and root_children <= 1
 
 
 # -- rotation systems by list scans ------------------------------------------

@@ -234,7 +234,8 @@ def test_isomorphism_agrees_with_backtracking_oracle():
 
 
 def test_levi_adjacency_matches_pair_scan():
-    # neighbour tuples keep declaration order, also under shuffled labels
+    # neighbour tuples keep declaration order, also under shuffled labels;
+    # the structure's incidence lookups read the one cached Levi graph
     rng = random.Random(131)
     structures = [fano(), triangle(), mobius_kantor(), cycle_of_lines(600)]
     for _ in range(150):
@@ -242,8 +243,12 @@ def test_levi_adjacency_matches_pair_scan():
         structures += [c, relabelled(rng, c)]
     for c in structures:
         g = levi_graph(c)
-        assert g.adjacency == levi_adjacency_by_pairs(g)
-        assert list(g.adjacency) == list(levi_adjacency_by_pairs(g))
+        oracle = levi_adjacency_by_pairs(g)
+        assert g.adjacency == oracle
+        assert list(g.adjacency) == list(oracle)
+        assert levi_graph(c) is g
+        assert all(c.lines_of(p) == oracle[p] for p in c.points)
+        assert all(c.points_of(l) == oracle[l] for l in c.lines)
 
 
 def test_build_inverts_levi_graph():

@@ -1,0 +1,108 @@
+"""Malformed drawing and scheme JSON raises typed errors: each row of the
+table changes one field of a valid document and names the error the
+loader must raise."""
+
+import pytest
+
+from quasiline import (
+    default_plan,
+    realize,
+    scheme_from_json_dict,
+    scheme_from_realization,
+    scheme_to_json_dict,
+)
+from quasiline.errors import DisconnectedScheme, QuasilineError, ValidationError
+from quasiline.wiring import (
+    diagram_from_realization,
+    drawing_from_json_dict,
+    drawing_to_json_dict,
+    straighten,
+)
+
+from oracles import triangle
+
+DIAGRAM = diagram_from_realization(realize(triangle(), default_plan(triangle())))
+DRAWING = drawing_to_json_dict(straighten(DIAGRAM))
+SCHEME = scheme_to_json_dict(scheme_from_realization(DIAGRAM))
+# Two dipoles of four parallel edges each: a valid rotation system whose
+# scheme is disconnected.
+TWO_DIPOLES = {
+    "vertices": ["a", "b", "c", "d"],
+    "edges": [[0, 1]] * 4 + [[2, 3]] * 4,
+    "rotations": [
+        [[0, 0], [1, 0], [2, 0], [3, 0]],
+        [[3, 1], [2, 1], [1, 1], [0, 1]],
+        [[4, 0], [5, 0], [6, 0], [7, 0]],
+        [[7, 1], [6, 1], [5, 1], [4, 1]],
+    ],
+    "signature": [1] * 8,
+}
+
+
+def changed(base, **fields):
+    return {**base, **fields}
+
+
+def without(base, key):
+    return {k: v for k, v in base.items() if k != key}
+
+
+DRAWING_ROWS = [
+    ("not an object", [], ValidationError),
+    ("no positions", without(DRAWING, "positions"), ValidationError),
+    ("float position", changed(DRAWING, positions=[[0.5, "1"]]), ValidationError),
+    ("huge exponent", changed(DRAWING, positions=[["1e2000000", "0"]]), ValidationError),
+    ("text position", changed(DRAWING, positions=[["x", "0"]]), ValidationError),
+    ("zero denominator", changed(DRAWING, positions=[["1/0", "0"]]), ValidationError),
+    ("three coordinates", changed(DRAWING, positions=[["1", "2", "3"]]), ValidationError),
+    ("text n", changed(DRAWING, n="x"), ValidationError),
+    ("null n", changed(DRAWING, n=None), ValidationError),
+    ("infinite n", changed(DRAWING, n=float("inf")), ValidationError),
+    ("scalar outer cycle", changed(DRAWING, outer_cycle=5), ValidationError),
+    ("one-ended chord", changed(DRAWING, chords=[[1]]), ValidationError),
+    ("text wire path", changed(DRAWING, wire_paths=[["a"]]), ValidationError),
+    ("more wires than chords", changed(DRAWING, n=DRAWING["n"] + 1), ValidationError),
+    ("event past the positions", changed(DRAWING, outer_cycle=[0, 1, 99]), ValidationError),
+    ("negative event", changed(DRAWING, chords=[[-1, 0]] + DRAWING["chords"][1:]), ValidationError),
+]
+
+SCHEME_ROWS = [
+    ("not an object", "scheme", ValidationError),
+    ("no rotations", without(SCHEME, "rotations"), ValidationError),
+    ("scalar vertices", changed(SCHEME, vertices=5), ValidationError),
+    ("one-ended edge", changed(SCHEME, edges=[[0]]), ValidationError),
+    ("negative vertex index", changed(SCHEME, edges=[[-1, 0]] + SCHEME["edges"][1:]), ValidationError),
+    ("text edge end", changed(SCHEME, edges=[["0", 1]] + SCHEME["edges"][1:]), ValidationError),
+    ("extra rotation", changed(SCHEME, rotations=SCHEME["rotations"] + [[]]), ValidationError),
+    ("text dart", changed(SCHEME, rotations=[[["x", 0]]] + SCHEME["rotations"][1:]), ValidationError),
+    ("text signature", changed(SCHEME, signature=["x"] * len(SCHEME["signature"])), ValidationError),
+    ("infinite signature", changed(SCHEME, signature=[float("inf")]), ValidationError),
+    ("scalar lines", changed(SCHEME, lines=5), ValidationError),
+    # a well-formed document of an invalid map: make_scheme's own error
+    ("disconnected", TWO_DIPOLES, DisconnectedScheme),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, data, error",
+    [(drawing_from_json_dict, data, error) for _, data, error in DRAWING_ROWS]
+    + [(scheme_from_json_dict, data, error) for _, data, error in SCHEME_ROWS],
+    ids=[f"drawing-{name}" for name, _, _ in DRAWING_ROWS]
+    + [f"scheme-{name}" for name, _, _ in SCHEME_ROWS],
+)
+def test_malformed_json_raises_typed_error(loader, data, error):
+    with pytest.raises(error) as caught:
+        loader(data)
+    assert isinstance(caught.value, QuasilineError)
+
+
+def test_make_scheme_errors_are_not_rewrapped():
+    data = changed(SCHEME, signature=[2] * len(SCHEME["signature"]))
+    with pytest.raises(ValidationError, match="^signatures must be") as caught:
+        scheme_from_json_dict(data)
+    assert caught.value.__cause__ is None
+
+
+def test_valid_documents_load():
+    assert drawing_to_json_dict(drawing_from_json_dict(DRAWING)) == DRAWING
+    assert scheme_to_json_dict(scheme_from_json_dict(SCHEME)) == SCHEME

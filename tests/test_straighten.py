@@ -24,13 +24,11 @@ from quasiline.wiring.straighten import (
     _audit,
     _chords_alternate,
     _circle_points,
+    _crossing_graph_faces,
     _direction_cmp,
     _embedded,
-    _face_vertex_cycles,
-    _finite_graph,
     _numerators,
     _orient,
-    _outer_orbit,
     _solve_exact,
     _strictly_convex,
     _sub,
@@ -45,14 +43,17 @@ from oracles import (
     PAPPUS_POINTS,
     arcs_pairwise_disjoint,
     chord_lines_meet_inside,
+    crossing_graph_by_second_map,
     random_allowable_sequence,
     random_laplacian_system,
     random_line_arrangement,
     solve_fraction_system,
     triangle,
     tutte_positions_by_fractions,
+    two_connected_by_articulation,
     two_lines_three_points,
 )
+from perfbench.inputs import straighten_inputs
 
 
 def reextracted_face_vector(diagram, drawing):
@@ -223,8 +224,7 @@ def perturbed_drawings():
     for n in (5, 6, 6, 7):
         d = diagram_from_lines(random_line_arrangement(rng, n))
         drawing = straighten(d)
-        gmap, arcs = _finite_graph(*full_wire_map(d))
-        faces, _ = _face_vertex_cycles(gmap, _outer_orbit(d, gmap, arcs))
+        faces, _ = _crossing_graph_faces(d, *full_wire_map(d))
         inner = [v for v in range(d.event_count) if v not in drawing.outer_cycle]
         variants = []
         for _ in range(25 if inner else 0):
@@ -309,11 +309,8 @@ def test_integer_tutte_positions_match_fraction_oracle():
     for d in straighten_corpus():
         drawing = straighten(d)
         full, arcs = full_wire_map(d)
-        gmap, finite_arcs = _finite_graph(full, arcs)
-        faces, outer_walk = _face_vertex_cycles(
-            gmap, _outer_orbit(d, gmap, finite_arcs)
-        )
-        adjacency = _tutte_graph(gmap, faces)
+        faces, outer_walk = _crossing_graph_faces(d, full, arcs)
+        adjacency = _tutte_graph(full, faces)
         interior = [v for v in adjacency if v not in outer_walk]
         for attempt in range(_MAX_ATTEMPTS):
             circle = _circle_points(len(outer_walk), attempt)
@@ -336,6 +333,94 @@ def test_integer_tutte_positions_match_fraction_oracle():
                 break
         else:
             raise AssertionError("the drawing matches no polygon attempt")
+
+
+def crossing_graph_corpus():
+    """:func:`straighten_corpus`, the straighten-euclid benchmark
+    arrangements of seeds 0-3 and 300 digon-free random allowable
+    sequences of 3 to 8 wires."""
+    yield from straighten_corpus()
+    for seed in range(4):
+        for _, arrangement in straighten_inputs(seed):
+            yield diagram_from_lines(
+                arrangement["lines"], arrangement.get("points", ()), arrangement.get("labels")
+            )
+    rng = random.Random(1410)
+    count = 0
+    while count < 300:
+        d = as_diagram(random_allowable_sequence(rng, rng.randint(3, 8)))
+        if not detect_digons(d):
+            count += 1
+            yield d
+
+
+def test_crossing_graph_faces_match_second_map_oracle():
+    """Faces read from the arrangement map equal the faces of the crossing
+    graph built as a map of its own: the same internal cycles in the same
+    order, the same outer walk and the same Tutte adjacency.  The
+    Hopcroft-Tarjan oracle finds every crossing graph 2-connected."""
+    for d in crossing_graph_corpus():
+        full, arcs = full_wire_map(d)
+        gmap, faces, outer, adjacency = crossing_graph_by_second_map(d, full, arcs)
+        assert _crossing_graph_faces(d, full, arcs) == (faces, outer)
+        assert _tutte_graph(full, faces) == adjacency
+        assert two_connected_by_articulation(gmap)
+
+
+def face_walks_simple(gmap):
+    """The face-walk criterion: every sense-1 face walk of a map with only
+    positive edges visits each vertex at most once."""
+    walks = [
+        [gmap.edges[x >> 2][x >> 1 & 1] for x in orbit]
+        for orbit in gmap.face_orbits
+        if orbit[0] & 1
+    ]
+    return all(len(set(walk)) == len(walk) for walk in walks)
+
+
+def glued_at(a, b, u, v):
+    """The plane maps ``a`` and ``b`` glued at one vertex: ``b``'s vertex
+    ``v`` becomes ``a``'s vertex ``u``, whose rotation is followed by
+    ``v``'s, and ``b``'s other vertices are renamed apart."""
+    name = {w: ("b", w) for w in b.vertices}
+    name[v] = u
+    shift = len(a.edges)
+    edges = a.edges + tuple((name[x], name[y]) for x, y in b.edges)
+    moved = {
+        name[w]: tuple((e + shift, end) for e, end in rot) for w, rot in b.rotations.items()
+    }
+    rotations = {**a.rotations, **moved, u: a.rotations[u] + moved[u]}
+    vertices = a.vertices + tuple(name[w] for w in b.vertices if w != v)
+    return RotationMap(vertices, edges, rotations, (1,) * len(edges))
+
+
+def test_face_walk_criterion_matches_articulation_oracle():
+    """On crossing graphs, and on two of them glued at one vertex (still
+    plane, now with a cut vertex), the face-walk criterion and
+    Hopcroft-Tarjan give the same verdict."""
+    rng = random.Random(2001)
+    graphs = [
+        crossing_graph_by_second_map(d, *full_wire_map(d))[0] for d in straighten_corpus()
+    ]
+    for a, b in zip(graphs, graphs[1:] + graphs[:1]):
+        assert face_walks_simple(a) and two_connected_by_articulation(a)
+        for u in rng.sample(a.vertices, 3):
+            glued = glued_at(a, b, u, rng.choice(b.vertices))
+            assert glued.euler_characteristic() == 2
+            assert not face_walks_simple(glued)
+            assert not two_connected_by_articulation(glued)
+
+
+def test_straighten_builds_one_rotation_map(monkeypatch):
+    built = []
+    check = RotationMap.__post_init__
+    monkeypatch.setattr(
+        RotationMap, "__post_init__", lambda self: built.append(self) or check(self)
+    )
+    for d in straighten_corpus():
+        built.clear()
+        straighten(d)
+        assert len(built) == 1
 
 
 def test_chord_alternation_matches_geometric_oracle():
