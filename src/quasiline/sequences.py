@@ -307,11 +307,20 @@ def sequence_to_json_dict(seq: PermSequence) -> dict:
     }
 
 
+def _as_int(x) -> int:
+    """The one parser of integer JSON fields: an int, an integer string or
+    an integral number.  A number with a fractional part is refused, not
+    truncated."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValidationError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def sequence_from_json_dict(data: dict) -> PermSequence:
     try:
-        n = int(data["n"])
-        moves = [Move(int(s), int(l)) for s, l in data["moves"]]
-        designated = [int(i) for i in data.get("designated", [])]
+        n = _as_int(data["n"])
+        moves = [Move(_as_int(s), _as_int(l)) for s, l in data["moves"]]
+        designated = [_as_int(i) for i in data.get("designated", [])]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed sequence JSON: {exc}") from exc
     return make_sequence(n, moves, designated)

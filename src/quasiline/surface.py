@@ -24,6 +24,7 @@ from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import DisconnectedScheme, ValidationError
 from .rotmaps import Dart, RotationMap
+from .sequences import _as_int
 from .wiring.diagram import GeneralizedWiringDiagram
 from .wiring.faces import wire_map
 
@@ -240,10 +241,10 @@ def scheme_from_json_dict(data: dict) -> EmbeddingScheme:
         vertex_at = dict(enumerate(vertices))
         edges = [(vertex_at[u], vertex_at[v]) for u, v in data["edges"]]
         rotations = {
-            vertices[i]: tuple((int(e), int(end)) for e, end in rot)
+            vertices[i]: tuple((_as_int(e), _as_int(end)) for e, end in rot)
             for i, rot in enumerate(data["rotations"])
         }
-        signature = [int(s) for s in data["signature"]]
+        signature = [_as_int(s) for s in data["signature"]]
         lines = list(data.get("lines") or [None] * len(edges))
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed scheme JSON: {exc}") from exc

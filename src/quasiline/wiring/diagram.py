@@ -24,8 +24,11 @@ from typing import Hashable, Optional
 
 from ..errors import NotGeneralized, ValidationError
 from ..realization import Realization
-from ..sequences import Move, PermSequence
+from ..sequences import Move, PermSequence, _as_int
 
+# The prefix permutations hold n entries per event, so the wire count is
+# bounded before any of them is built.
+MAX_WIRES = 100_000
 
 @dataclass(frozen=True)
 class GeneralizedWiringDiagram(PermSequence):
@@ -36,7 +39,8 @@ class GeneralizedWiringDiagram(PermSequence):
             raise ValidationError("an arrangement needs at least 2 wires")
         super().__post_init__()
         # every pair of wires must cross and a move crosses C(length, 2)
-        # pairs: an O(m) bound, checked before any n-sized table is built
+        # pairs: an O(m) bound, checked before any n-sized table is built,
+        # and so is the wire count
         pairs = self.n * (self.n - 1) // 2
         crossed = sum(m.length * (m.length - 1) // 2 for m in self.moves)
         if crossed < pairs:
@@ -44,6 +48,8 @@ class GeneralizedWiringDiagram(PermSequence):
                 f"the moves cross at most {crossed} of the {pairs} pairs of wires; "
                 "every pair must cross an odd number of times"
             )
+        if self.n > MAX_WIRES:
+            raise ValidationError(f"an arrangement has at most {MAX_WIRES} wires, got {self.n}")
         final = self.permutations[-1]
         for x, y in zip(final, final[1:]):
             if x < y:
@@ -221,9 +227,9 @@ def diagram_to_json_dict(diagram: GeneralizedWiringDiagram) -> dict:
 
 def diagram_from_json_dict(data: dict) -> GeneralizedWiringDiagram:
     try:
-        n = int(data["n"])
+        n = _as_int(data["n"])
         moves = tuple(
-            Move(int(s), int(l), p if p is None else str(p))
+            Move(_as_int(s), _as_int(l), p if p is None else str(p))
             for s, l, p in data["events"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -18,7 +18,11 @@ Coordinates are exact, and integers until the drawing is built: the
 outer polygon vertices are rational points on the unit circle, scaled
 to integers over the lcm L of their denominators, and interior vertices
 solve the barycentric (Tutte) system by fraction-free integer (Bareiss)
-elimination, as integers over its determinant det.  Every point is then
+elimination, as integers over its determinant det.  The system is a
+pinned graph Laplacian: sparse, symmetric and positive definite.  So it
+is eliminated on the diagonal in minimum-degree order, touching only
+nonzero entries and with no pivot search; det and det·X are fixed by
+Cramer's rule, so the order changes no output.  Every point is then
 an integer pair over the one positive denominator D = det·L, and only
 the final :class:`StraightDrawing` divides by D.  The drawing is
 audited on the integer pairs with exact predicates: distinctness, an
@@ -35,6 +39,7 @@ before any polygon is chosen.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,6 +49,7 @@ from typing import Hashable, Sequence
 
 from ..errors import HasDigons, NotTwoConnected, QuasilineError, ValidationError
 from ..rotmaps import Dart, RotationMap
+from ..sequences import _as_int
 from .diagram import GeneralizedWiringDiagram
 from .euclid import _as_fraction
 from .faces import ArcId, full_wire_map
@@ -221,44 +227,71 @@ def _tutte_graph(full: RotationMap, internal_faces: list[list[int]]) -> dict:
 
 
 def _solve_exact(
-    matrix: list[list[int]], rhs: list[list[int]]
+    rows: list[dict[int, int]], rhs: list[list[int]]
 ) -> tuple[list[list[int]], int]:
-    """Solve ``matrix · X = rhs`` exactly over the integers; rhs holds one
-    column per coordinate.  Returns (nums, det) with det > 0 and
-    X = nums / det.
+    """Solve ``A · X = rhs`` exactly over the integers, for A symmetric
+    positive definite and given by its sparse ``rows`` (column to entry);
+    rhs holds one column per coordinate.  Returns (nums, det) with
+    det = det A > 0 and X = nums / det.
 
-    The system is eliminated fraction-free (Bareiss): every entry stays
-    an integer minor of the augmented system, so each division by the
-    previous pivot is exact.  The last pivot is the determinant det, and
-    back-substitution yields the integers det·X.  The signs are then
-    normalised so that det is positive.
+    Fraction-free (Bareiss) elimination on the diagonal in minimum-degree
+    order: each step pivots on the remaining row with the fewest entries,
+    ties broken by index.  A row keeps only its nonzero entries in the
+    columns not yet eliminated.  Every entry is a minor of the augmented
+    system, so the pivots are leading principal minors of A in this order,
+    all positive exactly when A is positive definite; the first that is
+    not raises QuasilineError.  A row that a pivot column does not touch
+    is left alone: the skipped Bareiss steps only multiply it by
+    p_k / p_(k-1), which telescopes, so when the row is next updated or
+    becomes the pivot it divides by the pivot p_t of its own last update
+    (1 before any), exactly.  The last pivot is det, and back-substitution
+    over the pivot rows in reverse yields the integers det·X; by Cramer's
+    rule both are the same in every order.
     """
-    m = len(matrix)
-    a = [row + r for row, r in zip(matrix, rhs)]
+    for i, row in enumerate(rows):
+        if any(rows[j].get(i) != x for j, x in row.items()):
+            raise QuasilineError("barycentric system is not symmetric")
+    rows = [dict(row) for row in rows]
+    rhs = [list(b) for b in rhs]
+    last = [1] * len(rows)  # the pivot of each row's last update
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    pivots = []
     prev = 1
-    for k in range(m):
-        pivot = next((r for r in range(k, m) if a[r][k] != 0), None)
-        if pivot is None:
-            raise QuasilineError("singular barycentric system")
-        a[k], a[pivot] = a[pivot], a[k]
-        p, tail = a[k][k], a[k][k + 1:]
-        for row in a[k + 1:]:
-            f = row[k]
-            if f:
-                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-            else:
-                row[k + 1:] = [p * x // prev for x in row[k + 1:]]
+    while heap:
+        size, k = heapq.heappop(heap)
+        if last[k] == 0 or size != len(rows[k]):
+            continue  # eliminated, or the row has changed since
+        row, t = rows[k], last[k]
+        p = row.pop(k, 0) * prev // t
+        if p <= 0:
+            raise QuasilineError(
+                "singular barycentric system" if p == 0
+                else "barycentric system is not positive definite"
+            )
+        if t != prev:
+            row = {j: x * prev // t for j, x in row.items()}
+            rhs[k] = [x * prev // t for x in rhs[k]]
+        for j, y in row.items():
+            other, s = rows[j], last[j]
+            f = other.pop(k)
+            merged = {i: p * x for i, x in other.items()}
+            for i, x in row.items():
+                merged[i] = merged.get(i, 0) - f * x
+            rows[j] = {i: x // s for i, x in merged.items() if x}
+            rhs[j] = [(p * x - f * z) // s for x, z in zip(rhs[j], rhs[k])]
+            last[j] = p
+            heapq.heappush(heap, (len(rows[j]), j))
+        last[k] = 0
+        pivots.append((k, row, p))
         prev = p
     det = prev
-    nums = [[0] * len(rhs[0]) for _ in range(m)]
-    for i in reversed(range(m)):
-        row = a[i]
-        for c in range(len(rhs[0])):
-            total = det * row[m + c] - sum(row[j] * nums[j][c] for j in range(i + 1, m))
-            nums[i][c] = total // row[i]
-    if det < 0:
-        det = -det
-        nums = [[-x for x in r] for r in nums]
+    nums: list[list[int]] = [[]] * len(rows)
+    for k, row, p in reversed(pivots):
+        nums[k] = [
+            (det * c - sum(x * nums[j][col] for j, x in row.items())) // p
+            for col, c in enumerate(rhs[k])
+        ]
     return nums, det
 
 
@@ -276,19 +309,16 @@ def _tutte_positions(
     if not interior:
         return dict(boundary), 1
     index = {v: i for i, v in enumerate(interior)}
-    m = len(interior)
-    matrix = [[0] * m for _ in range(m)]
-    rhs = [[0, 0] for _ in range(m)]
-    for v in interior:
-        i = index[v]
-        matrix[i][i] = len(adjacency[v])
+    rows = [{i: len(adjacency[v])} for i, v in enumerate(interior)]
+    rhs = [[0, 0] for _ in interior]
+    for v, i in index.items():
         for u in adjacency[v]:
             if u in index:
-                matrix[i][index[u]] -= 1
+                rows[i][index[u]] = rows[i].get(index[u], 0) - 1
             else:
                 rhs[i][0] += boundary[u][0]
                 rhs[i][1] += boundary[u][1]
-    nums, det = _solve_exact(matrix, rhs)
+    nums, det = _solve_exact(rows, rhs)
     placed = {v: (x * det, y * det) for v, (x, y) in boundary.items()}
     for v, i in index.items():
         placed[v] = (nums[i][0], nums[i][1])
@@ -480,16 +510,17 @@ def drawing_to_json_dict(drawing: StraightDrawing) -> dict:
 def drawing_from_json_dict(data: dict) -> StraightDrawing:
     """The drawing of :func:`drawing_to_json_dict`.  Coordinates are read by
     :func:`quasiline.wiring.euclid._as_fraction` (strings or integers, at
-    most ``MAX_DIGITS`` digits); malformed input, and a chord or wire count
+    most ``MAX_DIGITS`` digits) and indices by
+    :func:`quasiline.sequences._as_int`; malformed input, and a chord or wire count
     other than ``n`` or an event index past the positions, raise
     ValidationError."""
     try:
         drawing = StraightDrawing(
-            int(data["n"]),
+            _as_int(data["n"]),
             tuple((_as_fraction(x), _as_fraction(y)) for x, y in data["positions"]),
-            tuple(int(v) for v in data["outer_cycle"]),
-            tuple((int(a), int(b)) for a, b in data["chords"]),
-            tuple(tuple(int(v) for v in p) for p in data["wire_paths"]),
+            tuple(map(_as_int, data["outer_cycle"])),
+            tuple((_as_int(a), _as_int(b)) for a, b in data["chords"]),
+            tuple(tuple(map(_as_int, p)) for p in data["wire_paths"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed drawing JSON: {exc}") from exc

@@ -8,7 +8,8 @@ list scans along every wire, the crossing graph's faces on a second
 rotation map and its 2-connectivity by Hopcroft-Tarjan, straight
 drawings by a pairwise segment audit, chord lines by intersecting every
 pair and testing the point against the polygon, linear systems by
-Gauss-Jordan elimination over ``Fraction``, move sites by scanning every
+Gauss-Jordan elimination over ``Fraction`` and by dense Bareiss
+elimination with a pivot search, move sites by scanning every
 later event or index triple, canonical encodings by encoding from every
 dart to the end, realization plans by measuring every insertion slot
 with a pairwise Kendall tau, Levi adjacency by testing every point-line
@@ -284,6 +285,50 @@ def solve_fraction_system(matrix, rhs):
     return [row[m:cols] for row in a]
 
 
+def solve_by_dense_bareiss(
+    matrix: list[list[int]], rhs: list[list[int]]
+) -> tuple[list[list[int]], int]:
+    """Solve ``matrix · X = rhs`` exactly over the integers; rhs holds one
+    column per coordinate.  Returns (nums, det) with det > 0 and
+    X = nums / det.
+
+    The system is eliminated fraction-free (Bareiss) on the dense matrix
+    with a row pivot search, so any nonsingular matrix is solved: every
+    entry stays an integer minor of the augmented system, so each
+    division by the previous pivot is exact.  The last pivot is the
+    determinant det, and back-substitution yields the integers det·X.
+    The signs are then normalised so that det is positive.  Raises
+    QuasilineError on a singular matrix.
+    """
+    m = len(matrix)
+    a = [row + r for row, r in zip(matrix, rhs)]
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if a[r][k] != 0), None)
+        if pivot is None:
+            raise QuasilineError("singular barycentric system")
+        a[k], a[pivot] = a[pivot], a[k]
+        p, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            if f:
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [p * x // prev for x in row[k + 1:]]
+        prev = p
+    det = prev
+    nums = [[0] * len(rhs[0]) for _ in range(m)]
+    for i in reversed(range(m)):
+        row = a[i]
+        for c in range(len(rhs[0])):
+            total = det * row[m + c] - sum(row[j] * nums[j][c] for j in range(i + 1, m))
+            nums[i][c] = total // row[i]
+    if det < 0:
+        det = -det
+        nums = [[-x for x in r] for r in nums]
+    return nums, det
+
+
 def solve_by_fraction_bareiss(matrix, rhs):
     """Fraction-free (Bareiss) elimination of ``matrix · X = rhs`` with
     rational rhs columns, each solution built as a Fraction over det·den
@@ -358,6 +403,10 @@ def _on_segment(a, b, p) -> bool:
 
 
 def _segments_share_point(a, b, c, d) -> bool:
+    # a common point lies in both bounding boxes
+    for i in (0, 1):
+        if max(a[i], b[i]) < min(c[i], d[i]) or max(c[i], d[i]) < min(a[i], b[i]):
+            return False
     o1, o2 = _orient(a, b, c), _orient(a, b, d)
     o3, o4 = _orient(c, d, a), _orient(c, d, b)
     if o1 != o2 and o3 != o4:
@@ -395,10 +444,19 @@ def chord_lines_meet_inside(positions, outer_cycle, chords) -> bool:
     return True
 
 
+def over_common_denominator(points) -> list[tuple[int, int]]:
+    """Rational points as integer pairs over the lcm of their
+    denominators.  The scaling is positive, so every orientation sign and
+    every coordinate comparison is that of the rational points."""
+    scale = lcm(*(Fraction(c).denominator for point in points for c in point))
+    return [tuple(int(Fraction(c) * scale) for c in point) for point in points]
+
+
 def arcs_pairwise_disjoint(diagram: GeneralizedWiringDiagram, positions) -> bool:
     """Pairwise segment audit of a straight drawing, O(E^2): the finite arcs
     of the diagram, drawn as segments between their crossings, meet only
     at a shared crossing."""
+    positions = over_common_denominator(positions)
     full = arrangement_map_by_scan(diagram)
     finite = [uv for e, uv in enumerate(full.edges) if full.signature[e] == 1]
     for (u1, v1), (u2, v2) in itertools.combinations(finite, 2):

@@ -77,6 +77,7 @@ def test_missing_file_exit_2(workdir):
         ("deep.wd.json", "[" * 100000, 3),
         ("infinite.seq.json", '{"n": 1e400, "moves": []}', 2),
         ("huge.seq.json", '{"n": 10000000000000000000, "moves": [[1, 2]]}', 4),
+        ("wide.seq.json", '{"n": 10000000000000000000, "moves": [[1, 10000000000000000000]]}', 2),
         ("labels.euclid.json", '{"lines": [["1", "0", "0"], ["0", "1", "0"]], "point_labels": 3}',
          2),
         ("exponent.euclid.json", '{"lines": [["1e2000000", "1", "0"], ["1", "0", "0"]]}', 2),
@@ -93,6 +94,7 @@ def test_missing_file_exit_2(workdir):
         "nested-too-deep",
         "infinite-size",
         "too-few-crossings",
+        "too-many-wires",
         "labels-not-a-list",
         "exponent-over-digit-limit",
         "integer-over-digit-limit",

@@ -58,6 +58,10 @@ DRAWING_ROWS = [
     ("text n", changed(DRAWING, n="x"), ValidationError),
     ("null n", changed(DRAWING, n=None), ValidationError),
     ("infinite n", changed(DRAWING, n=float("inf")), ValidationError),
+    ("fractional n", changed(DRAWING, n=3.7), ValidationError),
+    ("fractional outer cycle", changed(DRAWING, outer_cycle=[0.2, 1.5, 2.9]), ValidationError),
+    ("fractional chord end", changed(DRAWING, chords=[[0, 1.5]] + DRAWING["chords"][1:]), ValidationError),
+    ("fractional wire path", changed(DRAWING, wire_paths=[[0.5, 1]] + DRAWING["wire_paths"][1:]), ValidationError),
     ("scalar outer cycle", changed(DRAWING, outer_cycle=5), ValidationError),
     ("one-ended chord", changed(DRAWING, chords=[[1]]), ValidationError),
     ("text wire path", changed(DRAWING, wire_paths=[["a"]]), ValidationError),
@@ -77,6 +81,8 @@ SCHEME_ROWS = [
     ("text dart", changed(SCHEME, rotations=[[["x", 0]]] + SCHEME["rotations"][1:]), ValidationError),
     ("text signature", changed(SCHEME, signature=["x"] * len(SCHEME["signature"])), ValidationError),
     ("infinite signature", changed(SCHEME, signature=[float("inf")]), ValidationError),
+    ("fractional signature", changed(SCHEME, signature=[1.9] + SCHEME["signature"][1:]), ValidationError),
+    ("fractional dart", changed(SCHEME, rotations=[[[0.5, 0]]] + SCHEME["rotations"][1:]), ValidationError),
     ("scalar lines", changed(SCHEME, lines=5), ValidationError),
     # a well-formed document of an invalid map: make_scheme's own error
     ("disconnected", TWO_DIPOLES, DisconnectedScheme),
@@ -106,3 +112,20 @@ def test_make_scheme_errors_are_not_rewrapped():
 def test_valid_documents_load():
     assert drawing_to_json_dict(drawing_from_json_dict(DRAWING)) == DRAWING
     assert scheme_to_json_dict(scheme_from_json_dict(SCHEME)) == SCHEME
+
+
+def integer_strings(data):
+    """``data`` with every integer of its index fields written as a string."""
+    if isinstance(data, list):
+        return [integer_strings(x) for x in data]
+    return str(data) if isinstance(data, int) else data
+
+
+def test_integer_strings_load():
+    drawing = {
+        **DRAWING,
+        **{k: integer_strings(DRAWING[k]) for k in ("n", "outer_cycle", "chords", "wire_paths")},
+    }
+    assert drawing_from_json_dict(drawing) == drawing_from_json_dict(DRAWING)
+    scheme = {**SCHEME, **{k: integer_strings(SCHEME[k]) for k in ("rotations", "signature")}}
+    assert scheme_from_json_dict(scheme) == scheme_from_json_dict(SCHEME)

@@ -241,6 +241,24 @@ def test_is_equivalent_bounded_longer_chain():
     assert cur == b
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3.7, "moves": []}',
+        '{"n": 3, "moves": [[1.5, 2]]}',
+        '{"n": 3, "moves": [[1, 2]], "designated": [0.9]}',
+    ],
+)
+def test_sequence_json_refuses_fractional_numbers(text):
+    with pytest.raises(ValidationError, match="expected an integer"):
+        sequence_from_json(text)
+
+
+def test_sequence_json_takes_integer_strings():
+    text = '{"n": "3", "moves": [["1", "2"], [2, 2.0]], "designated": ["1"]}'
+    assert sequence_from_json(text) == make_sequence(3, [(1, 2), (2, 2)], [1])
+
+
 def test_json_roundtrip():
     rng = random.Random(31)
     for _ in range(20):

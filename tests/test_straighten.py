@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -47,6 +50,7 @@ from oracles import (
     random_allowable_sequence,
     random_laplacian_system,
     random_line_arrangement,
+    solve_by_dense_bareiss,
     solve_fraction_system,
     triangle,
     tutte_positions_by_fractions,
@@ -162,13 +166,51 @@ def test_random_euclidean_arrangements_straighten():
         check_straightening(diagram_from_lines(random_line_arrangement(rng, n)))
 
 
-def solve_over(matrix, rhs):
-    """The integer solver on a rational rhs: scale the rhs to integers
+def seeded_arrangement(n):
+    """The ``random_line_arrangement`` of n lines drawn with seed n."""
+    return diagram_from_lines(random_line_arrangement(random.Random(n), n))
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_large_euclidean_arrangements_straighten(n):
+    check_straightening(seeded_arrangement(n))
+
+
+def test_twenty_line_drawing_bytes_are_golden():
+    # digest recorded from the dense-elimination solver; any exact solve of
+    # the same Tutte systems gives the same bytes
+    text = json.dumps(drawing_to_json_dict(straighten(seeded_arrangement(20))), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7114a2e23a1be2d9bc2a28fbf03e11b9b6f9dba647fd84f152f04265cf0dd8c3"
+    )
+
+
+def sparse(matrix):
+    """The rows of a dense matrix as dicts of their nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def dense(rows):
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
+def solve_sparse(matrix, rhs):
+    return _solve_exact(sparse(matrix), rhs)
+
+
+def integer_rhs(rhs):
+    """A rational rhs as integers over the lcm of its denominators, and
+    that lcm."""
+    scale = math.lcm(*(x.denominator for row in rhs for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rhs], scale
+
+
+def solve_over(solve, matrix, rhs):
+    """An integer solver on a rational rhs: scale the rhs to integers
     over the lcm of its denominators, solve, and divide back.  The
     returned determinant must be positive."""
-    scale = math.lcm(*(x.denominator for row in rhs for x in row))
-    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in rhs]
-    nums, det = _solve_exact(matrix, rows)
+    rows, scale = integer_rhs(rhs)
+    nums, det = solve(matrix, rows)
     assert det > 0
     return [[Fraction(x, det * scale) for x in row] for row in nums]
 
@@ -177,7 +219,7 @@ def test_exact_solve_matches_fraction_oracle():
     rng = random.Random(1968)
     for _ in range(40):
         matrix, rhs = random_laplacian_system(rng, rng.randint(1, 12), rng.randint(1, 5))
-        assert solve_over(matrix, rhs) == solve_fraction_system(matrix, rhs)
+        assert solve_over(solve_sparse, matrix, rhs) == solve_fraction_system(matrix, rhs)
 
 
 def test_exact_solve_pivots_and_rejects_singular_systems():
@@ -191,10 +233,89 @@ def test_exact_solve_pivots_and_rejects_singular_systems():
             expected = solve_fraction_system(matrix, rhs)
         except ValueError:
             with pytest.raises(QuasilineError):
-                solve_over(matrix, rhs)
+                solve_over(solve_by_dense_bareiss, matrix, rhs)
             continue
-        assert solve_over(matrix, rhs) == expected
+        assert solve_over(solve_by_dense_bareiss, matrix, rhs) == expected
         solved += 1
+
+
+def test_sparse_solve_matches_dense_oracle_on_random_laplacians():
+    """Tutte systems of random connected graphs with 1 to 60 interior
+    vertices: the minimum-degree elimination returns exactly the dense
+    Bareiss (nums, det)."""
+    rng = random.Random(1981)
+    for m in list(range(1, 13)) + [rng.randint(13, 60) for _ in range(28)]:
+        matrix, rhs = random_laplacian_system(rng, m, rng.randint(1, 8))
+        rows, _ = integer_rhs(rhs)
+        assert solve_sparse(matrix, rows) == solve_by_dense_bareiss(matrix, rows)
+
+
+def test_sparse_solve_matches_dense_oracle_on_tutte_systems(monkeypatch):
+    """Every system straighten solves for seeded 5- to 14-line
+    arrangements: the same (nums, det) as the dense Bareiss oracle."""
+    module = importlib.import_module("quasiline.wiring.straighten")
+    systems = []
+
+    def recorded(rows, rhs):
+        result = _solve_exact(rows, rhs)
+        systems.append((dense(rows), rhs, result))
+        return result
+
+    monkeypatch.setattr(module, "_solve_exact", recorded)
+    for n in range(5, 15):
+        straighten(seeded_arrangement(n))
+    assert len(systems) >= 10 and max(len(matrix) for matrix, _, _ in systems) > 100
+    for matrix, rhs, result in systems:
+        assert result == solve_by_dense_bareiss(matrix, rhs)
+
+
+def singular_laplacians():
+    """Random Tutte systems with one more interior component that has no
+    pinned neighbour, its rows shuffled in among the others."""
+    rng = random.Random(1967)
+    for _ in range(30):
+        matrix, rhs = random_laplacian_system(rng, rng.randint(1, 20), rng.randint(1, 5))
+        loose, _ = random_laplacian_system(rng, rng.randint(2, 8), 0)
+        m, r = len(matrix), len(loose)
+        block = [row + [0] * r for row in matrix] + [[0] * m + row for row in loose]
+        rows = integer_rhs(rhs)[0] + [[0, 0]] * r
+        order = rng.sample(range(m + r), m + r)
+        yield [[block[i][j] for j in order] for i in order], [rows[i] for i in order]
+
+
+def test_sparse_solve_rejects_singular_and_indefinite_systems():
+    for matrix, rhs in singular_laplacians():
+        with pytest.raises(QuasilineError, match="singular barycentric system"):
+            solve_sparse(matrix, rhs)
+    # an interior component with no pinned neighbour, through _tutte_positions
+    adjacency = {"a": ["b"], "b": ["a"], "c": ["x"], "x": ["c"]}
+    with pytest.raises(QuasilineError, match="singular barycentric system"):
+        _tutte_positions(adjacency, {"x": (1, 2)}, ["a", "b", "c"])
+    for matrix in ([[0, 1], [1, 0]], [[-1]], [[1, 2], [2, 1]], [[2, -1], [0, 2]]):
+        with pytest.raises(QuasilineError):
+            solve_sparse(matrix, [[1, 1]] * len(matrix))
+
+
+def test_sparse_solve_on_general_matrices_solves_or_raises_typed_errors():
+    """The matrices of the pivoting test, and more: the library solver
+    either returns the oracle's solution or raises QuasilineError, never
+    another exception."""
+    rng = random.Random(1964)
+    outcomes = set()
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        matrix = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(m)] for _ in range(m)]
+        if rng.random() < 0.5:
+            matrix = [[matrix[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+        rhs = [[rng.randint(-9, 9)] for _ in range(m)]
+        try:
+            result = solve_sparse(matrix, rhs)
+        except QuasilineError:
+            outcomes.add(False)
+            continue
+        assert result == solve_by_dense_bareiss(matrix, rhs)
+        outcomes.add(True)
+    assert outcomes == {True, False}
 
 
 def test_strictly_convex_polygon_check():

@@ -1,6 +1,7 @@
 """Property tests: digon-free Euclidean line arrangements drawn by
-Hypothesis straighten, pass the pairwise segment and chord-line oracles,
-and their drawings round trip through JSON exactly."""
+Hypothesis, of 5 to 9 and of 15 to 25 lines, straighten, pass the
+pairwise segment and chord-line oracles, and their drawings round trip
+through JSON exactly."""
 
 import json
 from math import gcd
@@ -31,11 +32,11 @@ def projective_key(line):
 
 
 @st.composite
-def line_arrangements(draw):
-    """5 to 9 distinct integer lines a x + b y = c, not all through one
-    (possibly infinite) point: a projective line arrangement of at least
-    three lines not all concurrent has no digon."""
-    n = draw(st.integers(5, 9))
+def line_arrangements(draw, least=5, most=9):
+    """``least`` to ``most`` distinct integer lines a x + b y = c, not all
+    through one (possibly infinite) point: a projective line arrangement
+    of at least three lines not all concurrent has no digon."""
+    n = draw(st.integers(least, most))
     lines = draw(st.lists(
         st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS).filter(lambda l: l[0] or l[1]),
         min_size=n, max_size=n, unique_by=projective_key,
@@ -60,3 +61,9 @@ def test_drawing_json_roundtrip(lines):
     back = drawing_from_json_dict(json.loads(text))
     assert back == drawing
     assert json.dumps(drawing_to_json_dict(back)) == text
+
+
+@settings(PROPERTY, max_examples=5)
+@given(line_arrangements(15, 25))
+def test_large_euclidean_arrangements_straighten(lines):
+    check_straightening(diagram_from_lines(lines))

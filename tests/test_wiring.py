@@ -12,7 +12,7 @@ from quasiline import (
     sequence_to_json_dict,
 )
 from quasiline.errors import NotGeneralized, ValidationError
-from quasiline.sequences import pair_counts
+from quasiline.sequences import Move, pair_counts
 from quasiline.wiring import (
     AbstractArrangement,
     GeneralizedWiringDiagram,
@@ -29,6 +29,7 @@ from quasiline.wiring import (
     topological_sweep,
     trace_faces_disk,
 )
+from quasiline.wiring.diagram import MAX_WIRES
 
 from oracles import (
     as_diagram,
@@ -77,6 +78,24 @@ def test_diagram_requires_odd_crossings():
         GeneralizedWiringDiagram(2, ())
     with pytest.raises(NotGeneralized):
         as_diagram(make_sequence(3, [(1, 2)]))
+
+
+def test_wire_count_is_bounded_before_any_table():
+    # one full reversal crosses every pair once, so only the bound refuses
+    assert GeneralizedWiringDiagram(MAX_WIRES, (Move(1, MAX_WIRES),)).permutations[-1][0] == MAX_WIRES
+    for n in (MAX_WIRES + 1, 10**19):
+        with pytest.raises(ValidationError, match="at most"):
+            GeneralizedWiringDiagram(n, (Move(1, n),))
+    # too few crossings is still reported as such, whatever n is
+    with pytest.raises(NotGeneralized):
+        GeneralizedWiringDiagram(10**19, (Move(1, 2),))
+
+
+def test_diagram_json_refuses_fractional_numbers():
+    data = diagram_to_json_dict(as_diagram(make_sequence(3, [(1, 2), (2, 2), (1, 2)])))
+    for changed in ({"n": 3.5}, {"events": [[1.5, 2, None]] + data["events"][1:]}):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            diagram_from_json_dict({**data, **changed})
 
 
 def test_triangle_diagram_three_crossings():
