@@ -20,10 +20,16 @@ builds, once, the table of the next state of every state, and the face
 walks follow it.
 
 The canonical encoding is the least of the encodings from every start
-dart in both senses.  It numbers darts as ints 2e+end, starts only at
+dart in both senses.  It names darts as ints 2e+end, starts only at
 vertices of least degree, and abandons a candidate as soon as a final
 prefix of it exceeds the best so far, so most candidates stop after a
 few entries; the result is the same as encoding every candidate in full.
+Dart numbers are lazy: a discovered vertex keeps the first number of its
+darts, its gauge and the position of its entry dart, so any dart's
+number takes O(1), and a vertex's darts in number order are one slice of
+its doubled (or reversed doubled) rotation.  One pass over the darts
+emits every code in one step each; a dart whose partner's vertex is
+undiscovered discovers that vertex and emits its code in the same step.
 """
 
 from __future__ import annotations
@@ -207,23 +213,34 @@ class RotationMap:
         entry is the start's degree, so only darts at vertices of least
         degree can win.  Each candidate is compared with the best so far
         while it is built, and abandoned once it is known to be greater.
+
+        Every candidate reads tables built once here: each vertex's
+        rotation doubled as listed (its ring in gauge 1) and reversed
+        (its ring in gauge -1), so that its darts in either gauge from
+        any entry are one slice; per dart, its edge's sign, and its
+        partner's vertex and positions in both rings of that vertex.
         """
         rots = [
             [2 * e + end for e, end in self.rotations.get(v, ())]
             for v in self.vertices
         ]
-        vertex_of = [0] * (2 * len(self.edges))
-        position = [0] * (2 * len(self.edges))
+        degree = [len(rot) for rot in rots]
+        if self.edges and 0 in degree:
+            raise ValidationError("canonical encoding requires a connected map")
+        far = [0] * (2 * len(self.edges))
+        ccw, cw = far[:], far[:]
         for v, rot in enumerate(rots):
             for k, d in enumerate(rot):
-                vertex_of[d] = v
-                position[d] = k
-        count: dict[int, int] = {}
-        for rot in rots:
-            if rot:
-                count[len(rot)] = count.get(len(rot), 0) + 1
-        tables = (rots, vertex_of, position, count)
-        low = min(count, default=0)
+                far[d ^ 1], ccw[d ^ 1], cw[d ^ 1] = v, k, len(rot) - 1 - k
+        count = [0] * (max(degree, default=0) + 1)
+        for deg in degree:
+            count[deg] += 1
+        sign = [s for s in self.signature for _ in (0, 1)]
+        rings = (None, [rot * 2 for rot in rots], [rot[::-1] * 2 for rot in rots])
+        base, anchor = [0] * len(rots), [0] * len(rots)
+        kinds = sum(map(bool, count))  # distinct degrees of undiscovered vertices
+        tables = (far, sign, degree, rings, (None, ccw, cw), base, anchor, count, kinds)
+        low = min(degree, default=0)
         best = None
         for rot in rots:
             if len(rot) == low:
@@ -234,68 +251,74 @@ class RotationMap:
             raise ValidationError("canonical encoding requires an edge")
         return tuple(best[0] + best[1])
 
-    def _encode(self, tables, start: int, reflect: int, best):
+    @staticmethod
+    def _encode(tables, start: int, reflect: int, best):
         """The (degrees, codes) encoding from dart ``start`` in sense
         ``reflect`` if it is less than ``best``, else None.
 
-        Degree q is final once its vertex is discovered, and the code of
-        dart p once the cursor has processed p.  The candidate is
-        abandoned as soon as its degree prefix is greater than the
-        best's, or its code prefix is greater while the degree parts are
-        known to tie: equal prefixes, and one degree shared by every
-        undiscovered vertex.
+        Dart numbers are lazy.  A vertex u discovered when n darts are
+        numbered owns the numbers from ``base[u]`` = n on, in the order
+        of its ring in gauge ``gauge[u]`` from its entry dart, at position
+        ``anchor[u]`` of that ring; its dart at position p of the ring has
+        number base[u] + (p - anchor[u]) mod deg(u).  One pass walks the
+        darts in number order and emits the code of each: a dart whose
+        partner's vertex u is undiscovered discovers u, entered by the
+        partner, and so codes 2·base[u].
+
+        Degree q is final once its vertex is discovered, and a code once
+        it is emitted.  The candidate is abandoned as soon as its degree
+        prefix is greater than the best's, or its code prefix is greater
+        while the degree parts are known to tie (``tie``): equal
+        prefixes, and one degree shared by every undiscovered vertex.
         """
-        rots, vertex_of, position, undiscovered = tables
-        undiscovered = undiscovered.copy()
-        kinds = len(undiscovered)
-        signature = self.signature
-        gauge = [0] * len(rots)
-        number = [0] * len(vertex_of)
-        order: list[int] = []
-        degrees: list[int] = []
-        codes: list[int] = []
+        far, sign, degree, rings, place, base, anchor, undiscovered, kinds = tables
+        undiscovered = undiscovered[:]
+        gauge = [0] * len(degree)
         best_degrees, best_codes = best or ((), ())
         smaller = best is None
-        checked = 0
-        cursor = 0
-        v, entry, g = vertex_of[start], start, reflect
-        while True:
-            gauge[v] = g
-            rot = rots[v]
-            deg = len(rot)
-            i = position[entry]
-            for k in range(deg):
-                d = rot[(i + g * k) % deg]
-                number[d] = len(order)
-                order.append(d)
-            undiscovered[deg] -= 1
-            if not undiscovered[deg]:
-                kinds -= 1
-            if not smaller and deg != best_degrees[len(degrees)]:
-                if deg > best_degrees[len(degrees)]:
-                    return None
-                smaller = True
-            degrees.append(deg)
-            while cursor < len(order):
-                d = order[cursor]
-                r = d ^ 1
-                u = vertex_of[r]
-                s = gauge[vertex_of[d]] * signature[d >> 1]
-                if not gauge[u]:
-                    break
-                codes.append(2 * number[r] + (s != gauge[u]))
-                cursor += 1
-                if not smaller and kinds <= 1:
-                    while checked < cursor:
-                        if codes[checked] != best_codes[checked]:
-                            if codes[checked] > best_codes[checked]:
+        v = far[start ^ 1]
+        n = degree[v]  # the least degree, so it ties with best_degrees[0]
+        gauge[v], base[v], anchor[v] = reflect, 0, place[reflect][start ^ 1]
+        undiscovered[n] -= 1
+        if not undiscovered[n]:
+            kinds -= 1
+        tie = not smaller and kinds <= 1
+        codes: list[int] = []
+        found = [v]
+        for v in found:
+            g, a = gauge[v], anchor[v]
+            for d in rings[g][v][a : a + degree[v]]:
+                u = far[d]
+                s = g * sign[d]
+                q = gauge[u]
+                if q:
+                    c = 2 * (base[u] + (place[q][d] - anchor[u]) % degree[u]) + (s != q)
+                else:
+                    gauge[u], base[u], anchor[u] = s, n, place[s][d]
+                    found.append(u)
+                    c = 2 * n
+                    q = degree[u]
+                    n += q
+                    if kinds > 1:  # the counts matter until one degree is left
+                        undiscovered[q] -= 1
+                        if not undiscovered[q]:
+                            kinds -= 1
+                    if not smaller:
+                        if q != best_degrees[len(found) - 1]:
+                            if q > best_degrees[len(found) - 1]:
                                 return None
-                            smaller = True
-                            break
-                        checked += 1
-            else:
-                break
-            v, entry, g = u, r, s
-        if len(order) != len(vertex_of):
+                            smaller, tie = True, False
+                        elif kinds <= 1 and not tie:
+                            prefix = best_codes[: len(codes)]
+                            if codes > prefix:
+                                return None
+                            smaller = codes < prefix
+                            tie = not smaller
+                if tie and c != best_codes[len(codes)]:
+                    if c > best_codes[len(codes)]:
+                        return None
+                    smaller, tie = True, False
+                codes.append(c)
+        if n != len(far):
             raise ValidationError("canonical encoding requires a connected map")
-        return (degrees, codes) if smaller else None
+        return ([degree[v] for v in found], codes) if smaller else None

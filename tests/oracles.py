@@ -1321,74 +1321,64 @@ def degree4_schemes():
 # -- brute-force scheme isomorphism -------------------------------------------
 
 
-def _scheme_tables(s: EmbeddingScheme):
-    rm = s.rotmap
-    return rm, {v: rm.rotations[v] for v in rm.vertices}
-
-
 def schemes_isomorphic_bruteforce(s1: EmbeddingScheme, s2: EmbeddingScheme) -> bool:
     """Exhaustive search for a relabelling-plus-regauging isomorphism.
 
-    Tries every degree-compatible vertex bijection, every gauge vector,
-    and every per-vertex rotation offset, propagating the induced dart
-    bijection and checking edges and signatures.  Exponential; intended
-    for tiny schemes only.
+    Extends an assignment vertex by vertex, in breadth-first order: each
+    vertex of ``s1`` gets an unused image of the same degree, a gauge and
+    a rotation offset, which map its rotation onto the image's.  Every
+    edge is checked as soon as both of its ends are assigned: its two
+    darts must land on one edge, whose signature is the edge's times the
+    gauges of its ends.  Only assignments that a checked edge rules out
+    are skipped, so the search is exhaustive.  Exponential; intended for
+    tiny schemes only.
     """
-    rm1, rot1 = _scheme_tables(s1)
-    rm2, rot2 = _scheme_tables(s2)
-    v1, v2 = list(rm1.vertices), list(rm2.vertices)
-    if len(v1) != len(v2) or len(rm1.edges) != len(rm2.edges):
+    rm1, rm2 = s1.rotmap, s2.rotmap
+    if len(rm1.vertices) != len(rm2.vertices) or len(rm1.edges) != len(rm2.edges):
         return False
-    if sorted(rm1.degree(v) for v in v1) != sorted(rm2.degree(v) for v in v2):
+    if sorted(map(rm1.degree, rm1.vertices)) != sorted(map(rm2.degree, rm2.vertices)):
+        return False
+    order = []
+    for root in rm1.vertices:
+        queue = [root]
+        for v in queue:
+            if v not in order:
+                order.append(v)
+                queue.extend(rm1.attach(rm1.rev(d)) for d in rm1.rotations[v])
+    rank = {v: i for i, v in enumerate(order)}
+    closing = {v: [] for v in order}  # the edges whose later end is v
+    for e, ends in enumerate(rm1.edges):
+        closing[max(ends, key=rank.__getitem__)].append(e)
+    gauge, dart_map, used = {}, {}, set()
+
+    def edge_holds(e):
+        # the dart map is one to one, so darts on one edge are its two ends
+        (f, _), (f1, _) = dart_map[(e, 0)], dart_map[(e, 1)]
+        a, b = rm1.edges[e]
+        return f == f1 and rm2.signature[f] == gauge[a] * gauge[b] * rm1.signature[e]
+
+    def extend(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        r1 = rm1.rotations[v]
+        k = len(r1)
+        for w in rm2.vertices:
+            if w in used or rm2.degree(w) != k:
+                continue
+            r2 = rm2.rotations[w]
+            used.add(w)
+            for g in (1, -1):
+                gauge[v] = g
+                for off in range(k):
+                    for j, d in enumerate(r1):
+                        dart_map[d] = r2[(off + g * j) % k]
+                    if all(map(edge_holds, closing[v])) and extend(i + 1):
+                        return True
+            used.discard(w)
         return False
 
-    def try_assignment(phi, gauges):
-        # dart mapping from per-vertex rotation alignment offsets
-        for offsets in itertools.product(
-            *[range(rm1.degree(v)) for v in v1]
-        ):
-            dart_map = {}
-            ok = True
-            for v, off in zip(v1, offsets):
-                r1 = rot1[v]
-                r2 = rot2[phi[v]]
-                k = len(r1)
-                g = gauges[v]
-                for i in range(k):
-                    src = r1[i]
-                    dst = r2[(off + g * i) % k]
-                    dart_map[src] = dst
-            for e, (a, b) in enumerate(rm1.edges):
-                d0, d1 = (e, 0), (e, 1)
-                m0, m1 = dart_map[d0], dart_map[d1]
-                if m0[0] != m1[0] or m0[1] == m1[1]:
-                    ok = False
-                    break
-                e2 = m0[0]
-                gu = gauges[rm1.attach(d0)]
-                gv = gauges[rm1.attach(d1)]
-                expected = gu * gv * rm1.signature[e]
-                if rm2.signature[e2] != expected:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    degree_classes = {}
-    for v in v2:
-        degree_classes.setdefault(rm2.degree(v), []).append(v)
-    candidates = {v: degree_classes.get(rm1.degree(v), []) for v in v1}
-
-    for images in itertools.permutations(v2):
-        phi = dict(zip(v1, images))
-        if any(rm1.degree(v) != rm2.degree(phi[v]) for v in v1):
-            continue
-        for bits in itertools.product((1, -1), repeat=len(v1)):
-            gauges = dict(zip(v1, bits))
-            if try_assignment(phi, gauges):
-                return True
-    return False
+    return extend(0)
 
 
 def random_scheme_transform(rng: random.Random, s: EmbeddingScheme) -> EmbeddingScheme:

@@ -18,10 +18,14 @@ from quasiline import (
 from quasiline.errors import DisconnectedScheme, ValidationError, WireWithoutPoint
 from quasiline.rotmaps import RotationMap
 from quasiline.wiring import (
+    apply_triangle_move,
     arrangement_map,
     diagram_from_lines,
     diagram_from_realization,
     insert_digon,
+    removable_digons,
+    remove_digon,
+    triangle_moves,
 )
 
 from oracles import (
@@ -31,6 +35,7 @@ from oracles import (
     PAPPUS_POINTS,
     arrangement_map_by_scan,
     canonical_encoding_by_full_search,
+    cyclic,
     degree4_schemes,
     face_orbits_by_tuples,
     faces_by_tuples,
@@ -209,8 +214,39 @@ def test_canonical_encoding_matches_full_search_oracle():
     assert irregular >= 20
 
 
+def test_canonical_encoding_matches_full_search_on_move_walks():
+    """The 6-regular maps of seeded admissible move walks from the
+    realizations of cyclic (8_3)-(11_3), and random relabellings,
+    regaugings and reflections of each."""
+    rng = random.Random(109)
+    for n in range(8, 12):
+        d, _ = realization_scheme(cyclic(n))
+        events = d.event_count
+        for _ in range(5):
+            digons = sorted(removable_digons(d))
+            triangles = sorted(triangle_moves(d))
+            kinds = ["insert" if d.event_count <= events or not digons else "remove"]
+            kinds += ["triangle"] * bool(triangles)
+            kind = rng.choice(kinds)
+            if kind == "triangle":
+                d = apply_triangle_move(d, rng.choice(triangles))
+            elif kind == "remove":
+                d = remove_digon(d, rng.choice(digons)[0])
+            else:
+                at = rng.randrange(d.event_count + 1)
+                perm = d.permutation_before(at)
+                track = rng.randrange(1, d.n)
+                d = insert_digon(d, (perm[track - 1], perm[track]), at)
+            s = scheme_from_realization(d)
+            maps = [s.rotmap] + [random_scheme_transform(rng, s).rotmap for _ in range(2)]
+            for rm in maps:
+                assert {rm.degree(v) for v in rm.vertices} == {6}
+                assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
+
+
 def test_canonical_encoding_rejects_disconnected_maps():
-    # a degree-2 component and a degree-4 component, and no edge at all
+    # a degree-2 component and a degree-4 component, no edge at all, and
+    # two loops beside a vertex without darts
     edges = (("a", "b"),) * 2 + (("c", "d"),) * 4
     rotations = {
         "a": ((0, 0), (1, 0)),
@@ -221,6 +257,7 @@ def test_canonical_encoding_rejects_disconnected_maps():
     for rm in (
         RotationMap(tuple("abcd"), edges, rotations, (1,) * 6),
         RotationMap(("a",), (), {"a": ()}, ()),
+        RotationMap((0, 1), ((0, 0), (0, 0)), {0: ((0, 0), (1, 0), (0, 1), (1, 1))}, (1, 1)),
     ):
         with pytest.raises(ValidationError):
             rm.canonical_encoding()
