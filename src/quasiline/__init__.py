@@ -32,9 +32,9 @@ from .sequences import (
     Move,
     PermSequence,
     SequenceClass,
+    are_swap_equivalent,
     classify,
     elementary_swap,
-    is_equivalent_bounded,
     make_sequence,
     move_elements,
     move_window_content,

@@ -85,10 +85,6 @@ class NotTwoConnected(QuasilineError):
     """Internal invariant violation: the crossing graph must be 2-connected."""
 
 
-class UnresolvableChart(QuasilineError):
-    """All candidate projective charts were exhausted."""
-
-
 class ParseError(QuasilineError):
     """Malformed input file."""
 

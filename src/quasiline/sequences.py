@@ -11,7 +11,9 @@ derived once per sequence and cached.
 
 A move that carries a point label is *designated*: it is the reversal at
 a point of an incidence structure.  Labels travel with their moves under
-elementary interchanges.  A generalized wiring diagram
+elementary interchanges, which trade adjacent moves with disjoint
+windows; :func:`are_swap_equivalent` decides exactly whether a chain of
+them leads from one sequence to another.  A generalized wiring diagram
 (:mod:`quasiline.wiring.diagram`) is a generalized allowable sequence
 whose designated moves carry their labels: the same type, with one more
 condition.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -245,58 +247,36 @@ def elementary_swap(seq: PermSequence, i: int) -> PermSequence:
     return PermSequence(seq.n, tuple(moves))
 
 
-def _swap_invariant(seq: PermSequence) -> Counter:
-    # Multiset of (element set, designated?) pairs; preserved by swaps.
-    return Counter(
-        (frozenset(window), move.point is not None)
-        for window, move in zip(seq.window_wires_table, seq.moves)
-    )
+def are_swap_equivalent(seq1: PermSequence, seq2: PermSequence) -> Optional[list[int]]:
+    """A shortest chain of elementary swaps from seq1 to seq2, or None
+    when there is none.
 
-
-def is_equivalent_bounded(
-    seq1: PermSequence, seq2: PermSequence, budget: int
-) -> Optional[list[int]]:
-    """Breadth-first search for a chain of elementary swaps from seq1 to seq2.
-
-    Returns the list of swap indices when found within ``budget`` node
-    expansions; None means "not found within budget", not a disproof.
-    Sequences whose swap invariants differ are refuted immediately.
+    A move is compared as its letter (start, length, designated?), and
+    two moves may trade places exactly when their windows are disjoint,
+    a property of the letters alone.  So equivalence is equality in a
+    trace monoid (Cartier & Foata, 1969), decided by one greedy scan: for
+    each position i of seq2, the first remaining move of seq1 with that
+    letter must be disjoint from every move it passes on its way to i.
+    Moves with equal letters never trade places, so no other occurrence
+    can serve; each swap removes one inversion, so the chain is shortest.
+    O(moves²) time.
     """
     if seq1.n != seq2.n or len(seq1.moves) != len(seq2.moves):
         return None
-    if _swap_invariant(seq1) != _swap_invariant(seq2):
-        return None
 
-    def key(s: PermSequence):
+    def letter(m: Move):
         # designation flags, not labels, distinguish the moves
-        return tuple((m.start, m.length, m.point is not None) for m in s.moves)
+        return (m.start, m.length, m.point is not None)
 
-    start, key2 = key(seq1), key(seq2)
-    if start == key2:
-        return []
-    parent: dict[tuple, tuple[tuple, int]] = {start: (start, 0)}
-    queue = deque([seq1])
-    expansions = 0
-    while queue and expansions < budget:
-        current = queue.popleft()
-        expansions += 1
-        for i in range(1, len(current.moves)):
-            if not current.moves[i - 1].disjoint_from(current.moves[i]):
-                continue
-            nxt = elementary_swap(current, i)
-            k = key(nxt)
-            if k in parent:
-                continue
-            parent[k] = (key(current), i)
-            if k == key2:
-                chain: list[int] = []
-                while k != start:
-                    k, idx = parent[k]
-                    chain.append(idx)
-                chain.reverse()
-                return chain
-            queue.append(nxt)
-    return None
+    moves = list(seq1.moves)
+    chain: list[int] = []
+    for i, target in enumerate(seq2.moves):
+        j = next((j for j in range(i, len(moves)) if letter(moves[j]) == letter(target)), None)
+        if j is None or not all(moves[j].disjoint_from(m) for m in moves[i:j]):
+            return None
+        moves.insert(i, moves.pop(j))
+        chain.extend(range(j, i, -1))
+    return chain
 
 
 def sequence_to_json_dict(seq: PermSequence) -> dict:

@@ -240,9 +240,12 @@ def scheme_from_json_dict(data: dict) -> EmbeddingScheme:
         vertices = [str(v) for v in data["vertices"]]
         vertex_at = dict(enumerate(vertices))
         edges = [(vertex_at[u], vertex_at[v]) for u, v in data["edges"]]
+        rows = data["rotations"]
+        if len(rows) != len(vertices):
+            raise ValueError(f"{len(rows)} rotation rows for {len(vertices)} vertex ids")
         rotations = {
-            vertices[i]: tuple((_as_int(e), _as_int(end)) for e, end in rot)
-            for i, rot in enumerate(data["rotations"])
+            v: tuple((_as_int(e), _as_int(end)) for e, end in rot)
+            for v, rot in zip(vertices, rows)
         }
         signature = [_as_int(s) for s in data["signature"]]
         lines = list(data.get("lines") or [None] * len(edges))

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
-from ..errors import DuplicateLine, UnresolvableChart, ValidationError
+from ..errors import DuplicateLine, ValidationError
 from ..sequences import Move
 from .diagram import GeneralizedWiringDiagram
 
@@ -88,8 +88,9 @@ def _dot(p: Sequence, q: Sequence):
 
 
 def _chart_candidates():
+    """Charts (p, q, 1) in squares of growing radius about (0, 0)."""
     yield (0, 0, 1)
-    for radius in range(1, 8):
+    for radius in itertools.count(1):
         for p in range(-radius, radius + 1):
             for q in range(-radius, radius + 1):
                 if max(abs(p), abs(q)) == radius:
@@ -99,7 +100,7 @@ def _chart_candidates():
 def _shear_candidates():
     """Shears x -> x + (r/s)·y as pairs (r, s) with s > 0."""
     yield (0, 1)
-    for k in range(1, 40):
+    for k in itertools.count(1):
         yield (k, 1)
         yield (-k, 1)
         yield (1, k + 1)
@@ -116,9 +117,14 @@ def diagram_from_lines(
     ``points`` selects intersection points (in the input chart) that
     become designated events, labelled P1, P2, ... unless
     ``point_labels`` says otherwise.  Raises ``DuplicateLine`` for
-    coincident lines and ``UnresolvableChart`` when no candidate chart
-    separates the data (which, over the finite candidate lists used,
-    should never happen for valid input).
+    coincident lines.
+
+    Both candidate searches are unbounded and always end.  A crossing m
+    rules out the charts (p, q) on the line p·m₀ + q·m₁ + m₂ = 0, or
+    none, and finitely many lines cannot cover the boundary of every
+    square.  A line rules out the one shear ratio r/s that would make it
+    vertical, a pair of crossings the one that would give them one
+    abscissa, and the candidate ratios are all distinct.
     """
     covectors = []
     seen: set[tuple[int, int, int]] = set()
@@ -145,9 +151,7 @@ def diagram_from_lines(
         m = _primitive(_cross(covectors[i], covectors[j]))
         lines_at.setdefault(m, set()).update((i, j))
 
-    chart = next((w for w in _chart_candidates() if all(_dot(w, m) for m in lines_at)), None)
-    if chart is None:
-        raise UnresolvableChart("no candidate chart separates the intersections")
+    chart = next(w for w in _chart_candidates() if all(_dot(w, m) for m in lines_at))
     p, q, _ = chart
     normals = [(l0 - p * l2, l1 - q * l2) for l0, l1, l2 in covectors]
 
@@ -157,8 +161,6 @@ def diagram_from_lines(
         abscissa = {m: Fraction(s * m[0] + r * m[1], s * _dot(chart, m)) for m in lines_at}
         if len(set(abscissa.values())) == len(abscissa):
             break
-    else:
-        raise UnresolvableChart("no candidate shear separates crossing abscissae")
 
     label_of: dict[tuple[int, int, int], Hashable] = {}
     for label, m in zip(point_labels, selected):

@@ -10,7 +10,8 @@ drawings by a pairwise segment audit, chord lines by intersecting every
 pair and testing the point against the polygon, linear systems by
 Gauss-Jordan elimination over ``Fraction`` and by dense Bareiss
 elimination with a pivot search, move sites by scanning every
-later event or index triple, canonical encodings by encoding from every
+later event or index triple, swap equivalence by breadth-first
+search over elementary swaps, canonical encodings by encoding from every
 dart to the end, realization plans by measuring every insertion slot
 with a pairwise Kendall tau, Levi adjacency by testing every point-line
 pair, Euclidean sweeps by a general projective chart matrix and its
@@ -23,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import Counter, deque
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,6 +36,7 @@ from quasiline import (
     Realization,
     RealizationPlan,
     build,
+    elementary_swap,
     make_sequence,
 )
 from quasiline.errors import (
@@ -42,7 +45,6 @@ from quasiline.errors import (
     NoSuchFace,
     NotAdmissible,
     QuasilineError,
-    UnresolvableChart,
     ValidationError,
     WireWithoutPoint,
 )
@@ -106,6 +108,15 @@ PAPPUS_POINTS = [
 ]
 
 PAPPUS_LABELS = ["A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3"]
+
+# Sixteen lines whose crossings no chart (p, q, 1) with |p|, |q| <= 7
+# misses: the x-axis crosses the line of slope s through (-1/k, 0) on
+# every chart with p = k, for k = ±1..±7, and the line y = 1 at infinity,
+# on every chart with p = 0.  The first chart that misses every crossing
+# is (-8, -8, 1), the 226th candidate.
+WIDE_CHART_LINES = [(0, 1, 0), (0, 1, 1)] + [
+    (s, -1, -Fraction(s, k)) for s, k in zip(range(2, 16), [*range(-7, 0), *range(1, 8)])
+]
 
 
 def triple_structure(lines, prefix="L"):
@@ -802,6 +813,58 @@ def move_window_content_by_replay(seq: PermSequence, i: int) -> tuple[int, ...]:
     return tuple(perm[j] for j in seq.moves[i - 1].window())
 
 
+def _swap_invariant(seq: PermSequence) -> Counter:
+    # Multiset of (element set, designated?) pairs; preserved by swaps.
+    return Counter(
+        (frozenset(window), move.point is not None)
+        for window, move in zip(seq.window_wires_table, seq.moves)
+    )
+
+
+def swap_chain_by_bfs(seq1: PermSequence, seq2: PermSequence, budget: int):
+    """Breadth-first search for a chain of elementary swaps from seq1 to seq2.
+
+    Returns the list of swap indices when found within ``budget`` node
+    expansions; None means "not found within budget", not a disproof.
+    Sequences whose swap invariants differ are refuted immediately.
+    """
+    if seq1.n != seq2.n or len(seq1.moves) != len(seq2.moves):
+        return None
+    if _swap_invariant(seq1) != _swap_invariant(seq2):
+        return None
+
+    def key(s: PermSequence):
+        # designation flags, not labels, distinguish the moves
+        return tuple((m.start, m.length, m.point is not None) for m in s.moves)
+
+    start, key2 = key(seq1), key(seq2)
+    if start == key2:
+        return []
+    parent: dict[tuple, tuple[tuple, int]] = {start: (start, 0)}
+    queue = deque([seq1])
+    expansions = 0
+    while queue and expansions < budget:
+        current = queue.popleft()
+        expansions += 1
+        for i in range(1, len(current.moves)):
+            if not current.moves[i - 1].disjoint_from(current.moves[i]):
+                continue
+            nxt = elementary_swap(current, i)
+            k = key(nxt)
+            if k in parent:
+                continue
+            parent[k] = (key(current), i)
+            if k == key2:
+                chain: list[int] = []
+                while k != start:
+                    k, idx = parent[k]
+                    chain.append(idx)
+                chain.reverse()
+                return chain
+            queue.append(nxt)
+    return None
+
+
 # -- realization oracle -------------------------------------------------------
 
 
@@ -956,16 +1019,12 @@ def diagram_from_lines_by_fractions(lines, points=(), point_labels=None):
         for i, j in itertools.combinations(range(n), 2)
     ]
 
-    chart = None
-    for w in _chart_candidates():
-        if any(_dot(w, p) == 0 for p in meets):
-            continue
-        if any(_cross(w, l) == (0, 0, 0) for l in covectors):
-            continue
-        chart = w
-        break
-    if chart is None:
-        raise UnresolvableChart("no candidate chart separates the intersections")
+    chart = next(
+        w
+        for w in _chart_candidates()
+        if all(_dot(w, p) != 0 for p in meets)
+        and all(_cross(w, l) != (0, 0, 0) for l in covectors)
+    )
 
     basis = None
     for r1, r2 in itertools.combinations(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2):
@@ -1005,19 +1064,14 @@ def diagram_from_lines_by_fractions(lines, points=(), point_labels=None):
         y = (a1 * c2 - a2 * c1) / det
         crossing_at.setdefault((x, y), set()).update((i, j))
 
-    shear = None
     positions = list(crossing_at)
     for r, s in _shear_candidates():
-        t = Fraction(r, s)
-        if any(b - a * t == 0 for a, b, _ in abc):
+        shear = Fraction(r, s)
+        if any(b - a * shear == 0 for a, b, _ in abc):
             continue
-        xs = [x + t * y for x, y in positions]
-        if len(set(xs)) != len(xs):
-            continue
-        shear = t
-        break
-    if shear is None:
-        raise UnresolvableChart("no candidate shear separates crossing abscissae")
+        xs = [x + shear * y for x, y in positions]
+        if len(set(xs)) == len(xs):
+            break
 
     def sheared(p):
         return (p[0] + shear * p[1], p[1])

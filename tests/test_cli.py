@@ -14,6 +14,7 @@ from oracles import (
     PAPPUS_LABELS,
     PAPPUS_POINTS,
     FANO_LINES,
+    WIDE_CHART_LINES,
 )
 
 FANO_TEXT = "".join(" ".join(line) + "\n" for line in FANO_LINES)
@@ -112,6 +113,15 @@ def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):
     assert main(["wiring", str(path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("wiring: ") and "Traceback" not in err
+
+
+def test_wiring_beyond_the_first_charts_exits_0(workdir, capsys):
+    # no chart (p, q, 1) with |p|, |q| <= 7 separates these crossings
+    path = workdir / "wide.euclid.json"
+    path.write_text(json.dumps({"lines": [[str(x) for x in row] for row in WIDE_CHART_LINES]}))
+    assert main(["wiring", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert diagram_from_json_dict(out["diagram"]).n == 16
 
 
 def test_realize_emits_sequence_and_points(workdir):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,17 +12,25 @@ from quasiline.wiring import (
     euler_characteristic,
 )
 
-from quasiline.wiring.euclid import MAX_DIGITS, _as_fraction
+from quasiline.wiring import euclid
+from quasiline.wiring.euclid import (
+    MAX_DIGITS,
+    _as_fraction,
+    _chart_candidates,
+    _shear_candidates,
+)
 
 from oracles import (
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
+    WIDE_CHART_LINES,
     diagram_from_lines_by_fractions,
     finite_crossings,
     random_line_arrangement,
     small_rational_arrangement,
 )
+from test_straighten import check_straightening
 
 
 def test_three_generic_lines():
@@ -173,3 +182,33 @@ def test_sweep_matches_fraction_chart_oracle():
         assert _outcome(diagram_from_lines, lines, points, labels) == want, (lines, points)
         outcomes.add(want if isinstance(want, type) else "diagram")
     assert outcomes >= {"diagram", ValidationError, DuplicateLine}
+
+
+def test_first_chart_and_shear_candidates_keep_their_order():
+    # The candidate lists were once cut after these prefixes; every input
+    # that swept then gets the same chart and shear now.
+    charts = [(0, 0, 1)] + [
+        (p, q, 1)
+        for radius in range(1, 8)
+        for p in range(-radius, radius + 1)
+        for q in range(-radius, radius + 1)
+        if max(abs(p), abs(q)) == radius
+    ]
+    shears = [(0, 1)] + [
+        pair for k in range(1, 40) for pair in ((k, 1), (-k, 1), (1, k + 1), (-1, k + 1))
+    ]
+    assert (len(charts), len(shears)) == (225, 157)
+    assert list(itertools.islice(_chart_candidates(), len(charts))) == charts
+    assert list(itertools.islice(_shear_candidates(), len(shears))) == shears
+
+
+def test_chart_search_goes_past_radius_seven(monkeypatch):
+    tried = []
+    candidates = euclid._chart_candidates
+    monkeypatch.setattr(
+        euclid, "_chart_candidates", lambda: (tried.append(w) or w for w in candidates())
+    )
+    d = diagram_from_lines(WIDE_CHART_LINES)
+    assert tried[-1] == (-8, -8, 1) and len(tried) == 226
+    assert d == diagram_from_lines_by_fractions(WIDE_CHART_LINES)
+    check_straightening(d)

@@ -78,6 +78,10 @@ SCHEME_ROWS = [
     ("negative vertex index", changed(SCHEME, edges=[[-1, 0]] + SCHEME["edges"][1:]), ValidationError),
     ("text edge end", changed(SCHEME, edges=[["0", 1]] + SCHEME["edges"][1:]), ValidationError),
     ("extra rotation", changed(SCHEME, rotations=SCHEME["rotations"] + [[]]), ValidationError),
+    ("missing rotations", {"vertices": ["a", "b"], "edges": [], "rotations": [], "signature": []},
+     ValidationError),
+    ("one vertex, no rotation", {"vertices": ["a"], "edges": [], "rotations": [], "signature": []},
+     ValidationError),
     ("text dart", changed(SCHEME, rotations=[[["x", 0]]] + SCHEME["rotations"][1:]), ValidationError),
     ("text signature", changed(SCHEME, signature=["x"] * len(SCHEME["signature"])), ValidationError),
     ("infinite signature", changed(SCHEME, signature=[float("inf")]), ValidationError),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,9 +9,9 @@ from quasiline import (
     Move,
     PermSequence,
     SequenceClass,
+    are_swap_equivalent,
     classify,
     elementary_swap,
-    is_equivalent_bounded,
     make_sequence,
     move_elements,
     move_window_content,
@@ -34,6 +35,7 @@ from oracles import (
     random_allowable_sequence,
     random_generalized_sequence,
     random_partial_sequence,
+    swap_chain_by_bfs,
 )
 
 
@@ -209,13 +211,13 @@ def test_swap_preserves_allowable():
 
 def test_is_equivalent_bounded_self():
     seq = make_sequence(4, [(1, 2), (3, 2)])
-    assert is_equivalent_bounded(seq, seq, budget=10) == []
+    assert are_swap_equivalent(seq, seq) == []
 
 
 def test_is_equivalent_bounded_one_swap():
     a = make_sequence(4, [(1, 2), (3, 2)])
     b = make_sequence(4, [(3, 2), (1, 2)])
-    chain = is_equivalent_bounded(a, b, budget=100)
+    chain = are_swap_equivalent(a, b)
     assert chain == [1]
     # replay the chain
     cur = a
@@ -227,13 +229,13 @@ def test_is_equivalent_bounded_one_swap():
 def test_is_equivalent_bounded_refutes_different_invariants():
     a = make_sequence(4, [(1, 2), (3, 2)])
     b = make_sequence(4, [(1, 2), (2, 2)])
-    assert is_equivalent_bounded(a, b, budget=10**6) is None
+    assert are_swap_equivalent(a, b) is None
 
 
 def test_is_equivalent_bounded_longer_chain():
     a = make_sequence(6, [(1, 2), (3, 2), (5, 2)])
     b = make_sequence(6, [(5, 2), (3, 2), (1, 2)])
-    chain = is_equivalent_bounded(a, b, budget=10000)
+    chain = are_swap_equivalent(a, b)
     assert chain is not None
     cur = a
     for i in chain:
@@ -311,7 +313,7 @@ def test_swaps_compare_designation_flags_and_carry_labels():
     b = make_sequence(6, [(3, 2), (5, 2), (1, 2)], designated=[1, 3])
     assert [m.point for m in a.moves] == ["p1", None, "p2"]
     assert [m.point for m in b.moves] == ["p1", None, "p2"]
-    chain = is_equivalent_bounded(a, b, budget=1000)
+    chain = are_swap_equivalent(a, b)
     assert chain is not None and len(chain) >= 3
     cur = a
     for i in chain:
@@ -324,4 +326,97 @@ def test_swaps_compare_designation_flags_and_carry_labels():
     assert cur.designated == b.designated
     # a different flag pattern on the same windows is not reachable
     c = make_sequence(6, [(3, 2), (5, 2), (1, 2)], designated=[1, 2])
-    assert is_equivalent_bounded(a, c, budget=1000) is None
+    assert are_swap_equivalent(a, c) is None
+
+
+def letters(seq):
+    return [(m.start, m.length, m.point is not None) for m in seq.moves]
+
+
+def replay(seq, chain):
+    for i in chain:
+        seq = elementary_swap(seq, i)
+    return seq
+
+
+def shuffled_by_swaps(rng, seq, swaps):
+    for _ in range(swaps):
+        sites = [
+            i for i in range(1, len(seq.moves)) if seq.moves[i - 1].disjoint_from(seq.moves[i])
+        ]
+        if sites:
+            seq = elementary_swap(seq, rng.choice(sites))
+    return seq
+
+
+def with_overlapping_pair_exchanged(rng, seq):
+    """``seq`` with one adjacent pair of overlapping moves exchanged,
+    which no chain of legal swaps can do: the same letters, most often
+    in another swap class."""
+    sites = [
+        i for i in range(1, len(seq.moves)) if not seq.moves[i - 1].disjoint_from(seq.moves[i])
+    ]
+    if not sites:
+        return seq
+    i = rng.choice(sites)
+    moves = list(seq.moves)
+    moves[i - 1], moves[i] = moves[i], moves[i - 1]
+    return PermSequence(seq.n, tuple(moves))
+
+
+def test_swap_equivalence_matches_bfs_oracle():
+    # Allowable and designated generalized sequences on 2-6 wires, each
+    # against a shuffle of itself by random legal swaps (half the pairs),
+    # that shuffle with one overlapping pair exchanged, or an independent
+    # sequence on the same wires.  The oracle's budget exceeds every swap
+    # class met here, so its None is a disproof too.  On 7 wires a class
+    # can take the oracle 20 s to exhaust.
+    rng = random.Random(41)
+    verdicts = Counter()
+    for k in range(600):
+        n, shape = rng.randint(2, 6), k // 2 % 4
+
+        def draw():
+            if k % 2:
+                return random_allowable_sequence(rng, n)
+            return random_generalized_sequence(rng, n, designate=True)
+
+        a = draw()
+        b = shuffled_by_swaps(rng, a, rng.randint(1, 30))
+        if shape == 2:
+            b = with_overlapping_pair_exchanged(rng, b)
+        elif shape == 3:
+            b = draw()
+        chain = are_swap_equivalent(a, b)
+        expected = swap_chain_by_bfs(a, b, budget=10**6)
+        assert (chain is None) == (expected is None)
+        if chain is not None:
+            assert len(chain) == len(expected)
+            assert letters(replay(a, chain)) == letters(b)
+            assert letters(replay(a, expected)) == letters(b)
+            if shape < 2:
+                assert replay(a, chain) == b
+        verdicts[chain is not None, Counter(letters(a)) == Counter(letters(b))] += 1
+    # over a hundred refuted pairs hold the same letters in both
+    # sequences, so only the order of the moves refutes them
+    assert verdicts[True, True] >= 300 and verdicts[False, True] >= 100, verdicts
+
+
+def test_swap_equivalence_decides_past_any_search_budget():
+    # Eight disjoint 2-windows against their reverse order: one swap
+    # class of 8! orders, beyond the breadth-first oracle's budget.
+    a = make_sequence(16, [(2 * i + 1, 2) for i in range(8)])
+    b = make_sequence(16, [(2 * i + 1, 2) for i in reversed(range(8))])
+    assert swap_chain_by_bfs(a, b, budget=10**4) is None
+    chain = are_swap_equivalent(a, b)
+    assert len(chain) == math.comb(8, 2)
+    assert replay(a, chain) == b
+
+
+def test_swap_equivalence_none_is_a_disproof():
+    # Overlapping windows never trade places, so the two orders of these
+    # moves are not equivalent, whatever the search budget.
+    a = make_sequence(3, [(1, 2), (2, 2)])
+    b = make_sequence(3, [(2, 2), (1, 2)])
+    assert are_swap_equivalent(a, b) is None
+    assert swap_chain_by_bfs(a, b, budget=10**6) is None
