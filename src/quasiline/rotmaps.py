@@ -61,9 +61,11 @@ class RotationMap:
         for u, v in self.edges:
             if u not in vset or v not in vset:
                 raise ValidationError(f"edge endpoint {u!r}/{v!r} not a vertex")
+        if self.rotations.keys() != vset:
+            raise ValidationError("rotations must have one row per vertex and no other row")
         seen: set[Dart] = set()
         for v in self.vertices:
-            for d in self.rotations.get(v, ()):
+            for d in self.rotations[v]:
                 e, end = d
                 if not (0 <= e < len(self.edges) and end in (0, 1)):
                     raise ValidationError(f"malformed dart {d!r} at {v!r}")
@@ -119,7 +121,7 @@ class RotationMap:
         """
         succ = [0] * (4 * len(self.edges))
         for v in self.vertices:
-            rot = self.rotations.get(v, ())
+            rot = self.rotations[v]
             for i, (e, end) in enumerate(rot):
                 e1, end1 = rot[(i + 1) % len(rot)]
                 e0, end0 = rot[i - 1]
@@ -154,24 +156,29 @@ class RotationMap:
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """One traversal per face (each face is traced twice, in opposite
-        directions; the lexicographically smaller traversal is kept)."""
-        orbits = self.face_orbits
-        index_of = [0] * (4 * len(self.edges))
-        for i, orbit in enumerate(orbits):
-            for state in orbit:
-                index_of[state] = i
+        directions; the lexicographically smaller traversal is kept).
+        Walks start at the least unseen state, so the first traversal found
+        is the smaller one; its reverse is marked seen, not walked."""
+        succ = self._successor
+        signature = self.signature
+        seen = [False] * len(succ)
         kept: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for i, orbit in enumerate(orbits):
-            if i in seen:
+        for start in range(len(succ)):
+            if seen[start]:
                 continue
-            # the reverse of ((e, end), s) is ((e, 1 - end), -s·signature[e])
-            x = orbit[0]
-            j = index_of[x ^ 2 ^ (self.signature[x >> 2] == 1)]
-            if j == i or j in seen:
-                raise ValidationError("face traversal pairing failed; invalid map")
-            seen.update((i, j))
-            kept.append(min(orbits[i], orbits[j]))
+            orbit = []
+            state = start
+            while not seen[state]:
+                seen[state] = True
+                orbit.append(state)
+                state = succ[state]
+            for x in orbit:
+                # the reverse of ((e, end), s) is ((e, 1 - end), -s·signature[e])
+                r = x ^ 2 ^ (signature[x >> 2] == 1)
+                if seen[r]:
+                    raise ValidationError("face traversal pairing failed; invalid map")
+                seen[r] = True
+            kept.append(tuple(orbit))
         return tuple(kept)
 
     def face_lengths(self) -> tuple[int, ...]:
@@ -221,7 +228,7 @@ class RotationMap:
         partner's vertex and positions in both rings of that vertex.
         """
         rots = [
-            [2 * e + end for e, end in self.rotations.get(v, ())]
+            [2 * e + end for e, end in self.rotations[v]]
             for v in self.vertices
         ]
         degree = [len(rot) for rot in rots]

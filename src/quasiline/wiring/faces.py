@@ -15,11 +15,12 @@ crossings.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from ..errors import WireWithoutPoint
-from ..rotmaps import Dart, RotationMap
+from ..rotmaps import RotationMap
 from .diagram import GeneralizedWiringDiagram
 
 ArcId = tuple[int, int]  # (wire, arc index along the wire); the last arc closes
@@ -39,31 +40,38 @@ def wire_map(
     drawing counterclockwise: at an event with window wires w_1..w_l
     (top to bottom) the order is out(w_1)..out(w_l), in(w_1)..in(w_l).
     Raises ``WireWithoutPoint`` when some wire meets no kept event.
+
+    With k_w kept events on wire w, its edges are numbered from
+    off[w] = k_1 + ... + k_(w-1); one walk over the kept events in
+    order, counting per wire, gives the j-th kept event on w the out-dart
+    (off[w] + j, 0) and the in-dart (off[w] + (j - 1 mod k_w), 1).
     """
-    edges: list[tuple[Hashable, Hashable]] = []
-    signature: list[int] = []
+    window_wires = diagram.window_wires_table
+    kept = sorted(vertex_of)
+    count = Counter(w for i in kept for w in window_wires[i])
+    off = [0] * (diagram.n + 1)
     arcs: list[ArcId] = []
-    out_dart: dict[tuple[int, int], Dart] = {}
-    in_dart: dict[tuple[int, int], Dart] = {}
     for w in range(1, diagram.n + 1):
-        evs = [i for i in diagram.wire_events(w) if i in vertex_of]
-        if not evs:
+        if not count[w]:
             raise WireWithoutPoint(f"wire {w} carries no designated point")
-        k = len(evs)
-        for j, i in enumerate(evs):
-            nxt = evs[(j + 1) % k]
-            out_dart[(w, i)] = (len(edges), 0)
-            in_dart[(w, nxt)] = (len(edges), 1)
-            edges.append((vertex_of[i], vertex_of[nxt]))
-            signature.append(-1 if j == k - 1 else 1)
-            arcs.append((w, j))
+        off[w] = len(arcs)
+        arcs.extend((w, j) for j in range(count[w]))
+    heads: list[Hashable] = [None] * len(arcs)
+    tails = heads.copy()
+    placed = [0] * (diagram.n + 1)
     rotations = {}
-    for i, v in vertex_of.items():
-        wires = diagram.window_wires(i)
-        rotations[v] = tuple(out_dart[(w, i)] for w in wires) + tuple(
-            in_dart[(w, i)] for w in wires
-        )
-    rm = RotationMap(tuple(vertex_of.values()), tuple(edges), rotations, tuple(signature))
+    for i in kept:
+        outs, ins = [], []
+        for w in window_wires[i]:
+            j = placed[w]
+            placed[w] = j + 1
+            out, back = off[w] + j, off[w] + (j - 1) % count[w]
+            heads[out] = tails[back] = vertex_of[i]
+            outs.append((out, 0))
+            ins.append((back, 1))
+        rotations[vertex_of[i]] = tuple(outs + ins)
+    signature = tuple(-1 if j == count[w] - 1 else 1 for w, j in arcs)
+    rm = RotationMap(tuple(vertex_of.values()), tuple(zip(heads, tails)), rotations, signature)
     return rm, tuple(arcs)
 
 

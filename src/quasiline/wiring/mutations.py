@@ -8,18 +8,17 @@ admissible only when no designated crossing is disturbed, so they never
 change the incidence structure carried by the diagram, nor its surface
 map.
 
-Sites are found without pairwise or triple scans.  A digon's partner is
-the next event on either wire of its left crossing, read from the
-per-wire event lists.  Triangle sites come from a braid scan: per
-regular event and neighbouring track, the next two events touching the
-three-track band are the only candidates, found by bisection in
-per-track event lists.
+Sites are found in one pass over the diagram's event tables, without
+pairwise or triple scans.  A digon's partner is the next event on either
+wire of its left crossing, read from a partner table built from the
+consecutive pairs of the per-wire event lists.  Triangle sites come from
+band lists: per three-track band, the events meeting it in order, where
+a site is three consecutive entries in braid position.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from ..errors import NoSuchFace, NotAdmissible
 from ..sequences import Move
@@ -52,31 +51,28 @@ def insert_digon(
     return GeneralizedWiringDiagram(diagram.n, tuple(moves))
 
 
-def _next_after(event_lists: Iterable[Sequence[int]], after: int) -> int | None:
-    """The least event index greater than ``after`` in any of the sorted
-    lists, or None."""
-    later = []
-    for events in event_lists:
-        b = bisect_right(events, after)
-        if b < len(events):
-            later.append(events[b])
-    return min(later, default=None)
-
-
-def _next_on_wires(diagram: GeneralizedWiringDiagram, i: int) -> int | None:
-    """The first event after ``i`` on either wire of event ``i``."""
-    return _next_after(map(diagram.wire_events, diagram.window_wires(i)), i)
+def _next_on_wires(diagram: GeneralizedWiringDiagram) -> list[int]:
+    """Per event, the first later event on any of its wires, or the event
+    count when there is none."""
+    m = diagram.event_count
+    nxt = [m] * m
+    for events in diagram.wire_event_table.values():
+        for i, j in zip(events, events[1:]):
+            if j < nxt[i]:
+                nxt[i] = j
+    return nxt
 
 
 def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int]]:
     """Pairs (i, j) of event indices that bound a removable digon: two
     crossings of the same wire pair, both regular and non-designated,
     with no other event on either wire between them."""
+    nxt = _next_on_wires(diagram)
     for i, ev in enumerate(diagram.moves):
         if ev.length != 2 or ev.point is not None:
             continue
-        j = _next_on_wires(diagram, i)
-        if j is None:
+        j = nxt[i]
+        if j == diagram.event_count:
             continue
         other = diagram.moves[j]
         if other.length == 2 and other.point is None and set(
@@ -99,8 +95,8 @@ def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWirin
         raise NoSuchFace(f"event {at} is a singular crossing, not a digon side")
     if ev.point is not None:
         raise NotAdmissible(f"event {at} is designated ({ev.point!r})")
-    partner = _next_on_wires(diagram, at)
-    if partner is None or set(diagram.window_wires(partner)) != set(
+    partner = _next_on_wires(diagram)[at]
+    if partner == diagram.event_count or set(diagram.window_wires(partner)) != set(
         diagram.window_wires(at)
     ):
         raise NoSuchFace(f"event {at} does not bound an empty digon")
@@ -118,39 +114,28 @@ def triangle_moves(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int
     non-designated crossings in braid position with no interfering event,
     in increasing order.
 
-    A braid scan: for each regular non-designated event i starting at
-    track t and each u in {t-1, t+1}, j is the first later event touching
-    the band of tracks min(t, u)..min(t, u)+2 and k the first event after
-    j touching it.  Any other event in (i, k) touching the band would
-    interfere, so (i, j, k) is the only candidate for (i, u).  It is a
-    site when j and k are regular and non-designated, j starts at u and
-    k starts at t.
+    One pass over the moves builds, per band b = 1..n-2, the list of the
+    events whose window meets tracks b..b+2, in order.  A triple is a
+    site exactly when it is three consecutive entries of one band list,
+    all regular and non-designated, where i and k start at one track t of
+    {b, b+1} and j at the other: any other band event in (i, k) would
+    interfere.  The band is fixed by the starts of i and j, so no site is
+    listed twice.
     """
     moves = diagram.moves
-    touching: list[list[int]] = [[] for _ in range(diagram.n + 1)]
+    bands: list[list[int]] = [[] for _ in range(diagram.n - 1)]
     for idx, ev in enumerate(moves):
-        for pos in range(ev.start, ev.stop + 1):
-            touching[pos].append(idx)
-
-    def free_at(idx: int | None, track: int) -> bool:
-        if idx is None:
-            return False
-        ev = moves[idx]
-        return ev.start == track and ev.length == 2 and ev.point is None
-
-    for i, ev in enumerate(moves):
-        if ev.length != 2 or ev.point is not None:
-            continue
-        t = ev.start
-        sites = []
-        for u in (t - 1, t + 1):
-            band = touching[min(t, u) : min(t, u) + 3]
-            j = _next_after(band, i)
-            if free_at(j, u):
-                k = _next_after(band, j)
-                if free_at(k, t):
-                    sites.append((i, j, k))
-        yield from sorted(sites)
+        for b in range(max(1, ev.start - 2), min(diagram.n - 2, ev.stop) + 1):
+            bands[b].append(idx)
+    # the start of every regular non-designated event, 0 for the others
+    free = [ev.start if ev.length == 2 and ev.point is None else 0 for ev in moves]
+    sites = []
+    for b, band in enumerate(bands):
+        for i, j, k in zip(band, band[1:], band[2:]):
+            t = free[i]
+            if (t == b or t == b + 1) and free[k] == t and free[j] == 2 * b + 1 - t:
+                sites.append((i, j, k))
+    yield from sorted(sites)
 
 
 def _check_triangle(

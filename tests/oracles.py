@@ -1307,6 +1307,34 @@ def random_generalized_sequence(
     return make_sequence(n, moves, designated)
 
 
+def random_long_window_sequence(
+    rng: random.Random, n: int, designate=False
+) -> PermSequence:
+    """A random generalized sequence on n >= 3 wires whose moves include
+    windows of length >= 3 at track 1 and ending at track n, with random
+    regular moves around them and a greedy finish to the reverse."""
+    perm = list(range(1, n + 1))
+    moves = []
+
+    def play(move):
+        moves.append(move)
+        a, b = move.start - 1, move.stop
+        perm[a:b] = perm[a:b][::-1]
+
+    for k in range(rng.randint(2, 4)):
+        for _ in range(rng.randint(0, 3)):
+            play(Move(rng.randint(1, n - 1), 2))
+        length = rng.randint(3, n)
+        play(Move(1 if k % 2 == 0 else n - length + 1, length))
+    target = list(range(n, 0, -1))
+    while perm != target:
+        play(Move(rng.choice([i + 1 for i in range(n - 1) if perm[i] < perm[i + 1]]), 2))
+    designated = [
+        i for i in range(1, len(moves) + 1) if designate and rng.random() < 0.3
+    ]
+    return make_sequence(n, moves, designated)
+
+
 def random_partial_sequence(rng: random.Random, n: int, r: int) -> PermSequence:
     moves = []
     for _ in range(r):

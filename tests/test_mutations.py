@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quasiline import Move, SequenceClass, classify, default_plan, realize
+from quasiline import Move, SequenceClass, classify, default_plan, make_sequence, realize
 from quasiline.errors import NoSuchFace, NotAdmissible
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
@@ -19,6 +19,7 @@ from oracles import (
     as_diagram,
     fano,
     random_generalized_sequence,
+    random_long_window_sequence,
     removable_digons_by_scan,
     triangle,
     triangle_moves_by_triples,
@@ -182,23 +183,30 @@ def cyclic_walk_diagrams(rng, steps=3):
                 yield d
 
 
+def checked_digon_sites(d):
+    """The number of removable digons of ``d``, after checking that
+    ``removable_digons`` lists the scan oracle's pairs and that
+    ``remove_digon`` removes exactly those pairs and raises elsewhere."""
+    expected = removable_digons_by_scan(d)
+    assert list(removable_digons(d)) == expected
+    partner = dict(expected)
+    for at in range(d.event_count):
+        if at in partner:
+            kept = (m for k, m in enumerate(d.moves) if k not in (at, partner[at]))
+            assert remove_digon(d, at) == GeneralizedWiringDiagram(d.n, tuple(kept))
+        else:
+            with pytest.raises((NoSuchFace, NotAdmissible)):
+                remove_digon(d, at)
+    return len(expected)
+
+
 def test_digon_partners_match_scan_oracle():
     rng = random.Random(97)
     pairs = 0
     for _ in range(150):
         d = as_diagram(random_generalized_sequence(rng, rng.randint(2, 7), designate=True))
         d = with_random_digons(rng, d, rng.randint(0, 3))
-        expected = removable_digons_by_scan(d)
-        assert list(removable_digons(d)) == expected
-        partner = dict(expected)
-        for at in range(d.event_count):
-            if at in partner:
-                kept = (m for k, m in enumerate(d.moves) if k not in (at, partner[at]))
-                assert remove_digon(d, at) == GeneralizedWiringDiagram(d.n, tuple(kept))
-            else:
-                with pytest.raises((NoSuchFace, NotAdmissible)):
-                    remove_digon(d, at)
-        pairs += len(expected)
+        pairs += checked_digon_sites(d)
     assert pairs >= 200
 
 
@@ -215,3 +223,44 @@ def test_triangle_sites_match_triple_oracle():
         assert list(triangle_moves(d)) == expected
         walk_sites += len(expected)
     assert random_sites >= 40 and walk_sites >= 20
+
+
+@pytest.mark.parametrize(
+    "n, moves, designated, triangles, digons",
+    [
+        # two wires: no three-track band, so no triangle site
+        (2, [(1, 2)], [], [], []),
+        (2, [(1, 2)] * 3, [], [], [(0, 1), (1, 2)]),
+        (2, [(1, 2)] * 3, [2], [], []),
+        # three wires: the one band 1..3
+        (3, [(1, 3)], [], [], []),
+        (3, [(1, 2), (2, 2), (1, 2)], [], [(0, 1, 2)], []),
+        (3, [(1, 2), (2, 2), (1, 2)], [2], [], []),
+        (3, [(2, 2), (1, 2), (2, 2), (2, 2), (2, 2)], [], [(0, 1, 2)], [(2, 3), (3, 4)]),
+        (3, [(1, 3), (1, 2), (1, 2), (2, 2), (2, 2)], [], [], [(1, 2), (3, 4)]),
+        # the full window between two braids interferes with neither
+        (3, [(1, 2), (2, 2), (1, 2), (1, 3), (2, 2), (1, 2), (2, 2)], [], [(0, 1, 2), (4, 5, 6)], []),
+    ],
+)
+def test_sites_on_two_and_three_wires(n, moves, designated, triangles, digons):
+    d = as_diagram(make_sequence(n, moves, designated))
+    assert list(triangle_moves(d)) == triangles == triangle_moves_by_triples(d)
+    assert list(removable_digons(d)) == digons == removable_digons_by_scan(d)
+
+
+def test_sites_beside_long_windows_match_oracles():
+    """Windows of length >= 3 at track 1 and at track n meet several
+    bands and both wires' event lists; the sites around them equal the
+    scan oracles'."""
+    rng = random.Random(103)
+    triangles = digons = 0
+    for _ in range(250):
+        seq = random_long_window_sequence(rng, rng.randint(3, 7), designate=True)
+        d = with_random_digons(rng, as_diagram(seq), rng.randint(0, 3))
+        assert any(m.start == 1 and m.length >= 3 for m in d.moves)
+        assert any(m.stop == d.n and m.length >= 3 for m in d.moves)
+        expected = triangle_moves_by_triples(d)
+        assert list(triangle_moves(d)) == expected
+        triangles += len(expected)
+        digons += checked_digon_sites(d)
+    assert triangles >= 60 and digons >= 400

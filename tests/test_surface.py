@@ -42,6 +42,7 @@ from oracles import (
     fano,
     mobius_kantor,
     random_generalized_sequence,
+    random_long_window_sequence,
     random_scheme_transform,
     random_structure,
     scheme_by_scan,
@@ -141,6 +142,12 @@ def test_one_builder_matches_scan_oracles():
         share = rng.choice((0.3, 0.7, 1.0))
         designated = [i for i in range(1, len(seq) + 1) if rng.random() < share]
         diagrams.append(as_diagram(make_sequence(n, seq.moves, designated)))
+    # windows of length >= 3 at track 1 and at track n
+    for _ in range(40):
+        seq = random_long_window_sequence(rng, rng.randint(3, 7))
+        share = rng.choice((0.3, 0.7, 1.0))
+        designated = [i for i in range(1, len(seq) + 1) if rng.random() < share]
+        diagrams.append(as_diagram(make_sequence(seq.n, seq.moves, designated)))
     diagrams.append(diagram_from_realization(realize(fano(), default_plan(fano()))))
     diagrams.append(
         diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
@@ -257,10 +264,26 @@ def test_canonical_encoding_rejects_disconnected_maps():
     for rm in (
         RotationMap(tuple("abcd"), edges, rotations, (1,) * 6),
         RotationMap(("a",), (), {"a": ()}, ()),
-        RotationMap((0, 1), ((0, 0), (0, 0)), {0: ((0, 0), (1, 0), (0, 1), (1, 1))}, (1, 1)),
+        RotationMap((0, 1), ((0, 0), (0, 0)), {0: ((0, 0), (1, 0), (0, 1), (1, 1)), 1: ()}, (1, 1)),
     ):
         with pytest.raises(ValidationError):
             rm.canonical_encoding()
+
+
+def test_rotation_rows_must_be_exactly_the_vertices():
+    """A vertex without a rotation row, or a row for a non-vertex (even one
+    repeating a listed dart), is refused when the map is built."""
+    refused = "one row per vertex"
+    with pytest.raises(ValidationError, match=refused):
+        make_scheme(["a", "b"], [], {}, [], [])
+    with pytest.raises(ValidationError, match=refused):
+        RotationMap(("a", "b"), (), {"a": ()}, ())
+    edges = (("a", "b"),) * 4
+    rotations = {"a": ((0, 0), (1, 0), (2, 0), (3, 0)), "b": ((3, 1), (2, 1), (1, 1), (0, 1))}
+    assert make_scheme("ab", edges, rotations, (1,) * 4).rotmap.euler_characteristic() == 2
+    for extra in ((), ((0, 0),), ((0, 1),)):
+        with pytest.raises(ValidationError, match=refused):
+            make_scheme("ab", edges, {**rotations, "zz": extra}, (1,) * 4)
 
 
 def test_disconnected_scheme_rejected():
