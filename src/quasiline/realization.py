@@ -50,36 +50,35 @@ class Realization:
         return {i + 1: self.seq.moves[i].point for i in self.seq.designated_events()}
 
 
-def _best_slot(cur: list[int], content: list[int]) -> tuple[int, int]:
+def _best_slot(pos: list[int], content: list[int]) -> tuple[int, int]:
     """Cheapest way to make ``content`` consecutive, as ``(cost, slot)``.
 
-    The candidates are ``rest[:t] + content + rest[t:]``, where ``rest``
-    is ``cur`` without the content, and the cost is the adjacent-
+    ``pos[x]`` is the position of line x in the current permutation
+    ``cur``.  The candidates are ``rest[:t] + content + rest[t:]``, where
+    ``rest`` is ``cur`` without the content, and the cost is the adjacent-
     transposition (Kendall tau) distance from ``cur``.  With ``k`` content
     entries, ``inv`` the content's inversions relative to ``cur`` and
     ``a_i`` the number of content entries before ``rest[i]`` in ``cur``,
     slot t costs ``inv + sum(a_i for i < t) + sum(k - a_i for i >= t)``.
-    The cost changes by ``2*a_i - k`` from slot i to slot i+1, so one pass
-    over ``cur`` prices every slot.  The leftmost cheapest slot wins ties.
+    From slot i to slot i+1 the cost changes by ``2*a_i - k``, which never
+    falls as i grows, so the leftmost cheapest slot puts the content just
+    before its m-th entry in position order, m = ceil(k/2): with ``ps``
+    the sorted content positions, slot ``ps[m-1] - (m-1)``.  The rest
+    entries between ``ps[g-1]`` and ``ps[g]`` have ``a_i = g``, so that
+    slot costs ``inv`` plus, per such entry, g if g < m and k - g if not.
     """
-    rank = {x: j for j, x in enumerate(content)}
-    k = len(content)
-    seen: list[int] = []  # ranks of the content entries passed, sorted
-    # slot 0 costs inv + cost; slot t costs that plus step after t rest entries
-    inv = cost = step = best_step = slot = t = 0
-    for x in cur:
-        j = rank.get(x)
-        if j is None:
-            a = len(seen)
-            cost += k - a
-            step += 2 * a - k
-            t += 1
-            if step < best_step:
-                best_step, slot = step, t
-        else:
-            inv += len(seen) - bisect.bisect(seen, j)
-            bisect.insort(seen, j)
-    return inv + cost + best_step, slot
+    k, m = len(content), (len(content) + 1) // 2
+    ps: list[int] = []  # positions of the content entries passed, sorted
+    inv = 0
+    for x in content:
+        p = pos[x]
+        inv += len(ps) - bisect.bisect(ps, p)
+        bisect.insort(ps, p)
+    cost, prev = inv, -1
+    for g, p in enumerate(ps):
+        cost += (p - prev - 1) * (g if g < m else k - g)
+        prev = p
+    return cost, ps[m - 1] - (m - 1)
 
 
 def _gathered(cur: list[int], content: list[int], slot: int) -> list[int]:
@@ -89,14 +88,14 @@ def _gathered(cur: list[int], content: list[int], slot: int) -> list[int]:
     return rest[:slot] + content + rest[slot:]
 
 
-def _bridge(cur: list[int], target: list[int]) -> list[Move]:
+def _bridge(cur: list[int], pos: list[int], target: list[int]) -> list[Move]:
     """Adjacent transpositions rewriting ``cur`` into ``target`` in place.
 
     Stable selection toward the target: entry j of the target is bubbled
-    leftward into place, emitting one length-2 move per swap.  A position
-    table, updated per swap, finds each entry.
+    leftward into place, emitting one length-2 move per swap.  The
+    position table ``pos`` of ``cur`` finds each entry and is updated per
+    swap.
     """
-    pos = {x: i for i, x in enumerate(cur)}
     moves: list[Move] = []
     for j, x in enumerate(target):
         q = pos[x]
@@ -119,10 +118,10 @@ def default_plan(structure: IncidenceStructure) -> RealizationPlan:
     ties).
 
     A point's bridging cost is that of its cheapest insertion slot, the
-    leftmost on ties.  :func:`_best_slot` prices slot t in closed form as
-    ``inv + sum(a_i for i < t) + sum(k - a_i for i >= t)`` in one pass
-    over the current permutation, so each step costs O(n) per remaining
-    point for n lines.
+    leftmost on ties.  :func:`_best_slot` finds that slot and its cost
+    from the content's positions alone, read from one position table
+    rebuilt per step, so each step costs O(n) plus O(k log k) per
+    remaining point of k lines.
     """
     numbering = tuple(structure.lines)
     number = {l: i + 1 for i, l in enumerate(numbering)}
@@ -133,13 +132,16 @@ def default_plan(structure: IncidenceStructure) -> RealizationPlan:
     contents = {p: [number[l] for l in orders[p]] for p in structure.points}
     remaining = list(structure.points)
     cur = list(range(1, len(numbering) + 1))
+    pos = [0, *range(len(numbering))]  # pos[x]: where line x is in cur
     schedule: list[Label] = []
     while remaining:
-        priced = [_best_slot(cur, contents[p]) for p in remaining]
+        priced = [_best_slot(pos, contents[p]) for p in remaining]
         pick = min(range(len(priced)), key=lambda i: priced[i][0])
         point = remaining.pop(pick)
         schedule.append(point)
         cur = _gathered(cur, contents[point][::-1], priced[pick][1])
+        for i, x in enumerate(cur):
+            pos[x] = i
     return RealizationPlan(numbering, tuple(schedule), orders)
 
 
@@ -172,14 +174,16 @@ def realize(structure: IncidenceStructure, plan: RealizationPlan) -> Realization
     n = len(plan.line_numbering)
     number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
     cur = list(range(1, n + 1))
+    pos = [0, *range(n)]  # pos[x]: where line x is in cur
     moves: list[Move] = []
     for point in plan.point_order:
         content = [number[l] for l in plan.point_line_orders[point]]
-        _, slot = _best_slot(cur, content)
-        moves.extend(_bridge(cur, _gathered(cur, content, slot)))
+        _, slot = _best_slot(pos, content)
+        moves.extend(_bridge(cur, pos, _gathered(cur, content, slot)))
         moves.append(Move(slot + 1, len(content), point))
-        cur[slot : slot + len(content)] = content[::-1]
-    moves.extend(_bridge(cur, list(range(n, 0, -1))))
+        for i, x in enumerate(reversed(content), slot):
+            cur[i], pos[x] = x, i
+    moves.extend(_bridge(cur, pos, list(range(n, 0, -1))))
     return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
 
 

@@ -24,6 +24,10 @@ dart in both senses.  It names darts as ints 2e+end, starts only at
 vertices of least degree, and abandons a candidate as soon as a final
 prefix of it exceeds the best so far, so most candidates stop after a
 few entries; the result is the same as encoding every candidate in full.
+On a map whose vertices share one degree q and have q distinct
+neighbours each, every candidate's first q + 1 codes are the same, and
+only the candidates least at the next code, which takes O(1) from the
+tables, are encoded.
 Dart numbers are lazy: a discovered vertex keeps the first number of its
 darts, its gauge and the position of its entry dart, so any dart's
 number takes O(1), and a vertex's darts in number order are one slice of
@@ -218,8 +222,10 @@ class RotationMap:
         in discovery order, then, per numbered dart, twice its partner's
         number plus one if the edge is negative in the gauge.  Its first
         entry is the start's degree, so only darts at vertices of least
-        degree can win.  Each candidate is compared with the best so far
-        while it is built, and abandoned once it is known to be greater.
+        degree can win; :meth:`_starts` prunes these further on maps of
+        one degree without loops or repeated neighbours.  Each candidate
+        is compared with the best so far while it is built, and abandoned
+        once it is known to be greater.
 
         Every candidate reads tables built once here: each vertex's
         rotation doubled as listed (its ring in gauge 1) and reversed
@@ -244,19 +250,68 @@ class RotationMap:
             count[deg] += 1
         sign = [s for s in self.signature for _ in (0, 1)]
         rings = (None, [rot * 2 for rot in rots], [rot[::-1] * 2 for rot in rots])
+        place = (None, ccw, cw)
         base, anchor = [0] * len(rots), [0] * len(rots)
         kinds = sum(map(bool, count))  # distinct degrees of undiscovered vertices
-        tables = (far, sign, degree, rings, (None, ccw, cw), base, anchor, count, kinds)
-        low = min(degree, default=0)
+        tables = (far, sign, degree, rings, place, base, anchor, count, kinds)
         best = None
-        for rot in rots:
-            if len(rot) == low:
-                for d in rot:
-                    for reflect in (1, -1):
-                        best = self._encode(tables, d, reflect, best) or best
+        for d, reflect in self._starts(rots, kinds, far, sign, rings, place):
+            best = self._encode(tables, d, reflect, best) or best
         if best is None:
             raise ValidationError("canonical encoding requires an edge")
         return tuple(best[0] + best[1])
+
+    @staticmethod
+    def _starts(rots, kinds, far, sign, rings, place) -> list[tuple[int, int]]:
+        """The (start dart, sense) candidates the least encoding is among.
+
+        In general, every dart at a vertex of least degree, in both senses.
+        On a map whose vertices all have one degree q >= 2 and whose every
+        vertex's q darts lead to q distinct vertices, none itself, only the
+        candidates whose code at index q + 1 is least.  That is exact:
+
+        - every candidate's degree part is q, repeated once per vertex;
+        - from dart d at v in sense r, v's darts d_0 = d, ..., d_(q-1) in
+          ring order lead to q distinct new vertices u_0, ..., u_(q-1), so
+          the codes at indices 0..q-1 are 2q, 4q, ..., 2q²;
+        - u_0 is entered by d's partner in gauge r·sign(d), and that dart
+          leads back to v's number 0 in v's gauge: the code at index q
+          is 0.
+
+        So candidates first differ at index q + 1, the code of u_0's next
+        dart d'.  Let w be the vertex d' leads to: not u_0 (no loop) and
+        not v (u_0's first dart leads there).  If w = u_i, the code is
+        2·(q(1 + i) + the offset of the partner of d' from u_i's entry in
+        u_i's gauge) + the sign bit; otherwise w is new and the code is
+        2q(q + 1), more than any code of a numbered dart.
+        """
+        q = min(map(len, rots), default=0)
+        every = [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
+        if kinds != 1 or q < 2:
+            return every
+        # per vertex, the ring position of the dart to each neighbour; a
+        # loop's two darts, or two darts to one neighbour, share a key
+        slots = [{far[d]: k for k, d in enumerate(rot)} for rot in rots]
+        if any(len(slot) < q for slot in slots):
+            return every
+        new = 2 * q * (q + 1)
+        keyed = []
+        for rot, slot in zip(rots, slots):
+            for k, d in enumerate(rot):
+                u = far[d]
+                for r in (1, -1):
+                    s = r * sign[d]
+                    d1 = rings[s][u][place[s][d] + 1]
+                    p = slot.get(far[d1])
+                    if p is None:
+                        c = new
+                    else:
+                        g = r * sign[rot[p]]
+                        c = 2 * (q * (1 + r * (p - k) % q) + (place[g][d1] - place[g][rot[p]]) % q)
+                        c += s * sign[d1] != g
+                    keyed.append((c, d, r))
+        least = min(keyed)[0]
+        return [(d, r) for c, d, r in keyed if c == least]
 
     @staticmethod
     def _encode(tables, start: int, reflect: int, best):

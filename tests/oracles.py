@@ -21,6 +21,7 @@ inverse over ``Fraction``, and random generators driven by seeded
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -697,13 +698,13 @@ def triangle_moves_by_triples(diagram: GeneralizedWiringDiagram):
     return sites
 
 
-def _encode_from(rm: RotationMap, start, reflect: int) -> tuple[int, ...]:
+def _encode_from(rm: RotationMap, position, start, reflect: int) -> tuple[int, ...]:
+    """The full encoding from ``start`` in sense ``reflect``; ``position``
+    gives each dart's index in its vertex's rotation."""
     gauge = {}
     dart_number = {}
     order = []
     degrees = []
-
-    position = {d: i for rot in rm.rotations.values() for i, d in enumerate(rot)}
 
     def discover(vertex, entry, g):
         gauge[vertex] = g
@@ -778,10 +779,37 @@ def faces_by_tuples(rm: RotationMap):
     return kept
 
 
+def encodings_by_start(rm: RotationMap) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The full encoding from every start dart (e, end), keyed by the
+    dart's int 2e + end and the sense."""
+    position = {d: i for rot in rm.rotations.values() for i, d in enumerate(rot)}
+    return {
+        (2 * e + end, r): _encode_from(rm, position, (e, end), r)
+        for e, end in rm.darts()
+        for r in (1, -1)
+    }
+
+
 def canonical_encoding_by_full_search(rm: RotationMap) -> tuple[int, ...]:
     """The least full encoding over every starting dart and both global
     reflections, each encoding built to the end."""
-    return min(_encode_from(rm, d, reflect) for d in rm.darts() for reflect in (1, -1))
+    return min(encodings_by_start(rm).values())
+
+
+def random_map_on_graph(rng: random.Random, edges) -> RotationMap:
+    """A map of the simple graph with edge list ``edges``: random edge
+    ends, vertex order, rotations and signs."""
+    edges = tuple(tuple(rng.sample(ends, 2)) for ends in edges)
+    rotations: dict = {}
+    for e, ends in enumerate(edges):
+        for end, v in enumerate(ends):
+            rotations.setdefault(v, []).append((e, end))
+    vertices = list(rotations)
+    rng.shuffle(vertices)
+    for rot in rotations.values():
+        rng.shuffle(rot)
+    signature = tuple(rng.choice((1, -1)) for _ in edges)
+    return RotationMap(tuple(vertices), edges, {v: tuple(r) for v, r in rotations.items()}, signature)
 
 
 # -- sequence replay oracle ---------------------------------------------------
@@ -887,6 +915,32 @@ def best_target_by_slots(cur: list[int], content: list[int]) -> tuple[list[int],
         if best is None or cost < best_cost:
             best, best_cost = target, cost
     return best, best_cost
+
+
+def best_slot_by_scan(cur: list[int], content: list[int]) -> tuple[int, int]:
+    """Cheapest insertion slot for ``content`` and its cost, as ``(cost,
+    slot)``, by one pass over ``cur`` that prices every slot: slot t costs
+    ``inv + sum(a_i for i < t) + sum(k - a_i for i >= t)``, and the cost
+    changes by ``2*a_i - k`` from slot i to slot i+1.  The leftmost
+    cheapest slot wins ties."""
+    rank = {x: j for j, x in enumerate(content)}
+    k = len(content)
+    seen: list[int] = []  # ranks of the content entries passed, sorted
+    # slot 0 costs inv + cost; slot t costs that plus step after t rest entries
+    inv = cost = step = best_step = slot = t = 0
+    for x in cur:
+        j = rank.get(x)
+        if j is None:
+            a = len(seen)
+            cost += k - a
+            step += 2 * a - k
+            t += 1
+            if step < best_step:
+                best_step, slot = step, t
+        else:
+            inv += len(seen) - bisect.bisect(seen, j)
+            bisect.insort(seen, j)
+    return inv + cost + best_step, slot
 
 
 def default_plan_by_slots(structure: IncidenceStructure) -> RealizationPlan:

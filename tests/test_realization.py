@@ -21,6 +21,7 @@ from quasiline.sequences import pair_counts
 
 from oracles import (
     anti_desargues,
+    best_slot_by_scan,
     best_target_by_slots,
     cyclic,
     default_plan_by_slots,
@@ -194,6 +195,14 @@ def test_topological_unwanted_bound():
         topological_unwanted_bound(2, 3)
 
 
+def positions(cur):
+    """The position table of a permutation of 1..n: pos[x] is where x is."""
+    pos = [0] * (len(cur) + 1)
+    for i, x in enumerate(cur):
+        pos[x] = i
+    return pos
+
+
 def test_best_slot_matches_slot_oracle():
     rng = random.Random(53)
     for trial in range(2400):
@@ -202,9 +211,21 @@ def test_best_slot_matches_slot_oracle():
         # a quarter of the pairs take all of cur (empty rest), a quarter one entry
         k = (n, 1, rng.randint(1, n), rng.randint(1, n))[trial % 4]
         content = rng.sample(cur, k)
-        cost, slot = _best_slot(cur, content)
+        cost, slot = _best_slot(positions(cur), content)
         assert 0 <= slot <= n - k
         assert (_gathered(cur, content, slot), cost) == best_target_by_slots(cur, content)
+
+
+def test_best_slot_matches_scan_oracle():
+    """The slot read from the content's positions is the one the pass over
+    the whole permutation prices cheapest, at the same cost."""
+    rng = random.Random(61)
+    for trial in range(20000):
+        n = rng.randint(1, 40)
+        cur = rng.sample(range(1, n + 1), n)
+        k = (n, 1, 2, rng.randint(1, min(n, 6)), rng.randint(1, n))[trial % 5]
+        content = rng.sample(cur, min(k, n))
+        assert _best_slot(positions(cur), content) == best_slot_by_scan(cur, content)
 
 
 def test_plan_and_realize_match_slot_oracle():

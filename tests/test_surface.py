@@ -37,16 +37,19 @@ from oracles import (
     canonical_encoding_by_full_search,
     cyclic,
     degree4_schemes,
+    encodings_by_start,
     face_orbits_by_tuples,
     faces_by_tuples,
     fano,
     mobius_kantor,
     random_generalized_sequence,
     random_long_window_sequence,
+    random_map_on_graph,
     random_scheme_transform,
     random_structure,
     scheme_by_scan,
     triangle,
+    triple_structure,
 )
 
 
@@ -221,34 +224,132 @@ def test_canonical_encoding_matches_full_search_oracle():
     assert irregular >= 20
 
 
+def move_walk_schemes(rng, structure, steps):
+    """The schemes along a seeded walk of admissible digon and triangle
+    moves from the realization of ``structure``, one per step."""
+    d, _ = realization_scheme(structure)
+    events = d.event_count
+    for _ in range(steps):
+        digons = sorted(removable_digons(d))
+        triangles = sorted(triangle_moves(d))
+        kinds = ["insert" if d.event_count <= events or not digons else "remove"]
+        kinds += ["triangle"] * bool(triangles)
+        kind = rng.choice(kinds)
+        if kind == "triangle":
+            d = apply_triangle_move(d, rng.choice(triangles))
+        elif kind == "remove":
+            d = remove_digon(d, rng.choice(digons)[0])
+        else:
+            at = rng.randrange(d.event_count + 1)
+            perm = d.permutation_before(at)
+            track = rng.randrange(1, d.n)
+            d = insert_digon(d, (perm[track - 1], perm[track]), at)
+        yield scheme_from_realization(d)
+
+
 def test_canonical_encoding_matches_full_search_on_move_walks():
     """The 6-regular maps of seeded admissible move walks from the
     realizations of cyclic (8_3)-(11_3), and random relabellings,
     regaugings and reflections of each."""
     rng = random.Random(109)
     for n in range(8, 12):
-        d, _ = realization_scheme(cyclic(n))
-        events = d.event_count
-        for _ in range(5):
-            digons = sorted(removable_digons(d))
-            triangles = sorted(triangle_moves(d))
-            kinds = ["insert" if d.event_count <= events or not digons else "remove"]
-            kinds += ["triangle"] * bool(triangles)
-            kind = rng.choice(kinds)
-            if kind == "triangle":
-                d = apply_triangle_move(d, rng.choice(triangles))
-            elif kind == "remove":
-                d = remove_digon(d, rng.choice(digons)[0])
-            else:
-                at = rng.randrange(d.event_count + 1)
-                perm = d.permutation_before(at)
-                track = rng.randrange(1, d.n)
-                d = insert_digon(d, (perm[track - 1], perm[track]), at)
-            s = scheme_from_realization(d)
+        for s in move_walk_schemes(rng, cyclic(n), 5):
             maps = [s.rotmap] + [random_scheme_transform(rng, s).rotmap for _ in range(2)]
             for rm in maps:
                 assert {rm.degree(v) for v in rm.vertices} == {6}
                 assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """The (start dart, sense) of every candidate that
+    ``RotationMap.canonical_encoding`` encodes, in order."""
+    calls = []
+    encode = RotationMap._encode
+
+    def counted(tables, start, reflect, best):
+        calls.append((start, reflect))
+        return encode(tables, start, reflect, best)
+
+    monkeypatch.setattr(RotationMap, "_encode", staticmethod(counted))
+    return calls
+
+
+def test_pruned_encoding_matches_full_search_on_8_regular_maps(encode_calls):
+    """The 8-regular maps of a move walk from the realization of the
+    (13_4) configuration with lines {i, i+1, i+3, i+9} mod 13 (the
+    projective plane of order 3), and random relabellings, regaugings and
+    reflections of each; one map's encodings are all equal."""
+    rng = random.Random(113)
+    plane = triple_structure([(i, (i + 1) % 13, (i + 3) % 13, (i + 9) % 13) for i in range(13)])
+    darts = 0
+    for s in move_walk_schemes(rng, plane, 4):
+        maps = [s.rotmap] + [random_scheme_transform(rng, s).rotmap for _ in range(3)]
+        codes = set()
+        for rm in maps:
+            assert {rm.degree(v) for v in rm.vertices} == {8}
+            codes.add(rm.canonical_encoding())
+            assert codes == {canonical_encoding_by_full_search(rm)}
+            darts += 4 * len(rm.edges)
+    assert 10 * len(encode_calls) < darts
+
+
+SIMPLE_REGULAR_GRAPHS = [
+    [(0, 1), (1, 2), (2, 0)],  # triangle
+    [(i, (i + 1) % 5) for i in range(5)],  # pentagon
+    list(itertools.combinations(range(4), 2)),  # K4
+    [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],  # prism
+    [(a, b) for a in range(3) for b in range(3, 6)],  # K3,3
+    [(a, a | 1 << i) for a in range(8) for i in range(3) if not a >> i & 1],  # cube
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, 5 + i) for i in range(5)],  # Petersen
+    list(itertools.combinations(range(5), 2)),  # K5
+    [e for e in itertools.combinations(range(6), 2) if e not in ((0, 1), (2, 3), (4, 5))],  # octahedron
+]
+
+
+def test_pruned_starts_are_the_least_at_the_first_code_that_differs(encode_calls):
+    """On random maps of simple regular graphs (random edge ends, vertex
+    order, rotations and signs), every full encoding has the same first
+    V + q + 1 entries, the candidates encoded are exactly those whose
+    full encoding is least at the next entry, and the result is the full
+    search's."""
+    rng = random.Random(131)
+    for trial in range(180):
+        rm = random_map_on_graph(rng, SIMPLE_REGULAR_GRAPHS[trial % len(SIMPLE_REGULAR_GRAPHS)])
+        at = len(rm.vertices) + rm.degree(rm.vertices[0]) + 1
+        full = encodings_by_start(rm)
+        assert len({code[:at] for code in full.values()}) == 1
+        least = min(code[at] for code in full.values())
+        encode_calls.clear()
+        assert rm.canonical_encoding() == min(full.values())
+        assert sorted(encode_calls) == sorted(k for k, code in full.items() if code[at] == least)
+
+
+def test_regular_maps_encode_few_start_darts(encode_calls):
+    """On the 6-regular maps of a move walk from the realization of cyclic
+    (11_3), far fewer than the 4E candidates are encoded."""
+    rng = random.Random(127)
+    candidates = 0
+    for s in move_walk_schemes(rng, cyclic(11), 12):
+        s.rotmap.canonical_encoding()
+        candidates += 4 * len(s.rotmap.edges)
+    assert 0 < 10 * len(encode_calls) < candidates
+
+
+def test_maps_with_repeated_neighbours_encode_every_start_dart(encode_calls):
+    """Regular maps where a vertex meets a neighbour twice (the triangle's
+    map, degree-4 schemes on at most three vertices) encode every dart in
+    both senses, and give the full search's encoding."""
+    _, s = realization_scheme(triangle())
+    maps = [s.rotmap] + [t.rotmap for t in degree4_schemes()[::97]]
+    for rm in maps:
+        encode_calls.clear()
+        assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
+        assert sorted(encode_calls) == sorted(
+            (2 * e + end, r) for e, end in rm.darts() for r in (1, -1)
+        )
 
 
 def test_canonical_encoding_rejects_disconnected_maps():
