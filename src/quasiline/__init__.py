@@ -36,13 +36,8 @@ from .sequences import (
     classify,
     elementary_swap,
     make_sequence,
-    move_elements,
     move_window_content,
-    pair_move_count,
-    permutation_after,
-    sequence_from_json,
     sequence_from_json_dict,
-    sequence_to_json,
     sequence_to_json_dict,
 )
 from .surface import (

@@ -221,12 +221,9 @@ def diagram_svg(diagram: GeneralizedWiringDiagram) -> str:
         pts = [(margin * 0.3, y_of(track))]
         for i in diagram.wire_events(w):
             ev = diagram.moves[i]
-            perm = diagram.permutation_before(i)
-            before = perm.index(w) + 1
-            after = ev.start + ev.stop - before
-            pts.append((x_of(i) - sx * 0.3, y_of(before)))
-            pts.append((x_of(i) + sx * 0.3, y_of(after)))
-            track = after
+            pts.append((x_of(i) - sx * 0.3, y_of(track)))
+            track = ev.start + ev.stop - track
+            pts.append((x_of(i) + sx * 0.3, y_of(track)))
         pts.append((width - margin * 0.3, y_of(track)))
         ET.SubElement(
             svg,

@@ -45,10 +45,6 @@ class IndexOutOfRange(QuasilineError, IndexError):
     """A move or prefix index lies outside the sequence."""
 
 
-class BadElement(ValidationError):
-    """An element is not a member of {1..n}."""
-
-
 class NotDisjoint(PreconditionError):
     """Adjacent moves overlap positionally and cannot be interchanged."""
 

@@ -6,8 +6,9 @@ when every pair of elements is jointly reversed exactly once, and
 *generalized allowable* when the final permutation is the full reversal,
 which happens exactly when every pair is jointly reversed an odd number
 of times.  Moves are stored positionally as (start, length) with 1-based
-starts; the permutations along the sequence and the window contents are
-derived once per sequence and cached.
+starts; one replay per sequence derives the window contents and the
+final permutation, and a permutation part way along is replayed on
+demand.
 
 A move that carries a point label is *designated*: it is the reversal at
 a point of an incidence structure.  Labels travel with their moves under
@@ -21,9 +22,6 @@ condition.
 
 from __future__ import annotations
 
-import itertools
-import json
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -31,7 +29,6 @@ from math import comb
 from typing import Hashable, Iterable, Optional
 
 from .errors import (
-    BadElement,
     DuplicateId,
     IndexOutOfRange,
     NotDisjoint,
@@ -83,7 +80,7 @@ class PermSequence:
 
     The designated moves are those carrying a point label; labels are
     distinct.  Move indices are 1-based in the module functions and
-    0-based ("events") in the methods, which read the cached tables.
+    0-based ("events") in the methods, which read one cached replay.
     """
 
     n: int
@@ -118,31 +115,40 @@ class PermSequence:
         return tuple(i for i, m in enumerate(self.moves) if m.point is not None)
 
     @cached_property
-    def permutations(self) -> tuple[tuple[int, ...], ...]:
-        """Permutation before move i (0-based) at index i; index m is the
-        final one."""
+    def _replay(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """One pass over the moves: per move, the elements in its window
+        read top to bottom just before the reversal, and the final
+        permutation."""
         perm = list(range(1, self.n + 1))
-        out = [tuple(perm)]
+        windows = []
         for move in self.moves:
             a, b = move.start - 1, move.stop
-            perm[a:b] = perm[a:b][::-1]
-            out.append(tuple(perm))
-        return tuple(out)
+            window = tuple(perm[a:b])
+            windows.append(window)
+            perm[a:b] = window[::-1]
+        return tuple(windows), tuple(perm)
 
     def permutation_before(self, i: int) -> tuple[int, ...]:
-        return self.permutations[i]
+        """The permutation before move i (0-based), the final one at i = m,
+        replaying the first i moves."""
+        if not 0 <= i <= len(self.moves):
+            raise IndexOutOfRange(f"event {i} not in [0, {len(self.moves)}]")
+        perm = list(range(1, self.n + 1))
+        for move in self.moves[:i]:
+            a, b = move.start - 1, move.stop
+            perm[a:b] = perm[a:b][::-1]
+        return tuple(perm)
 
-    @cached_property
+    @property
     def window_wires_table(self) -> tuple[tuple[int, ...], ...]:
         """Per move, the elements in its window read top to bottom just
         before the reversal."""
-        return tuple(
-            perm[move.start - 1 : move.stop]
-            for perm, move in zip(self.permutations, self.moves)
-        )
+        return self._replay[0]
 
     def window_wires(self, i: int) -> tuple[int, ...]:
-        return self.window_wires_table[i]
+        if not 0 <= i < len(self.moves):
+            raise IndexOutOfRange(f"event {i} not in [0, {len(self.moves) - 1}]")
+        return self._replay[0][i]
 
     @cached_property
     def wire_event_table(self) -> dict[int, tuple[int, ...]]:
@@ -180,39 +186,11 @@ def make_sequence(
     )
 
 
-def permutation_after(seq: PermSequence, t: int) -> tuple[int, ...]:
-    """The permutation after applying the first ``t`` moves to the identity."""
-    if not 0 <= t <= len(seq.moves):
-        raise IndexOutOfRange(f"t={t} not in [0, {len(seq.moves)}]")
-    return seq.permutations[t]
-
-
-def move_elements(seq: PermSequence, i: int) -> frozenset[int]:
-    """The set of elements reversed by move ``i`` (1-based)."""
-    return frozenset(move_window_content(seq, i))
-
-
 def move_window_content(seq: PermSequence, i: int) -> tuple[int, ...]:
     """Window content of move ``i`` read top to bottom just before the reversal."""
     if not 1 <= i <= len(seq.moves):
         raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
     return seq.window_wires_table[i - 1]
-
-
-def pair_counts(seq: PermSequence) -> Counter:
-    """Counter mapping each unordered pair {x,y} to its joint move count."""
-    counts: Counter = Counter()
-    for window in seq.window_wires_table:
-        for x, y in itertools.combinations(window, 2):
-            counts[frozenset((x, y))] += 1
-    return counts
-
-
-def pair_move_count(seq: PermSequence, x: int, y: int) -> int:
-    """Number of moves jointly containing elements ``x`` and ``y``."""
-    if x == y or not (1 <= x <= seq.n) or not (1 <= y <= seq.n):
-        raise BadElement(f"need two distinct elements of 1..{seq.n}, got {x}, {y}")
-    return pair_counts(seq)[frozenset((x, y))]
 
 
 def classify(seq: PermSequence) -> SequenceClass:
@@ -224,7 +202,7 @@ def classify(seq: PermSequence) -> SequenceClass:
     which for a generalized sequence means the moves reverse C(n, 2)
     pairs in all.
     """
-    if seq.permutations[-1] != tuple(range(seq.n, 0, -1)):
+    if seq._replay[1] != tuple(range(seq.n, 0, -1)):
         return SequenceClass.PARTIAL
     if sum(comb(m.length, 2) for m in seq.moves) == comb(seq.n, 2):
         return SequenceClass.ALLOWABLE
@@ -304,11 +282,3 @@ def sequence_from_json_dict(data: dict) -> PermSequence:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed sequence JSON: {exc}") from exc
     return make_sequence(n, moves, designated)
-
-
-def sequence_to_json(seq: PermSequence) -> str:
-    return json.dumps(sequence_to_json_dict(seq), sort_keys=True)
-
-
-def sequence_from_json(text: str) -> PermSequence:
-    return sequence_from_json_dict(json.loads(text))

@@ -1,25 +1,15 @@
 """Wiring diagrams: construction, sweeps, faces, local moves, straightening."""
 
 from .diagram import (
-    AbstractArrangement,
     GeneralizedWiringDiagram,
-    arrangement_from_diagram,
     diagram_from_json_dict,
     diagram_from_realization,
     diagram_to_json_dict,
-    find_monotone_marking,
-    is_proper_marking,
     sweep_digraph,
     topological_sweep,
 )
 from .euclid import diagram_from_lines
-from .faces import (
-    ArrangementFace,
-    arrangement_map,
-    detect_digons,
-    euler_characteristic,
-    trace_faces_disk,
-)
+from .faces import ArrangementFace, arrangement_map, trace_faces_disk
 from .mutations import (
     apply_triangle_move,
     insert_digon,
@@ -35,24 +25,18 @@ from .straighten import (
 )
 
 __all__ = [
-    "AbstractArrangement",
     "ArrangementFace",
     "GeneralizedWiringDiagram",
     "StraightDrawing",
     "apply_triangle_move",
-    "arrangement_from_diagram",
     "arrangement_map",
-    "detect_digons",
     "diagram_from_json_dict",
     "diagram_from_lines",
     "diagram_from_realization",
     "diagram_to_json_dict",
     "drawing_from_json_dict",
     "drawing_to_json_dict",
-    "euler_characteristic",
-    "find_monotone_marking",
     "insert_digon",
-    "is_proper_marking",
     "removable_digons",
     "remove_digon",
     "straighten",

@@ -103,12 +103,3 @@ def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace
     rm, arcs = full_wire_map(diagram)
     faces = [ArrangementFace(tuple(arcs[x >> 2] for x in orbit)) for orbit in rm.faces]
     return tuple(sorted(faces, key=lambda f: (len(f), f.sides)))
-
-
-def detect_digons(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace, ...]:
-    """Faces bounded by exactly two arcs."""
-    return tuple(f for f in trace_faces_disk(diagram) if len(f) == 2)
-
-
-def euler_characteristic(diagram: GeneralizedWiringDiagram) -> int:
-    return arrangement_map(diagram).euler_characteristic()

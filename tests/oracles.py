@@ -11,7 +11,9 @@ pair and testing the point against the polygon, linear systems by
 Gauss-Jordan elimination over ``Fraction`` and by dense Bareiss
 elimination with a pivot search, move sites by scanning every
 later event or index triple, swap equivalence by breadth-first
-search over elementary swaps, canonical encodings by encoding from every
+search over elementary swaps, pair counts by testing every pair of every
+window, monotone markings of abstract arrangements by trying every
+boundary gap, canonical encodings by encoding from every
 dart to the end, realization plans by measuring every insertion slot
 with a pairwise Kendall tau, Levi adjacency by testing every point-line
 pair, Euclidean sweeps by a general projective chart matrix and its
@@ -26,8 +28,11 @@ import heapq
 import itertools
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from typing import Hashable, Optional
 
 from quasiline import (
     IncidenceStructure,
@@ -890,6 +895,137 @@ def swap_chain_by_bfs(seq1: PermSequence, seq2: PermSequence, budget: int):
                 chain.reverse()
                 return chain
             queue.append(nxt)
+    return None
+
+
+def pair_counts(seq: PermSequence) -> Counter:
+    """Counter mapping each unordered pair {x,y} to its joint move count."""
+    counts: Counter = Counter()
+    for window in seq.window_wires_table:
+        for x, y in itertools.combinations(window, 2):
+            counts[frozenset((x, y))] += 1
+    return counts
+
+
+# -- abstract arrangements and monotone markings -----------------------------
+
+
+@dataclass(frozen=True)
+class AbstractArrangement:
+    """Boundary endpoint order plus per-line crossing orders.
+
+    This is a quasiline arrangement given combinatorially, without a
+    drawing.  The marking code below decides whether it is monotone,
+    that is, whether it can be swept like a wiring diagram: a *marking*
+    cuts the boundary circle at one of its 2n gaps and orients every line
+    away from the end met first after the cut, and the arrangement can be
+    swept exactly when some marking is *proper* (every two lines meet
+    their shared crossings in the same order).  The diagram of a
+    generalized allowable sequence always has one, at gap 0
+    (:func:`arrangement_from_diagram`).
+
+    ``boundary`` lists 2n tokens (line, end) in cyclic order around the
+    disk; the token at position i and the one at position i+n must be the
+    two ends of the same line (antipodal identification).  ``crossings``
+    holds, per line (1-based), the vertex ids met walking from end 0 to
+    end 1.
+    """
+
+    n: int
+    boundary: tuple[tuple[int, int], ...]
+    crossings: tuple[tuple[Hashable, ...], ...]
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValidationError("an arrangement needs at least 2 lines")
+        if len(self.boundary) != 2 * self.n:
+            raise ValidationError("boundary must list exactly 2n endpoint tokens")
+        if sorted(self.boundary) != sorted(
+            (l, e) for l in range(1, self.n + 1) for e in (0, 1)
+        ):
+            raise ValidationError("boundary must contain each (line, end) once")
+        for i in range(self.n):
+            a, b = self.boundary[i], self.boundary[i + self.n]
+            if a[0] != b[0] or a[1] == b[1]:
+                raise ValidationError(
+                    "boundary tokens at antipodal positions must be the two ends "
+                    "of one line"
+                )
+        if len(self.crossings) != self.n:
+            raise ValidationError("need one crossing list per line")
+        for l, row in enumerate(self.crossings, start=1):
+            if len(set(row)) != len(row):
+                raise ValidationError(f"line {l} lists a vertex twice")
+        for v, lines in self.vertex_lines.items():
+            if len(lines) < 2:
+                raise ValidationError(f"vertex {v!r} lies on fewer than 2 lines")
+
+    @cached_property
+    def vertex_lines(self) -> dict[Hashable, frozenset[int]]:
+        table: dict[Hashable, set[int]] = {}
+        for l, row in enumerate(self.crossings, start=1):
+            for v in row:
+                table.setdefault(v, set()).add(l)
+        return {v: frozenset(ls) for v, ls in table.items()}
+
+
+def arrangement_from_diagram(
+    diagram: GeneralizedWiringDiagram,
+) -> AbstractArrangement:
+    """Boundary and crossing orders induced by the disk model of a diagram.
+
+    Left endpoints come first (wires 1..n top to bottom), then the right
+    endpoints; the marking gap immediately before wire 1's left endpoint
+    is gap 0.
+    """
+    boundary = tuple((w, 0) for w in range(1, diagram.n + 1)) + tuple(
+        (w, 1) for w in range(1, diagram.n + 1)
+    )
+    crossings = tuple(diagram.wire_events(w) for w in range(1, diagram.n + 1))
+    return AbstractArrangement(diagram.n, boundary, crossings)
+
+
+def _orientations_from_gap(
+    arrangement: AbstractArrangement, gap: int
+) -> dict[int, bool]:
+    """For each line, True when the marking orients it from end 0 to end 1."""
+    size = 2 * arrangement.n
+    forward: dict[int, bool] = {}
+    for k in range(size):
+        line, end = arrangement.boundary[(gap + k) % size]
+        if line not in forward:
+            forward[line] = end == 0
+    return forward
+
+
+def is_proper_marking(arrangement: AbstractArrangement, gap: int) -> bool:
+    """True when, oriented from the given boundary gap, every pair of
+    lines meets its shared crossings in the same order on both."""
+    if not 0 <= gap < 2 * arrangement.n:
+        raise ValidationError(f"gap {gap} not in [0, {2 * arrangement.n - 1}]")
+    forward = _orientations_from_gap(arrangement, gap)
+    oriented = {
+        l: (row if forward[l] else row[::-1])
+        for l, row in zip(range(1, arrangement.n + 1), arrangement.crossings)
+    }
+    for l1, l2 in itertools.combinations(range(1, arrangement.n + 1), 2):
+        set1, set2 = set(oriented[l1]), set(oriented[l2])
+        shared = set1 & set2
+        if len(shared) <= 1:
+            continue
+        order1 = [v for v in oriented[l1] if v in shared]
+        order2 = [v for v in oriented[l2] if v in shared]
+        if order1 != order2:
+            return False
+    return True
+
+
+def find_monotone_marking(arrangement: AbstractArrangement) -> Optional[int]:
+    """First boundary gap that yields a proper marking, or None when the
+    arrangement has no monotone marking and so cannot be swept."""
+    for gap in range(2 * arrangement.n):
+        if is_proper_marking(arrangement, gap):
+            return gap
     return None
 
 

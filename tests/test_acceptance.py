@@ -15,9 +15,7 @@ from quasiline import (
     default_plan,
     fingerprint,
     make_scheme,
-    move_elements,
     move_window_content,
-    permutation_after,
     realize,
     scheme_from_realization,
     sequence_from_json_dict,
@@ -32,10 +30,8 @@ from quasiline.errors import (
     NotAdmissible,
     ValidationError,
 )
-from quasiline.sequences import pair_counts
 from quasiline.wiring import (
     apply_triangle_move,
-    detect_digons,
     diagram_from_lines,
     diagram_from_json_dict,
     diagram_from_realization,
@@ -46,6 +42,7 @@ from quasiline.wiring import (
     straighten,
     sweep_digraph,
     topological_sweep,
+    trace_faces_disk,
     triangle_moves,
 )
 
@@ -60,6 +57,7 @@ from oracles import (
     fano,
     kahn_order,
     mobius_kantor,
+    pair_counts,
     random_allowable_sequence,
     random_generalized_sequence,
     random_partial_sequence,
@@ -114,7 +112,6 @@ def test_criterion_1_realization_theorem(realization_corpus):
         number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
         for idx, p in r.point_of_move.items():
             prescribed = [number[l] for l in plan.point_line_orders[p]]
-            assert move_elements(r.seq, idx) == frozenset(prescribed)
             assert list(move_window_content(r.seq, idx)) == prescribed
         slowest = max(slowest, elapsed)
     assert slowest < 1.0
@@ -167,7 +164,7 @@ def test_criterion_4_classification():
         counts = pair_counts(seq)
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         all_odd = all(counts[frozenset(p)] % 2 == 1 for p in pairs)
-        reverse_final = permutation_after(seq, len(seq.moves)) == tuple(
+        reverse_final = seq.permutation_before(len(seq.moves)) == tuple(
             range(n, 0, -1)
         )
         assert all_odd == reverse_final
@@ -321,7 +318,7 @@ def test_criterion_9_straightening():
     while len(diagrams) < 22:
         n = rng.randint(3, 7)
         d = as_diagram(random_allowable_sequence(rng, n))
-        if detect_digons(d):
+        if any(len(f) == 2 for f in trace_faces_disk(d)):
             # a wire meeting all others in one singular crossing bounds
             # digons even in an allowable diagram; skip those
             continue

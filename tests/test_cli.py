@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 from xml.etree import ElementTree as ET
 
 import pytest
 
 from quasiline.cli import COMMANDS, main
 from quasiline.sequences import sequence_from_json_dict
-from quasiline.wiring import diagram_from_json_dict
+from quasiline.wiring import diagram_from_json_dict, diagram_to_json_dict
 from quasiline.wiring.straighten import drawing_from_json_dict
 
 from oracles import (
@@ -15,6 +16,8 @@ from oracles import (
     PAPPUS_POINTS,
     FANO_LINES,
     WIDE_CHART_LINES,
+    as_diagram,
+    random_generalized_sequence,
 )
 
 FANO_TEXT = "".join(" ".join(line) + "\n" for line in FANO_LINES)
@@ -329,3 +332,22 @@ def test_cli_output_bytes_are_golden(workdir, capsys, command, inputs, fmt):
     assert main([command, *paths, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == GOLDEN_OUTPUTS[command, inputs, fmt]
+
+
+# SHA-256 of ``wiring --format svg`` on nine seeded generalized diagrams
+# on 2..10 wires, concatenated: random windows of any length, then
+# adjacent transpositions up to the reversal.  Fano's SVG is pinned in
+# GOLDEN_OUTPUTS.
+GOLDEN_GENERALIZED_WIRING_SVG = "5d6a36cfdd3554708c27c9d36fe22f417355804b7fe06e9fcc05048ef68008f1"
+
+
+def test_wiring_svg_bytes_are_golden(workdir, capsys):
+    rng = random.Random(16)
+    out = b""
+    for n in range(2, 11):
+        seq = random_generalized_sequence(rng, n, extra_moves=6, designate=True)
+        path = workdir / f"generalized{n}.wd.json"
+        path.write_text(json.dumps({"diagram": diagram_to_json_dict(as_diagram(seq))}))
+        assert main(["wiring", str(path), "--format", "svg"]) == 0
+        out += capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_GENERALIZED_WIRING_SVG

@@ -22,9 +22,7 @@ from quasiline import (
     topological_unwanted_bound,
     unwanted_crossing_count,
 )
-from quasiline.sequences import pair_counts
-
-from oracles import random_structure
+from oracles import pair_counts, random_structure
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 

@@ -13,7 +13,6 @@ from quasiline import default_plan, realize
 from quasiline.errors import HasDigons, QuasilineError
 from quasiline.rotmaps import RotationMap
 from quasiline.wiring import (
-    detect_digons,
     diagram_from_lines,
     diagram_from_realization,
     drawing_from_json_dict,
@@ -415,7 +414,7 @@ def straighten_corpus():
     count = 0
     while count < 19:
         d = as_diagram(random_allowable_sequence(rng, rng.randint(3, 7)))
-        if not detect_digons(d):
+        if all(len(f) != 2 for f in trace_faces_disk(d)):
             count += 1
             yield d
     rng = random.Random(2006)
@@ -470,7 +469,7 @@ def crossing_graph_corpus():
     count = 0
     while count < 300:
         d = as_diagram(random_allowable_sequence(rng, rng.randint(3, 8)))
-        if not detect_digons(d):
+        if all(len(f) != 2 for f in trace_faces_disk(d)):
             count += 1
             yield d
 

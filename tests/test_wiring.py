@@ -12,19 +12,13 @@ from quasiline import (
     sequence_to_json_dict,
 )
 from quasiline.errors import NotGeneralized, ValidationError
-from quasiline.sequences import Move, pair_counts
+from quasiline.sequences import Move
 from quasiline.wiring import (
-    AbstractArrangement,
     GeneralizedWiringDiagram,
-    arrangement_from_diagram,
     arrangement_map,
-    detect_digons,
     diagram_from_json_dict,
     diagram_from_realization,
     diagram_to_json_dict,
-    euler_characteristic,
-    find_monotone_marking,
-    is_proper_marking,
     sweep_digraph,
     topological_sweep,
     trace_faces_disk,
@@ -32,9 +26,14 @@ from quasiline.wiring import (
 from quasiline.wiring.diagram import MAX_WIRES
 
 from oracles import (
+    AbstractArrangement,
+    arrangement_from_diagram,
     as_diagram,
     fano,
+    find_monotone_marking,
+    is_proper_marking,
     kahn_order,
+    pair_counts,
     random_generalized_sequence,
     sweep_cut_ok,
     triangle,
@@ -82,7 +81,7 @@ def test_diagram_requires_odd_crossings():
 
 def test_wire_count_is_bounded_before_any_table():
     # one full reversal crosses every pair once, so only the bound refuses
-    assert GeneralizedWiringDiagram(MAX_WIRES, (Move(1, MAX_WIRES),)).permutations[-1][0] == MAX_WIRES
+    assert GeneralizedWiringDiagram(MAX_WIRES, (Move(1, MAX_WIRES),)).permutation_before(1)[0] == MAX_WIRES
     for n in (MAX_WIRES + 1, 10**19):
         with pytest.raises(ValidationError, match="at most"):
             GeneralizedWiringDiagram(n, (Move(1, n),))
@@ -272,16 +271,15 @@ def test_triangle_faces():
     assert len(faces) == 4
     rm = arrangement_map(d)
     assert len(rm.vertices) == 3 and len(rm.edges) == 6
-    assert euler_characteristic(d) == 1
-    assert not detect_digons(d)
+    assert rm.euler_characteristic() == 1
+    assert all(len(f) != 2 for f in faces)
 
 
 def test_digon_example_faces():
     d = digon_diagram()
     faces = trace_faces_disk(d)
-    digons = detect_digons(d)
-    assert len(digons) >= 2
-    assert euler_characteristic(d) == 1
+    assert sum(len(f) == 2 for f in faces) >= 2
+    assert arrangement_map(d).euler_characteristic() == 1
     assert sum(len(f) for f in faces) == 2 * len(arrangement_map(d).edges)
 
 
