@@ -11,9 +11,11 @@ candidate w = (p, q, 1) that misses every crossing, so every crossing m
 is finite there, at (m₀, m₁) / (w·m).  The chart's matrix is unimodular,
 so every line l keeps an integer normal (l₀ − p·l₂, l₁ − q·l₂) and no
 matrix is inverted.  A shear separates the crossings in x and leaves no
-line vertical; wires are ordered by slope and events by abscissa.  Only
-input values, one abscissa per crossing and one slope per line are
-Fractions; there are no epsilon tolerances anywhere.
+line vertical; each shear candidate is tested on the abscissas as
+reduced integer pairs, and given up at the first pair that repeats.
+Wires are ordered by slope and events by abscissa.  Only input values,
+one abscissa per crossing (for the shear chosen) and one slope per line
+are Fractions; there are no epsilon tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -107,6 +109,27 @@ def _shear_candidates():
         yield (-1, k + 1)
 
 
+def _shear(points, normals) -> tuple[int, int]:
+    """The first shear candidate (r, s) that leaves no line vertical and
+    gives the finite points (x, y, z) distinct abscissas
+    (s·x + r·y) / (s·z).  Abscissas are compared as reduced integer pairs
+    with a positive denominator, and a candidate is given up at the
+    first pair of points that share one."""
+    for r, s in _shear_candidates():
+        if any(s * b == r * a for a, b in normals):
+            continue
+        seen = set()
+        for x, y, z in points:
+            num, den = s * x + r * y, s * z
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            key = (num // g, den // g)
+            if key in seen:
+                break
+            seen.add(key)
+        else:
+            return r, s
+
+
 def diagram_from_lines(
     lines: Sequence[tuple[Rational, Rational, Rational]],
     points: Sequence[tuple[Rational, Rational]] = (),
@@ -155,12 +178,9 @@ def diagram_from_lines(
     p, q, _ = chart
     normals = [(l0 - p * l2, l1 - q * l2) for l0, l1, l2 in covectors]
 
-    for r, s in _shear_candidates():
-        if any(s * b == r * a for a, b in normals):
-            continue
-        abscissa = {m: Fraction(s * m[0] + r * m[1], s * _dot(chart, m)) for m in lines_at}
-        if len(set(abscissa.values())) == len(abscissa):
-            break
+    finite = {m: (m[0], m[1], _dot(chart, m)) for m in lines_at}
+    r, s = _shear(finite.values(), normals)
+    abscissa = {m: Fraction(s * x + r * y, s * z) for m, (x, y, z) in finite.items()}
 
     label_of: dict[tuple[int, int, int], Hashable] = {}
     for label, m in zip(point_labels, selected):

@@ -27,7 +27,8 @@ an integer pair over the one positive denominator D = det·L, and only
 the final :class:`StraightDrawing` divides by D.  The drawing is
 audited on the integer pairs with exact predicates: distinctness, an
 O(E) embedding check (strictly convex outer polygon, one strict
-orientation for every face-star triangle) and angular rotation orders.
+orientation for every face-star triangle) and rotation orders, each
+in one cyclic pass of angle comparisons.
 Dividing every point by the same positive D changes no sign and no
 equality, so each verdict is that of the rational drawing.  The audit
 never passes a degenerate drawing; on failure the polygon parameters are
@@ -44,7 +45,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Hashable, Sequence
 
 from ..errors import HasDigons, NotTwoConnected, QuasilineError, ValidationError
@@ -110,6 +110,14 @@ def _direction_cmp(u: Coords, v: Coords) -> int:
     return 0 if c == 0 else (-1 if c > 0 else 1)
 
 
+def _winds_once(directions: Sequence[Coords]) -> bool:
+    """The (at least two, nonzero) directions are distinct and in
+    counterclockwise cyclic order: no two consecutive ones are equal, and
+    exactly one step, the wrap past the positive x-axis, goes back."""
+    steps = [_direction_cmp(directions[i - 1], directions[i]) for i in range(len(directions))]
+    return 0 not in steps and steps.count(1) == 1
+
+
 def _strictly_convex(polygon: Sequence[Coords]) -> bool:
     """The closed polygon turns strictly left at every vertex and its edge
     directions wind around exactly once: it is simple, strictly convex
@@ -118,7 +126,7 @@ def _strictly_convex(polygon: Sequence[Coords]) -> bool:
     edges = [_sub(polygon[(i + 1) % k], polygon[i]) for i in range(k)]
     if any(_cross(edges[i - 1], edges[i]) <= 0 for i in range(k)):
         return False
-    return sum(_direction_cmp(edges[i - 1], edges[i]) > 0 for i in range(k)) == 1
+    return _winds_once(edges)
 
 
 # -- crossing graph -----------------------------------------------------------
@@ -413,15 +421,7 @@ def _audit(
                 directions.append(
                     _chord_direction(positions, first, last, at_last=end == 0)
                 )
-        for d1, d2 in itertools.combinations(directions, 2):
-            if _direction_cmp(d1, d2) == 0:
-                return False
-        order = sorted(range(len(directions)), key=cmp_to_key(
-            lambda i, j: _direction_cmp(directions[i], directions[j])
-        ))
-        k = len(order)
-        shift = order.index(0)
-        if [order[(shift + i) % k] for i in range(k)] != list(range(k)):
+        if not _winds_once(directions):
             return False
     return True
 

@@ -4,21 +4,22 @@ Everything here is deliberately independent of the implementation paths
 it checks: girth by plain BFS, sweep validity by explicit cut
 simulation, sweep orders by Kahn's algorithm, scheme isomorphism by
 brute-force search over relabellings and regaugings, rotation systems by
-list scans along every wire, the crossing graph's faces on a second
-rotation map and its 2-connectivity by Hopcroft-Tarjan, straight
-drawings by a pairwise segment audit, chord lines by intersecting every
-pair and testing the point against the polygon, linear systems by
-Gauss-Jordan elimination over ``Fraction`` and by dense Bareiss
-elimination with a pivot search, move sites by scanning every
-later event or index triple, swap equivalence by breadth-first
+list scans along every wire, arrangement faces by orbits of the whole
+rotation map, the crossing graph's faces on a second rotation map and
+its 2-connectivity by Hopcroft-Tarjan, straight drawings by a pairwise
+segment audit, rotation orders by a sort by angle, chord lines by
+intersecting every pair and testing the point against the polygon,
+linear systems by Gauss-Jordan elimination over ``Fraction`` and by
+dense Bareiss elimination with a pivot search, move sites by scanning
+every later event or index triple, swap equivalence by breadth-first
 search over elementary swaps, pair counts by testing every pair of every
 window, monotone markings of abstract arrangements by trying every
-boundary gap, canonical encodings by encoding from every
-dart to the end, realization plans by measuring every insertion slot
-with a pairwise Kendall tau, Levi adjacency by testing every point-line
-pair, Euclidean sweeps by a general projective chart matrix and its
-inverse over ``Fraction``, and random generators driven by seeded
-``random.Random`` instances.
+boundary gap, canonical encodings by encoding from every dart to the
+end, realization plans by measuring every insertion slot with a pairwise
+Kendall tau, Levi adjacency by testing every point-line pair, Euclidean
+sweeps by a general projective chart matrix and its inverse over
+``Fraction``, shear candidates by a ``Fraction`` dict, and random
+generators driven by seeded ``random.Random`` instances.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from typing import Hashable, Optional
 
@@ -64,7 +65,9 @@ from quasiline.wiring.euclid import (
     _rows,
     _shear_candidates,
 )
+from quasiline.wiring.faces import ArrangementFace, full_wire_map
 from quasiline.wiring.mutations import _check_triangle
+from quasiline.wiring.straighten import _direction_cmp
 
 
 # -- named configurations -----------------------------------------------------
@@ -461,6 +464,22 @@ def chord_lines_meet_inside(positions, outer_cycle, chords) -> bool:
     return True
 
 
+def rotation_order_by_sort(directions) -> bool:
+    """The rotation audit by a pairwise test for equal directions and a
+    sort by angle: the directions are distinct and their angular order
+    is a cyclic shift of the list order."""
+    for d1, d2 in itertools.combinations(directions, 2):
+        if _direction_cmp(d1, d2) == 0:
+            return False
+    order = sorted(
+        range(len(directions)),
+        key=cmp_to_key(lambda i, j: _direction_cmp(directions[i], directions[j])),
+    )
+    k = len(order)
+    shift = order.index(0)
+    return [order[(shift + i) % k] for i in range(k)] == list(range(k))
+
+
 def over_common_denominator(points) -> list[tuple[int, int]]:
     """Rational points as integer pairs over the lcm of their
     denominators.  The scaling is positive, so every orientation sign and
@@ -620,6 +639,15 @@ def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
     return RotationMap(
         tuple(range(diagram.event_count)), tuple(edges), rotations, tuple(signature)
     )
+
+
+def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace, ...]:
+    """``trace_faces_disk`` by walking the face orbits of the whole
+    arrangement map: every face is the orbit from its least traversal
+    state, its arcs named by edge index."""
+    rm, arcs = full_wire_map(diagram)
+    faces = [ArrangementFace(tuple(arcs[x >> 2] for x in orbit)) for orbit in rm.faces]
+    return tuple(sorted(faces, key=lambda f: (len(f), f.sides)))
 
 
 def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
@@ -1297,6 +1325,18 @@ def diagram_from_lines_by_fractions(lines, points=(), point_labels=None):
         perm[lo : hi + 1] = perm[lo : hi + 1][::-1]
     assert perm == list(range(n, 0, -1)), "sweep did not end at the reversal"
     return GeneralizedWiringDiagram(n, tuple(moves))
+
+
+def shear_by_fractions(points, normals) -> tuple[int, int]:
+    """The shear search of ``diagram_from_lines`` by a dict of ``Fraction``
+    abscissas over all finite points (x, y, z) per candidate, compared by
+    the size of its value set."""
+    for r, s in _shear_candidates():
+        if any(s * b == r * a for a, b in normals):
+            continue
+        abscissa = {p: Fraction(s * p[0] + r * p[1], s * p[2]) for p in points}
+        if len(set(abscissa.values())) == len(abscissa):
+            return r, s
 
 
 # -- randomized generators ----------------------------------------------------

@@ -24,6 +24,7 @@ from oracles import (
     diagram_from_lines_by_fractions,
     finite_crossings,
     random_line_arrangement,
+    shear_by_fractions,
     small_rational_arrangement,
 )
 from test_straighten import check_straightening
@@ -178,6 +179,34 @@ def test_sweep_matches_fraction_chart_oracle():
         assert _outcome(diagram_from_lines, lines, points, labels) == want, (lines, points)
         outcomes.add(want if isinstance(want, type) else "diagram")
     assert outcomes >= {"diagram", ValidationError, DuplicateLine}
+
+
+def test_shear_search_matches_fraction_dict_oracle(monkeypatch):
+    chosen = []
+    search = euclid._shear
+
+    def spy(points, normals):
+        points = list(points)
+        shear = search(points, normals)
+        chosen.append(shear)
+        assert shear == shear_by_fractions(points, normals)
+        return shear
+
+    monkeypatch.setattr(euclid, "_shear", spy)
+    rng = random.Random(150)
+    for n in range(3, 25):
+        for _ in range(6):
+            diagram_from_lines(random_line_arrangement(rng, n))
+    for _ in range(200):
+        try:
+            diagram_from_lines(small_rational_arrangement(rng, rng.randint(2, 8)))
+        except ValidationError:  # a repeated or degenerate line
+            pass
+    diagram_from_lines(PAPPUS_EUCLIDEAN_LINES)
+    # most of these arrangements have two crossings with one abscissa, so
+    # the first shear fails, and some need more than one further candidate
+    assert sum(shear != (0, 1) for shear in chosen) > len(chosen) // 2
+    assert len(set(chosen)) > 3
 
 
 def test_first_chart_and_shear_candidates_keep_their_order():

@@ -36,6 +36,7 @@ from quasiline.wiring.straighten import (
     _sub,
     _tutte_graph,
     _tutte_positions,
+    _winds_once,
 )
 
 from oracles import (
@@ -49,6 +50,7 @@ from oracles import (
     random_allowable_sequence,
     random_laplacian_system,
     random_line_arrangement,
+    rotation_order_by_sort,
     solve_by_dense_bareiss,
     solve_fraction_system,
     triangle,
@@ -327,6 +329,31 @@ def test_strictly_convex_polygon_check():
     pentagram = [pentagon[(2 * i) % 5] for i in range(5)]  # winds twice
     assert _strictly_convex(pentagon)
     assert not _strictly_convex(pentagram)
+
+
+def test_rotation_audit_matches_sort_oracle():
+    # directions round one point: sorted by angle and turned, then maybe
+    # one repeated (or scaled), one replaced by its opposite, or two swapped
+    rng = random.Random(23)
+    pool = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+    by_angle = cmp_to_key(_direction_cmp)
+    verdicts = set()
+    for _ in range(3000):
+        directions = sorted(rng.sample(pool, rng.randint(2, 8)), key=by_angle)
+        shift = rng.randrange(len(directions))
+        directions = directions[shift:] + directions[:shift]
+        i, j = rng.randrange(len(directions)), rng.randrange(len(directions))
+        kind = rng.randrange(4)
+        if kind == 1:
+            directions[i] = tuple(rng.randint(1, 3) * c for c in directions[j])
+        elif kind == 2:
+            directions[i] = (-directions[i][0], -directions[i][1])
+        elif kind == 3:
+            directions[i], directions[j] = directions[j], directions[i]
+        verdict = rotation_order_by_sort(directions)
+        assert _winds_once(directions) == verdict, directions
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def centred_stars(positions, faces):

@@ -17,28 +17,35 @@ from quasiline.wiring import (
     GeneralizedWiringDiagram,
     arrangement_map,
     diagram_from_json_dict,
+    diagram_from_lines,
     diagram_from_realization,
     diagram_to_json_dict,
     sweep_digraph,
     topological_sweep,
     trace_faces_disk,
 )
+from quasiline.rotmaps import RotationMap
 from quasiline.wiring.diagram import MAX_WIRES
 
 from oracles import (
     AbstractArrangement,
     arrangement_from_diagram,
     as_diagram,
+    cyclic,
+    faces_by_orbits,
     fano,
     find_monotone_marking,
     is_proper_marking,
     kahn_order,
     pair_counts,
     random_generalized_sequence,
+    random_line_arrangement,
+    small_rational_arrangement,
     sweep_cut_ok,
     triangle,
     two_lines_three_points,
 )
+from test_mutations import with_random_digons
 
 
 def triangle_diagram():
@@ -290,6 +297,47 @@ def test_euler_and_handshake_on_corpus():
         faces = trace_faces_disk(d)
         assert len(rm.vertices) - len(rm.edges) + len(faces) == 1
         assert sum(len(f) for f in faces) == 2 * len(rm.edges)
+
+
+def band_cell_corpus():
+    """Random generalized diagrams on 2..12 wires, the same with digons
+    inserted, realizations of cyclic (7_3)..(100_3) and Euclidean
+    arrangements, concurrent lines included."""
+    rng = random.Random(3004)
+    for n in range(2, 13):
+        for _ in range(40):
+            d = as_diagram(random_generalized_sequence(rng, n, rng.randint(0, 8), rng.random() < 0.5))
+            yield d
+            yield with_random_digons(rng, d, rng.randint(1, 3))
+    for n in range(7, 101, 3):
+        c = cyclic(n)
+        yield diagram_from_realization(realize(c, default_plan(c)))
+    for n in range(3, 10):
+        yield diagram_from_lines(random_line_arrangement(rng, n))
+        for _ in range(5):
+            try:
+                d = diagram_from_lines(small_rational_arrangement(rng, n))
+            except ValidationError:  # a repeated or degenerate line
+                continue
+            yield d
+
+
+def test_band_cells_match_orbit_oracle(monkeypatch):
+    # the faces themselves, not only their lengths: a rotated or reversed
+    # side list would pass a length check
+    built = []
+    check = RotationMap.__post_init__
+    monkeypatch.setattr(
+        RotationMap, "__post_init__", lambda self: built.append(self) or check(self)
+    )
+    count = 0
+    for d in band_cell_corpus():
+        want = faces_by_orbits(d)
+        built.clear()
+        assert trace_faces_disk(d) == want, d
+        assert not built
+        count += 1
+    assert count > 900
 
 
 def test_crossing_number_identity():
