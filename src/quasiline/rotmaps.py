@@ -138,26 +138,6 @@ class RotationMap:
         return succ
 
     @cached_property
-    def face_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the signed face-traversal step on int states; two
-        orbits per face."""
-        succ = self._successor
-        seen = [False] * len(succ)
-        orbits: list[tuple[int, ...]] = []
-        for start in range(len(succ)):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            state = succ[start]
-            while state != start:
-                orbit.append(state)
-                seen[state] = True
-                state = succ[state]
-            orbits.append(tuple(orbit))
-        return tuple(orbits)
-
-    @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """One traversal per face (each face is traced twice, in opposite
         directions; the lexicographically smaller traversal is kept).

@@ -16,10 +16,9 @@ and together make one more face.  :func:`trace_faces_disk` reads every
 face off one pass over the window table and builds no rotation map.
 
 :func:`wire_map` is the one builder of signed rotation systems from
-wires: the arrangement map keeps every crossing and is what
-:mod:`quasiline.wiring.straighten` reads its faces from, and the surface
-map of :mod:`quasiline.surface` is the same map restricted to the
-designated crossings.
+wires: :func:`arrangement_map` keeps every crossing, and the surface map
+of :mod:`quasiline.surface` is the same map restricted to the designated
+crossings.
 """
 
 from __future__ import annotations
@@ -84,17 +83,10 @@ def wire_map(
     return rm, tuple(arcs)
 
 
-def full_wire_map(
-    diagram: GeneralizedWiringDiagram,
-) -> tuple[RotationMap, tuple[ArcId, ...]]:
-    """:func:`wire_map` over every event, with event indices as vertices."""
-    return wire_map(diagram, {i: i for i in range(diagram.event_count)})
-
-
 def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
     """The diagram's cell complex as a signed rotation map: every event
     is a vertex and every arc an edge (see :func:`wire_map`)."""
-    return full_wire_map(diagram)[0]
+    return wire_map(diagram, {i: i for i in range(diagram.event_count)})[0]
 
 
 @dataclass(frozen=True)

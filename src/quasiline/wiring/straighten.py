@@ -8,11 +8,11 @@ along the straight line spanned by its first and last crossing, taken
 outside the polygon.  Every breakpoint of every wire is a crossing, so
 the drawing has no bends.
 
-The crossing graph is never built as a map of its own: its faces are
-read from the diagram's one arrangement map (:func:`full_wire_map`).
-The bounded cells are its internal faces, its outer walk is traced on
-the same rotations with the chord darts skipped, and it is certified
-2-connected by every one of these face walks being a simple cycle.
+The crossing graph is never built as a map: its faces are read off the
+bands between the diagram's tracks (:func:`_crossing_graph`).  The
+bounded cells are its internal faces, the ends of the bands make up its
+outer walk, and it is certified 2-connected by every one of these face
+walks being a simple cycle.
 
 Coordinates are exact, and integers until the drawing is built: the
 outer polygon vertices are rational points on the unit circle, scaled
@@ -28,14 +28,17 @@ the final :class:`StraightDrawing` divides by D.  The drawing is
 audited on the integer pairs with exact predicates: distinctness, an
 O(E) embedding check (strictly convex outer polygon, one strict
 orientation for every face-star triangle) and rotation orders, each
-in one cyclic pass of angle comparisons.
+read from its crossing's window and checked in one cyclic pass of
+angle comparisons.
 Dividing every point by the same positive D changes no sign and no
 equality, so each verdict is that of the rational drawing.  The audit
-never passes a degenerate drawing; on failure the polygon parameters are
-re-chosen.  The chord lines need no geometry: on a strictly convex
+never passes a degenerate drawing, and one polygon is tried: Tutte's
+map onto any strictly convex polygon is one-to-one (Tutte 1963; Floater
+2003), so no other polygon could change the verdict.  The chord lines
+need no geometry: on a strictly convex
 polygon they behave as required exactly when the chords' ends alternate
 round the outer walk (:func:`_chords_alternate`), which is checked once,
-before any polygon is chosen.
+before the polygon is laid.
 """
 
 from __future__ import annotations
@@ -48,11 +51,10 @@ from fractions import Fraction
 from typing import Hashable, Sequence
 
 from ..errors import HasDigons, NotTwoConnected, QuasilineError, ValidationError
-from ..rotmaps import Dart, RotationMap
 from ..sequences import _as_int
 from .diagram import GeneralizedWiringDiagram
 from .euclid import _as_fraction
-from .faces import ArcId, full_wire_map
+from .faces import trace_faces_disk
 
 Point = tuple[Fraction, Fraction]
 Coords = tuple[int, int]  # integer numerators over a drawing's denominator D
@@ -132,45 +134,71 @@ def _strictly_convex(polygon: Sequence[Coords]) -> bool:
 # -- crossing graph -----------------------------------------------------------
 
 
-def _crossing_graph_faces(
-    diagram: GeneralizedWiringDiagram, full: RotationMap, arcs: Sequence[ArcId]
+def _crossing_graph(
+    diagram: GeneralizedWiringDiagram, paths: Sequence[Sequence[int]]
 ) -> tuple[list[list[int]], list[int]]:
     """The internal face cycles and the outer walk of the crossing graph G
-    (events as vertices, finite arcs as edges), read from the arrangement
-    map ``full`` and its arc table ``arcs``.
+    (events as vertices, finite arcs of the wire ``paths`` as edges).
 
-    The faces of ``full`` with no chord edge are the bounded cells, that
-    is G's internal faces.  The outer walk is G's face walk on ``full``'s
-    rotations with the chord darts skipped, from the far end of the first
-    arc of the last wire at event 0: event 0, the leftmost vertex, has
-    only out-darts finite, and the walk turns there from the last to the
-    first across the outer region.  Walks run along sense 1 and begin at
-    their least state.  G is connected, since every two wires cross, and
-    a connected plane graph on 3 or more vertices is 2-connected exactly
-    when every face walk is a simple cycle (Mohar-Thomassen); otherwise
+    Band t lies between tracks t and t + 1.  An event with window [a, b]
+    touches band a - 1 from below and band b from above, and cuts bands
+    a .. b - 1.  G's internal faces are the cells between consecutive
+    cuts of a band, and its outer walk runs round the ends of the bands.
+    Arc e, numbered as in :func:`quasiline.wiring.faces.wire_map`, has
+    dart 2e from its earlier event and 2e + 1 from its later one; every
+    walk starts at its least dart, and internal faces are listed by it.
+    G is connected, since every two wires cross, and a connected plane
+    graph on 3 or more vertices is 2-connected exactly when every face
+    walk is a simple cycle (Mohar-Thomassen); otherwise
     ``NotTwoConnected`` is raised.
     """
-    edges, signature = full.edges, full.signature
-    pairs = [tuple(sorted(uv)) for uv, s in zip(edges, signature) if s == 1]
-    if len(set(pairs)) != len(pairs) or any(u == v for u, v in pairs):
+    dart: dict[tuple[int, int], int] = {}
+    e = 0
+    for path in paths:
+        for j, (u, v) in enumerate(zip(path, path[1:])):
+            dart[u, v], dart[v, u] = 2 * (e + j), 2 * (e + j) + 1
+        e += len(path)
+    if len(dart) != 2 * (e - len(paths)):
         raise NotTwoConnected("crossing graph is not simple")
-    if len(full.vertices) < 3:
+    if diagram.event_count < 3:
         raise NotTwoConnected("crossing graph has fewer than 3 vertices")
-    internal = [
-        [edges[x >> 2][x >> 1 & 1] for x in orbit]
-        for orbit in full.face_orbits
-        if orbit[0] & 1 and all(signature[x >> 2] == 1 for x in orbit)
-    ]
-    after: dict[Dart, Dart] = {}
-    for rot in full.rotations.values():
-        kept = [d for d in rot if signature[d[0]] == 1]
-        after.update(zip(kept, kept[1:] + kept[:1]))
-    start = (arcs.index((diagram.window_wires(0)[-1], 0)), 1)
-    walk = [start]
-    while (dart := after[full.rev(walk[-1])]) != start:
-        walk.append(dart)
-    least = walk.index(min(walk))
-    outer = [edges[e][end] for e, end in walk[least:] + walk[:least]]
+    n = diagram.n
+    # per band, the events touching it from above and from below since
+    # its last cut; first[t] is the run of its left end, from the bottom
+    # track round its first cut to the top track
+    tops: list[list[int]] = [[] for _ in range(n + 1)]
+    bottoms: list[list[int]] = [[] for _ in range(n + 1)]
+    first: list = [None] * (n + 1)
+    last = [0] * (n + 1)
+    cells = []
+    for i, move in enumerate(diagram.moves):
+        bottoms[move.start - 1].append(i)
+        tops[move.stop].append(i)
+        for t in range(move.start, move.stop):
+            if first[t] is None:
+                first[t] = bottoms[t] + [i] + tops[t][::-1]
+            else:
+                cells.append([last[t]] + tops[t] + [i] + bottoms[t][::-1])
+            last[t] = i
+            tops[t], bottoms[t] = [], []
+    # the outer walk, reversed: the top track left to right, the right
+    # ends of the bands downwards, the bottom track right to left and the
+    # left ends upwards, each run starting where the one before ends
+    runs = (
+        [bottoms[0]]
+        + [tops[t][::-1] + [last[t]] + bottoms[t] for t in range(1, n)]
+        + [tops[n][::-1]]
+        + [first[t] for t in range(n - 1, 0, -1)]
+    )
+    walk = [v for run in runs for v in run[1:]][::-1]
+
+    def from_least_dart(cycle: list[int]) -> list[int]:
+        darts = [dart[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+        least = darts.index(min(darts))
+        return cycle[least:] + cycle[:least]
+
+    internal = sorted(map(from_least_dart, cells), key=lambda c: dart[c[0], c[1]])
+    outer = from_least_dart(walk)
     for cycle in internal + [outer]:
         if len(set(cycle)) != len(cycle):
             raise NotTwoConnected(f"crossing graph face walk {cycle} repeats a vertex")
@@ -216,21 +244,21 @@ def _numerators(points: Sequence[Point]) -> tuple[list[Coords], int]:
 # -- Tutte system -------------------------------------------------------------
 
 
-def _tutte_graph(full: RotationMap, internal_faces: list[list[int]]) -> dict:
-    """Adjacency lists of G, the positive edges of ``full``, with one more
-    vertex ("star", s) per internal face s, joined to every vertex of the
-    face."""
-    adjacency: dict = {v: [] for v in full.vertices}
-    for (u, v), s in zip(full.edges, full.signature):
-        if s == 1:
+def _tutte_graph(
+    event_count: int, paths: Sequence[Sequence[int]], internal_faces: list[list[int]]
+) -> dict:
+    """Adjacency lists of G, the finite arcs of the wire ``paths`` in
+    order, with one more vertex ("star", s) per internal face s, joined
+    to every vertex of the face."""
+    adjacency: dict = {v: [] for v in range(event_count)}
+    for path in paths:
+        for u, v in zip(path, path[1:]):
             adjacency[u].append(v)
             adjacency[v].append(u)
     for s, cycle in enumerate(internal_faces):
-        star = ("star", s)
-        adjacency[star] = []
+        adjacency[("star", s)] = list(cycle)
         for v in cycle:
-            adjacency[star].append(v)
-            adjacency[v].append(star)
+            adjacency[v].append(("star", s))
     return adjacency
 
 
@@ -336,13 +364,6 @@ def _tutte_positions(
 # -- audit --------------------------------------------------------------------
 
 
-def _chord_direction(
-    positions: Sequence[Coords], first: int, last: int, at_last: bool
-) -> Coords:
-    d = _sub(positions[last], positions[first])
-    return d if at_last else (-d[0], -d[1])
-
-
 def _embedded(
     positions: Sequence[Coords],
     polygon: Sequence[Coords],
@@ -392,8 +413,8 @@ def _chords_alternate(
 
 
 def _audit(
-    full: RotationMap,
-    arcs: Sequence[ArcId],
+    diagram: GeneralizedWiringDiagram,
+    paths: Sequence[Sequence[int]],
     positions: list[Coords],
     stars: list[Coords],
     faces: list[list[int]],
@@ -407,28 +428,25 @@ def _audit(
         return False
 
     # Rotation audit: at every crossing the drawn counterclockwise order
-    # of darts (chord rays included) must equal the stored rotation.
-    for v in full.vertices:
-        rotation = full.rotations[v]
-        directions = []
-        for dart in rotation:
-            e, end = dart
-            if full.signature[e] == 1:
-                other = full.edges[e][1 - end]
-                directions.append(_sub(positions[other], positions[v]))
-            else:
-                first, last = chords[arcs[e][0] - 1]
-                directions.append(
-                    _chord_direction(positions, first, last, at_last=end == 0)
-                )
-        if not _winds_once(directions):
+    # of darts must be the window's: the out-directions of its wires top
+    # to bottom, then their in-directions.  A wire leaves its last
+    # crossing and enters its first along its chord.
+    rays = [_sub(positions[last], positions[first]) for first, last in chords]
+    placed = [0] * len(paths)
+    for v, window in enumerate(diagram.window_wires_table):
+        here, outs, ins = positions[v], [], []
+        for w in window:
+            path, j, (x, y) = paths[w - 1], placed[w - 1], rays[w - 1]
+            placed[w - 1] = j + 1
+            outs.append(_sub(positions[path[j + 1]], here) if j + 1 < len(path) else (x, y))
+            ins.append(_sub(positions[path[j - 1]], here) if j else (-x, -y))
+        if not _winds_once(outs + ins):
             return False
     return True
 
 
 # -- main entry ---------------------------------------------------------------
 
-_MAX_ATTEMPTS = 6
 _AUDIT_FAILED = "straightening audit failed for all polygon parameters"
 
 
@@ -436,12 +454,11 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     """Embedding-preserving straight-line drawing with zero bends.
 
     Requires a digon-free diagram (``HasDigons`` otherwise).  The finite
-    crossing graph's faces are read from the arrangement map, and the
+    crossing graph's faces are read off the bands between tracks, and the
     graph is verified simple and 2-connected by its simple face walks
     (``NotTwoConnected`` signals an internal invariant violation).
     """
-    full, arcs = full_wire_map(diagram)
-    digons = sum(len(face) == 2 for face in full.faces)
+    digons = sum(len(face) == 2 for face in trace_faces_disk(diagram))
     if digons:
         raise HasDigons(
             f"{digons} digon(s) found; straightening needs a digon-free diagram"
@@ -454,7 +471,7 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
             )
     chords = [(path[0], path[-1]) for path in wire_paths]
 
-    internal_faces, outer_walk = _crossing_graph_faces(diagram, full, arcs)
+    internal_faces, outer_walk = _crossing_graph(diagram, wire_paths)
     on_outer = set(outer_walk)
     for w, (first, last) in enumerate(chords, start=1):
         if first not in on_outer or last not in on_outer:
@@ -464,28 +481,27 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     if not _chords_alternate(outer_walk, chords):
         raise QuasilineError(_AUDIT_FAILED)
 
-    adjacency = _tutte_graph(full, internal_faces)
+    adjacency = _tutte_graph(diagram.event_count, wire_paths, internal_faces)
     # The outer walk goes counterclockwise round the polygon: it is laid on
     # the circle points mirrored in the x-axis, taken in reverse order.  A
     # mirror image reverses the rotation at every crossing, so only this
     # orientation can pass the rotation audit.
     interior = [v for v in adjacency if v not in on_outer]
-    for attempt in range(_MAX_ATTEMPTS):
-        polygon, scale = _numerators(_circle_points(len(outer_walk), attempt))
-        boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
-        placed, det = _tutte_positions(adjacency, boundary, interior)
-        positions = [placed[v] for v in range(diagram.event_count)]
-        stars = [placed[("star", s)] for s in range(len(internal_faces))]
-        if _audit(full, arcs, positions, stars, internal_faces, outer_walk, chords):
-            d = det * scale
-            return StraightDrawing(
-                diagram.n,
-                tuple((Fraction(x, d), Fraction(y, d)) for x, y in positions),
-                tuple(outer_walk),
-                tuple(chords),
-                wire_paths,
-            )
-    raise QuasilineError(_AUDIT_FAILED)
+    polygon, scale = _numerators(_circle_points(len(outer_walk), 0))
+    boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
+    placed, det = _tutte_positions(adjacency, boundary, interior)
+    positions = [placed[v] for v in range(diagram.event_count)]
+    stars = [placed[("star", s)] for s in range(len(internal_faces))]
+    if not _audit(diagram, wire_paths, positions, stars, internal_faces, outer_walk, chords):
+        raise QuasilineError(_AUDIT_FAILED)
+    d = det * scale
+    return StraightDrawing(
+        diagram.n,
+        tuple((Fraction(x, d), Fraction(y, d)) for x, y in positions),
+        tuple(outer_walk),
+        tuple(chords),
+        wire_paths,
+    )
 
 
 # -- serialization ------------------------------------------------------------

@@ -7,7 +7,8 @@ brute-force search over relabellings and regaugings, rotation systems by
 list scans along every wire, arrangement faces by orbits of the whole
 rotation map, the crossing graph's faces on a second rotation map and
 its 2-connectivity by Hopcroft-Tarjan, straight drawings by a pairwise
-segment audit, rotation orders by a sort by angle, chord lines by
+segment audit and by rotations read from the whole arrangement map,
+rotation orders by a sort by angle, chord lines by
 intersecting every pair and testing the point against the polygon,
 linear systems by Gauss-Jordan elimination over ``Fraction`` and by
 dense Bareiss elimination with a pivot search, move sites by scanning
@@ -65,9 +66,9 @@ from quasiline.wiring.euclid import (
     _rows,
     _shear_candidates,
 )
-from quasiline.wiring.faces import ArrangementFace, full_wire_map
+from quasiline.wiring.faces import ArrangementFace, wire_map
 from quasiline.wiring.mutations import _check_triangle
-from quasiline.wiring.straighten import _direction_cmp
+from quasiline.wiring.straighten import _direction_cmp, _embedded, _sub, _winds_once
 
 
 # -- named configurations -----------------------------------------------------
@@ -534,11 +535,12 @@ def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
     }
     gmap = RotationMap(full.vertices, edges, rotations, (1,) * len(edges))
     gid = renumber[arcs.index((diagram.window_wires(0)[-1], 0))]
-    outer = next(o for o in gmap.face_orbits if 4 * gid + 3 in o)
+    orbits = face_orbits_by_tuples(gmap)
+    outer = next(o for o in orbits if ((gid, 1), 1) in o)
     internal = [
-        [edges[x >> 2][x >> 1 & 1] for x in orbit]
-        for orbit in gmap.face_orbits
-        if orbit[0] & 1 and orbit != outer
+        [edges[e][end] for (e, end), _ in orbit]
+        for orbit in orbits
+        if orbit[0][1] == 1 and orbit != outer
     ]
     adjacency = {v: [] for v in gmap.vertices}
     for u, v in edges:
@@ -548,7 +550,35 @@ def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
         adjacency[("star", s)] = list(cycle)
         for v in cycle:
             adjacency[v].append(("star", s))
-    return gmap, internal, [edges[x >> 2][x >> 1 & 1] for x in outer], adjacency
+    return gmap, internal, [edges[e][end] for (e, end), _ in outer], adjacency
+
+
+def audit_by_arrangement_map(
+    full, arcs, positions, stars, faces, outer_cycle, chords
+) -> bool:
+    """The straightening audit with every rotation read from the
+    arrangement map ``full`` and its arc table ``arcs``: distinct points,
+    the embedding check, and at every crossing the drawn directions of
+    its darts, a closing dart along its wire's chord, in the map's
+    rotation order."""
+    if len(set(positions)) != len(positions):
+        return False
+    polygon = [positions[v] for v in outer_cycle]
+    if not _embedded(positions, polygon, stars, faces):
+        return False
+    for v in full.vertices:
+        directions = []
+        for e, end in full.rotations[v]:
+            if full.signature[e] == 1:
+                other = full.edges[e][1 - end]
+                directions.append(_sub(positions[other], positions[v]))
+            else:
+                first, last = chords[arcs[e][0] - 1]
+                d = _sub(positions[last], positions[first])
+                directions.append(d if end == 0 else (-d[0], -d[1]))
+        if not _winds_once(directions):
+            return False
+    return True
 
 
 def two_connected_by_articulation(gmap: RotationMap) -> bool:
@@ -645,7 +675,7 @@ def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace,
     """``trace_faces_disk`` by walking the face orbits of the whole
     arrangement map: every face is the orbit from its least traversal
     state, its arcs named by edge index."""
-    rm, arcs = full_wire_map(diagram)
+    rm, arcs = wire_map(diagram, {i: i for i in range(diagram.event_count)})
     faces = [ArrangementFace(tuple(arcs[x >> 2] for x in orbit)) for orbit in rm.faces]
     return tuple(sorted(faces, key=lambda f: (len(f), f.sides)))
 

@@ -20,13 +20,12 @@ from quasiline.wiring import (
     straighten,
     trace_faces_disk,
 )
-from quasiline.wiring.faces import full_wire_map
+from quasiline.wiring.faces import wire_map
 from quasiline.wiring.straighten import (
-    _MAX_ATTEMPTS,
     _audit,
     _chords_alternate,
     _circle_points,
-    _crossing_graph_faces,
+    _crossing_graph,
     _direction_cmp,
     _embedded,
     _numerators,
@@ -45,8 +44,10 @@ from oracles import (
     PAPPUS_LABELS,
     PAPPUS_POINTS,
     arcs_pairwise_disjoint,
+    audit_by_arrangement_map,
     chord_lines_meet_inside,
     crossing_graph_by_second_map,
+    face_orbits_by_tuples,
     random_allowable_sequence,
     random_laplacian_system,
     random_line_arrangement,
@@ -61,11 +62,16 @@ from oracles import (
 from perfbench.inputs import straighten_inputs
 
 
+def full_map(diagram):
+    """The arrangement map of ``diagram`` and its arc table."""
+    return wire_map(diagram, {i: i for i in range(diagram.event_count)})
+
+
 def reextracted_face_vector(diagram, drawing):
     """Independent oracle: re-derive every rotation from the drawn
     geometry (sorting dart directions counterclockwise with exact
     arithmetic), rebuild the signed map, and re-trace its faces."""
-    full, arcs = full_wire_map(diagram)
+    full, arcs = full_map(diagram)
     positions = drawing.positions
     first_last = {
         w: (path[0], path[-1])
@@ -371,7 +377,7 @@ def perturbed_drawings():
     for n in (5, 6, 6, 7):
         d = diagram_from_lines(random_line_arrangement(rng, n))
         drawing = straighten(d)
-        faces, _ = _crossing_graph_faces(d, *full_wire_map(d))
+        faces, _ = _crossing_graph(d, drawing.wire_paths)
         inner = [v for v in range(d.event_count) if v not in drawing.outer_cycle]
         variants = []
         for _ in range(25 if inner else 0):
@@ -410,7 +416,7 @@ def test_audit_verdicts_agree_on_integer_and_fraction_points():
     and the full audit give the same verdicts."""
     verdicts = set()
     for d, drawing, faces, variants in perturbed_drawings():
-        full, arcs = full_wire_map(d)
+        paths = drawing.wire_paths
         outer, chords = list(drawing.outer_cycle), list(drawing.chords)
         m = d.event_count
         for positions in [list(drawing.positions)] + variants:
@@ -419,10 +425,44 @@ def test_audit_verdicts_agree_on_integer_and_fraction_points():
             assert _embedded(
                 nums[:m], [nums[v] for v in outer], nums[m:], faces
             ) == _embedded(positions, [positions[v] for v in outer], stars, faces)
-            verdict = _audit(full, arcs, nums[:m], nums[m:], faces, outer, chords)
-            assert verdict == _audit(full, arcs, positions, stars, faces, outer, chords)
+            verdict = _audit(d, paths, nums[:m], nums[m:], faces, outer, chords)
+            assert verdict == _audit(d, paths, positions, stars, faces, outer, chords)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_window_rotation_audit_matches_arrangement_map_oracle():
+    """The audit that reads every rotation from its crossing's window
+    gives the verdict of the oracle that reads it from the arrangement
+    map, on the perturbed drawings and on each drawing with one wire's
+    chord pair reversed.  A reversed chord leaves the points and the
+    embedding as they are, so some drawings fail the rotation audit
+    alone."""
+    verdicts = set()
+    rotation_only = 0
+    for d, drawing, faces, variants in perturbed_drawings():
+        full, arcs = full_map(d)
+        paths, outer = drawing.wire_paths, list(drawing.outer_cycle)
+        chords = list(drawing.chords)
+        cases = [(positions, chords) for positions in [list(drawing.positions)] + variants]
+        for w in range(d.n):
+            reversed_chord = chords[:w] + [chords[w][::-1]] + chords[w + 1 :]
+            cases.append((list(drawing.positions), reversed_chord))
+        for positions, used in cases:
+            stars = centred_stars(positions, faces)
+            verdict = _audit(d, paths, positions, stars, faces, outer, used)
+            assert verdict == audit_by_arrangement_map(
+                full, arcs, positions, stars, faces, outer, used
+            )
+            verdicts.add(verdict)
+            polygon = [positions[v] for v in outer]
+            rotation_only += (
+                not verdict
+                and len(set(positions)) == len(positions)
+                and _embedded(positions, polygon, stars, faces)
+            )
+    assert verdicts == {True, False}
+    assert rotation_only
 
 
 def straighten_corpus():
@@ -450,36 +490,32 @@ def straighten_corpus():
 
 
 def test_integer_tutte_positions_match_fraction_oracle():
-    """For every polygon attempt up to the one straighten keeps, the
-    integer positions over D = det·L equal the Fraction Tutte positions;
-    the drawing holds the positions of one of these attempts."""
+    """On the one polygon straighten lays, the integer positions over
+    D = det·L equal the Fraction Tutte positions, and the drawing holds
+    them."""
     for d in straighten_corpus():
         drawing = straighten(d)
-        full, arcs = full_wire_map(d)
-        faces, outer_walk = _crossing_graph_faces(d, full, arcs)
-        adjacency = _tutte_graph(full, faces)
+        paths = drawing.wire_paths
+        faces, outer_walk = _crossing_graph(d, paths)
+        adjacency = _tutte_graph(d.event_count, paths, faces)
         interior = [v for v in adjacency if v not in outer_walk]
-        for attempt in range(_MAX_ATTEMPTS):
-            circle = _circle_points(len(outer_walk), attempt)
-            polygon, scale = _numerators(circle)
-            assert [(Fraction(x, scale), Fraction(y, scale)) for x, y in polygon] == circle
-            boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
-            placed, det = _tutte_positions(adjacency, boundary, interior)
-            assert det > 0
-            expected = tutte_positions_by_fractions(
-                adjacency,
-                {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), circle)},
-                interior,
-            )
-            denominator = det * scale
-            assert {
-                v: (Fraction(x, denominator), Fraction(y, denominator))
-                for v, (x, y) in placed.items()
-            } == expected
-            if drawing.positions == tuple(expected[v] for v in range(d.event_count)):
-                break
-        else:
-            raise AssertionError("the drawing matches no polygon attempt")
+        circle = _circle_points(len(outer_walk), 0)
+        polygon, scale = _numerators(circle)
+        assert [(Fraction(x, scale), Fraction(y, scale)) for x, y in polygon] == circle
+        boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
+        placed, det = _tutte_positions(adjacency, boundary, interior)
+        assert det > 0
+        expected = tutte_positions_by_fractions(
+            adjacency,
+            {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), circle)},
+            interior,
+        )
+        denominator = det * scale
+        assert {
+            v: (Fraction(x, denominator), Fraction(y, denominator))
+            for v, (x, y) in placed.items()
+        } == expected
+        assert drawing.positions == tuple(expected[v] for v in range(d.event_count))
 
 
 def crossing_graph_corpus():
@@ -502,15 +538,15 @@ def crossing_graph_corpus():
 
 
 def test_crossing_graph_faces_match_second_map_oracle():
-    """Faces read from the arrangement map equal the faces of the crossing
-    graph built as a map of its own: the same internal cycles in the same
+    """Faces read off the bands equal the faces of the crossing graph
+    built as a map of its own: the same internal cycles in the same
     order, the same outer walk and the same Tutte adjacency.  The
     Hopcroft-Tarjan oracle finds every crossing graph 2-connected."""
     for d in crossing_graph_corpus():
-        full, arcs = full_wire_map(d)
-        gmap, faces, outer, adjacency = crossing_graph_by_second_map(d, full, arcs)
-        assert _crossing_graph_faces(d, full, arcs) == (faces, outer)
-        assert _tutte_graph(full, faces) == adjacency
+        paths = tuple(d.wire_events(w) for w in range(1, d.n + 1))
+        gmap, faces, outer, adjacency = crossing_graph_by_second_map(d, *full_map(d))
+        assert _crossing_graph(d, paths) == (faces, outer)
+        assert _tutte_graph(d.event_count, paths, faces) == adjacency
         assert two_connected_by_articulation(gmap)
 
 
@@ -518,9 +554,9 @@ def face_walks_simple(gmap):
     """The face-walk criterion: every sense-1 face walk of a map with only
     positive edges visits each vertex at most once."""
     walks = [
-        [gmap.edges[x >> 2][x >> 1 & 1] for x in orbit]
-        for orbit in gmap.face_orbits
-        if orbit[0] & 1
+        [gmap.edges[e][end] for (e, end), _ in orbit]
+        for orbit in face_orbits_by_tuples(gmap)
+        if orbit[0][1] == 1
     ]
     return all(len(set(walk)) == len(walk) for walk in walks)
 
@@ -547,7 +583,7 @@ def test_face_walk_criterion_matches_articulation_oracle():
     Hopcroft-Tarjan give the same verdict."""
     rng = random.Random(2001)
     graphs = [
-        crossing_graph_by_second_map(d, *full_wire_map(d))[0] for d in straighten_corpus()
+        crossing_graph_by_second_map(d, *full_map(d))[0] for d in straighten_corpus()
     ]
     for a, b in zip(graphs, graphs[1:] + graphs[:1]):
         assert face_walks_simple(a) and two_connected_by_articulation(a)
@@ -558,7 +594,7 @@ def test_face_walk_criterion_matches_articulation_oracle():
             assert not two_connected_by_articulation(glued)
 
 
-def test_straighten_builds_one_rotation_map(monkeypatch):
+def test_straighten_builds_no_rotation_map(monkeypatch):
     built = []
     check = RotationMap.__post_init__
     monkeypatch.setattr(
@@ -567,7 +603,7 @@ def test_straighten_builds_one_rotation_map(monkeypatch):
     for d in straighten_corpus():
         built.clear()
         straighten(d)
-        assert len(built) == 1
+        assert built == []
 
 
 def test_chord_alternation_matches_geometric_oracle():
