@@ -3,19 +3,21 @@
 Input lines are given as rational triples (a, b, c) with ax + by = c; a
 subset of their intersection points may be selected as designated points
 of an incidence structure.  Each line becomes its primitive integer
-covector l = (a, b, -c) and each crossing the primitive integer triple of
-l × l', its homogeneous coordinates.  One table maps every crossing to the
-set of lines through it, so concurrent lines share one key and one
-window.  The chart puts the line w·X = 0 at infinity, for the first
-candidate w = (p, q, 1) that misses every crossing, so every crossing m
-is finite there, at (m₀, m₁) / (w·m).  The chart's matrix is unimodular,
-so every line l keeps an integer normal (l₀ − p·l₂, l₁ − q·l₂) and no
-matrix is inverted.  A shear separates the crossings in x and leaves no
-line vertical; each shear candidate is tested on the abscissas as
-reduced integer pairs, and given up at the first pair that repeats.
-Wires are ordered by slope and events by abscissa.  Only input values,
-one abscissa per crossing (for the shear chosen) and one slope per line
-are Fractions; there are no epsilon tolerances anywhere.
+covector l = (a, b, -c) and each crossing the integer cross product
+l × l', reduced by the gcd of its entries, its homogeneous coordinates.
+One table maps every crossing to the set of lines through it, so
+concurrent lines share one key and one window.  The chart puts the line
+w·X = 0 at infinity, for the first candidate w = (p, q, 1) that misses
+every crossing, so every crossing m is finite there, at
+(m₀, m₁) / (w·m).  The chart's matrix is unimodular, so every line l
+keeps an integer normal (l₀ − p·l₂, l₁ − q·l₂) and no matrix is
+inverted.  A shear separates the crossings in x and leaves no line
+vertical; each shear candidate is tested on the abscissas as reduced
+integer pairs, and given up at the first pair that repeats.  Wires are
+ordered by slope and events by abscissa, each a ratio of two integers
+compared by cross-multiplication, and the sweep reads every wire's
+track from a position table.  ``Fraction``s appear only where the input
+is parsed; there are no epsilon tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Hashable, Optional, Sequence
 
-from ..errors import DuplicateLine, ValidationError
+from ..errors import DuplicateLine, QuasilineError, ValidationError
 from ..sequences import Move
 from .diagram import GeneralizedWiringDiagram
 
@@ -66,15 +69,32 @@ def _rows(rows, size: int, what: str) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def _primitive(triple: Sequence[Rational]) -> tuple[int, int, int]:
-    """Scale a nonzero rational triple to the primitive integer vector
-    whose first nonzero entry is positive."""
+def _integral(triple: Sequence[Rational]) -> tuple[int, int, int]:
+    """A rational triple scaled to integers by the lcm of its denominators."""
     scale = math.lcm(*(x.denominator for x in triple))
-    ints = [x.numerator * (scale // x.denominator) for x in triple]
-    g = math.gcd(*ints)
-    if next(v for v in ints if v) < 0:
+    return tuple(x.numerator * (scale // x.denominator) for x in triple)  # type: ignore[return-value]
+
+
+def _primitive(triple: Sequence[int]) -> tuple[int, int, int]:
+    """A nonzero integer triple divided by the gcd of its entries, signed
+    so that its first nonzero entry is positive."""
+    a, b, c = triple
+    g = math.gcd(a, b, c)
+    if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
         g = -g
-    return tuple(v // g for v in ints)  # type: ignore[return-value]
+    return (a // g, b // g, c // g)
+
+
+def _ratio_order(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """The indices of the integer pairs (num, den), den ≠ 0, in increasing
+    order of num / den, compared by cross-multiplication; ties keep their
+    index order."""
+    signed = [(num, den) if den > 0 else (-num, -den) for num, den in pairs]
+
+    def cmp(i: int, j: int) -> int:
+        return signed[i][0] * signed[j][1] - signed[j][0] * signed[i][1]
+
+    return sorted(range(len(signed)), key=cmp_to_key(cmp))
 
 
 def _cross(p: Sequence, q: Sequence) -> tuple:
@@ -83,10 +103,6 @@ def _cross(p: Sequence, q: Sequence) -> tuple:
         p[2] * q[0] - p[0] * q[2],
         p[0] * q[1] - p[1] * q[0],
     )
-
-
-def _dot(p: Sequence, q: Sequence):
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
 def _chart_candidates():
@@ -154,7 +170,7 @@ def diagram_from_lines(
     for a, b, c in _rows(lines, 3, "line"):
         if a == 0 and b == 0:
             raise ValidationError(f"({a}, {b}, {c}) is not a line")
-        prim = _primitive((a, b, -c))
+        prim = _primitive(_integral((a, b, -c)))
         if prim in seen:
             raise DuplicateLine(f"line ({a}, {b}, {c}) duplicates an earlier one")
         seen.add(prim)
@@ -167,20 +183,21 @@ def diagram_from_lines(
         point_labels = [f"P{i}" for i in range(1, len(points) + 1)]
     if len(point_labels) != len(points):
         raise ValidationError("need exactly one label per selected point")
-    selected = [_primitive((x, y, 1)) for x, y in _rows(points, 2, "point")]
+    selected = [_primitive(_integral((x, y, 1))) for x, y in _rows(points, 2, "point")]
 
     lines_at: dict[tuple[int, int, int], set[int]] = {}
     for i, j in itertools.combinations(range(n), 2):
         m = _primitive(_cross(covectors[i], covectors[j]))
         lines_at.setdefault(m, set()).update((i, j))
 
-    chart = next(w for w in _chart_candidates() if all(_dot(w, m) for m in lines_at))
+    crossings = list(lines_at)
+    chart = next(
+        w for w in _chart_candidates() if all(w[0] * x + w[1] * y + z for x, y, z in crossings)
+    )
     p, q, _ = chart
     normals = [(l0 - p * l2, l1 - q * l2) for l0, l1, l2 in covectors]
-
-    finite = {m: (m[0], m[1], _dot(chart, m)) for m in lines_at}
-    r, s = _shear(finite.values(), normals)
-    abscissa = {m: Fraction(s * x + r * y, s * z) for m, (x, y, z) in finite.items()}
+    finite = [(x, y, p * x + q * y + z) for x, y, z in crossings]
+    r, s = _shear(finite, normals)
 
     label_of: dict[tuple[int, int, int], Hashable] = {}
     for label, m in zip(point_labels, selected):
@@ -192,19 +209,27 @@ def diagram_from_lines(
             raise ValidationError(f"selected points {label_of[m]!r} and {label!r} coincide")
         label_of[m] = label
 
-    # Wires ordered by slope: smallest slope is the top wire at the far left.
-    slopes = sorted((Fraction(-a * s, s * b - r * a), i) for i, (a, b) in enumerate(normals))
-    wire_of_line = {i: w for w, (_, i) in enumerate(slopes, start=1)}
+    # Wires ordered by slope -a·s / (s·b - r·a): smallest slope is the top
+    # wire at the far left.
+    slopes = _ratio_order([(-a * s, s * b - r * a) for a, b in normals])
+    wire_of_line = {i: w for w, i in enumerate(slopes, start=1)}
 
+    # Events ordered by abscissa (s·x + r·y) / (s·z); track[w] is the
+    # 0-based position of wire w in perm.
     perm = list(range(1, n + 1))
+    track = [0] + list(range(n))
     moves = []
-    for m in sorted(lines_at, key=abscissa.__getitem__):
+    for k in _ratio_order([(s * x + r * y, s * z) for x, y, z in finite]):
+        m = crossings[k]
         wires = sorted(wire_of_line[i] for i in lines_at[m])
-        tracks = sorted(perm.index(w) for w in wires)
-        lo, hi = tracks[0], tracks[-1]
-        assert tracks == list(range(lo, hi + 1)), "concurrent wires not adjacent"
-        assert perm[lo : hi + 1] == wires, "window content out of order"
-        moves.append(Move(lo + 1, hi - lo + 1, label_of.get(m)))
-        perm[lo : hi + 1] = perm[lo : hi + 1][::-1]
-    assert perm == list(range(n, 0, -1)), "sweep did not end at the reversal"
+        lo = track[wires[0]]
+        hi = lo + len(wires)
+        if perm[lo:hi] != wires:
+            raise QuasilineError(f"wires {wires} of one crossing are not adjacent in order")
+        moves.append(Move(lo + 1, len(wires), label_of.get(m)))
+        wires.reverse()
+        perm[lo:hi] = wires
+        for t, w in enumerate(wires, start=lo):
+            track[w] = t
+    # the diagram checks that the sweep ends at the reversal
     return GeneralizedWiringDiagram(n, tuple(moves))

@@ -12,24 +12,28 @@ The crossing graph is never built as a map: its faces are read off the
 bands between the diagram's tracks (:func:`_crossing_graph`).  The
 bounded cells are its internal faces, the ends of the bands make up its
 outer walk, and it is certified 2-connected by every one of these face
-walks being a simple cycle.
+walks being a simple cycle.  The same pass counts the arrangement's
+digons, so no other face trace is made.
 
 Coordinates are exact, and integers until the drawing is built: the
-outer polygon vertices are rational points on the unit circle, scaled
-to integers over the lcm L of their denominators, and interior vertices
-solve the barycentric (Tutte) system by fraction-free integer (Bareiss)
+outer polygon vertices are rational points on the unit circle, laid
+from their tangent parameters straight to integer numerators over the
+lcm L of their denominators, and interior vertices solve the
+barycentric (Tutte) system by fraction-free integer (Bareiss)
 elimination, as integers over its determinant det.  The system is a
-pinned graph Laplacian: sparse, symmetric and positive definite.  So it
-is eliminated on the diagonal in minimum-degree order, touching only
+pinned graph Laplacian on int vertex ids (events, then one star per
+internal face): sparse, symmetric and positive definite.  So it is
+eliminated on the diagonal in minimum-degree order, touching only
 nonzero entries and with no pivot search; det and det·X are fixed by
 Cramer's rule, so the order changes no output.  Every point is then
-an integer pair over the one positive denominator D = det·L, and only
-the final :class:`StraightDrawing` divides by D.  The drawing is
-audited on the integer pairs with exact predicates: distinctness, an
-O(E) embedding check (strictly convex outer polygon, one strict
-orientation for every face-star triangle) and rotation orders, each
-read from its crossing's window and checked in one cyclic pass of
-angle comparisons.
+an integer pair over the one positive denominator D = det·L.
+``Fraction``s appear only in the output: the final
+:class:`StraightDrawing` divides by D, and :func:`drawing_from_json_dict`
+parses its coordinates back.  The drawing is audited on the integer
+pairs with exact predicates: distinctness, an O(E) embedding check
+(strictly convex outer polygon, one strict orientation for every
+face-star triangle) and rotation orders, each read from its crossing's
+window and checked in one cyclic pass of angle comparisons.
 Dividing every point by the same positive D changes no sign and no
 equality, so each verdict is that of the rational drawing.  The audit
 never passes a degenerate drawing, and one polygon is tried: Tutte's
@@ -48,13 +52,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from ..errors import HasDigons, NotTwoConnected, QuasilineError, ValidationError
 from ..sequences import _as_int
 from .diagram import GeneralizedWiringDiagram
 from .euclid import _as_fraction
-from .faces import trace_faces_disk
 
 Point = tuple[Fraction, Fraction]
 Coords = tuple[int, int]  # integer numerators over a drawing's denominator D
@@ -144,6 +147,12 @@ def _crossing_graph(
     touches band a - 1 from below and band b from above, and cuts bands
     a .. b - 1.  G's internal faces are the cells between consecutive
     cuts of a band, and its outer walk runs round the ends of the bands.
+    The same pass counts the arrangement's digons (its faces as in
+    :func:`quasiline.wiring.faces.trace_faces_disk`): a cell that no
+    event touches, the last cell of band t joined through infinity to
+    the first of band n - t when no event touches either, and the face of
+    bands 0 and n when two events touch it; any digon raises
+    ``HasDigons`` before G is checked.
     Arc e, numbered as in :func:`quasiline.wiring.faces.wire_map`, has
     dart 2e from its earlier event and 2e + 1 from its later one; every
     walk starts at its least dart, and internal faces are listed by it.
@@ -152,6 +161,35 @@ def _crossing_graph(
     walk is a simple cycle (Mohar-Thomassen); otherwise
     ``NotTwoConnected`` is raised.
     """
+    n = diagram.n
+    # per band, the events touching it from above and from below since
+    # its last cut; first[t] is the run of its left end, from the bottom
+    # track round its first cut to the top track
+    tops: list[list[int]] = [[] for _ in range(n + 1)]
+    bottoms: list[list[int]] = [[] for _ in range(n + 1)]
+    first: list = [None] * (n + 1)
+    last = [0] * (n + 1)
+    cells = []
+    digons = 0
+    for i, move in enumerate(diagram.moves):
+        bottoms[move.start - 1].append(i)
+        tops[move.stop].append(i)
+        for t in range(move.start, move.stop):
+            if first[t] is None:
+                first[t] = bottoms[t] + [i] + tops[t][::-1]
+            else:
+                digons += not (tops[t] or bottoms[t])
+                cells.append([last[t]] + tops[t] + [i] + bottoms[t][::-1])
+            last[t] = i
+            tops[t], bottoms[t] = [], []
+    digons += sum(not (tops[t] or bottoms[t]) and len(first[n - t]) == 1 for t in range(1, n))
+    digons += len(bottoms[0]) + len(tops[n]) == 2
+    if digons:
+        raise HasDigons(f"{digons} digon(s) found; straightening needs a digon-free diagram")
+
+    for w, path in enumerate(paths, start=1):
+        if len(path) < 2:
+            raise NotTwoConnected(f"wire {w} has a single crossing; impossible without digons")
     dart: dict[tuple[int, int], int] = {}
     e = 0
     for path in paths:
@@ -162,25 +200,6 @@ def _crossing_graph(
         raise NotTwoConnected("crossing graph is not simple")
     if diagram.event_count < 3:
         raise NotTwoConnected("crossing graph has fewer than 3 vertices")
-    n = diagram.n
-    # per band, the events touching it from above and from below since
-    # its last cut; first[t] is the run of its left end, from the bottom
-    # track round its first cut to the top track
-    tops: list[list[int]] = [[] for _ in range(n + 1)]
-    bottoms: list[list[int]] = [[] for _ in range(n + 1)]
-    first: list = [None] * (n + 1)
-    last = [0] * (n + 1)
-    cells = []
-    for i, move in enumerate(diagram.moves):
-        bottoms[move.start - 1].append(i)
-        tops[move.stop].append(i)
-        for t in range(move.start, move.stop):
-            if first[t] is None:
-                first[t] = bottoms[t] + [i] + tops[t][::-1]
-            else:
-                cells.append([last[t]] + tops[t] + [i] + bottoms[t][::-1])
-            last[t] = i
-            tops[t], bottoms[t] = [], []
     # the outer walk, reversed: the top track left to right, the right
     # ends of the bands downwards, the bottom track right to left and the
     # left ends upwards, each run starting where the one before ends
@@ -208,11 +227,14 @@ def _crossing_graph(
 # -- outer polygon ------------------------------------------------------------
 
 
-def _circle_points(k: int, attempt: int) -> list[Point]:
+def _circle_polygon(k: int) -> tuple[list[Coords], int]:
     """k distinct rational points on the unit circle in counterclockwise
-    order (tangent half-angle parametrization): t = p/q gives the point
-    ((q² - p²) / (q² + p²), 2pq / (q² + p²)).  Raises QuasilineError once
-    q outgrows the float range before the ps are distinct."""
+    order, as integer numerators over the lcm L of their denominators,
+    and L.  The tangent half-angle t = p/q gives the point
+    (q² - p², 2pq) / d with d = q² + p², in lowest terms over
+    d / gcd(q² - p², 2pq, d).  Raises QuasilineError once q outgrows
+    the float range before the ps are distinct."""
+    attempt = 0
     while True:
         q = 64 << attempt
         offset = math.pi / (7 * k) * attempt
@@ -224,42 +246,14 @@ def _circle_points(k: int, attempt: int) -> list[Point]:
         except OverflowError as exc:
             raise QuasilineError(f"no {k} distinct circle points in float range") from exc
         if len(set(ps)) == k and sorted(ps) == ps:
-            return [
-                (Fraction(q * q - p * p, q * q + p * p), Fraction(2 * p * q, q * q + p * p))
-                for p in ps
-            ]
+            break
         attempt += 7
-
-
-def _numerators(points: Sequence[Point]) -> tuple[list[Coords], int]:
-    """The points as integer pairs over the lcm of their denominators,
-    and that lcm."""
-    scale = math.lcm(*(c.denominator for point in points for c in point))
-    return [
-        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-        for x, y in points
-    ], scale
+    points = [(q * q - p * p, 2 * p * q, q * q + p * p) for p in ps]
+    scale = math.lcm(*(d // math.gcd(x, y, d) for x, y, d in points))
+    return [(x * scale // d, y * scale // d) for x, y, d in points], scale
 
 
 # -- Tutte system -------------------------------------------------------------
-
-
-def _tutte_graph(
-    event_count: int, paths: Sequence[Sequence[int]], internal_faces: list[list[int]]
-) -> dict:
-    """Adjacency lists of G, the finite arcs of the wire ``paths`` in
-    order, with one more vertex ("star", s) per internal face s, joined
-    to every vertex of the face."""
-    adjacency: dict = {v: [] for v in range(event_count)}
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    for s, cycle in enumerate(internal_faces):
-        adjacency[("star", s)] = list(cycle)
-        for v in cycle:
-            adjacency[v].append(("star", s))
-    return adjacency
 
 
 def _solve_exact(
@@ -332,32 +326,51 @@ def _solve_exact(
 
 
 def _tutte_positions(
-    adjacency: dict, boundary: dict[Hashable, Coords], interior: list
-) -> tuple[dict[Hashable, Coords], int]:
-    """Barycentric positions of the interior vertices with the boundary
-    pinned, as integer numerators over a common positive denominator.
+    event_count: int,
+    paths: Sequence[Sequence[int]],
+    faces: list[list[int]],
+    boundary: dict[int, Coords],
+) -> tuple[list[Coords], int]:
+    """Barycentric positions of the crossing graph G (the events, joined
+    along the wire ``paths``) and of one more vertex per internal face s,
+    its star, numbered event_count + s and joined to every vertex of the
+    face, with the ``boundary`` events pinned.
 
-    ``boundary`` holds integer numerators over some denominator L.
-    Returns (placed, det): every point of ``placed`` is over det·L,
-    interior points as the solver's numerators and boundary points
-    scaled by det.
+    ``boundary`` holds integer numerators over some denominator L.  The
+    interior vertices, the other events in order and then the stars, are
+    numbered as the rows of the pinned Laplacian, which is built in one
+    pass over the arcs and the star edges.  Returns (placed, det): one
+    point per vertex id over det·L, interior points as the solver's
+    numerators and boundary points scaled by det.
     """
-    if not interior:
-        return dict(boundary), 1
-    index = {v: i for i, v in enumerate(interior)}
-    rows = [{i: len(adjacency[v])} for i, v in enumerate(interior)]
+    size = event_count + len(faces)
+    interior = [v for v in range(event_count) if v not in boundary]
+    interior += range(event_count, size)
+    row_of = [-1] * size
+    for i, v in enumerate(interior):
+        row_of[v] = i
+    rows = [{i: 0} for i in range(len(interior))]
     rhs = [[0, 0] for _ in interior]
-    for v, i in index.items():
-        for u in adjacency[v]:
-            if u in index:
-                rows[i][index[u]] = rows[i].get(index[u], 0) - 1
+    edges = [(u, v) for path in paths for u, v in zip(path, path[1:])]
+    edges += [(event_count + s, v) for s, cycle in enumerate(faces) for v in cycle]
+    for u, v in edges:  # G is simple, so each edge sets its entry once
+        i, j = row_of[u], row_of[v]
+        for a, b, p in ((i, j, v), (j, i, u)):
+            if a < 0:
+                continue
+            rows[a][a] += 1
+            if b < 0:
+                x, y = boundary[p]
+                rhs[a][0] += x
+                rhs[a][1] += y
             else:
-                rhs[i][0] += boundary[u][0]
-                rhs[i][1] += boundary[u][1]
+                rows[a][b] = -1
     nums, det = _solve_exact(rows, rhs)
-    placed = {v: (x * det, y * det) for v, (x, y) in boundary.items()}
-    for v, i in index.items():
-        placed[v] = (nums[i][0], nums[i][1])
+    placed: list = [None] * size
+    for v, (x, y) in boundary.items():
+        placed[v] = (x * det, y * det)
+    for v, (x, y) in zip(interior, nums):
+        placed[v] = (x, y)
     return placed, det
 
 
@@ -454,24 +467,14 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     """Embedding-preserving straight-line drawing with zero bends.
 
     Requires a digon-free diagram (``HasDigons`` otherwise).  The finite
-    crossing graph's faces are read off the bands between tracks, and the
-    graph is verified simple and 2-connected by its simple face walks
-    (``NotTwoConnected`` signals an internal invariant violation).
+    crossing graph's faces, and the arrangement's digons, are read off the
+    bands between tracks in one pass, and the graph is verified simple and
+    2-connected by its simple face walks (``NotTwoConnected`` signals an
+    internal invariant violation).
     """
-    digons = sum(len(face) == 2 for face in trace_faces_disk(diagram))
-    if digons:
-        raise HasDigons(
-            f"{digons} digon(s) found; straightening needs a digon-free diagram"
-        )
     wire_paths = tuple(diagram.wire_events(w) for w in range(1, diagram.n + 1))
-    for w, path in enumerate(wire_paths, start=1):
-        if len(path) < 2:
-            raise NotTwoConnected(
-                f"wire {w} has a single crossing; impossible without digons"
-            )
-    chords = [(path[0], path[-1]) for path in wire_paths]
-
     internal_faces, outer_walk = _crossing_graph(diagram, wire_paths)
+    chords = [(path[0], path[-1]) for path in wire_paths]
     on_outer = set(outer_walk)
     for w, (first, last) in enumerate(chords, start=1):
         if first not in on_outer or last not in on_outer:
@@ -481,17 +484,15 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     if not _chords_alternate(outer_walk, chords):
         raise QuasilineError(_AUDIT_FAILED)
 
-    adjacency = _tutte_graph(diagram.event_count, wire_paths, internal_faces)
     # The outer walk goes counterclockwise round the polygon: it is laid on
     # the circle points mirrored in the x-axis, taken in reverse order.  A
     # mirror image reverses the rotation at every crossing, so only this
     # orientation can pass the rotation audit.
-    interior = [v for v in adjacency if v not in on_outer]
-    polygon, scale = _numerators(_circle_points(len(outer_walk), 0))
+    m = diagram.event_count
+    polygon, scale = _circle_polygon(len(outer_walk))
     boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
-    placed, det = _tutte_positions(adjacency, boundary, interior)
-    positions = [placed[v] for v in range(diagram.event_count)]
-    stars = [placed[("star", s)] for s in range(len(internal_faces))]
+    placed, det = _tutte_positions(m, wire_paths, internal_faces, boundary)
+    positions, stars = placed[:m], placed[m:]
     if not _audit(diagram, wire_paths, positions, stars, internal_faces, outer_walk, chords):
         raise QuasilineError(_AUDIT_FAILED)
     d = det * scale

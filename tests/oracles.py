@@ -8,7 +8,9 @@ list scans along every wire, arrangement faces by orbits of the whole
 rotation map, the crossing graph's faces on a second rotation map and
 its 2-connectivity by Hopcroft-Tarjan, straight drawings by a pairwise
 segment audit and by rotations read from the whole arrangement map,
-rotation orders by a sort by angle, chord lines by
+rotation orders by a sort by angle, circle polygons as ``Fraction``
+points scaled to integer numerators, Tutte systems on a hashable
+adjacency dict through a vertex-to-row index map, chord lines by
 intersecting every pair and testing the point against the polygon,
 linear systems by Gauss-Jordan elimination over ``Fraction`` and by
 dense Bareiss elimination with a pivot search, move sites by scanning
@@ -28,6 +30,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -62,13 +65,18 @@ from quasiline.wiring import GeneralizedWiringDiagram
 from quasiline.wiring.euclid import (
     _chart_candidates,
     _cross,
-    _dot,
     _rows,
     _shear_candidates,
 )
 from quasiline.wiring.faces import ArrangementFace, wire_map
 from quasiline.wiring.mutations import _check_triangle
-from quasiline.wiring.straighten import _direction_cmp, _embedded, _sub, _winds_once
+from quasiline.wiring.straighten import (
+    _direction_cmp,
+    _embedded,
+    _solve_exact,
+    _sub,
+    _winds_once,
+)
 
 
 # -- named configurations -----------------------------------------------------
@@ -406,6 +414,84 @@ def tutte_positions_by_fractions(adjacency, boundary, interior) -> dict:
     for v, i in index.items():
         out[v] = (solution[i][0], solution[i][1])
     return out
+
+
+def circle_points(k: int, attempt: int) -> list[tuple[Fraction, Fraction]]:
+    """The circle polygon of ``straighten`` as ``Fraction`` points, from
+    the given attempt on: t = p/q gives the point
+    ((q² - p²) / (q² + p²), 2pq / (q² + p²)), each p rounded from
+    tan(angle / 2)·q, and a collision retries at attempt + 7."""
+    while True:
+        q = 64 << attempt
+        offset = math.pi / (7 * k) * attempt
+        try:
+            ps = [
+                round(math.tan((-math.pi + (2 * i + 1) * math.pi / k + offset) / 2) * q)
+                for i in range(k)
+            ]
+        except OverflowError as exc:
+            raise QuasilineError(f"no {k} distinct circle points in float range") from exc
+        if len(set(ps)) == k and sorted(ps) == ps:
+            return [
+                (Fraction(q * q - p * p, q * q + p * p), Fraction(2 * p * q, q * q + p * p))
+                for p in ps
+            ]
+        attempt += 7
+
+
+def numerators(points) -> tuple[list[tuple[int, int]], int]:
+    """``Fraction`` points as integer pairs over the lcm of their
+    denominators, and that lcm."""
+    scale = lcm(*(c.denominator for point in points for c in point))
+    return [
+        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for x, y in points
+    ], scale
+
+
+def tutte_graph(event_count: int, paths, internal_faces) -> dict:
+    """Adjacency lists of the crossing graph, the finite arcs of the wire
+    ``paths`` in order, with one more vertex ("star", s) per internal
+    face s, joined to every vertex of the face."""
+    adjacency: dict = {v: [] for v in range(event_count)}
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    for s, cycle in enumerate(internal_faces):
+        adjacency[("star", s)] = list(cycle)
+        for v in cycle:
+            adjacency[v].append(("star", s))
+    return adjacency
+
+
+def tutte_system(adjacency: dict, boundary: dict, interior: list):
+    """The pinned Laplacian of ``adjacency`` as one dict row per vertex of
+    ``interior``, through a vertex-to-row index map, and its rhs: per
+    row, the sums of the integer points of its ``boundary`` neighbours."""
+    index = {v: i for i, v in enumerate(interior)}
+    rows = [{i: len(adjacency[v])} for i, v in enumerate(interior)]
+    rhs = [[0, 0] for _ in interior]
+    for v, i in index.items():
+        for u in adjacency[v]:
+            if u in index:
+                rows[i][index[u]] = rows[i].get(index[u], 0) - 1
+            else:
+                rhs[i][0] += boundary[u][0]
+                rhs[i][1] += boundary[u][1]
+    return rows, rhs
+
+
+def tutte_positions(adjacency: dict, boundary: dict, interior: list):
+    """Integer barycentric positions over det·L for ``boundary`` points
+    over L: :func:`tutte_system` solved by the library's sparse solver,
+    the boundary scaled by det.  Returns (placed, det)."""
+    rows, rhs = tutte_system(adjacency, boundary, interior)
+    nums, det = _solve_exact(rows, rhs)
+    placed = {v: (x * det, y * det) for v, (x, y) in boundary.items()}
+    for v, (x, y) in zip(interior, nums):
+        placed[v] = (x, y)
+    return placed, det
 
 
 def _orient(a, b, c) -> int:
@@ -1193,6 +1279,10 @@ def realize_by_slots(structure: IncidenceStructure, plan: RealizationPlan) -> Re
 
 
 # -- Euclidean sweep by projective chart matrices --------------------------------
+
+
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
 def _det3(m) -> Fraction:

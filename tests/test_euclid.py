@@ -237,3 +237,22 @@ def test_chart_search_goes_past_radius_seven(monkeypatch):
     assert tried[-1] == (-8, -8, 1) and len(tried) == 226
     assert d == diagram_from_lines_by_fractions(WIDE_CHART_LINES)
     check_straightening(d)
+
+
+def test_sweep_invariant_failures_are_typed(monkeypatch):
+    """Events swept out of abscissa order break the window check, which
+    raises a typed error (also under ``python -O``), not a bare
+    AssertionError."""
+    order = euclid._ratio_order
+    calls = []
+
+    def shuffled_events(pairs):
+        calls.append(pairs)
+        result = order(pairs)
+        if len(calls) == 2:  # slopes first, then events
+            random.Random(7).shuffle(result)
+        return result
+
+    monkeypatch.setattr(euclid, "_ratio_order", shuffled_events)
+    with pytest.raises(QuasilineError, match="not adjacent in order"):
+        diagram_from_lines(random_line_arrangement(random.Random(5), 5))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -12,7 +13,9 @@ import pytest
 from quasiline import default_plan, realize
 from quasiline.errors import HasDigons, QuasilineError
 from quasiline.rotmaps import RotationMap
+from quasiline.sequences import Move
 from quasiline.wiring import (
+    GeneralizedWiringDiagram,
     diagram_from_lines,
     diagram_from_realization,
     drawing_from_json_dict,
@@ -21,19 +24,18 @@ from quasiline.wiring import (
     trace_faces_disk,
 )
 from quasiline.wiring.faces import wire_map
+from quasiline.wiring.mutations import insert_digon
 from quasiline.wiring.straighten import (
     _audit,
     _chords_alternate,
-    _circle_points,
+    _circle_polygon,
     _crossing_graph,
     _direction_cmp,
     _embedded,
-    _numerators,
     _orient,
     _solve_exact,
     _strictly_convex,
     _sub,
-    _tutte_graph,
     _tutte_positions,
     _winds_once,
 )
@@ -46,16 +48,23 @@ from oracles import (
     arcs_pairwise_disjoint,
     audit_by_arrangement_map,
     chord_lines_meet_inside,
+    circle_points,
     crossing_graph_by_second_map,
     face_orbits_by_tuples,
+    numerators,
     random_allowable_sequence,
+    random_generalized_sequence,
     random_laplacian_system,
     random_line_arrangement,
+    random_long_window_sequence,
     rotation_order_by_sort,
     solve_by_dense_bareiss,
     solve_fraction_system,
     triangle,
+    tutte_graph,
+    tutte_positions,
     tutte_positions_by_fractions,
+    tutte_system,
     two_connected_by_articulation,
     two_lines_three_points,
 )
@@ -138,6 +147,65 @@ def test_digon_diagram_rejected():
     d = diagram_from_realization(realize(c, default_plan(c)))
     with pytest.raises(HasDigons):
         straighten(d)
+
+
+def digon_corpus():
+    """Random generalized diagrams of 2 to 7 wires (greedy finishes after
+    random windows, long windows at the ends of the tracks, allowable
+    sequences), most with up to two digons inserted at random slots."""
+    rng = random.Random(1980)
+    for _ in range(1500):
+        n = rng.randint(2, 7)
+        kind = 0 if n == 2 else rng.randrange(3)
+        if kind == 0:
+            seq = random_generalized_sequence(rng, n)
+        elif kind == 1:
+            seq = random_long_window_sequence(rng, n)
+        else:
+            seq = random_allowable_sequence(rng, n)
+        d = as_diagram(seq)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            at = rng.randint(0, d.event_count)
+            t = rng.randrange(n - 1)
+            perm = d.permutation_before(at)
+            d = insert_digon(d, (perm[t], perm[t + 1]), at)
+        yield d
+
+
+def test_digon_count_matches_face_trace():
+    """The digons counted in the band pass of ``_crossing_graph`` are the
+    2-sided faces of ``trace_faces_disk``, bounded ones and ones through
+    infinity alike, and straighten raises HasDigons with that count; a
+    diagram with none straightens."""
+    seen = Counter()
+    for d in digon_corpus():
+        paths = tuple(d.wire_events(w) for w in range(1, d.n + 1))
+        digons = [face for face in trace_faces_disk(d) if len(face) == 2]
+        if not digons:
+            check_straightening(d)
+            seen["digon-free"] += 1
+            continue
+        message = f"^{len(digons)} digon\\(s\\) found; straightening needs a digon-free diagram$"
+        with pytest.raises(HasDigons, match=message):
+            _crossing_graph(d, paths)
+        with pytest.raises(HasDigons, match=message):
+            straighten(d)
+        closing = {(w, len(path) - 1) for w, path in enumerate(paths, start=1)}
+        for face in digons:
+            seen["at infinity" if closing & set(face.sides) else "bounded"] += 1
+        seen[f"n = {d.n}"] += 1
+    assert seen["digon-free"] >= 100 and seen["bounded"] >= 100
+    assert seen["at infinity"] >= 100
+    assert seen["n = 2"] >= 50 and seen["n = 3"] >= 50
+
+
+def test_digons_take_precedence_over_other_straightening_errors():
+    # two wires crossing once: two digons, one vertex, no crossing graph arcs
+    with pytest.raises(HasDigons, match="^2 digon"):
+        straighten(GeneralizedWiringDiagram(2, (Move(1, 2),)))
+    # three wires through one point: every wire has a single crossing
+    with pytest.raises(HasDigons, match="^3 digon"):
+        straighten(GeneralizedWiringDiagram(3, (Move(1, 3),)))
 
 
 def test_pappus_straightens_with_preserved_faces():
@@ -294,10 +362,10 @@ def test_sparse_solve_rejects_singular_and_indefinite_systems():
     for matrix, rhs in singular_laplacians():
         with pytest.raises(QuasilineError, match="singular barycentric system"):
             solve_sparse(matrix, rhs)
-    # an interior component with no pinned neighbour, through _tutte_positions
-    adjacency = {"a": ["b"], "b": ["a"], "c": ["x"], "x": ["c"]}
+    # an interior component with no pinned neighbour, through _tutte_positions:
+    # arcs 0-1 and 2-3, event 3 pinned
     with pytest.raises(QuasilineError, match="singular barycentric system"):
-        _tutte_positions(adjacency, {"x": (1, 2)}, ["a", "b", "c"])
+        _tutte_positions(4, [[0, 1], [2, 3]], [], {3: (1, 2)})
     for matrix in ([[0, 1], [1, 0]], [[-1]], [[1, 2], [2, 1]], [[2, -1], [0, 2]]):
         with pytest.raises(QuasilineError):
             solve_sparse(matrix, [[1, 1]] * len(matrix))
@@ -331,7 +399,7 @@ def test_strictly_convex_polygon_check():
     assert not _strictly_convex(square[::-1])  # clockwise
     assert not _strictly_convex([(0, 0), (1, 0), (2, 0), (1, 1)])  # flat corner
     assert not _strictly_convex([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)])  # reflex
-    pentagon = _circle_points(5, 0)
+    pentagon, _ = _circle_polygon(5)
     pentagram = [pentagon[(2 * i) % 5] for i in range(5)]  # winds twice
     assert _strictly_convex(pentagon)
     assert not _strictly_convex(pentagram)
@@ -421,7 +489,7 @@ def test_audit_verdicts_agree_on_integer_and_fraction_points():
         m = d.event_count
         for positions in [list(drawing.positions)] + variants:
             stars = centred_stars(positions, faces)
-            nums, _ = _numerators(positions + stars)
+            nums, _ = numerators(positions + stars)
             assert _embedded(
                 nums[:m], [nums[v] for v in outer], nums[m:], faces
             ) == _embedded(positions, [positions[v] for v in outer], stars, faces)
@@ -489,22 +557,41 @@ def straighten_corpus():
         yield diagram_from_lines(random_line_arrangement(rng, n))
 
 
+def star_ids(mapping, event_count):
+    """``mapping`` with every vertex ("star", s) of the oracles renamed to
+    the library's id event_count + s, in keys and in adjacency lists."""
+
+    def rename(v):
+        return event_count + v[1] if isinstance(v, tuple) else v
+
+    return {
+        rename(v): [rename(u) for u in x] if isinstance(x, list) else x
+        for v, x in mapping.items()
+    }
+
+
 def test_integer_tutte_positions_match_fraction_oracle():
     """On the one polygon straighten lays, the integer positions over
-    D = det·L equal the Fraction Tutte positions, and the drawing holds
-    them."""
+    D = det·L equal the index-map oracle's integers and the Fraction
+    Tutte positions, and the drawing holds them.  The polygon's
+    numerators are those of the Fraction circle points."""
     for d in straighten_corpus():
         drawing = straighten(d)
-        paths = drawing.wire_paths
+        m, paths = d.event_count, drawing.wire_paths
         faces, outer_walk = _crossing_graph(d, paths)
-        adjacency = _tutte_graph(d.event_count, paths, faces)
-        interior = [v for v in adjacency if v not in outer_walk]
-        circle = _circle_points(len(outer_walk), 0)
-        polygon, scale = _numerators(circle)
-        assert [(Fraction(x, scale), Fraction(y, scale)) for x, y in polygon] == circle
+        circle = circle_points(len(outer_walk), 0)
+        polygon, scale = _circle_polygon(len(outer_walk))
+        assert (polygon, scale) == numerators(circle)
         boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), polygon)}
-        placed, det = _tutte_positions(adjacency, boundary, interior)
+        placed, det = _tutte_positions(m, paths, faces, boundary)
         assert det > 0
+        adjacency = tutte_graph(m, paths, faces)
+        interior = [v for v in adjacency if v not in outer_walk]
+        oracle, oracle_det = tutte_positions(adjacency, boundary, interior)
+        assert det == oracle_det
+        assert placed == [oracle[v] for v in range(m)] + [
+            oracle[("star", s)] for s in range(len(faces))
+        ]
         expected = tutte_positions_by_fractions(
             adjacency,
             {v: (x, -y) for v, (x, y) in zip(reversed(outer_walk), circle)},
@@ -513,9 +600,9 @@ def test_integer_tutte_positions_match_fraction_oracle():
         denominator = det * scale
         assert {
             v: (Fraction(x, denominator), Fraction(y, denominator))
-            for v, (x, y) in placed.items()
-        } == expected
-        assert drawing.positions == tuple(expected[v] for v in range(d.event_count))
+            for v, (x, y) in enumerate(placed)
+        } == star_ids(expected, m)
+        assert drawing.positions == tuple(expected[v] for v in range(m))
 
 
 def crossing_graph_corpus():
@@ -537,16 +624,33 @@ def crossing_graph_corpus():
             yield d
 
 
-def test_crossing_graph_faces_match_second_map_oracle():
+def test_crossing_graph_faces_match_second_map_oracle(monkeypatch):
     """Faces read off the bands equal the faces of the crossing graph
     built as a map of its own: the same internal cycles in the same
-    order, the same outer walk and the same Tutte adjacency.  The
-    Hopcroft-Tarjan oracle finds every crossing graph 2-connected."""
+    order, the same outer walk and the same Tutte adjacency.  The Tutte
+    rows, built on int ids in one pass over the arcs and the stars, are
+    the rows, in the same order, and the rhs that the index-map oracle
+    builds on that adjacency.  The Hopcroft-Tarjan oracle finds every
+    crossing graph 2-connected."""
+    module = importlib.import_module("quasiline.wiring.straighten")
+    systems = []
+
+    def recorded(rows, rhs):
+        systems.append(([dict(row) for row in rows], [list(b) for b in rhs]))
+        return _solve_exact(rows, rhs)
+
+    monkeypatch.setattr(module, "_solve_exact", recorded)
     for d in crossing_graph_corpus():
-        paths = tuple(d.wire_events(w) for w in range(1, d.n + 1))
+        m, paths = d.event_count, tuple(d.wire_events(w) for w in range(1, d.n + 1))
         gmap, faces, outer, adjacency = crossing_graph_by_second_map(d, *full_map(d))
         assert _crossing_graph(d, paths) == (faces, outer)
-        assert _tutte_graph(d.event_count, paths, faces) == adjacency
+        assert tutte_graph(m, paths, faces) == adjacency
+        polygon, _ = _circle_polygon(len(outer))
+        boundary = dict(zip(reversed(outer), polygon))
+        systems.clear()
+        _tutte_positions(m, paths, faces, boundary)
+        interior = [v for v in star_ids(adjacency, m) if v not in boundary]
+        assert systems == [tutte_system(star_ids(adjacency, m), boundary, interior)]
         assert two_connected_by_articulation(gmap)
 
 
@@ -618,7 +722,7 @@ def test_chord_alternation_matches_geometric_oracle():
     for _ in range(600):
         k = rng.randint(3, 12)
         if rng.random() < 0.5:
-            polygon = _circle_points(k, rng.randrange(3))
+            polygon = circle_points(k, rng.randrange(3))
         else:
             xs = sorted(rng.sample(range(-40, 41), k))
             polygon = [(Fraction(x, 7), Fraction(x * x, 49)) for x in xs]
@@ -648,18 +752,27 @@ def test_chord_alternation_matches_geometric_oracle():
 
 def test_circle_points_retry_is_the_next_attempt():
     # k = 202 is the smallest polygon whose first parameters collide
-    assert _circle_points(202, 0) == _circle_points(202, 7)
+    assert circle_points(202, 0) == circle_points(202, 7)
     for k in (3, 7, 20, 202):
-        points = _circle_points(k, 0)
+        points, scale = _circle_polygon(k)
+        assert (points, scale) == numerators(circle_points(k, 0))
         assert len(set(points)) == k
-        assert all(x * x + y * y == 1 for x, y in points)
+        assert all(x * x + y * y == scale * scale for x, y in points)
         assert _strictly_convex(points)
+
+
+def test_circle_polygon_numerators_match_fraction_points():
+    """Every polygon of 3 to 150 points, laid straight to numerators from
+    its tangent parameters, equals the Fraction circle points scaled to
+    the lcm of their denominators."""
+    for k in range(3, 151):
+        assert _circle_polygon(k) == numerators(circle_points(k, 0))
 
 
 def test_circle_points_past_float_range_raise_a_typed_error():
     # every retry for k = 204 collides until the float product overflows
     with pytest.raises(QuasilineError, match="float range"):
-        _circle_points(204, 0)
+        _circle_polygon(204)
 
 
 def test_drawing_json_roundtrip():
