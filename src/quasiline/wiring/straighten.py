@@ -22,11 +22,17 @@ lcm L of their denominators, and interior vertices solve the
 barycentric (Tutte) system by fraction-free integer (Bareiss)
 elimination, as integers over its determinant det.  The system is a
 pinned graph Laplacian on int vertex ids (events, then one star per
-internal face): sparse, symmetric and positive definite.  So it is
-eliminated on the diagonal in minimum-degree order, touching only
-nonzero entries and with no pivot search; det and det·X are fixed by
-Cramer's rule, so the order changes no output.  Every point is then
-an integer pair over the one positive denominator D = det·L.
+internal face): sparse, symmetric and positive definite.  No two stars
+are adjacent, so their block is diagonal and is eliminated in closed
+form: what is left is the Schur complement on the interior events,
+scaled by the product P of the face lengths, which is exactly the
+Bareiss state once every star is pivoted.  That is eliminated on the
+diagonal in minimum-degree order from the pivot P, touching only
+nonzero entries and with no pivot search, and each star is the mean
+of its face.  det and det·X are those of the whole system, fixed by
+Cramer's rule, so neither the closed form nor the order changes any
+output.  Every point is then an integer pair over the one positive
+denominator D = det·L.
 ``Fraction``s appear only in the output: the final
 :class:`StraightDrawing` divides by D, and :func:`drawing_from_json_dict`
 parses its coordinates back.  The drawing is audited on the integer
@@ -99,28 +105,30 @@ def _orient(a: Coords, b: Coords, c: Coords) -> int:
     return (v > 0) - (v < 0)
 
 
-def _direction_cmp(u: Coords, v: Coords) -> int:
-    """Counterclockwise comparison of direction vectors starting at the
-    positive x-axis; ties mean equal directions."""
-
-    def half(w: Coords) -> int:
-        if w[1] > 0 or (w[1] == 0 and w[0] > 0):
-            return 0
-        return 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = _cross(u, v)
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
 def _winds_once(directions: Sequence[Coords]) -> bool:
     """The (at least two, nonzero) directions are distinct and in
     counterclockwise cyclic order: no two consecutive ones are equal, and
-    exactly one step, the wrap past the positive x-axis, goes back."""
-    steps = [_direction_cmp(directions[i - 1], directions[i]) for i in range(len(directions))]
-    return 0 not in steps and steps.count(1) == 1
+    exactly one step, the wrap past the positive x-axis, goes back.
+
+    A step goes back when it leaves the lower half-plane (the negative
+    x-axis included) for the upper one (the positive x-axis included), or
+    turns clockwise within one of them.  A step within one half that does
+    not turn repeats a direction, since opposite directions lie in
+    different halves."""
+    backs = 0
+    ux, uy = directions[-1]
+    lower = uy < 0 or (uy == 0 and ux < 0)
+    for vx, vy in directions:
+        below = vy < 0 or (vy == 0 and vx < 0)
+        if below == lower:
+            turn = ux * vy - uy * vx
+            if not turn:
+                return False
+            backs += turn < 0
+        else:
+            backs += lower
+        ux, uy, lower = vx, vy, below
+    return backs == 1
 
 
 def _strictly_convex(polygon: Sequence[Coords]) -> bool:
@@ -257,12 +265,13 @@ def _circle_polygon(k: int) -> tuple[list[Coords], int]:
 
 
 def _solve_exact(
-    rows: list[dict[int, int]], rhs: list[list[int]]
+    rows: list[dict[int, int]], rhs: list[list[int]], pivot: int = 1
 ) -> tuple[list[list[int]], int]:
     """Solve ``A · X = rhs`` exactly over the integers, for A symmetric
     positive definite and given by its sparse ``rows`` (column to entry);
     rhs holds one column per coordinate.  Returns (nums, det) with
-    det = det A > 0 and X = nums / det.
+    X = nums / det and det = det A / pivot^(m - 1) > 0 for m rows: det A
+    itself for the default pivot 1.
 
     Fraction-free (Bareiss) elimination on the diagonal in minimum-degree
     order: each step pivots on the remaining row with the fewest entries,
@@ -274,20 +283,28 @@ def _solve_exact(
     is left alone: the skipped Bareiss steps only multiply it by
     p_k / p_(k-1), which telescopes, so when the row is next updated or
     becomes the pivot it divides by the pivot p_t of its own last update
-    (1 before any), exactly.  The last pivot is det, and back-substitution
-    over the pivot rows in reverse yields the integers det·X; by Cramer's
-    rule both are the same in every order.
+    (``pivot`` before any), exactly.  The last pivot is det, and
+    back-substitution over the pivot rows in reverse yields the integers
+    det·X; by Cramer's rule both are the same in every order.
+
+    A ``pivot`` above 1 continues an elimination already begun.  When a
+    larger system M has a block D eliminated in closed form, and A is its
+    Schur complement M/D scaled by pivot = det D, A's entries are the
+    bordered minors of M that Bareiss elimination holds once D's rows are
+    pivoted, and det D is the last of those pivots.  So the elimination
+    goes on from there over A's rows alone and ends on M's det
+    = det D · det(M/D), and on M's det·X restricted to A's rows.
     """
     for i, row in enumerate(rows):
         if any(rows[j].get(i) != x for j, x in row.items()):
             raise QuasilineError("barycentric system is not symmetric")
     rows = [dict(row) for row in rows]
     rhs = [list(b) for b in rhs]
-    last = [1] * len(rows)  # the pivot of each row's last update
+    last = [pivot] * len(rows)  # the pivot of each row's last update
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     pivots = []
-    prev = 1
+    prev = pivot
     while heap:
         size, k = heapq.heappop(heap)
         if last[k] == 0 or size != len(rows[k]):
@@ -305,10 +322,11 @@ def _solve_exact(
         for j, y in row.items():
             other, s = rows[j], last[j]
             f = other.pop(k)
-            merged = {i: p * x for i, x in other.items()}
-            for i, x in row.items():
-                merged[i] = merged.get(i, 0) - f * x
-            rows[j] = {i: x // s for i, x in merged.items() if x}
+            rows[j] = {
+                i: x
+                for i in other.keys() | row.keys()
+                if (x := (p * other.get(i, 0) - f * row.get(i, 0)) // s)
+            }
             rhs[j] = [(p * x - f * z) // s for x, z in zip(rhs[j], rhs[k])]
             last[j] = p
             heapq.heappush(heap, (len(rows[j]), j))
@@ -336,41 +354,62 @@ def _tutte_positions(
     its star, numbered event_count + s and joined to every vertex of the
     face, with the ``boundary`` events pinned.
 
-    ``boundary`` holds integer numerators over some denominator L.  The
-    interior vertices, the other events in order and then the stars, are
-    numbered as the rows of the pinned Laplacian, which is built in one
-    pass over the arcs and the star edges.  Returns (placed, det): one
-    point per vertex id over det·L, interior points as the solver's
-    numerators and boundary points scaled by det.
+    ``boundary`` holds integer numerators over some denominator L.  No two
+    stars are adjacent, so the stars' block of the pinned Laplacian is
+    D = diag(f) over the face lengths f, and its Schur complement has a
+    closed form: per internal face of length f, each of its interior
+    events gains 1 on its diagonal, -1/f towards every interior event of
+    the face, itself included, and 1/f of the face's pinned points on its
+    rhs.  Scaled by P = det D, the product of the face lengths, the
+    complement is integral and is the Bareiss state once every star is
+    pivoted, so :func:`_solve_exact` goes on from pivot P over one row per
+    interior event, in order, and det is that of the whole system.  A
+    star is the mean of its face: its numerators are the sum of the
+    face's placed points over f, exact by Cramer's rule.  Returns
+    (placed, det): one point per vertex id over det·L, interior events as
+    the solver's numerators and boundary points scaled by det.
     """
-    size = event_count + len(faces)
     interior = [v for v in range(event_count) if v not in boundary]
-    interior += range(event_count, size)
-    row_of = [-1] * size
+    row_of = [-1] * event_count
     for i, v in enumerate(interior):
         row_of[v] = i
+    pivot = math.prod(map(len, faces))
     rows = [{i: 0} for i in range(len(interior))]
     rhs = [[0, 0] for _ in interior]
-    edges = [(u, v) for path in paths for u, v in zip(path, path[1:])]
-    edges += [(event_count + s, v) for s, cycle in enumerate(faces) for v in cycle]
-    for u, v in edges:  # G is simple, so each edge sets its entry once
-        i, j = row_of[u], row_of[v]
-        for a, b, p in ((i, j, v), (j, i, u)):
-            if a < 0:
-                continue
-            rows[a][a] += 1
-            if b < 0:
-                x, y = boundary[p]
-                rhs[a][0] += x
-                rhs[a][1] += y
-            else:
-                rows[a][b] = -1
-    nums, det = _solve_exact(rows, rhs)
-    placed: list = [None] * size
+    for path in paths:  # G is simple, so each arc sets its entry once, before the faces
+        for u, v in zip(path, path[1:]):
+            i, j = row_of[u], row_of[v]
+            for a, b, w in ((i, j, v), (j, i, u)):
+                if a < 0:
+                    continue
+                rows[a][a] += pivot
+                if b < 0:
+                    x, y = boundary[w]
+                    rhs[a][0] += x * pivot
+                    rhs[a][1] += y * pivot
+                else:
+                    rows[a][b] = -pivot
+    for cycle in faces:
+        share = pivot // len(cycle)
+        pinned = [boundary[v] for v in cycle if row_of[v] < 0]
+        x, y = sum(p[0] for p in pinned) * share, sum(p[1] for p in pinned) * share
+        inner = [row_of[v] for v in cycle if row_of[v] >= 0]
+        for a in inner:
+            row = rows[a]
+            row[a] += pivot
+            for b in inner:
+                row[b] = row.get(b, 0) - share
+            rhs[a][0] += x
+            rhs[a][1] += y
+    nums, det = _solve_exact(rows, rhs, pivot)
+    placed: list = [None] * event_count
     for v, (x, y) in boundary.items():
         placed[v] = (x * det, y * det)
     for v, (x, y) in zip(interior, nums):
         placed[v] = (x, y)
+    for cycle in faces:
+        xs, ys = zip(*(placed[v] for v in cycle))
+        placed.append((sum(xs) // len(cycle), sum(ys) // len(cycle)))
     return placed, det
 
 
@@ -460,8 +499,6 @@ def _audit(
 
 # -- main entry ---------------------------------------------------------------
 
-_AUDIT_FAILED = "straightening audit failed for all polygon parameters"
-
 
 def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     """Embedding-preserving straight-line drawing with zero bends.
@@ -482,7 +519,9 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
                 f"wire {w} does not reach the outer boundary; identification failed"
             )
     if not _chords_alternate(outer_walk, chords):
-        raise QuasilineError(_AUDIT_FAILED)
+        raise QuasilineError(
+            "wire chords do not alternate round the outer walk; their lines cannot all cross"
+        )
 
     # The outer walk goes counterclockwise round the polygon: it is laid on
     # the circle points mirrored in the x-axis, taken in reverse order.  A
@@ -494,7 +533,7 @@ def straighten(diagram: GeneralizedWiringDiagram) -> StraightDrawing:
     placed, det = _tutte_positions(m, wire_paths, internal_faces, boundary)
     positions, stars = placed[:m], placed[m:]
     if not _audit(diagram, wire_paths, positions, stars, internal_faces, outer_walk, chords):
-        raise QuasilineError(_AUDIT_FAILED)
+        raise QuasilineError("the straight-line drawing failed its audit")
     d = det * scale
     return StraightDrawing(
         diagram.n,

@@ -71,7 +71,6 @@ from quasiline.wiring.euclid import (
 from quasiline.wiring.faces import ArrangementFace, wire_map
 from quasiline.wiring.mutations import _check_triangle
 from quasiline.wiring.straighten import (
-    _direction_cmp,
     _embedded,
     _solve_exact,
     _sub,
@@ -494,6 +493,33 @@ def tutte_positions(adjacency: dict, boundary: dict, interior: list):
     return placed, det
 
 
+def schur_complement(rows: list, rhs: list, eliminated: list):
+    """The system of dict ``rows`` and ``rhs`` (as in :func:`tutte_system`)
+    with the rows and columns ``eliminated`` removed by Gaussian
+    elimination in Fractions, one after the other.  Returns the Schur
+    complement on the other rows, in their order and renumbered from 0,
+    its rhs, and the determinant of the eliminated block, the product of
+    its pivots."""
+    a = [{j: Fraction(x) for j, x in row.items()} for row in rows]
+    b = [[Fraction(x) for x in r] for r in rhs]
+    gone = set()
+    det = Fraction(1)
+    for k in eliminated:
+        p = a[k].pop(k)
+        det *= p
+        gone.add(k)
+        for i, row in enumerate(a):
+            f = row.pop(k, 0) if i not in gone else 0
+            if f:
+                for j, x in a[k].items():
+                    row[j] = row.get(j, 0) - f * x / p
+                b[i] = [y - f * z / p for y, z in zip(b[i], b[k])]
+    kept = [i for i in range(len(rows)) if i not in gone]
+    index = {i: n for n, i in enumerate(kept)}
+    complement = [{index[j]: x for j, x in a[i].items() if x} for i in kept]
+    return complement, [b[i] for i in kept], det
+
+
 def _orient(a, b, c) -> int:
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (v > 0) - (v < 0)
@@ -551,16 +577,31 @@ def chord_lines_meet_inside(positions, outer_cycle, chords) -> bool:
     return True
 
 
+def _half_plane(w) -> int:
+    """0 for the upper half-plane and the positive x-axis, 1 for the rest."""
+    return 0 if w[1] > 0 or (w[1] == 0 and w[0] > 0) else 1
+
+
+def direction_cmp(u, v) -> int:
+    """Counterclockwise comparison of nonzero direction vectors starting at
+    the positive x-axis; ties mean equal directions."""
+    hu, hv = _half_plane(u), _half_plane(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    c = u[0] * v[1] - u[1] * v[0]
+    return 0 if c == 0 else (-1 if c > 0 else 1)
+
+
 def rotation_order_by_sort(directions) -> bool:
     """The rotation audit by a pairwise test for equal directions and a
     sort by angle: the directions are distinct and their angular order
     is a cyclic shift of the list order."""
     for d1, d2 in itertools.combinations(directions, 2):
-        if _direction_cmp(d1, d2) == 0:
+        if direction_cmp(d1, d2) == 0:
             return False
     order = sorted(
         range(len(directions)),
-        key=cmp_to_key(lambda i, j: _direction_cmp(directions[i], directions[j])),
+        key=cmp_to_key(lambda i, j: direction_cmp(directions[i], directions[j])),
     )
     k = len(order)
     shift = order.index(0)

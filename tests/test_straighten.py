@@ -30,7 +30,6 @@ from quasiline.wiring.straighten import (
     _chords_alternate,
     _circle_polygon,
     _crossing_graph,
-    _direction_cmp,
     _embedded,
     _orient,
     _solve_exact,
@@ -50,6 +49,7 @@ from oracles import (
     chord_lines_meet_inside,
     circle_points,
     crossing_graph_by_second_map,
+    direction_cmp,
     face_orbits_by_tuples,
     numerators,
     random_allowable_sequence,
@@ -58,6 +58,7 @@ from oracles import (
     random_line_arrangement,
     random_long_window_sequence,
     rotation_order_by_sort,
+    schur_complement,
     solve_by_dense_bareiss,
     solve_fraction_system,
     triangle,
@@ -101,7 +102,7 @@ def reextracted_face_vector(diagram, drawing):
         darts = list(full.rotations[v])
         darts.sort(
             key=cmp_to_key(
-                lambda d1, d2: _direction_cmp(
+                lambda d1, d2: direction_cmp(
                     dart_direction(v, d1), dart_direction(v, d2)
                 )
             )
@@ -325,23 +326,42 @@ def test_sparse_solve_matches_dense_oracle_on_random_laplacians():
         assert solve_sparse(matrix, rows) == solve_by_dense_bareiss(matrix, rows)
 
 
-def test_sparse_solve_matches_dense_oracle_on_tutte_systems(monkeypatch):
-    """Every system straighten solves for seeded 5- to 14-line
-    arrangements: the same (nums, det) as the dense Bareiss oracle."""
-    module = importlib.import_module("quasiline.wiring.straighten")
-    systems = []
+def tutte_problem(diagram):
+    """The arguments straighten passes to :func:`_tutte_positions` for
+    ``diagram``: event count, wire paths, internal faces and the outer
+    walk pinned to the mirrored circle polygon."""
+    paths = tuple(diagram.wire_events(w) for w in range(1, diagram.n + 1))
+    faces, outer = _crossing_graph(diagram, paths)
+    polygon, _ = _circle_polygon(len(outer))
+    boundary = {v: (x, -y) for v, (x, y) in zip(reversed(outer), polygon)}
+    return diagram.event_count, paths, faces, boundary
 
-    def recorded(rows, rhs):
-        result = _solve_exact(rows, rhs)
-        systems.append((dense(rows), rhs, result))
-        return result
 
-    monkeypatch.setattr(module, "_solve_exact", recorded)
+def dense_star_solve(event_count, paths, faces, boundary):
+    """(placed, det) as :func:`_tutte_positions` returns them, from the
+    dense Bareiss oracle on the whole Tutte system, face stars included,
+    and that system's row count."""
+    adjacency = star_ids(tutte_graph(event_count, paths, faces), event_count)
+    interior = [v for v in adjacency if v not in boundary]
+    rows, rhs = tutte_system(adjacency, boundary, interior)
+    nums, det = solve_by_dense_bareiss(dense(rows), rhs)
+    placed = {v: (x * det, y * det) for v, (x, y) in boundary.items()}
+    placed.update((v, tuple(num)) for v, num in zip(interior, nums))
+    return [placed[v] for v in range(len(adjacency))], det, len(rows)
+
+
+def test_sparse_solve_matches_dense_oracle_on_tutte_systems():
+    """The Tutte system of every seeded 5- to 14-line arrangement, its
+    face stars eliminated in closed form and the events solved sparsely:
+    the same (placed, det) as the dense Bareiss oracle on the whole
+    system, stars included."""
+    sizes = []
     for n in range(5, 15):
-        straighten(seeded_arrangement(n))
-    assert len(systems) >= 10 and max(len(matrix) for matrix, _, _ in systems) > 100
-    for matrix, rhs, result in systems:
-        assert result == solve_by_dense_bareiss(matrix, rhs)
+        problem = tutte_problem(seeded_arrangement(n))
+        placed, det, size = dense_star_solve(*problem)
+        assert _tutte_positions(*problem) == (placed, det)
+        sizes.append(size)
+    assert max(sizes) > 100
 
 
 def singular_laplacians():
@@ -410,7 +430,7 @@ def test_rotation_audit_matches_sort_oracle():
     # one repeated (or scaled), one replaced by its opposite, or two swapped
     rng = random.Random(23)
     pool = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
-    by_angle = cmp_to_key(_direction_cmp)
+    by_angle = cmp_to_key(direction_cmp)
     verdicts = set()
     for _ in range(3000):
         directions = sorted(rng.sample(pool, rng.randint(2, 8)), key=by_angle)
@@ -627,17 +647,18 @@ def crossing_graph_corpus():
 def test_crossing_graph_faces_match_second_map_oracle(monkeypatch):
     """Faces read off the bands equal the faces of the crossing graph
     built as a map of its own: the same internal cycles in the same
-    order, the same outer walk and the same Tutte adjacency.  The Tutte
-    rows, built on int ids in one pass over the arcs and the stars, are
-    the rows, in the same order, and the rhs that the index-map oracle
-    builds on that adjacency.  The Hopcroft-Tarjan oracle finds every
-    crossing graph 2-connected."""
+    order, the same outer walk and the same Tutte adjacency.  The solver
+    is handed the Schur complement of the face stars in the system the
+    index-map oracle builds on that adjacency, computed in Fractions
+    (rows on the interior events in order, and rhs), times P, with P, the
+    determinant of the stars' block, as its starting pivot.  The
+    Hopcroft-Tarjan oracle finds every crossing graph 2-connected."""
     module = importlib.import_module("quasiline.wiring.straighten")
     systems = []
 
-    def recorded(rows, rhs):
-        systems.append(([dict(row) for row in rows], [list(b) for b in rhs]))
-        return _solve_exact(rows, rhs)
+    def recorded(rows, rhs, pivot=1):
+        systems.append(([dict(row) for row in rows], [list(b) for b in rhs], pivot))
+        return _solve_exact(rows, rhs, pivot)
 
     monkeypatch.setattr(module, "_solve_exact", recorded)
     for d in crossing_graph_corpus():
@@ -650,8 +671,25 @@ def test_crossing_graph_faces_match_second_map_oracle(monkeypatch):
         systems.clear()
         _tutte_positions(m, paths, faces, boundary)
         interior = [v for v in star_ids(adjacency, m) if v not in boundary]
-        assert systems == [tutte_system(star_ids(adjacency, m), boundary, interior)]
+        rows, rhs = tutte_system(star_ids(adjacency, m), boundary, interior)
+        stars = [i for i, v in enumerate(interior) if v >= m]
+        complement, reduced, block = schur_complement(rows, rhs, stars)
+        assert systems == [(
+            [{j: block * x for j, x in row.items()} for row in complement],
+            [[block * x for x in b] for b in reduced],
+            block,
+        )]
         assert two_connected_by_articulation(gmap)
+
+
+def test_star_block_matches_dense_solve_of_the_whole_system():
+    """Over the crossing-graph corpus, the Tutte positions with the face
+    stars eliminated in closed form, stars and det included, equal the
+    dense Bareiss solve of the whole system."""
+    for d in crossing_graph_corpus():
+        problem = tutte_problem(d)
+        placed, det, _ = dense_star_solve(*problem)
+        assert _tutte_positions(*problem) == (placed, det)
 
 
 def face_walks_simple(gmap):
@@ -708,6 +746,25 @@ def test_straighten_builds_no_rotation_map(monkeypatch):
         built.clear()
         straighten(d)
         assert built == []
+
+
+def test_chord_and_audit_failures_raise_their_own_messages(monkeypatch):
+    """Forced to fail, the chord check and the audit each raise their own
+    message; the chord check raises before any polygon is laid, and the
+    audit after the one polygon."""
+    module = importlib.import_module("quasiline.wiring.straighten")
+    laid = []
+    circle_polygon = module._circle_polygon
+    monkeypatch.setattr(module, "_circle_polygon", lambda k: laid.append(k) or circle_polygon(k))
+    d = seeded_arrangement(6)
+    monkeypatch.setattr(module, "_audit", lambda *args: False)
+    with pytest.raises(QuasilineError, match="^the straight-line drawing failed its audit$"):
+        straighten(d)
+    assert len(laid) == 1
+    monkeypatch.setattr(module, "_chords_alternate", lambda *args: False)
+    with pytest.raises(QuasilineError, match="^wire chords do not alternate round the outer walk"):
+        straighten(d)
+    assert len(laid) == 1
 
 
 def test_chord_alternation_matches_geometric_oracle():
