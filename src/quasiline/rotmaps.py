@@ -12,12 +12,18 @@ Darts are pairs (edge index, end); end 0 attaches at the first endpoint
 of the edge, end 1 at the second.  Rotations list darts counterclockwise
 in whatever drawing the map came from.
 
+Each map builds one dart table, once, when it is validated: per vertex
+index, the rotation as ints 2e + end; per dart, the index of the vertex
+it leads to (its partner's vertex) and its edge's sign.  Connectivity,
+orientability, face tracing and the canonical encoding read only this
+table and never walk tuple darts.
+
 A face-traversal state is a dart with a local sense s of +1 or -1.
 Faces are traced on ints: state ((e, end), s) is 4e + 2·end + (s == 1),
-so ``x >> 2`` is its edge, ``x >> 1 & 1`` its end and ``x & 1`` its
-sense, and the ints sort as the (dart, sense) tuples do.  Each map
-builds, once, the table of the next state of every state, and the face
-walks follow it.
+so ``x >> 2`` is its edge, ``x >> 1`` its dart, ``x >> 1 & 1`` its end
+and ``x & 1`` its sense, and the ints sort as the (dart, sense) tuples
+do.  Each map builds, once, the table of the next state of every state,
+and the face walks follow it.
 
 The canonical encoding is the least of the encodings from every start
 dart in both senses.  It names darts as ints 2e+end, starts only at
@@ -26,8 +32,11 @@ prefix of it exceeds the best so far, so most candidates stop after a
 few entries; the result is the same as encoding every candidate in full.
 On a map whose vertices share one degree q and have q distinct
 neighbours each, every candidate's first q + 1 codes are the same, and
-only the candidates least at the next code, which takes O(1) from the
-tables, are encoded.
+only the candidates least at the next code are encoded.  They are found
+in two phases: the least code belongs to a candidate whose next dart
+leads to the second neighbour of its start, which one comparison per
+candidate finds, and only those candidates are keyed in full; a map
+without such candidates, such as one without triangles, keys them all.
 Dart numbers are lazy: a discovered vertex keeps the first number of its
 darts, its gauge and the position of its entry dart, so any dart's
 number takes O(1), and a vertex's darts in number order are one slice of
@@ -55,31 +64,47 @@ class RotationMap:
     signature: tuple[int, ...]
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        """Validate the map and build its dart table in one pass: per
+        vertex index, the rotation as darts 2e + end (``_rots``); per
+        dart, the index of the vertex it leads to, its partner's
+        (``_far``), and its edge's sign (``_sign``)."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise ValidationError("duplicate vertex ids in rotation map")
-        if len(self.signature) != len(self.edges):
+        edges, signature = self.edges, self.signature
+        if len(signature) != len(edges):
             raise ValidationError("signature length must match edge count")
-        if any(s not in (1, -1) for s in self.signature):
+        if any(s not in (1, -1) for s in signature):
             raise ValidationError("signatures must be +1 or -1")
-        for u, v in self.edges:
-            if u not in vset or v not in vset:
+        for u, v in edges:
+            if u not in index or v not in index:
                 raise ValidationError(f"edge endpoint {u!r}/{v!r} not a vertex")
-        if self.rotations.keys() != vset:
+        if self.rotations.keys() != index.keys():
             raise ValidationError("rotations must have one row per vertex and no other row")
-        seen: set[Dart] = set()
-        for v in self.vertices:
+        m = len(edges)
+        far = [-1] * (2 * m)
+        rots = []
+        for i, v in enumerate(self.vertices):
+            rot = []
             for d in self.rotations[v]:
                 e, end = d
-                if not (0 <= e < len(self.edges) and end in (0, 1)):
+                if not (0 <= e < m and end in (0, 1)):
                     raise ValidationError(f"malformed dart {d!r} at {v!r}")
-                if self.edges[e][end] != v:
+                if edges[e][end] != v:
                     raise ValidationError(f"dart {d!r} listed at wrong vertex {v!r}")
-                if d in seen:
+                x = 2 * e + end
+                if far[x ^ 1] >= 0:
                     raise ValidationError(f"dart {d!r} listed twice")
-                seen.add(d)
-        if len(seen) != 2 * len(self.edges):
+                far[x ^ 1] = i
+                rot.append(x)
+            rots.append(rot)
+        if -1 in far:
             raise ValidationError("rotations must cover every dart exactly once")
+        sign = [0] * (2 * m)
+        sign[::2] = sign[1::2] = signature
+        object.__setattr__(self, "_rots", rots)
+        object.__setattr__(self, "_far", far)
+        object.__setattr__(self, "_sign", sign)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -99,18 +124,18 @@ class RotationMap:
             yield (e, 1)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        rots, far = self._rots, self._far
+        if not rots:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for d in self.rotations[v]:
-                u = self.attach(self.rev(d))
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertices)
+        seen = [True] + [False] * (len(rots) - 1)
+        found = [0]
+        for v in found:
+            for d in rots[v]:
+                u = far[d]
+                if not seen[u]:
+                    seen[u] = True
+                    found.append(u)
+        return len(found) == len(rots)
 
     # -- faces -------------------------------------------------------------
 
@@ -124,14 +149,12 @@ class RotationMap:
         s' = 1 and clockwise otherwise, keeping sense s'.
         """
         succ = [0] * (4 * len(self.edges))
-        for v in self.vertices:
-            rot = self.rotations[v]
-            for i, (e, end) in enumerate(rot):
-                e1, end1 = rot[(i + 1) % len(rot)]
-                e0, end0 = rot[i - 1]
-                ccw, cw = 4 * e1 + 2 * end1 + 1, 4 * e0 + 2 * end0
-                arrive = 4 * e + 2 * (1 - end)  # the states crossing e to here
-                if self.signature[e] == 1:
+        sign = self._sign
+        for rot in self._rots:
+            for before, d, after in zip(rot[-1:] + rot[:-1], rot, rot[1:] + rot[:1]):
+                ccw, cw = 2 * after + 1, 2 * before
+                arrive = 2 * (d ^ 1)  # the states crossing d's edge to here
+                if sign[d] == 1:
                     succ[arrive], succ[arrive + 1] = cw, ccw
                 else:
                     succ[arrive], succ[arrive + 1] = ccw, cw
@@ -144,7 +167,7 @@ class RotationMap:
         Walks start at the least unseen state, so the first traversal found
         is the smaller one; its reverse is marked seen, not walked."""
         succ = self._successor
-        signature = self.signature
+        sign = self._sign
         seen = [False] * len(succ)
         kept: list[tuple[int, ...]] = []
         for start in range(len(succ)):
@@ -158,7 +181,7 @@ class RotationMap:
                 state = succ[state]
             for x in orbit:
                 # the reverse of ((e, end), s) is ((e, 1 - end), -s·signature[e])
-                r = x ^ 2 ^ (signature[x >> 2] == 1)
+                r = x ^ 2 ^ (sign[x >> 1] == 1)
                 if seen[r]:
                     raise ValidationError("face traversal pairing failed; invalid map")
                 seen[r] = True
@@ -172,23 +195,24 @@ class RotationMap:
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
     def is_orientable(self) -> bool:
-        """Sign-normalize along a spanning tree, then look for a
-        signature-reversing cycle."""
-        if not self.vertices:
-            return True
-        sign: dict[Hashable, int] = {self.vertices[0]: 1}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for d in self.rotations[v]:
-                e, _ = d
-                u = self.attach(self.rev(d))
-                if u not in sign:
-                    sign[u] = sign[v] * self.signature[e]
-                    stack.append(u)
-        for e, (u, v) in enumerate(self.edges):
-            if sign[u] * self.signature[e] * sign[v] != 1:
-                return False
+        """Gauge every component along a spanning tree from its first
+        vertex, and look for an edge whose sign the gauges contradict."""
+        rots, far, sign = self._rots, self._far, self._sign
+        gauge = [0] * len(rots)
+        for root in range(len(rots)):
+            if gauge[root]:
+                continue
+            gauge[root] = 1
+            found = [root]
+            for v in found:
+                g = gauge[v]
+                for d in rots[v]:
+                    u, s = far[d], g * sign[d]
+                    if not gauge[u]:
+                        gauge[u] = s
+                        found.append(u)
+                    elif gauge[u] != s:
+                        return False
         return True
 
     # -- canonical encoding -------------------------------------------------
@@ -207,28 +231,24 @@ class RotationMap:
         is compared with the best so far while it is built, and abandoned
         once it is known to be greater.
 
-        Every candidate reads tables built once here: each vertex's
-        rotation doubled as listed (its ring in gauge 1) and reversed
-        (its ring in gauge -1), so that its darts in either gauge from
-        any entry are one slice; per dart, its edge's sign, and its
-        partner's vertex and positions in both rings of that vertex.
+        Every candidate reads the dart table and tables built from it
+        once here: each vertex's rotation doubled as listed (its ring in
+        gauge 1) and reversed (its ring in gauge -1), so that its darts
+        in either gauge from any entry are one slice; per dart, its
+        partner's positions in both rings of its partner's vertex.
         """
-        rots = [
-            [2 * e + end for e, end in self.rotations[v]]
-            for v in self.vertices
-        ]
+        rots, far, sign = self._rots, self._far, self._sign
         degree = [len(rot) for rot in rots]
         if self.edges and 0 in degree:
             raise ValidationError("canonical encoding requires a connected map")
-        far = [0] * (2 * len(self.edges))
-        ccw, cw = far[:], far[:]
-        for v, rot in enumerate(rots):
+        ccw, cw = [0] * len(far), [0] * len(far)
+        for rot in rots:
+            last = len(rot) - 1
             for k, d in enumerate(rot):
-                far[d ^ 1], ccw[d ^ 1], cw[d ^ 1] = v, k, len(rot) - 1 - k
+                ccw[d ^ 1], cw[d ^ 1] = k, last - k
         count = [0] * (max(degree, default=0) + 1)
         for deg in degree:
             count[deg] += 1
-        sign = [s for s in self.signature for _ in (0, 1)]
         rings = (None, [rot * 2 for rot in rots], [rot[::-1] * 2 for rot in rots])
         place = (None, ccw, cw)
         base, anchor = [0] * len(rots), [0] * len(rots)
@@ -243,7 +263,8 @@ class RotationMap:
 
     @staticmethod
     def _starts(rots, kinds, far, sign, rings, place) -> list[tuple[int, int]]:
-        """The (start dart, sense) candidates the least encoding is among.
+        """The (start dart, sense) candidates the least encoding is among,
+        in ring order, each dart in sense 1 before sense -1.
 
         In general, every dart at a vertex of least degree, in both senses.
         On a map whose vertices all have one degree q >= 2 and whose every
@@ -259,39 +280,72 @@ class RotationMap:
           is 0.
 
         So candidates first differ at index q + 1, the code of u_0's next
-        dart d'.  Let w be the vertex d' leads to: not u_0 (no loop) and
-        not v (u_0's first dart leads there).  If w = u_i, the code is
-        2·(q(1 + i) + the offset of the partner of d' from u_i's entry in
-        u_i's gauge) + the sign bit; otherwise w is new and the code is
-        2q(q + 1), more than any code of a numbered dart.
+        dart d' (:meth:`_key`), which orders them by the index i >= 1 of
+        the vertex u_i that d' leads to, new vertices last.  The least
+        candidates are therefore among those whose d' leads to u_1, if
+        any does, and this takes one comparison per candidate.  Phase one
+        finds these candidates and phase two keys only them; when there
+        are none, as on maps without triangles, every candidate is keyed.
         """
         q = min(map(len, rots), default=0)
         every = [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
         if kinds != 1 or q < 2:
             return every
-        # per vertex, the ring position of the dart to each neighbour; a
-        # loop's two darts, or two darts to one neighbour, share a key
-        slots = [{far[d]: k for k, d in enumerate(rot)} for rot in rots]
-        if any(len(slot) < q for slot in slots):
+        # a loop's two darts, or two darts to one neighbour, lead to one vertex
+        if any(len(set(map(far.__getitem__, rot))) < q for rot in rots):
             return every
-        new = 2 * q * (q + 1)
-        keyed = []
-        for rot, slot in zip(rots, slots):
+        key = RotationMap._key
+        # phase one: from d at v in sense r, d' is the dart after d's
+        # partner in u_0's ring in gauge r·sign(d), and u_1 is the vertex
+        # that v's dart after d in its ring in gauge r leads to
+        near = []  # (d, r, ring position of d, d', rotation of d's vertex)
+        for rot in rots:
             for k, d in enumerate(rot):
-                u = far[d]
-                for r in (1, -1):
-                    s = r * sign[d]
-                    d1 = rings[s][u][place[s][d] + 1]
-                    p = slot.get(far[d1])
-                    if p is None:
-                        c = new
-                    else:
-                        g = r * sign[rot[p]]
-                        c = 2 * (q * (1 + r * (p - k) % q) + (place[g][d1] - place[g][rot[p]]) % q)
-                        c += s * sign[d1] != g
-                    keyed.append((c, d, r))
+                s, u = sign[d], far[d]
+                d1 = rings[s][u][place[s][d] + 1]
+                if far[d1] == far[rot[k + 1 - q]]:
+                    near.append((d, 1, k, d1, rot))
+                d1 = rings[-s][u][place[-s][d] + 1]
+                if far[d1] == far[rot[k - 1]]:
+                    near.append((d, -1, k, d1, rot))
+        if near:
+            # phase two: p = (k + r) mod q is the position of the dart to u_1
+            keyed = [
+                (key(q, rot, k, r, d1, (k + r) % q, sign, place), d, r)
+                for d, r, k, d1, rot in near
+            ]
+        else:
+            keyed = []
+            for rot in rots:
+                # the ring position of the dart to each neighbour
+                slot = {far[d]: k for k, d in enumerate(rot)}
+                for k, d in enumerate(rot):
+                    u = far[d]
+                    for r in (1, -1):
+                        s = r * sign[d]
+                        d1 = rings[s][u][place[s][d] + 1]
+                        keyed.append((key(q, rot, k, r, d1, slot.get(far[d1]), sign, place), d, r))
         least = min(keyed)[0]
         return [(d, r) for c, d, r in keyed if c == least]
+
+    @staticmethod
+    def _key(q, rot, k, r, d1, p, sign, place) -> int:
+        """The code at index q + 1 (see :meth:`_starts`) from the dart at
+        position k of ``rot`` in sense r, where d' = ``d1`` and p is the
+        position in ``rot`` of the dart to the vertex w that d1 leads to,
+        or None when w is not a neighbour.
+
+        If w = u_i, the code is 2·(q(1 + i) + the offset of the partner
+        of d' from u_i's entry in u_i's gauge) + the sign bit; otherwise
+        w is new and the code is 2q(q + 1), more than any code of a
+        numbered dart.
+        """
+        if p is None:
+            return 2 * q * (q + 1)
+        s = r * sign[rot[k]]
+        g = r * sign[rot[p]]
+        c = 2 * (q * (1 + r * (p - k) % q) + (place[g][d1] - place[g][rot[p]]) % q)
+        return c + (s * sign[d1] != g)
 
     @staticmethod
     def _encode(tables, start: int, reflect: int, best):

@@ -268,8 +268,8 @@ def sequence_to_json_dict(seq: PermSequence) -> dict:
 def _as_int(x) -> int:
     """The one parser of integer JSON fields: an int, an integer string or
     an integral number.  A number with a fractional part is refused, not
-    truncated."""
-    if isinstance(x, float) and not x.is_integer():
+    truncated, and so is a boolean."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
         raise ValidationError(f"expected an integer, got {x!r}")
     return int(x)
 

@@ -50,8 +50,8 @@ class EmbeddingScheme:
         rm = self.rotmap
         if not rm.is_connected():
             raise DisconnectedScheme("embedding schemes must be connected")
-        for v in rm.vertices:
-            deg = rm.degree(v)
+        for v, rot in zip(rm.vertices, rm._rots):
+            deg = len(rot)
             if deg < 4 or deg % 2 != 0:
                 raise ValidationError(
                     f"vertex {v!r} has degree {deg}; even degree >= 4 required"
@@ -133,7 +133,7 @@ def fingerprint(scheme: EmbeddingScheme) -> str:
     """Canonical text encoding; equal for schemes related by vertex
     relabelling, regauging of local orientations, and global reflection."""
     code = scheme.rotmap.canonical_encoding()
-    return "m" + ",".join(str(x) for x in code)
+    return "m" + ",".join(map(str, code))
 
 
 def trace_and_summarize(scheme: EmbeddingScheme) -> MapSummary:

@@ -41,14 +41,14 @@ MAX_DIGITS = 4300
 
 
 def _as_fraction(x) -> Fraction:
-    """The one parser of rational input: a Fraction, an int, or a string
-    such as "-3", "2/7", "1.25" or "3e-2".  A string's digits and decimal
-    exponent are counted before the value is built; their sum, an upper
-    bound on the digits of the number written out in full, may not exceed
-    ``MAX_DIGITS``."""
+    """The one parser of rational input: a Fraction, an int (not a
+    boolean), or a string such as "-3", "2/7", "1.25" or "3e-2".  A
+    string's digits and decimal exponent are counted before the value is
+    built; their sum, an upper bound on the digits of the number written
+    out in full, may not exceed ``MAX_DIGITS``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if not isinstance(x, str):
         raise ValidationError(f"expected a rational value, got {x!r}")

@@ -23,7 +23,6 @@ crossings.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
@@ -51,35 +50,45 @@ def wire_map(
 
     With k_w kept events on wire w, its edges are numbered from
     off[w] = k_1 + ... + k_(w-1); one walk over the kept events in
-    order, counting per wire, gives the j-th kept event on w the out-dart
-    (off[w] + j, 0) and the in-dart (off[w] + (j - 1 mod k_w), 1).
+    order gives the j-th kept event on w the out-dart (off[w] + j, 0)
+    and the in-dart (e, 1), where e is the out-edge of the previous kept
+    event on w, or the closing edge off[w] + k_w - 1 at the first.
     """
     window_wires = diagram.window_wires_table
     kept = sorted(vertex_of)
-    count = Counter(w for i in kept for w in window_wires[i])
-    off = [0] * (diagram.n + 1)
+    count = [0] * (diagram.n + 1)
+    for i in kept:
+        for w in window_wires[i]:
+            count[w] += 1
+    nxt = [0] * (diagram.n + 1)  # per wire, its next out-edge
+    prev = nxt[:]  # per wire, its last out-edge so far
     arcs: list[ArcId] = []
+    signature: list[int] = []
     for w in range(1, diagram.n + 1):
-        if not count[w]:
+        k = count[w]
+        if not k:
             raise WireWithoutPoint(f"wire {w} carries no designated point")
-        off[w] = len(arcs)
-        arcs.extend((w, j) for j in range(count[w]))
+        nxt[w] = len(arcs)
+        arcs.extend(zip([w] * k, range(k)))
+        prev[w] = len(arcs) - 1
+        signature += [1] * (k - 1)
+        signature.append(-1)
     heads: list[Hashable] = [None] * len(arcs)
     tails = heads.copy()
-    placed = [0] * (diagram.n + 1)
     rotations = {}
     for i in kept:
+        v = vertex_of[i]
         outs, ins = [], []
         for w in window_wires[i]:
-            j = placed[w]
-            placed[w] = j + 1
-            out, back = off[w] + j, off[w] + (j - 1) % count[w]
-            heads[out] = tails[back] = vertex_of[i]
+            out, back = nxt[w], prev[w]
+            nxt[w], prev[w] = out + 1, out
+            heads[out] = tails[back] = v
             outs.append((out, 0))
             ins.append((back, 1))
-        rotations[vertex_of[i]] = tuple(outs + ins)
-    signature = tuple(-1 if j == count[w] - 1 else 1 for w, j in arcs)
-    rm = RotationMap(tuple(vertex_of.values()), tuple(zip(heads, tails)), rotations, signature)
+        rotations[v] = tuple(outs + ins)
+    rm = RotationMap(
+        tuple(vertex_of.values()), tuple(zip(heads, tails)), rotations, tuple(signature)
+    )
     return rm, tuple(arcs)
 
 

@@ -9,11 +9,15 @@ change the incidence structure carried by the diagram, nor its surface
 map.
 
 Sites are found in one pass over the diagram's event tables, without
-pairwise or triple scans.  A digon's partner is the next event on either
-wire of its left crossing, read from a partner table built from the
-consecutive pairs of the per-wire event lists.  Triangle sites come from
-band lists: per three-track band, the events meeting it in order, where
-a site is three consecutive entries in braid position.
+pairwise or triple scans, and without a set or range per event.  A
+digon's partner is the next event on either wire of its left crossing,
+read from a partner table built from the consecutive pairs of the
+per-wire event lists; it crosses the same pair exactly when its window
+is the left crossing's reversed.  Triangle sites come from band lists:
+per three-track band, the events meeting it in order, each event
+appended to the slice of bands its clamped window bounds select, and a
+site is three consecutive entries in braid position, found in one scan
+of each band.
 """
 
 from __future__ import annotations
@@ -66,18 +70,20 @@ def _next_on_wires(diagram: GeneralizedWiringDiagram) -> list[int]:
 def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int]]:
     """Pairs (i, j) of event indices that bound a removable digon: two
     crossings of the same wire pair, both regular and non-designated,
-    with no other event on either wire between them."""
+    with no other event on either wire between them.
+
+    Nothing touches either wire between i and j, so when j crosses the
+    same pair its window reads the window of i reversed."""
     nxt = _next_on_wires(diagram)
-    for i, ev in enumerate(diagram.moves):
+    moves, windows = diagram.moves, diagram.window_wires_table
+    for i, ev in enumerate(moves):
         if ev.length != 2 or ev.point is not None:
             continue
         j = nxt[i]
-        if j == diagram.event_count:
+        if j == len(moves):
             continue
-        other = diagram.moves[j]
-        if other.length == 2 and other.point is None and set(
-            diagram.window_wires(j)
-        ) == set(diagram.window_wires(i)):
+        other = moves[j]
+        if other.length == 2 and other.point is None and windows[j] == windows[i][::-1]:
             yield (i, j)
 
 
@@ -124,16 +130,19 @@ def triangle_moves(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int
     """
     moves = diagram.moves
     bands: list[list[int]] = [[] for _ in range(diagram.n - 1)]
-    for idx, ev in enumerate(moves):
-        for b in range(max(1, ev.start - 2), min(diagram.n - 2, ev.stop) + 1):
-            bands[b].append(idx)
     # the start of every regular non-designated event, 0 for the others
-    free = [ev.start if ev.length == 2 and ev.point is None else 0 for ev in moves]
+    free = []
+    for idx, ev in enumerate(moves):
+        t = ev.start
+        # the bands max(1, t - 2) .. min(n - 2, ev.stop)
+        for band in bands[t - 2 if t > 2 else 1 : t + ev.length]:
+            band.append(idx)
+        free.append(t if ev.length == 2 and ev.point is None else 0)
     sites = []
     for b, band in enumerate(bands):
         for i, j, k in zip(band, band[1:], band[2:]):
             t = free[i]
-            if (t == b or t == b + 1) and free[k] == t and free[j] == 2 * b + 1 - t:
+            if free[k] == t and free[j] == 2 * b + 1 - t and (t == b or t == b + 1):
                 sites.append((i, j, k))
     yield from sorted(sites)
 

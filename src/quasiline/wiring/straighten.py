@@ -100,11 +100,6 @@ def _cross(p: Coords, q: Coords) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _orient(a: Coords, b: Coords, c: Coords) -> int:
-    v = _cross(_sub(b, a), _sub(c, a))
-    return (v > 0) - (v < 0)
-
-
 def _winds_once(directions: Sequence[Coords]) -> bool:
     """The (at least two, nonzero) directions are distinct and in
     counterclockwise cyclic order: no two consecutive ones are equal, and
@@ -433,12 +428,22 @@ def _embedded(
     """
     if not _strictly_convex(polygon):
         return False
-    signs = {
-        _orient(star, positions[u], positions[v])
-        for star, cycle in zip(stars, faces)
-        for u, v in zip(cycle, cycle[1:] + cycle[:1])
-    }
-    return signs == {1} or signs == {-1}
+    positive = negative = False
+    for (sx, sy), cycle in zip(stars, faces):
+        x, y = positions[cycle[-1]]
+        ux, uy = x - sx, y - sy
+        for v in cycle:
+            x, y = positions[v]
+            vx, vy = x - sx, y - sy
+            turn = ux * vy - uy * vx  # the orientation of (star, u, v)
+            if turn > 0:
+                positive = True
+            elif turn < 0:
+                negative = True
+            else:
+                return False
+            ux, uy = vx, vy
+    return positive != negative
 
 
 def _chords_alternate(
@@ -486,12 +491,21 @@ def _audit(
     rays = [_sub(positions[last], positions[first]) for first, last in chords]
     placed = [0] * len(paths)
     for v, window in enumerate(diagram.window_wires_table):
-        here, outs, ins = positions[v], [], []
+        (hx, hy), outs, ins = positions[v], [], []
         for w in window:
-            path, j, (x, y) = paths[w - 1], placed[w - 1], rays[w - 1]
+            path, j = paths[w - 1], placed[w - 1]
             placed[w - 1] = j + 1
-            outs.append(_sub(positions[path[j + 1]], here) if j + 1 < len(path) else (x, y))
-            ins.append(_sub(positions[path[j - 1]], here) if j else (-x, -y))
+            if j + 1 < len(path):
+                x, y = positions[path[j + 1]]
+                outs.append((x - hx, y - hy))
+            else:
+                outs.append(rays[w - 1])
+            if j:
+                x, y = positions[path[j - 1]]
+                ins.append((x - hx, y - hy))
+            else:
+                x, y = rays[w - 1]
+                ins.append((-x, -y))
         if not _winds_once(outs + ins):
             return False
     return True

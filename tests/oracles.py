@@ -18,7 +18,9 @@ every later event or index triple, swap equivalence by breadth-first
 search over elementary swaps, pair counts by testing every pair of every
 window, monotone markings of abstract arrangements by trying every
 boundary gap, canonical encodings by encoding from every dart to the
-end, realization plans by measuring every insertion slot with a pairwise
+end, connectivity and orientability of rotation maps by walks over
+tuple darts, encoding start candidates by keying every candidate in
+full, realization plans by measuring every insertion slot with a pairwise
 Kendall tau, Levi adjacency by testing every point-line pair, Euclidean
 sweeps by a general projective chart matrix and its inverse over
 ``Fraction``, shear candidates by a ``Fraction`` dict, and random
@@ -984,6 +986,98 @@ def canonical_encoding_by_full_search(rm: RotationMap) -> tuple[int, ...]:
     """The least full encoding over every starting dart and both global
     reflections, each encoding built to the end."""
     return min(encodings_by_start(rm).values())
+
+
+def is_connected_by_tuples(rm: RotationMap) -> bool:
+    """Connectivity by a search that follows tuple darts to their far
+    vertices."""
+    if not rm.vertices:
+        return True
+    seen = {rm.vertices[0]}
+    stack = [rm.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for d in rm.rotations[v]:
+            u = rm.attach(rm.rev(d))
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(rm.vertices)
+
+
+def is_orientable_by_tuples(rm: RotationMap) -> bool:
+    """Sign-normalize each component along a spanning tree of tuple darts
+    from its first vertex, then look for a signature-reversing edge."""
+    sign: dict[Hashable, int] = {}
+    for root in rm.vertices:
+        if root in sign:
+            continue
+        sign[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for d in rm.rotations[v]:
+                u = rm.attach(rm.rev(d))
+                if u not in sign:
+                    sign[u] = sign[v] * rm.signature[d[0]]
+                    stack.append(u)
+    return all(sign[u] * s * sign[v] == 1 for (u, v), s in zip(rm.edges, rm.signature))
+
+
+def start_codes_by_one_phase(rots, kinds, far, sign, rings, place):
+    """Per (start dart, sense) candidate of ``RotationMap._starts`` (same
+    arguments), in the same order, (its code at index q + 1, dart,
+    sense), each keyed in full; None on a map that is not pruned."""
+    q = min(map(len, rots), default=0)
+    if kinds != 1 or q < 2:
+        return None
+    slots = [{far[d]: k for k, d in enumerate(rot)} for rot in rots]
+    if any(len(slot) < q for slot in slots):
+        return None
+    new = 2 * q * (q + 1)
+    keyed = []
+    for rot, slot in zip(rots, slots):
+        for k, d in enumerate(rot):
+            u = far[d]
+            for r in (1, -1):
+                s = r * sign[d]
+                d1 = rings[s][u][place[s][d] + 1]
+                p = slot.get(far[d1])
+                if p is None:
+                    c = new
+                else:
+                    g = r * sign[rot[p]]
+                    c = 2 * (q * (1 + r * (p - k) % q) + (place[g][d1] - place[g][rot[p]]) % q)
+                    c += s * sign[d1] != g
+                keyed.append((c, d, r))
+    return keyed
+
+
+def starts_by_one_phase(rots, kinds, far, sign, rings, place):
+    """The candidates of ``RotationMap._starts``, with every candidate
+    keyed in full when the map is pruned."""
+    keyed = start_codes_by_one_phase(rots, kinds, far, sign, rings, place)
+    if keyed is None:
+        q = min(map(len, rots), default=0)
+        return [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
+    least = min(keyed)[0]
+    return [(d, r) for c, d, r in keyed if c == least]
+
+
+def random_signed_map(rng: random.Random, vertices: int, edges: int) -> RotationMap:
+    """A map of a random multigraph, loops allowed and not necessarily
+    connected, with random rotations and signs."""
+    ends = tuple((rng.randrange(vertices), rng.randrange(vertices)) for _ in range(edges))
+    rotations: dict = {v: [] for v in range(vertices)}
+    for e, pair in enumerate(ends):
+        for end, v in enumerate(pair):
+            rotations[v].append((e, end))
+    for rot in rotations.values():
+        rng.shuffle(rot)
+    signature = tuple(rng.choice((1, -1)) for _ in ends)
+    order = list(range(vertices))
+    rng.shuffle(order)
+    return RotationMap(tuple(order), ends, {v: tuple(r) for v, r in rotations.items()}, signature)
 
 
 def random_map_on_graph(rng: random.Random, edges) -> RotationMap:

@@ -118,6 +118,16 @@ def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):
     assert err.startswith("wiring: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("start", ["true", "1.5"])
+def test_map_refuses_a_non_integer_event_start(workdir, capsys, start):
+    """A JSON boolean is not an integer: it exits 2, as a fraction does."""
+    path = workdir / "bad.wd.json"
+    path.write_text(f'{{"n": 3, "events": [[{start}, 2, "P"], [2, 2, "Q"], [{start}, 2, "R"]]}}')
+    assert main(["map", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("map: ") and "Traceback" not in err
+
+
 def test_wiring_beyond_the_first_charts_exits_0(workdir, capsys):
     # no chart (p, q, 1) with |p|, |q| <= 7 separates these crossings
     path = workdir / "wide.euclid.json"

@@ -1,6 +1,6 @@
-"""Malformed drawing and scheme JSON raises typed errors: each row of the
-table changes one field of a valid document and names the error the
-loader must raise."""
+"""Malformed sequence, diagram, drawing and scheme JSON raises typed
+errors: each row of a table changes one field of a valid document and
+names the error the loader must raise."""
 
 import pytest
 
@@ -10,10 +10,14 @@ from quasiline import (
     scheme_from_json_dict,
     scheme_from_realization,
     scheme_to_json_dict,
+    sequence_from_json_dict,
+    sequence_to_json_dict,
 )
 from quasiline.errors import DisconnectedScheme, QuasilineError, ValidationError
 from quasiline.wiring import (
+    diagram_from_json_dict,
     diagram_from_realization,
+    diagram_to_json_dict,
     drawing_from_json_dict,
     drawing_to_json_dict,
     straighten,
@@ -21,7 +25,10 @@ from quasiline.wiring import (
 
 from oracles import triangle
 
-DIAGRAM = diagram_from_realization(realize(triangle(), default_plan(triangle())))
+REALIZATION = realize(triangle(), default_plan(triangle()))
+SEQUENCE = sequence_to_json_dict(REALIZATION.seq)
+DIAGRAM = diagram_from_realization(REALIZATION)
+DIAGRAM_JSON = diagram_to_json_dict(DIAGRAM)
 DRAWING = drawing_to_json_dict(straighten(DIAGRAM))
 SCHEME = scheme_to_json_dict(scheme_from_realization(DIAGRAM))
 # Two dipoles of four parallel edges each: a valid rotation system whose
@@ -47,6 +54,23 @@ def without(base, key):
     return {k: v for k, v in base.items() if k != key}
 
 
+SEQUENCE_ROWS = [
+    ("boolean move start", changed(SEQUENCE, moves=[[True, 2]] + SEQUENCE["moves"][1:]),
+     ValidationError),
+    ("boolean designated index", changed(SEQUENCE, designated=[True]), ValidationError),
+    ("fractional move length", changed(SEQUENCE, moves=[[1, 2.5]] + SEQUENCE["moves"][1:]),
+     ValidationError),
+]
+
+def with_first_event(start):
+    return changed(DIAGRAM_JSON, events=[[start, 2, None]] + DIAGRAM_JSON["events"][1:])
+
+
+DIAGRAM_ROWS = [
+    ("boolean event start", with_first_event(True), ValidationError),
+    ("fractional event start", with_first_event(1.5), ValidationError),
+]
+
 DRAWING_ROWS = [
     ("not an object", [], ValidationError),
     ("no positions", without(DRAWING, "positions"), ValidationError),
@@ -68,6 +92,10 @@ DRAWING_ROWS = [
     ("more wires than chords", changed(DRAWING, n=DRAWING["n"] + 1), ValidationError),
     ("event past the positions", changed(DRAWING, outer_cycle=[0, 1, 99]), ValidationError),
     ("negative event", changed(DRAWING, chords=[[-1, 0]] + DRAWING["chords"][1:]), ValidationError),
+    ("boolean position", changed(DRAWING, positions=[[True, "0"]] + DRAWING["positions"][1:]),
+     ValidationError),
+    ("boolean chord end", changed(DRAWING, chords=[[False, 1]] + DRAWING["chords"][1:]),
+     ValidationError),
 ]
 
 SCHEME_ROWS = [
@@ -87,6 +115,10 @@ SCHEME_ROWS = [
     ("infinite signature", changed(SCHEME, signature=[float("inf")]), ValidationError),
     ("fractional signature", changed(SCHEME, signature=[1.9] + SCHEME["signature"][1:]), ValidationError),
     ("fractional dart", changed(SCHEME, rotations=[[[0.5, 0]]] + SCHEME["rotations"][1:]), ValidationError),
+    ("boolean dart ends", changed(SCHEME, rotations=[[[e, bool(end)] for e, end in SCHEME["rotations"][0]]]
+     + SCHEME["rotations"][1:]), ValidationError),
+    ("boolean signature", changed(SCHEME, signature=[True] * len(SCHEME["signature"])),
+     ValidationError),
     ("scalar lines", changed(SCHEME, lines=5), ValidationError),
     # a well-formed document of an invalid map: make_scheme's own error
     ("disconnected", TWO_DIPOLES, DisconnectedScheme),
@@ -96,9 +128,13 @@ SCHEME_ROWS = [
 @pytest.mark.parametrize(
     "loader, data, error",
     [(drawing_from_json_dict, data, error) for _, data, error in DRAWING_ROWS]
-    + [(scheme_from_json_dict, data, error) for _, data, error in SCHEME_ROWS],
+    + [(scheme_from_json_dict, data, error) for _, data, error in SCHEME_ROWS]
+    + [(sequence_from_json_dict, data, error) for _, data, error in SEQUENCE_ROWS]
+    + [(diagram_from_json_dict, data, error) for _, data, error in DIAGRAM_ROWS],
     ids=[f"drawing-{name}" for name, _, _ in DRAWING_ROWS]
-    + [f"scheme-{name}" for name, _, _ in SCHEME_ROWS],
+    + [f"scheme-{name}" for name, _, _ in SCHEME_ROWS]
+    + [f"sequence-{name}" for name, _, _ in SEQUENCE_ROWS]
+    + [f"diagram-{name}" for name, _, _ in DIAGRAM_ROWS],
 )
 def test_malformed_json_raises_typed_error(loader, data, error):
     with pytest.raises(error) as caught:
@@ -116,6 +152,8 @@ def test_make_scheme_errors_are_not_rewrapped():
 def test_valid_documents_load():
     assert drawing_to_json_dict(drawing_from_json_dict(DRAWING)) == DRAWING
     assert scheme_to_json_dict(scheme_from_json_dict(SCHEME)) == SCHEME
+    assert sequence_to_json_dict(sequence_from_json_dict(SEQUENCE)) == SEQUENCE
+    assert diagram_to_json_dict(diagram_from_json_dict(DIAGRAM_JSON)) == DIAGRAM_JSON
 
 
 def integer_strings(data):

@@ -31,7 +31,6 @@ from quasiline.wiring.straighten import (
     _circle_polygon,
     _crossing_graph,
     _embedded,
-    _orient,
     _solve_exact,
     _strictly_convex,
     _sub,
@@ -40,6 +39,7 @@ from quasiline.wiring.straighten import (
 )
 
 from oracles import (
+    _orient,
     as_diagram,
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,13 +41,18 @@ from oracles import (
     encodings_by_start,
     faces_by_tuples,
     fano,
+    is_connected_by_tuples,
+    is_orientable_by_tuples,
     mobius_kantor,
     random_generalized_sequence,
     random_long_window_sequence,
     random_map_on_graph,
     random_scheme_transform,
+    random_signed_map,
     random_structure,
     scheme_by_scan,
+    start_codes_by_one_phase,
+    starts_by_one_phase,
     triangle,
     triple_structure,
 )
@@ -325,6 +331,91 @@ def test_pruned_starts_are_the_least_at_the_first_code_that_differs(encode_calls
         assert sorted(encode_calls) == sorted(k for k, code in full.items() if code[at] == least)
 
 
+@pytest.fixture
+def start_calls(monkeypatch):
+    """The arguments and the result of every ``RotationMap._starts`` call."""
+    calls = []
+    starts = RotationMap._starts
+
+    def recorded(*args):
+        result = starts(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(RotationMap, "_starts", staticmethod(recorded))
+    return calls
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """One entry per candidate that ``RotationMap._starts`` keys in full."""
+    calls = []
+    key = RotationMap._key
+
+    def counted(*args):
+        calls.append(args)
+        return key(*args)
+
+    monkeypatch.setattr(RotationMap, "_key", staticmethod(counted))
+    return calls
+
+
+def has_triangle(edges) -> bool:
+    adjacent = {frozenset(e) for e in edges}
+    vertices = {v for e in edges for v in e}
+    return any({frozenset((a, c)), frozenset((b, c))} <= adjacent for a, b in edges for c in vertices)
+
+
+def test_two_phase_starts_match_one_phase_keys(start_calls, key_calls):
+    """On random maps of simple regular graphs and the maps of move walks,
+    the start candidates are the one-phase oracle's, in its order.  Phase
+    two keys exactly the candidates whose next dart leads to u_1 (codes
+    4q .. 6q - 1 at index q + 1) and, when there are none, every candidate
+    is keyed.  Maps of triangle-free graphs take the second path, and the
+    walk maps the first."""
+    rng = random.Random(139)
+    maps = []
+    for trial in range(90):
+        edges = SIMPLE_REGULAR_GRAPHS[trial % len(SIMPLE_REGULAR_GRAPHS)]
+        kind = "graph" if has_triangle(edges) else "triangle-free graph"
+        maps.append((random_map_on_graph(rng, edges), kind))
+    for n in (8, 10):
+        maps += [(s.rotmap, "walk") for s in move_walk_schemes(rng, cyclic(n), 6)]
+    paths = Counter()
+    for rm, kind in maps:
+        start_calls.clear()
+        key_calls.clear()
+        rm.canonical_encoding()
+        [(args, result)] = start_calls
+        assert result == starts_by_one_phase(*args)
+        keyed = start_codes_by_one_phase(*args)
+        q = rm.degree(rm.vertices[0])
+        near = [c for c, _, _ in keyed if c < 6 * q]
+        assert len(key_calls) == len(near or keyed)
+        assert kind != "walk" or near
+        assert kind != "triangle-free graph" or not near
+        paths["two-phase" if near else "fallback"] += 1
+        paths["unkeyed"] += len(keyed) - len(key_calls)
+    assert paths["two-phase"] > 20 and paths["fallback"] > 20 and paths["unkeyed"] > 1000
+
+
+def test_dart_table_walks_match_tuple_walks():
+    """Connectivity and orientability read off the dart table agree with
+    walks over tuple darts, on random signed maps of multigraphs (loops,
+    parallel edges, isolated vertices and several components among them)
+    and on the maps of move walks."""
+    rng = random.Random(137)
+    maps = [random_signed_map(rng, rng.randint(1, 7), rng.randint(0, 9)) for _ in range(600)]
+    maps += [s.rotmap for n in (8, 9) for s in move_walk_schemes(rng, cyclic(n), 5)]
+    seen = Counter()
+    for rm in maps:
+        connected, orientable = rm.is_connected(), rm.is_orientable()
+        assert connected == is_connected_by_tuples(rm)
+        assert orientable == is_orientable_by_tuples(rm)
+        seen[connected, orientable] += 1
+    assert min(seen[key] for key in itertools.product((True, False), repeat=2)) > 20
+
+
 def test_regular_maps_encode_few_start_darts(encode_calls):
     """On the 6-regular maps of a move walk from the realization of cyclic
     (11_3), far fewer than the 4E candidates are encoded."""
@@ -402,6 +493,99 @@ def test_low_degree_rejected():
     rotations = {"a": ((0, 0), (1, 0)), "b": ((1, 1), (0, 1))}
     with pytest.raises(ValidationError):
         make_scheme("ab", edges, rotations, (1, 1))
+
+
+# -- every validation branch, with its error type and message -----------------------
+
+DIPOLE_EDGES = (("u", "v"),) * 4
+DIPOLE_ROTATIONS = {"u": ((0, 0), (1, 0), (2, 0), (3, 0)), "v": ((3, 1), (2, 1), (1, 1), (0, 1))}
+
+
+def dipole(vertices=("u", "v"), edges=DIPOLE_EDGES, signature=(1,) * 4, **rows):
+    """The arguments of a rotation map of four parallel edges, with some
+    of its parts replaced."""
+    rotations = {**DIPOLE_ROTATIONS, **rows}
+    return vertices, edges, {v: r for v, r in rotations.items() if r is not None}, signature
+
+
+ROTATION_MAP_FAULTS = [
+    ("duplicate vertex", dipole(vertices=("u", "v", "u")), "duplicate vertex ids in rotation map"),
+    ("short signature", dipole(signature=(1, 1, 1)), "signature length must match edge count"),
+    ("zero sign", dipole(signature=(1, 1, 0, 1)), "signatures must be +1 or -1"),
+    ("edge to a non-vertex", dipole(edges=DIPOLE_EDGES[:3] + (("u", "w"),)),
+     "edge endpoint 'u'/'w' not a vertex"),
+    ("missing row", dipole(v=None), "rotations must have one row per vertex and no other row"),
+    ("extra row", dipole(w=()), "rotations must have one row per vertex and no other row"),
+    ("edge past the last", dipole(u=((0, 0), (1, 0), (2, 0), (4, 0))), "malformed dart (4, 0) at 'u'"),
+    ("end 2", dipole(u=((0, 0), (1, 0), (2, 0), (3, 2))), "malformed dart (3, 2) at 'u'"),
+    ("negative edge", dipole(u=((-1, 0), (1, 0), (2, 0), (3, 0))), "malformed dart (-1, 0) at 'u'"),
+    ("dart at the wrong vertex", dipole(u=((0, 0), (1, 0), (2, 0), (3, 1))),
+     "dart (3, 1) listed at wrong vertex 'u'"),
+    ("dart twice", dipole(u=((0, 0), (1, 0), (0, 0), (3, 0))), "dart (0, 0) listed twice"),
+    ("dart missing", dipole(u=((0, 0), (1, 0), (2, 0))), "rotations must cover every dart exactly once"),
+    # two faults: the earlier check, or the earlier dart, speaks
+    ("zero sign and duplicate vertex", dipole(vertices=("u", "v", "v"), signature=(0, 1, 1, 1)),
+     "duplicate vertex ids in rotation map"),
+    ("twice before the wrong vertex", dipole(u=((0, 0), (0, 0), (3, 1), (3, 0))),
+     "dart (0, 0) listed twice"),
+    ("wrong vertex before twice", dipole(u=((3, 1), (0, 0), (0, 0), (3, 0))),
+     "dart (3, 1) listed at wrong vertex 'u'"),
+    ("malformed after twice", dipole(u=((0, 0), (0, 0), (9, 0), (3, 0))), "dart (0, 0) listed twice"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message", [row[1:] for row in ROTATION_MAP_FAULTS], ids=[row[0] for row in ROTATION_MAP_FAULTS]
+)
+def test_rotation_map_refuses_each_fault_with_its_message(args, message):
+    with pytest.raises(ValidationError) as caught:
+        RotationMap(*args)
+    assert type(caught.value) is ValidationError and str(caught.value) == message
+
+
+SCHEME_FAULTS = [
+    ("disconnected", ("abcd", (("a", "b"),) * 4 + (("c", "d"),) * 4, {
+        "a": ((0, 0), (1, 0), (2, 0), (3, 0)), "b": ((3, 1), (2, 1), (1, 1), (0, 1)),
+        "c": ((4, 0), (5, 0), (6, 0), (7, 0)), "d": ((7, 1), (6, 1), (5, 1), (4, 1)),
+    }, (1,) * 8, None), DisconnectedScheme, "embedding schemes must be connected"),
+    ("degree 2", ("ab", (("a", "b"),) * 2, {"a": ((0, 0), (1, 0)), "b": ((1, 1), (0, 1))}, (1, 1), None),
+     ValidationError, "vertex 'a' has degree 2; even degree >= 4 required"),
+    ("degree 5", ("ab", (("a", "b"),) * 5, {
+        "a": tuple((e, 0) for e in range(5)), "b": tuple((e, 1) for e in reversed(range(5))),
+    }, (1,) * 5, None), ValidationError, "vertex 'a' has degree 5; even degree >= 4 required"),
+    ("short lines", ("uv", DIPOLE_EDGES, DIPOLE_ROTATIONS, (1,) * 4, (None,) * 3),
+     ValidationError, "need one line tag (or None) per edge"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, error, message", [row[1:] for row in SCHEME_FAULTS], ids=[row[0] for row in SCHEME_FAULTS]
+)
+def test_scheme_refuses_each_fault_with_its_message(args, error, message):
+    with pytest.raises(error) as caught:
+        make_scheme(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+ENCODING_FAULTS = [
+    ("vertex without darts", ((0, 1), ((0, 0), (0, 0)), {0: ((0, 0), (1, 0), (0, 1), (1, 1)), 1: ()}, (1, 1)),
+     "canonical encoding requires a connected map"),
+    ("two components", (tuple("abcd"), (("a", "b"),) * 2 + (("c", "d"),) * 4, {
+        "a": ((0, 0), (1, 0)), "b": ((1, 1), (0, 1)),
+        "c": ((2, 0), (3, 0), (4, 0), (5, 0)), "d": ((5, 1), (4, 1), (3, 1), (2, 1)),
+    }, (1,) * 6), "canonical encoding requires a connected map"),
+    ("no edge", (("a",), (), {"a": ()}, ()), "canonical encoding requires an edge"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message", [row[1:] for row in ENCODING_FAULTS], ids=[row[0] for row in ENCODING_FAULTS]
+)
+def test_canonical_encoding_refuses_each_fault_with_its_message(args, message):
+    rm = RotationMap(*args)
+    with pytest.raises(ValidationError) as caught:
+        rm.canonical_encoding()
+    assert type(caught.value) is ValidationError and str(caught.value) == message
 
 
 def test_schemes_from_realizations_are_nonorientable():
