@@ -88,13 +88,15 @@ def _gathered(cur: list[int], content: list[int], slot: int) -> list[int]:
     return rest[:slot] + content + rest[slot:]
 
 
-def _bridge(cur: list[int], pos: list[int], target: list[int]) -> list[Move]:
+def _bridge(
+    cur: list[int], pos: list[int], target: list[int], swaps: list[Move]
+) -> list[Move]:
     """Adjacent transpositions rewriting ``cur`` into ``target`` in place.
 
     Stable selection toward the target: entry j of the target is bubbled
-    leftward into place, emitting one length-2 move per swap.  The
-    position table ``pos`` of ``cur`` finds each entry and is updated per
-    swap.
+    leftward into place, emitting one length-2 move per swap, the shared
+    ``swaps[q]`` = Move(q, 2) for a swap at position q.  The position
+    table ``pos`` of ``cur`` finds each entry and is updated per swap.
     """
     moves: list[Move] = []
     for j, x in enumerate(target):
@@ -103,7 +105,7 @@ def _bridge(cur: list[int], pos: list[int], target: list[int]) -> list[Move]:
             y = cur[q - 1]
             cur[q] = y
             pos[y] = q
-            moves.append(Move(q, 2))
+            moves.append(swaps[q])
             q -= 1
         cur[q] = x
         pos[x] = q
@@ -175,15 +177,16 @@ def realize(structure: IncidenceStructure, plan: RealizationPlan) -> Realization
     number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
     cur = list(range(1, n + 1))
     pos = [0, *range(n)]  # pos[x]: where line x is in cur
+    swaps = [None, *(Move(q, 2) for q in range(1, n))]  # one move per swap position
     moves: list[Move] = []
     for point in plan.point_order:
         content = [number[l] for l in plan.point_line_orders[point]]
         _, slot = _best_slot(pos, content)
-        moves.extend(_bridge(cur, pos, _gathered(cur, content, slot)))
+        moves.extend(_bridge(cur, pos, _gathered(cur, content, slot), swaps))
         moves.append(Move(slot + 1, len(content), point))
         for i, x in enumerate(reversed(content), slot):
             cur[i], pos[x] = x, i
-    moves.extend(_bridge(cur, pos, list(range(n, 0, -1))))
+    moves.extend(_bridge(cur, pos, list(range(n, 0, -1)), swaps))
     return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
 
 

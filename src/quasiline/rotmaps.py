@@ -286,28 +286,38 @@ class RotationMap:
         any does, and this takes one comparison per candidate.  Phase one
         finds these candidates and phase two keys only them; when there
         are none, as on maps without triangles, every candidate is keyed.
+        Phase one reads per-dart tables of the next and the previous dart
+        in each rotation, and the list of every candidate is built only
+        when it is the answer.
         """
         q = min(map(len, rots), default=0)
-        every = [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
-        if kinds != 1 or q < 2:
-            return every
         # a loop's two darts, or two darts to one neighbour, lead to one vertex
-        if any(len(set(map(far.__getitem__, rot))) < q for rot in rots):
-            return every
+        if kinds != 1 or q < 2 or any(len(set(map(far.__getitem__, rot))) < q for rot in rots):
+            return [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
         key = RotationMap._key
+        # per dart, the next and the previous dart in its vertex's rotation
+        nxt, prv = [0] * len(far), [0] * len(far)
+        for rot in rots:
+            b = rot[-1]
+            for a in rot:
+                nxt[b], prv[a] = a, b
+                b = a
         # phase one: from d at v in sense r, d' is the dart after d's
-        # partner in u_0's ring in gauge r·sign(d), and u_1 is the vertex
-        # that v's dart after d in its ring in gauge r leads to
+        # partner x in u_0's ring in gauge r·sign(d), nxt[x] in gauge 1 and
+        # prv[x] in gauge -1, and u_1 is the vertex that v's dart after d
+        # in its ring in gauge r leads to, through nxt[d] or prv[d]
         near = []  # (d, r, ring position of d, d', rotation of d's vertex)
         for rot in rots:
             for k, d in enumerate(rot):
-                s, u = sign[d], far[d]
-                d1 = rings[s][u][place[s][d] + 1]
-                if far[d1] == far[rot[k + 1 - q]]:
-                    near.append((d, 1, k, d1, rot))
-                d1 = rings[-s][u][place[-s][d] + 1]
-                if far[d1] == far[rot[k - 1]]:
-                    near.append((d, -1, k, d1, rot))
+                x = d ^ 1
+                if sign[d] == 1:
+                    ahead, behind = nxt[x], prv[x]
+                else:
+                    ahead, behind = prv[x], nxt[x]
+                if far[ahead] == far[nxt[d]]:
+                    near.append((d, 1, k, ahead, rot))
+                if far[behind] == far[prv[d]]:
+                    near.append((d, -1, k, behind, rot))
         if near:
             # phase two: p = (k + r) mod q is the position of the dart to u_1
             keyed = [

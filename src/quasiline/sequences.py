@@ -8,7 +8,10 @@ which happens exactly when every pair is jointly reversed an odd number
 of times.  Moves are stored positionally as (start, length) with 1-based
 starts; one replay per sequence derives the window contents and the
 final permutation, and a permutation part way along is replayed on
-demand.
+demand.  The replay reverses an adjacent swap, the most common move of
+a realization's bridging and of an equivalence walk, by two index
+assignments instead of a slice, and validation reads each move's bounds
+and label in one loop.
 
 A move that carries a point label is *designated*: it is the reversal at
 a point of an incidence structure.  Labels travel with their moves under
@@ -89,12 +92,16 @@ class PermSequence:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
+        # one loop: every bound is checked before any label is compared
+        end = self.n + 1
+        labels = []
         for i, move in enumerate(self.moves, start=1):
-            if move.stop > self.n:
+            if move.start + move.length > end:
                 raise ValidationError(
                     f"move {i} window [{move.start},{move.stop}] exceeds n={self.n}"
                 )
-        labels = [m.point for m in self.moves if m.point is not None]
+            if move.point is not None:
+                labels.append(move.point)
         if len(labels) != len(set(labels)):
             raise DuplicateId("designated point labels must be distinct")
 
@@ -118,14 +125,21 @@ class PermSequence:
     def _replay(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """One pass over the moves: per move, the elements in its window
         read top to bottom just before the reversal, and the final
-        permutation."""
+        permutation.  An adjacent swap, most moves of a realization or a
+        walk, is two index assignments and no slice."""
         perm = list(range(1, self.n + 1))
         windows = []
         for move in self.moves:
-            a, b = move.start - 1, move.stop
-            window = tuple(perm[a:b])
-            windows.append(window)
-            perm[a:b] = window[::-1]
+            a = move.start - 1
+            if move.length == 2:
+                x, y = perm[a], perm[a + 1]
+                windows.append((x, y))
+                perm[a], perm[a + 1] = y, x
+            else:
+                b = a + move.length
+                window = tuple(perm[a:b])
+                windows.append(window)
+                perm[a:b] = window[::-1]
         return tuple(windows), tuple(perm)
 
     def permutation_before(self, i: int) -> tuple[int, ...]:

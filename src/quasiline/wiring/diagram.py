@@ -11,13 +11,15 @@ A diagram is a generalized allowable sequence whose designated moves
 carry their point labels: :class:`GeneralizedWiringDiagram` is a
 :class:`~quasiline.sequences.PermSequence` whose events are its moves,
 with the window wires, per-wire crossing orders and on-demand
-permutations of that type.  The sweep digraph is derived here.  Every
-such diagram can be swept, since its wires are x-monotone.
+permutations of that type.  The sweep digraph is derived here, and so
+is each event's first successor in it, which the digon moves read.
+Every such diagram can be swept, since its wires are x-monotone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import NotGeneralized, ValidationError
 from ..realization import Realization
@@ -54,6 +56,24 @@ class GeneralizedWiringDiagram(PermSequence):
                     f"wires {x} and {y} cross an even number of times; "
                     "every pair must cross an odd number of times"
                 )
+
+    @cached_property
+    def next_on_wires(self) -> tuple[int, ...]:
+        """Per event, the first later event on any of its wires, or the
+        event count when there is none: the least head of its arcs in
+        :func:`sweep_digraph`.  One pass over the window table keeps
+        each wire's last event; an event's entry is set by the first
+        event after it to meet one of its wires."""
+        m = self.event_count
+        nxt = [m] * (m + 1)  # entry m absorbs the wires' first events
+        last = [m] * (self.n + 1)
+        for i, wires in enumerate(self.window_wires_table):
+            for w in wires:
+                j = last[w]
+                if nxt[j] == m:
+                    nxt[j] = i
+                last[w] = i
+        return tuple(nxt[:m])
 
 
 def diagram_from_realization(realization: Realization) -> GeneralizedWiringDiagram:

@@ -11,17 +11,21 @@ map.
 Sites are found in one pass over the diagram's event tables, without
 pairwise or triple scans, and without a set or range per event.  A
 digon's partner is the next event on either wire of its left crossing,
-read from a partner table built from the consecutive pairs of the
-per-wire event lists; it crosses the same pair exactly when its window
-is the left crossing's reversed.  Triangle sites come from band lists:
-per three-track band, the events meeting it in order, each event
-appended to the slice of bands its clamped window bounds select, and a
-site is three consecutive entries in braid position, found in one scan
-of each band.
+read from the diagram's partner table
+(:attr:`GeneralizedWiringDiagram.next_on_wires`), built once per
+diagram and shared by :func:`removable_digons` and :func:`remove_digon`;
+it crosses the same pair exactly when its window is the left crossing's
+reversed.  Triangle sites come from one pass over the events that keeps
+each track's last event, and so each three-track band's: a site is three
+consecutive events of one band in braid position, found when its third
+event arrives from the middle event's own last band predecessor, with no
+band lists.  An inserted digon's wires are located by bisection in their
+per-wire event lists, with no replay of the prefix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator
 
 from ..errors import NoSuchFace, NotAdmissible
@@ -42,29 +46,27 @@ def insert_digon(
         raise NoSuchFace(f"slot {at} not in [0, {diagram.event_count}]")
     if a == b or not (1 <= a <= diagram.n and 1 <= b <= diagram.n):
         raise NoSuchFace(f"{pair} is not a pair of distinct wires")
-    perm = diagram.permutation_before(at)
-    pa, pb = perm.index(a), perm.index(b)
+    pa, pb = _track(diagram, a, at), _track(diagram, b, at)
     if abs(pa - pb) != 1:
         raise NoSuchFace(
             f"wires {a} and {b} are not adjacent at slot {at} "
             f"(tracks {pa + 1} and {pb + 1})"
         )
-    start = min(pa, pb) + 1
-    moves = list(diagram.moves)
-    moves[at:at] = [Move(start, 2), Move(start, 2)]
-    return GeneralizedWiringDiagram(diagram.n, tuple(moves))
+    swap = Move(min(pa, pb) + 1, 2)
+    moves = diagram.moves
+    return GeneralizedWiringDiagram(diagram.n, (*moves[:at], swap, swap, *moves[at:]))
 
 
-def _next_on_wires(diagram: GeneralizedWiringDiagram) -> list[int]:
-    """Per event, the first later event on any of its wires, or the event
-    count when there is none."""
-    m = diagram.event_count
-    nxt = [m] * m
-    for events in diagram.wire_event_table.values():
-        for i, j in zip(events, events[1:]):
-            if j < nxt[i]:
-                nxt[i] = j
-    return nxt
+def _track(diagram: GeneralizedWiringDiagram, wire: int, at: int) -> int:
+    """The 0-based track of ``wire`` just before event slot ``at``: the
+    one its last earlier event reversed it to, or its entry track."""
+    events = diagram.wire_event_table[wire]
+    k = bisect_left(events, at)
+    if not k:
+        return wire - 1
+    e = events[k - 1]
+    window = diagram.window_wires_table[e]
+    return diagram.moves[e].start + len(window) - 2 - window.index(wire)
 
 
 def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int]]:
@@ -74,7 +76,7 @@ def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, i
 
     Nothing touches either wire between i and j, so when j crosses the
     same pair its window reads the window of i reversed."""
-    nxt = _next_on_wires(diagram)
+    nxt = diagram.next_on_wires
     moves, windows = diagram.moves, diagram.window_wires_table
     for i, ev in enumerate(moves):
         if ev.length != 2 or ev.point is not None:
@@ -101,18 +103,19 @@ def remove_digon(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWirin
         raise NoSuchFace(f"event {at} is a singular crossing, not a digon side")
     if ev.point is not None:
         raise NotAdmissible(f"event {at} is designated ({ev.point!r})")
-    partner = _next_on_wires(diagram)[at]
-    if partner == diagram.event_count or set(diagram.window_wires(partner)) != set(
-        diagram.window_wires(at)
-    ):
+    partner = diagram.next_on_wires[at]
+    windows = diagram.window_wires_table
+    # as in removable_digons: a partner crossing the same pair reads the
+    # window reversed, and is then regular too
+    if partner == diagram.event_count or windows[partner] != windows[at][::-1]:
         raise NoSuchFace(f"event {at} does not bound an empty digon")
     other = diagram.moves[partner]
-    if other.length != 2:
-        raise NoSuchFace(f"event {at} does not bound an empty digon")
     if other.point is not None:
         raise NotAdmissible(f"event {partner} is designated ({other.point!r})")
-    moves = tuple(m for k, m in enumerate(diagram.moves) if k not in (at, partner))
-    return GeneralizedWiringDiagram(diagram.n, moves)
+    moves = diagram.moves
+    return GeneralizedWiringDiagram(
+        diagram.n, moves[:at] + moves[at + 1 : partner] + moves[partner + 1 :]
+    )
 
 
 def triangle_moves(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int, int]]:
@@ -120,30 +123,46 @@ def triangle_moves(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int
     non-designated crossings in braid position with no interfering event,
     in increasing order.
 
-    One pass over the moves builds, per band b = 1..n-2, the list of the
-    events whose window meets tracks b..b+2, in order.  A triple is a
-    site exactly when it is three consecutive entries of one band list,
-    all regular and non-designated, where i and k start at one track t of
-    {b, b+1} and j at the other: any other band event in (i, k) would
-    interfere.  The band is fixed by the starts of i and j, so no site is
+    A triple is a site exactly when, in the band b = min of its starts
+    (tracks b..b+2), j is the last event meeting the band before k and i
+    the last before j, all three regular and non-designated, where i and
+    k start at one track t of {b, b+1} and j at the other: any other band
+    event in (i, k) would interfere.  One pass over the moves keeps, per
+    track, the last event covering it, so the last event meeting a band
+    is the latest of its three tracks'.  Each regular non-designated
+    event records its last predecessor in the band below its start
+    (``low``) and in the band at its start (``high``); an event k at
+    track t then ends a site of band t - 1 with j = its ``low`` and
+    i = j's ``high``, or of band t with j = its ``high`` and i = j's
+    ``low``.  The band is fixed by the starts of i and j, so no site is
     listed twice.
     """
     moves = diagram.moves
-    bands: list[list[int]] = [[] for _ in range(diagram.n - 1)]
-    # the start of every regular non-designated event, 0 for the others
-    free = []
-    for idx, ev in enumerate(moves):
-        t = ev.start
-        # the bands max(1, t - 2) .. min(n - 2, ev.stop)
-        for band in bands[t - 2 if t > 2 else 1 : t + ev.length]:
-            band.append(idx)
-        free.append(t if ev.length == 2 and ev.point is None else 0)
+    m = len(moves)
+    # -1 is "no event": it indexes entry m of these lists, whose start 0
+    # and links m fail every test below
+    free = [0] * (m + 1)  # the start of every regular non-designated event
+    low, high = [m] * (m + 1), [m] * (m + 1)
+    cover = [-1] * (diagram.n + 3)  # per track 0..n+2, the last event on it
     sites = []
-    for b, band in enumerate(bands):
-        for i, j, k in zip(band, band[1:], band[2:]):
-            t = free[i]
-            if free[k] == t and free[j] == 2 * b + 1 - t and (t == b or t == b + 1):
-                sites.append((i, j, k))
+    for k, ev in enumerate(moves):
+        t = ev.start
+        if ev.length != 2:
+            cover[t : t + ev.length] = [k] * ev.length
+            continue
+        if ev.point is None:
+            free[k] = t
+            a, b = cover[t], cover[t + 1]
+            mid = a if a > b else b
+            c = cover[t - 1]
+            j = low[k] = mid if mid > c else c
+            if free[j] == t - 1 and free[high[j]] == t:
+                sites.append((high[j], j, k))
+            c = cover[t + 2]
+            j = high[k] = mid if mid > c else c
+            if free[j] == t + 1 and free[low[j]] == t:
+                sites.append((low[j], j, k))
+        cover[t] = cover[t + 1] = k
     yield from sorted(sites)
 
 
@@ -160,15 +179,14 @@ def _check_triangle(
     t, u = e1.start, e2.start
     if e3.start != t or abs(u - t) != 1:
         raise NoSuchFace(f"events {triple} are not in braid position")
-    band = range(min(t, u), min(t, u) + 3)
+    lo = min(t, u)  # the band is tracks lo..lo + 2
     for m in range(i + 1, k):
         if m == j:
             continue
         ev = diagram.moves[m]
-        if any(pos in band for pos in range(ev.start, ev.stop + 1)):
+        if ev.start <= lo + 2 and ev.start + ev.length > lo:
             raise NoSuchFace(
-                f"event {m} interferes with the triangle across tracks "
-                f"{band.start}..{band.stop - 1}"
+                f"event {m} interferes with the triangle across tracks {lo}..{lo + 2}"
             )
     for idx, ev in ((i, e1), (j, e2), (k, e3)):
         if ev.point is not None:
@@ -184,7 +202,6 @@ def apply_triangle_move(
     t, u = _check_triangle(diagram, triple)
     i, j, k = sorted(triple)
     moves = list(diagram.moves)
-    moves[i] = Move(u, 2)
+    moves[i] = moves[k] = Move(u, 2)
     moves[j] = Move(t, 2)
-    moves[k] = Move(u, 2)
     return GeneralizedWiringDiagram(diagram.n, tuple(moves))

@@ -14,7 +14,9 @@ adjacency dict through a vertex-to-row index map, chord lines by
 intersecting every pair and testing the point against the polygon,
 linear systems by Gauss-Jordan elimination over ``Fraction`` and by
 dense Bareiss elimination with a pivot search, move sites by scanning
-every later event or index triple, swap equivalence by breadth-first
+every later event or index triple and by per-band event lists, digon
+partners by the sets of window wires on a partner table rebuilt per
+call, inserted digons' tracks by replaying the prefix, swap equivalence by breadth-first
 search over elementary swaps, pair counts by testing every pair of every
 window, monotone markings of abstract arrangements by trying every
 boundary gap, canonical encodings by encoding from every dart to the
@@ -888,6 +890,118 @@ def triangle_moves_by_triples(diagram: GeneralizedWiringDiagram):
             continue
         sites.append(triple)
     return sites
+
+
+def next_on_wires_by_pairs(diagram: GeneralizedWiringDiagram) -> list[int]:
+    """Per event, the first later event on any of its wires, or the event
+    count when there is none, from the consecutive pairs of every wire's
+    event list, rebuilt on every call."""
+    m = diagram.event_count
+    nxt = [m] * m
+    for events in diagram.wire_event_table.values():
+        for i, j in zip(events, events[1:]):
+            if j < nxt[i]:
+                nxt[i] = j
+    return nxt
+
+
+def remove_digon_by_sets(diagram: GeneralizedWiringDiagram, at: int) -> GeneralizedWiringDiagram:
+    """``remove_digon`` with the partner tested by the sets of its and the
+    left crossing's window wires, then by its length, each check raising
+    the library's error."""
+    if not 0 <= at < diagram.event_count:
+        raise NoSuchFace(f"no event at index {at}")
+    ev = diagram.moves[at]
+    if ev.length != 2:
+        raise NoSuchFace(f"event {at} is a singular crossing, not a digon side")
+    if ev.point is not None:
+        raise NotAdmissible(f"event {at} is designated ({ev.point!r})")
+    partner = next_on_wires_by_pairs(diagram)[at]
+    if partner == diagram.event_count or set(diagram.window_wires(partner)) != set(
+        diagram.window_wires(at)
+    ):
+        raise NoSuchFace(f"event {at} does not bound an empty digon")
+    other = diagram.moves[partner]
+    if other.length != 2:
+        raise NoSuchFace(f"event {at} does not bound an empty digon")
+    if other.point is not None:
+        raise NotAdmissible(f"event {partner} is designated ({other.point!r})")
+    moves = tuple(m for k, m in enumerate(diagram.moves) if k not in (at, partner))
+    return GeneralizedWiringDiagram(diagram.n, moves)
+
+
+def insert_digon_by_replay(
+    diagram: GeneralizedWiringDiagram, pair: tuple[int, int], at: int
+) -> GeneralizedWiringDiagram:
+    """``insert_digon`` with the two wires' tracks read off the permutation
+    before the slot, replayed from the identity."""
+    a, b = pair
+    if not 0 <= at <= diagram.event_count:
+        raise NoSuchFace(f"slot {at} not in [0, {diagram.event_count}]")
+    if a == b or not (1 <= a <= diagram.n and 1 <= b <= diagram.n):
+        raise NoSuchFace(f"{pair} is not a pair of distinct wires")
+    perm = permutation_after_by_replay(diagram, at)
+    pa, pb = perm.index(a), perm.index(b)
+    if abs(pa - pb) != 1:
+        raise NoSuchFace(
+            f"wires {a} and {b} are not adjacent at slot {at} "
+            f"(tracks {pa + 1} and {pb + 1})"
+        )
+    start = min(pa, pb) + 1
+    moves = list(diagram.moves)
+    moves[at:at] = [Move(start, 2), Move(start, 2)]
+    return GeneralizedWiringDiagram(diagram.n, tuple(moves))
+
+
+def triangle_moves_by_bands(diagram: GeneralizedWiringDiagram) -> list[tuple[int, int, int]]:
+    """Triangle-move sites from band lists: per three-track band
+    b = 1..n-2, the events meeting tracks b..b+2 in order; a site is three
+    consecutive entries of one band list, all regular and non-designated,
+    where i and k start at one track t of {b, b+1} and j at the other."""
+    bands: list[list[int]] = [[] for _ in range(diagram.n - 1)]
+    free = []  # the start of every regular non-designated event, 0 for the others
+    for idx, ev in enumerate(diagram.moves):
+        for b in range(max(1, ev.start - 2), min(diagram.n - 2, ev.stop) + 1):
+            bands[b].append(idx)
+        free.append(ev.start if ev.length == 2 and ev.point is None else 0)
+    sites = []
+    for b, band in enumerate(bands):
+        for i, j, k in zip(band, band[1:], band[2:]):
+            t = free[i]
+            if free[k] == t and free[j] == 2 * b + 1 - t and t in (b, b + 1):
+                sites.append((i, j, k))
+    return sorted(sites)
+
+
+def check_triangle_by_ranges(
+    diagram: GeneralizedWiringDiagram, triple: tuple[int, int, int]
+) -> tuple[int, int]:
+    """``_check_triangle`` testing interference position by position
+    against a ``range`` of the band's tracks."""
+    i, j, k = sorted(triple)
+    if len({i, j, k}) != 3 or not 0 <= i or k >= diagram.event_count:
+        raise NoSuchFace(f"{triple} is not a triple of distinct event indices")
+    e1, e2, e3 = diagram.moves[i], diagram.moves[j], diagram.moves[k]
+    for idx, ev in ((i, e1), (j, e2), (k, e3)):
+        if ev.length != 2:
+            raise NoSuchFace(f"event {idx} is singular; triangle moves need regular crossings")
+    t, u = e1.start, e2.start
+    if e3.start != t or abs(u - t) != 1:
+        raise NoSuchFace(f"events {triple} are not in braid position")
+    band = range(min(t, u), min(t, u) + 3)
+    for m in range(i + 1, k):
+        if m == j:
+            continue
+        ev = diagram.moves[m]
+        if any(pos in band for pos in range(ev.start, ev.stop + 1)):
+            raise NoSuchFace(
+                f"event {m} interferes with the triangle across tracks "
+                f"{band.start}..{band.stop - 1}"
+            )
+    for idx, ev in ((i, e1), (j, e2), (k, e3)):
+        if ev.point is not None:
+            raise NotAdmissible(f"crossing {idx} is designated ({ev.point!r})")
+    return t, u
 
 
 def _encode_from(rm: RotationMap, position, start, reflect: int) -> tuple[int, ...]:

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from quasiline import Move, SequenceClass, classify, default_plan, make_sequence, realize
-from quasiline.errors import NoSuchFace, NotAdmissible
+from quasiline.errors import NoSuchFace, NotAdmissible, QuasilineError
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
     apply_triangle_move,
@@ -14,14 +15,21 @@ from quasiline.wiring import (
     trace_faces_disk,
     triangle_moves,
 )
+from quasiline.wiring.mutations import _check_triangle
 
 from oracles import (
     as_diagram,
+    check_triangle_by_ranges,
+    cyclic,
     fano,
+    insert_digon_by_replay,
+    next_on_wires_by_pairs,
     random_generalized_sequence,
     random_long_window_sequence,
+    remove_digon_by_sets,
     removable_digons_by_scan,
     triangle,
+    triangle_moves_by_bands,
     triangle_moves_by_triples,
     triple_structure,
     two_lines_three_points,
@@ -264,3 +272,90 @@ def test_sites_beside_long_windows_match_oracles():
         triangles += len(expected)
         digons += checked_digon_sites(d)
     assert triangles >= 60 and digons >= 400
+
+
+def outcome(f, *args):
+    """The result of ``f(*args)``, or the type and text of its error."""
+    try:
+        return f(*args)
+    except QuasilineError as exc:
+        return type(exc), str(exc)
+
+
+def seeded_walk(rng, structure, steps):
+    """The diagrams along a seeded walk of admissible digon and triangle
+    moves from the realization of ``structure``, holding the event count
+    near its start, as the benchmark's walks do."""
+    d = diagram_from_realization(realize(structure, default_plan(structure)))
+    events = d.event_count
+    for _ in range(steps):
+        digons = list(removable_digons(d))
+        triangles = list(triangle_moves(d))
+        kinds = ["insert" if d.event_count <= events or not digons else "remove"]
+        kinds += ["triangle"] * bool(triangles)
+        kind = rng.choice(kinds)
+        if kind == "triangle":
+            d = apply_triangle_move(d, rng.choice(triangles))
+        elif kind == "remove":
+            d = remove_digon(d, rng.choice(digons)[0])
+        else:
+            d = with_random_digons(rng, d, 1)
+        yield d
+
+
+def test_sites_and_removals_match_oracles_along_walks():
+    """Along seeded walks from cyclic (8_3) ... (11_3), the cached partner
+    table, both site lists and every removal equal the per-call partner
+    table, the band-list and scan oracles and the two-set partner test,
+    errors included."""
+    rng = random.Random(107)
+    triangles = digons = refused = 0
+    for n in range(8, 12):
+        for d in seeded_walk(rng, cyclic(n), 60):
+            assert list(d.next_on_wires) == next_on_wires_by_pairs(d)
+            sites = list(triangle_moves(d))
+            assert sites == triangle_moves_by_bands(d)
+            pairs = list(removable_digons(d))
+            assert pairs == removable_digons_by_scan(d)
+            for at in range(-1, d.event_count + 1):
+                got = outcome(remove_digon, d, at)
+                assert got == outcome(remove_digon_by_sets, d, at)
+                refused += isinstance(got, tuple)
+            triangles += len(sites)
+            digons += len(pairs)
+    assert triangles >= 150 and digons >= 120 and refused >= 8000
+
+
+def test_insert_digon_matches_prefix_replay_on_every_slot_and_pair():
+    """On every slot and every pair of wires, distinct or not and in range
+    or not, insert_digon returns the prefix-replay oracle's diagram or
+    raises its error with its text, the non-adjacent tracks among them."""
+    rng = random.Random(109)
+    diagrams = [as_diagram(random_long_window_sequence(rng, rng.randint(3, 6))) for _ in range(20)]
+    diagrams += list(seeded_walk(rng, cyclic(8), 3))
+    inserted = not_adjacent = 0
+    for d in diagrams:
+        wires = range(0, d.n + 2)
+        for at in range(-1, d.event_count + 2):
+            for pair in itertools.product(wires, wires):
+                got = outcome(insert_digon, d, pair, at)
+                assert got == outcome(insert_digon_by_replay, d, pair, at)
+                inserted += isinstance(got, GeneralizedWiringDiagram)
+                not_adjacent += isinstance(got, tuple) and "not adjacent" in got[1]
+    assert inserted >= 2500 and not_adjacent >= 5000
+
+
+def test_check_triangle_matches_range_oracle_on_every_triple():
+    """_check_triangle accepts the triples the range oracle accepts and
+    raises its errors with their texts, interference among them."""
+    rng = random.Random(113)
+    sites = interfering = 0
+    for _ in range(150):
+        seq = random_generalized_sequence(rng, rng.randint(3, 6), designate=rng.random() < 0.3)
+        d = with_random_digons(rng, as_diagram(seq), rng.randint(0, 2))
+        for triple in itertools.combinations(range(-1, d.event_count + 1), 3):
+            got = outcome(_check_triangle, d, triple)
+            assert got == outcome(check_triangle_by_ranges, d, triple)
+            sites += not isinstance(got[0], type)
+            interfering += isinstance(got[0], type) and "interferes" in got[1]
+    assert sites >= 60 and interfering >= 1200

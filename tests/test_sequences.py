@@ -293,6 +293,39 @@ def test_cached_tables_match_replay_oracle():
     assert checked >= 10  # empty sequences, n = 1 among them
 
 
+def test_adjacent_swap_replay_matches_replay_oracle():
+    """Sequences mostly of adjacent swaps, mixed with windows of length 3
+    to 5: every window content and the final permutation equal the prefix
+    replays'."""
+    rng = random.Random(41)
+    swaps = longer = 0
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        moves = []
+        for _ in range(rng.randint(0, 25)):
+            length = 2 if rng.random() < 0.7 else rng.randint(2, min(5, n))
+            moves.append(Move(rng.randint(1, n - length + 1), length))
+        seq = PermSequence(n, tuple(moves))
+        for i in range(1, len(moves) + 1):
+            assert seq.window_wires(i - 1) == move_window_content_by_replay(seq, i)
+        assert seq._replay[1] == permutation_after_by_replay(seq, len(moves))
+        swaps += sum(m.length == 2 for m in moves)
+        longer += sum(m.length > 2 for m in moves)
+    assert swaps >= 1500 and longer >= 300
+
+
+def test_out_of_range_move_raises_before_a_duplicate_label():
+    """Bounds are checked on every move before labels are compared, so a
+    later out-of-range move wins over an earlier duplicate label."""
+    moves = (Move(1, 2, "p"), Move(2, 2, "p"), Move(3, 2), Move(3, 3))
+    with pytest.raises(ValidationError) as caught:
+        PermSequence(4, moves)
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == "move 4 window [3,5] exceeds n=4"
+    with pytest.raises(DuplicateId, match="designated point labels must be distinct"):
+        PermSequence(4, moves[:3])
+
+
 def test_swaps_compare_designation_flags_and_carry_labels():
     # a and b hold the same three disjoint windows in opposite orders,
     # with the first and the last move designated: the designated windows

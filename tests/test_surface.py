@@ -366,6 +366,27 @@ def has_triangle(edges) -> bool:
     return any({frozenset((a, c)), frozenset((b, c))} <= adjacent for a, b in edges for c in vertices)
 
 
+def test_unpruned_starts_are_every_least_degree_candidate(start_calls):
+    """On maps that are not pruned (several degrees, loops or repeated
+    neighbours, degree below 2), the candidates are the one-phase oracle's:
+    every dart at a vertex of least degree, in both senses."""
+    rng = random.Random(151)
+    maps = [random_signed_map(rng, rng.randint(1, 6), rng.randint(1, 9)) for _ in range(300)]
+    dipole = ((0, 0), (1, 0), (2, 0))
+    maps.append(RotationMap(("u", "v"), (("u", "v"),) * 3, {"u": dipole, "v": ((2, 1), (1, 1), (0, 1))}, (1, -1, 1)))
+    unpruned = 0
+    for rm in maps:
+        start_calls.clear()
+        try:
+            rm.canonical_encoding()
+        except ValidationError:
+            pass  # disconnected: the starts are taken before the encoding fails
+        for args, result in start_calls:
+            assert result == starts_by_one_phase(*args)
+            unpruned += start_codes_by_one_phase(*args) is None
+    assert unpruned >= 150
+
+
 def test_two_phase_starts_match_one_phase_keys(start_calls, key_calls):
     """On random maps of simple regular graphs and the maps of move walks,
     the start candidates are the one-phase oracle's, in its order.  Phase
