@@ -456,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("inputs", nargs=nargs, metavar="input")
         p.add_argument("-o", "--output", default=None)
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--plan", dest="plan_path", default=None)
+        if name != "validate":  # every other subcommand may realize its input
+            p.add_argument("--plan", dest="plan_path", default=None)
     return parser
 
 

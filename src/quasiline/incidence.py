@@ -45,12 +45,6 @@ class IncidenceStructure:
         """Points on ``line``, in point declaration order."""
         return self._levi.adjacency[line]
 
-    def point_degree(self, point: Label) -> int:
-        return len(self.lines_of(point))
-
-    def line_degree(self, line: Label) -> int:
-        return len(self.points_of(line))
-
 
 def build(
     points: Iterable[Label],
@@ -150,8 +144,8 @@ def configuration_signature(
     structure: IncidenceStructure,
 ) -> Optional[tuple[int, int, int, int]]:
     """Return (v, r, b, k) when point and line degrees are constant, else None."""
-    pdegs = {structure.point_degree(p) for p in structure.points}
-    ldegs = {structure.line_degree(l) for l in structure.lines}
+    pdegs = {len(structure.lines_of(p)) for p in structure.points}
+    ldegs = {len(structure.points_of(l)) for l in structure.lines}
     if len(pdegs) != 1 or len(ldegs) != 1:
         return None
     return (len(structure.points), pdegs.pop(), len(structure.lines), ldegs.pop())

@@ -36,7 +36,8 @@ only the candidates least at the next code are encoded.  They are found
 in two phases: the least code belongs to a candidate whose next dart
 leads to the second neighbour of its start, which one comparison per
 candidate finds, and only those candidates are keyed in full; a map
-without such candidates, such as one without triangles, keys them all.
+without such candidates, such as one without triangles, keeps them all
+unkeyed.
 Dart numbers are lazy: a discovered vertex keeps the first number of its
 darts, its gauge and the position of its entry dart, so any dart's
 number takes O(1), and a vertex's darts in number order are one slice of
@@ -255,14 +256,14 @@ class RotationMap:
         kinds = sum(map(bool, count))  # distinct degrees of undiscovered vertices
         tables = (far, sign, degree, rings, place, base, anchor, count, kinds)
         best = None
-        for d, reflect in self._starts(rots, kinds, far, sign, rings, place):
+        for d, reflect in self._starts(rots, kinds, far, sign, place):
             best = self._encode(tables, d, reflect, best) or best
         if best is None:
             raise ValidationError("canonical encoding requires an edge")
         return tuple(best[0] + best[1])
 
     @staticmethod
-    def _starts(rots, kinds, far, sign, rings, place) -> list[tuple[int, int]]:
+    def _starts(rots, kinds, far, sign, place) -> list[tuple[int, int]]:
         """The (start dart, sense) candidates the least encoding is among,
         in ring order, each dart in sense 1 before sense -1.
 
@@ -284,74 +285,58 @@ class RotationMap:
         the vertex u_i that d' leads to, new vertices last.  The least
         candidates are therefore among those whose d' leads to u_1, if
         any does, and this takes one comparison per candidate.  Phase one
-        finds these candidates and phase two keys only them; when there
-        are none, as on maps without triangles, every candidate is keyed.
-        Phase one reads per-dart tables of the next and the previous dart
-        in each rotation, and the list of every candidate is built only
-        when it is the answer.
+        finds these candidates and phase two keys only them.  When there
+        are none, every candidate is returned unkeyed: the least encoding
+        is among a superset just as well, and on a map without triangles,
+        where every d' leads to a new vertex, all keys tie anyway.  Phase
+        one reads per-dart tables of the next and the previous dart in
+        each rotation.
         """
         q = min(map(len, rots), default=0)
-        # a loop's two darts, or two darts to one neighbour, lead to one vertex
-        if kinds != 1 or q < 2 or any(len(set(map(far.__getitem__, rot))) < q for rot in rots):
-            return [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
-        key = RotationMap._key
-        # per dart, the next and the previous dart in its vertex's rotation
-        nxt, prv = [0] * len(far), [0] * len(far)
-        for rot in rots:
-            b = rot[-1]
-            for a in rot:
-                nxt[b], prv[a] = a, b
-                b = a
-        # phase one: from d at v in sense r, d' is the dart after d's
-        # partner x in u_0's ring in gauge r·sign(d), nxt[x] in gauge 1 and
-        # prv[x] in gauge -1, and u_1 is the vertex that v's dart after d
-        # in its ring in gauge r leads to, through nxt[d] or prv[d]
         near = []  # (d, r, ring position of d, d', rotation of d's vertex)
-        for rot in rots:
-            for k, d in enumerate(rot):
-                x = d ^ 1
-                if sign[d] == 1:
-                    ahead, behind = nxt[x], prv[x]
-                else:
-                    ahead, behind = prv[x], nxt[x]
-                if far[ahead] == far[nxt[d]]:
-                    near.append((d, 1, k, ahead, rot))
-                if far[behind] == far[prv[d]]:
-                    near.append((d, -1, k, behind, rot))
-        if near:
-            # phase two: p = (k + r) mod q is the position of the dart to u_1
-            keyed = [
-                (key(q, rot, k, r, d1, (k + r) % q, sign, place), d, r)
-                for d, r, k, d1, rot in near
-            ]
-        else:
-            keyed = []
+        # a loop's two darts, or two darts to one neighbour, lead to one vertex
+        if kinds == 1 and q >= 2 and all(len(set(map(far.__getitem__, rot))) == q for rot in rots):
+            # per dart, the next and the previous dart in its vertex's rotation
+            nxt, prv = [0] * len(far), [0] * len(far)
             for rot in rots:
-                # the ring position of the dart to each neighbour
-                slot = {far[d]: k for k, d in enumerate(rot)}
+                b = rot[-1]
+                for a in rot:
+                    nxt[b], prv[a] = a, b
+                    b = a
+            # phase one: from d at v in sense r, d' is the dart after d's
+            # partner x in u_0's ring in gauge r·sign(d), nxt[x] in gauge 1
+            # and prv[x] in gauge -1, and u_1 is the vertex that v's dart
+            # after d in its ring in gauge r leads to, through nxt[d] or prv[d]
+            for rot in rots:
                 for k, d in enumerate(rot):
-                    u = far[d]
-                    for r in (1, -1):
-                        s = r * sign[d]
-                        d1 = rings[s][u][place[s][d] + 1]
-                        keyed.append((key(q, rot, k, r, d1, slot.get(far[d1]), sign, place), d, r))
+                    x = d ^ 1
+                    if sign[d] == 1:
+                        ahead, behind = nxt[x], prv[x]
+                    else:
+                        ahead, behind = prv[x], nxt[x]
+                    if far[ahead] == far[nxt[d]]:
+                        near.append((d, 1, k, ahead, rot))
+                    if far[behind] == far[prv[d]]:
+                        near.append((d, -1, k, behind, rot))
+        if not near:
+            return [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
+        # phase two: p = (k + r) mod q is the position of the dart to u_1
+        key = RotationMap._key
+        keyed = [
+            (key(q, rot, k, r, d1, (k + r) % q, sign, place), d, r)
+            for d, r, k, d1, rot in near
+        ]
         least = min(keyed)[0]
         return [(d, r) for c, d, r in keyed if c == least]
 
     @staticmethod
     def _key(q, rot, k, r, d1, p, sign, place) -> int:
         """The code at index q + 1 (see :meth:`_starts`) from the dart at
-        position k of ``rot`` in sense r, where d' = ``d1`` and p is the
-        position in ``rot`` of the dart to the vertex w that d1 leads to,
-        or None when w is not a neighbour.
-
-        If w = u_i, the code is 2·(q(1 + i) + the offset of the partner
-        of d' from u_i's entry in u_i's gauge) + the sign bit; otherwise
-        w is new and the code is 2q(q + 1), more than any code of a
-        numbered dart.
+        position k of ``rot`` in sense r, where d' = ``d1`` leads to the
+        neighbour u_i whose dart is at position p of ``rot``: 2·(q(1 + i)
+        + the offset of the partner of d' from u_i's entry in u_i's gauge)
+        + the sign bit.
         """
-        if p is None:
-            return 2 * q * (q + 1)
         s = r * sign[rot[k]]
         g = r * sign[rot[p]]
         c = 2 * (q * (1 + r * (p - k) % q) + (place[g][d1] - place[g][rot[p]]) % q)

@@ -7,11 +7,13 @@ when every pair of elements is jointly reversed exactly once, and
 which happens exactly when every pair is jointly reversed an odd number
 of times.  Moves are stored positionally as (start, length) with 1-based
 starts; one replay per sequence derives the window contents and the
-final permutation, and a permutation part way along is replayed on
-demand.  The replay reverses an adjacent swap, the most common move of
-a realization's bridging and of an equivalence walk, by two index
-assignments instead of a slice, and validation reads each move's bounds
-and label in one loop.
+final permutation.  The track a wire holds part way along is read off
+that replay by bisection in the wire's event list
+(:meth:`PermSequence.track`), and a permutation part way along places
+every wire at its track.  The replay reverses an adjacent swap, the
+most common move of a realization's bridging and of an equivalence
+walk, by two index assignments instead of a slice, and validation reads
+each move's bounds and label in one loop.
 
 A move that carries a point label is *designated*: it is the reversal at
 a point of an incidence structure.  Labels travel with their moves under
@@ -25,6 +27,7 @@ condition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -143,15 +146,28 @@ class PermSequence:
         return tuple(windows), tuple(perm)
 
     def permutation_before(self, i: int) -> tuple[int, ...]:
-        """The permutation before move i (0-based), the final one at i = m,
-        replaying the first i moves."""
+        """The permutation before move i (0-based), the final one at i = m:
+        every wire placed at its :meth:`track`."""
+        perm = [0] * self.n
+        for w in range(1, self.n + 1):
+            perm[self.track(w, i)] = w
+        return tuple(perm)
+
+    def track(self, wire: int, i: int) -> int:
+        """The 0-based track of ``wire`` just before move i (0-based), after
+        the last move at i = m: the one its last earlier move reversed it
+        to, found by bisection in its event list, or its entry track."""
         if not 0 <= i <= len(self.moves):
             raise IndexOutOfRange(f"event {i} not in [0, {len(self.moves)}]")
-        perm = list(range(1, self.n + 1))
-        for move in self.moves[:i]:
-            a, b = move.start - 1, move.stop
-            perm[a:b] = perm[a:b][::-1]
-        return tuple(perm)
+        if not 1 <= wire <= self.n:
+            raise IndexOutOfRange(f"wire {wire} not in [1, {self.n}]")
+        events = self.wire_event_table[wire]
+        k = bisect_left(events, i)
+        if not k:
+            return wire - 1
+        e = events[k - 1]
+        window = self._replay[0][e]
+        return self.moves[e].start + len(window) - 2 - window.index(wire)
 
     @property
     def window_wires_table(self) -> tuple[tuple[int, ...], ...]:

@@ -9,7 +9,7 @@ from .diagram import (
     topological_sweep,
 )
 from .euclid import diagram_from_lines
-from .faces import ArrangementFace, arrangement_map, trace_faces_disk
+from .faces import arrangement_map, trace_faces_disk
 from .mutations import (
     apply_triangle_move,
     insert_digon,
@@ -25,7 +25,6 @@ from .straighten import (
 )
 
 __all__ = [
-    "ArrangementFace",
     "GeneralizedWiringDiagram",
     "StraightDrawing",
     "apply_triangle_move",

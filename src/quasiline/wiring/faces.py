@@ -13,7 +13,8 @@ cell runs off to the right and comes back, through infinity, as the
 first cell of band n - t, since the track at position t on the right
 continues as track n + 1 - t on the left.  Bands 0 and n have no cuts
 and together make one more face.  :func:`trace_faces_disk` reads every
-face off one pass over the window table and builds no rotation map.
+face off one pass over the window table and builds no rotation map; a
+face is the plain tuple of the arc sides it walks.
 
 :func:`wire_map` is the one builder of signed rotation systems from
 wires: :func:`arrangement_map` keeps every crossing, and the surface map
@@ -23,7 +24,6 @@ crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from ..errors import QuasilineError, WireWithoutPoint
@@ -98,16 +98,6 @@ def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
     return wire_map(diagram, {i: i for i in range(diagram.event_count)})[0]
 
 
-@dataclass(frozen=True)
-class ArrangementFace:
-    """A face of the cell complex, as the cyclic list of arc sides walked."""
-
-    sides: tuple[ArcId, ...]
-
-    def __len__(self) -> int:
-        return len(self.sides)
-
-
 def _sides(forward: list[ArcId], backward: list[ArcId]) -> tuple[ArcId, ...]:
     """The sides of the face whose boundary walks ``forward`` in its wires'
     direction and then ``backward`` against theirs, from its least arc
@@ -120,9 +110,9 @@ def _sides(forward: list[ArcId], backward: list[ArcId]) -> tuple[ArcId, ...]:
     return tuple(cycle[i:] + cycle[:i])
 
 
-def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace, ...]:
-    """All faces of the arrangement, infinity arcs included, sorted by
-    (length, sides).
+def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[tuple[ArcId, ...], ...]:
+    """All faces of the arrangement, infinity arcs included, each as the
+    tuple of arc sides its boundary walks, sorted by (length, sides).
 
     Arcs are named as in :func:`wire_map`: (w, j) joins the j-th and
     (j + 1)-th events of wire w, and the wire's last arc closes through
@@ -174,4 +164,4 @@ def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace
         raise QuasilineError("band cells do not cover every arc side exactly once")
     faces.sort()
     faces.sort(key=len)  # stable, so the order is by (length, sides)
-    return tuple(map(ArrangementFace, faces))
+    return tuple(faces)

@@ -19,13 +19,13 @@ reversed.  Triangle sites come from one pass over the events that keeps
 each track's last event, and so each three-track band's: a site is three
 consecutive events of one band in braid position, found when its third
 event arrives from the middle event's own last band predecessor, with no
-band lists.  An inserted digon's wires are located by bisection in their
-per-wire event lists, with no replay of the prefix.
+band lists.  An inserted digon's wires are located by
+:meth:`~quasiline.sequences.PermSequence.track`, with no replay of the
+prefix.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterator
 
 from ..errors import NoSuchFace, NotAdmissible
@@ -46,7 +46,7 @@ def insert_digon(
         raise NoSuchFace(f"slot {at} not in [0, {diagram.event_count}]")
     if a == b or not (1 <= a <= diagram.n and 1 <= b <= diagram.n):
         raise NoSuchFace(f"{pair} is not a pair of distinct wires")
-    pa, pb = _track(diagram, a, at), _track(diagram, b, at)
+    pa, pb = diagram.track(a, at), diagram.track(b, at)
     if abs(pa - pb) != 1:
         raise NoSuchFace(
             f"wires {a} and {b} are not adjacent at slot {at} "
@@ -55,18 +55,6 @@ def insert_digon(
     swap = Move(min(pa, pb) + 1, 2)
     moves = diagram.moves
     return GeneralizedWiringDiagram(diagram.n, (*moves[:at], swap, swap, *moves[at:]))
-
-
-def _track(diagram: GeneralizedWiringDiagram, wire: int, at: int) -> int:
-    """The 0-based track of ``wire`` just before event slot ``at``: the
-    one its last earlier event reversed it to, or its entry track."""
-    events = diagram.wire_event_table[wire]
-    k = bisect_left(events, at)
-    if not k:
-        return wire - 1
-    e = events[k - 1]
-    window = diagram.window_wires_table[e]
-    return diagram.moves[e].start + len(window) - 2 - window.index(wire)
 
 
 def removable_digons(diagram: GeneralizedWiringDiagram) -> Iterator[tuple[int, int]]:

@@ -156,9 +156,11 @@ def _crossing_graph(
     the first of band n - t when no event touches either, and the face of
     bands 0 and n when two events touch it; any digon raises
     ``HasDigons`` before G is checked.
-    Arc e, numbered as in :func:`quasiline.wiring.faces.wire_map`, has
-    dart 2e from its earlier event and 2e + 1 from its later one; every
-    walk starts at its least dart, and internal faces are listed by it.
+    Internal faces are listed as traced, band cell by band cell, since
+    neither their order nor their first vertex reaches any output.  The
+    outer walk places the polygon, so it starts at its least dart: arc e,
+    numbered as in :func:`quasiline.wiring.faces.wire_map`, has dart 2e
+    from its earlier event and 2e + 1 from its later one.
     G is connected, since every two wires cross, and a connected plane
     graph on 3 or more vertices is 2-connected exactly when every face
     walk is a simple cycle (Mohar-Thomassen); otherwise
@@ -214,17 +216,14 @@ def _crossing_graph(
     )
     walk = [v for run in runs for v in run[1:]][::-1]
 
-    def from_least_dart(cycle: list[int]) -> list[int]:
-        darts = [dart[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-        least = darts.index(min(darts))
-        return cycle[least:] + cycle[:least]
-
-    internal = sorted(map(from_least_dart, cells), key=lambda c: dart[c[0], c[1]])
-    outer = from_least_dart(walk)
-    for cycle in internal + [outer]:
+    # the outer walk places the polygon, so it starts at its least dart
+    darts = [dart[u, v] for u, v in zip(walk, walk[1:] + walk[:1])]
+    least = darts.index(min(darts))
+    outer = walk[least:] + walk[:least]
+    for cycle in cells + [outer]:
         if len(set(cycle)) != len(cycle):
             raise NotTwoConnected(f"crossing graph face walk {cycle} repeats a vertex")
-    return internal, outer
+    return cells, outer
 
 
 # -- outer polygon ------------------------------------------------------------
@@ -235,22 +234,16 @@ def _circle_polygon(k: int) -> tuple[list[Coords], int]:
     order, as integer numerators over the lcm L of their denominators,
     and L.  The tangent half-angle t = p/q gives the point
     (q² - p², 2pq) / d with d = q² + p², in lowest terms over
-    d / gcd(q² - p², 2pq, d).  Raises QuasilineError once q outgrows
-    the float range before the ps are distinct."""
-    attempt = 0
+    d / gcd(q² - p², 2pq, d).  The half-angles lie in (-π/2, π/2), so
+    their tangents are finite and increasing; q starts at 64 and doubles
+    until the rounded parameters p are distinct, and so increasing: any
+    distinct points on the circle in angle order are strictly convex."""
+    q = 64
     while True:
-        q = 64 << attempt
-        offset = math.pi / (7 * k) * attempt
-        try:
-            ps = [
-                round(math.tan((-math.pi + (2 * i + 1) * math.pi / k + offset) / 2) * q)
-                for i in range(k)
-            ]
-        except OverflowError as exc:
-            raise QuasilineError(f"no {k} distinct circle points in float range") from exc
-        if len(set(ps)) == k and sorted(ps) == ps:
+        ps = [round(math.tan((-math.pi + (2 * i + 1) * math.pi / k) / 2) * q) for i in range(k)]
+        if len(set(ps)) == k:
             break
-        attempt += 7
+        q *= 2
     points = [(q * q - p * p, 2 * p * q, q * q + p * p) for p in ps]
     scale = math.lcm(*(d // math.gcd(x, y, d) for x, y, d in points))
     return [(x * scale // d, y * scale // d) for x, y, d in points], scale
@@ -260,13 +253,13 @@ def _circle_polygon(k: int) -> tuple[list[Coords], int]:
 
 
 def _solve_exact(
-    rows: list[dict[int, int]], rhs: list[list[int]], pivot: int = 1
+    rows: list[dict[int, int]], rhs: list[list[int]], pivot: int
 ) -> tuple[list[list[int]], int]:
     """Solve ``A · X = rhs`` exactly over the integers, for A symmetric
     positive definite and given by its sparse ``rows`` (column to entry);
     rhs holds one column per coordinate.  Returns (nums, det) with
     X = nums / det and det = det A / pivot^(m - 1) > 0 for m rows: det A
-    itself for the default pivot 1.
+    itself for pivot 1.
 
     Fraction-free (Bareiss) elimination on the diagonal in minimum-degree
     order: each step pivots on the remaining row with the fewest entries,

@@ -72,7 +72,7 @@ from quasiline.wiring.euclid import (
     _rows,
     _shear_candidates,
 )
-from quasiline.wiring.faces import ArrangementFace, wire_map
+from quasiline.wiring.faces import wire_map
 from quasiline.wiring.mutations import _check_triangle
 from quasiline.wiring.straighten import (
     _embedded,
@@ -442,6 +442,37 @@ def circle_points(k: int, attempt: int) -> list[tuple[Fraction, Fraction]]:
         attempt += 7
 
 
+def circle_parameters(k: int, q: int) -> list[int]:
+    """The tangent parameters of ``straighten``'s circle polygon over q:
+    p_i = round(tan(θ_i / 2)·q) at the k half-angles θ_i / 2 in
+    (-π/2, π/2)."""
+    return [round(math.tan((-math.pi + (2 * i + 1) * math.pi / k) / 2) * q) for i in range(k)]
+
+
+def circle_points_by_doubling(k: int) -> list[tuple[int, int, int]]:
+    """The circle polygon of ``straighten`` as homogeneous integer points
+    (q² - p², 2pq, q² + p²), with q doubled from 64 until the k
+    parameters of :func:`circle_parameters` are distinct."""
+    q = 64
+    while len(set(ps := circle_parameters(k, q))) < k:
+        q *= 2
+    return [(q * q - p * p, 2 * p * q, q * q + p * p) for p in ps]
+
+
+def strictly_convex_homogeneous(points) -> bool:
+    """``_strictly_convex`` on homogeneous points (x, y, w) with w > 0:
+    the edge from (x1, y1, w1) to (x2, y2, w2), (x2·w1 - x1·w2,
+    y2·w1 - y1·w2), is a positive multiple of the edge between the
+    affine points, and both tests read only signs of edges and of their
+    cross products."""
+    edges = [
+        (x2 * w1 - x1 * w2, y2 * w1 - y1 * w2)
+        for (x1, y1, w1), (x2, y2, w2) in zip(points, points[1:] + points[:1])
+    ]
+    turns = (ux * vy - uy * vx for (ux, uy), (vx, vy) in zip(edges[-1:] + edges[:-1], edges))
+    return all(turn > 0 for turn in turns) and _winds_once(edges)
+
+
 def numerators(points) -> tuple[list[tuple[int, int]], int]:
     """``Fraction`` points as integer pairs over the lcm of their
     denominators, and that lcm."""
@@ -490,7 +521,7 @@ def tutte_positions(adjacency: dict, boundary: dict, interior: list):
     over L: :func:`tutte_system` solved by the library's sparse solver,
     the boundary scaled by det.  Returns (placed, det)."""
     rows, rhs = tutte_system(adjacency, boundary, interior)
-    nums, det = _solve_exact(rows, rhs)
+    nums, det = _solve_exact(rows, rhs, 1)
     placed = {v: (x * det, y * det) for v, (x, y) in boundary.items()}
     for v, (x, y) in zip(interior, nums):
         placed[v] = (x, y)
@@ -802,13 +833,13 @@ def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
     )
 
 
-def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[ArrangementFace, ...]:
+def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     """``trace_faces_disk`` by walking the face orbits of the whole
-    arrangement map: every face is the orbit from its least traversal
-    state, its arcs named by edge index."""
+    arrangement map: every face is the tuple of arcs of the orbit from its
+    least traversal state, sorted by (length, arcs)."""
     rm, arcs = wire_map(diagram, {i: i for i in range(diagram.event_count)})
-    faces = [ArrangementFace(tuple(arcs[x >> 2] for x in orbit)) for orbit in rm.faces]
-    return tuple(sorted(faces, key=lambda f: (len(f), f.sides)))
+    faces = [tuple(arcs[x >> 2] for x in orbit) for orbit in rm.faces]
+    return tuple(sorted(faces, key=lambda f: (len(f), f)))
 
 
 def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
@@ -1138,16 +1169,18 @@ def is_orientable_by_tuples(rm: RotationMap) -> bool:
     return all(sign[u] * s * sign[v] == 1 for (u, v), s in zip(rm.edges, rm.signature))
 
 
-def start_codes_by_one_phase(rots, kinds, far, sign, rings, place):
+def start_codes_by_one_phase(rots, kinds, far, sign, place):
     """Per (start dart, sense) candidate of ``RotationMap._starts`` (same
     arguments), in the same order, (its code at index q + 1, dart,
-    sense), each keyed in full; None on a map that is not pruned."""
+    sense), each keyed in full from the rings of every rotation; None on
+    a map that is not pruned."""
     q = min(map(len, rots), default=0)
     if kinds != 1 or q < 2:
         return None
     slots = [{far[d]: k for k, d in enumerate(rot)} for rot in rots]
     if any(len(slot) < q for slot in slots):
         return None
+    rings = (None, [rot * 2 for rot in rots], [rot[::-1] * 2 for rot in rots])
     new = 2 * q * (q + 1)
     keyed = []
     for rot, slot in zip(rots, slots):
@@ -1167,10 +1200,10 @@ def start_codes_by_one_phase(rots, kinds, far, sign, rings, place):
     return keyed
 
 
-def starts_by_one_phase(rots, kinds, far, sign, rings, place):
+def starts_by_one_phase(rots, kinds, far, sign, place):
     """The candidates of ``RotationMap._starts``, with every candidate
     keyed in full when the map is pruned."""
-    keyed = start_codes_by_one_phase(rots, kinds, far, sign, rings, place)
+    keyed = start_codes_by_one_phase(rots, kinds, far, sign, place)
     if keyed is None:
         q = min(map(len, rots), default=0)
         return [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]

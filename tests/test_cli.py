@@ -306,6 +306,18 @@ def test_format_a_subcommand_does_not_emit_is_a_usage_error(workdir, capsys, com
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_plan_is_a_usage_error_for_validate(workdir, capsys):
+    """validate realizes nothing, so it has no --plan option; a subcommand
+    that realizes reads the plan, and a missing plan file exits 2 there."""
+    missing = str(workdir / "missing.plan.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(workdir / "fano.lines"), "--plan", missing])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --plan" in capsys.readouterr().err
+    assert main(["map", str(workdir / "fano.lines"), "--plan", missing]) == 2
+    assert capsys.readouterr().err.startswith("map: cannot access")
+
+
 # SHA-256 of the output bytes of the README command lines on the workdir
 # files.  Outputs are exact, so any changed byte fails here; a change that
 # alters an output on purpose records the new digest and says why.

@@ -47,7 +47,9 @@ from oracles import (
     arcs_pairwise_disjoint,
     audit_by_arrangement_map,
     chord_lines_meet_inside,
+    circle_parameters,
     circle_points,
+    circle_points_by_doubling,
     crossing_graph_by_second_map,
     direction_cmp,
     face_orbits_by_tuples,
@@ -61,6 +63,7 @@ from oracles import (
     schur_complement,
     solve_by_dense_bareiss,
     solve_fraction_system,
+    strictly_convex_homogeneous,
     triangle,
     tutte_graph,
     tutte_positions,
@@ -193,7 +196,7 @@ def test_digon_count_matches_face_trace():
             straighten(d)
         closing = {(w, len(path) - 1) for w, path in enumerate(paths, start=1)}
         for face in digons:
-            seen["at infinity" if closing & set(face.sides) else "bounded"] += 1
+            seen["at infinity" if closing & set(face) else "bounded"] += 1
         seen[f"n = {d.n}"] += 1
     assert seen["digon-free"] >= 100 and seen["bounded"] >= 100
     assert seen["at infinity"] >= 100
@@ -271,7 +274,7 @@ def dense(rows):
 
 
 def solve_sparse(matrix, rhs):
-    return _solve_exact(sparse(matrix), rhs)
+    return _solve_exact(sparse(matrix), rhs, 1)
 
 
 def integer_rhs(rhs):
@@ -644,10 +647,16 @@ def crossing_graph_corpus():
             yield d
 
 
+def least_rotation(cycle):
+    """The least rotation of a cycle's vertex list, its direction kept."""
+    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
 def test_crossing_graph_faces_match_second_map_oracle(monkeypatch):
     """Faces read off the bands equal the faces of the crossing graph
-    built as a map of its own: the same internal cycles in the same
-    order, the same outer walk and the same Tutte adjacency.  The solver
+    built as a map of its own: the same internal cycles, each up to
+    rotation and in any order, the same outer walk, from the same first
+    vertex, and the same Tutte adjacency.  The solver
     is handed the Schur complement of the face stars in the system the
     index-map oracle builds on that adjacency, computed in Fractions
     (rows on the interior events in order, and rhs), times P, with P, the
@@ -656,7 +665,7 @@ def test_crossing_graph_faces_match_second_map_oracle(monkeypatch):
     module = importlib.import_module("quasiline.wiring.straighten")
     systems = []
 
-    def recorded(rows, rhs, pivot=1):
+    def recorded(rows, rhs, pivot):
         systems.append(([dict(row) for row in rows], [list(b) for b in rhs], pivot))
         return _solve_exact(rows, rhs, pivot)
 
@@ -664,7 +673,9 @@ def test_crossing_graph_faces_match_second_map_oracle(monkeypatch):
     for d in crossing_graph_corpus():
         m, paths = d.event_count, tuple(d.wire_events(w) for w in range(1, d.n + 1))
         gmap, faces, outer, adjacency = crossing_graph_by_second_map(d, *full_map(d))
-        assert _crossing_graph(d, paths) == (faces, outer)
+        traced, walk = _crossing_graph(d, paths)
+        assert sorted(map(least_rotation, traced)) == sorted(map(least_rotation, faces))
+        assert walk == outer
         assert tutte_graph(m, paths, faces) == adjacency
         polygon, _ = _circle_polygon(len(outer))
         boundary = dict(zip(reversed(outer), polygon))
@@ -807,15 +818,17 @@ def test_chord_alternation_matches_geometric_oracle():
     assert shares == {0, 1, 2}
 
 
-def test_circle_points_retry_is_the_next_attempt():
-    # k = 202 is the smallest polygon whose first parameters collide
-    assert circle_points(202, 0) == circle_points(202, 7)
+def test_circle_polygon_doubles_q_past_a_collision():
+    # k = 202 is the smallest polygon whose parameters collide at q = 64;
+    # they are distinct at q = 128, where the float retry shifted every angle
+    assert len(set(circle_parameters(202, 64))) < 202
+    assert len(set(circle_parameters(202, 128))) == 202
     for k in (3, 7, 20, 202):
         points, scale = _circle_polygon(k)
-        assert (points, scale) == numerators(circle_points(k, 0))
         assert len(set(points)) == k
         assert all(x * x + y * y == scale * scale for x, y in points)
         assert _strictly_convex(points)
+    assert _circle_polygon(202) != numerators(circle_points(202, 0))
 
 
 def test_circle_polygon_numerators_match_fraction_points():
@@ -826,10 +839,43 @@ def test_circle_polygon_numerators_match_fraction_points():
         assert _circle_polygon(k) == numerators(circle_points(k, 0))
 
 
-def test_circle_points_past_float_range_raise_a_typed_error():
-    # every retry for k = 204 collides until the float product overflows
+def test_circle_polygon_lays_every_size_the_float_retry_refused():
+    """Every k in 3 ... 600 gives k distinct points, the doubling oracle's
+    homogeneous points over one common scale, in strictly convex
+    position.  Wherever the parameters at q = 64 are distinct (every k up
+    to 201 and three more), the polygon is the one the float retry laid;
+    k = 204, where every retry collided until the float product
+    overflowed, is laid."""
     with pytest.raises(QuasilineError, match="float range"):
-        _circle_polygon(204)
+        circle_points(204, 0)
+    first = []
+    for k in range(3, 601):
+        points, scale = _circle_polygon(k)
+        homogeneous = circle_points_by_doubling(k)
+        assert len(points) == len(set(points)) == k
+        assert all(
+            x * w == hx * scale and y * w == hy * scale
+            for (x, y), (hx, hy, w) in zip(points, homogeneous)
+        )
+        assert strictly_convex_homogeneous(homogeneous)
+        if len(set(circle_parameters(k, 64))) == k:
+            assert (points, scale) == numerators(circle_points(k, 0))
+            first.append(k)
+    assert first[:199] == list(range(3, 202)) and len(first) == 204
+
+
+def test_near_pencil_with_a_204_vertex_outer_walk_straightens():
+    """200 lines through the origin, x = 1 and x + y = 10^6: 402 events and
+    an outer walk of 204 vertices, which the float retry refused.  The
+    drawing passes straighten's own audit, its points are distinct and
+    its outer polygon is strictly convex (the pairwise oracles of
+    check_straightening take seconds at this size)."""
+    lines = [(s, -1, 0) for s in range(1, 201)] + [(1, 0, 1), (1, 1, 10**6)]
+    d = diagram_from_lines(lines)
+    drawing = straighten(d)
+    assert d.event_count == 402 and len(drawing.outer_cycle) == 204
+    assert len(set(drawing.positions)) == 402
+    assert _strictly_convex([drawing.positions[v] for v in drawing.outer_cycle])
 
 
 def test_drawing_json_roundtrip():

@@ -316,19 +316,27 @@ SIMPLE_REGULAR_GRAPHS = [
 def test_pruned_starts_are_the_least_at_the_first_code_that_differs(encode_calls):
     """On random maps of simple regular graphs (random edge ends, vertex
     order, rotations and signs), every full encoding has the same first
-    V + q + 1 entries, the candidates encoded are exactly those whose
-    full encoding is least at the next entry, and the result is the full
-    search's."""
+    V + q + 1 entries, and the result is the full search's.  When some
+    candidate's next entry is below 6q (its next dart leads to u_1), the
+    candidates encoded are exactly those whose full encoding is least at
+    that entry; otherwise every candidate is encoded, which on the
+    triangle-free graphs is the same set, and on a rare prism map a
+    superset of it."""
     rng = random.Random(131)
+    seen = Counter()
     for trial in range(180):
         rm = random_map_on_graph(rng, SIMPLE_REGULAR_GRAPHS[trial % len(SIMPLE_REGULAR_GRAPHS)])
-        at = len(rm.vertices) + rm.degree(rm.vertices[0]) + 1
+        q = rm.degree(rm.vertices[0])
+        at = len(rm.vertices) + q + 1
         full = encodings_by_start(rm)
         assert len({code[:at] for code in full.values()}) == 1
         least = min(code[at] for code in full.values())
         encode_calls.clear()
         assert rm.canonical_encoding() == min(full.values())
-        assert sorted(encode_calls) == sorted(k for k, code in full.items() if code[at] == least)
+        least_ones = sorted(k for k, code in full.items() if code[at] == least)
+        assert sorted(encode_calls) == (least_ones if least < 6 * q else sorted(full))
+        seen[least < 6 * q, len(least_ones) < len(full)] += 1
+    assert seen[True, True] > 50 and seen[False, False] > 50 and seen[False, True] >= 1
 
 
 @pytest.fixture
@@ -389,11 +397,12 @@ def test_unpruned_starts_are_every_least_degree_candidate(start_calls):
 
 def test_two_phase_starts_match_one_phase_keys(start_calls, key_calls):
     """On random maps of simple regular graphs and the maps of move walks,
-    the start candidates are the one-phase oracle's, in its order.  Phase
-    two keys exactly the candidates whose next dart leads to u_1 (codes
-    4q .. 6q - 1 at index q + 1) and, when there are none, every candidate
-    is keyed.  Maps of triangle-free graphs take the second path, and the
-    walk maps the first."""
+    phase two keys exactly the candidates whose next dart leads to u_1
+    (codes 4q .. 6q - 1 at index q + 1), and the start candidates are the
+    one-phase oracle's, in its order.  When there are none, every least
+    degree candidate is returned with no key taken.  Maps of triangle-free
+    graphs take that path, where every one-phase key ties, and the walk
+    maps the first."""
     rng = random.Random(139)
     maps = []
     for trial in range(90):
@@ -408,16 +417,16 @@ def test_two_phase_starts_match_one_phase_keys(start_calls, key_calls):
         key_calls.clear()
         rm.canonical_encoding()
         [(args, result)] = start_calls
-        assert result == starts_by_one_phase(*args)
         keyed = start_codes_by_one_phase(*args)
         q = rm.degree(rm.vertices[0])
         near = [c for c, _, _ in keyed if c < 6 * q]
-        assert len(key_calls) == len(near or keyed)
+        assert len(key_calls) == len(near)
+        # with no candidate near, every one is returned, in the keyed order
+        assert result == (starts_by_one_phase(*args) if near else [(d, r) for _, d, r in keyed])
         assert kind != "walk" or near
-        assert kind != "triangle-free graph" or not near
-        paths["two-phase" if near else "fallback"] += 1
-        paths["unkeyed"] += len(keyed) - len(key_calls)
-    assert paths["two-phase"] > 20 and paths["fallback"] > 20 and paths["unkeyed"] > 1000
+        assert kind != "triangle-free graph" or (not near and len({c for c, _, _ in keyed}) == 1)
+        paths["two-phase" if near else "unkeyed"] += 1
+    assert paths["two-phase"] > 20 and paths["unkeyed"] > 20
 
 
 def test_dart_table_walks_match_tuple_walks():

@@ -324,7 +324,8 @@ def band_cell_corpus():
 
 def test_band_cells_match_orbit_oracle(monkeypatch):
     # the faces themselves, not only their lengths: a rotated or reversed
-    # side list would pass a length check
+    # side list would pass a length check.  Both sides are plain tuples of
+    # (wire, arc index) pairs, so equality compares the arcs themselves.
     built = []
     check = RotationMap.__post_init__
     monkeypatch.setattr(
@@ -333,6 +334,7 @@ def test_band_cells_match_orbit_oracle(monkeypatch):
     count = 0
     for d in band_cell_corpus():
         want = faces_by_orbits(d)
+        assert all(type(face) is tuple and all(type(arc) is tuple for arc in face) for face in want)
         built.clear()
         assert trace_faces_disk(d) == want, d
         assert not built
