@@ -426,21 +426,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 # Per subcommand: handler, number of inputs, the output formats it emits
-# (the first is the default), and its help text.
+# (the first is the default), whether it may realize its input (and so
+# takes --plan), and its help text.
 COMMANDS = {
-    "validate": (cmd_validate, 1, ("json", "text"),
+    "validate": (cmd_validate, 1, ("json", "text"), False,
                  "check an incidence file and report lineality and signature"),
-    "realize": (cmd_realize, 1, ("json",),
+    "realize": (cmd_realize, 1, ("json",), True,
                 "realize an incidence structure as a move sequence"),
-    "wiring": (cmd_wiring, 1, ("json", "svg"),
+    "wiring": (cmd_wiring, 1, ("json", "svg"), True,
                "produce a generalized wiring diagram (JSON or SVG)"),
-    "sweep": (cmd_sweep, 1, ("json", "text"),
+    "sweep": (cmd_sweep, 1, ("json", "text"), True,
               "topologically sweep a diagram's crossings"),
-    "map": (cmd_map, 1, ("json",),
+    "map": (cmd_map, 1, ("json",), True,
             "compute the surface map summary of a diagram"),
-    "straighten": (cmd_straighten, 1, ("json", "svg"),
+    "straighten": (cmd_straighten, 1, ("json", "svg"), True,
                    "bend-free straight-line drawing of a digon-free diagram"),
-    "compare": (cmd_compare, 2, ("json", "text"),
+    "compare": (cmd_compare, 2, ("json", "text"), True,
                 "compare the surface-map fingerprints of two inputs"),
 }
 
@@ -451,12 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Incidence structures as monotone quasiline arrangements.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, nargs, formats, help_text) in COMMANDS.items():
+    for name, (_, nargs, formats, realizes, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("inputs", nargs=nargs, metavar="input")
         p.add_argument("-o", "--output", default=None)
         p.add_argument("--format", choices=formats, default=formats[0])
-        if name != "validate":  # every other subcommand may realize its input
+        if realizes:
             p.add_argument("--plan", dest="plan_path", default=None)
     return parser
 

@@ -7,10 +7,10 @@ when every pair of elements is jointly reversed exactly once, and
 which happens exactly when every pair is jointly reversed an odd number
 of times.  Moves are stored positionally as (start, length) with 1-based
 starts; one replay per sequence derives the window contents and the
-final permutation.  The track a wire holds part way along is read off
-that replay by bisection in the wire's event list
-(:meth:`PermSequence.track`), and a permutation part way along places
-every wire at its track.  The replay reverses an adjacent swap, the
+final permutation.  The track a wire holds part way along is read by
+bisection in the wire's event list from a per-wire table of the tracks
+its moves leave it on (:meth:`PermSequence.track`), and a permutation
+part way along places every wire at its track.  The replay reverses an adjacent swap, the
 most common move of a realization's bridging and of an equivalence
 walk, by two index assignments instead of a slice, and validation reads
 each move's bounds and label in one loop.
@@ -161,13 +161,20 @@ class PermSequence:
             raise IndexOutOfRange(f"event {i} not in [0, {len(self.moves)}]")
         if not 1 <= wire <= self.n:
             raise IndexOutOfRange(f"wire {wire} not in [1, {self.n}]")
-        events = self.wire_event_table[wire]
-        k = bisect_left(events, i)
-        if not k:
-            return wire - 1
-        e = events[k - 1]
-        window = self._replay[0][e]
-        return self.moves[e].start + len(window) - 2 - window.index(wire)
+        k = bisect_left(self.wire_event_table[wire], i)
+        return self._wire_tracks[wire][k - 1] if k else wire - 1
+
+    @cached_property
+    def _wire_tracks(self) -> tuple[tuple[int, ...], ...]:
+        """Per wire (index 0 unused), the track each of its moves reverses
+        it to, parallel to its event list: one pass over the windows, so a
+        lookup scans no window."""
+        table: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for move, wires in zip(self.moves, self._replay[0]):
+            bottom = move.start + len(wires) - 2
+            for j, w in enumerate(wires):
+                table[w].append(bottom - j)
+        return tuple(map(tuple, table))
 
     @property
     def window_wires_table(self) -> tuple[tuple[int, ...], ...]:
