@@ -7,11 +7,10 @@ when every pair of elements is jointly reversed exactly once, and
 which happens exactly when every pair is jointly reversed an odd number
 of times.  Moves are stored positionally as (start, length) with 1-based
 starts; one replay per sequence derives the window contents and the
-final permutation.  The track a wire holds part way along is read by
-bisection in the wire's event list from a per-wire table of the tracks
-its moves leave it on (:meth:`PermSequence.track`), and a permutation
-part way along places every wire at its track.  The replay reverses an adjacent swap, the
-most common move of a realization's bridging and of an equivalence
+final permutation.  A permutation part way along, and so the track a
+wire holds there, is the cached windows of the prefix written back
+reversed, with no move replayed.  The replay reverses an adjacent swap,
+the most common move of a realization's bridging and of an equivalence
 walk, by two index assignments instead of a slice, and validation reads
 each move's bounds and label in one loop.
 
@@ -27,7 +26,6 @@ condition.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -147,34 +145,15 @@ class PermSequence:
 
     def permutation_before(self, i: int) -> tuple[int, ...]:
         """The permutation before move i (0-based), the final one at i = m:
-        every wire placed at its :meth:`track`."""
-        perm = [0] * self.n
-        for w in range(1, self.n + 1):
-            perm[self.track(w, i)] = w
-        return tuple(perm)
-
-    def track(self, wire: int, i: int) -> int:
-        """The 0-based track of ``wire`` just before move i (0-based), after
-        the last move at i = m: the one its last earlier move reversed it
-        to, found by bisection in its event list, or its entry track."""
+        the cached windows of the first i moves written back reversed, in
+        O(Σ their lengths + n).  A wire's track is its index here."""
         if not 0 <= i <= len(self.moves):
             raise IndexOutOfRange(f"event {i} not in [0, {len(self.moves)}]")
-        if not 1 <= wire <= self.n:
-            raise IndexOutOfRange(f"wire {wire} not in [1, {self.n}]")
-        k = bisect_left(self.wire_event_table[wire], i)
-        return self._wire_tracks[wire][k - 1] if k else wire - 1
-
-    @cached_property
-    def _wire_tracks(self) -> tuple[tuple[int, ...], ...]:
-        """Per wire (index 0 unused), the track each of its moves reverses
-        it to, parallel to its event list: one pass over the windows, so a
-        lookup scans no window."""
-        table: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for move, wires in zip(self.moves, self._replay[0]):
-            bottom = move.start + len(wires) - 2
-            for j, w in enumerate(wires):
-                table[w].append(bottom - j)
-        return tuple(map(tuple, table))
+        perm = list(range(1, self.n + 1))
+        for move, window in zip(self.moves[:i], self._replay[0]):
+            a = move.start - 1
+            perm[a:a + len(window)] = window[::-1]
+        return tuple(perm)
 
     @property
     def window_wires_table(self) -> tuple[tuple[int, ...], ...]:

@@ -19,9 +19,9 @@ reversed.  Triangle sites come from one pass over the events that keeps
 each track's last event, and so each three-track band's: a site is three
 consecutive events of one band in braid position, found when its third
 event arrives from the middle event's own last band predecessor, with no
-band lists.  An inserted digon's wires are located by
-:meth:`~quasiline.sequences.PermSequence.track`, with no replay of the
-prefix.
+band lists.  An inserted digon's wires are located in
+:meth:`~quasiline.sequences.PermSequence.permutation_before` its slot,
+which reads the cached windows of the prefix.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def insert_digon(
         raise NoSuchFace(f"slot {at} not in [0, {diagram.event_count}]")
     if a == b or not (1 <= a <= diagram.n and 1 <= b <= diagram.n):
         raise NoSuchFace(f"{pair} is not a pair of distinct wires")
-    pa, pb = diagram.track(a, at), diagram.track(b, at)
+    perm = diagram.permutation_before(at)
+    pa, pb = perm.index(a), perm.index(b)
     if abs(pa - pb) != 1:
         raise NoSuchFace(
             f"wires {a} and {b} are not adjacent at slot {at} "

@@ -293,38 +293,6 @@ def test_cached_tables_match_replay_oracle():
     assert checked >= 10  # empty sequences, n = 1 among them
 
 
-def test_track_and_permutation_match_replay_oracle():
-    """At every slot of random sequences, long windows and adjacent swaps
-    mixed, every wire's track and the permutation before the slot equal
-    the prefix replay's; slots -1 and m + 1, and wires 0 and n + 1, raise
-    IndexOutOfRange."""
-    rng = random.Random(43)
-    slots = 0
-    for _ in range(250):
-        n = rng.randint(1, 9)
-        if n > 1 and rng.random() < 0.5:
-            seq = random_partial_sequence(rng, n, rng.randint(0, 12))
-        else:
-            seq = random_generalized_sequence(rng, max(n, 2), 4, rng.random() < 0.5)
-        m = len(seq.moves)
-        for at in range(m + 1):
-            perm = permutation_after_by_replay(seq, at)
-            assert seq.permutation_before(at) == perm
-            assert [seq.track(w, at) for w in range(1, seq.n + 1)] == [
-                perm.index(w) for w in range(1, seq.n + 1)
-            ]
-            slots += 1
-        for at in (-1, m + 1):
-            with pytest.raises(IndexOutOfRange):
-                seq.permutation_before(at)
-            with pytest.raises(IndexOutOfRange):
-                seq.track(1, at)
-        for w in (0, seq.n + 1):
-            with pytest.raises(IndexOutOfRange):
-                seq.track(w, m)
-    assert slots > 1500
-
-
 def test_adjacent_swap_replay_matches_replay_oracle():
     """Sequences mostly of adjacent swaps, mixed with windows of length 3
     to 5: every window content and the final permutation equal the prefix
