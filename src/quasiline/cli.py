@@ -36,7 +36,7 @@ from .incidence import (
     parse_lines_text,
 )
 from .realization import RealizationPlan, default_plan, realize, unwanted_crossing_count
-from .sequences import sequence_from_json_dict, sequence_to_json_dict
+from .sequences import _as_array, sequence_from_json_dict, sequence_to_json_dict
 from .surface import (
     fingerprint,
     scheme_from_realization,
@@ -134,17 +134,11 @@ def load_plan(structure: IncidenceStructure, path: Optional[str]) -> Realization
     return _plan_from_json(structure, _load_json(path))
 
 
-def _row(row, what: str) -> tuple[str, ...]:
-    if not isinstance(row, list):
-        raise ValidationError(f"every {what} must be a JSON array")
-    return tuple(map(str, row))
-
-
 def _euclid_from_json(data: dict) -> GeneralizedWiringDiagram:
     try:
-        lines = [_row(row, "line") for row in data["lines"]]
-        points = [_row(row, "point") for row in data.get("points", [])]
-    except (KeyError, TypeError) as exc:
+        lines = [tuple(map(str, _as_array(row))) for row in _as_array(data["lines"])]
+        points = [tuple(map(str, _as_array(row))) for row in _as_array(data.get("points", []))]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed euclidean JSON: {exc}") from exc
     labels = data.get("point_labels")
     if labels is not None:

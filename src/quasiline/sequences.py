@@ -64,10 +64,6 @@ class Move:
         """Last 1-based position covered by the window."""
         return self.start + self.length - 1
 
-    def window(self) -> range:
-        """0-based index range of the window."""
-        return range(self.start - 1, self.start - 1 + self.length)
-
     def disjoint_from(self, other: "Move") -> bool:
         return self.stop < other.start or other.stop < self.start
 
@@ -176,6 +172,8 @@ class PermSequence:
 
     def wire_events(self, wire: int) -> tuple[int, ...]:
         """Indices of the moves reversing ``wire``, left to right."""
+        if not 1 <= wire <= self.n:
+            raise IndexOutOfRange(f"wire {wire} not in [1, {self.n}]")
         return self.wire_event_table[wire]
 
 
@@ -290,11 +288,21 @@ def _as_int(x) -> int:
     return int(x)
 
 
+def _as_array(x) -> list | tuple:
+    """The one check of array JSON fields: a list or a tuple.  A string
+    is refused, not unpacked character by character, and so is any other
+    iterable."""
+    if not isinstance(x, (list, tuple)):
+        raise ValidationError(f"expected an array, got {type(x).__name__}")
+    return x
+
+
 def sequence_from_json_dict(data: dict) -> PermSequence:
     try:
         n = _as_int(data["n"])
-        moves = [Move(_as_int(s), _as_int(l)) for s, l in data["moves"]]
-        designated = [_as_int(i) for i in data.get("designated", [])]
+        rows = map(_as_array, _as_array(data["moves"]))
+        moves = [Move(_as_int(s), _as_int(l)) for s, l in rows]
+        designated = [_as_int(i) for i in _as_array(data.get("designated", []))]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed sequence JSON: {exc}") from exc
     return make_sequence(n, moves, designated)

@@ -24,7 +24,7 @@ from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import DisconnectedScheme, ValidationError
 from .rotmaps import Dart, RotationMap
-from .sequences import _as_int
+from .sequences import _as_array, _as_int
 from .wiring.diagram import GeneralizedWiringDiagram
 from .wiring.faces import wire_map
 
@@ -173,10 +173,6 @@ class StraightAheadWalk:
         return len(self.edge_indices)
 
     @property
-    def is_closed(self) -> bool:
-        return True
-
-    @property
     def is_simple(self) -> bool:
         return len(set(self.vertices)) == len(self.vertices)
 
@@ -237,18 +233,18 @@ def scheme_from_json_dict(data: dict) -> EmbeddingScheme:
     """The scheme of :func:`scheme_to_json_dict`.  Malformed input raises
     ValidationError; an invalid map raises what :func:`make_scheme` does."""
     try:
-        vertices = [str(v) for v in data["vertices"]]
+        vertices = [str(v) for v in _as_array(data["vertices"])]
         vertex_at = dict(enumerate(vertices))
-        edges = [(vertex_at[u], vertex_at[v]) for u, v in data["edges"]]
-        rows = data["rotations"]
+        edges = [(vertex_at[u], vertex_at[v]) for u, v in map(_as_array, _as_array(data["edges"]))]
+        rows = _as_array(data["rotations"])
         if len(rows) != len(vertices):
             raise ValueError(f"{len(rows)} rotation rows for {len(vertices)} vertex ids")
         rotations = {
-            v: tuple((_as_int(e), _as_int(end)) for e, end in rot)
+            v: tuple((_as_int(e), _as_int(end)) for e, end in map(_as_array, _as_array(rot)))
             for v, rot in zip(vertices, rows)
         }
-        signature = [_as_int(s) for s in data["signature"]]
-        lines = list(data.get("lines") or [None] * len(edges))
+        signature = [_as_int(s) for s in _as_array(data["signature"])]
+        lines = list(_as_array(data.get("lines") or [None] * len(edges)))
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed scheme JSON: {exc}") from exc
     return make_scheme(vertices, edges, rotations, signature, lines)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from ..errors import NotGeneralized, ValidationError
 from ..realization import Realization
-from ..sequences import Move, PermSequence, _as_int
+from ..sequences import Move, PermSequence, _as_array, _as_int
 
 # The replay builds an n-entry permutation before any event is read, so
 # the wire count is bounded first.
@@ -125,7 +125,7 @@ def diagram_from_json_dict(data: dict) -> GeneralizedWiringDiagram:
         n = _as_int(data["n"])
         moves = tuple(
             Move(_as_int(s), _as_int(l), p if p is None else str(p))
-            for s, l, p in data["events"]
+            for s, l, p in map(_as_array, _as_array(data["events"]))
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed diagram JSON: {exc}") from exc

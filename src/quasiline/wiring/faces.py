@@ -12,9 +12,11 @@ into cells.  Its bounded cells lie between consecutive cuts; its last
 cell runs off to the right and comes back, through infinity, as the
 first cell of band n - t, since the track at position t on the right
 continues as track n + 1 - t on the left.  Bands 0 and n have no cuts
-and together make one more face.  :func:`trace_faces_disk` reads every
-face off one pass over the window table and builds no rotation map; a
-face is the plain tuple of the arc sides it walks.
+and together make one more face.  A face is the cycle of events its
+boundary walks.  :func:`trace_faces_disk` reads every face off one pass
+over the events (``_band_cells``) and builds no rotation map, and
+straighten reads its crossing graph's faces, its outer walk and the
+arrangement's digons off the same pass.
 
 :func:`wire_map` is the one builder of signed rotation systems from
 wires: :func:`arrangement_map` keeps every crossing, and the surface map
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from ..errors import QuasilineError, WireWithoutPoint
+from ..errors import WireWithoutPoint
 from ..rotmaps import RotationMap
 from .diagram import GeneralizedWiringDiagram
 
@@ -98,70 +100,53 @@ def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
     return wire_map(diagram, {i: i for i in range(diagram.event_count)})[0]
 
 
-def _sides(forward: list[ArcId], backward: list[ArcId]) -> tuple[ArcId, ...]:
-    """The sides of the face whose boundary walks ``forward`` in its wires'
-    direction and then ``backward`` against theirs, from its least arc
-    and turned so that this arc is walked in its wire's direction."""
-    cycle = forward + backward
-    i = cycle.index(min(cycle))
-    if i >= len(forward):
-        cycle.reverse()
-        i = len(cycle) - 1 - i
-    return tuple(cycle[i:] + cycle[:i])
+def _band_cells(
+    diagram: GeneralizedWiringDiagram,
+) -> tuple[list[list[int]], list[list[int]], tuple[list, list, list, list]]:
+    """The one band pass over the events: the bounded cells, the faces
+    through infinity, and the band ends (tops, bottoms, first, last).
 
-
-def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[tuple[ArcId, ...], ...]:
-    """All faces of the arrangement, infinity arcs included, each as the
-    tuple of arc sides its boundary walks, sorted by (length, sides).
-
-    Arcs are named as in :func:`wire_map`: (w, j) joins the j-th and
-    (j + 1)-th events of wire w, and the wire's last arc closes through
-    infinity, from its last event to its first.  Each face starts at its
-    least arc, walked in its wire's direction, which is the face's least
-    traversal state in the arrangement map.  One pass over the events
-    keeps the arc on every track and, per band, the arcs of its open cell
-    on the top and bottom tracks: O(sum of window lengths + n).
+    Band t lies between tracks t and t + 1.  An event with window [a, b]
+    touches band a - 1 from below and band b from above, and cuts bands
+    a .. b - 1.  A bounded cell of band t is the cycle [left cut, events
+    above, right cut, events below reversed].  Once every event is read,
+    tops[t] and bottoms[t] hold the events touching the last cell of band
+    t from above and below, after its last cut last[t], and first[t] is
+    the run round its left end, from the bottom track round the band's
+    first cut to the top track.  The last cell of band t and the first of
+    band n - t make one face, and bands 0 and n make one more.
+    O(sum of window lengths + n).
     """
     n = diagram.n
-    windows = diagram.window_wires_table
-    count = [0] * (n + 1)
-    for window in windows:
-        for w in window:
-            count[w] += 1
-    placed = [0] * (n + 1)
-    # before its first event a wire sits on its closing arc
-    track: list[ArcId] = [(0, 0)] + [(w, count[w] - 1) for w in range(1, n + 1)]
-    # the open cell of band t has its arcs on track t in tops[t] and on
-    # track t + 1 in bottoms[t]; heads[t] keeps the band's first cell
-    tops = [[]] + [[track[t]] for t in range(1, n + 1)]
-    bottoms = [[track[t + 1]] for t in range(n)] + [[]]
-    heads: list = [None] * (n + 1)
-    faces = []
-    for move, window in zip(diagram.moves, windows):
-        a = move.start
-        b = p = a + len(window) - 1
-        for w in window:  # the reversal puts the window's top wire at b
-            j = placed[w]
-            track[p] = (w, j)
-            placed[w] = j + 1
-            p -= 1
-        bottoms[a - 1].append(track[a])
-        tops[b].append(track[b])
-        for t in range(a, b):
-            if heads[t] is None:
-                heads[t] = (tops[t], bottoms[t])
+    tops: list[list[int]] = [[] for _ in range(n + 1)]
+    bottoms: list[list[int]] = [[] for _ in range(n + 1)]
+    first: list = [None] * (n + 1)
+    last = [0] * (n + 1)
+    cells = []
+    for i, move in enumerate(diagram.moves):
+        bottoms[move.start - 1].append(i)
+        tops[move.stop].append(i)
+        for t in range(move.start, move.stop):
+            if first[t] is None:
+                first[t] = bottoms[t] + [i] + tops[t][::-1]
             else:
-                faces.append(_sides(tops[t], bottoms[t][::-1]))
-            tops[t] = [track[t]]
-            bottoms[t] = [track[t + 1]]
-    # the last cell of band t meets the first of band n - t at infinity,
-    # where each closing arc is one side, not two
-    for t in range(1, n):
-        head_top, head_bottom = heads[n - t]
-        faces.append(_sides(tops[t] + head_bottom[1:], head_top[::-1] + bottoms[t][-2::-1]))
-    faces.append(_sides(bottoms[0] + tops[n][1:-1], []))
-    if sum(map(len, faces)) != 2 * sum(count):
-        raise QuasilineError("band cells do not cover every arc side exactly once")
-    faces.sort()
-    faces.sort(key=len)  # stable, so the order is by (length, sides)
-    return tuple(faces)
+                cells.append([last[t]] + tops[t] + [i] + bottoms[t][::-1])
+            last[t] = i
+            tops[t], bottoms[t] = [], []
+    infinite = [[last[t]] + tops[t] + first[n - t] + bottoms[t][::-1] for t in range(1, n)]
+    infinite.append(bottoms[0] + tops[n])
+    return cells, infinite, (tops, bottoms, first, last)
+
+
+def trace_faces_disk(diagram: GeneralizedWiringDiagram) -> tuple[tuple[int, ...], ...]:
+    """All faces of the arrangement, infinity arcs included, each as the
+    cycle of events its boundary walks, sorted by length.
+
+    A face of length k has k sides, one arc between each two consecutive
+    events of its cycle, the last back to the first; an arc through
+    infinity joins a wire's last event to its first.  Faces of equal
+    length keep the order of the band pass: the bounded cells band cell
+    by band cell, then the faces through infinity.
+    """
+    cells, infinite, _ = _band_cells(diagram)
+    return tuple(sorted(map(tuple, cells + infinite), key=len))

@@ -8,12 +8,13 @@ along the straight line spanned by its first and last crossing, taken
 outside the polygon.  Every breakpoint of every wire is a crossing, so
 the drawing has no bends.
 
-The crossing graph is never built as a map: its faces are read off the
-bands between the diagram's tracks (:func:`_crossing_graph`).  The
-bounded cells are its internal faces, the ends of the bands make up its
-outer walk, and it is certified 2-connected by every one of these face
-walks being a simple cycle.  The same pass counts the arrangement's
-digons, so no other face trace is made.
+The crossing graph is never built as a map: its internal faces are the
+arrangement's bounded cells, read off the bands between the diagram's
+tracks by the one band pass of :mod:`quasiline.wiring.faces`, which
+also yields the arrangement's digons, so no other face trace is made.
+The ends of the bands make up its outer walk (:func:`_crossing_graph`),
+and it is certified 2-connected by every one of these face walks being
+a simple cycle.
 
 Coordinates are exact, and integers until the drawing is built: the
 outer polygon vertices are rational points on the unit circle, laid
@@ -61,9 +62,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import HasDigons, NotTwoConnected, QuasilineError, ValidationError
-from ..sequences import _as_int
+from ..sequences import _as_array, _as_int
 from .diagram import GeneralizedWiringDiagram
 from .euclid import _as_fraction
+from .faces import _band_cells
 
 Point = tuple[Fraction, Fraction]
 Coords = tuple[int, int]  # integer numerators over a drawing's denominator D
@@ -146,49 +148,25 @@ def _crossing_graph(
     """The internal face cycles and the outer walk of the crossing graph G
     (events as vertices, finite arcs of the wire ``paths`` as edges).
 
-    Band t lies between tracks t and t + 1.  An event with window [a, b]
-    touches band a - 1 from below and band b from above, and cuts bands
-    a .. b - 1.  G's internal faces are the cells between consecutive
-    cuts of a band, and its outer walk runs round the ends of the bands.
-    The same pass counts the arrangement's digons (its faces as in
-    :func:`quasiline.wiring.faces.trace_faces_disk`): a cell that no
-    event touches, the last cell of band t joined through infinity to
-    the first of band n - t when no event touches either, and the face of
-    bands 0 and n when two events touch it; any digon raises
-    ``HasDigons`` before G is checked.
-    Internal faces are listed as traced, band cell by band cell, since
-    neither their order nor their first vertex reaches any output.  The
-    outer walk places the polygon, so it starts at its least dart: arc e,
-    numbered as in :func:`quasiline.wiring.faces.wire_map`, has dart 2e
-    from its earlier event and 2e + 1 from its later one.
+    Both come from the one band pass of :mod:`quasiline.wiring.faces`,
+    which :func:`quasiline.wiring.faces.trace_faces_disk` reads too: G's
+    internal faces are the arrangement's bounded cells, and its outer
+    walk runs round the ends of the bands.  The faces of that pass of
+    length 2 are the arrangement's digons; any digon raises
+    ``HasDigons`` before G is checked.  Internal faces are listed as
+    traced, band cell by band cell, since neither their order nor their
+    first vertex reaches any output.  The outer walk places the polygon,
+    so it starts at its least dart: arc e, numbered as in
+    :func:`quasiline.wiring.faces.wire_map`, has dart 2e from its
+    earlier event and 2e + 1 from its later one.
     G is connected, since every two wires cross, and a connected plane
     graph on 3 or more vertices is 2-connected exactly when every face
     walk is a simple cycle (Mohar-Thomassen); otherwise
     ``NotTwoConnected`` is raised.
     """
     n = diagram.n
-    # per band, the events touching it from above and from below since
-    # its last cut; first[t] is the run of its left end, from the bottom
-    # track round its first cut to the top track
-    tops: list[list[int]] = [[] for _ in range(n + 1)]
-    bottoms: list[list[int]] = [[] for _ in range(n + 1)]
-    first: list = [None] * (n + 1)
-    last = [0] * (n + 1)
-    cells = []
-    digons = 0
-    for i, move in enumerate(diagram.moves):
-        bottoms[move.start - 1].append(i)
-        tops[move.stop].append(i)
-        for t in range(move.start, move.stop):
-            if first[t] is None:
-                first[t] = bottoms[t] + [i] + tops[t][::-1]
-            else:
-                digons += not (tops[t] or bottoms[t])
-                cells.append([last[t]] + tops[t] + [i] + bottoms[t][::-1])
-            last[t] = i
-            tops[t], bottoms[t] = [], []
-    digons += sum(not (tops[t] or bottoms[t]) and len(first[n - t]) == 1 for t in range(1, n))
-    digons += len(bottoms[0]) + len(tops[n]) == 2
+    cells, infinite, (tops, bottoms, first, last) = _band_cells(diagram)
+    digons = sum(len(face) == 2 for face in cells + infinite)
     if digons:
         raise HasDigons(f"{digons} digon(s) found; straightening needs a digon-free diagram")
 
@@ -580,10 +558,13 @@ def drawing_from_json_dict(data: dict) -> StraightDrawing:
     try:
         drawing = StraightDrawing(
             _as_int(data["n"]),
-            tuple((_as_fraction(x), _as_fraction(y)) for x, y in data["positions"]),
-            tuple(map(_as_int, data["outer_cycle"])),
-            tuple((_as_int(a), _as_int(b)) for a, b in data["chords"]),
-            tuple(tuple(map(_as_int, p)) for p in data["wire_paths"]),
+            tuple(
+                (_as_fraction(x), _as_fraction(y))
+                for x, y in map(_as_array, _as_array(data["positions"]))
+            ),
+            tuple(map(_as_int, _as_array(data["outer_cycle"]))),
+            tuple((_as_int(a), _as_int(b)) for a, b in map(_as_array, _as_array(data["chords"]))),
+            tuple(tuple(map(_as_int, _as_array(p))) for p in _as_array(data["wire_paths"])),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed drawing JSON: {exc}") from exc

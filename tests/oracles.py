@@ -72,7 +72,7 @@ from quasiline.wiring.euclid import (
     _rows,
     _shear_candidates,
 )
-from quasiline.wiring.faces import wire_map
+from quasiline.wiring.faces import arrangement_map
 from quasiline.wiring.mutations import _check_triangle
 from quasiline.wiring.straighten import (
     _embedded,
@@ -833,13 +833,13 @@ def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
     )
 
 
-def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``trace_faces_disk`` by walking the face orbits of the whole
-    arrangement map: every face is the tuple of arcs of the orbit from its
-    least traversal state, sorted by (length, arcs)."""
-    rm, arcs = wire_map(diagram, {i: i for i in range(diagram.event_count)})
-    faces = [tuple(arcs[x >> 2] for x in orbit) for orbit in rm.faces]
-    return tuple(sorted(faces, key=lambda f: (len(f), f)))
+def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[tuple[int, ...], ...]:
+    """The faces of ``trace_faces_disk`` by walking the face orbits of the
+    whole arrangement map: every face is the cycle of events its orbit
+    leaves, in orbit order.  Traversal state x leaves end x >> 1 & 1 of
+    edge x >> 2."""
+    rm = arrangement_map(diagram)
+    return tuple(tuple(rm.edges[x >> 2][x >> 1 & 1] for x in orbit) for orbit in rm.faces)
 
 
 def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
@@ -1269,7 +1269,8 @@ def move_window_content_by_replay(seq: PermSequence, i: int) -> tuple[int, ...]:
     if not 1 <= i <= len(seq.moves):
         raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
     perm = permutation_after_by_replay(seq, i - 1)
-    return tuple(perm[j] for j in seq.moves[i - 1].window())
+    move = seq.moves[i - 1]
+    return tuple(perm[move.start - 1:move.stop])
 
 
 def _swap_invariant(seq: PermSequence) -> Counter:

@@ -225,9 +225,12 @@ def test_criterion_7_straight_ahead_walks(realization_corpus):
         assert len(walks) == d.n
         used = sorted(e for w in walks for e in w.edge_indices)
         assert used == list(range(s.edge_count))
+        edges = s.rotmap.edges
         for w in walks:
             assert w.is_simple
-            assert w.is_closed
+            # edge k joins vertices[k] and vertices[k + 1], the last back to the first
+            ends = zip(w.vertices, w.vertices[1:] + w.vertices[:1])
+            assert all(set(edges[e]) == set(pair) for e, pair in zip(w.edge_indices, ends))
             assert w.negative_count % 2 == 1
         schemes += 1
     report(7, f"on all {schemes} constructed schemes: SAW count = line count, "

@@ -87,6 +87,7 @@ def test_missing_file_exit_2(workdir):
         ("exponent.euclid.json", '{"lines": [["1e2000000", "1", "0"], ["1", "0", "0"]]}', 2),
         ("digits.seq.json", '{"n": 1' + "0" * 5000 + ', "moves": [[1, 2]]}', 3),
         ("rows.euclid.json", '{"lines": ["100", "010"]}', 2),
+        ("text.seq.json", '{"n": 3, "moves": ["12", "22", "12"], "designated": "13"}', 2),
     ],
     ids=[
         "non-integer-move",
@@ -103,6 +104,7 @@ def test_missing_file_exit_2(workdir):
         "exponent-over-digit-limit",
         "integer-over-digit-limit",
         "line-not-an-array",
+        "moves-as-strings",
     ],
 )
 def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):

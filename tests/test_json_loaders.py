@@ -60,6 +60,11 @@ SEQUENCE_ROWS = [
     ("boolean designated index", changed(SEQUENCE, designated=[True]), ValidationError),
     ("fractional move length", changed(SEQUENCE, moves=[[1, 2.5]] + SEQUENCE["moves"][1:]),
      ValidationError),
+    # a string is not unpacked character by character
+    ("text moves", changed(SEQUENCE, n=3, moves=["12", "22", "12"], designated=[]), ValidationError),
+    ("text move", changed(SEQUENCE, moves=["12"] + SEQUENCE["moves"][1:]), ValidationError),
+    ("text designated", changed(SEQUENCE, designated="13"), ValidationError),
+    ("object moves", changed(SEQUENCE, n=2, moves={"12": 1}, designated=[]), ValidationError),
 ]
 
 def with_first_event(start):
@@ -69,6 +74,8 @@ def with_first_event(start):
 DIAGRAM_ROWS = [
     ("boolean event start", with_first_event(True), ValidationError),
     ("fractional event start", with_first_event(1.5), ValidationError),
+    ("text events", changed(DIAGRAM_JSON, events=["12b", "22a", "12c"]), ValidationError),
+    ("object events", changed(DIAGRAM_JSON, n=2, events={"12a": None}), ValidationError),
 ]
 
 DRAWING_ROWS = [
@@ -96,6 +103,11 @@ DRAWING_ROWS = [
      ValidationError),
     ("boolean chord end", changed(DRAWING, chords=[[False, 1]] + DRAWING["chords"][1:]),
      ValidationError),
+    ("text positions", changed(DRAWING, positions=["00", "10", "01"]), ValidationError),
+    ("text outer cycle", changed(DRAWING, outer_cycle="012"), ValidationError),
+    ("text chord", changed(DRAWING, chords=["01"] + DRAWING["chords"][1:]), ValidationError),
+    ("text wire paths", changed(DRAWING, wire_paths=["01"] + DRAWING["wire_paths"][1:]),
+     ValidationError),
 ]
 
 SCHEME_ROWS = [
@@ -120,6 +132,12 @@ SCHEME_ROWS = [
     ("boolean signature", changed(SCHEME, signature=[True] * len(SCHEME["signature"])),
      ValidationError),
     ("scalar lines", changed(SCHEME, lines=5), ValidationError),
+    ("text vertices", changed(SCHEME, vertices="abc"), ValidationError),
+    ("text darts", changed(SCHEME, rotations=[[f"{e}{end}" for e, end in row]
+                                              for row in SCHEME["rotations"]]), ValidationError),
+    ("text signature string", changed(SCHEME, signature="1" * len(SCHEME["signature"])),
+     ValidationError),
+    ("text lines", changed(SCHEME, lines="l" * len(SCHEME["edges"])), ValidationError),
     # a well-formed document of an invalid map: make_scheme's own error
     ("disconnected", TWO_DIPOLES, DisconnectedScheme),
 ]

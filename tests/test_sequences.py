@@ -66,6 +66,14 @@ def test_permutation_after_bounds():
         seq.permutation_before(-1)
 
 
+@pytest.mark.parametrize("wire", [0, 4, -1])
+def test_wire_events_refuses_a_wire_outside_the_sequence(wire):
+    seq = make_sequence(3, [(1, 2)])
+    with pytest.raises(IndexOutOfRange, match=f"^wire {wire} not in \\[1, 3\\]$"):
+        seq.wire_events(wire)
+    assert [seq.wire_events(w) for w in (1, 2, 3)] == [(0,), (0,), ()]
+
+
 def test_move_elements():
     seq = make_sequence(3, [(1, 2), (2, 2)])
     assert frozenset(move_window_content(seq, 2)) == frozenset({1, 3})

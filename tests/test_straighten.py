@@ -177,14 +177,17 @@ def digon_corpus():
 
 
 def test_digon_count_matches_face_trace():
-    """The digons counted in the band pass of ``_crossing_graph`` are the
-    2-sided faces of ``trace_faces_disk``, bounded ones and ones through
-    infinity alike, and straighten raises HasDigons with that count; a
-    diagram with none straightens."""
+    """The digons of the band pass are the 2-sided face orbits of the
+    arrangement map, bounded ones and ones through infinity alike, and
+    straighten raises HasDigons with that count; a diagram with none
+    straightens.  A digon lies at infinity when its orbit crosses an arc
+    of signature -1."""
     seen = Counter()
     for d in digon_corpus():
         paths = tuple(d.wire_events(w) for w in range(1, d.n + 1))
-        digons = [face for face in trace_faces_disk(d) if len(face) == 2]
+        rm, _ = full_map(d)
+        digons = [orbit for orbit in rm.faces if len(orbit) == 2]
+        assert sum(len(face) == 2 for face in trace_faces_disk(d)) == len(digons)
         if not digons:
             check_straightening(d)
             seen["digon-free"] += 1
@@ -194,9 +197,9 @@ def test_digon_count_matches_face_trace():
             _crossing_graph(d, paths)
         with pytest.raises(HasDigons, match=message):
             straighten(d)
-        closing = {(w, len(path) - 1) for w, path in enumerate(paths, start=1)}
-        for face in digons:
-            seen["at infinity" if closing & set(face) else "bounded"] += 1
+        for orbit in digons:
+            infinite = any(rm.signature[x >> 2] == -1 for x in orbit)
+            seen["at infinity" if infinite else "bounded"] += 1
         seen[f"n = {d.n}"] += 1
     assert seen["digon-free"] >= 100 and seen["bounded"] >= 100
     assert seen["at infinity"] >= 100

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -322,10 +323,16 @@ def band_cell_corpus():
             yield d
 
 
+def least_cycle(cycle):
+    """The least rotation of the cycle or of its reverse: the same for
+    every start and direction of one cyclic sequence."""
+    return min(c[i:] + c[:i] for c in (cycle, cycle[::-1]) for i in range(len(c)))
+
+
 def test_band_cells_match_orbit_oracle(monkeypatch):
-    # the faces themselves, not only their lengths: a rotated or reversed
-    # side list would pass a length check.  Both sides are plain tuples of
-    # (wire, arc index) pairs, so equality compares the arcs themselves.
+    # the faces themselves, not only their lengths: every face is the cycle
+    # of events it walks, compared up to its start and direction, and the
+    # two sides must list the same cycles as many times each
     built = []
     check = RotationMap.__post_init__
     monkeypatch.setattr(
@@ -333,13 +340,30 @@ def test_band_cells_match_orbit_oracle(monkeypatch):
     )
     count = 0
     for d in band_cell_corpus():
-        want = faces_by_orbits(d)
-        assert all(type(face) is tuple and all(type(arc) is tuple for arc in face) for face in want)
+        want = sorted(map(least_cycle, faces_by_orbits(d)))
         built.clear()
-        assert trace_faces_disk(d) == want, d
+        faces = trace_faces_disk(d)
         assert not built
+        assert all(type(face) is tuple for face in faces)
+        assert [len(f) for f in faces] == sorted(len(f) for f in faces)
+        assert sorted(map(least_cycle, faces)) == want, d
         count += 1
     assert count > 900
+
+
+def test_band_cells_bound_every_arc_twice():
+    """Without an oracle: consecutive events of every face, the last and
+    the first included, are joined by an arc, and every arc, the ones
+    through infinity included, bounds exactly two face sides."""
+    for d in band_cell_corpus():
+        arcs = Counter()
+        for w in range(1, d.n + 1):
+            path = d.wire_events(w)
+            arcs.update(frozenset(ends) for ends in zip(path, path[1:] + path[:1]))
+        sides = Counter(
+            frozenset(ends) for face in trace_faces_disk(d) for ends in zip(face, face[1:] + face[:1])
+        )
+        assert sides == Counter({arc: 2 * k for arc, k in arcs.items()}), d
 
 
 def test_crossing_number_identity():
