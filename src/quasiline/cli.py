@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Hashable, Optional, Sequence
+from typing import Optional, Sequence
 from xml.etree import ElementTree as ET
 
 from .errors import (
@@ -35,8 +35,9 @@ from .incidence import (
     levi_graph,
     parse_lines_text,
 )
+from .jsonshape import MAX_DIGITS, as_object, as_text, read
 from .realization import RealizationPlan, default_plan, realize, unwanted_crossing_count
-from .sequences import _as_array, sequence_from_json_dict, sequence_to_json_dict
+from .sequences import sequence_from_json_dict, sequence_to_json_dict
 from .surface import (
     fingerprint,
     scheme_from_realization,
@@ -55,7 +56,6 @@ from .wiring import (
     sweep_digraph,
     topological_sweep,
 )
-from .wiring.euclid import MAX_DIGITS
 from .wiring.straighten import StraightDrawing
 
 # Wire colours of both SVG figures, cycled by wire number.
@@ -78,25 +78,13 @@ def _read_text(path: str) -> str:
         raise ParseError(f"not UTF-8: {exc.reason}", line, column) from exc
 
 
-def _object(data, what: str) -> dict:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    return data
-
-
-def _labels(data, what: str) -> tuple:
-    if not isinstance(data, list) or not all(isinstance(x, Hashable) for x in data):
-        raise ValidationError(f"{what} must be a JSON array of labels")
-    return tuple(data)
-
-
 def _json_int(text: str) -> int:
     if len(text.lstrip("-")) > MAX_DIGITS:
         raise ValueError(f"an integer literal has more than {MAX_DIGITS} digits")
     return int(text)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         data = json.loads(_read_text(path), parse_int=_json_int)
     except json.JSONDecodeError as exc:
@@ -105,26 +93,22 @@ def _load_json(path: str) -> dict:
         raise ParseError("JSON nested too deeply", 1) from exc
     except ValueError as exc:  # an integer literal over MAX_DIGITS
         raise ParseError(str(exc), 1) from exc
-    return _object(data, "the top level")
+    return data
 
 
 def load_structure(path: str) -> IncidenceStructure:
     return parse_lines_text(_read_text(path))
 
 
-def _plan_from_json(structure: IncidenceStructure, data: dict) -> RealizationPlan:
+def _plan_from_json(structure: IncidenceStructure, data) -> RealizationPlan:
     base = default_plan(structure)
-
-    def field(key: str, default: tuple) -> tuple:
-        return _labels(data[key], key) if key in data else default
-
-    orders = dict(base.point_line_orders)
-    for p, ls in _object(data.get("point_line_orders", {}), "point_line_orders").items():
-        orders[p] = _labels(ls, f"point_line_orders[{p!r}]")
+    labels = [as_text]
+    doc = read(data, {"line_numbering?": labels, "point_order?": labels,
+                      "point_line_orders?": {str: labels}})
     return RealizationPlan(
-        field("line_numbering", base.line_numbering),
-        field("point_order", base.point_order),
-        orders,
+        doc.get("line_numbering", base.line_numbering),
+        doc.get("point_order", base.point_order),
+        {**base.point_line_orders, **doc.get("point_line_orders", {})},
     )
 
 
@@ -135,15 +119,9 @@ def load_plan(structure: IncidenceStructure, path: Optional[str]) -> Realization
 
 
 def _euclid_from_json(data: dict) -> GeneralizedWiringDiagram:
-    try:
-        lines = [tuple(map(str, _as_array(row))) for row in _as_array(data["lines"])]
-        points = [tuple(map(str, _as_array(row))) for row in _as_array(data.get("points", []))]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed euclidean JSON: {exc}") from exc
-    labels = data.get("point_labels")
-    if labels is not None:
-        labels = _labels(labels, "point_labels")
-    return diagram_from_lines(lines, points, labels)
+    # a coefficient is read as text, so a JSON number is taken exactly
+    doc = read(data, {"lines": [[as_text]], "points?": [[as_text]], "point_labels?": [as_text]})
+    return diagram_from_lines(doc["lines"], doc.get("points", ()), doc.get("point_labels"))
 
 
 def load_diagram(path: str, plan_path: Optional[str] = None) -> GeneralizedWiringDiagram:
@@ -154,10 +132,8 @@ def load_diagram(path: str, plan_path: Optional[str] = None) -> GeneralizedWirin
         return diagram_from_realization(realize(structure, load_plan(structure, plan_path)))
     data = _load_json(path)
     # outputs of other subcommands are accepted back as inputs
-    if "diagram" in data:
-        data = _object(data["diagram"], "diagram")
-    elif "sequence" in data:
-        data = _object(data["sequence"], "sequence")
+    wrapped = read(data, {"diagram?": as_object, "sequence?": as_object})
+    data = wrapped.get("diagram", wrapped.get("sequence", data))
     if name.endswith(".seq.json") or "moves" in data:
         seq = sequence_from_json_dict(data)
         return GeneralizedWiringDiagram(seq.n, seq.moves)

@@ -9,10 +9,13 @@ of times.  Moves are stored positionally as (start, length) with 1-based
 starts; one replay per sequence derives the window contents and the
 final permutation.  A permutation part way along, and so the track a
 wire holds there, is the cached windows of the prefix written back
-reversed, with no move replayed.  The replay reverses an adjacent swap,
-the most common move of a realization's bridging and of an equivalence
-walk, by two index assignments instead of a slice, and validation reads
-each move's bounds and label in one loop.
+reversed, with no move replayed.  Every table of n entries starts from
+one identity permutation, which first bounds the wire count: a sequence
+may be built with any n, but no table is built for more than
+``MAX_WIRES`` wires.  The replay reverses an adjacent swap, the most
+common move of a realization's bridging and of an equivalence walk, by
+two index assignments instead of a slice, and validation reads each
+move's bounds and label in one loop.
 
 A move that carries a point label is *designated*: it is the reversal at
 a point of an incidence structure.  Labels travel with their moves under
@@ -38,8 +41,13 @@ from .errors import (
     NotDisjoint,
     ValidationError,
 )
+from .jsonshape import as_int, read
 
 Label = Hashable
+
+# Every n-sized table starts from the identity permutation, so the wire
+# count is bounded there, before any table is built.
+MAX_WIRES = 100_000
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,12 @@ class PermSequence:
     def __len__(self) -> int:
         return len(self.moves)
 
+    def _identity(self) -> list[int]:
+        """The identity on {1..n}, the start of every n-sized table."""
+        if self.n > MAX_WIRES:
+            raise ValidationError(f"a sequence has at most {MAX_WIRES} wires, got {self.n}")
+        return list(range(1, self.n + 1))
+
     @property
     def event_count(self) -> int:
         return len(self.moves)
@@ -124,7 +138,7 @@ class PermSequence:
         read top to bottom just before the reversal, and the final
         permutation.  An adjacent swap, most moves of a realization or a
         walk, is two index assignments and no slice."""
-        perm = list(range(1, self.n + 1))
+        perm = self._identity()
         windows = []
         for move in self.moves:
             a = move.start - 1
@@ -145,7 +159,7 @@ class PermSequence:
         O(Σ their lengths + n).  A wire's track is its index here."""
         if not 0 <= i <= len(self.moves):
             raise IndexOutOfRange(f"event {i} not in [0, {len(self.moves)}]")
-        perm = list(range(1, self.n + 1))
+        perm = self._identity()
         for move, window in zip(self.moves[:i], self._replay[0]):
             a = move.start - 1
             perm[a:a + len(window)] = window[::-1]
@@ -164,7 +178,7 @@ class PermSequence:
 
     @cached_property
     def wire_event_table(self) -> dict[int, tuple[int, ...]]:
-        table: dict[int, list[int]] = {w: [] for w in range(1, self.n + 1)}
+        table: dict[int, list[int]] = {w: [] for w in self._identity()}
         for i, wires in enumerate(self.window_wires_table):
             for w in wires:
                 table[w].append(i)
@@ -216,7 +230,7 @@ def classify(seq: PermSequence) -> SequenceClass:
     which for a generalized sequence means the moves reverse C(n, 2)
     pairs in all.
     """
-    if seq._replay[1] != tuple(range(seq.n, 0, -1)):
+    if seq._replay[1] != tuple(reversed(seq._identity())):
         return SequenceClass.PARTIAL
     if sum(comb(m.length, 2) for m in seq.moves) == comb(seq.n, 2):
         return SequenceClass.ALLOWABLE
@@ -279,30 +293,6 @@ def sequence_to_json_dict(seq: PermSequence) -> dict:
     }
 
 
-def _as_int(x) -> int:
-    """The one parser of integer JSON fields: an int, an integer string or
-    an integral number.  A number with a fractional part is refused, not
-    truncated, and so is a boolean."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ValidationError(f"expected an integer, got {x!r}")
-    return int(x)
-
-
-def _as_array(x) -> list | tuple:
-    """The one check of array JSON fields: a list or a tuple.  A string
-    is refused, not unpacked character by character, and so is any other
-    iterable."""
-    if not isinstance(x, (list, tuple)):
-        raise ValidationError(f"expected an array, got {type(x).__name__}")
-    return x
-
-
 def sequence_from_json_dict(data: dict) -> PermSequence:
-    try:
-        n = _as_int(data["n"])
-        rows = map(_as_array, _as_array(data["moves"]))
-        moves = [Move(_as_int(s), _as_int(l)) for s, l in rows]
-        designated = [_as_int(i) for i in _as_array(data.get("designated", []))]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed sequence JSON: {exc}") from exc
-    return make_sequence(n, moves, designated)
+    shape = {"n": as_int, "moves": [(as_int, as_int)], "designated?": [as_int]}
+    return make_sequence(**read(data, shape))

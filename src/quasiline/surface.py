@@ -23,8 +23,8 @@ from functools import cached_property
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import DisconnectedScheme, ValidationError
+from .jsonshape import as_int, as_text, as_text_or_null, read
 from .rotmaps import Dart, RotationMap
-from .sequences import _as_array, _as_int
 from .wiring.diagram import GeneralizedWiringDiagram
 from .wiring.faces import wire_map
 
@@ -229,25 +229,28 @@ def scheme_to_json_dict(scheme: EmbeddingScheme) -> dict:
     }
 
 
+def _edge_end(x) -> int:
+    """An edge end indexes the vertices: an integer, but not as text."""
+    if isinstance(x, str):
+        raise ValidationError(f"expected a vertex index, got {x!r}")
+    return as_int(x)
+
+
 def scheme_from_json_dict(data: dict) -> EmbeddingScheme:
-    """The scheme of :func:`scheme_to_json_dict`.  Malformed input raises
-    ValidationError; an invalid map raises what :func:`make_scheme` does."""
-    try:
-        vertices = [str(v) for v in _as_array(data["vertices"])]
-        vertex_at = dict(enumerate(vertices))
-        edges = [(vertex_at[u], vertex_at[v]) for u, v in map(_as_array, _as_array(data["edges"]))]
-        rows = _as_array(data["rotations"])
-        if len(rows) != len(vertices):
-            raise ValueError(f"{len(rows)} rotation rows for {len(vertices)} vertex ids")
-        rotations = {
-            v: tuple((_as_int(e), _as_int(end)) for e, end in map(_as_array, _as_array(rot)))
-            for v, rot in zip(vertices, rows)
-        }
-        signature = [_as_int(s) for s in _as_array(data["signature"])]
-        lines = list(_as_array(data.get("lines") or [None] * len(edges)))
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed scheme JSON: {exc}") from exc
-    return make_scheme(vertices, edges, rotations, signature, lines)
+    """The scheme of :func:`scheme_to_json_dict`; an invalid map raises
+    what :func:`make_scheme` does."""
+    doc = read(data, {
+        "vertices": [as_text], "edges": [(_edge_end, _edge_end)],
+        "rotations": [[(as_int, as_int)]], "signature": [as_int], "lines?": [as_text_or_null],
+    })
+    vertices, edges, rows = doc["vertices"], doc["edges"], doc["rotations"]
+    if not all(0 <= end < len(vertices) for edge in edges for end in edge):
+        raise ValidationError("an edge end is not the index of a vertex")
+    if len(rows) != len(vertices):
+        raise ValidationError(f"{len(rows)} rotation rows for {len(vertices)} vertex ids")
+    edges = [(vertices[u], vertices[v]) for u, v in edges]
+    rotations = dict(zip(vertices, rows))
+    return make_scheme(vertices, edges, rotations, doc["signature"], doc.get("lines"))
 
 
 def summary_to_json_dict(summary: MapSummary) -> dict:

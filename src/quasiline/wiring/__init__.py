@@ -9,7 +9,7 @@ from .diagram import (
     topological_sweep,
 )
 from .euclid import diagram_from_lines
-from .faces import arrangement_map, trace_faces_disk
+from .faces import trace_faces_disk
 from .mutations import (
     apply_triangle_move,
     insert_digon,
@@ -28,7 +28,6 @@ __all__ = [
     "GeneralizedWiringDiagram",
     "StraightDrawing",
     "apply_triangle_move",
-    "arrangement_map",
     "diagram_from_json_dict",
     "diagram_from_lines",
     "diagram_from_realization",

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import NotGeneralized, ValidationError
+from ..jsonshape import as_int, as_text_or_null, read
 from ..realization import Realization
-from ..sequences import Move, PermSequence, _as_array, _as_int
+from ..sequences import Move, PermSequence
 
-# The replay builds an n-entry permutation before any event is read, so
-# the wire count is bounded first.
-MAX_WIRES = 100_000
 
 @dataclass(frozen=True)
 class GeneralizedWiringDiagram(PermSequence):
@@ -38,8 +36,8 @@ class GeneralizedWiringDiagram(PermSequence):
             raise ValidationError("an arrangement needs at least 2 wires")
         super().__post_init__()
         # every pair of wires must cross and a move crosses C(length, 2)
-        # pairs: an O(m) bound, checked before any n-sized table is built,
-        # and so is the wire count
+        # pairs: an O(m) bound, checked before the replay bounds the wire
+        # count and builds the first n-sized table
         pairs = self.n * (self.n - 1) // 2
         crossed = sum(m.length * (m.length - 1) // 2 for m in self.moves)
         if crossed < pairs:
@@ -47,8 +45,6 @@ class GeneralizedWiringDiagram(PermSequence):
                 f"the moves cross at most {crossed} of the {pairs} pairs of wires; "
                 "every pair must cross an odd number of times"
             )
-        if self.n > MAX_WIRES:
-            raise ValidationError(f"an arrangement has at most {MAX_WIRES} wires, got {self.n}")
         final = self._replay[1]
         for x, y in zip(final, final[1:]):
             if x < y:
@@ -121,12 +117,5 @@ def diagram_to_json_dict(diagram: GeneralizedWiringDiagram) -> dict:
 
 
 def diagram_from_json_dict(data: dict) -> GeneralizedWiringDiagram:
-    try:
-        n = _as_int(data["n"])
-        moves = tuple(
-            Move(_as_int(s), _as_int(l), p if p is None else str(p))
-            for s, l, p in map(_as_array, _as_array(data["events"]))
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed diagram JSON: {exc}") from exc
-    return GeneralizedWiringDiagram(n, moves)
+    doc = read(data, {"n": as_int, "events": [(as_int, as_int, as_text_or_null)]})
+    return GeneralizedWiringDiagram(doc["n"], tuple(Move(*event) for event in doc["events"]))

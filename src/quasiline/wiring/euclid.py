@@ -29,44 +29,19 @@ from functools import cmp_to_key
 from typing import Hashable, Optional, Sequence
 
 from ..errors import DuplicateLine, QuasilineError, ValidationError
+from ..jsonshape import as_fraction
 from ..sequences import Move
 from .diagram import GeneralizedWiringDiagram
 
 Rational = Fraction | int
 
-# Rational input is refused when the digits of its mantissa plus the
-# magnitude of its decimal exponent exceed this bound, the interpreter's
-# default limit on one int-from-string conversion.
-MAX_DIGITS = 4300
-
-
-def _as_fraction(x) -> Fraction:
-    """The one parser of rational input: a Fraction, an int (not a
-    boolean), or a string such as "-3", "2/7", "1.25" or "3e-2".  A
-    string's digits and decimal exponent are counted before the value is
-    built; their sum, an upper bound on the digits of the number written
-    out in full, may not exceed ``MAX_DIGITS``."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if not isinstance(x, str):
-        raise ValidationError(f"expected a rational value, got {x!r}")
-    mantissa, _, exponent = x.lower().partition("e")
-    try:
-        digits = sum(map(str.isdecimal, mantissa)) + (abs(int(exponent)) if exponent else 0)
-        if digits <= MAX_DIGITS:
-            return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{x!r} is not a rational value") from exc
-    raise ValidationError(f"a rational value counts more than {MAX_DIGITS} digits")
-
 
 def _rows(rows, size: int, what: str) -> list[tuple[Fraction, ...]]:
-    out = [tuple(map(_as_fraction, row)) for row in rows]
-    if any(len(row) != size for row in out):
-        raise ValidationError(f"every {what} needs {size} coordinates")
-    return out
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and len(row) == size for row in rows
+    ):
+        raise ValidationError(f"the {what}s must be an array of arrays of {size} coordinates")
+    return [tuple(map(as_fraction, row)) for row in rows]
 
 
 def _integral(triple: Sequence[Rational]) -> tuple[int, int, int]:

@@ -19,9 +19,8 @@ straighten reads its crossing graph's faces, its outer walk and the
 arrangement's digons off the same pass.
 
 :func:`wire_map` is the one builder of signed rotation systems from
-wires: :func:`arrangement_map` keeps every crossing, and the surface map
-of :mod:`quasiline.surface` is the same map restricted to the designated
-crossings.
+wires: the surface map of :mod:`quasiline.surface` is the arrangement's
+map restricted to the designated crossings.
 """
 
 from __future__ import annotations
@@ -92,12 +91,6 @@ def wire_map(
         tuple(vertex_of.values()), tuple(zip(heads, tails)), rotations, tuple(signature)
     )
     return rm, tuple(arcs)
-
-
-def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
-    """The diagram's cell complex as a signed rotation map: every event
-    is a vertex and every arc an edge (see :func:`wire_map`)."""
-    return wire_map(diagram, {i: i for i in range(diagram.event_count)})[0]
 
 
 def _band_cells(

@@ -62,9 +62,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import HasDigons, NotTwoConnected, QuasilineError, ValidationError
-from ..sequences import _as_array, _as_int
+from ..jsonshape import as_fraction, as_int, read
 from .diagram import GeneralizedWiringDiagram
-from .euclid import _as_fraction
 from .faces import _band_cells
 
 Point = tuple[Fraction, Fraction]
@@ -549,25 +548,13 @@ def drawing_to_json_dict(drawing: StraightDrawing) -> dict:
 
 
 def drawing_from_json_dict(data: dict) -> StraightDrawing:
-    """The drawing of :func:`drawing_to_json_dict`.  Coordinates are read by
-    :func:`quasiline.wiring.euclid._as_fraction` (strings or integers, at
-    most ``MAX_DIGITS`` digits) and indices by
-    :func:`quasiline.sequences._as_int`; malformed input, and a chord or wire count
-    other than ``n`` or an event index past the positions, raise
+    """The drawing of :func:`drawing_to_json_dict`.  A chord or wire count
+    other than ``n``, or an event index past the positions, raises
     ValidationError."""
-    try:
-        drawing = StraightDrawing(
-            _as_int(data["n"]),
-            tuple(
-                (_as_fraction(x), _as_fraction(y))
-                for x, y in map(_as_array, _as_array(data["positions"]))
-            ),
-            tuple(map(_as_int, _as_array(data["outer_cycle"]))),
-            tuple((_as_int(a), _as_int(b)) for a, b in map(_as_array, _as_array(data["chords"]))),
-            tuple(tuple(map(_as_int, _as_array(p))) for p in _as_array(data["wire_paths"])),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed drawing JSON: {exc}") from exc
+    drawing = StraightDrawing(**read(data, {
+        "n": as_int, "positions": [(as_fraction, as_fraction)], "outer_cycle": [as_int],
+        "chords": [(as_int, as_int)], "wire_paths": [[as_int]],
+    }))
     events = itertools.chain(drawing.outer_cycle, *drawing.chords, *drawing.wire_paths)
     if not drawing.n == len(drawing.chords) == len(drawing.wire_paths) or not all(
         0 <= v < len(drawing.positions) for v in events

@@ -66,13 +66,13 @@ from quasiline.errors import (
 from quasiline.rotmaps import RotationMap
 from quasiline.surface import EmbeddingScheme, make_scheme
 from quasiline.wiring import GeneralizedWiringDiagram
+from quasiline.jsonshape import as_fraction, read
 from quasiline.wiring.euclid import (
     _chart_candidates,
     _cross,
-    _rows,
     _shear_candidates,
 )
-from quasiline.wiring.faces import arrangement_map
+from quasiline.wiring.faces import wire_map
 from quasiline.wiring.mutations import _check_triangle
 from quasiline.wiring.straighten import (
     _embedded,
@@ -795,6 +795,13 @@ def two_connected_by_articulation(gmap: RotationMap) -> bool:
 
 
 # -- rotation systems by list scans ------------------------------------------
+
+
+def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
+    """The diagram's cell complex as a signed rotation map, by the
+    library's one builder: every event is a vertex and every arc an edge
+    (see ``quasiline.wiring.faces.wire_map``)."""
+    return wire_map(diagram, {i: i for i in range(diagram.event_count)})[0]
 
 
 def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
@@ -1617,7 +1624,7 @@ def diagram_from_lines_by_fractions(lines, points=(), point_labels=None):
     crossing solved by Cramer's rule in ``Fraction``s."""
     covectors = []
     seen: set[tuple[int, int, int]] = set()
-    for a, b, c in _rows(lines, 3, "line"):
+    for a, b, c in read(lines, [(as_fraction,) * 3]):
         if a == 0 and b == 0:
             raise ValidationError(f"({a}, {b}, {c}) is not a line")
         prim = _primitive((a, b, -c))
@@ -1633,7 +1640,7 @@ def diagram_from_lines_by_fractions(lines, points=(), point_labels=None):
         point_labels = [f"P{i}" for i in range(1, len(points) + 1)]
     if len(point_labels) != len(points):
         raise ValidationError("need exactly one label per selected point")
-    selected = [(x, y, Fraction(1)) for x, y in _rows(points, 2, "point")]
+    selected = [(x, y, Fraction(1)) for x, y in read(points, [(as_fraction,) * 2])]
 
     meets = [
         _cross(covectors[i], covectors[j])

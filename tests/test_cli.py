@@ -88,6 +88,12 @@ def test_missing_file_exit_2(workdir):
         ("digits.seq.json", '{"n": 1' + "0" * 5000 + ', "moves": [[1, 2]]}', 3),
         ("rows.euclid.json", '{"lines": ["100", "010"]}', 2),
         ("text.seq.json", '{"n": 3, "moves": ["12", "22", "12"], "designated": "13"}', 2),
+        ("nolabels.euclid.json",
+         '{"lines": [["1", "0", "0"], ["0", "1", "0"]], "points": [["0", "0"]], "point_labels": null}',
+         2),
+        ("arraylabel.euclid.json",
+         '{"lines": [["1", "0", "0"], ["0", "1", "0"]], "points": [["0", "0"]], "point_labels": [[1]]}',
+         2),
     ],
     ids=[
         "non-integer-move",
@@ -105,6 +111,8 @@ def test_missing_file_exit_2(workdir):
         "integer-over-digit-limit",
         "line-not-an-array",
         "moves-as-strings",
+        "null-labels",
+        "array-label",
     ],
 )
 def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):
@@ -284,6 +292,15 @@ def test_malformed_plan_exit_2(workdir, capsys, plan):
     assert main(["realize", str(workdir / "digon.lines"), "--plan", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("realize: invalid input") and "Traceback" not in err
+
+
+def test_plan_labels_are_read_as_text(workdir, capsys):
+    """A JSON number in a plan names the line or point with that text."""
+    (workdir / "numbered.lines").write_text("1: p q r\n2: p q r\n")
+    plan = workdir / "plan.json"
+    plan.write_text(json.dumps({"line_numbering": [2, 1], "point_line_orders": {"q": [1, 2]}}))
+    assert main(["realize", str(workdir / "numbered.lines"), "--plan", str(plan)]) == 0
+    assert json.loads(capsys.readouterr().out)["line_numbering"] == ["2", "1"]
 
 
 @pytest.mark.parametrize(

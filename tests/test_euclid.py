@@ -6,12 +6,11 @@ import pytest
 
 from quasiline import SequenceClass, classify, topological_unwanted_bound
 from quasiline.errors import DuplicateLine, QuasilineError, ValidationError
-from quasiline.wiring import arrangement_map, diagram_from_lines, trace_faces_disk
+from quasiline.wiring import diagram_from_lines, trace_faces_disk
 
+from quasiline.jsonshape import MAX_DIGITS, as_fraction
 from quasiline.wiring import euclid
 from quasiline.wiring.euclid import (
-    MAX_DIGITS,
-    _as_fraction,
     _chart_candidates,
     _shear_candidates,
 )
@@ -21,6 +20,7 @@ from oracles import (
     PAPPUS_LABELS,
     PAPPUS_POINTS,
     WIDE_CHART_LINES,
+    arrangement_map,
     diagram_from_lines_by_fractions,
     finite_crossings,
     random_line_arrangement,
@@ -118,8 +118,11 @@ def test_rational_string_coefficients():
         ([("1", "0"), ("0", "1", "0")], []),
         ([(1, 0, 0), (0, 1, 0)], [(0,)]),
         ([("1e2000000", "1", "0"), ("1", "0", "0")], []),
+        (["100", "010", "111"], []),
+        (5, []),
     ],
-    ids=["unparsable", "zero-denominator", "short-line", "short-point", "huge-exponent"],
+    ids=["unparsable", "zero-denominator", "short-line", "short-point", "huge-exponent",
+         "text-rows", "scalar-lines"],
 )
 def test_malformed_input_is_a_validation_error(lines, points):
     with pytest.raises(ValidationError):
@@ -127,12 +130,12 @@ def test_malformed_input_is_a_validation_error(lines, points):
 
 
 def test_digit_bound_counts_mantissa_digits_and_exponent():
-    assert _as_fraction(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
-    assert _as_fraction(f"-2.5e-{MAX_DIGITS - 2}") == Fraction(-25, 10 ** (MAX_DIGITS - 1))
+    assert as_fraction(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
+    assert as_fraction(f"-2.5e-{MAX_DIGITS - 2}") == Fraction(-25, 10 ** (MAX_DIGITS - 1))
     for text in (f"1e{MAX_DIGITS}", f"2.5e-{MAX_DIGITS}", f"1E+{10 * MAX_DIGITS}",
                  "1" * (MAX_DIGITS + 1), f"0.0001e{MAX_DIGITS}"):
         with pytest.raises(ValidationError, match="digits"):
-            _as_fraction(text)
+            as_fraction(text)
 
 
 def _outcome(sweep, *args):

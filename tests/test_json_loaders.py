@@ -1,26 +1,36 @@
 """Malformed sequence, diagram, drawing and scheme JSON raises typed
 errors: each row of a table changes one field of a valid document and
-names the error the loader must raise."""
+names the error the loader must raise, and a sweep puts every value of a
+fixed list at every field of the four documents."""
 
 import pytest
 
 from quasiline import (
+    classify,
     default_plan,
+    fingerprint,
     realize,
     scheme_from_json_dict,
     scheme_from_realization,
     scheme_to_json_dict,
     sequence_from_json_dict,
     sequence_to_json_dict,
+    straight_ahead_walks,
+    trace_and_summarize,
 )
 from quasiline.errors import DisconnectedScheme, QuasilineError, ValidationError
+from quasiline.jsonshape import as_int, as_text, as_text_or_null, read
 from quasiline.wiring import (
     diagram_from_json_dict,
     diagram_from_realization,
     diagram_to_json_dict,
     drawing_from_json_dict,
     drawing_to_json_dict,
+    removable_digons,
     straighten,
+    sweep_digraph,
+    trace_faces_disk,
+    triangle_moves,
 )
 
 from oracles import triangle
@@ -65,6 +75,8 @@ SEQUENCE_ROWS = [
     ("text move", changed(SEQUENCE, moves=["12"] + SEQUENCE["moves"][1:]), ValidationError),
     ("text designated", changed(SEQUENCE, designated="13"), ValidationError),
     ("object moves", changed(SEQUENCE, n=2, moves={"12": 1}, designated=[]), ValidationError),
+    # an optional field may be absent, but null is not an array
+    ("null designated", changed(SEQUENCE, designated=None), ValidationError),
 ]
 
 def with_first_event(start):
@@ -76,6 +88,10 @@ DIAGRAM_ROWS = [
     ("fractional event start", with_first_event(1.5), ValidationError),
     ("text events", changed(DIAGRAM_JSON, events=["12b", "22a", "12c"]), ValidationError),
     ("object events", changed(DIAGRAM_JSON, n=2, events={"12a": None}), ValidationError),
+    ("array event label", changed(DIAGRAM_JSON, events=[[1, 2, ["P"]]] + DIAGRAM_JSON["events"][1:]),
+     ValidationError),
+    ("boolean event label", changed(DIAGRAM_JSON, events=[[1, 2, True]] + DIAGRAM_JSON["events"][1:]),
+     ValidationError),
 ]
 
 DRAWING_ROWS = [
@@ -138,6 +154,14 @@ SCHEME_ROWS = [
     ("text signature string", changed(SCHEME, signature="1" * len(SCHEME["signature"])),
      ValidationError),
     ("text lines", changed(SCHEME, lines="l" * len(SCHEME["edges"])), ValidationError),
+    ("boolean edge end", changed(SCHEME, edges=[[0, True]] + SCHEME["edges"][1:]), ValidationError),
+    # a line tag is a label or null, as a vertex is a label
+    ("array line tag", changed(SCHEME, lines=[[1]] + SCHEME["lines"][1:]), ValidationError),
+    ("object line tag", changed(SCHEME, lines=SCHEME["lines"][:-1] + [{"a": 1}]), ValidationError),
+    ("array vertex", changed(SCHEME, vertices=[[1]] + SCHEME["vertices"][1:]), ValidationError),
+    ("null vertex", changed(SCHEME, vertices=[None] + SCHEME["vertices"][1:]), ValidationError),
+    ("null lines", changed(SCHEME, lines=None), ValidationError),
+    ("no line per edge", changed(SCHEME, lines=[]), ValidationError),
     # a well-formed document of an invalid map: make_scheme's own error
     ("disconnected", TWO_DIPOLES, DisconnectedScheme),
 ]
@@ -189,3 +213,107 @@ def test_integer_strings_load():
     assert drawing_from_json_dict(drawing) == drawing_from_json_dict(DRAWING)
     scheme = {**SCHEME, **{k: integer_strings(SCHEME[k]) for k in ("rotations", "signature")}}
     assert scheme_from_json_dict(scheme) == scheme_from_json_dict(SCHEME)
+
+
+def test_edge_ends_take_integral_numbers():
+    edges = [[float(u), v] for u, v in SCHEME["edges"]]
+    assert scheme_from_json_dict(changed(SCHEME, edges=edges)) == scheme_from_json_dict(SCHEME)
+    assert scheme_from_json_dict(without(SCHEME, "lines")).lines == (None,) * len(SCHEME["edges"])
+
+
+def test_read_checks_and_converts_in_one_walk():
+    shape = {"n": as_int, "rows": [(as_int, as_text_or_null)], "names?": {str: [as_text]}}
+    assert read({"n": "3", "rows": [[1, None], ["2", 7]], "other": object()}, shape) == {
+        "n": 3,
+        "rows": ((1, None), (2, "7")),
+    }
+    assert read({"n": 1, "rows": [], "names": {"a": [1.5, "b"]}}, shape)["names"] == {"a": ("1.5", "b")}
+    for value in (
+        [],
+        {"rows": []},
+        {"n": 1, "rows": [[1]]},
+        {"n": 1, "rows": "12"},
+        {"n": None, "rows": []},
+        {"n": float("inf"), "rows": []},
+        {"n": 1, "rows": [], "names": {"a": "b"}},
+        {"n": 1, "rows": [], "names": None},
+    ):
+        with pytest.raises(ValidationError):
+            read(value, shape)
+
+
+# -- the type-swap sweep ---------------------------------------------------------
+
+SWAPS = [None, True, 1.5, -1, 0, 10**30, "x", "", [], {}, [[1]], [1], {"a": 1}, float("nan")]
+
+
+def fields(doc, path=()):
+    """The path of every value under a key, and of the first and last entry
+    of every array, depth first."""
+    if isinstance(doc, dict):
+        entries = list(doc)
+    elif isinstance(doc, list):
+        entries = sorted({0, len(doc) - 1}) if doc else []
+    else:
+        return
+    for key in entries:
+        yield path + (key,)
+        yield from fields(doc[key], path + (key,))
+
+
+def swapped(doc, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(doc, dict):
+        return {**doc, head: swapped(doc[head], rest, value)}
+    return [swapped(x, rest, value) if i == head else x for i, x in enumerate(doc)]
+
+
+def use_sequence(seq):
+    classify(seq)
+    seq.permutation_before(len(seq.moves))
+    sequence_to_json_dict(seq)
+
+
+def use_scheme(scheme):
+    trace_and_summarize(scheme)
+    straight_ahead_walks(scheme)
+    fingerprint(scheme)
+    scheme_to_json_dict(scheme)
+
+
+def use_diagram(diagram):
+    use_sequence(diagram)
+    trace_faces_disk(diagram)
+    sweep_digraph(diagram)
+    triangle_moves(diagram)
+    removable_digons(diagram)
+    diagram_to_json_dict(diagram)
+    use_scheme(scheme_from_realization(diagram))
+
+
+SWEEP = [
+    (SEQUENCE, sequence_from_json_dict, use_sequence),
+    (DIAGRAM_JSON, diagram_from_json_dict, use_diagram),
+    (SCHEME, scheme_from_json_dict, use_scheme),
+    (DRAWING, drawing_from_json_dict, drawing_to_json_dict),
+]
+
+
+def test_every_swapped_field_loads_and_serves_or_is_refused_typed():
+    """Each mutant either raises a QuasilineError, when loaded or when
+    used, or loads and survives every call; no other exception escapes."""
+    escapes, count = [], 0
+    for doc, load, use in SWEEP:
+        for path in fields(doc):
+            for value in SWAPS:
+                count += 1
+                try:
+                    use(load(swapped(doc, path, value)))
+                except QuasilineError:
+                    pass
+                except Exception as exc:
+                    escapes.append((load.__name__, path, value, repr(exc)))
+    assert count == 1050
+    assert escapes == []

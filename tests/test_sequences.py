@@ -24,6 +24,7 @@ from quasiline.errors import (
     NotDisjoint,
     ValidationError,
 )
+from quasiline.sequences import MAX_WIRES
 from oracles import (
     move_window_content_by_replay,
     pair_counts,
@@ -259,6 +260,35 @@ def test_sequence_json_refuses_fractional_numbers(text):
 def test_sequence_json_takes_integer_strings():
     text = '{"n": "3", "moves": [["1", "2"], [2, 2.0]], "designated": ["1"]}'
     assert sequence_from_json_dict(json.loads(text)) == make_sequence(3, [(1, 2), (2, 2)], [1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        classify,
+        lambda seq: seq.permutation_before(0),
+        lambda seq: seq.window_wires(0),
+        lambda seq: seq.wire_events(1),
+        lambda seq: move_window_content(seq, 1),
+    ],
+    ids=["classify", "permutation_before", "window_wires", "wire_events", "move_window_content"],
+)
+def test_wire_count_is_bounded_before_any_table(call):
+    """A sequence loads with any n, but every n-sized table checks the
+    bound first."""
+    seq = sequence_from_json_dict({"n": MAX_WIRES + 1, "moves": [[1, 2]]})
+    with pytest.raises(ValidationError, match="at most"):
+        call(seq)
+
+
+@pytest.mark.parametrize(
+    "call", [classify, lambda seq: seq.permutation_before(0)], ids=["classify", "permutation_before"]
+)
+def test_a_huge_wire_count_is_a_typed_error(call):
+    """Not an OverflowError from building the identity on 10**30 wires."""
+    seq = sequence_from_json_dict({"n": 10**30, "moves": []})
+    with pytest.raises(ValidationError, match="at most"):
+        call(seq)
 
 
 def test_json_roundtrip():

@@ -20,7 +20,6 @@ from quasiline.errors import DisconnectedScheme, ValidationError, WireWithoutPoi
 from quasiline.rotmaps import RotationMap
 from quasiline.wiring import (
     apply_triangle_move,
-    arrangement_map,
     diagram_from_lines,
     diagram_from_realization,
     insert_digon,
@@ -34,6 +33,7 @@ from oracles import (
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
+    arrangement_map,
     arrangement_map_by_scan,
     canonical_encoding_by_full_search,
     cyclic,

@@ -16,7 +16,6 @@ from quasiline.errors import NotGeneralized, ValidationError
 from quasiline.sequences import Move
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
-    arrangement_map,
     diagram_from_json_dict,
     diagram_from_lines,
     diagram_from_realization,
@@ -26,10 +25,11 @@ from quasiline.wiring import (
     trace_faces_disk,
 )
 from quasiline.rotmaps import RotationMap
-from quasiline.wiring.diagram import MAX_WIRES
+from quasiline.sequences import MAX_WIRES
 
 from oracles import (
     AbstractArrangement,
+    arrangement_map,
     arrangement_from_diagram,
     as_diagram,
     cyclic,
