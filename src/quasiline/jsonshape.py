@@ -16,7 +16,9 @@ A shape is one of:
 
 Arrays and rows are read as tuples.  An array is a JSON array (a list or
 a tuple), never a string; an object is a dict; null is a value only where
-a leaf takes it (:func:`as_text_or_null`).
+a leaf takes it (:func:`as_text_or_null`).  A refusal names the key and
+index path of the refused value, as in ``events[1][1]: expected an
+integer, got True``.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ def read(value, shape):
     if isinstance(shape, dict):
         value = as_object(value)
         if str in shape:
-            return {key: read(item, shape[str]) for key, item in value.items()}
+            return {key: _entry(key, item, shape[str]) for key, item in value.items()}
         out = {}
         for key, item in shape.items():
             name = key.rstrip("?")
             if name in value:
-                out[name] = read(value[name], item)
+                out[name] = _entry(name, value[name], item)
             elif name == key:
                 raise ValidationError(f"missing field {name!r}")
         return out
@@ -50,16 +52,28 @@ def read(value, shape):
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"expected an array, got {type(value).__name__}")
         if isinstance(shape, list):
-            return tuple([read(item, shape[0]) for item in value])
+            return tuple([_entry(i, item, shape[0]) for i, item in enumerate(value)])
         if len(value) != len(shape):
             raise ValidationError(f"expected an array of {len(shape)}, got {len(value)} entries")
-        return tuple(map(read, value, shape))
+        return tuple(map(_entry, range(len(shape)), value, shape))
     try:
         return shape(value)
     except ValidationError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed value: {exc}") from exc
+
+
+def _entry(key, value, shape):
+    """``read(value, shape)`` for the entry at ``key``, named by its refusals."""
+    try:
+        return read(value, shape)
+    except ValidationError as exc:
+        exc.path = (key, *getattr(exc, "path", ()))
+        exc.reason = getattr(exc, "reason", str(exc))
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.path)
+        exc.args = (f"{where.removeprefix('.')}: {exc.reason}",)
+        raise
 
 
 def as_object(x) -> dict:

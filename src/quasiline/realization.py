@@ -156,6 +156,9 @@ def validate_plan(structure: IncidenceStructure, plan: RealizationPlan) -> None:
         structure.points
     ):
         raise PlanMismatch("plan point order does not cover the structure's points")
+    unknown = set(plan.point_line_orders) - set(structure.points)
+    if unknown:
+        raise PlanMismatch(f"plan gives a line order at {min(unknown, key=str)!r}, which is not a point")
     for p in structure.points:
         prescribed = plan.point_line_orders.get(p)
         if prescribed is None or set(prescribed) != set(structure.lines_of(p)) or len(

@@ -19,7 +19,6 @@ regauging, and reflection, distinguishes mutation classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import DisconnectedScheme, ValidationError
@@ -58,17 +57,6 @@ class EmbeddingScheme:
                 )
         if len(self.lines) != len(rm.edges):
             raise ValidationError("need one line tag (or None) per edge")
-
-    @cached_property
-    def opposite(self) -> dict[Dart, Dart]:
-        """Same-line continuation: the dart deg/2 places along the rotation."""
-        table: dict[Dart, Dart] = {}
-        for v in self.rotmap.vertices:
-            rot = self.rotmap.rotations[v]
-            half = len(rot) // 2
-            for i, d in enumerate(rot):
-                table[d] = rot[(i + half) % len(rot)]
-        return table
 
     @property
     def vertex_count(self) -> int:
@@ -178,37 +166,38 @@ class StraightAheadWalk:
 
 
 def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ...]:
-    """One walk per line; together they partition the edge set."""
+    """One walk per line; together they partition the edge set.
+
+    On int darts 2e + end, ``ahead[x]`` leaves the far vertex of x deg/2
+    places along its rotation from x's partner.  A walk's reverse is the
+    same line's walk, never itself (it would leave a vertex by the dart
+    it arrived on), so it is marked seen and not walked."""
     rm = scheme.rotmap
-    opposite = scheme.opposite
-
-    def step(d: Dart) -> Dart:
-        return opposite[rm.rev(d)]
-
-    seen: set[Dart] = set()
+    ahead = [0] * len(rm._far)
+    for rot in rm._rots:
+        half = len(rot) // 2
+        for i, x in enumerate(rot):
+            ahead[x ^ 1] = rot[i - half]
+    seen = [False] * len(ahead)
     walks = []
-    for start in rm.darts():
-        if start in seen:
+    for start in range(len(ahead)):
+        if seen[start]:
             continue
         orbit = [start]
-        d = step(start)
-        while d != start:
-            orbit.append(d)
-            d = step(d)
-        reverse = {rm.rev(d) for d in orbit}
-        if reverse & set(orbit):
-            raise ValidationError("straight-ahead walk retraces an edge")
-        seen.update(orbit)
-        seen.update(reverse)
-        edge_indices = tuple(d[0] for d in orbit)
+        x = ahead[start]
+        while x != start:
+            orbit.append(x)
+            x = ahead[x]
+        for x in orbit:
+            seen[x] = seen[x ^ 1] = True
+        edge_indices = tuple(x >> 1 for x in orbit)
         line_tags = {scheme.lines[e] for e in edge_indices}
-        line = line_tags.pop() if len(line_tags) == 1 else None
         walks.append(
             StraightAheadWalk(
-                line=line,
-                vertices=tuple(rm.attach(d) for d in orbit),
+                line=line_tags.pop() if len(line_tags) == 1 else None,
+                vertices=tuple(rm.edges[x >> 1][x & 1] for x in orbit),
                 edge_indices=edge_indices,
-                negative_count=sum(1 for e in edge_indices if rm.signature[e] == -1),
+                negative_count=sum(rm._sign[x] == -1 for x in orbit),
             )
         )
     return tuple(walks)

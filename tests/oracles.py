@@ -20,9 +20,9 @@ call, inserted digons' tracks by replaying the prefix, swap equivalence by bread
 search over elementary swaps, pair counts by testing every pair of every
 window, monotone markings of abstract arrangements by trying every
 boundary gap, canonical encodings by encoding from every dart to the
-end, connectivity and orientability of rotation maps by walks over
-tuple darts, encoding start candidates by keying every candidate in
-full, realization plans by measuring every insertion slot with a pairwise
+end, connectivity, orientability and straight-ahead walks of rotation
+maps by walks over tuple darts, encoding start candidates by keying
+every candidate in full, realization plans by measuring every insertion slot with a pairwise
 Kendall tau, Levi adjacency by testing every point-line pair, Euclidean
 sweeps by a general projective chart matrix and its inverse over
 ``Fraction``, shear candidates by a ``Fraction`` dict, and random
@@ -51,8 +51,10 @@ from quasiline import (
     Realization,
     RealizationPlan,
     build,
+    default_plan,
     elementary_swap,
     make_sequence,
+    realize,
 )
 from quasiline.errors import (
     DuplicateLine,
@@ -64,8 +66,17 @@ from quasiline.errors import (
     WireWithoutPoint,
 )
 from quasiline.rotmaps import RotationMap
-from quasiline.surface import EmbeddingScheme, make_scheme
-from quasiline.wiring import GeneralizedWiringDiagram
+from quasiline.surface import EmbeddingScheme, StraightAheadWalk, make_scheme
+from quasiline.wiring import (
+    GeneralizedWiringDiagram,
+    apply_triangle_move,
+    diagram_from_lines,
+    diagram_from_realization,
+    insert_digon,
+    removable_digons,
+    remove_digon,
+    triangle_moves,
+)
 from quasiline.jsonshape import as_fraction, read
 from quasiline.wiring.euclid import (
     _chart_candidates,
@@ -1867,6 +1878,46 @@ def random_laplacian_system(rng: random.Random, m: int, boundary: int):
 
 
 
+def with_random_digons(rng: random.Random, d: GeneralizedWiringDiagram, count: int):
+    """``d`` with ``count`` digons inserted, each at a random slot and track."""
+    for _ in range(count):
+        at = rng.randint(0, d.event_count)
+        t = rng.randint(1, d.n - 1)
+        perm = d.permutation_before(at)
+        d = insert_digon(d, (perm[t - 1], perm[t]), at)
+    return d
+
+
+def realized(structure: IncidenceStructure) -> GeneralizedWiringDiagram:
+    """The diagram of the realization of ``structure`` by its default plan."""
+    return diagram_from_realization(realize(structure, default_plan(structure)))
+
+
+def seeded_arrangement(n: int) -> GeneralizedWiringDiagram:
+    """The diagram of the ``random_line_arrangement`` of n lines drawn with seed n."""
+    return diagram_from_lines(random_line_arrangement(random.Random(n), n))
+
+
+def seeded_walk(rng: random.Random, structure: IncidenceStructure, steps: int):
+    """The diagram after each step of a seeded walk of admissible moves from
+    ``realized(structure)``, holding the event count near its start."""
+    d = realized(structure)
+    events = d.event_count
+    for _ in range(steps):
+        digons = list(removable_digons(d))
+        triangles = list(triangle_moves(d))
+        kinds = ["insert" if d.event_count <= events or not digons else "remove"]
+        kinds += ["triangle"] * bool(triangles)
+        kind = rng.choice(kinds)
+        if kind == "triangle":
+            d = apply_triangle_move(d, rng.choice(triangles))
+        elif kind == "remove":
+            d = remove_digon(d, rng.choice(digons)[0])
+        else:
+            d = with_random_digons(rng, d, 1)
+        yield d
+
+
 def random_structure(rng: random.Random, max_points=8, max_lines=8) -> IncidenceStructure:
     """A random valid incidence structure; not necessarily lineal."""
     while True:
@@ -2038,6 +2089,27 @@ def degree4_schemes():
     # V=3: triangle with a loop at every vertex
     add((0, 1, 2), ((0, 1), (1, 2), (0, 2), (0, 0), (1, 1), (2, 2)), tree_edges={0, 1})
     return catalog
+
+
+def straight_ahead_walks_by_tuples(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ...]:
+    """``straight_ahead_walks`` over tuple darts, through a dict of the
+    opposite dart of every dart."""
+    rm = scheme.rotmap
+    opposite = {d: r[(i + len(r) // 2) % len(r)] for r in rm.rotations.values() for i, d in enumerate(r)}
+    seen, walks = set(), []
+    for start in rm.darts():
+        if start in seen:
+            continue
+        orbit = [start]
+        while opposite[rm.rev(orbit[-1])] != start:
+            orbit.append(opposite[rm.rev(orbit[-1])])
+        seen.update(orbit, map(rm.rev, orbit))
+        edges = tuple(e for e, _ in orbit)
+        tags = {scheme.lines[e] for e in edges}
+        line = tags.pop() if len(tags) == 1 else None
+        negative = sum(rm.signature[e] == -1 for e in edges)
+        walks.append(StraightAheadWalk(line, tuple(map(rm.attach, orbit)), edges, negative))
+    return tuple(walks)
 
 
 # -- brute-force scheme isomorphism -------------------------------------------

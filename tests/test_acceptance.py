@@ -63,10 +63,12 @@ from oracles import (
     random_partial_sequence,
     random_scheme_transform,
     random_structure,
+    realized,
     schemes_isomorphic_bruteforce,
     sweep_cut_ok,
     triangle,
     two_lines_three_points,
+    with_random_digons,
 )
 from test_straighten import check_straightening
 from test_surface import fano_genus8_scheme
@@ -202,7 +204,7 @@ def test_criterion_6_fano_surface_maps():
 
     # the monotone realization analogue: the printed source numbers fail the
     # handshake identity, so assert the identities and record what we compute
-    d = diagram_from_realization(realize(fano(), default_plan(fano())))
+    d = realized(fano())
     summary_a = trace_and_summarize(scheme_from_realization(d))
     assert sum(summary_a.face_vector) == 2 * summary_a.E
     assert summary_a.euler == summary_a.V - summary_a.E + summary_a.F
@@ -248,10 +250,7 @@ def _random_admissible_move(rng, diagram):
         options.append("triangle")
     kind = rng.choice(options)
     if kind == "insert":
-        at = rng.randint(0, diagram.event_count)
-        perm = diagram.permutation_before(at)
-        t = rng.randint(0, diagram.n - 2)
-        return insert_digon(diagram, (perm[t], perm[t + 1]), at)
+        return with_random_digons(rng, diagram, 1)
     if kind == "remove":
         return remove_digon(diagram, rng.choice(sites)[0])
     return apply_triangle_move(diagram, rng.choice(triangles))
@@ -274,9 +273,7 @@ def test_criterion_8_mutation_invariance(realization_corpus):
 
     # inadmissible attempts: designated crossings must never move
     rejected = 0
-    digon_d = diagram_from_realization(
-        realize(two_lines_three_points(), default_plan(two_lines_three_points()))
-    )
+    digon_d = realized(two_lines_three_points())
     attempts = 0
     while rejected < 100:
         attempts += 1
@@ -314,7 +311,7 @@ def test_criterion_9_straightening():
 
     rng = random.Random(84)
     count = 0
-    tri = diagram_from_realization(realize(triangle(), default_plan(triangle())))
+    tri = realized(triangle())
     pappus = diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
     braid = as_diagram(make_sequence(3, [(1, 2), (2, 2)] * 4 + [(1, 2)]))
     diagrams = [tri, pappus, braid]
@@ -331,7 +328,7 @@ def test_criterion_9_straightening():
         count += 1
     c = two_lines_three_points()
     with pytest.raises(HasDigons):
-        straighten(diagram_from_realization(realize(c, default_plan(c))))
+        straighten(realized(c))
     report(9, f"straightened {count} digon-free diagrams (triangle and Pappus "
               "included) with zero bends and exact-reextraction face equality; "
               "the digon example raised HasDigons")

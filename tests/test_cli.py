@@ -135,7 +135,8 @@ def test_map_refuses_a_non_integer_event_start(workdir, capsys, start):
     path.write_text(f'{{"n": 3, "events": [[{start}, 2, "P"], [2, 2, "Q"], [{start}, 2, "R"]]}}')
     assert main(["map", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("map: ") and "Traceback" not in err
+    assert err.startswith(f"map: invalid input: events[0][0]: expected an integer, got {start.title()}")
+    assert "Traceback" not in err
 
 
 def test_wiring_beyond_the_first_charts_exits_0(workdir, capsys):

@@ -184,6 +184,20 @@ def test_malformed_json_raises_typed_error(loader, data, error):
     assert isinstance(caught.value, QuasilineError)
 
 
+def test_a_refusal_names_the_refused_field():
+    for loader, data, message in [
+        (drawing_from_json_dict, changed(DRAWING, chords=[[True, 1]]), "chords[0][0]: expected an integer, got True"),
+        (diagram_from_json_dict, changed(DIAGRAM_JSON, events=[[1, 2, None], [2, "x", None]]),
+         "events[1][1]: malformed value: "),
+        (scheme_from_json_dict, changed(SCHEME, lines=[None, [1]]), "lines[1]: expected a label, got list"),
+        (sequence_from_json_dict, changed(SEQUENCE, designated="13"), "designated: expected an array"),
+        (drawing_from_json_dict, without(DRAWING, "positions"), "missing field 'positions'"),
+    ]:
+        with pytest.raises(ValidationError) as caught:
+            loader(data)
+        assert str(caught.value).startswith(message)
+
+
 def test_make_scheme_errors_are_not_rewrapped():
     data = changed(SCHEME, signature=[2] * len(SCHEME["signature"]))
     with pytest.raises(ValidationError, match="^signatures must be") as caught:
@@ -240,6 +254,8 @@ def test_read_checks_and_converts_in_one_walk():
     ):
         with pytest.raises(ValidationError):
             read(value, shape)
+    with pytest.raises(ValidationError, match=r"^names\.a\[1\]: expected a label, got NoneType$"):
+        read({"n": 1, "rows": [], "names": {"a": ["b", None]}}, shape)
 
 
 # -- the type-swap sweep ---------------------------------------------------------

@@ -6,17 +6,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiline import default_plan, fingerprint, realize, scheme_from_realization
+from quasiline import fingerprint, scheme_from_realization
 from quasiline.wiring import (
     apply_triangle_move,
-    diagram_from_realization,
     insert_digon,
     removable_digons,
     remove_digon,
     triangle_moves,
 )
 
-from oracles import fano, mobius_kantor, random_structure, triangle, triple_structure
+from oracles import fano, mobius_kantor, random_structure, realized, triangle, triple_structure
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -48,7 +47,7 @@ def structures(draw):
 @PROPERTY
 @given(structures(), STEPS)
 def test_admissible_moves_keep_the_fingerprint(structure, steps):
-    d = diagram_from_realization(realize(structure, default_plan(structure)))
+    d = realized(structure)
     start = fingerprint(scheme_from_realization(d))
     windows = [(d.moves[i].point, d.window_wires(i)) for i in d.designated_events()]
     for kind, a, b in steps:

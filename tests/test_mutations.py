@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from quasiline import Move, SequenceClass, classify, default_plan, make_sequence, realize
+from quasiline import Move, SequenceClass, classify, make_sequence
 from quasiline.errors import NoSuchFace, NotAdmissible, QuasilineError
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
     apply_triangle_move,
-    diagram_from_realization,
     insert_digon,
     removable_digons,
     remove_digon,
@@ -26,18 +25,16 @@ from oracles import (
     next_on_wires_by_pairs,
     random_generalized_sequence,
     random_long_window_sequence,
+    realized,
     remove_digon_by_sets,
     removable_digons_by_scan,
+    seeded_walk,
     triangle,
     triangle_moves_by_bands,
     triangle_moves_by_triples,
-    triple_structure,
     two_lines_three_points,
+    with_random_digons,
 )
-
-
-def triangle_diagram():
-    return diagram_from_realization(realize(triangle(), default_plan(triangle())))
 
 
 def unlabelled(d):
@@ -46,7 +43,7 @@ def unlabelled(d):
 
 
 def test_insert_then_remove_is_identity():
-    d = triangle_diagram()
+    d = realized(triangle())
     rng = random.Random(71)
     for _ in range(20):
         at = rng.randint(0, d.event_count)
@@ -59,14 +56,14 @@ def test_insert_then_remove_is_identity():
 
 
 def test_insert_digon_requires_adjacency():
-    d = triangle_diagram()
+    d = realized(triangle())
     perm = d.permutation_before(0)
     with pytest.raises(NoSuchFace):
         insert_digon(d, (perm[0], perm[2]), 0)
 
 
 def test_insert_digon_increases_digon_count():
-    d = triangle_diagram()
+    d = realized(triangle())
     inserted = insert_digon(d, (1, 2), 0)
     assert any(len(f) == 2 for f in trace_faces_disk(inserted))
     assert classify(inserted) is SequenceClass.GENERALIZED_ALLOWABLE
@@ -74,7 +71,7 @@ def test_insert_digon_increases_digon_count():
 
 def test_remove_digon_rejects_designated():
     c = two_lines_three_points()
-    d = diagram_from_realization(realize(c, default_plan(c)))
+    d = realized(c)
     # every consecutive same-pair crossing involves a designated event here
     for at in range(d.event_count):
         with pytest.raises((NotAdmissible, NoSuchFace)):
@@ -82,7 +79,7 @@ def test_remove_digon_rejects_designated():
 
 
 def test_removable_digons_listing():
-    d = triangle_diagram()
+    d = realized(triangle())
     inserted = insert_digon(d, (1, 2), 0)
     sites = list(removable_digons(inserted))
     assert (0, 1) in sites
@@ -92,7 +89,7 @@ def test_removable_digons_listing():
 
 
 def test_triangle_move_on_triangle_diagram():
-    d = triangle_diagram()
+    d = realized(triangle())
     # all three crossings designated: not admissible
     with pytest.raises(NotAdmissible):
         apply_triangle_move(d, (0, 1, 2))
@@ -107,7 +104,7 @@ def test_triangle_move_on_triangle_diagram():
 
 
 def test_triangle_move_bad_pattern():
-    bare = unlabelled(triangle_diagram())
+    bare = unlabelled(realized(triangle()))
     with pytest.raises(NoSuchFace):
         apply_triangle_move(bare, (0, 1, 1))
     with pytest.raises(NoSuchFace):
@@ -125,14 +122,14 @@ def test_triangle_move_interference():
 
 
 def test_triangle_moves_finder():
-    d = triangle_diagram()
+    d = realized(triangle())
     bare = unlabelled(d)
     assert (0, 1, 2) in list(triangle_moves(bare))
     assert list(triangle_moves(d)) == []
 
 
 def test_moves_preserve_designated_data():
-    d = diagram_from_realization(realize(fano(), default_plan(fano())))
+    d = realized(fano())
     inserted = insert_digon(d, (1, 2), 0)
     assert [e.point for e in inserted.moves if e.point is not None] == [
         e.point for e in d.moves if e.point is not None
@@ -156,39 +153,12 @@ def test_random_move_sequences_stay_valid():
         for _ in range(4):
             choice = rng.random()
             if choice < 0.5:
-                at = rng.randint(0, d.event_count)
-                perm = d.permutation_before(at)
-                t = rng.randint(0, d.n - 2)
-                d = insert_digon(d, (perm[t], perm[t + 1]), at)
+                d = with_random_digons(rng, d, 1)
             else:
                 sites = list(removable_digons(d))
                 if sites:
                     d = remove_digon(d, sites[rng.randrange(len(sites))][0])
         assert classify(d) is not SequenceClass.PARTIAL
-
-
-def with_random_digons(rng, d, count):
-    for _ in range(count):
-        at = rng.randint(0, d.event_count)
-        t = rng.randint(1, d.n - 1)
-        perm = d.permutation_before(at)
-        d = insert_digon(d, (perm[t - 1], perm[t]), at)
-    return d
-
-
-def cyclic_walk_diagrams(rng, steps=3):
-    """Diagrams met on walks from the realizations of cyclic (8_3) to
-    (11_3): insert a digon, then take a triangle move when there is one."""
-    for n in range(8, 12):
-        c = triple_structure([(i, (i + 1) % n, (i + 3) % n) for i in range(n)])
-        d = diagram_from_realization(realize(c, default_plan(c)))
-        for _ in range(steps):
-            d = with_random_digons(rng, d, 1)
-            yield d
-            sites = list(triangle_moves(d))
-            if sites:
-                d = apply_triangle_move(d, rng.choice(sites))
-                yield d
 
 
 def checked_digon_sites(d):
@@ -226,7 +196,7 @@ def test_triangle_sites_match_triple_oracle():
         expected = triangle_moves_by_triples(d)
         assert list(triangle_moves(d)) == expected
         random_sites += len(expected)
-    for d in cyclic_walk_diagrams(rng):
+    for d in (d for n in range(8, 12) for d in seeded_walk(rng, cyclic(n), 8)):
         expected = triangle_moves_by_triples(d)
         assert list(triangle_moves(d)) == expected
         walk_sites += len(expected)
@@ -280,27 +250,6 @@ def outcome(f, *args):
         return f(*args)
     except QuasilineError as exc:
         return type(exc), str(exc)
-
-
-def seeded_walk(rng, structure, steps):
-    """The diagrams along a seeded walk of admissible digon and triangle
-    moves from the realization of ``structure``, holding the event count
-    near its start, as the benchmark's walks do."""
-    d = diagram_from_realization(realize(structure, default_plan(structure)))
-    events = d.event_count
-    for _ in range(steps):
-        digons = list(removable_digons(d))
-        triangles = list(triangle_moves(d))
-        kinds = ["insert" if d.event_count <= events or not digons else "remove"]
-        kinds += ["triangle"] * bool(triangles)
-        kind = rng.choice(kinds)
-        if kind == "triangle":
-            d = apply_triangle_move(d, rng.choice(triangles))
-        elif kind == "remove":
-            d = remove_digon(d, rng.choice(digons)[0])
-        else:
-            d = with_random_digons(rng, d, 1)
-        yield d
 
 
 def test_sites_and_removals_match_oracles_along_walks():

@@ -172,6 +172,8 @@ def test_plan_validation():
     )
     with pytest.raises(PlanMismatch):
         realize(c, bad2)
+    with pytest.raises(PlanMismatch, match="'zz'"):
+        realize(c, RealizationPlan(plan.line_numbering, plan.point_order, {**plan.point_line_orders, "zz": ("ab",)}))
 
 
 def test_unwanted_crossing_identity_fano():

@@ -5,11 +5,9 @@ from collections import Counter
 import pytest
 
 from quasiline import (
-    default_plan,
     fingerprint,
     make_scheme,
     make_sequence,
-    realize,
     scheme_from_json_dict,
     scheme_from_realization,
     scheme_to_json_dict,
@@ -18,15 +16,7 @@ from quasiline import (
 )
 from quasiline.errors import DisconnectedScheme, ValidationError, WireWithoutPoint
 from quasiline.rotmaps import RotationMap
-from quasiline.wiring import (
-    apply_triangle_move,
-    diagram_from_lines,
-    diagram_from_realization,
-    insert_digon,
-    removable_digons,
-    remove_digon,
-    triangle_moves,
-)
+from quasiline.wiring import diagram_from_lines, insert_digon
 
 from oracles import (
     as_diagram,
@@ -50,16 +40,19 @@ from oracles import (
     random_scheme_transform,
     random_signed_map,
     random_structure,
+    realized,
     scheme_by_scan,
+    seeded_walk,
     start_codes_by_one_phase,
     starts_by_one_phase,
+    straight_ahead_walks_by_tuples,
     triangle,
     triple_structure,
 )
 
 
 def realization_scheme(structure):
-    d = diagram_from_realization(realize(structure, default_plan(structure)))
+    d = realized(structure)
     return d, scheme_from_realization(d)
 
 
@@ -156,7 +149,7 @@ def test_one_builder_matches_scan_oracles():
         share = rng.choice((0.3, 0.7, 1.0))
         designated = [i for i in range(1, len(seq) + 1) if rng.random() < share]
         diagrams.append(as_diagram(make_sequence(seq.n, seq.moves, designated)))
-    diagrams.append(diagram_from_realization(realize(fano(), default_plan(fano()))))
+    diagrams.append(realized(fano()))
     diagrams.append(
         diagram_from_lines(PAPPUS_EUCLIDEAN_LINES, PAPPUS_POINTS, PAPPUS_LABELS)
     )
@@ -228,36 +221,13 @@ def test_canonical_encoding_matches_full_search_oracle():
     assert irregular >= 20
 
 
-def move_walk_schemes(rng, structure, steps):
-    """The schemes along a seeded walk of admissible digon and triangle
-    moves from the realization of ``structure``, one per step."""
-    d, _ = realization_scheme(structure)
-    events = d.event_count
-    for _ in range(steps):
-        digons = sorted(removable_digons(d))
-        triangles = sorted(triangle_moves(d))
-        kinds = ["insert" if d.event_count <= events or not digons else "remove"]
-        kinds += ["triangle"] * bool(triangles)
-        kind = rng.choice(kinds)
-        if kind == "triangle":
-            d = apply_triangle_move(d, rng.choice(triangles))
-        elif kind == "remove":
-            d = remove_digon(d, rng.choice(digons)[0])
-        else:
-            at = rng.randrange(d.event_count + 1)
-            perm = d.permutation_before(at)
-            track = rng.randrange(1, d.n)
-            d = insert_digon(d, (perm[track - 1], perm[track]), at)
-        yield scheme_from_realization(d)
-
-
 def test_canonical_encoding_matches_full_search_on_move_walks():
     """The 6-regular maps of seeded admissible move walks from the
     realizations of cyclic (8_3)-(11_3), and random relabellings,
     regaugings and reflections of each."""
     rng = random.Random(109)
     for n in range(8, 12):
-        for s in move_walk_schemes(rng, cyclic(n), 5):
+        for s in map(scheme_from_realization, seeded_walk(rng, cyclic(n), 5)):
             maps = [s.rotmap] + [random_scheme_transform(rng, s).rotmap for _ in range(2)]
             for rm in maps:
                 assert {rm.degree(v) for v in rm.vertices} == {6}
@@ -287,7 +257,7 @@ def test_pruned_encoding_matches_full_search_on_8_regular_maps(encode_calls):
     rng = random.Random(113)
     plane = triple_structure([(i, (i + 1) % 13, (i + 3) % 13, (i + 9) % 13) for i in range(13)])
     darts = 0
-    for s in move_walk_schemes(rng, plane, 4):
+    for s in map(scheme_from_realization, seeded_walk(rng, plane, 4)):
         maps = [s.rotmap] + [random_scheme_transform(rng, s).rotmap for _ in range(3)]
         codes = set()
         for rm in maps:
@@ -410,7 +380,7 @@ def test_two_phase_starts_match_one_phase_keys(start_calls, key_calls):
         kind = "graph" if has_triangle(edges) else "triangle-free graph"
         maps.append((random_map_on_graph(rng, edges), kind))
     for n in (8, 10):
-        maps += [(s.rotmap, "walk") for s in move_walk_schemes(rng, cyclic(n), 6)]
+        maps += [(scheme_from_realization(d).rotmap, "walk") for d in seeded_walk(rng, cyclic(n), 6)]
     paths = Counter()
     for rm, kind in maps:
         start_calls.clear()
@@ -436,7 +406,7 @@ def test_dart_table_walks_match_tuple_walks():
     and on the maps of move walks."""
     rng = random.Random(137)
     maps = [random_signed_map(rng, rng.randint(1, 7), rng.randint(0, 9)) for _ in range(600)]
-    maps += [s.rotmap for n in (8, 9) for s in move_walk_schemes(rng, cyclic(n), 5)]
+    maps += [scheme_from_realization(d).rotmap for n in (8, 9) for d in seeded_walk(rng, cyclic(n), 5)]
     seen = Counter()
     for rm in maps:
         connected, orientable = rm.is_connected(), rm.is_orientable()
@@ -451,7 +421,7 @@ def test_regular_maps_encode_few_start_darts(encode_calls):
     (11_3), far fewer than the 4E candidates are encoded."""
     rng = random.Random(127)
     candidates = 0
-    for s in move_walk_schemes(rng, cyclic(11), 12):
+    for s in map(scheme_from_realization, seeded_walk(rng, cyclic(11), 12)):
         s.rotmap.canonical_encoding()
         candidates += 4 * len(s.rotmap.edges)
     assert 0 < 10 * len(encode_calls) < candidates
@@ -658,20 +628,28 @@ def test_fano_walks():
 
 
 def test_walk_properties_across_corpus():
+    """Realization walks: one per wire, simple, tagged with their line, with
+    an odd number of negative edges.  On these schemes, three random
+    transforms of each and every criterion-10 scheme, the walks are the
+    tuple-dart oracle's and cover each edge once."""
     rng = random.Random(97)
     structures = [triangle(), fano(), mobius_kantor()] + [
-        random_structure(rng, max_points=7, max_lines=7) for _ in range(20)
+        random_structure(rng, max_points=7, max_lines=7) for _ in range(100)
     ]
+    schemes = degree4_schemes()
     for c in structures:
         d, s = realization_scheme(c)
         walks = straight_ahead_walks(s)
         assert len(walks) == d.n
-        used = sorted(e for w in walks for e in w.edge_indices)
-        assert used == list(range(s.edge_count))
         for w in walks:
             assert w.is_simple
             assert w.negative_count % 2 == 1
             assert w.line is not None
+        schemes += [s] + [random_scheme_transform(rng, s) for _ in range(3)]
+    for s in schemes:
+        walks = straight_ahead_walks(s)
+        assert walks == straight_ahead_walks_by_tuples(s)
+        assert sorted(e for w in walks for e in w.edge_indices) == list(range(s.edge_count))
 
 
 # -- fingerprints -----------------------------------------------------------------

@@ -5,20 +5,13 @@ from dataclasses import replace
 
 import pytest
 
-from quasiline import (
-    default_plan,
-    make_sequence,
-    realize,
-    sequence_from_json_dict,
-    sequence_to_json_dict,
-)
+from quasiline import make_sequence, sequence_from_json_dict, sequence_to_json_dict
 from quasiline.errors import NotGeneralized, ValidationError
 from quasiline.sequences import Move
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
     diagram_from_json_dict,
     diagram_from_lines,
-    diagram_from_realization,
     diagram_to_json_dict,
     sweep_digraph,
     topological_sweep,
@@ -41,25 +34,13 @@ from oracles import (
     pair_counts,
     random_generalized_sequence,
     random_line_arrangement,
+    realized,
     small_rational_arrangement,
     sweep_cut_ok,
     triangle,
     two_lines_three_points,
+    with_random_digons,
 )
-from test_mutations import with_random_digons
-
-
-def triangle_diagram():
-    return diagram_from_realization(realize(triangle(), default_plan(triangle())))
-
-
-def fano_diagram():
-    return diagram_from_realization(realize(fano(), default_plan(fano())))
-
-
-def digon_diagram():
-    c = two_lines_three_points()
-    return diagram_from_realization(realize(c, default_plan(c)))
 
 
 def random_diagrams(count, seed=61, n_max=8):
@@ -106,7 +87,7 @@ def test_diagram_json_refuses_fractional_numbers():
 
 
 def test_triangle_diagram_three_crossings():
-    d = triangle_diagram()
+    d = realized(triangle())
     assert d.n == 3
     assert d.event_count == 3
 
@@ -118,7 +99,7 @@ def test_n2_triple_crossing_diagram():
 
 
 def test_fano_diagram_designated_triples():
-    d = fano_diagram()
+    d = realized(fano())
     assert d.n == 7
     designated = d.designated_events()
     assert len(designated) == 7
@@ -136,7 +117,7 @@ def test_roundtrip_sequence_diagram():
 
 
 def test_roundtrip_fano():
-    d = fano_diagram()
+    d = realized(fano())
     # sequence JSON carries no labels: loading names the points p1..p7
     seq = sequence_from_json_dict(sequence_to_json_dict(d))
     assert [m.point for m in seq.moves if m.point is not None] == [
@@ -147,7 +128,7 @@ def test_roundtrip_fano():
 
 
 def test_diagram_json_roundtrip():
-    for d in (triangle_diagram(), fano_diagram()) + tuple(random_diagrams(10)):
+    for d in (realized(triangle()), realized(fano())) + tuple(random_diagrams(10)):
         assert diagram_from_json_dict(diagram_to_json_dict(d)) == d
 
 
@@ -155,7 +136,7 @@ def test_diagram_json_roundtrip():
 
 
 def test_triangle_sweep_digraph():
-    d = triangle_diagram()
+    d = realized(triangle())
     arcs = sweep_digraph(d)
     assert d.event_count == 3
     assert arcs and all(u < v for u, v in arcs)
@@ -168,14 +149,14 @@ def test_single_event_sweep():
 
 
 def test_left_to_right_is_topological():
-    for d in random_diagrams(50) + [digon_diagram()]:
+    for d in random_diagrams(50) + [realized(two_lines_three_points())]:
         arcs = sweep_digraph(d)
         assert list(arcs) == sorted(set(arcs))
         assert all(u < v for u, v in arcs)
 
 
 def test_sweeps_acyclic_and_cut_valid():
-    diagrams = random_diagrams(200) + [triangle_diagram(), fano_diagram(), digon_diagram()]
+    diagrams = random_diagrams(200) + [realized(triangle()), realized(fano()), realized(two_lines_three_points())]
     for d in diagrams:
         arcs = sweep_digraph(d)
         assert all(u < v for u, v in arcs)
@@ -188,7 +169,7 @@ def test_sweeps_acyclic_and_cut_valid():
 
 
 def test_diagram_induced_marking_is_proper_at_gap_zero():
-    for d in [triangle_diagram(), fano_diagram(), digon_diagram()] + random_diagrams(30):
+    for d in [realized(triangle()), realized(fano()), realized(two_lines_three_points())] + random_diagrams(30):
         a = arrangement_from_diagram(d)
         assert is_proper_marking(a, 0)
         assert find_monotone_marking(a) is not None
@@ -196,7 +177,7 @@ def test_diagram_induced_marking_is_proper_at_gap_zero():
 
 def test_pseudoline_arrangement_proper_at_every_gap():
     # pairwise single crossings impose no order constraints
-    d = triangle_diagram()
+    d = realized(triangle())
     a = arrangement_from_diagram(d)
     for gap in range(2 * a.n):
         assert is_proper_marking(a, gap)
@@ -274,7 +255,7 @@ def test_brute_force_none_instance_small():
 
 
 def test_triangle_faces():
-    d = triangle_diagram()
+    d = realized(triangle())
     faces = trace_faces_disk(d)
     assert len(faces) == 4
     rm = arrangement_map(d)
@@ -284,7 +265,7 @@ def test_triangle_faces():
 
 
 def test_digon_example_faces():
-    d = digon_diagram()
+    d = realized(two_lines_three_points())
     faces = trace_faces_disk(d)
     assert sum(len(f) == 2 for f in faces) >= 2
     assert arrangement_map(d).euler_characteristic() == 1
@@ -292,7 +273,7 @@ def test_digon_example_faces():
 
 
 def test_euler_and_handshake_on_corpus():
-    diagrams = random_diagrams(120) + [triangle_diagram(), fano_diagram(), digon_diagram()]
+    diagrams = random_diagrams(120) + [realized(triangle()), realized(fano()), realized(two_lines_three_points())]
     for d in diagrams:
         rm = arrangement_map(d)
         faces = trace_faces_disk(d)
@@ -312,7 +293,7 @@ def band_cell_corpus():
             yield with_random_digons(rng, d, rng.randint(1, 3))
     for n in range(7, 101, 3):
         c = cyclic(n)
-        yield diagram_from_realization(realize(c, default_plan(c)))
+        yield realized(c)
     for n in range(3, 10):
         yield diagram_from_lines(random_line_arrangement(rng, n))
         for _ in range(5):
