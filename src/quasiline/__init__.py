@@ -45,7 +45,6 @@ from .surface import (
     MapSummary,
     StraightAheadWalk,
     fingerprint,
-    make_scheme,
     scheme_from_json_dict,
     scheme_from_realization,
     scheme_to_json_dict,

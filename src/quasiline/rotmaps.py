@@ -8,28 +8,30 @@ rotation.  Euler characteristic, orientability and a canonical encoding
 (invariant under vertex relabelling, regauging of local orientations,
 and global reflection) all derive from this structure.
 
-Darts are pairs (edge index, end); end 0 attaches at the first endpoint
-of the edge, end 1 at the second.  Rotations list darts counterclockwise
-in whatever drawing the map came from.
+A map's vertices are indexed 0 .. V-1 in the order of its vertex ids,
+and its edges join pairs of vertex indices.  A dart is the int 2e + end
+of its edge e and end: end 0 attaches at the first endpoint of the edge,
+end 1 at the second, so ``x >> 1`` is a dart's edge, ``x & 1`` its end
+and ``x ^ 1`` its partner.  The rotation of vertex i lists its darts
+counterclockwise in whatever drawing the map came from.
 
-Each map builds one dart table, once, when it is validated: per vertex
-index, the rotation as ints 2e + end; per dart, the index of the vertex
-it leads to (its partner's vertex) and its edge's sign.  Connectivity,
-orientability, face tracing and the canonical encoding read only this
-table and never walk tuple darts.
+Validation derives, once, per dart the index of the vertex it leads to
+(its partner's vertex) and its edge's sign.  Connectivity, orientability,
+face tracing and the canonical encoding read only the rotations and
+these two tables.
 
 A face-traversal state is a dart with a local sense s of +1 or -1.
-Faces are traced on ints: state ((e, end), s) is 4e + 2·end + (s == 1),
-so ``x >> 2`` is its edge, ``x >> 1`` its dart, ``x >> 1 & 1`` its end
-and ``x & 1`` its sense, and the ints sort as the (dart, sense) tuples
-do.  Each map builds, once, the table of the next state of every state,
-and the face walks follow it.
+Faces are traced on ints: state (dart d, sense s) is 2d + (s == 1), so
+of a state x, ``x >> 2`` is the edge, ``x >> 1`` the dart, ``x >> 1 & 1``
+the end and ``x & 1`` the sense, and the ints sort as the (dart, sense)
+pairs do.  Each map builds, once, the table of the next state of every
+state, and the face walks follow it.
 
 The canonical encoding is the least of the encodings from every start
-dart in both senses.  It names darts as ints 2e+end, starts only at
-vertices of least degree, and abandons a candidate as soon as a final
-prefix of it exceeds the best so far, so most candidates stop after a
-few entries; the result is the same as encoding every candidate in full.
+dart in both senses.  It starts only at vertices of least degree, and
+abandons a candidate as soon as a final prefix of it exceeds the best so
+far, so most candidates stop after a few entries; the result is the same
+as encoding every candidate in full.
 On a map whose vertices share one degree q and have q distinct
 neighbours each, every candidate's first q + 1 codes are the same, and
 only the candidates least at the next code are encoded.  They are found
@@ -50,82 +52,54 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable
 
 from .errors import ValidationError
-
-Dart = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class RotationMap:
     vertices: tuple[Hashable, ...]
-    edges: tuple[tuple[Hashable, Hashable], ...]
-    rotations: Mapping[Hashable, tuple[Dart, ...]]
+    edges: tuple[tuple[int, int], ...]
+    rotations: tuple[tuple[int, ...], ...]
     signature: tuple[int, ...]
 
     def __post_init__(self):
-        """Validate the map and build its dart table in one pass: per
-        vertex index, the rotation as darts 2e + end (``_rots``); per
-        dart, the index of the vertex it leads to, its partner's
-        (``_far``), and its edge's sign (``_sign``)."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+        """Validate the map and derive, in the same pass, per dart the
+        index of the vertex it leads to, its partner's (``_far``), and its
+        edge's sign (``_sign``)."""
+        vertices, edges, signature = self.vertices, self.edges, self.signature
+        n = len(vertices)
+        if len(set(vertices)) != n:
             raise ValidationError("duplicate vertex ids in rotation map")
-        edges, signature = self.edges, self.signature
         if len(signature) != len(edges):
             raise ValidationError("signature length must match edge count")
         if any(s not in (1, -1) for s in signature):
             raise ValidationError("signatures must be +1 or -1")
         for u, v in edges:
-            if u not in index or v not in index:
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge endpoint {u!r}/{v!r} not a vertex")
-        if self.rotations.keys() != index.keys():
+        if len(self.rotations) != n:
             raise ValidationError("rotations must have one row per vertex and no other row")
-        m = len(edges)
-        far = [-1] * (2 * m)
-        rots = []
-        for i, v in enumerate(self.vertices):
-            rot = []
-            for d in self.rotations[v]:
-                e, end = d
-                if not (0 <= e < m and end in (0, 1)):
-                    raise ValidationError(f"malformed dart {d!r} at {v!r}")
-                if edges[e][end] != v:
-                    raise ValidationError(f"dart {d!r} listed at wrong vertex {v!r}")
-                x = 2 * e + end
+        far = [-1] * (2 * len(edges))
+        for i, rot in enumerate(self.rotations):
+            for x in rot:
+                if not 0 <= x < len(far):
+                    raise ValidationError(f"malformed dart {x!r} at {vertices[i]!r}")
+                if edges[x >> 1][x & 1] != i:
+                    raise ValidationError(f"dart {x!r} listed at wrong vertex {vertices[i]!r}")
                 if far[x ^ 1] >= 0:
-                    raise ValidationError(f"dart {d!r} listed twice")
+                    raise ValidationError(f"dart {x!r} listed twice")
                 far[x ^ 1] = i
-                rot.append(x)
-            rots.append(rot)
         if -1 in far:
             raise ValidationError("rotations must cover every dart exactly once")
-        sign = [0] * (2 * m)
+        sign = [0] * len(far)
         sign[::2] = sign[1::2] = signature
-        object.__setattr__(self, "_rots", rots)
         object.__setattr__(self, "_far", far)
         object.__setattr__(self, "_sign", sign)
 
-    # -- basic accessors ---------------------------------------------------
-
-    @staticmethod
-    def rev(dart: Dart) -> Dart:
-        return (dart[0], 1 - dart[1])
-
-    def attach(self, dart: Dart) -> Hashable:
-        return self.edges[dart[0]][dart[1]]
-
-    def degree(self, vertex: Hashable) -> int:
-        return len(self.rotations[vertex])
-
-    def darts(self) -> Iterator[Dart]:
-        for e in range(len(self.edges)):
-            yield (e, 0)
-            yield (e, 1)
-
     def is_connected(self) -> bool:
-        rots, far = self._rots, self._far
+        rots, far = self.rotations, self._far
         if not rots:
             return True
         seen = [True] + [False] * (len(rots) - 1)
@@ -144,14 +118,14 @@ class RotationMap:
     def _successor(self) -> list[int]:
         """The next face-traversal state of every state.
 
-        From state ((e, end), s) the walk crosses edge e, which turns the
-        sense into s' = s·signature[e], and leaves the far vertex by the
-        dart after (e, 1 - end) in its rotation, counterclockwise when
-        s' = 1 and clockwise otherwise, keeping sense s'.
+        From state (d, s) the walk crosses d's edge, which turns the sense
+        into s' = s·(the edge's sign), and leaves the far vertex by the
+        dart after d ^ 1 in its rotation, counterclockwise when s' = 1 and
+        clockwise otherwise, keeping sense s'.
         """
         succ = [0] * (4 * len(self.edges))
         sign = self._sign
-        for rot in self._rots:
+        for rot in self.rotations:
             for before, d, after in zip(rot[-1:] + rot[:-1], rot, rot[1:] + rot[:1]):
                 ccw, cw = 2 * after + 1, 2 * before
                 arrive = 2 * (d ^ 1)  # the states crossing d's edge to here
@@ -181,7 +155,7 @@ class RotationMap:
                 orbit.append(state)
                 state = succ[state]
             for x in orbit:
-                # the reverse of ((e, end), s) is ((e, 1 - end), -s·signature[e])
+                # the reverse of (d, s) is (d ^ 1, -s·(d's sign))
                 r = x ^ 2 ^ (sign[x >> 1] == 1)
                 if seen[r]:
                     raise ValidationError("face traversal pairing failed; invalid map")
@@ -198,7 +172,7 @@ class RotationMap:
     def is_orientable(self) -> bool:
         """Gauge every component along a spanning tree from its first
         vertex, and look for an edge whose sign the gauges contradict."""
-        rots, far, sign = self._rots, self._far, self._sign
+        rots, far, sign = self.rotations, self._far, self._sign
         gauge = [0] * len(rots)
         for root in range(len(rots)):
             if gauge[root]:
@@ -232,13 +206,14 @@ class RotationMap:
         is compared with the best so far while it is built, and abandoned
         once it is known to be greater.
 
-        Every candidate reads the dart table and tables built from it
-        once here: each vertex's rotation doubled as listed (its ring in
-        gauge 1) and reversed (its ring in gauge -1), so that its darts
-        in either gauge from any entry are one slice; per dart, its
-        partner's positions in both rings of its partner's vertex.
+        Every candidate reads the rotations, the per-dart tables and
+        tables built from them once here: each vertex's rotation doubled
+        as listed (its ring in gauge 1) and reversed (its ring in gauge
+        -1), so that its darts in either gauge from any entry are one
+        slice; per dart, its partner's positions in both rings of its
+        partner's vertex.
         """
-        rots, far, sign = self._rots, self._far, self._sign
+        rots, far, sign = self.rotations, self._far, self._sign
         degree = [len(rot) for rot in rots]
         if self.edges and 0 in degree:
             raise ValidationError("canonical encoding requires a connected map")

@@ -19,11 +19,11 @@ regauging, and reflection, distinguishes mutation classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Optional
 
 from .errors import DisconnectedScheme, ValidationError
 from .jsonshape import as_int, as_text, as_text_or_null, read
-from .rotmaps import Dart, RotationMap
+from .rotmaps import RotationMap
 from .wiring.diagram import GeneralizedWiringDiagram
 from .wiring.faces import wire_map
 
@@ -32,14 +32,14 @@ Label = Hashable
 
 @dataclass(frozen=True)
 class EmbeddingScheme:
-    """A rotation map with an opposite-dart pairing and per-edge line tags.
+    """A rotation map with per-edge line tags.
 
     The map is connected and its vertex degrees are even and at least
-    four (every line contributes two darts at each of its points); the
-    opposite pairing marks same-line continuation and always sits deg/2
-    apart in the rotation.  ``lines`` optionally tags each edge with the
-    line it belongs to.  The rotation system itself is checked once, when
-    ``rotmap`` is built.
+    four (every line contributes two darts at each of its points); a
+    line continues straight ahead through a vertex by the dart deg/2
+    places along the rotation.  ``lines`` tags each edge with the line
+    it belongs to, or None.  The rotation system itself is checked once,
+    when ``rotmap`` is built.
     """
 
     rotmap: RotationMap
@@ -49,7 +49,7 @@ class EmbeddingScheme:
         rm = self.rotmap
         if not rm.is_connected():
             raise DisconnectedScheme("embedding schemes must be connected")
-        for v, rot in zip(rm.vertices, rm._rots):
+        for v, rot in zip(rm.vertices, rm.rotations):
             deg = len(rot)
             if deg < 4 or deg % 2 != 0:
                 raise ValidationError(
@@ -57,32 +57,6 @@ class EmbeddingScheme:
                 )
         if len(self.lines) != len(rm.edges):
             raise ValidationError("need one line tag (or None) per edge")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.rotmap.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.rotmap.edges)
-
-
-def make_scheme(
-    vertices: Sequence[Label],
-    edges: Sequence[tuple[Label, Label]],
-    rotations: Mapping[Label, Sequence[Dart]],
-    signature: Sequence[int],
-    lines: Optional[Sequence[Optional[Label]]] = None,
-) -> EmbeddingScheme:
-    if lines is None:
-        lines = [None] * len(edges)
-    rm = RotationMap(
-        tuple(vertices),
-        tuple((u, v) for u, v in edges),
-        {v: tuple(r) for v, r in rotations.items()},
-        tuple(signature),
-    )
-    return EmbeddingScheme(rm, tuple(lines))
 
 
 def scheme_from_realization(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
@@ -150,10 +124,11 @@ def trace_and_summarize(scheme: EmbeddingScheme) -> MapSummary:
 
 @dataclass(frozen=True)
 class StraightAheadWalk:
-    """A closed walk leaving every vertex opposite to its entry dart."""
+    """A closed walk leaving every vertex opposite to its entry dart: the
+    index of the vertex each step leaves, and the edge it takes."""
 
     line: Optional[Label]
-    vertices: tuple[Label, ...]
+    vertices: tuple[int, ...]
     edge_indices: tuple[int, ...]
     negative_count: int
 
@@ -173,8 +148,8 @@ def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ..
     same line's walk, never itself (it would leave a vertex by the dart
     it arrived on), so it is marked seen and not walked."""
     rm = scheme.rotmap
-    ahead = [0] * len(rm._far)
-    for rot in rm._rots:
+    ahead = [0] * (2 * len(rm.edges))
+    for rot in rm.rotations:
         half = len(rot) // 2
         for i, x in enumerate(rot):
             ahead[x ^ 1] = rot[i - half]
@@ -197,7 +172,7 @@ def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ..
                 line=line_tags.pop() if len(line_tags) == 1 else None,
                 vertices=tuple(rm.edges[x >> 1][x & 1] for x in orbit),
                 edge_indices=edge_indices,
-                negative_count=sum(rm._sign[x] == -1 for x in orbit),
+                negative_count=sum(rm.signature[e] == -1 for e in edge_indices),
             )
         )
     return tuple(walks)
@@ -208,11 +183,10 @@ def straight_ahead_walks(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ..
 
 def scheme_to_json_dict(scheme: EmbeddingScheme) -> dict:
     rm = scheme.rotmap
-    vindex = {v: i for i, v in enumerate(rm.vertices)}
     return {
         "vertices": [str(v) for v in rm.vertices],
-        "edges": [[vindex[u], vindex[v]] for u, v in rm.edges],
-        "rotations": [[[e, end] for e, end in rm.rotations[v]] for v in rm.vertices],
+        "edges": [[u, v] for u, v in rm.edges],
+        "rotations": [[[x >> 1, x & 1] for x in rot] for rot in rm.rotations],
         "signature": list(rm.signature),
         "lines": [None if l is None else str(l) for l in scheme.lines],
     }
@@ -227,19 +201,23 @@ def _edge_end(x) -> int:
 
 def scheme_from_json_dict(data: dict) -> EmbeddingScheme:
     """The scheme of :func:`scheme_to_json_dict`; an invalid map raises
-    what :func:`make_scheme` does."""
+    what :class:`RotationMap` and :class:`EmbeddingScheme` do.  A dart
+    [e, end] is read as 2e + end once e is an edge and end is 0 or 1."""
     doc = read(data, {
         "vertices": [as_text], "edges": [(_edge_end, _edge_end)],
-        "rotations": [[(as_int, as_int)]], "signature": [as_int], "lines?": [as_text_or_null],
+        "signature": [as_int], "lines?": [as_text_or_null],
     })
-    vertices, edges, rows = doc["vertices"], doc["edges"], doc["rotations"]
-    if not all(0 <= end < len(vertices) for edge in edges for end in edge):
-        raise ValidationError("an edge end is not the index of a vertex")
-    if len(rows) != len(vertices):
-        raise ValidationError(f"{len(rows)} rotation rows for {len(vertices)} vertex ids")
-    edges = [(vertices[u], vertices[v]) for u, v in edges]
-    rotations = dict(zip(vertices, rows))
-    return make_scheme(vertices, edges, rotations, doc["signature"], doc.get("lines"))
+    edges = doc["edges"]
+
+    def dart(x) -> int:
+        e, end = read(x, (as_int, as_int))
+        if not (0 <= e < len(edges) and end in (0, 1)):
+            raise ValidationError(f"malformed dart [{e}, {end}]")
+        return 2 * e + end
+
+    rotations = read(data, {"rotations": [[dart]]})["rotations"]
+    rm = RotationMap(doc["vertices"], edges, rotations, doc["signature"])
+    return EmbeddingScheme(rm, doc.get("lines", (None,) * len(edges)))
 
 
 def summary_to_json_dict(summary: MapSummary) -> dict:

@@ -29,19 +29,11 @@ from functools import cmp_to_key
 from typing import Hashable, Optional, Sequence
 
 from ..errors import DuplicateLine, QuasilineError, ValidationError
-from ..jsonshape import as_fraction
+from ..jsonshape import as_fraction, read
 from ..sequences import Move
 from .diagram import GeneralizedWiringDiagram
 
 Rational = Fraction | int
-
-
-def _rows(rows, size: int, what: str) -> list[tuple[Fraction, ...]]:
-    if not isinstance(rows, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) and len(row) == size for row in rows
-    ):
-        raise ValidationError(f"the {what}s must be an array of arrays of {size} coordinates")
-    return [tuple(map(as_fraction, row)) for row in rows]
 
 
 def _integral(triple: Sequence[Rational]) -> tuple[int, int, int]:
@@ -142,7 +134,7 @@ def diagram_from_lines(
     """
     covectors = []
     seen: set[tuple[int, int, int]] = set()
-    for a, b, c in _rows(lines, 3, "line"):
+    for a, b, c in read(lines, [(as_fraction,) * 3]):
         if a == 0 and b == 0:
             raise ValidationError(f"({a}, {b}, {c}) is not a line")
         prim = _primitive(_integral((a, b, -c)))
@@ -154,11 +146,12 @@ def diagram_from_lines(
     if n < 2:
         raise ValidationError("an arrangement needs at least 2 lines")
 
+    points = read(points, [(as_fraction,) * 2])
     if point_labels is None:
         point_labels = [f"P{i}" for i in range(1, len(points) + 1)]
     if len(point_labels) != len(points):
         raise ValidationError("need exactly one label per selected point")
-    selected = [_primitive(_integral((x, y, 1))) for x, y in _rows(points, 2, "point")]
+    selected = [_primitive(_integral((x, y, 1))) for x, y in points]
 
     lines_at: dict[tuple[int, int, int], set[int]] = {}
     for i, j in itertools.combinations(range(n), 2):

@@ -41,8 +41,8 @@ def wire_map(
     """The signed rotation map of the diagram's wires through the events
     kept in ``vertex_of``, and the (wire, arc index) of every edge.
 
-    Event i becomes vertex ``vertex_of[i]``; vertices follow the order
-    of ``vertex_of``.  Edges are numbered wire by wire: the wire's j-th
+    The kept events in event order are the vertices, event i with id
+    ``vertex_of[i]``.  Edges are numbered wire by wire: the wire's j-th
     edge joins its j-th and (j+1)-th kept events, and its last edge
     closes through infinity with signature -1.  Rotations follow the
     drawing counterclockwise: at an event with window wires w_1..w_l
@@ -51,8 +51,8 @@ def wire_map(
 
     With k_w kept events on wire w, its edges are numbered from
     off[w] = k_1 + ... + k_(w-1); one walk over the kept events in
-    order gives the j-th kept event on w the out-dart (off[w] + j, 0)
-    and the in-dart (e, 1), where e is the out-edge of the previous kept
+    order gives the j-th kept event on w the out-dart 2(off[w] + j) and
+    the in-dart 2e + 1, where e is the out-edge of the previous kept
     event on w, or the closing edge off[w] + k_w - 1 at the first.
     """
     window_wires = diagram.window_wires_table
@@ -74,22 +74,20 @@ def wire_map(
         prev[w] = len(arcs) - 1
         signature += [1] * (k - 1)
         signature.append(-1)
-    heads: list[Hashable] = [None] * len(arcs)
+    heads = [0] * len(arcs)
     tails = heads.copy()
-    rotations = {}
-    for i in kept:
-        v = vertex_of[i]
+    rotations = []
+    for v, i in enumerate(kept):
         outs, ins = [], []
         for w in window_wires[i]:
             out, back = nxt[w], prev[w]
             nxt[w], prev[w] = out + 1, out
             heads[out] = tails[back] = v
-            outs.append((out, 0))
-            ins.append((back, 1))
-        rotations[v] = tuple(outs + ins)
-    rm = RotationMap(
-        tuple(vertex_of.values()), tuple(zip(heads, tails)), rotations, tuple(signature)
-    )
+            outs.append(2 * out)
+            ins.append(2 * back + 1)
+        rotations.append(tuple(outs + ins))
+    vertices = tuple(vertex_of[i] for i in kept)
+    rm = RotationMap(vertices, tuple(zip(heads, tails)), tuple(rotations), tuple(signature))
     return rm, tuple(arcs)
 
 

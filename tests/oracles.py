@@ -66,7 +66,7 @@ from quasiline.errors import (
     WireWithoutPoint,
 )
 from quasiline.rotmaps import RotationMap
-from quasiline.surface import EmbeddingScheme, StraightAheadWalk, make_scheme
+from quasiline.surface import EmbeddingScheme, StraightAheadWalk
 from quasiline.wiring import (
     GeneralizedWiringDiagram,
     apply_triangle_move,
@@ -702,10 +702,10 @@ def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
     finite_ids = [e for e, s in enumerate(full.signature) if s == 1]
     renumber = {e: i for i, e in enumerate(finite_ids)}
     edges = tuple(full.edges[e] for e in finite_ids)
-    rotations = {
-        v: tuple((renumber[e], end) for e, end in full.rotations[v] if e in renumber)
-        for v in full.vertices
-    }
+    rotations = tuple(
+        tuple(2 * renumber[x >> 1] + (x & 1) for x in rot if x >> 1 in renumber)
+        for rot in full.rotations
+    )
     gmap = RotationMap(full.vertices, edges, rotations, (1,) * len(edges))
     gid = renumber[arcs.index((diagram.window_wires(0)[-1], 0))]
     orbits = face_orbits_by_tuples(gmap)
@@ -715,7 +715,7 @@ def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
         for orbit in orbits
         if orbit[0][1] == 1 and orbit != outer
     ]
-    adjacency = {v: [] for v in gmap.vertices}
+    adjacency = {v: [] for v in range(len(gmap.vertices))}
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
@@ -739,9 +739,9 @@ def audit_by_arrangement_map(
     polygon = [positions[v] for v in outer_cycle]
     if not _embedded(positions, polygon, stars, faces):
         return False
-    for v in full.vertices:
+    for v, rot in enumerate(full.rotations):
         directions = []
-        for e, end in full.rotations[v]:
+        for e, end in ((x >> 1, x & 1) for x in rot):
             if full.signature[e] == 1:
                 other = full.edges[e][1 - end]
                 directions.append(_sub(positions[other], positions[v]))
@@ -757,32 +757,30 @@ def audit_by_arrangement_map(
 def two_connected_by_articulation(gmap: RotationMap) -> bool:
     """Hopcroft-Tarjan: the graph of ``gmap`` is simple, has at least 3
     vertices, is connected and has no cut vertex."""
-    pairs = [tuple(sorted(e, key=str)) for e in gmap.edges]
+    pairs = [tuple(sorted(e)) for e in gmap.edges]
     if len(set(pairs)) != len(pairs) or any(u == v for u, v in gmap.edges):
         return False
-    vertices = gmap.vertices
-    if len(vertices) < 3:
+    n = len(gmap.vertices)
+    if n < 3:
         return False
-    adjacency = {v: [] for v in vertices}
+    adjacency = [[] for _ in range(n)]
     for u, v in gmap.edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    index = {v: i for i, v in enumerate(vertices)}
-    disc = [0] * len(vertices)
-    low = [0] * len(vertices)
-    visited = [False] * len(vertices)
-    parent = [-1] * len(vertices)
+    disc = [0] * n
+    low = [0] * n
+    visited = [False] * n
+    parent = [-1] * n
     timer = 1
     root = 0
-    stack = [(root, iter(adjacency[vertices[root]]))]
+    stack = [(root, iter(adjacency[root]))]
     visited[root] = True
     disc[root] = low[root] = timer
     root_children = 0
     while stack:
         v, it = stack[-1]
         advanced = False
-        for u_label in it:
-            u = index[u_label]
+        for u in it:
             if not visited[u]:
                 visited[u] = True
                 timer += 1
@@ -790,7 +788,7 @@ def two_connected_by_articulation(gmap: RotationMap) -> bool:
                 parent[u] = v
                 if v == root:
                     root_children += 1
-                stack.append((u, iter(adjacency[u_label])))
+                stack.append((u, iter(adjacency[u])))
                 advanced = True
                 break
             elif u != parent[v]:
@@ -805,7 +803,61 @@ def two_connected_by_articulation(gmap: RotationMap) -> bool:
     return all(visited) and root_children <= 1
 
 
-# -- rotation systems by list scans ------------------------------------------
+# -- rotation systems in tuple form, and by list scans -------------------------
+
+
+@dataclass(frozen=True)
+class TupleMap:
+    """A rotation map in the form the reference oracles walk and small
+    maps are written in: edges join vertex ids, and the rotation of each
+    vertex id lists tuple darts (edge, end), end 0 at the edge's first
+    endpoint.  :meth:`of` reads a library map in this form and
+    :meth:`rotmap` builds the library map of one, with vertex indices
+    and int darts 2·edge + end; each undoes the other."""
+
+    vertices: tuple
+    edges: tuple
+    rotations: dict
+    signature: tuple
+
+    @classmethod
+    def of(cls, rm: RotationMap) -> "TupleMap":
+        ids = rm.vertices
+        return cls(
+            ids,
+            tuple((ids[u], ids[v]) for u, v in rm.edges),
+            {v: tuple((x >> 1, x & 1) for x in rot) for v, rot in zip(ids, rm.rotations)},
+            rm.signature,
+        )
+
+    def rotmap(self) -> RotationMap:
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return RotationMap(
+            tuple(self.vertices),
+            tuple((index[u], index[v]) for u, v in self.edges),
+            tuple(tuple(2 * e + end for e, end in self.rotations[v]) for v in self.vertices),
+            tuple(self.signature),
+        )
+
+    def scheme(self, lines=None) -> EmbeddingScheme:
+        """The embedding scheme of this map, its edges untagged unless
+        ``lines`` tags them."""
+        return EmbeddingScheme(self.rotmap(), tuple([None] * len(self.edges) if lines is None else lines))
+
+    @staticmethod
+    def rev(dart):
+        return (dart[0], 1 - dart[1])
+
+    def attach(self, dart):
+        return self.edges[dart[0]][dart[1]]
+
+    def degree(self, vertex) -> int:
+        return len(self.rotations[vertex])
+
+    def darts(self):
+        for e in range(len(self.edges)):
+            yield (e, 0)
+            yield (e, 1)
 
 
 def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
@@ -846,9 +898,7 @@ def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
         rotations[i] = tuple(out_dart(w, i) for w in wires) + tuple(
             in_dart(w, i) for w in wires
         )
-    return RotationMap(
-        tuple(range(diagram.event_count)), tuple(edges), rotations, tuple(signature)
-    )
+    return TupleMap(tuple(range(diagram.event_count)), edges, rotations, signature).rotmap()
 
 
 def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[tuple[int, ...], ...]:
@@ -904,7 +954,7 @@ def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
         rotations[label[i]] = tuple(out_dart(w, i) for w in wires) + tuple(
             in_dart(w, i) for w in wires
         )
-    return make_scheme(vertices, edges, rotations, signature, lines)
+    return TupleMap(vertices, edges, rotations, signature).scheme(lines)
 
 
 # -- move sites and encodings by exhaustive search ---------------------------
@@ -1053,7 +1103,7 @@ def check_triangle_by_ranges(
     return t, u
 
 
-def _encode_from(rm: RotationMap, position, start, reflect: int) -> tuple[int, ...]:
+def _encode_from(rm: TupleMap, position, start, reflect: int) -> tuple[int, ...]:
     """The full encoding from ``start`` in sense ``reflect``; ``position``
     gives each dart's index in its vertex's rotation."""
     gauge = {}
@@ -1095,6 +1145,7 @@ def face_orbits_by_tuples(rm: RotationMap):
     """Face orbits traced on ((edge, end), sense) tuples, each step found
     by a scan of the far vertex's rotation, starting from every dart and
     both senses in order."""
+    rm = TupleMap.of(rm)
 
     def step(state):
         (e, end), s = state
@@ -1137,6 +1188,7 @@ def faces_by_tuples(rm: RotationMap):
 def encodings_by_start(rm: RotationMap) -> dict[tuple[int, int], tuple[int, ...]]:
     """The full encoding from every start dart (e, end), keyed by the
     dart's int 2e + end and the sense."""
+    rm = TupleMap.of(rm)
     position = {d: i for rot in rm.rotations.values() for i, d in enumerate(rot)}
     return {
         (2 * e + end, r): _encode_from(rm, position, (e, end), r)
@@ -1154,6 +1206,7 @@ def canonical_encoding_by_full_search(rm: RotationMap) -> tuple[int, ...]:
 def is_connected_by_tuples(rm: RotationMap) -> bool:
     """Connectivity by a search that follows tuple darts to their far
     vertices."""
+    rm = TupleMap.of(rm)
     if not rm.vertices:
         return True
     seen = {rm.vertices[0]}
@@ -1171,6 +1224,7 @@ def is_connected_by_tuples(rm: RotationMap) -> bool:
 def is_orientable_by_tuples(rm: RotationMap) -> bool:
     """Sign-normalize each component along a spanning tree of tuple darts
     from its first vertex, then look for a signature-reversing edge."""
+    rm = TupleMap.of(rm)
     sign: dict[Hashable, int] = {}
     for root in rm.vertices:
         if root in sign:
@@ -1242,7 +1296,7 @@ def random_signed_map(rng: random.Random, vertices: int, edges: int) -> Rotation
     signature = tuple(rng.choice((1, -1)) for _ in ends)
     order = list(range(vertices))
     rng.shuffle(order)
-    return RotationMap(tuple(order), ends, {v: tuple(r) for v, r in rotations.items()}, signature)
+    return TupleMap(tuple(order), ends, rotations, signature).rotmap()
 
 
 def random_map_on_graph(rng: random.Random, edges) -> RotationMap:
@@ -1258,7 +1312,7 @@ def random_map_on_graph(rng: random.Random, edges) -> RotationMap:
     for rot in rotations.values():
         rng.shuffle(rot)
     signature = tuple(rng.choice((1, -1)) for _ in edges)
-    return RotationMap(tuple(vertices), edges, {v: tuple(r) for v, r in rotations.items()}, signature)
+    return TupleMap(tuple(vertices), edges, rotations, signature).rotmap()
 
 
 # -- sequence replay oracle ---------------------------------------------------
@@ -2067,9 +2121,7 @@ def degree4_schemes():
                 for e, b in zip(free, bits):
                     signature[e] = b
                 try:
-                    catalog.append(
-                        make_scheme(vertices, edges, rot, signature)
-                    )
+                    catalog.append(TupleMap(vertices, edges, rot, signature).scheme())
                 except ValidationError:
                     pass
 
@@ -2094,7 +2146,8 @@ def degree4_schemes():
 def straight_ahead_walks_by_tuples(scheme: EmbeddingScheme) -> tuple[StraightAheadWalk, ...]:
     """``straight_ahead_walks`` over tuple darts, through a dict of the
     opposite dart of every dart."""
-    rm = scheme.rotmap
+    rm = TupleMap.of(scheme.rotmap)
+    index = {v: i for i, v in enumerate(rm.vertices)}
     opposite = {d: r[(i + len(r) // 2) % len(r)] for r in rm.rotations.values() for i, d in enumerate(r)}
     seen, walks = set(), []
     for start in rm.darts():
@@ -2108,7 +2161,7 @@ def straight_ahead_walks_by_tuples(scheme: EmbeddingScheme) -> tuple[StraightAhe
         tags = {scheme.lines[e] for e in edges}
         line = tags.pop() if len(tags) == 1 else None
         negative = sum(rm.signature[e] == -1 for e in edges)
-        walks.append(StraightAheadWalk(line, tuple(map(rm.attach, orbit)), edges, negative))
+        walks.append(StraightAheadWalk(line, tuple(index[rm.attach(d)] for d in orbit), edges, negative))
     return tuple(walks)
 
 
@@ -2127,7 +2180,7 @@ def schemes_isomorphic_bruteforce(s1: EmbeddingScheme, s2: EmbeddingScheme) -> b
     are skipped, so the search is exhaustive.  Exponential; intended for
     tiny schemes only.
     """
-    rm1, rm2 = s1.rotmap, s2.rotmap
+    rm1, rm2 = TupleMap.of(s1.rotmap), TupleMap.of(s2.rotmap)
     if len(rm1.vertices) != len(rm2.vertices) or len(rm1.edges) != len(rm2.edges):
         return False
     if sorted(map(rm1.degree, rm1.vertices)) != sorted(map(rm2.degree, rm2.vertices)):
@@ -2177,44 +2230,37 @@ def schemes_isomorphic_bruteforce(s1: EmbeddingScheme, s2: EmbeddingScheme) -> b
 
 def random_scheme_transform(rng: random.Random, s: EmbeddingScheme) -> EmbeddingScheme:
     """A random relabelling + regauging (+ possible reflection) of ``s``."""
-    from quasiline.surface import make_scheme
-
-    vertices = list(s.rotmap.vertices)
+    rm = TupleMap.of(s.rotmap)
+    vertices = list(rm.vertices)
     shuffled = vertices[:]
     rng.shuffle(shuffled)
     rename = dict(zip(vertices, shuffled))
     gauges = {v: rng.choice((1, -1)) for v in vertices}
     # edge order shuffle with end swaps
-    edge_perm = list(range(len(s.rotmap.edges)))
+    edge_perm = list(range(len(rm.edges)))
     rng.shuffle(edge_perm)
     edge_pos = {e: i for i, e in enumerate(edge_perm)}
-    end_swap = [rng.random() < 0.5 for _ in s.rotmap.edges]
+    end_swap = [rng.random() < 0.5 for _ in rm.edges]
 
     def map_dart(d):
         e, end = d
         return (edge_pos[e], end ^ end_swap[e])
 
-    new_edges = [None] * len(s.rotmap.edges)
-    new_signature = [0] * len(s.rotmap.edges)
-    new_lines = [None] * len(s.rotmap.edges)
-    for e, (u, v) in enumerate(s.rotmap.edges):
+    new_edges = [None] * len(rm.edges)
+    new_signature = [0] * len(rm.edges)
+    new_lines = [None] * len(rm.edges)
+    for e, (u, v) in enumerate(rm.edges):
         uu, vv = rename[u], rename[v]
         if end_swap[e]:
             uu, vv = vv, uu
         new_edges[edge_pos[e]] = (uu, vv)
-        new_signature[edge_pos[e]] = gauges[u] * gauges[v] * s.rotmap.signature[e]
+        new_signature[edge_pos[e]] = gauges[u] * gauges[v] * rm.signature[e]
         new_lines[edge_pos[e]] = s.lines[e]
     new_rotations = {}
     for v in vertices:
-        rot = s.rotmap.rotations[v]
+        rot = rm.rotations[v]
         rot = rot if gauges[v] == 1 else rot[::-1]
         shift = rng.randrange(len(rot))
         rot = rot[shift:] + rot[:shift]
         new_rotations[rename[v]] = tuple(map_dart(d) for d in rot)
-    return make_scheme(
-        [rename[v] for v in vertices],
-        new_edges,
-        new_rotations,
-        new_signature,
-        new_lines,
-    )
+    return TupleMap([rename[v] for v in vertices], new_edges, new_rotations, new_signature).scheme(new_lines)

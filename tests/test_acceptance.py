@@ -14,7 +14,6 @@ from quasiline import (
     classify,
     default_plan,
     fingerprint,
-    make_scheme,
     move_window_content,
     realize,
     scheme_from_realization,
@@ -53,6 +52,7 @@ from oracles import (
     PAPPUS_EUCLIDEAN_LINES,
     PAPPUS_LABELS,
     PAPPUS_POINTS,
+    TupleMap,
     anti_desargues,
     fano,
     kahn_order,
@@ -226,7 +226,7 @@ def test_criterion_7_straight_ahead_walks(realization_corpus):
         walks = straight_ahead_walks(s)
         assert len(walks) == d.n
         used = sorted(e for w in walks for e in w.edge_indices)
-        assert used == list(range(s.edge_count))
+        assert used == list(range(len(s.rotmap.edges)))
         edges = s.rotmap.edges
         for w in walks:
             assert w.is_simple
@@ -356,7 +356,7 @@ def _doubled_cycle_samples(rng, V, count):
             rotations[v] = choices[rng.randrange(len(choices))]
         signature = [rng.choice((1, -1)) for _ in edges]
         try:
-            out.append(make_scheme(tuple(range(V)), tuple(edges), rotations, signature))
+            out.append(TupleMap(tuple(range(V)), edges, rotations, signature).scheme())
         except ValidationError:
             continue
     return out

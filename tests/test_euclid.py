@@ -120,9 +120,10 @@ def test_rational_string_coefficients():
         ([("1e2000000", "1", "0"), ("1", "0", "0")], []),
         (["100", "010", "111"], []),
         (5, []),
+        ([(1, 0, 0), (0, 1, 0)], 5),
     ],
     ids=["unparsable", "zero-denominator", "short-line", "short-point", "huge-exponent",
-         "text-rows", "scalar-lines"],
+         "text-rows", "scalar-lines", "scalar-points"],
 )
 def test_malformed_input_is_a_validation_error(lines, points):
     with pytest.raises(ValidationError):

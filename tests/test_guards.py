@@ -37,12 +37,15 @@ from quasiline.wiring.straighten import _strictly_convex
 
 from oracles import cyclic, realized, seeded_arrangement, seeded_walk
 
-# timeout in seconds, or None for none; body, a function of this module
+# timeout in seconds; body, a function of this module
 Guard = namedtuple("Guard", "name reason flags timeout body")
 GUARDS = []
 
 
 def guard(reason, timeout, *flags):
+    if not isinstance(timeout, (int, float)) or not timeout > 0:
+        raise ValueError(f"a guard needs a timeout in seconds, got {timeout!r}")
+
     def row(body):
         GUARDS.append(Guard(body.__name__, reason, flags, timeout, body))
         return body
@@ -74,7 +77,7 @@ def star_block():
 
 
 @guard("python -O strips assert statements; the seeded 20-line drawing keeps its SHA-256, which "
-       "test_twenty_line_drawing_bytes_are_golden checks with them", None, "-O")
+       "test_twenty_line_drawing_bytes_are_golden checks with them", 20, "-O")
 def optimized_mode_drawing():
     expect_sha256(drawing_text(20), "7114a2e23a1be2d9bc2a28fbf03e11b9b6f9dba647fd84f152f04265cf0dd8c3")
 

@@ -162,7 +162,7 @@ SCHEME_ROWS = [
     ("null vertex", changed(SCHEME, vertices=[None] + SCHEME["vertices"][1:]), ValidationError),
     ("null lines", changed(SCHEME, lines=None), ValidationError),
     ("no line per edge", changed(SCHEME, lines=[]), ValidationError),
-    # a well-formed document of an invalid map: make_scheme's own error
+    # a well-formed document of an invalid map: the map's own error
     ("disconnected", TWO_DIPOLES, DisconnectedScheme),
 ]
 
@@ -198,7 +198,35 @@ def test_a_refusal_names_the_refused_field():
         assert str(caught.value).startswith(message)
 
 
-def test_make_scheme_errors_are_not_rewrapped():
+def with_dart(row, k, dart):
+    """The dipole of four parallel edges from u to v, its rotation row
+    ``row`` holding ``dart`` at position ``k``."""
+    rows = [[[0, 0], [1, 0], [2, 0], [3, 0]], [[3, 1], [2, 1], [1, 1], [0, 1]]]
+    rows[row][k] = dart
+    return {"vertices": ["u", "v"], "edges": [[0, 1]] * 4, "rotations": rows, "signature": [1] * 4}
+
+
+# Each faulty pair folds to the int dart 2e + end it replaces, so a reader
+# that folded before checking e and end would load the dipole.
+DART_FAULTS = [
+    ("end 2", with_dart(0, 3, [2, 2]), "rotations[0][3]: malformed dart [2, 2]"),
+    ("end -1", with_dart(1, 3, [1, -1]), "rotations[1][3]: malformed dart [1, -1]"),
+    ("negative edge", with_dart(0, 0, [-1, 2]), "rotations[0][0]: malformed dart [-1, 2]"),
+    ("edge past the last", with_dart(0, 3, [4, -2]), "rotations[0][3]: malformed dart [4, -2]"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, message", [row[1:] for row in DART_FAULTS], ids=[row[0] for row in DART_FAULTS]
+)
+def test_scheme_reader_refuses_each_dart_fault_with_its_message(data, message):
+    scheme_from_json_dict(with_dart(0, 0, [0, 0]))  # the dipole itself loads
+    with pytest.raises(ValidationError) as caught:
+        scheme_from_json_dict(data)
+    assert type(caught.value) is ValidationError and str(caught.value) == message
+
+
+def test_map_errors_are_not_rewrapped():
     data = changed(SCHEME, signature=[2] * len(SCHEME["signature"]))
     with pytest.raises(ValidationError, match="^signatures must be") as caught:
         scheme_from_json_dict(data)

@@ -91,7 +91,7 @@ def reextracted_face_vector(diagram, drawing):
     }
 
     def dart_direction(vertex, dart):
-        e, end = dart
+        e, end = dart >> 1, dart & 1
         if full.signature[e] == 1:
             other = full.edges[e][1 - end]
             return _sub(positions[other], positions[vertex])
@@ -99,9 +99,9 @@ def reextracted_face_vector(diagram, drawing):
         d = _sub(positions[last], positions[first])
         return d if end == 0 else (-d[0], -d[1])
 
-    rotations = {}
-    for v in range(diagram.event_count):
-        darts = list(full.rotations[v])
+    rotations = []
+    for v, rot in enumerate(full.rotations):
+        darts = list(rot)
         darts.sort(
             key=cmp_to_key(
                 lambda d1, d2: direction_cmp(
@@ -109,8 +109,8 @@ def reextracted_face_vector(diagram, drawing):
                 )
             )
         )
-        rotations[v] = tuple(darts)
-    rebuilt = RotationMap(full.vertices, full.edges, rotations, full.signature)
+        rotations.append(tuple(darts))
+    rebuilt = RotationMap(full.vertices, full.edges, tuple(rotations), full.signature)
     return rebuilt.face_lengths()
 
 
@@ -705,17 +705,16 @@ def face_walks_simple(gmap):
 def glued_at(a, b, u, v):
     """The plane maps ``a`` and ``b`` glued at one vertex: ``b``'s vertex
     ``v`` becomes ``a``'s vertex ``u``, whose rotation is followed by
-    ``v``'s, and ``b``'s other vertices are renamed apart."""
-    name = {w: ("b", w) for w in b.vertices}
-    name[v] = u
-    shift = len(a.edges)
-    edges = a.edges + tuple((name[x], name[y]) for x, y in b.edges)
-    moved = {
-        name[w]: tuple((e + shift, end) for e, end in rot) for w, rot in b.rotations.items()
-    }
-    rotations = {**a.rotations, **moved, u: a.rotations[u] + moved[u]}
-    vertices = a.vertices + tuple(name[w] for w in b.vertices if w != v)
-    return RotationMap(vertices, edges, rotations, (1,) * len(edges))
+    ``v``'s, and ``b``'s other vertices follow ``a``'s, renamed apart."""
+    rest = [w for w in range(len(b.vertices)) if w != v]
+    index = {w: len(a.vertices) + k for k, w in enumerate(rest)}
+    index[v] = u
+    edges = a.edges + tuple((index[x], index[y]) for x, y in b.edges)
+    moved = [tuple(x + 2 * len(a.edges) for x in rot) for rot in b.rotations]
+    rotations = list(a.rotations) + [moved[w] for w in rest]
+    rotations[u] += moved[v]
+    vertices = a.vertices + tuple(("b", b.vertices[w]) for w in rest)
+    return RotationMap(vertices, edges, tuple(rotations), (1,) * len(edges))
 
 
 def test_face_walk_criterion_matches_articulation_oracle():
@@ -728,8 +727,8 @@ def test_face_walk_criterion_matches_articulation_oracle():
     ]
     for a, b in zip(graphs, graphs[1:] + graphs[:1]):
         assert face_walks_simple(a) and two_connected_by_articulation(a)
-        for u in rng.sample(a.vertices, 3):
-            glued = glued_at(a, b, u, rng.choice(b.vertices))
+        for u in rng.sample(range(len(a.vertices)), 3):
+            glued = glued_at(a, b, u, rng.randrange(len(b.vertices)))
             assert glued.euler_characteristic() == 2
             assert not face_walks_simple(glued)
             assert not two_connected_by_articulation(glued)

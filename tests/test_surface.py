@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from quasiline import (
+    EmbeddingScheme,
     fingerprint,
-    make_scheme,
     make_sequence,
     scheme_from_json_dict,
     scheme_from_realization,
@@ -61,7 +61,7 @@ def realization_scheme(structure):
 
 def test_projective_plane_control():
     # one vertex, one negative loop: the projective plane, one face of length 2
-    rm = RotationMap((0,), ((0, 0),), {0: ((0, 0), (0, 1))}, (-1,))
+    rm = RotationMap((0,), ((0, 0),), ((0, 1),), (-1,))
     assert len(rm.faces) == 1
     assert rm.face_lengths() == (2,)
     assert rm.euler_characteristic() == 1
@@ -70,12 +70,7 @@ def test_projective_plane_control():
 
 def test_torus_control():
     # one vertex, two interleaved positive loops: the torus, one square face
-    rm = RotationMap(
-        (0,),
-        ((0, 0), (0, 0)),
-        {0: ((0, 0), (1, 0), (0, 1), (1, 1))},
-        (1, 1),
-    )
+    rm = RotationMap((0,), ((0, 0), (0, 0)), ((0, 2, 1, 3),), (1, 1))
     assert len(rm.faces) == 1
     assert rm.euler_characteristic() == 0
     assert rm.is_orientable()
@@ -83,17 +78,11 @@ def test_torus_control():
 
 def test_sphere_dipole_control():
     # two vertices joined by four parallel edges: the sphere, four lens faces
-    rotations = {
-        "u": ((0, 0), (1, 0), (2, 0), (3, 0)),
-        "v": ((3, 1), (2, 1), (1, 1), (0, 1)),
-    }
-    edges = tuple(("u", "v") for _ in range(4))
-    rm = RotationMap(("u", "v"), edges, rotations, (1, 1, 1, 1))
+    rm = RotationMap(*dipole())
     assert len(rm.faces) == 4
     assert rm.euler_characteristic() == 2
     assert rm.is_orientable()
-    scheme = make_scheme(("u", "v"), edges, rotations, (1, 1, 1, 1))
-    summary = trace_and_summarize(scheme)
+    summary = trace_and_summarize(EmbeddingScheme(rm, (None,) * 4))
     assert summary.euler == 2 and summary.orientable and summary.genus == 0
 
 
@@ -102,8 +91,8 @@ def test_sphere_dipole_control():
 
 def test_triangle_scheme():
     _, s = realization_scheme(triangle())
-    assert s.vertex_count == 3
-    assert s.edge_count == 6
+    assert len(s.rotmap.vertices) == 3
+    assert len(s.rotmap.edges) == 6
     summary = trace_and_summarize(s)
     # every crossing designated: the map is the arrangement complex itself,
     # so the surface is the projective plane
@@ -115,9 +104,9 @@ def test_triangle_scheme():
 
 def test_fano_scheme_counts():
     _, s = realization_scheme(fano())
-    assert s.vertex_count == 7
-    assert s.edge_count == 21
-    assert all(s.rotmap.degree(v) == 6 for v in s.rotmap.vertices)
+    assert len(s.rotmap.vertices) == 7
+    assert len(s.rotmap.edges) == 21
+    assert all(len(rot) == 6 for rot in s.rotmap.rotations)
     summary = trace_and_summarize(s)
     assert not summary.orientable
     assert summary.euler == summary.V - summary.E + summary.F
@@ -217,7 +206,7 @@ def test_canonical_encoding_matches_full_search_oracle():
         maps += [random_scheme_transform(rng, s).rotmap for _ in range(2)]
         for rm in maps:
             assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
-        irregular += len({rm.degree(v) for v in s.rotmap.vertices}) > 1
+        irregular += len(set(map(len, s.rotmap.rotations))) > 1
     assert irregular >= 20
 
 
@@ -230,7 +219,7 @@ def test_canonical_encoding_matches_full_search_on_move_walks():
         for s in map(scheme_from_realization, seeded_walk(rng, cyclic(n), 5)):
             maps = [s.rotmap] + [random_scheme_transform(rng, s).rotmap for _ in range(2)]
             for rm in maps:
-                assert {rm.degree(v) for v in rm.vertices} == {6}
+                assert set(map(len, rm.rotations)) == {6}
                 assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
 
 
@@ -261,7 +250,7 @@ def test_pruned_encoding_matches_full_search_on_8_regular_maps(encode_calls):
         maps = [s.rotmap] + [random_scheme_transform(rng, s).rotmap for _ in range(3)]
         codes = set()
         for rm in maps:
-            assert {rm.degree(v) for v in rm.vertices} == {8}
+            assert set(map(len, rm.rotations)) == {8}
             codes.add(rm.canonical_encoding())
             assert codes == {canonical_encoding_by_full_search(rm)}
             darts += 4 * len(rm.edges)
@@ -296,7 +285,7 @@ def test_pruned_starts_are_the_least_at_the_first_code_that_differs(encode_calls
     seen = Counter()
     for trial in range(180):
         rm = random_map_on_graph(rng, SIMPLE_REGULAR_GRAPHS[trial % len(SIMPLE_REGULAR_GRAPHS)])
-        q = rm.degree(rm.vertices[0])
+        q = len(rm.rotations[0])
         at = len(rm.vertices) + q + 1
         full = encodings_by_start(rm)
         assert len({code[:at] for code in full.values()}) == 1
@@ -350,8 +339,7 @@ def test_unpruned_starts_are_every_least_degree_candidate(start_calls):
     every dart at a vertex of least degree, in both senses."""
     rng = random.Random(151)
     maps = [random_signed_map(rng, rng.randint(1, 6), rng.randint(1, 9)) for _ in range(300)]
-    dipole = ((0, 0), (1, 0), (2, 0))
-    maps.append(RotationMap(("u", "v"), (("u", "v"),) * 3, {"u": dipole, "v": ((2, 1), (1, 1), (0, 1))}, (1, -1, 1)))
+    maps.append(RotationMap(("u", "v"), ((0, 1),) * 3, ((0, 2, 4), (5, 3, 1)), (1, -1, 1)))
     unpruned = 0
     for rm in maps:
         start_calls.clear()
@@ -388,7 +376,7 @@ def test_two_phase_starts_match_one_phase_keys(start_calls, key_calls):
         rm.canonical_encoding()
         [(args, result)] = start_calls
         keyed = start_codes_by_one_phase(*args)
-        q = rm.degree(rm.vertices[0])
+        q = len(rm.rotations[0])
         near = [c for c, _, _ in keyed if c < 6 * q]
         assert len(key_calls) == len(near)
         # with no candidate near, every one is returned, in the keyed order
@@ -436,101 +424,77 @@ def test_maps_with_repeated_neighbours_encode_every_start_dart(encode_calls):
     for rm in maps:
         encode_calls.clear()
         assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
-        assert sorted(encode_calls) == sorted(
-            (2 * e + end, r) for e, end in rm.darts() for r in (1, -1)
-        )
+        assert sorted(encode_calls) == [(x, r) for x in range(2 * len(rm.edges)) for r in (-1, 1)]
 
 
 def test_canonical_encoding_rejects_disconnected_maps():
     # a degree-2 component and a degree-4 component, no edge at all, and
     # two loops beside a vertex without darts
-    edges = (("a", "b"),) * 2 + (("c", "d"),) * 4
-    rotations = {
-        "a": ((0, 0), (1, 0)),
-        "b": ((1, 1), (0, 1)),
-        "c": ((2, 0), (3, 0), (4, 0), (5, 0)),
-        "d": ((5, 1), (4, 1), (3, 1), (2, 1)),
-    }
-    for rm in (
-        RotationMap(tuple("abcd"), edges, rotations, (1,) * 6),
-        RotationMap(("a",), (), {"a": ()}, ()),
-        RotationMap((0, 1), ((0, 0), (0, 0)), {0: ((0, 0), (1, 0), (0, 1), (1, 1)), 1: ()}, (1, 1)),
-    ):
+    for _, args, _ in ENCODING_FAULTS:
         with pytest.raises(ValidationError):
-            rm.canonical_encoding()
+            RotationMap(*args).canonical_encoding()
 
 
 def test_rotation_rows_must_be_exactly_the_vertices():
-    """A vertex without a rotation row, or a row for a non-vertex (even one
-    repeating a listed dart), is refused when the map is built."""
+    """A vertex without a rotation row, or a row past the last vertex
+    (even one repeating a listed dart), is refused when the map is built."""
     refused = "one row per vertex"
-    with pytest.raises(ValidationError, match=refused):
-        make_scheme(["a", "b"], [], {}, [], [])
-    with pytest.raises(ValidationError, match=refused):
-        RotationMap(("a", "b"), (), {"a": ()}, ())
-    edges = (("a", "b"),) * 4
-    rotations = {"a": ((0, 0), (1, 0), (2, 0), (3, 0)), "b": ((3, 1), (2, 1), (1, 1), (0, 1))}
-    assert make_scheme("ab", edges, rotations, (1,) * 4).rotmap.euler_characteristic() == 2
-    for extra in ((), ((0, 0),), ((0, 1),)):
+    for rows in ((), ((),)):
         with pytest.raises(ValidationError, match=refused):
-            make_scheme("ab", edges, {**rotations, "zz": extra}, (1,) * 4)
+            RotationMap(("a", "b"), (), rows, ())
+    vertices, edges, rotations, signature = dipole()
+    assert RotationMap(vertices, edges, rotations, signature).euler_characteristic() == 2
+    for extra in ((), (0,), (1,)):
+        with pytest.raises(ValidationError, match=refused):
+            RotationMap(vertices, edges, rotations + (extra,), signature)
 
 
 def test_disconnected_scheme_rejected():
-    edges = (("a", "b"),) * 4 + (("c", "d"),) * 4
-    rotations = {
-        "a": ((0, 0), (1, 0), (2, 0), (3, 0)),
-        "b": ((3, 1), (2, 1), (1, 1), (0, 1)),
-        "c": ((4, 0), (5, 0), (6, 0), (7, 0)),
-        "d": ((7, 1), (6, 1), (5, 1), (4, 1)),
-    }
+    (args, lines), _, _ = next(row[1:] for row in SCHEME_FAULTS if row[0] == "disconnected")
     with pytest.raises(DisconnectedScheme):
-        make_scheme("abcd", edges, rotations, (1,) * 8)
+        EmbeddingScheme(RotationMap(*args), lines)
 
 
 def test_low_degree_rejected():
-    edges = (("a", "b"), ("a", "b"))
-    rotations = {"a": ((0, 0), (1, 0)), "b": ((1, 1), (0, 1))}
+    rm = RotationMap(("a", "b"), ((0, 1),) * 2, ((0, 2), (3, 1)), (1, 1))
     with pytest.raises(ValidationError):
-        make_scheme("ab", edges, rotations, (1, 1))
+        EmbeddingScheme(rm, (None, None))
 
 
 # -- every validation branch, with its error type and message -----------------------
 
-DIPOLE_EDGES = (("u", "v"),) * 4
-DIPOLE_ROTATIONS = {"u": ((0, 0), (1, 0), (2, 0), (3, 0)), "v": ((3, 1), (2, 1), (1, 1), (0, 1))}
+def dipole(vertices=("u", "v"), edges=((0, 1),) * 4, signature=(1,) * 4, rotations=None, u=None):
+    """The arguments of a rotation map of four parallel edges from vertex
+    u to vertex v, with some of its parts replaced."""
+    rows = rotations or ((0, 2, 4, 6), (7, 5, 3, 1))
+    return vertices, edges, rows if u is None else (u,) + rows[1:], signature
 
 
-def dipole(vertices=("u", "v"), edges=DIPOLE_EDGES, signature=(1,) * 4, **rows):
-    """The arguments of a rotation map of four parallel edges, with some
-    of its parts replaced."""
-    rotations = {**DIPOLE_ROTATIONS, **rows}
-    return vertices, edges, {v: r for v, r in rotations.items() if r is not None}, signature
-
-
+# Darts are ints 2e + end; a dart pair [e, end] that does not fold to one,
+# such as an end of 2, is refused by the scheme reader
+# (tests/test_json_loaders.py::DART_FAULTS).
 ROTATION_MAP_FAULTS = [
     ("duplicate vertex", dipole(vertices=("u", "v", "u")), "duplicate vertex ids in rotation map"),
     ("short signature", dipole(signature=(1, 1, 1)), "signature length must match edge count"),
     ("zero sign", dipole(signature=(1, 1, 0, 1)), "signatures must be +1 or -1"),
-    ("edge to a non-vertex", dipole(edges=DIPOLE_EDGES[:3] + (("u", "w"),)),
-     "edge endpoint 'u'/'w' not a vertex"),
-    ("missing row", dipole(v=None), "rotations must have one row per vertex and no other row"),
-    ("extra row", dipole(w=()), "rotations must have one row per vertex and no other row"),
-    ("edge past the last", dipole(u=((0, 0), (1, 0), (2, 0), (4, 0))), "malformed dart (4, 0) at 'u'"),
-    ("end 2", dipole(u=((0, 0), (1, 0), (2, 0), (3, 2))), "malformed dart (3, 2) at 'u'"),
-    ("negative edge", dipole(u=((-1, 0), (1, 0), (2, 0), (3, 0))), "malformed dart (-1, 0) at 'u'"),
-    ("dart at the wrong vertex", dipole(u=((0, 0), (1, 0), (2, 0), (3, 1))),
-     "dart (3, 1) listed at wrong vertex 'u'"),
-    ("dart twice", dipole(u=((0, 0), (1, 0), (0, 0), (3, 0))), "dart (0, 0) listed twice"),
-    ("dart missing", dipole(u=((0, 0), (1, 0), (2, 0))), "rotations must cover every dart exactly once"),
+    ("edge to a non-vertex", dipole(edges=((0, 1),) * 3 + ((0, 2),)), "edge endpoint 0/2 not a vertex"),
+    ("edge from a negative index", dipole(edges=((0, 1),) * 3 + ((-1, 1),)),
+     "edge endpoint -1/1 not a vertex"),
+    ("missing row", dipole(rotations=((0, 2, 4, 6),)),
+     "rotations must have one row per vertex and no other row"),
+    ("extra row", dipole(rotations=((0, 2, 4, 6), (7, 5, 3, 1), ())),
+     "rotations must have one row per vertex and no other row"),
+    ("edge past the last", dipole(u=(0, 2, 4, 8)), "malformed dart 8 at 'u'"),
+    ("negative edge", dipole(u=(-2, 2, 4, 6)), "malformed dart -2 at 'u'"),
+    ("dart at the wrong vertex", dipole(u=(0, 2, 4, 7)), "dart 7 listed at wrong vertex 'u'"),
+    ("dart twice", dipole(u=(0, 2, 0, 6)), "dart 0 listed twice"),
+    ("dart missing", dipole(u=(0, 2, 4)), "rotations must cover every dart exactly once"),
     # two faults: the earlier check, or the earlier dart, speaks
     ("zero sign and duplicate vertex", dipole(vertices=("u", "v", "v"), signature=(0, 1, 1, 1)),
      "duplicate vertex ids in rotation map"),
-    ("twice before the wrong vertex", dipole(u=((0, 0), (0, 0), (3, 1), (3, 0))),
-     "dart (0, 0) listed twice"),
-    ("wrong vertex before twice", dipole(u=((3, 1), (0, 0), (0, 0), (3, 0))),
-     "dart (3, 1) listed at wrong vertex 'u'"),
-    ("malformed after twice", dipole(u=((0, 0), (0, 0), (9, 0), (3, 0))), "dart (0, 0) listed twice"),
+    ("twice before the wrong vertex", dipole(u=(0, 0, 7, 6)), "dart 0 listed twice"),
+    ("wrong vertex before twice", dipole(u=(7, 0, 0, 6)), "dart 7 listed at wrong vertex 'u'"),
+    ("malformed after twice", dipole(u=(0, 0, 18, 6)), "dart 0 listed twice"),
 ]
 
 
@@ -544,17 +508,14 @@ def test_rotation_map_refuses_each_fault_with_its_message(args, message):
 
 
 SCHEME_FAULTS = [
-    ("disconnected", ("abcd", (("a", "b"),) * 4 + (("c", "d"),) * 4, {
-        "a": ((0, 0), (1, 0), (2, 0), (3, 0)), "b": ((3, 1), (2, 1), (1, 1), (0, 1)),
-        "c": ((4, 0), (5, 0), (6, 0), (7, 0)), "d": ((7, 1), (6, 1), (5, 1), (4, 1)),
-    }, (1,) * 8, None), DisconnectedScheme, "embedding schemes must be connected"),
-    ("degree 2", ("ab", (("a", "b"),) * 2, {"a": ((0, 0), (1, 0)), "b": ((1, 1), (0, 1))}, (1, 1), None),
+    ("disconnected", ((tuple("abcd"), ((0, 1),) * 4 + ((2, 3),) * 4, (
+        (0, 2, 4, 6), (7, 5, 3, 1), (8, 10, 12, 14), (15, 13, 11, 9),
+    ), (1,) * 8), (None,) * 8), DisconnectedScheme, "embedding schemes must be connected"),
+    ("degree 2", (("ab", ((0, 1),) * 2, ((0, 2), (3, 1)), (1, 1)), (None,) * 2),
      ValidationError, "vertex 'a' has degree 2; even degree >= 4 required"),
-    ("degree 5", ("ab", (("a", "b"),) * 5, {
-        "a": tuple((e, 0) for e in range(5)), "b": tuple((e, 1) for e in reversed(range(5))),
-    }, (1,) * 5, None), ValidationError, "vertex 'a' has degree 5; even degree >= 4 required"),
-    ("short lines", ("uv", DIPOLE_EDGES, DIPOLE_ROTATIONS, (1,) * 4, (None,) * 3),
-     ValidationError, "need one line tag (or None) per edge"),
+    ("degree 5", (("ab", ((0, 1),) * 5, ((0, 2, 4, 6, 8), (9, 7, 5, 3, 1)), (1,) * 5), (None,) * 5),
+     ValidationError, "vertex 'a' has degree 5; even degree >= 4 required"),
+    ("short lines", (dipole(), (None,) * 3), ValidationError, "need one line tag (or None) per edge"),
 ]
 
 
@@ -562,19 +523,19 @@ SCHEME_FAULTS = [
     "args, error, message", [row[1:] for row in SCHEME_FAULTS], ids=[row[0] for row in SCHEME_FAULTS]
 )
 def test_scheme_refuses_each_fault_with_its_message(args, error, message):
+    rotmap_args, lines = args
     with pytest.raises(error) as caught:
-        make_scheme(*args)
+        EmbeddingScheme(RotationMap(*rotmap_args), lines)
     assert type(caught.value) is error and str(caught.value) == message
 
 
 ENCODING_FAULTS = [
-    ("vertex without darts", ((0, 1), ((0, 0), (0, 0)), {0: ((0, 0), (1, 0), (0, 1), (1, 1)), 1: ()}, (1, 1)),
+    ("vertex without darts", ((0, 1), ((0, 0), (0, 0)), ((0, 2, 1, 3), ()), (1, 1)),
      "canonical encoding requires a connected map"),
-    ("two components", (tuple("abcd"), (("a", "b"),) * 2 + (("c", "d"),) * 4, {
-        "a": ((0, 0), (1, 0)), "b": ((1, 1), (0, 1)),
-        "c": ((2, 0), (3, 0), (4, 0), (5, 0)), "d": ((5, 1), (4, 1), (3, 1), (2, 1)),
-    }, (1,) * 6), "canonical encoding requires a connected map"),
-    ("no edge", (("a",), (), {"a": ()}, ()), "canonical encoding requires an edge"),
+    ("two components", (tuple("abcd"), ((0, 1),) * 2 + ((2, 3),) * 4, (
+        (0, 2), (3, 1), (4, 6, 8, 10), (11, 9, 7, 5),
+    ), (1,) * 6), "canonical encoding requires a connected map"),
+    ("no edge", (("a",), (), ((),), ()), "canonical encoding requires an edge"),
 ]
 
 
@@ -649,7 +610,7 @@ def test_walk_properties_across_corpus():
     for s in schemes:
         walks = straight_ahead_walks(s)
         assert walks == straight_ahead_walks_by_tuples(s)
-        assert sorted(e for w in walks for e in w.edge_indices) == list(range(s.edge_count))
+        assert sorted(e for w in walks for e in w.edge_indices) == list(range(len(s.rotmap.edges)))
 
 
 # -- fingerprints -----------------------------------------------------------------
@@ -737,22 +698,21 @@ def _build_symmetric_fano(pattern, signs):
     def slot_dart(i, slot):
         # A,B: the two darts of line i at i; C,D: line i-1; E,F: line i-3
         if slot == "A":
-            return (edge_id[("s", i)], 0)
+            return 2 * edge_id[("s", i)]
         if slot == "B":
-            return (edge_id[("l", i)], 1)
+            return 2 * edge_id[("l", i)] + 1
         if slot == "C":
-            return (edge_id[("s", (i - 1) % 7)], 1)
+            return 2 * edge_id[("s", (i - 1) % 7)] + 1
         if slot == "D":
-            return (edge_id[("m", (i - 1) % 7)], 0)
+            return 2 * edge_id[("m", (i - 1) % 7)]
         if slot == "E":
-            return (edge_id[("m", (i - 3) % 7)], 1)
-        return (edge_id[("l", (i - 3) % 7)], 0)
+            return 2 * edge_id[("m", (i - 3) % 7)] + 1
+        return 2 * edge_id[("l", (i - 3) % 7)]
 
-    rotations = {
-        i: tuple(slot_dart(i, slot) for slot in pattern) for i in range(7)
-    }
+    rotations = tuple(tuple(slot_dart(i, slot) for slot in pattern) for i in range(7))
     try:
-        return make_scheme(tuple(range(7)), edges, rotations, signature, lines)
+        rm = RotationMap(tuple(range(7)), tuple(edges), rotations, tuple(signature))
+        return EmbeddingScheme(rm, tuple(lines))
     except ValidationError:
         return None
 
