@@ -3,9 +3,11 @@ sweeps, surface maps, straightening, and SVG figure emission.
 
 One binary with subcommands; all outputs are deterministic (nothing is
 random, JSON keys are sorted, SVG attributes are emitted in fixed
-order).  Exit codes: 0 ok, 2 validation failure or unreadable file,
-3 parse error (malformed text or JSON, or bytes that are not UTF-8),
-4 precondition error, 1 internal error.
+order).  Each subcommand returns its result, and :func:`write_result`
+writes it as UTF-8 whatever the locale, just as every input is read as
+UTF-8.  Exit codes: 0 ok, 2 validation failure, unreadable file or an
+output that cannot be written, 3 parse error (malformed text or JSON, or
+bytes that are not UTF-8), 4 precondition error, 1 internal error.
 
 File formats: ``*.lines`` incidence text, ``*.seq.json`` move sequences,
 ``*.wd.json`` wiring diagrams, ``*.euclid.json`` Euclidean line input,
@@ -16,6 +18,8 @@ drawings, ``*.svg`` figures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import sys
 from pathlib import Path
@@ -86,42 +90,31 @@ def _json_int(text: str) -> int:
 
 def _load_json(path: str):
     try:
-        data = json.loads(_read_text(path), parse_int=_json_int)
+        return json.loads(_read_text(path), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply", 1) from exc
     except ValueError as exc:  # an integer literal over MAX_DIGITS
         raise ParseError(str(exc), 1) from exc
-    return data
 
 
 def load_structure(path: str) -> IncidenceStructure:
     return parse_lines_text(_read_text(path))
 
 
-def _plan_from_json(structure: IncidenceStructure, data) -> RealizationPlan:
+def load_plan(structure: IncidenceStructure, path: Optional[str]) -> RealizationPlan:
     base = default_plan(structure)
+    if path is None:
+        return base
     labels = [as_text]
-    doc = read(data, {"line_numbering?": labels, "point_order?": labels,
-                      "point_line_orders?": {str: labels}})
+    doc = read(_load_json(path), {"line_numbering?": labels, "point_order?": labels,
+                                  "point_line_orders?": {str: labels}})
     return RealizationPlan(
         doc.get("line_numbering", base.line_numbering),
         doc.get("point_order", base.point_order),
         {**base.point_line_orders, **doc.get("point_line_orders", {})},
     )
-
-
-def load_plan(structure: IncidenceStructure, path: Optional[str]) -> RealizationPlan:
-    if path is None:
-        return default_plan(structure)
-    return _plan_from_json(structure, _load_json(path))
-
-
-def _euclid_from_json(data: dict) -> GeneralizedWiringDiagram:
-    # a coefficient is read as text, so a JSON number is taken exactly
-    doc = read(data, {"lines": [[as_text]], "points?": [[as_text]], "point_labels?": [as_text]})
-    return diagram_from_lines(doc["lines"], doc.get("points", ()), doc.get("point_labels"))
 
 
 def load_diagram(path: str, plan_path: Optional[str] = None) -> GeneralizedWiringDiagram:
@@ -138,22 +131,40 @@ def load_diagram(path: str, plan_path: Optional[str] = None) -> GeneralizedWirin
         seq = sequence_from_json_dict(data)
         return GeneralizedWiringDiagram(seq.n, seq.moves)
     if name.endswith(".euclid.json") or ("lines" in data and "events" not in data):
-        return _euclid_from_json(data)
+        # a coefficient is read as text, so a JSON number is taken exactly
+        doc = read(data, {"lines": [[as_text]], "points?": [[as_text]], "point_labels?": [as_text]})
+        return diagram_from_lines(doc["lines"], doc.get("points", ()), doc.get("point_labels"))
     return diagram_from_json_dict(data)
 
 
 # -- output --------------------------------------------------------------------
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
-
-
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+def write_result(result, output: Optional[str]) -> None:
+    """The one way out of the CLI: a dict as sorted, indented JSON, a
+    string as it is, encoded as UTF-8 whatever the locale and written to
+    the file ``output`` or to standard output.  A failed write raises
+    ``OSError`` naming the file or "standard output", and a standard
+    output that failed is closed."""
+    if isinstance(result, dict):
+        result = json.dumps(result, sort_keys=True, indent=2) + "\n"
+    try:
+        if output is not None:
+            Path(output).write_bytes(result.encode("utf-8"))
+        elif sys.stdout is None:  # the process started with standard output closed
+            raise OSError(errno.EBADF, "Bad file descriptor")
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(result.encode("utf-8"))
+            sys.stdout.buffer.flush()
+        else:  # a text stream such as io.StringIO
+            sys.stdout.write(result)
+    except OSError as exc:
+        if output is None and sys.stdout is not None:
+            # what could not be written is dropped, not retried at exit
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        raise OSError(exc.errno, exc.strerror, output or "standard output") from exc
 
 
 # -- SVG -----------------------------------------------------------------------
@@ -161,6 +172,18 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}".rstrip("0").rstrip(".")
+
+
+def _svg_root(data: dict, width: float, height: float, x0: float = 0.0, y0: float = 0.0) -> ET.Element:
+    """The ``<svg>`` root of a figure ``width`` by ``height`` whose view box
+    starts at (x0, y0), with the figure's ``data-*`` attributes last."""
+    return ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "width": _fmt(width),
+        "height": _fmt(height),
+        "viewBox": " ".join(map(_fmt, (x0, y0, width, height))),
+        **data,
+    })
 
 
 def diagram_svg(diagram: GeneralizedWiringDiagram) -> str:
@@ -176,16 +199,7 @@ def diagram_svg(diagram: GeneralizedWiringDiagram) -> str:
     def x_of(slot: int) -> float:
         return margin + sx * (slot + 0.5)
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": _fmt(width),
-            "height": _fmt(height),
-            "viewBox": f"0 0 {_fmt(width)} {_fmt(height)}",
-            "data-kind": "wiring-diagram",
-        },
-    )
+    svg = _svg_root({"data-kind": "wiring-diagram"}, width, height)
     for w in range(1, diagram.n + 1):
         track = w
         pts = [(margin * 0.3, y_of(track))]
@@ -230,10 +244,8 @@ DRAWING_SCALE = 200.0
 def drawing_svg(drawing: StraightDrawing) -> str:
     """Straight-line figure: crossing graph edges plus chord rays, scaled
     from the exact rational drawing by the recorded factor."""
-    scale = DRAWING_SCALE
-    pts = [(float(x) * scale, -float(y) * scale) for x, y in drawing.positions]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    pts = [(float(x) * DRAWING_SCALE, -float(y) * DRAWING_SCALE) for x, y in drawing.positions]
+    xs, ys = zip(*pts)
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
     ray = span * 0.18
     margin = ray + 20.0
@@ -241,17 +253,8 @@ def drawing_svg(drawing: StraightDrawing) -> str:
     width = (max(xs) - min(xs)) + 2 * margin
     height = (max(ys) - min(ys)) + 2 * margin
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": _fmt(width),
-            "height": _fmt(height),
-            "viewBox": f"{_fmt(x0)} {_fmt(y0)} {_fmt(width)} {_fmt(height)}",
-            "data-kind": "straight-drawing",
-            "data-scale": _fmt(scale),
-        },
-    )
+    svg = _svg_root({"data-kind": "straight-drawing", "data-scale": _fmt(DRAWING_SCALE)},
+                    width, height, x0, y0)
 
     def seg(a, b, color, dashed=False):
         attrs = {
@@ -288,111 +291,91 @@ def drawing_svg(drawing: StraightDrawing) -> str:
 
 
 # -- subcommands -----------------------------------------------------------------
+#
+# Each handler returns its result, a dict for the JSON formats and the
+# text of any other, and main hands it to write_result.
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> dict | str:
     structure = load_structure(args.inputs[0])
     levi = levi_graph(structure)
     signature = configuration_signature(structure)
     lineal = is_lineal(structure)
-    payload = {
-        "points": len(structure.points),
-        "lines": len(structure.lines),
-        "flags": len(structure.flags),
-        "lineal": lineal,
-        "signature": list(signature) if signature else None,
-        "levi": {
-            "vertices": levi.vertex_count,
-            "edges": levi.edge_count,
-        },
-    }
     if args.format == "json":
-        _emit_json(payload, args)
-    else:
-        sig = ""
-        if signature:
-            v, r, b, k = signature
-            sig = f"({v}_{r})" if (v, r) == (b, k) else f"({v}_{r}, {b}_{k})"
-        verdict = "lineal" if lineal else "not lineal"
-        text = f"{verdict}{', ' + sig if sig else ''}\n" + (
-            f"points={payload['points']} lines={payload['lines']} flags={payload['flags']} "
-            f"levi: {levi.vertex_count} vertices, {levi.edge_count} edges\n"
-        )
-        _emit(text, args.output)
-    return 0
+        return {
+            "points": len(structure.points),
+            "lines": len(structure.lines),
+            "flags": len(structure.flags),
+            "lineal": lineal,
+            "signature": list(signature) if signature else None,
+            "levi": {
+                "vertices": levi.vertex_count,
+                "edges": levi.edge_count,
+            },
+        }
+    verdict = "lineal" if lineal else "not lineal"
+    if signature:
+        v, r, b, k = signature
+        verdict += f", ({v}_{r})" if (v, r) == (b, k) else f", ({v}_{r}, {b}_{k})"
+    return (
+        f"{verdict}\n"
+        f"points={len(structure.points)} lines={len(structure.lines)} flags={len(structure.flags)} "
+        f"levi: {levi.vertex_count} vertices, {levi.edge_count} edges\n"
+    )
 
 
-def cmd_realize(args: argparse.Namespace) -> int:
+def cmd_realize(args: argparse.Namespace) -> dict:
     structure = load_structure(args.inputs[0])
-    plan = load_plan(structure, args.plan_path)
-    r = realize(structure, plan)
-    payload = {
+    r = realize(structure, load_plan(structure, args.plan_path))
+    return {
         "sequence": sequence_to_json_dict(r.seq),
         "points": {str(i): str(p) for i, p in sorted(r.point_of_move.items())},
         "line_numbering": [str(l) for l in r.line_numbering],
         "unwanted_crossings": unwanted_crossing_count(r),
     }
-    _emit_json(payload, args)
-    return 0
 
 
-def cmd_wiring(args: argparse.Namespace) -> int:
+def cmd_wiring(args: argparse.Namespace) -> dict | str:
     diagram = load_diagram(args.inputs[0], args.plan_path)
     if args.format == "svg":
-        _emit(diagram_svg(diagram), args.output)
-    else:
-        _emit_json({"diagram": diagram_to_json_dict(diagram)}, args)
-    return 0
+        return diagram_svg(diagram)
+    return {"diagram": diagram_to_json_dict(diagram)}
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> dict | str:
     diagram = load_diagram(args.inputs[0], args.plan_path)
     order = topological_sweep(diagram)
-    payload = {
+    if args.format == "text":
+        return " ".join(str(v) for v in order) + "\n"
+    return {
         "order": order,
         "vertices": diagram.event_count,
         "arcs": [list(a) for a in sweep_digraph(diagram)],
     }
-    if args.format == "text":
-        _emit(" ".join(str(v) for v in order) + "\n", args.output)
-    else:
-        _emit_json(payload, args)
-    return 0
 
 
-def cmd_map(args: argparse.Namespace) -> int:
-    diagram = load_diagram(args.inputs[0], args.plan_path)
-    scheme = scheme_from_realization(diagram)
-    summary = trace_and_summarize(scheme)
-    payload = {
-        "summary": summary_to_json_dict(summary),
+def cmd_map(args: argparse.Namespace) -> dict:
+    scheme = scheme_from_realization(load_diagram(args.inputs[0], args.plan_path))
+    return {
+        "summary": summary_to_json_dict(trace_and_summarize(scheme)),
         "scheme": scheme_to_json_dict(scheme),
     }
-    _emit_json(payload, args)
-    return 0
 
 
-def cmd_straighten(args: argparse.Namespace) -> int:
-    diagram = load_diagram(args.inputs[0], args.plan_path)
-    drawing = straighten(diagram)
+def cmd_straighten(args: argparse.Namespace) -> dict | str:
+    drawing = straighten(load_diagram(args.inputs[0], args.plan_path))
     if args.format == "svg":
-        _emit(drawing_svg(drawing), args.output)
-    else:
-        _emit_json({"drawing": drawing_to_json_dict(drawing)}, args)
-    return 0
+        return drawing_svg(drawing)
+    return {"drawing": drawing_to_json_dict(drawing)}
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    fps = []
-    for path in args.inputs:
-        diagram = load_diagram(path, args.plan_path)
-        fps.append(fingerprint(scheme_from_realization(diagram)))
+def cmd_compare(args: argparse.Namespace) -> dict | str:
+    fps = [fingerprint(scheme_from_realization(load_diagram(path, args.plan_path)))
+           for path in args.inputs]
     equal = fps[0] == fps[1]
     if args.format == "text":
-        _emit(("equal" if equal else "distinct") + "\n", args.output)
-    else:
-        _emit_json({"equal": equal, "fingerprints": fps}, args)
-    return 0
+        return ("equal" if equal else "distinct") + "\n"
+    return {"equal": equal, "fingerprints": fps}
 
 
 # Per subcommand: handler, number of inputs, the output formats it emits
@@ -432,26 +415,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code and stderr prefix of each typed failure, tried in this order;
+# a precondition failure is prefixed by the name of its own type.
+FAILURES = (
+    (ParseError, 3, "parse error"),
+    (PreconditionError, 4, None),
+    (ValidationError, 2, "invalid input"),
+    (QuasilineError, 1, "internal error"),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = COMMANDS[args.subcommand][0]
     try:
-        return handler(args)
+        write_result(COMMANDS[args.subcommand][0](args), args.output)
+        return 0
     except OSError as exc:
         print(f"{args.subcommand}: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"{args.subcommand}: parse error: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"{args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"{args.subcommand}: invalid input: {exc}", file=sys.stderr)
-        return 2
     except QuasilineError as exc:
-        print(f"{args.subcommand}: internal error: {exc}", file=sys.stderr)
-        return 1
+        code, prefix = next((code, prefix) for kind, code, prefix in FAILURES if isinstance(exc, kind))
+        print(f"{args.subcommand}: {prefix or type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -113,6 +113,12 @@ def _shear(points, normals) -> tuple[int, int]:
             return r, s
 
 
+def _hashable(label: Hashable) -> Hashable:
+    """A point label as it is; an unhashable one raises ``TypeError``."""
+    hash(label)
+    return label
+
+
 def diagram_from_lines(
     lines: Sequence[tuple[Rational, Rational, Rational]],
     points: Sequence[tuple[Rational, Rational]] = (),
@@ -149,6 +155,7 @@ def diagram_from_lines(
     points = read(points, [(as_fraction,) * 2])
     if point_labels is None:
         point_labels = [f"P{i}" for i in range(1, len(points) + 1)]
+    point_labels = read(point_labels, [_hashable])
     if len(point_labels) != len(points):
         raise ValidationError("need exactly one label per selected point")
     selected = [_primitive(_integral((x, y, 1))) for x, y in points]

@@ -1,6 +1,11 @@
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -393,3 +398,85 @@ def test_wiring_svg_bytes_are_golden(workdir, capsys):
         assert main(["wiring", str(path), "--format", "svg"]) == 0
         out += capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == GOLDEN_GENERALIZED_WIRING_SVG
+
+
+def test_a_text_stream_as_standard_output_gets_text(workdir, monkeypatch):
+    """A caller may replace sys.stdout by a stream without a byte buffer."""
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(["validate", str(workdir / "fano.lines"), "--format", "text"]) == 0
+    out = sys.stdout.getvalue()
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS["validate", "fano.lines", "text"]
+
+
+# A C locale with an ASCII standard output, in which Python neither
+# coerces the locale nor switches to UTF-8 mode, and standard output is
+# buffered, as in a run without a terminal.  An in-process test reads the
+# output through a UTF-8 capture and cannot see the locale, so these
+# tests run the command line in a fresh interpreter.
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                "PYTHONIOENCODING": "ascii", "PYTHONUNBUFFERED": ""}
+
+
+def run_cli(workdir, *argv, stdout=subprocess.PIPE, preexec_fn=None):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "quasiline.cli", *argv], cwd=workdir,
+                          env={**os.environ, **ASCII_LOCALE, "PYTHONPATH": src}, stdout=stdout,
+                          stderr=subprocess.PIPE, preexec_fn=preexec_fn, timeout=60)
+
+
+# SHA-256 of ``wiring --format svg`` on the Fano plane with point labels
+# é1 ... é7, as a run in a UTF-8 locale writes it.
+GOLDEN_ACCENTED_FANO_SVG = "33e18e245d8fd985d2ef305907b0d90464293a8ca2d6ce306239a65e9c7d15d0"
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "out.svg"]], ids=["stdout", "output-file"])
+def test_outputs_are_utf8_whatever_the_locale(workdir, output):
+    text = "".join(" ".join("é" + p for p in line) + "\n" for line in FANO_LINES)
+    (workdir / "accented.lines").write_text(text, encoding="utf-8")
+    done = run_cli(workdir, "wiring", "accented.lines", "--format", "svg", *output)
+    assert (done.returncode, done.stderr) == (0, b"")
+    out = (workdir / "out.svg").read_bytes() if output else done.stdout
+    assert "é1".encode("utf-8") in out
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_ACCENTED_FANO_SVG
+
+
+# One GOLDEN_OUTPUTS pair per subcommand, in its text or SVG format where
+# it has one.
+ASCII_LOCALE_GOLDEN = [
+    ("validate", "fano.lines", "text"),
+    ("realize", "fano.lines", "json"),
+    ("wiring", "pappus.euclid.json", "svg"),
+    ("sweep", "fano.lines", "text"),
+    ("map", "fano.lines", "json"),
+    ("straighten", "pappus.euclid.json", "svg"),
+    ("compare", "fano.lines pappus.euclid.json", "text"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, inputs, fmt", ASCII_LOCALE_GOLDEN, ids=lambda x: x.replace(" ", "+")
+)
+def test_golden_outputs_under_an_ascii_locale(workdir, command, inputs, fmt):
+    done = run_cli(workdir, command, *inputs.split(), "--format", fmt)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_OUTPUTS[command, inputs, fmt]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "output, target",
+    [(["-o", "/dev/full"], "/dev/full"), ([], "standard output")],
+    ids=["output-file", "stdout"],
+)
+def test_a_failed_write_names_its_target(workdir, output, target):
+    with open("/dev/full", "wb") as full:
+        done = run_cli(workdir, "validate", "fano.lines", *output, stdout=full)
+    assert done.returncode == 2
+    assert done.stderr.decode() == f"validate: cannot access {target}: No space left on device\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_a_closed_standard_output_exits_2_with_a_message(workdir):
+    done = run_cli(workdir, "validate", "fano.lines", stdout=None, preexec_fn=lambda: os.close(1))
+    assert done.returncode == 2
+    assert done.stderr.decode() == "validate: cannot access standard output: Bad file descriptor\n"

@@ -111,23 +111,33 @@ def test_rational_string_coefficients():
 
 
 @pytest.mark.parametrize(
-    "lines, points",
+    "lines, points, labels",
     [
-        ([("a", "1", "0"), ("1", "0", "0")], []),
-        ([("1/0", "1", "0"), ("1", "0", "0")], []),
-        ([("1", "0"), ("0", "1", "0")], []),
-        ([(1, 0, 0), (0, 1, 0)], [(0,)]),
-        ([("1e2000000", "1", "0"), ("1", "0", "0")], []),
-        (["100", "010", "111"], []),
-        (5, []),
-        ([(1, 0, 0), (0, 1, 0)], 5),
+        ([("a", "1", "0"), ("1", "0", "0")], [], None),
+        ([("1/0", "1", "0"), ("1", "0", "0")], [], None),
+        ([("1", "0"), ("0", "1", "0")], [], None),
+        ([(1, 0, 0), (0, 1, 0)], [(0,)], None),
+        ([("1e2000000", "1", "0"), ("1", "0", "0")], [], None),
+        (["100", "010", "111"], [], None),
+        (5, [], None),
+        ([(1, 0, 0), (0, 1, 0)], 5, None),
+        ([(1, 0, 0), (0, 1, 0)], [(0, 0)], 5),
+        ([(1, 0, 0), (0, 1, 0)], [(0, 0)], [[1]]),
+        ([(1, 0, 0), (0, 1, 0)], [(0, 0)], "A"),
     ],
     ids=["unparsable", "zero-denominator", "short-line", "short-point", "huge-exponent",
-         "text-rows", "scalar-lines", "scalar-points"],
+         "text-rows", "scalar-lines", "scalar-points", "scalar-labels", "unhashable-label",
+         "text-labels"],
 )
-def test_malformed_input_is_a_validation_error(lines, points):
+def test_malformed_input_is_a_validation_error(lines, points, labels):
     with pytest.raises(ValidationError):
-        diagram_from_lines(lines, points)
+        diagram_from_lines(lines, points, labels)
+
+
+def test_point_labels_may_be_a_list_or_a_tuple_of_hashables():
+    for labels in (["O"], ("O",), [7], [("x", 1)]):
+        d = diagram_from_lines([(1, 0, 0), (0, 1, 0)], [(0, 0)], labels)
+        assert [d.moves[i].point for i in d.designated_events()] == list(labels)
 
 
 def test_digit_bound_counts_mantissa_digits_and_exponent():
