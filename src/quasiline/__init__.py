@@ -36,7 +36,6 @@ from .sequences import (
     classify,
     elementary_swap,
     make_sequence,
-    move_window_content,
     sequence_from_json_dict,
     sequence_to_json_dict,
 )

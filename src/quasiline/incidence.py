@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Optional
 
-from .errors import DegreeTooLow, DuplicateId, ParseError, UnknownId
+from .errors import DegreeTooLow, DuplicateId, ParseError, UnknownId, ValidationError
 
 Label = Hashable
 
@@ -113,9 +113,6 @@ class LeviGraph:
                 table[p].append(l)
         return {v: tuple(ns) for v, ns in table.items()}
 
-    def degree(self, vertex: Label) -> int:
-        return len(self.adjacency[vertex])
-
     @property
     def vertex_count(self) -> int:
         return len(self.black) + len(self.white)
@@ -158,10 +155,8 @@ def _refine_colors(*graphs: LeviGraph) -> list[dict[Label, int]]:
     seed: dict[tuple, int] = {}
     colors = []
     for g in graphs:
-        black = set(g.black)
-        colors.append(
-            {v: seed.setdefault((v in black, g.degree(v)), len(seed)) for v in g.black + g.white}
-        )
+        black, adj = set(g.black), g.adjacency  # adj lists black, then white
+        colors.append({v: seed.setdefault((v in black, len(adj[v])), len(seed)) for v in adj})
     count = len(seed)
     while True:
         fresh: dict[tuple, int] = {}
@@ -205,8 +200,8 @@ def are_isomorphic(
     black1, black2 = set(g1.black), set(g2.black)
     by_kind: dict[tuple[bool, int], list[Label]] = {}
     for w in col2:
-        by_kind.setdefault((w in black2, g2.degree(w)), []).append(w)
-    options = [by_kind.get((v in black1, g1.degree(v)), []) for v in verts1]
+        by_kind.setdefault((w in black2, len(g2.adjacency[w])), []).append(w)
+    options = [by_kind.get((v in black1, len(g1.adjacency[v])), []) for v in verts1]
     adj2 = {w: set(g2.adjacency[w]) for w in col2}
 
     # w fits v when it is unused and adjacent to the images of v's mapped
@@ -280,6 +275,19 @@ def parse_lines_text(text: str) -> IncidenceStructure:
 
 
 def format_lines_text(structure: IncidenceStructure) -> str:
+    """Write the "lines-of-points" text that :func:`parse_lines_text` reads
+    back as this structure, up to labels becoming their text.  Raises
+    ``ValidationError`` for a label whose text is not one token of the
+    format (empty, or holding whitespace or ``#``) and ``DuplicateId`` for
+    two labels with one text, which would be read back as another
+    structure."""
+    seen: set[str] = set()
+    for text in map(str, structure.points + structure.lines):
+        if text.split() != [text] or "#" in text:
+            raise ValidationError(f"label {text!r} is not one token of the lines text")
+        if text in seen:
+            raise DuplicateId(f"two labels are both written {text!r}")
+        seen.add(text)
     rows = []
     for l in structure.lines:
         members = " ".join(str(p) for p in structure.points_of(l))

@@ -7,18 +7,21 @@ between consecutive designated reversals the current permutation is
 bridged to the next required one by adjacent transpositions (bubble-sort
 style), and the sequence finishes at the full reversal.  Bridging
 transpositions are exactly the unwanted crossings of the realization.
+The sequence is built once, as the realization's wiring diagram.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import PlanMismatch, ValidationError
 from .incidence import IncidenceStructure, Label
-from .sequences import Move, PermSequence
+from .sequences import Move
+from .wiring.diagram import GeneralizedWiringDiagram
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,10 @@ class RealizationPlan:
 @dataclass(frozen=True)
 class Realization:
     """A generalized allowable sequence with one designated move per
-    point, labelled with that point."""
+    point, labelled with that point.  ``seq`` is the realization's wiring
+    diagram, built once by :func:`realize`."""
 
-    seq: PermSequence
+    seq: GeneralizedWiringDiagram
     line_numbering: tuple[Label, ...]
 
     @property
@@ -148,22 +152,17 @@ def default_plan(structure: IncidenceStructure) -> RealizationPlan:
 
 
 def validate_plan(structure: IncidenceStructure, plan: RealizationPlan) -> None:
-    if sorted(map(str, plan.line_numbering)) != sorted(map(str, structure.lines)) or set(
-        plan.line_numbering
-    ) != set(structure.lines):
+    """Each field must list its labels exactly once: one multiset
+    comparison per field, so a repeat or a gap is refused alike."""
+    if Counter(plan.line_numbering) != Counter(structure.lines):
         raise PlanMismatch("plan line numbering does not cover the structure's lines")
-    if set(plan.point_order) != set(structure.points) or len(plan.point_order) != len(
-        structure.points
-    ):
+    if Counter(plan.point_order) != Counter(structure.points):
         raise PlanMismatch("plan point order does not cover the structure's points")
     unknown = set(plan.point_line_orders) - set(structure.points)
     if unknown:
         raise PlanMismatch(f"plan gives a line order at {min(unknown, key=str)!r}, which is not a point")
     for p in structure.points:
-        prescribed = plan.point_line_orders.get(p)
-        if prescribed is None or set(prescribed) != set(structure.lines_of(p)) or len(
-            prescribed
-        ) != len(structure.lines_of(p)):
+        if Counter(plan.point_line_orders.get(p, ())) != Counter(structure.lines_of(p)):
             raise PlanMismatch(f"line order at point {p!r} does not match its incidences")
 
 
@@ -190,7 +189,7 @@ def realize(structure: IncidenceStructure, plan: RealizationPlan) -> Realization
         for i, x in enumerate(reversed(content), slot):
             cur[i], pos[x] = x, i
     moves.extend(_bridge(cur, pos, list(range(n, 0, -1)), swaps))
-    return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
+    return Realization(GeneralizedWiringDiagram(n, tuple(moves)), plan.line_numbering)
 
 
 def unwanted_crossing_count(realization: Realization) -> int:

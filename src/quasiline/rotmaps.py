@@ -4,9 +4,10 @@ A map on a closed surface is described combinatorially by a graph
 (multi-edges and loops allowed) together with a cyclic order of darts
 around every vertex and a +1/-1 signature per edge.  Faces are traced by
 walking signed darts: crossing a negative edge flips the local sense of
-rotation.  Euler characteristic, orientability and a canonical encoding
-(invariant under vertex relabelling, regauging of local orientations,
-and global reflection) all derive from this structure.
+rotation.  The faces (and so the Euler characteristic V - E + F),
+orientability and a canonical encoding (invariant under vertex
+relabelling, regauging of local orientations, and global reflection)
+all derive from this structure.
 
 A map's vertices are indexed 0 .. V-1 in the order of its vertex ids,
 and its edges join pairs of vertex indices.  A dart is the int 2e + end
@@ -165,9 +166,6 @@ class RotationMap:
 
     def face_lengths(self) -> tuple[int, ...]:
         return tuple(sorted(len(f) for f in self.faces))
-
-    def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.faces)
 
     def is_orientable(self) -> bool:
         """Gauge every component along a spanning tree from its first

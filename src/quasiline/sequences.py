@@ -87,8 +87,13 @@ class PermSequence:
     """A partial sequence of window reversals on {1..n}.
 
     The designated moves are those carrying a point label; labels are
-    distinct.  Move indices are 1-based in the module functions and
-    0-based ("events") in the methods, which read one cached replay.
+    distinct.  Each fact has one accessor, indexed by 0-based move
+    ("event") and read from one cached replay: ``event_count``,
+    ``designated_events()``, ``window_wires_table``, ``wire_events(w)``
+    and ``permutation_before(i)``.  Move indices are 1-based only where a
+    format or a report prints them: :func:`make_sequence`'s
+    ``designated``, the sequence JSON, :func:`elementary_swap` and
+    ``Realization.point_of_move``.
     """
 
     n: int
@@ -110,9 +115,6 @@ class PermSequence:
         if len(labels) != len(set(labels)):
             raise DuplicateId("designated point labels must be distinct")
 
-    def __len__(self) -> int:
-        return len(self.moves)
-
     def _identity(self) -> list[int]:
         """The identity on {1..n}, the start of every n-sized table."""
         if self.n > MAX_WIRES:
@@ -122,11 +124,6 @@ class PermSequence:
     @property
     def event_count(self) -> int:
         return len(self.moves)
-
-    @property
-    def designated(self) -> frozenset[int]:
-        """1-based indices of the designated moves."""
-        return frozenset(i + 1 for i in self.designated_events())
 
     def designated_events(self) -> tuple[int, ...]:
         """0-based indices of the designated moves, in order."""
@@ -171,13 +168,8 @@ class PermSequence:
         before the reversal."""
         return self._replay[0]
 
-    def window_wires(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < len(self.moves):
-            raise IndexOutOfRange(f"event {i} not in [0, {len(self.moves) - 1}]")
-        return self._replay[0][i]
-
     @cached_property
-    def wire_event_table(self) -> dict[int, tuple[int, ...]]:
+    def _wire_event_table(self) -> dict[int, tuple[int, ...]]:
         table: dict[int, list[int]] = {w: [] for w in self._identity()}
         for i, wires in enumerate(self.window_wires_table):
             for w in wires:
@@ -188,7 +180,7 @@ class PermSequence:
         """Indices of the moves reversing ``wire``, left to right."""
         if not 1 <= wire <= self.n:
             raise IndexOutOfRange(f"wire {wire} not in [1, {self.n}]")
-        return self.wire_event_table[wire]
+        return self._wire_event_table[wire]
 
 
 def make_sequence(
@@ -212,13 +204,6 @@ def make_sequence(
             for i, m in enumerate(ms, start=1)
         ),
     )
-
-
-def move_window_content(seq: PermSequence, i: int) -> tuple[int, ...]:
-    """Window content of move ``i`` read top to bottom just before the reversal."""
-    if not 1 <= i <= len(seq.moves):
-        raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
-    return seq.window_wires_table[i - 1]
 
 
 def classify(seq: PermSequence) -> SequenceClass:
@@ -289,7 +274,7 @@ def sequence_to_json_dict(seq: PermSequence) -> dict:
     return {
         "n": seq.n,
         "moves": [[m.start, m.length] for m in seq.moves],
-        "designated": sorted(seq.designated),
+        "designated": [i + 1 for i in seq.designated_events()],
     }
 
 

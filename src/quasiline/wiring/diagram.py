@@ -11,8 +11,10 @@ A diagram is a generalized allowable sequence whose designated moves
 carry their point labels: :class:`GeneralizedWiringDiagram` is a
 :class:`~quasiline.sequences.PermSequence` whose events are its moves,
 with the window wires, per-wire crossing orders and on-demand
-permutations of that type.  The sweep digraph is derived here, and so
-is each event's first successor in it, which the digon moves read.
+permutations of that type.  A realization holds its diagram, built
+once, so :func:`diagram_from_realization` returns it.  The sweep digraph
+is derived here, and so is each event's first successor in it, which
+the digon moves read.
 Every such diagram can be swept, since its wires are x-monotone.
 """
 
@@ -23,7 +25,6 @@ from functools import cached_property
 
 from ..errors import NotGeneralized, ValidationError
 from ..jsonshape import as_int, as_text_or_null, read
-from ..realization import Realization
 from ..sequences import Move, PermSequence
 
 
@@ -72,8 +73,10 @@ class GeneralizedWiringDiagram(PermSequence):
         return tuple(nxt[:m])
 
 
-def diagram_from_realization(realization: Realization) -> GeneralizedWiringDiagram:
-    return GeneralizedWiringDiagram(realization.seq.n, realization.seq.moves)
+def diagram_from_realization(realization) -> GeneralizedWiringDiagram:
+    """The wiring diagram a :class:`~quasiline.realization.Realization`
+    holds as its ``seq``; no move is replayed again."""
+    return realization.seq
 
 
 # -- sweep digraphs ---------------------------------------------------------

@@ -274,7 +274,7 @@ def sweep_cut_ok(diagram: GeneralizedWiringDiagram, order) -> bool:
     unswept event on every wire through it."""
     pointer = {w: 0 for w in range(1, diagram.n + 1)}
     for v in order:
-        for w in diagram.window_wires(v):
+        for w in diagram.window_wires_table[v]:
             events = diagram.wire_events(w)
             if pointer[w] >= len(events) or events[pointer[w]] != v:
                 return False
@@ -707,7 +707,7 @@ def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
         for rot in full.rotations
     )
     gmap = RotationMap(full.vertices, edges, rotations, (1,) * len(edges))
-    gid = renumber[arcs.index((diagram.window_wires(0)[-1], 0))]
+    gid = renumber[arcs.index((diagram.window_wires_table[0][-1], 0))]
     orbits = face_orbits_by_tuples(gmap)
     outer = next(o for o in orbits if ((gid, 1), 1) in o)
     internal = [
@@ -894,7 +894,7 @@ def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
 
     rotations = {}
     for i in range(diagram.event_count):
-        wires = diagram.window_wires(i)
+        wires = diagram.window_wires_table[i]
         rotations[i] = tuple(out_dart(w, i) for w in wires) + tuple(
             in_dart(w, i) for w in wires
         )
@@ -950,7 +950,7 @@ def scheme_by_scan(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
 
     rotations = {}
     for i in designated:
-        wires = diagram.window_wires(i)
+        wires = diagram.window_wires_table[i]
         rotations[label[i]] = tuple(out_dart(w, i) for w in wires) + tuple(
             in_dart(w, i) for w in wires
         )
@@ -967,9 +967,9 @@ def removable_digons_by_scan(diagram: GeneralizedWiringDiagram):
     for i, ev in enumerate(diagram.moves):
         if ev.length != 2 or ev.point is not None:
             continue
-        pair = set(diagram.window_wires(i))
+        pair = set(diagram.window_wires_table[i])
         for j in range(i + 1, diagram.event_count):
-            touched = set(diagram.window_wires(j))
+            touched = set(diagram.window_wires_table[j])
             if touched & pair:
                 other = diagram.moves[j]
                 if touched == pair and other.length == 2 and other.point is None:
@@ -997,7 +997,7 @@ def next_on_wires_by_pairs(diagram: GeneralizedWiringDiagram) -> list[int]:
     event list, rebuilt on every call."""
     m = diagram.event_count
     nxt = [m] * m
-    for events in diagram.wire_event_table.values():
+    for events in map(diagram.wire_events, range(1, diagram.n + 1)):
         for i, j in zip(events, events[1:]):
             if j < nxt[i]:
                 nxt[i] = j
@@ -1016,8 +1016,8 @@ def remove_digon_by_sets(diagram: GeneralizedWiringDiagram, at: int) -> Generali
     if ev.point is not None:
         raise NotAdmissible(f"event {at} is designated ({ev.point!r})")
     partner = next_on_wires_by_pairs(diagram)[at]
-    if partner == diagram.event_count or set(diagram.window_wires(partner)) != set(
-        diagram.window_wires(at)
+    if partner == diagram.event_count or set(diagram.window_wires_table[partner]) != set(
+        diagram.window_wires_table[at]
     ):
         raise NoSuchFace(f"event {at} does not bound an empty digon")
     other = diagram.moves[partner]
@@ -1335,13 +1335,13 @@ def permutation_after_by_replay(seq: PermSequence, t: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def move_window_content_by_replay(seq: PermSequence, i: int) -> tuple[int, ...]:
-    """Window content of move ``i`` (1-based) read top to bottom just
+def window_wires_by_replay(seq: PermSequence, i: int) -> tuple[int, ...]:
+    """Window content of move ``i`` (0-based) read top to bottom just
     before the reversal, replaying the prefix."""
-    if not 1 <= i <= len(seq.moves):
-        raise IndexOutOfRange(f"move index {i} not in [1, {len(seq.moves)}]")
-    perm = permutation_after_by_replay(seq, i - 1)
-    move = seq.moves[i - 1]
+    if not 0 <= i < len(seq.moves):
+        raise IndexOutOfRange(f"event {i} not in [0, {len(seq.moves) - 1}]")
+    perm = permutation_after_by_replay(seq, i)
+    move = seq.moves[i]
     return tuple(perm[move.start - 1:move.stop])
 
 
@@ -1630,7 +1630,7 @@ def realize_by_slots(structure: IncidenceStructure, plan: RealizationPlan) -> Re
         a, b = start - 1, start - 1 + len(content)
         cur[a:b] = cur[a:b][::-1]
     moves.extend(_bridge_by_index(cur, list(range(n, 0, -1))))
-    return Realization(PermSequence(n, tuple(moves)), plan.line_numbering)
+    return Realization(GeneralizedWiringDiagram(n, tuple(moves)), plan.line_numbering)
 
 
 # -- Euclidean sweep by projective chart matrices --------------------------------

@@ -14,7 +14,6 @@ from quasiline import (
     classify,
     default_plan,
     fingerprint,
-    move_window_content,
     realize,
     scheme_from_realization,
     sequence_from_json_dict,
@@ -109,12 +108,12 @@ def test_criterion_1_realization_theorem(realization_corpus):
     slowest = 0.0
     for c, plan, r, elapsed in realization_corpus:
         assert classify(r.seq) is not SequenceClass.PARTIAL
-        assert len(r.seq.designated) == len(c.points)
+        assert len(r.seq.designated_events()) == len(c.points)
         assert set(r.point_of_move.values()) == set(c.points)
         number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
         for idx, p in r.point_of_move.items():
             prescribed = [number[l] for l in plan.point_line_orders[p]]
-            assert list(move_window_content(r.seq, idx)) == prescribed
+            assert list(r.seq.window_wires_table[idx - 1]) == prescribed
         slowest = max(slowest, elapsed)
     assert slowest < 1.0
     report(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from quasiline import (
     levi_graph,
     parse_lines_text,
 )
-from quasiline.errors import DegreeTooLow, DuplicateId, ParseError, UnknownId
+from quasiline.errors import DegreeTooLow, DuplicateId, ParseError, UnknownId, ValidationError
 
 from oracles import (
     bfs_girth,
@@ -73,7 +74,7 @@ def test_levi_graph_fano():
     g = levi_graph(fano())
     assert g.vertex_count == 14
     assert g.edge_count == 21
-    assert all(g.degree(v) == 3 for v in g.black + g.white)
+    assert all(len(g.adjacency[v]) == 3 for v in g.black + g.white)
 
 
 def test_levi_graph_triangle_girth_six():
@@ -259,10 +260,46 @@ def test_build_inverts_levi_graph():
 
 
 def test_parse_lines_text_roundtrip():
-    c = fano()
-    text = format_lines_text(c)
-    parsed = parse_lines_text(text)
-    assert are_isomorphic(c, parsed) is not None
+    for c in (fano(), mobius_kantor(), triangle()):
+        text = format_lines_text(c)
+        parsed = parse_lines_text(text)
+        assert are_isomorphic(c, parsed) is not None
+        written = {str(l): {str(p) for p in c.points_of(l)} for l in c.lines}
+        assert {l: set(parsed.points_of(l)) for l in parsed.lines} == written
+
+
+def cycle(points, lines):
+    """Point i on lines i and i + 1, cyclically."""
+    k = len(points)
+    return build(points, lines, [(points[i], lines[(i + j) % k]) for i in range(k) for j in (0, 1)])
+
+
+NOT_A_TOKEN = "label {!r} is not one token of the lines text"
+WRITTEN_TWICE = "two labels are both written {!r}"
+LINES = ["L1", "L2", "L3"]
+
+
+@pytest.mark.parametrize(
+    "points, lines, message",
+    [
+        (["a", "b", "c#1"], LINES, NOT_A_TOKEN.format("c#1")),
+        ([(0, 1), "b", "c"], LINES, NOT_A_TOKEN.format("(0, 1)")),
+        ([1, "1", "c"], LINES, WRITTEN_TWICE.format("1")),
+        (["a", "", "c"], LINES, NOT_A_TOKEN.format("")),
+        (["a", "b\tc", "d"], LINES, NOT_A_TOKEN.format("b\tc")),
+        (["a", "b", "c"], ["L 1", "L2", "L3"], NOT_A_TOKEN.format("L 1")),
+        (["a", "b", "c"], ["L1", "#", "L3"], NOT_A_TOKEN.format("#")),
+        ([1, "b", "c"], ["1", "L2", "L3"], WRITTEN_TWICE.format("1")),
+    ],
+    ids=["hash in point", "tuple point", "int and text point", "empty point", "tab in point",
+         "space in line", "hash line", "point and line"],
+)
+def test_format_lines_text_refuses_text_that_reads_back_otherwise(points, lines, message):
+    """Each of these would be written as text that parses as another
+    structure: a ``#`` starts a comment, whitespace splits a token, and
+    two labels with one text merge."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        format_lines_text(cycle(points, lines))
 
 
 def test_parse_lines_text_auto_names_and_comments():

@@ -49,7 +49,7 @@ def structures(draw):
 def test_admissible_moves_keep_the_fingerprint(structure, steps):
     d = realized(structure)
     start = fingerprint(scheme_from_realization(d))
-    windows = [(d.moves[i].point, d.window_wires(i)) for i in d.designated_events()]
+    windows = [(d.moves[i].point, d.window_wires_table[i]) for i in d.designated_events()]
     for kind, a, b in steps:
         if kind == "insert":
             at = a % (d.event_count + 1)
@@ -65,4 +65,4 @@ def test_admissible_moves_keep_the_fingerprint(structure, steps):
             if sites:
                 d = apply_triangle_move(d, sites[a % len(sites)])
         assert fingerprint(scheme_from_realization(d)) == start
-        assert [(d.moves[i].point, d.window_wires(i)) for i in d.designated_events()] == windows
+        assert [(d.moves[i].point, d.window_wires_table[i]) for i in d.designated_events()] == windows

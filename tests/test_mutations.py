@@ -136,10 +136,10 @@ def test_moves_preserve_designated_data():
     ]
     # designated windows unchanged
     des_before = [
-        (d.window_wires(i), d.moves[i].point) for i in d.designated_events()
+        (d.window_wires_table[i], d.moves[i].point) for i in d.designated_events()
     ]
     des_after = [
-        (inserted.window_wires(i), inserted.moves[i].point)
+        (inserted.window_wires_table[i], inserted.moves[i].point)
         for i in inserted.designated_events()
     ]
     assert des_before == des_after

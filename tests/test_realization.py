@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,13 +11,13 @@ from quasiline import (
     classify,
     default_plan,
     is_lineal,
-    move_window_content,
     realize,
     topological_unwanted_bound,
     unwanted_crossing_count,
 )
 from quasiline.errors import PlanMismatch, ValidationError
 from quasiline.realization import _best_slot, _gathered
+from quasiline.wiring import GeneralizedWiringDiagram, diagram_from_realization
 
 from oracles import (
     anti_desargues,
@@ -62,7 +64,7 @@ def test_realize_triangle_is_pseudoline_arrangement():
     c = triangle()
     r = realize(c, default_plan(c))
     assert len(r.seq.moves) == 3
-    assert r.seq.designated == frozenset({1, 2, 3})
+    assert r.seq.designated_events() == (0, 1, 2)
     assert classify(r.seq) is SequenceClass.ALLOWABLE
     assert unwanted_crossing_count(r) == 0
     counts = pair_counts(r.seq)
@@ -74,12 +76,9 @@ def test_realize_two_lines_three_points_default_plan():
     c = two_lines_three_points()
     r = realize(c, default_plan(c))
     assert classify(r.seq) is SequenceClass.GENERALIZED_ALLOWABLE
-    assert len(r.seq.designated) == 3
-    assert all(
-        (m.start, m.length) == (1, 2)
-        for i, m in enumerate(r.seq.moves, 1)
-        if i in r.seq.designated
-    )
+    designated = [r.seq.moves[i] for i in r.seq.designated_events()]
+    assert len(designated) == 3
+    assert all((m.start, m.length) == (1, 2) for m in designated)
     assert pair_counts(r.seq)[frozenset({1, 2})] == 5
     assert unwanted_crossing_count(r) == 2
 
@@ -93,7 +92,7 @@ def test_realize_two_lines_three_points_alternating_plan():
     )
     r = realize(c, plan)
     assert [(m.start, m.length) for m in r.seq.moves] == [(1, 2)] * 3
-    assert r.seq.designated == frozenset({1, 2, 3})
+    assert r.seq.designated_events() == (0, 1, 2)
     assert unwanted_crossing_count(r) == 0
     assert pair_counts(r.seq)[frozenset({1, 2})] == 3
     assert classify(r.seq) is SequenceClass.GENERALIZED_ALLOWABLE
@@ -103,7 +102,7 @@ def test_realize_fano_default_plan():
     c = fano()
     r = realize(c, default_plan(c))
     assert classify(r.seq) is not SequenceClass.PARTIAL
-    assert len(r.seq.designated) == 7
+    assert len(r.seq.designated_events()) == 7
     counts = pair_counts(r.seq)
     for pair in itertools.combinations(range(1, 8), 2):
         assert counts[frozenset(pair)] % 2 == 1
@@ -118,7 +117,7 @@ def test_designated_window_matches_prescribed_order():
         number = {l: i + 1 for i, l in enumerate(plan.line_numbering)}
         for idx, point in r.point_of_move.items():
             expected = [number[l] for l in plan.point_line_orders[point]]
-            assert list(move_window_content(r.seq, idx)) == expected
+            assert list(r.seq.window_wires_table[idx - 1]) == expected
 
 
 def test_realize_random_structures_generalized():
@@ -127,10 +126,10 @@ def test_realize_random_structures_generalized():
         c = random_structure(rng)
         r = realize(c, default_plan(c))
         assert classify(r.seq) is not SequenceClass.PARTIAL
-        assert len(r.seq.designated) == len(c.points)
+        assert len(r.seq.designated_events()) == len(c.points)
         # bridging moves are adjacent transpositions, never designated
-        for i, m in enumerate(r.seq.moves, 1):
-            if i not in r.seq.designated:
+        for m in r.seq.moves:
+            if m.point is None:
                 assert m.length == 2
 
 
@@ -157,6 +156,44 @@ def test_realize_deterministic():
     r1 = realize(c, default_plan(c))
     r2 = realize(c, default_plan(c))
     assert r1 == r2
+
+
+def test_realization_holds_its_wiring_diagram():
+    """``realize`` builds the diagram once, and ``diagram_from_realization``
+    hands back that object instead of replaying the moves again."""
+    for c in (triangle(), two_lines_three_points(), fano(), mobius_kantor()):
+        r = realize(c, default_plan(c))
+        assert type(r.seq) is GeneralizedWiringDiagram
+        assert diagram_from_realization(r) is r.seq
+
+
+LINES_UNCOVERED = "plan line numbering does not cover the structure's lines"
+POINTS_UNCOVERED = "plan point order does not cover the structure's points"
+ORDER_AT_A = "line order at point 'a' does not match its incidences"
+
+
+@pytest.mark.parametrize(
+    "field, labels, message",
+    [
+        ("line_numbering", ("ab", "ab", "ca"), LINES_UNCOVERED),
+        ("line_numbering", ("ab", "bc", "ca", "ab"), LINES_UNCOVERED),
+        ("point_order", ("a", "a", "c"), POINTS_UNCOVERED),
+        ("point_order", ("a", "b", "c", "a"), POINTS_UNCOVERED),
+        ("point_line_orders", ("ab", "ab"), ORDER_AT_A),
+        ("point_line_orders", ("ab", "ca", "ab"), ORDER_AT_A),
+    ],
+    ids=["line replaced", "line added", "point replaced", "point added", "line at a point replaced",
+         "line at a point added"],
+)
+def test_plan_refuses_a_repeated_label(field, labels, message):
+    """A repeat is refused whether it takes the place of a label or comes
+    on top of them all."""
+    c = triangle()
+    plan = default_plan(c)
+    if field == "point_line_orders":
+        labels = {**plan.point_line_orders, "a": labels}
+    with pytest.raises(PlanMismatch, match=f"^{re.escape(message)}$"):
+        realize(c, replace(plan, **{field: labels}))
 
 
 def test_plan_validation():

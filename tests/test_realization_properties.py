@@ -17,7 +17,6 @@ from quasiline import (
     build,
     configuration_signature,
     default_plan,
-    move_window_content,
     realize,
     topological_unwanted_bound,
     unwanted_crossing_count,
@@ -58,7 +57,7 @@ def test_default_realization_invariants(structure):
     assert sorted(windows.values(), key=str) == sorted(structure.points, key=str)
     for idx, point in windows.items():
         expected = [number[l] for l in plan.point_line_orders[point]]
-        assert list(move_window_content(r.seq, idx)) == expected
+        assert list(r.seq.window_wires_table[idx - 1]) == expected
     assert all(m.length == 2 for i, m in enumerate(r.seq.moves, 1) if i not in windows)
 
     signature = configuration_signature(structure)

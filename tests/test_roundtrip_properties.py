@@ -102,7 +102,7 @@ def test_diagram_json_roundtrip(d):
     # its sequence JSON forgets the labels but keeps the designated moves
     seq = sequence_from_json_dict(json.loads(json.dumps(sequence_to_json_dict(d))))
     assert [(m.start, m.length) for m in seq.moves] == [(m.start, m.length) for m in d.moves]
-    assert seq.designated == d.designated
+    assert seq.designated_events() == d.designated_events()
     assert sequence_to_json_dict(seq) == sequence_to_json_dict(d)
     assert isinstance(seq, PermSequence) and not isinstance(seq, GeneralizedWiringDiagram)
 

@@ -14,7 +14,6 @@ from quasiline import (
     classify,
     elementary_swap,
     make_sequence,
-    move_window_content,
     sequence_from_json_dict,
     sequence_to_json_dict,
 )
@@ -26,13 +25,13 @@ from quasiline.errors import (
 )
 from quasiline.sequences import MAX_WIRES
 from oracles import (
-    move_window_content_by_replay,
     pair_counts,
     permutation_after_by_replay,
     random_allowable_sequence,
     random_generalized_sequence,
     random_partial_sequence,
     swap_chain_by_bfs,
+    window_wires_by_replay,
 )
 
 
@@ -77,12 +76,11 @@ def test_wire_events_refuses_a_wire_outside_the_sequence(wire):
 
 def test_move_elements():
     seq = make_sequence(3, [(1, 2), (2, 2)])
-    assert frozenset(move_window_content(seq, 2)) == frozenset({1, 3})
-    assert frozenset(move_window_content(seq, 1)) == frozenset({1, 2})
+    assert frozenset(seq.window_wires_table[1]) == frozenset({1, 3})
+    assert frozenset(seq.window_wires_table[0]) == frozenset({1, 2})
     full = make_sequence(4, [(1, 4)])
-    assert frozenset(move_window_content(full, 1)) == frozenset({1, 2, 3, 4})
-    with pytest.raises(IndexOutOfRange):
-        move_window_content(seq, 3)
+    assert frozenset(full.window_wires_table[0]) == frozenset({1, 2, 3, 4})
+    assert len(seq.window_wires_table) == seq.event_count == 2
 
 
 def test_classify_examples():
@@ -156,7 +154,7 @@ def test_elementary_swap_disjoint():
     seq = make_sequence(5, [(1, 2), (3, 2)], designated=[1])
     swapped = elementary_swap(seq, 1)
     assert [(m.start, m.length) for m in swapped.moves] == [(3, 2), (1, 2)]
-    assert swapped.designated == frozenset({2})
+    assert swapped.designated_events() == (1,)
     assert swapped.permutation_before(2) == seq.permutation_before(2)
 
 
@@ -186,12 +184,12 @@ def test_elementary_swap_involution_and_invariants():
         assert elementary_swap(swapped, i) == seq
         assert classify(swapped) == classify(seq)
         elems = sorted(
-            (sorted(move_window_content(seq, j)), j in seq.designated)
-            for j in range(1, len(seq.moves) + 1)
+            (sorted(wires), m.point is not None)
+            for wires, m in zip(seq.window_wires_table, seq.moves)
         )
         elems2 = sorted(
-            (sorted(move_window_content(swapped, j)), j in swapped.designated)
-            for j in range(1, len(swapped.moves) + 1)
+            (sorted(wires), m.point is not None)
+            for wires, m in zip(swapped.window_wires_table, swapped.moves)
         )
         assert elems == elems2
         checked += 1
@@ -267,11 +265,10 @@ def test_sequence_json_takes_integer_strings():
     [
         classify,
         lambda seq: seq.permutation_before(0),
-        lambda seq: seq.window_wires(0),
+        lambda seq: seq.window_wires_table,
         lambda seq: seq.wire_events(1),
-        lambda seq: move_window_content(seq, 1),
     ],
-    ids=["classify", "permutation_before", "window_wires", "wire_events", "move_window_content"],
+    ids=["classify", "permutation_before", "window_wires_table", "wire_events"],
 )
 def test_wire_count_is_bounded_before_any_table(call):
     """A sequence loads with any n, but every n-sized table checks the
@@ -299,9 +296,9 @@ def test_json_roundtrip():
         assert sequence_from_json_dict(json.loads(text)) == seq
 
 
-def test_move_window_content_reads_top_to_bottom():
+def test_window_wires_table_reads_top_to_bottom():
     seq = make_sequence(3, [(1, 2), (1, 3)])
-    assert move_window_content(seq, 2) == (2, 1, 3)
+    assert seq.window_wires_table[1] == (2, 1, 3)
 
 
 def test_cached_tables_match_replay_oracle():
@@ -314,20 +311,12 @@ def test_cached_tables_match_replay_oracle():
         checked += m == 0
         for t in range(m + 1):
             assert seq.permutation_before(t) == permutation_after_by_replay(seq, t)
-        for i in range(1, m + 1):
-            window = move_window_content_by_replay(seq, i)
-            assert move_window_content(seq, i) == window
-            assert seq.window_wires(i - 1) == window
+        assert seq.window_wires_table == tuple(window_wires_by_replay(seq, i) for i in range(m))
         for t in (-1, m + 1):
             with pytest.raises(IndexOutOfRange):
                 seq.permutation_before(t)
             with pytest.raises(IndexOutOfRange):
                 permutation_after_by_replay(seq, t)
-        for i in (0, m + 1):
-            with pytest.raises(IndexOutOfRange):
-                move_window_content(seq, i)
-            with pytest.raises(IndexOutOfRange):
-                seq.window_wires(i - 1)
     assert checked >= 10  # empty sequences, n = 1 among them
 
 
@@ -344,8 +333,8 @@ def test_adjacent_swap_replay_matches_replay_oracle():
             length = 2 if rng.random() < 0.7 else rng.randint(2, min(5, n))
             moves.append(Move(rng.randint(1, n - length + 1), length))
         seq = PermSequence(n, tuple(moves))
-        for i in range(1, len(moves) + 1):
-            assert seq.window_wires(i - 1) == move_window_content_by_replay(seq, i)
+        for i in range(len(moves)):
+            assert seq.window_wires_table[i] == window_wires_by_replay(seq, i)
         assert seq._replay[1] == permutation_after_by_replay(seq, len(moves))
         swaps += sum(m.length == 2 for m in moves)
         longer += sum(m.length > 2 for m in moves)
@@ -383,7 +372,7 @@ def test_swaps_compare_designation_flags_and_carry_labels():
     # the labels rode along with their moves: (1,2) still carries p1
     assert [m.point for m in cur.moves] == ["p2", None, "p1"]
     assert [(m.start, m.length) for m in cur.moves] == [(m.start, m.length) for m in b.moves]
-    assert cur.designated == b.designated
+    assert cur.designated_events() == b.designated_events()
     # a different flag pattern on the same windows is not reachable
     c = make_sequence(6, [(3, 2), (5, 2), (1, 2)], designated=[1, 2])
     assert are_swap_equivalent(a, c) is None

@@ -260,7 +260,7 @@ def test_triangle_faces():
     assert len(faces) == 4
     rm = arrangement_map(d)
     assert len(rm.vertices) == 3 and len(rm.edges) == 6
-    assert rm.euler_characteristic() == 1
+    assert len(rm.vertices) - len(rm.edges) + len(rm.faces) == 1
     assert all(len(f) != 2 for f in faces)
 
 
@@ -268,7 +268,8 @@ def test_digon_example_faces():
     d = realized(two_lines_three_points())
     faces = trace_faces_disk(d)
     assert sum(len(f) == 2 for f in faces) >= 2
-    assert arrangement_map(d).euler_characteristic() == 1
+    rm = arrangement_map(d)
+    assert len(rm.vertices) - len(rm.edges) + len(rm.faces) == 1
     assert sum(len(f) for f in faces) == 2 * len(arrangement_map(d).edges)
 
 
