@@ -7,9 +7,12 @@ point/line incidence graph.  A structure is *lineal* when no two points
 share more than one line, which is the same as the Levi graph having
 girth at least six.
 
-Labels are opaque tokens; internally everything is mapped to dense
-integer indices through stable lookup tables so that derived data is
-deterministic.
+Labels are opaque tokens, read only at the edges.  :func:`build` numbers
+the points 0..P-1 and the lines P..V-1 in declaration order, once, and a
+structure keeps its labels plus one table of sorted neighbour indices,
+its Levi graph.  Every incidence question reads that table; labels are
+looked up again only in answers: the incidence lookups, ``flags`` and the
+map :func:`are_isomorphic` returns.
 """
 
 from __future__ import annotations
@@ -26,24 +29,73 @@ Label = Hashable
 
 
 @dataclass(frozen=True)
+class LeviGraph:
+    """Bipartite incidence graph on the vertices 0..V-1: the points are
+    0..points-1 and the lines points..V-1, and ``neighbours[v]`` lists the
+    vertices adjacent to v in increasing order."""
+
+    points: int
+    neighbours: tuple[tuple[int, ...], ...]
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.neighbours)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.neighbours[: self.points]))
+
+    @cached_property
+    def refinement(self) -> tuple[tuple[int, ...], tuple]:
+        """Color refinement (McKay & Piperno 2014), run once per graph:
+        the stable color of every vertex, and per round the sorted keys
+        with their counts.  A vertex's first key is its side and degree,
+        each later one its color and its neighbours' sorted colors, and
+        a color is the rank of its key among that round's keys, so
+        isomorphic graphs get equal key lists and colors that correspond.
+        Refinement stops after the first round that splits no color."""
+        table = self.neighbours
+        keys: list = [(v >= self.points, len(near)) for v, near in enumerate(table)]
+        rounds: list[tuple] = []
+        while True:
+            ranked = tuple(sorted(Counter(keys).items()))
+            rank = {key: r for r, (key, _) in enumerate(ranked)}
+            colors = [rank[key] for key in keys]
+            rounds.append(ranked)
+            if len(rounds) > 1 and len(ranked) == len(rounds[-2]):
+                return tuple(colors), tuple(rounds)
+            keys = [(colors[v], tuple(sorted([colors[u] for u in near]))) for v, near in enumerate(table)]
+
+
+@dataclass(frozen=True)
 class IncidenceStructure:
     """A validated incidence structure; use :func:`build` to construct one."""
 
     points: tuple[Label, ...]
     lines: tuple[Label, ...]
-    flags: frozenset[tuple[Label, Label]]
+    levi: LeviGraph
 
     @cached_property
-    def _levi(self) -> LeviGraph:
-        return LeviGraph(self.points, self.lines, self.flags)
+    def _labels(self) -> tuple[Label, ...]:
+        return self.points + self.lines
+
+    @cached_property
+    def _index(self) -> dict[Label, int]:
+        return {label: v for v, label in enumerate(self._labels)}
+
+    @cached_property
+    def flags(self) -> frozenset[tuple[Label, Label]]:
+        """The incidences as (point, line) label pairs."""
+        labels = self._labels
+        return frozenset((p, labels[j]) for p, ns in zip(self.points, self.levi.neighbours) for j in ns)
 
     def lines_of(self, point: Label) -> tuple[Label, ...]:
         """Lines through ``point``, in line declaration order."""
-        return self._levi.adjacency[point]
+        return tuple(map(self._labels.__getitem__, self.levi.neighbours[self._index[point]]))
 
     def points_of(self, line: Label) -> tuple[Label, ...]:
         """Points on ``line``, in point declaration order."""
-        return self._levi.adjacency[line]
+        return tuple(map(self._labels.__getitem__, self.levi.neighbours[self._index[line]]))
 
 
 def build(
@@ -55,9 +107,9 @@ def build(
 
     Flags supplied with duplicates are deduplicated silently (the
     incidence relation is a set).  Raises ``DuplicateId`` for repeated or
-    clashing labels, ``UnknownId`` for flags that reference undeclared
-    ids, and ``DegreeTooLow`` when a point or line lies in fewer than two
-    flags.
+    clashing labels, ``UnknownId`` for the first flag, in input order,
+    that references an undeclared id, and ``DegreeTooLow`` when a point
+    or line lies in fewer than two flags.
     """
     point_list = tuple(points)
     line_list = tuple(lines)
@@ -68,72 +120,43 @@ def build(
     overlap = set(point_list) & set(line_list)
     if overlap:
         raise DuplicateId(f"labels used both as point and line: {sorted(map(repr, overlap))}")
-    point_set, line_set = set(point_list), set(line_list)
-    flag_set = frozenset(flags)
-    for p, l in flag_set:
-        if p not in point_set:
+    labels = point_list + line_list
+    index = {label: v for v, label in enumerate(labels)}
+    first_line = len(point_list)
+    near: list[set[int]] = [set() for _ in labels]
+    for p, l in flags:
+        i, j = index.get(p, first_line), index.get(l, -1)
+        if i >= first_line:
             raise UnknownId(f"flag references unknown point {p!r}")
-        if l not in line_set:
+        if j < first_line:
             raise UnknownId(f"flag references unknown line {l!r}")
-    pdeg = {p: 0 for p in point_list}
-    ldeg = {l: 0 for l in line_list}
-    for p, l in flag_set:
-        pdeg[p] += 1
-        ldeg[l] += 1
-    for p in point_list:
-        if pdeg[p] < 2:
-            raise DegreeTooLow(p, pdeg[p])
-    for l in line_list:
-        if ldeg[l] < 2:
-            raise DegreeTooLow(l, ldeg[l])
-    return IncidenceStructure(point_list, line_list, flag_set)
-
-
-@dataclass(frozen=True)
-class LeviGraph:
-    """Bipartite incidence graph: black vertices are points, white are lines."""
-
-    black: tuple[Label, ...]
-    white: tuple[Label, ...]
-    edges: frozenset[tuple[Label, Label]]
-
-    @cached_property
-    def adjacency(self) -> dict[Label, tuple[Label, ...]]:
-        """Neighbours of every vertex, lines in ``white`` order and points
-        in ``black`` order, bucketed from the edges in O(edges)."""
-        lines_at: dict[Label, list[Label]] = {p: [] for p in self.black}
-        for p, l in self.edges:
-            lines_at[p].append(l)
-        table: dict[Label, list[Label]] = {v: [] for v in self.black + self.white}
-        for p in self.black:
-            for l in lines_at[p]:
-                table[l].append(p)
-        for l in self.white:
-            for p in table[l]:
-                table[p].append(l)
-        return {v: tuple(ns) for v, ns in table.items()}
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.black) + len(self.white)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+        near[i].add(j)
+        near[j].add(i)
+    for label, ns in zip(labels, near):
+        if len(ns) < 2:
+            raise DegreeTooLow(label, len(ns))
+    return IncidenceStructure(
+        point_list, line_list, LeviGraph(first_line, tuple(tuple(sorted(ns)) for ns in near))
+    )
 
 
 def levi_graph(structure: IncidenceStructure) -> LeviGraph:
-    """The Levi graph of a structure, one edge per flag; built once per
-    structure, and its adjacency is also the structure's incidence table."""
-    return structure._levi
+    """The Levi graph of a structure, one edge per flag: the structure's
+    one incidence table."""
+    return structure.levi
 
 
 def is_lineal(structure: IncidenceStructure) -> bool:
-    """True iff no two points are incident with two common lines."""
-    for p, q in itertools.combinations(structure.points, 2):
-        common = set(structure.lines_of(p)) & set(structure.lines_of(q))
-        if len(common) >= 2:
-            return False
+    """True iff no two points are incident with two common lines: no pair
+    of points appears on two lines, found in O(sum of k^2) over the lines
+    of k points."""
+    levi = structure.levi
+    seen: set[tuple[int, int]] = set()
+    for ns in levi.neighbours[levi.points :]:
+        for pair in itertools.combinations(ns, 2):
+            if pair in seen:
+                return False
+            seen.add(pair)
     return True
 
 
@@ -141,37 +164,12 @@ def configuration_signature(
     structure: IncidenceStructure,
 ) -> Optional[tuple[int, int, int, int]]:
     """Return (v, r, b, k) when point and line degrees are constant, else None."""
-    pdegs = {len(structure.lines_of(p)) for p in structure.points}
-    ldegs = {len(structure.points_of(l)) for l in structure.lines}
+    levi = structure.levi
+    pdegs = set(map(len, levi.neighbours[: levi.points]))
+    ldegs = set(map(len, levi.neighbours[levi.points :]))
     if len(pdegs) != 1 or len(ldegs) != 1:
         return None
     return (len(structure.points), pdegs.pop(), len(structure.lines), ldegs.pop())
-
-
-def _refine_colors(*graphs: LeviGraph) -> list[dict[Label, int]]:
-    # Iterated neighborhood refinement of all graphs with one shared key
-    # table, so a color means the same in every graph; the initial color
-    # separates the two sides of the bipartition and the degrees.
-    seed: dict[tuple, int] = {}
-    colors = []
-    for g in graphs:
-        black, adj = set(g.black), g.adjacency  # adj lists black, then white
-        colors.append({v: seed.setdefault((v in black, len(adj[v])), len(seed)) for v in adj})
-    count = len(seed)
-    while True:
-        fresh: dict[tuple, int] = {}
-        colors = [
-            {
-                v: fresh.setdefault(
-                    (color[v], tuple(sorted(color[u] for u in g.adjacency[v]))), len(fresh)
-                )
-                for v in color
-            }
-            for g, color in zip(graphs, colors)
-        ]
-        if len(fresh) == count:
-            return colors
-        count = len(fresh)
 
 
 def are_isomorphic(
@@ -180,40 +178,38 @@ def are_isomorphic(
     """Search for an incidence-preserving bijection from ``c1`` onto ``c2``.
 
     Points map to points and lines to lines.  Returns the combined label
-    mapping, or None when no isomorphism exists.  Both Levi graphs are
-    refined with one color table, and a pair is rejected unless every
-    color has the same count in both.  The search is depth-first on an
-    explicit stack; each vertex tries the vertices of the other graph on
-    its side with its degree.
+    mapping, or None when no isomorphism exists.  Each Levi graph's color
+    refinement is computed once and cached, and a pair is rejected unless
+    both have the same keys with the same counts in every round.  The
+    search is depth-first on an explicit stack over vertex indices,
+    visiting the vertices of ``c1`` by (color class size, label text);
+    each tries the vertices of ``c2`` on its side with its degree.
     """
-    if len(c1.points) != len(c2.points) or len(c1.lines) != len(c2.lines):
-        return None
-    if len(c1.flags) != len(c2.flags):
-        return None
-    g1, g2 = levi_graph(c1), levi_graph(c2)
-    col1, col2 = _refine_colors(g1, g2)
-    sizes = Counter(col1.values())
-    if sizes != Counter(col2.values()):
+    g1, g2 = c1.levi, c2.levi
+    (col1, rounds1), (_, rounds2) = g1.refinement, g2.refinement
+    if rounds1 != rounds2:  # the first round alone counts the points, lines and flags
         return None
 
-    verts1 = sorted(col1, key=lambda v: (sizes[col1[v]], str(v)))
-    black1, black2 = set(g1.black), set(g2.black)
-    by_kind: dict[tuple[bool, int], list[Label]] = {}
-    for w in col2:
-        by_kind.setdefault((w in black2, len(g2.adjacency[w])), []).append(w)
-    options = [by_kind.get((v in black1, len(g1.adjacency[v])), []) for v in verts1]
-    adj2 = {w: set(g2.adjacency[w]) for w in col2}
+    labels1, labels2 = c1._labels, c2._labels
+    sizes = [count for _, count in rounds1[-1]]  # the last round's keys rank the final colors
+    verts1 = sorted(range(len(labels1)), key=lambda v: (sizes[col1[v]], str(labels1[v])))
+    ns1, ns2 = g1.neighbours, g2.neighbours
+    by_kind: dict[tuple[bool, int], list[int]] = {}
+    for w, ns in enumerate(ns2):
+        by_kind.setdefault((w >= g2.points, len(ns)), []).append(w)
+    options = [by_kind.get((v >= g1.points, len(ns1[v])), []) for v in verts1]
+    adj2 = [set(ns) for ns in ns2]
 
     # w fits v when it is unused and adjacent to the images of v's mapped
     # neighbours; with equal flag counts that makes a full mapping an
     # isomorphism.  Asking w to touch no other used vertex prunes early.
-    mapping: dict[Label, Label] = {}
-    used: set[Label] = set()
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
     tried = [0] * len(verts1)
     depth = 0
     while depth < len(verts1):
         v = verts1[depth]
-        images = [mapping[u] for u in g1.adjacency[v] if u in mapping]
+        images = [mapping[u] for u in ns1[v] if u in mapping]
         for k in range(tried[depth], len(options[depth])):
             w = options[depth][k]
             if (
@@ -232,7 +228,7 @@ def are_isomorphic(
             tried[depth] = 0
             depth -= 1
             used.discard(mapping.pop(verts1[depth]))
-    return mapping
+    return {labels1[v]: labels2[w] for v, w in mapping.items()}
 
 
 def parse_lines_text(text: str) -> IncidenceStructure:

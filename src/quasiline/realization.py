@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -129,40 +128,42 @@ def default_plan(structure: IncidenceStructure) -> RealizationPlan:
     rebuilt per step, so each step costs O(n) plus O(k log k) per
     remaining point of k lines.
     """
-    numbering = tuple(structure.lines)
-    number = {l: i + 1 for i, l in enumerate(numbering)}
-    orders = {
-        p: tuple(sorted(structure.lines_of(p), key=lambda l: number[l]))
-        for p in structure.points
-    }
-    contents = {p: [number[l] for l in orders[p]] for p in structure.points}
-    remaining = list(structure.points)
+    numbering = structure.lines
+    offset = len(structure.points) - 1  # vertex offset + x is line number x
+    contents = [[j - offset for j in ns] for ns in structure.levi.neighbours[: offset + 1]]
+    remaining = list(range(len(contents)))
     cur = list(range(1, len(numbering) + 1))
     pos = [0, *range(len(numbering))]  # pos[x]: where line x is in cur
     schedule: list[Label] = []
     while remaining:
-        priced = [_best_slot(pos, contents[p]) for p in remaining]
+        priced = [_best_slot(pos, contents[i]) for i in remaining]
         pick = min(range(len(priced)), key=lambda i: priced[i][0])
         point = remaining.pop(pick)
-        schedule.append(point)
+        schedule.append(structure.points[point])
         cur = _gathered(cur, contents[point][::-1], priced[pick][1])
         for i, x in enumerate(cur):
             pos[x] = i
+    orders = {p: structure.lines_of(p) for p in structure.points}
     return RealizationPlan(numbering, tuple(schedule), orders)
 
 
 def validate_plan(structure: IncidenceStructure, plan: RealizationPlan) -> None:
-    """Each field must list its labels exactly once: one multiset
-    comparison per field, so a repeat or a gap is refused alike."""
-    if Counter(plan.line_numbering) != Counter(structure.lines):
+    """Each field must list its labels exactly once.  A structure's labels
+    are distinct, so a field of their count holding their set is such a
+    list, and a repeat or a gap is refused alike."""
+
+    def lists(field, labels) -> bool:
+        return len(field) == len(labels) and set(field) == set(labels)
+
+    if not lists(plan.line_numbering, structure.lines):
         raise PlanMismatch("plan line numbering does not cover the structure's lines")
-    if Counter(plan.point_order) != Counter(structure.points):
+    if not lists(plan.point_order, structure.points):
         raise PlanMismatch("plan point order does not cover the structure's points")
     unknown = set(plan.point_line_orders) - set(structure.points)
     if unknown:
         raise PlanMismatch(f"plan gives a line order at {min(unknown, key=str)!r}, which is not a point")
     for p in structure.points:
-        if Counter(plan.point_line_orders.get(p, ())) != Counter(structure.lines_of(p)):
+        if not lists(plan.point_line_orders.get(p, ()), structure.lines_of(p)):
             raise PlanMismatch(f"line order at point {p!r} does not match its incidences")
 
 

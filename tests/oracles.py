@@ -1,9 +1,10 @@
 """Shared test oracles and corpus builders.
 
 Everything here is deliberately independent of the implementation paths
-it checks: girth by plain BFS, sweep validity by explicit cut
-simulation, sweep orders by Kahn's algorithm, scheme isomorphism by
-brute-force search over relabellings and regaugings, rotation systems by
+it checks: girth by plain BFS on a label dict built from the flags,
+lineality by intersecting the line sets of every pair of points, sweep
+validity by explicit cut simulation, sweep orders by Kahn's algorithm,
+scheme isomorphism by brute-force search over relabellings and regaugings, rotation systems by
 list scans along every wire, arrangement faces by orbits of the whole
 rotation map, the crossing graph's faces on a second rotation map and
 its 2-connectivity by Hopcroft-Tarjan, straight drawings by a pairwise
@@ -23,9 +24,9 @@ boundary gap, canonical encodings by encoding from every dart to the
 end, connectivity, orientability and straight-ahead walks of rotation
 maps by walks over tuple darts, encoding start candidates by keying
 every candidate in full, realization plans by measuring every insertion slot with a pairwise
-Kendall tau, Levi adjacency by testing every point-line pair, Euclidean
-sweeps by a general projective chart matrix and its inverse over
-``Fraction``, shear candidates by a ``Fraction`` dict, and random
+Kendall tau, Levi adjacency by testing every point-line pair against
+the flags, Euclidean sweeps by a general projective chart matrix and
+its inverse over ``Fraction``, shear candidates by a ``Fraction`` dict, and random
 generators driven by seeded ``random.Random`` instances.
 """
 
@@ -45,7 +46,6 @@ from typing import Hashable, Optional
 
 from quasiline import (
     IncidenceStructure,
-    LeviGraph,
     Move,
     PermSequence,
     Realization,
@@ -204,17 +204,21 @@ def two_lines_three_points():
 # -- graph oracles ------------------------------------------------------------
 
 
-def bfs_girth(levi: LeviGraph) -> int:
-    """Length of a shortest cycle by BFS from every vertex; large when acyclic."""
+def bfs_girth(structure: IncidenceStructure) -> int:
+    """Length of a shortest cycle of the Levi graph by BFS from every
+    vertex, on a label dict built from the flags; large when acyclic."""
+    adjacency = {v: [] for v in structure.points + structure.lines}
+    for p, l in structure.flags:
+        adjacency[p].append(l)
+        adjacency[l].append(p)
     best = 10**9
-    vertices = levi.black + levi.white
-    for source in vertices:
+    for source in adjacency:
         dist = {source: 0}
         parent = {source: None}
         queue = [source]
         while queue:
             v = queue.pop(0)
-            for u in levi.adjacency[v]:
+            for u in adjacency[v]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     parent[u] = v
@@ -225,38 +229,55 @@ def bfs_girth(levi: LeviGraph) -> int:
     return best
 
 
-def levi_adjacency_by_pairs(levi: LeviGraph) -> dict:
-    """Neighbour tuples found by testing every (point, line) pair."""
-    table = {v: [] for v in levi.black + levi.white}
-    for p in levi.black:
-        for l in levi.white:
-            if (p, l) in levi.edges:
+def levi_adjacency_by_pairs(structure: IncidenceStructure) -> dict:
+    """Neighbour tuples of every point and line label, in declaration
+    order, found by testing every (point, line) pair against the flags."""
+    table = {v: [] for v in structure.points + structure.lines}
+    for p in structure.points:
+        for l in structure.lines:
+            if (p, l) in structure.flags:
                 table[p].append(l)
                 table[l].append(p)
     return {v: tuple(ns) for v, ns in table.items()}
 
 
+def is_lineal_by_pairs(structure: IncidenceStructure) -> bool:
+    """No two points share two lines, by intersecting the line sets of
+    every pair of points."""
+    for p, q in itertools.combinations(structure.points, 2):
+        if len(set(structure.lines_of(p)) & set(structure.lines_of(q))) >= 2:
+            return False
+    return True
+
+
 def isomorphism_by_backtracking(c1: IncidenceStructure, c2: IncidenceStructure):
     """An incidence-preserving bijection from ``c1`` onto ``c2`` or None,
     by recursive search over same-side, same-degree images, each checked
-    against every vertex mapped before it."""
-    g1, g2 = LeviGraph(c1.points, c1.lines, c1.flags), LeviGraph(c2.points, c2.lines, c2.flags)
+    against every vertex mapped before it, on label sets built from the
+    flags."""
     if (len(c1.points), len(c1.lines), len(c1.flags)) != (
         len(c2.points),
         len(c2.lines),
         len(c2.flags),
     ):
         return None
-    verts1 = g1.black + g1.white
-    adj1 = {v: set(g1.adjacency[v]) for v in verts1}
-    adj2 = {w: set(g2.adjacency[w]) for w in g2.black + g2.white}
+
+    def adjacency(c):
+        table = {v: set() for v in c.points + c.lines}
+        for p, l in c.flags:
+            table[p].add(l)
+            table[l].add(p)
+        return table
+
+    verts1 = c1.points + c1.lines
+    adj1, adj2 = adjacency(c1), adjacency(c2)
     mapping = {}
 
     def extend(i):
         if i == len(verts1):
             return True
         v = verts1[i]
-        for w in g2.black if i < len(g1.black) else g2.white:
+        for w in c2.points if i < len(c1.points) else c2.lines:
             if w in mapping.values() or len(adj2[w]) != len(adj1[v]):
                 continue
             if all((u in adj1[v]) == (x in adj2[w]) for u, x in mapping.items()):

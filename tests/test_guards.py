@@ -18,8 +18,10 @@ from pathlib import Path
 from quasiline import (
     Move,
     are_swap_equivalent,
+    configuration_signature,
     default_plan,
     fingerprint,
+    is_lineal,
     make_sequence,
     scheme_from_realization,
     trace_and_summarize,
@@ -156,6 +158,14 @@ def walk_digest():
                 raise AssertionError(f"fingerprint changed at step {step} of the ({n}_3) walk")
             texts.append(json.dumps(diagram_to_json_dict(d), sort_keys=True))
     expect_sha256("".join(texts), "2cf695c38bd6ceb8ce0f41def95d0a38220b861fa5580f645846711284ba8cad")
+
+
+@guard("cyclic (20 000_3) is lineal with signature (20000, 3, 20000, 3); intersecting the line "
+       "sets of every pair of points takes about 3 s at (3000_3) and grows quadratically", 10)
+def lineal_scan():
+    structure = cyclic(20_000)
+    expect(is_lineal(structure), True)
+    expect(configuration_signature(structure), (20000, 3, 20000, 3))
 
 
 @guard("sweep of a seeded 150-line arrangement; a dict of Fraction abscissas per shear candidate "

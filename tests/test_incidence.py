@@ -1,5 +1,9 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from quasiline.errors import DegreeTooLow, DuplicateId, ParseError, UnknownId, V
 from oracles import (
     bfs_girth,
     fano,
+    is_lineal_by_pairs,
     isomorphism_by_backtracking,
     levi_adjacency_by_pairs,
     mobius_kantor,
@@ -54,6 +59,23 @@ def test_unknown_flag_reference_rejected():
         build(["p", "q"], ["l"], [("p", "l"), ("q", "l"), ("r", "l")])
 
 
+def test_unknown_id_names_the_first_bad_flag_under_every_hash_seed():
+    # the flag named must not depend on the iteration order of a set of flags
+    tests = Path(__file__).resolve().parent
+    code = (
+        "from quasiline import build\n"
+        "from quasiline.errors import UnknownId\n"
+        "try:\n"
+        "    build(['a', 'b'], ['L', 'M'], [('a', 'L'), ('x', 'L'), ('y', 'M'), ('z', 'M')])\n"
+        "except UnknownId as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONPATH": str(tests.parent / "src"), "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.stdout == "flag references unknown point 'x'\n", (seed, done.stderr)
+
+
 def test_duplicate_and_clashing_labels_rejected():
     with pytest.raises(DuplicateId):
         build(["p", "p"], ["l"], [])
@@ -74,14 +96,16 @@ def test_levi_graph_fano():
     g = levi_graph(fano())
     assert g.vertex_count == 14
     assert g.edge_count == 21
-    assert all(len(g.adjacency[v]) == 3 for v in g.black + g.white)
+    assert g.points == 7
+    assert all(len(ns) == 3 for ns in g.neighbours)
 
 
 def test_levi_graph_triangle_girth_six():
-    g = levi_graph(triangle())
+    c = triangle()
+    g = levi_graph(c)
     assert g.vertex_count == 6
     assert g.edge_count == 6
-    assert bfs_girth(g) == 6
+    assert bfs_girth(c) == 6
 
 
 def test_is_lineal():
@@ -91,14 +115,14 @@ def test_is_lineal():
 
 
 def test_lineal_iff_levi_girth_at_least_six():
-    from oracles import random_structure
-    import random
-
+    # also against the pairwise scan, on random structures and relabellings
     rng = random.Random(7)
     cases = [fano(), triangle(), two_lines_three_points(), mobius_kantor()]
-    cases += [random_structure(rng) for _ in range(40)]
+    for _ in range(40):
+        c = random_structure(rng)
+        cases += [c, relabelled(rng, c)]
     for c in cases:
-        assert is_lineal(c) == (bfs_girth(levi_graph(c)) >= 6)
+        assert is_lineal(c) == (bfs_girth(c) >= 6) == is_lineal_by_pairs(c)
 
 
 def test_configuration_signature():
@@ -236,7 +260,7 @@ def test_isomorphism_agrees_with_backtracking_oracle():
 
 def test_levi_adjacency_matches_pair_scan():
     # neighbour tuples keep declaration order, also under shuffled labels;
-    # the structure's incidence lookups read the one cached Levi graph
+    # the structure's incidence lookups read its one Levi table
     rng = random.Random(131)
     structures = [fano(), triangle(), mobius_kantor(), cycle_of_lines(600)]
     for _ in range(150):
@@ -244,9 +268,9 @@ def test_levi_adjacency_matches_pair_scan():
         structures += [c, relabelled(rng, c)]
     for c in structures:
         g = levi_graph(c)
-        oracle = levi_adjacency_by_pairs(g)
-        assert g.adjacency == oracle
-        assert list(g.adjacency) == list(oracle)
+        oracle = levi_adjacency_by_pairs(c)
+        index = {v: i for i, v in enumerate(oracle)}
+        assert g.neighbours == tuple(tuple(index[u] for u in ns) for ns in oracle.values())
         assert levi_graph(c) is g
         assert all(c.lines_of(p) == oracle[p] for p in c.points)
         assert all(c.points_of(l) == oracle[l] for l in c.lines)
@@ -254,8 +278,7 @@ def test_levi_adjacency_matches_pair_scan():
 
 def test_build_inverts_levi_graph():
     for c in (fano(), triangle(), mobius_kantor()):
-        g = levi_graph(c)
-        rebuilt = build(g.black, g.white, g.edges)
+        rebuilt = build(c.points, c.lines, c.flags)
         assert rebuilt == c
 
 
