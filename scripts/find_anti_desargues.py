@@ -10,8 +10,9 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quasiline import are_isomorphic, build, is_lineal  # noqa: E402
 

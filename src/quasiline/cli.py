@@ -41,7 +41,7 @@ from .incidence import (
 )
 from .jsonshape import MAX_DIGITS, as_object, as_text, read
 from .realization import RealizationPlan, default_plan, realize, unwanted_crossing_count
-from .sequences import sequence_from_json_dict, sequence_to_json_dict
+from .sequences import sequence_json_fields, sequence_to_json_dict
 from .surface import (
     fingerprint,
     scheme_from_realization,
@@ -128,8 +128,7 @@ def load_diagram(path: str, plan_path: Optional[str] = None) -> GeneralizedWirin
     wrapped = read(data, {"diagram?": as_object, "sequence?": as_object})
     data = wrapped.get("diagram", wrapped.get("sequence", data))
     if name.endswith(".seq.json") or "moves" in data:
-        seq = sequence_from_json_dict(data)
-        return GeneralizedWiringDiagram(seq.n, seq.moves)
+        return GeneralizedWiringDiagram(*sequence_json_fields(data))
     if name.endswith(".euclid.json") or ("lines" in data and "events" not in data):
         # a coefficient is read as text, so a JSON number is taken exactly
         doc = read(data, {"lines": [[as_text]], "points?": [[as_text]], "point_labels?": [as_text]})

@@ -89,13 +89,22 @@ class IncidenceStructure:
         labels = self._labels
         return frozenset((p, labels[j]) for p, ns in zip(self.points, self.levi.neighbours) for j in ns)
 
+    def _incident(self, label: Label, side: int) -> tuple[Label, ...]:
+        """The labels incident with ``label``, in declaration order;
+        ``UnknownId`` unless ``label`` is a point (``side`` 0) or a line
+        (``side`` 1) of the structure."""
+        v = self._index.get(label, -1)
+        if v < 0 or (v >= len(self.points)) != side:
+            raise UnknownId(f"unknown {('point', 'line')[side]} {label!r}")
+        return tuple(map(self._labels.__getitem__, self.levi.neighbours[v]))
+
     def lines_of(self, point: Label) -> tuple[Label, ...]:
         """Lines through ``point``, in line declaration order."""
-        return tuple(map(self._labels.__getitem__, self.levi.neighbours[self._index[point]]))
+        return self._incident(point, 0)
 
     def points_of(self, line: Label) -> tuple[Label, ...]:
         """Points on ``line``, in point declaration order."""
-        return tuple(map(self._labels.__getitem__, self.levi.neighbours[self._index[line]]))
+        return self._incident(line, 1)
 
 
 def build(
@@ -202,7 +211,7 @@ def are_isomorphic(
 
     # w fits v when it is unused and adjacent to the images of v's mapped
     # neighbours; with equal flag counts that makes a full mapping an
-    # isomorphism.  Asking w to touch no other used vertex prunes early.
+    # isomorphism.
     mapping: dict[int, int] = {}
     used: set[int] = set()
     tried = [0] * len(verts1)
@@ -212,11 +221,7 @@ def are_isomorphic(
         images = [mapping[u] for u in ns1[v] if u in mapping]
         for k in range(tried[depth], len(options[depth])):
             w = options[depth][k]
-            if (
-                w not in used
-                and all(x in adj2[w] for x in images)
-                and sum(x in used for x in adj2[w]) == len(images)
-            ):
+            if w not in used and all(x in adj2[w] for x in images):
                 tried[depth] = k + 1
                 mapping[v] = w
                 used.add(w)

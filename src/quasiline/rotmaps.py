@@ -30,9 +30,12 @@ state, and the face walks follow it.
 
 The canonical encoding is the least of the encodings from every start
 dart in both senses.  It starts only at vertices of least degree, and
-abandons a candidate as soon as a final prefix of it exceeds the best so
-far, so most candidates stop after a few entries; the result is the same
-as encoding every candidate in full.
+abandons a candidate as soon as its degree prefix exceeds the best's.
+On a map of one degree, where the degree parts always tie, a candidate
+is also abandoned at its first code above the best's, so most
+candidates stop after a few entries; on any other map the codes of a
+candidate whose degrees tie are compared once, at the end.  The result
+is the same as encoding every candidate in full.
 On a map whose vertices share one degree q and have q distinct
 neighbours each, every candidate's first q + 1 codes are the same, and
 only the candidates least at the next code are encoded.  They are found
@@ -201,8 +204,9 @@ class RotationMap:
         entry is the start's degree, so only darts at vertices of least
         degree can win; :meth:`_starts` prunes these further on maps of
         one degree without loops or repeated neighbours.  Each candidate
-        is compared with the best so far while it is built, and abandoned
-        once it is known to be greater.
+        is compared with the best so far while it is built (on a map of
+        several degrees, its codes only at the end) and abandoned once it
+        is known to be greater.
 
         Every candidate reads the rotations, the per-dart tables and
         tables built from them once here: each vertex's rotation doubled
@@ -220,23 +224,20 @@ class RotationMap:
             last = len(rot) - 1
             for k, d in enumerate(rot):
                 ccw[d ^ 1], cw[d ^ 1] = k, last - k
-        count = [0] * (max(degree, default=0) + 1)
-        for deg in degree:
-            count[deg] += 1
         rings = (None, [rot * 2 for rot in rots], [rot[::-1] * 2 for rot in rots])
         place = (None, ccw, cw)
         base, anchor = [0] * len(rots), [0] * len(rots)
-        kinds = sum(map(bool, count))  # distinct degrees of undiscovered vertices
-        tables = (far, sign, degree, rings, place, base, anchor, count, kinds)
+        regular = len(set(degree)) == 1
+        tables = (far, sign, degree, rings, place, base, anchor, regular)
         best = None
-        for d, reflect in self._starts(rots, kinds, far, sign, place):
+        for d, reflect in self._starts(rots, regular, far, sign, place):
             best = self._encode(tables, d, reflect, best) or best
         if best is None:
             raise ValidationError("canonical encoding requires an edge")
         return tuple(best[0] + best[1])
 
     @staticmethod
-    def _starts(rots, kinds, far, sign, place) -> list[tuple[int, int]]:
+    def _starts(rots, regular, far, sign, place) -> list[tuple[int, int]]:
         """The (start dart, sense) candidates the least encoding is among,
         in ring order, each dart in sense 1 before sense -1.
 
@@ -268,7 +269,7 @@ class RotationMap:
         q = min(map(len, rots), default=0)
         near = []  # (d, r, ring position of d, d', rotation of d's vertex)
         # a loop's two darts, or two darts to one neighbour, lead to one vertex
-        if kinds == 1 and q >= 2 and all(len(set(map(far.__getitem__, rot))) == q for rot in rots):
+        if regular and q >= 2 and all(len(set(map(far.__getitem__, rot))) == q for rot in rots):
             # per dart, the next and the previous dart in its vertex's rotation
             nxt, prv = [0] * len(far), [0] * len(far)
             for rot in rots:
@@ -329,24 +330,22 @@ class RotationMap:
         partner's vertex u is undiscovered discovers u, entered by the
         partner, and so codes 2·base[u].
 
-        Degree q is final once its vertex is discovered, and a code once
-        it is emitted.  The candidate is abandoned as soon as its degree
-        prefix is greater than the best's, or its code prefix is greater
-        while the degree parts are known to tie (``tie``): equal
-        prefixes, and one degree shared by every undiscovered vertex.
+        Degrees are final once their vertex is discovered, and the
+        candidate is abandoned as soon as its degree prefix is greater
+        than the best's.  On a map of one degree (``regular``) the degree
+        parts always tie, so each code is compared with the best's as it
+        is emitted (``tie``) and the candidate abandoned at the first
+        greater one; on any other map the codes are compared once, at the
+        end.
         """
-        far, sign, degree, rings, place, base, anchor, undiscovered, kinds = tables
-        undiscovered = undiscovered[:]
+        far, sign, degree, rings, place, base, anchor, regular = tables
         gauge = [0] * len(degree)
         best_degrees, best_codes = best or ((), ())
         smaller = best is None
+        tie = regular and not smaller
         v = far[start ^ 1]
         n = degree[v]  # the least degree, so it ties with best_degrees[0]
         gauge[v], base[v], anchor[v] = reflect, 0, place[reflect][start ^ 1]
-        undiscovered[n] -= 1
-        if not undiscovered[n]:
-            kinds -= 1
-        tie = not smaller and kinds <= 1
         codes: list[int] = []
         found = [v]
         for v in found:
@@ -363,21 +362,10 @@ class RotationMap:
                     c = 2 * n
                     q = degree[u]
                     n += q
-                    if kinds > 1:  # the counts matter until one degree is left
-                        undiscovered[q] -= 1
-                        if not undiscovered[q]:
-                            kinds -= 1
-                    if not smaller:
-                        if q != best_degrees[len(found) - 1]:
-                            if q > best_degrees[len(found) - 1]:
-                                return None
-                            smaller, tie = True, False
-                        elif kinds <= 1 and not tie:
-                            prefix = best_codes[: len(codes)]
-                            if codes > prefix:
-                                return None
-                            smaller = codes < prefix
-                            tie = not smaller
+                    if not smaller and q != best_degrees[len(found) - 1]:
+                        if q > best_degrees[len(found) - 1]:
+                            return None
+                        smaller = True
                 if tie and c != best_codes[len(codes)]:
                     if c > best_codes[len(codes)]:
                         return None
@@ -385,4 +373,4 @@ class RotationMap:
                 codes.append(c)
         if n != len(far):
             raise ValidationError("canonical encoding requires a connected map")
-        return ([degree[v] for v in found], codes) if smaller else None
+        return ([degree[v] for v in found], codes) if smaller or codes < best_codes else None

@@ -191,19 +191,19 @@ def make_sequence(
     """Convenience constructor accepting (start, length) pairs.  The moves
     at the 1-based indices in ``designated`` are labelled p1, p2, ... in
     move order."""
+    return PermSequence(*_fields(n, moves, designated))
+
+
+def _fields(n: int, moves, designated: Iterable[int] = ()) -> tuple[int, tuple[Move, ...]]:
+    """The fields of :func:`make_sequence`'s sequence, unchecked: any
+    sequence type can be built from them, and checks them once."""
     ms = tuple(m if isinstance(m, Move) else Move(*m) for m in moves)
     marked = sorted(set(designated))
     bad = [i for i in marked if not 1 <= i <= len(ms)]
     if bad:
         raise ValidationError(f"designated indices out of range: {bad}")
     label = {i: f"p{k}" for k, i in enumerate(marked, start=1)}
-    return PermSequence(
-        n,
-        tuple(
-            replace(m, point=label[i]) if i in label else m
-            for i, m in enumerate(ms, start=1)
-        ),
-    )
+    return n, tuple(replace(m, point=label[i]) if i in label else m for i, m in enumerate(ms, start=1))
 
 
 def classify(seq: PermSequence) -> SequenceClass:
@@ -279,5 +279,11 @@ def sequence_to_json_dict(seq: PermSequence) -> dict:
 
 
 def sequence_from_json_dict(data: dict) -> PermSequence:
+    return PermSequence(*sequence_json_fields(data))
+
+
+def sequence_json_fields(data: dict) -> tuple[int, tuple[Move, ...]]:
+    """The wire count and the labelled moves of a sequence JSON object,
+    read but not yet checked as a sequence."""
     shape = {"n": as_int, "moves": [(as_int, as_int)], "designated?": [as_int]}
-    return make_sequence(**read(data, shape))
+    return _fields(**read(data, shape))

@@ -1262,13 +1262,13 @@ def is_orientable_by_tuples(rm: RotationMap) -> bool:
     return all(sign[u] * s * sign[v] == 1 for (u, v), s in zip(rm.edges, rm.signature))
 
 
-def start_codes_by_one_phase(rots, kinds, far, sign, place):
+def start_codes_by_one_phase(rots, regular, far, sign, place):
     """Per (start dart, sense) candidate of ``RotationMap._starts`` (same
     arguments), in the same order, (its code at index q + 1, dart,
     sense), each keyed in full from the rings of every rotation; None on
     a map that is not pruned."""
     q = min(map(len, rots), default=0)
-    if kinds != 1 or q < 2:
+    if not regular or q < 2:
         return None
     slots = [{far[d]: k for k, d in enumerate(rot)} for rot in rots]
     if any(len(slot) < q for slot in slots):
@@ -1293,10 +1293,10 @@ def start_codes_by_one_phase(rots, kinds, far, sign, place):
     return keyed
 
 
-def starts_by_one_phase(rots, kinds, far, sign, place):
+def starts_by_one_phase(rots, regular, far, sign, place):
     """The candidates of ``RotationMap._starts``, with every candidate
     keyed in full when the map is pruned."""
-    keyed = start_codes_by_one_phase(rots, kinds, far, sign, place)
+    keyed = start_codes_by_one_phase(rots, regular, far, sign, place)
     if keyed is None:
         q = min(map(len, rots), default=0)
         return [(d, r) for rot in rots if len(rot) == q for d in rot for r in (1, -1)]
@@ -1334,6 +1334,33 @@ def random_map_on_graph(rng: random.Random, edges) -> RotationMap:
         rng.shuffle(rot)
     signature = tuple(rng.choice((1, -1)) for _ in edges)
     return TupleMap(tuple(vertices), edges, rotations, signature).rotmap()
+
+
+def torus_grid(rows: int, cols: int, doubled=()) -> TupleMap:
+    """The rows x cols grid on the torus (rows, cols >= 3), every edge
+    positive, with each horizontal edge of the rows in ``doubled`` doubled
+    into a digon.  Vertex (i, j) turns counterclockwise through its edges
+    right (lower first), up, left (upper first) and down."""
+    vertices = [(i, j) for i in range(rows) for j in range(cols)]
+    edges: list = []
+    right, up = {}, {}
+    for i, j in vertices:
+        right[i, j] = []
+        for _ in range(1 + (i in doubled)):
+            right[i, j].append(len(edges))
+            edges.append(((i, j), (i, (j + 1) % cols)))
+        up[i, j] = len(edges)
+        edges.append(((i, j), ((i + 1) % rows, j)))
+    rotations = {
+        (i, j): tuple(
+            [(e, 0) for e in right[i, j]]
+            + [(up[i, j], 0)]
+            + [(e, 1) for e in reversed(right[i, (j - 1) % cols])]
+            + [(up[(i - 1) % rows, j], 1)]
+        )
+        for i, j in vertices
+    }
+    return TupleMap(tuple(vertices), tuple(edges), rotations, (1,) * len(edges))
 
 
 # -- sequence replay oracle ---------------------------------------------------

@@ -163,6 +163,31 @@ def test_realize_emits_sequence_and_points(workdir):
     assert "seed" not in data
 
 
+def test_sequence_input_is_checked_once(workdir, monkeypatch):
+    """A ``.seq.json`` input, bare or wrapped as ``realize`` writes it, is
+    built once as a diagram: one sequence check per load."""
+    from quasiline.cli import load_diagram
+    from quasiline.sequences import PermSequence
+
+    out = workdir / "fano.seq.json"
+    assert main(["realize", str(workdir / "fano.lines"), "-o", str(out)]) == 0
+    bare = workdir / "bare.seq.json"
+    bare.write_text(json.dumps(json.loads(out.read_text())["sequence"]))
+    checked = []
+    check = PermSequence.__post_init__
+
+    def counted(seq):
+        checked.append(type(seq).__name__)
+        check(seq)
+
+    monkeypatch.setattr(PermSequence, "__post_init__", counted)
+    for path in (out, bare):
+        checked.clear()
+        d = load_diagram(str(path))
+        assert checked == ["GeneralizedWiringDiagram"]
+        assert d.n == 7 and len(d.designated_events()) == 7
+
+
 def test_wiring_json_roundtrips(workdir):
     out = workdir / "fano.wd.json"
     assert main(["wiring", str(workdir / "fano.lines"), "-o", str(out)]) == 0

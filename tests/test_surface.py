@@ -46,8 +46,10 @@ from oracles import (
     start_codes_by_one_phase,
     starts_by_one_phase,
     straight_ahead_walks_by_tuples,
+    torus_grid,
     triangle,
     triple_structure,
+    TupleMap,
 )
 
 
@@ -221,6 +223,34 @@ def test_canonical_encoding_matches_full_search_on_move_walks():
             for rm in maps:
                 assert set(map(len, rm.rotations)) == {6}
                 assert rm.canonical_encoding() == canonical_encoding_by_full_search(rm)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, doubled",
+    [(3, 3, {0}), (3, 5, {0}), (4, 4, {0, 2}), (4, 5, {0, 1}), (5, 3, {1}), (6, 6, {0, 3}), (6, 4, {1, 2, 4})],
+)
+def test_canonical_encoding_matches_full_search_on_torus_grids_with_doubled_rows(rows, cols, doubled):
+    """Torus grids with doubled edges in some rows have vertices of degree
+    4 and 6, and many start candidates whose degree parts tie to the end,
+    so that only their codes, compared once a candidate is complete,
+    decide between them.  With one edge negative, the tied candidates
+    differ in their codes.  The grid, the grid with one negative edge and
+    two random relabellings, regaugings and reflections of each give the
+    full search's encoding."""
+    rng = random.Random(rows * 100 + cols)
+    grid = torus_grid(rows, cols, doubled)
+    flip = grid.edges.index(((0, 0), (1, 0)))
+    signed = TupleMap(grid.vertices, grid.edges, grid.rotations, tuple(1 - 2 * (e == flip) for e in range(len(grid.edges))))
+    for tuples, distinct in ((grid, 1), (signed, 2)):
+        s = tuples.scheme()
+        assert set(map(len, s.rotmap.rotations)) == {4, 6}
+        full = encodings_by_start(s.rotmap).values()
+        least = min(code[: len(grid.vertices)] for code in full)
+        tied = [code for code in full if code[: len(grid.vertices)] == least]
+        # candidates whose degree parts tie: some tie in full, and signed ones differ
+        assert len(tied) > len(set(tied)) >= distinct
+        for t in [s] + [random_scheme_transform(rng, s) for _ in range(2)]:
+            assert t.rotmap.canonical_encoding() == canonical_encoding_by_full_search(t.rotmap)
 
 
 @pytest.fixture
