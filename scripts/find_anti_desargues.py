@@ -96,8 +96,6 @@ def triangle_key(lines):
             ls = [joining(cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
             if None in ls or len(set(ls)) != 4:
                 continue
-            if joining(cycle[0], cycle[2]) in ls or joining(cycle[1], cycle[3]) in ls:
-                pass
             quads += 1
             for p in cycle:
                 quad_point[p] += 1

@@ -19,7 +19,10 @@ counterclockwise in whatever drawing the map came from.
 Validation derives, once, per dart the index of the vertex it leads to
 (its partner's vertex) and its edge's sign.  Connectivity, orientability,
 face tracing and the canonical encoding read only the rotations and
-these two tables.
+these two tables.  One cached pass gauges every component along a
+spanning tree and answers both connectivity and orientability; the
+canonical encoding asks it once, before any candidate, so the encoder
+itself never tests connectivity.
 
 A face-traversal state is a dart with a local sense s of +1 or -1.
 Faces are traced on ints: state (dart d, sense s) is 2d + (s == 1), so
@@ -102,19 +105,37 @@ class RotationMap:
         object.__setattr__(self, "_far", far)
         object.__setattr__(self, "_sign", sign)
 
+    @cached_property
+    def _components(self) -> tuple[int, bool]:
+        """The number of components, and whether some edge's sign
+        contradicts the gauges: each component is searched once from its
+        least vertex, gauged 1, and gauged along a spanning tree.  A map
+        is orientable exactly when some gauge makes every edge positive."""
+        rots, far, sign = self.rotations, self._far, self._sign
+        gauge = [0] * len(rots)
+        count, twisted = 0, False
+        for root in range(len(rots)):
+            if gauge[root]:
+                continue
+            count += 1
+            gauge[root] = 1
+            found = [root]
+            for v in found:
+                g = gauge[v]
+                for d in rots[v]:
+                    u, s = far[d], g * sign[d]
+                    if not gauge[u]:
+                        gauge[u] = s
+                        found.append(u)
+                    elif gauge[u] != s:
+                        twisted = True
+        return count, twisted
+
     def is_connected(self) -> bool:
-        rots, far = self.rotations, self._far
-        if not rots:
-            return True
-        seen = [True] + [False] * (len(rots) - 1)
-        found = [0]
-        for v in found:
-            for d in rots[v]:
-                u = far[d]
-                if not seen[u]:
-                    seen[u] = True
-                    found.append(u)
-        return len(found) == len(rots)
+        return self._components[0] <= 1
+
+    def is_orientable(self) -> bool:
+        return not self._components[1]
 
     # -- faces -------------------------------------------------------------
 
@@ -170,27 +191,6 @@ class RotationMap:
     def face_lengths(self) -> tuple[int, ...]:
         return tuple(sorted(len(f) for f in self.faces))
 
-    def is_orientable(self) -> bool:
-        """Gauge every component along a spanning tree from its first
-        vertex, and look for an edge whose sign the gauges contradict."""
-        rots, far, sign = self.rotations, self._far, self._sign
-        gauge = [0] * len(rots)
-        for root in range(len(rots)):
-            if gauge[root]:
-                continue
-            gauge[root] = 1
-            found = [root]
-            for v in found:
-                g = gauge[v]
-                for d in rots[v]:
-                    u, s = far[d], g * sign[d]
-                    if not gauge[u]:
-                        gauge[u] = s
-                        found.append(u)
-                    elif gauge[u] != s:
-                        return False
-        return True
-
     # -- canonical encoding -------------------------------------------------
 
     def canonical_encoding(self) -> tuple[int, ...]:
@@ -206,7 +206,8 @@ class RotationMap:
         one degree without loops or repeated neighbours.  Each candidate
         is compared with the best so far while it is built (on a map of
         several degrees, its codes only at the end) and abandoned once it
-        is known to be greater.
+        is known to be greater.  A disconnected map is refused before any
+        candidate is encoded.
 
         Every candidate reads the rotations, the per-dart tables and
         tables built from them once here: each vertex's rotation doubled
@@ -216,9 +217,9 @@ class RotationMap:
         partner's vertex.
         """
         rots, far, sign = self.rotations, self._far, self._sign
-        degree = [len(rot) for rot in rots]
-        if self.edges and 0 in degree:
+        if not self.is_connected():
             raise ValidationError("canonical encoding requires a connected map")
+        degree = [len(rot) for rot in rots]
         ccw, cw = [0] * len(far), [0] * len(far)
         for rot in rots:
             last = len(rot) - 1
@@ -328,7 +329,8 @@ class RotationMap:
         number base[u] + (p - anchor[u]) mod deg(u).  One pass walks the
         darts in number order and emits the code of each: a dart whose
         partner's vertex u is undiscovered discovers u, entered by the
-        partner, and so codes 2·base[u].
+        partner, and so codes 2·base[u].  The map is connected, so the
+        pass reaches every vertex.
 
         Degrees are final once their vertex is discovered, and the
         candidate is abandoned as soon as its degree prefix is greater
@@ -371,6 +373,4 @@ class RotationMap:
                         return None
                     smaller, tie = True, False
                 codes.append(c)
-        if n != len(far):
-            raise ValidationError("canonical encoding requires a connected map")
         return ([degree[v] for v in found], codes) if smaller or codes < best_codes else None

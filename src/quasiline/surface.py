@@ -18,7 +18,7 @@ regauging, and reflection, distinguishes mutation classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Hashable, Optional
 
 from .errors import DisconnectedScheme, ValidationError
@@ -70,10 +70,9 @@ def scheme_from_realization(diagram: GeneralizedWiringDiagram) -> EmbeddingSchem
     Raises ``WireWithoutPoint`` when some wire has no designated
     crossing.
     """
-    rm, arcs = wire_map(
+    return EmbeddingScheme(*wire_map(
         diagram, {i: diagram.moves[i].point for i in diagram.designated_events()}
-    )
-    return EmbeddingScheme(rm, tuple(w for w, _ in arcs))
+    ))
 
 
 # -- analysis -----------------------------------------------------------------
@@ -221,14 +220,8 @@ def scheme_from_json_dict(data: dict) -> EmbeddingScheme:
 
 
 def summary_to_json_dict(summary: MapSummary) -> dict:
-    return {
-        "V": summary.V,
-        "E": summary.E,
-        "F": summary.F,
-        "euler": summary.euler,
-        "orientable": summary.orientable,
-        "genus": summary.genus,
-        "face_vector": list(summary.face_vector),
-        "fingerprint": summary.fingerprint,
-    }
+    """One key per field of :class:`MapSummary`, in field order."""
+    row = {f.name: getattr(summary, f.name) for f in fields(MapSummary)}
+    row["face_vector"] = list(summary.face_vector)
+    return row
 

@@ -19,8 +19,9 @@ straighten reads its crossing graph's faces, its outer walk and the
 arrangement's digons off the same pass.
 
 :func:`wire_map` is the one builder of signed rotation systems from
-wires: the surface map of :mod:`quasiline.surface` is the arrangement's
-map restricted to the designated crossings.
+wires, and tags every edge with its wire: the surface map of
+:mod:`quasiline.surface` is the arrangement's map restricted to the
+designated crossings, with these tags as its line tags.
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ from ..errors import WireWithoutPoint
 from ..rotmaps import RotationMap
 from .diagram import GeneralizedWiringDiagram
 
-ArcId = tuple[int, int]  # (wire, arc index along the wire); the last arc closes
-                         # through infinity
-
 
 def wire_map(
     diagram: GeneralizedWiringDiagram, vertex_of: Mapping[int, Hashable]
-) -> tuple[RotationMap, tuple[ArcId, ...]]:
+) -> tuple[RotationMap, tuple[int, ...]]:
     """The signed rotation map of the diagram's wires through the events
-    kept in ``vertex_of``, and the (wire, arc index) of every edge.
+    kept in ``vertex_of``, and the wire of every edge.
 
     The kept events in event order are the vertices, event i with id
     ``vertex_of[i]``.  Edges are numbered wire by wire: the wire's j-th
@@ -63,18 +61,18 @@ def wire_map(
             count[w] += 1
     nxt = [0] * (diagram.n + 1)  # per wire, its next out-edge
     prev = nxt[:]  # per wire, its last out-edge so far
-    arcs: list[ArcId] = []
+    tags: list[int] = []
     signature: list[int] = []
     for w in range(1, diagram.n + 1):
         k = count[w]
         if not k:
             raise WireWithoutPoint(f"wire {w} carries no designated point")
-        nxt[w] = len(arcs)
-        arcs.extend(zip([w] * k, range(k)))
-        prev[w] = len(arcs) - 1
+        nxt[w] = len(tags)
+        tags += [w] * k
+        prev[w] = len(tags) - 1
         signature += [1] * (k - 1)
         signature.append(-1)
-    heads = [0] * len(arcs)
+    heads = [0] * len(tags)
     tails = heads.copy()
     rotations = []
     for v, i in enumerate(kept):
@@ -88,7 +86,7 @@ def wire_map(
         rotations.append(tuple(outs + ins))
     vertices = tuple(vertex_of[i] for i in kept)
     rm = RotationMap(vertices, tuple(zip(heads, tails)), tuple(rotations), tuple(signature))
-    return rm, tuple(arcs)
+    return rm, tuple(tags)
 
 
 def _band_cells(

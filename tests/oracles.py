@@ -711,15 +711,16 @@ def arcs_pairwise_disjoint(diagram: GeneralizedWiringDiagram, positions) -> bool
 # -- the crossing graph as a second rotation map ------------------------------
 
 
-def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
+def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, tags):
     """The crossing graph G built as a rotation map of its own from the
-    arrangement map ``full`` (closing darts dropped, finite edges
-    renumbered), and its faces traced on that map.  Returns (gmap,
-    internal face cycles, outer cycle, Tutte adjacency of G): every face
-    is walked along its sense-1 orbit from its least state, the outer one
-    is the orbit of the dart at the far end of the first arc of the last
-    wire in event 0's window, and the adjacency lists follow G's edges,
-    then join one vertex ("star", s) to every vertex of internal face s."""
+    arrangement map ``full`` and its wire ``tags`` (closing darts
+    dropped, finite edges renumbered), and its faces traced on that map.
+    Returns (gmap, internal face cycles, outer cycle, Tutte adjacency of
+    G): every face is walked along its sense-1 orbit from its least
+    state, the outer one is the orbit of the dart at the far end of the
+    first arc of the last wire in event 0's window, and the adjacency
+    lists follow G's edges, then join one vertex ("star", s) to every
+    vertex of internal face s."""
     finite_ids = [e for e, s in enumerate(full.signature) if s == 1]
     renumber = {e: i for i, e in enumerate(finite_ids)}
     edges = tuple(full.edges[e] for e in finite_ids)
@@ -728,7 +729,7 @@ def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
         for rot in full.rotations
     )
     gmap = RotationMap(full.vertices, edges, rotations, (1,) * len(edges))
-    gid = renumber[arcs.index((diagram.window_wires_table[0][-1], 0))]
+    gid = renumber[tags.index(diagram.window_wires_table[0][-1])]
     orbits = face_orbits_by_tuples(gmap)
     outer = next(o for o in orbits if ((gid, 1), 1) in o)
     internal = [
@@ -748,10 +749,10 @@ def crossing_graph_by_second_map(diagram: GeneralizedWiringDiagram, full, arcs):
 
 
 def audit_by_arrangement_map(
-    full, arcs, positions, stars, faces, outer_cycle, chords
+    full, tags, positions, stars, faces, outer_cycle, chords
 ) -> bool:
     """The straightening audit with every rotation read from the
-    arrangement map ``full`` and its arc table ``arcs``: distinct points,
+    arrangement map ``full`` and its wire ``tags``: distinct points,
     the embedding check, and at every crossing the drawn directions of
     its darts, a closing dart along its wire's chord, in the map's
     rotation order."""
@@ -767,7 +768,7 @@ def audit_by_arrangement_map(
                 other = full.edges[e][1 - end]
                 directions.append(_sub(positions[other], positions[v]))
             else:
-                first, last = chords[arcs[e][0] - 1]
+                first, last = chords[tags[e] - 1]
                 d = _sub(positions[last], positions[first])
                 directions.append(d if end == 0 else (-d[0], -d[1]))
         if not _winds_once(directions):

@@ -99,6 +99,7 @@ def test_missing_file_exit_2(workdir):
         ("arraylabel.euclid.json",
          '{"lines": [["1", "0", "0"], ["0", "1", "0"]], "points": [["0", "0"]], "point_labels": [[1]]}',
          2),
+        ("even.wd.json", '{"n": 2, "events": [[1, 2, null], [1, 2, null]]}', 4),
     ],
     ids=[
         "non-integer-move",
@@ -118,6 +119,7 @@ def test_missing_file_exit_2(workdir):
         "moves-as-strings",
         "null-labels",
         "array-label",
+        "even-crossings",
     ],
 )
 def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):

@@ -125,10 +125,11 @@ def test_rational_string_coefficients():
         ([(1, 0, 0), (0, 1, 0)], [(0, 0)], 5),
         ([(1, 0, 0), (0, 1, 0)], [(0, 0)], [[1]]),
         ([(1, 0, 0), (0, 1, 0)], [(0, 0)], "A"),
+        ([(1, 0, 0), (0, 1, 0)], [(0, 0)], ["A", "B"]),
     ],
     ids=["unparsable", "zero-denominator", "short-line", "short-point", "huge-exponent",
          "text-rows", "scalar-lines", "scalar-points", "scalar-labels", "unhashable-label",
-         "text-labels"],
+         "text-labels", "two-labels-one-point"],
 )
 def test_malformed_input_is_a_validation_error(lines, points, labels):
     with pytest.raises(ValidationError):

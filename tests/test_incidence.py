@@ -61,6 +61,8 @@ def test_line_with_single_point_rejected():
 def test_unknown_flag_reference_rejected():
     with pytest.raises(UnknownId):
         build(["p", "q"], ["l"], [("p", "l"), ("q", "l"), ("r", "l")])
+    with pytest.raises(UnknownId, match="unknown line 'Z'"):
+        build(["p", "q"], ["l"], [("p", "l"), ("q", "Z")])
 
 
 def test_unknown_id_names_the_first_bad_flag_under_every_hash_seed():
@@ -100,6 +102,8 @@ def test_duplicate_and_clashing_labels_rejected():
         build(["p", "p"], ["l"], [])
     with pytest.raises(DuplicateId):
         build(["p", "x"], ["x"], [])
+    with pytest.raises(DuplicateId, match="duplicate line label"):
+        build(["p", "q"], ["l", "l"], [])
 
 
 def test_flags_deduplicated_silently():

@@ -75,7 +75,7 @@ from test_guards import optimized_mode_drawing
 
 
 def full_map(diagram):
-    """The arrangement map of ``diagram`` and its arc table."""
+    """The arrangement map of ``diagram`` and the wire of each edge."""
     return wire_map(diagram, {i: i for i in range(diagram.event_count)})
 
 
@@ -83,7 +83,7 @@ def reextracted_face_vector(diagram, drawing):
     """Independent oracle: re-derive every rotation from the drawn
     geometry (sorting dart directions counterclockwise with exact
     arithmetic), rebuild the signed map, and re-trace its faces."""
-    full, arcs = full_map(diagram)
+    full, tags = full_map(diagram)
     positions = drawing.positions
     first_last = {
         w: (path[0], path[-1])
@@ -95,7 +95,7 @@ def reextracted_face_vector(diagram, drawing):
         if full.signature[e] == 1:
             other = full.edges[e][1 - end]
             return _sub(positions[other], positions[vertex])
-        first, last = first_last[arcs[e][0]]
+        first, last = first_last[tags[e]]
         d = _sub(positions[last], positions[first])
         return d if end == 0 else (-d[0], -d[1])
 
@@ -520,7 +520,7 @@ def test_window_rotation_audit_matches_arrangement_map_oracle():
     verdicts = set()
     rotation_only = 0
     for d, drawing, faces, variants in perturbed_drawings():
-        full, arcs = full_map(d)
+        full, tags = full_map(d)
         paths, outer = drawing.wire_paths, list(drawing.outer_cycle)
         chords = list(drawing.chords)
         cases = [(positions, chords) for positions in [list(drawing.positions)] + variants]
@@ -531,7 +531,7 @@ def test_window_rotation_audit_matches_arrangement_map_oracle():
             stars = centred_stars(positions, faces)
             verdict = _audit(d, paths, positions, stars, faces, outer, used)
             assert verdict == audit_by_arrangement_map(
-                full, arcs, positions, stars, faces, outer, used
+                full, tags, positions, stars, faces, outer, used
             )
             verdicts.add(verdict)
             polygon = [positions[v] for v in outer]

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -457,12 +458,36 @@ def test_maps_with_repeated_neighbours_encode_every_start_dart(encode_calls):
         assert sorted(encode_calls) == [(x, r) for x in range(2 * len(rm.edges)) for r in (-1, 1)]
 
 
-def test_canonical_encoding_rejects_disconnected_maps():
+def test_canonical_encoding_rejects_disconnected_maps(encode_calls):
     # a degree-2 component and a degree-4 component, no edge at all, and
-    # two loops beside a vertex without darts
+    # two loops beside a vertex without darts: each is refused before any
+    # candidate is encoded
     for _, args, _ in ENCODING_FAULTS:
         with pytest.raises(ValidationError):
             RotationMap(*args).canonical_encoding()
+    assert encode_calls == []
+
+
+def test_scheme_summary_and_fingerprint_walk_each_map_once(monkeypatch):
+    """Building the scheme of a realized structure, summarizing it and
+    fingerprinting it run the one component pass once per map."""
+    passes = []
+    search = RotationMap._components.func
+
+    def counted(rm):
+        passes.append(rm)
+        return search(rm)
+
+    walked = cached_property(counted)
+    walked.__set_name__(RotationMap, "_components")
+    monkeypatch.setattr(RotationMap, "_components", walked)
+    for structure in (fano(), mobius_kantor(), cyclic(9)):
+        _, s = realization_scheme(structure)
+        assert passes == [s.rotmap]
+        trace_and_summarize(s)
+        fingerprint(s)
+        assert passes == [s.rotmap]
+        passes.clear()
 
 
 def test_rotation_rows_must_be_exactly_the_vertices():

@@ -66,6 +66,8 @@ def test_diagram_requires_odd_crossings():
         GeneralizedWiringDiagram(2, ())
     with pytest.raises(NotGeneralized):
         as_diagram(make_sequence(3, [(1, 2)]))
+    with pytest.raises(NotGeneralized, match="wires 1 and 2 cross an even number of times"):
+        GeneralizedWiringDiagram(2, (Move(1, 2), Move(1, 2)))
 
 
 def test_wire_count_is_bounded_before_any_table():
