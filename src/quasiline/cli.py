@@ -73,7 +73,9 @@ PALETTE = (
 
 
 def _read_text(path: str) -> str:
-    data = Path(path).read_bytes()
+    """The file as UTF-8 text, one leading byte-order mark dropped; an
+    undecodable byte is reported at its line and column after the mark."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -224,7 +224,9 @@ def classify(seq: PermSequence) -> SequenceClass:
 
 def elementary_swap(seq: PermSequence, i: int) -> PermSequence:
     """Interchange moves ``i`` and ``i+1`` (1-based), which must have
-    disjoint position windows.  Point labels follow their moves."""
+    disjoint position windows.  Point labels follow their moves, and the
+    result has the type of ``seq``: the swap keeps every pair of wires'
+    crossing count, so a generalized wiring diagram stays one."""
     if not 1 <= i <= len(seq.moves) - 1:
         raise IndexOutOfRange(f"swap index {i} not in [1, {len(seq.moves) - 1}]")
     a, b = seq.moves[i - 1], seq.moves[i]
@@ -235,7 +237,7 @@ def elementary_swap(seq: PermSequence, i: int) -> PermSequence:
         )
     moves = list(seq.moves)
     moves[i - 1], moves[i] = b, a
-    return PermSequence(seq.n, tuple(moves))
+    return type(seq)(seq.n, tuple(moves))
 
 
 def are_swap_equivalent(seq1: PermSequence, seq2: PermSequence) -> Optional[list[int]]:

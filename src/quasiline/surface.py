@@ -8,7 +8,9 @@ rotation system and an edge signature: rotations are read counter-
 clockwise in the disk, and an edge is negative exactly when its arc
 crosses the disk boundary.  The surface is always nonorientable for
 diagram-derived schemes, because each wire closes up through infinity
-with an odd number of negative edges.
+with an odd number of negative edges.  :func:`scheme_from_realization`
+is the library's one builder of signed rotation maps from wires; the
+whole arrangement map, every crossing kept, is never built.
 
 Straight-ahead walks (leave every vertex by the dart opposite the entry
 dart) recover the wires; Euler characteristic and genus classify the
@@ -21,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Hashable, Optional
 
-from .errors import DisconnectedScheme, ValidationError
+from .errors import DisconnectedScheme, ValidationError, WireWithoutPoint
 from .jsonshape import as_int, as_text, as_text_or_null, read
 from .rotmaps import RotationMap
 from .wiring.diagram import GeneralizedWiringDiagram
-from .wiring.faces import wire_map
 
 Label = Hashable
 
@@ -62,17 +63,56 @@ class EmbeddingScheme:
 def scheme_from_realization(diagram: GeneralizedWiringDiagram) -> EmbeddingScheme:
     """The surface map of a diagram's designated points.
 
-    This is the arrangement map restricted to the designated crossings
-    (:func:`quasiline.wiring.faces.wire_map`): vertices are the
-    designated points, edges join points consecutive along a wire
-    (non-designated crossings are skipped) and are tagged with their
-    wire, and the closing edge of each wire carries signature -1.
-    Raises ``WireWithoutPoint`` when some wire has no designated
-    crossing.
+    The designated events in event order are the vertices, each named by
+    its move's point.  Edges are numbered wire by wire and tagged with
+    their wire: the wire's j-th edge joins its j-th and (j+1)-th
+    designated events (non-designated crossings are skipped), and its
+    last edge closes through infinity with signature -1.  Rotations
+    follow the drawing counterclockwise: at an event with window wires
+    w_1..w_l (top to bottom) the order is out(w_1)..out(w_l),
+    in(w_1)..in(w_l).  Raises ``WireWithoutPoint`` when some wire has no
+    designated crossing.
+
+    With k_w designated events on wire w, its edges are numbered from
+    off[w] = k_1 + ... + k_(w-1); one walk over the designated events in
+    order gives the j-th on w the out-dart 2(off[w] + j) and the in-dart
+    2e + 1, where e is the out-edge of the previous designated event on
+    w, or the closing edge off[w] + k_w - 1 at the first.
     """
-    return EmbeddingScheme(*wire_map(
-        diagram, {i: diagram.moves[i].point for i in diagram.designated_events()}
-    ))
+    window_wires = diagram.window_wires_table
+    designated = diagram.designated_events()
+    count = [0] * (diagram.n + 1)
+    for i in designated:
+        for w in window_wires[i]:
+            count[w] += 1
+    nxt = [0] * (diagram.n + 1)  # per wire, its next out-edge
+    prev = nxt[:]  # per wire, its last out-edge so far
+    tags: list[int] = []
+    signature: list[int] = []
+    for w in range(1, diagram.n + 1):
+        k = count[w]
+        if not k:
+            raise WireWithoutPoint(f"wire {w} carries no designated point")
+        nxt[w] = len(tags)
+        tags += [w] * k
+        prev[w] = len(tags) - 1
+        signature += [1] * (k - 1)
+        signature.append(-1)
+    heads = [0] * len(tags)
+    tails = heads.copy()
+    rotations = []
+    for v, i in enumerate(designated):
+        outs, ins = [], []
+        for w in window_wires[i]:
+            out, back = nxt[w], prev[w]
+            nxt[w], prev[w] = out + 1, out
+            heads[out] = tails[back] = v
+            outs.append(2 * out)
+            ins.append(2 * back + 1)
+        rotations.append(tuple(outs + ins))
+    vertices = tuple(diagram.moves[i].point for i in designated)
+    rm = RotationMap(vertices, tuple(zip(heads, tails)), tuple(rotations), tuple(signature))
+    return EmbeddingScheme(rm, tuple(tags))
 
 
 # -- analysis -----------------------------------------------------------------

@@ -14,79 +14,16 @@ first cell of band n - t, since the track at position t on the right
 continues as track n + 1 - t on the left.  Bands 0 and n have no cuts
 and together make one more face.  A face is the cycle of events its
 boundary walks.  :func:`trace_faces_disk` reads every face off one pass
-over the events (``_band_cells``) and builds no rotation map, and
-straighten reads its crossing graph's faces, its outer walk and the
-arrangement's digons off the same pass.
-
-:func:`wire_map` is the one builder of signed rotation systems from
-wires, and tags every edge with its wire: the surface map of
-:mod:`quasiline.surface` is the arrangement's map restricted to the
-designated crossings, with these tags as its line tags.
+over the events (``_band_cells``), and straighten reads its crossing
+graph's faces, its outer walk and the arrangement's digons off the same
+pass.  Nothing here builds a rotation map: the one builder, of the
+surface map of the designated crossings, is
+:func:`quasiline.surface.scheme_from_realization`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
-
-from ..errors import WireWithoutPoint
-from ..rotmaps import RotationMap
 from .diagram import GeneralizedWiringDiagram
-
-
-def wire_map(
-    diagram: GeneralizedWiringDiagram, vertex_of: Mapping[int, Hashable]
-) -> tuple[RotationMap, tuple[int, ...]]:
-    """The signed rotation map of the diagram's wires through the events
-    kept in ``vertex_of``, and the wire of every edge.
-
-    The kept events in event order are the vertices, event i with id
-    ``vertex_of[i]``.  Edges are numbered wire by wire: the wire's j-th
-    edge joins its j-th and (j+1)-th kept events, and its last edge
-    closes through infinity with signature -1.  Rotations follow the
-    drawing counterclockwise: at an event with window wires w_1..w_l
-    (top to bottom) the order is out(w_1)..out(w_l), in(w_1)..in(w_l).
-    Raises ``WireWithoutPoint`` when some wire meets no kept event.
-
-    With k_w kept events on wire w, its edges are numbered from
-    off[w] = k_1 + ... + k_(w-1); one walk over the kept events in
-    order gives the j-th kept event on w the out-dart 2(off[w] + j) and
-    the in-dart 2e + 1, where e is the out-edge of the previous kept
-    event on w, or the closing edge off[w] + k_w - 1 at the first.
-    """
-    window_wires = diagram.window_wires_table
-    kept = sorted(vertex_of)
-    count = [0] * (diagram.n + 1)
-    for i in kept:
-        for w in window_wires[i]:
-            count[w] += 1
-    nxt = [0] * (diagram.n + 1)  # per wire, its next out-edge
-    prev = nxt[:]  # per wire, its last out-edge so far
-    tags: list[int] = []
-    signature: list[int] = []
-    for w in range(1, diagram.n + 1):
-        k = count[w]
-        if not k:
-            raise WireWithoutPoint(f"wire {w} carries no designated point")
-        nxt[w] = len(tags)
-        tags += [w] * k
-        prev[w] = len(tags) - 1
-        signature += [1] * (k - 1)
-        signature.append(-1)
-    heads = [0] * len(tags)
-    tails = heads.copy()
-    rotations = []
-    for v, i in enumerate(kept):
-        outs, ins = [], []
-        for w in window_wires[i]:
-            out, back = nxt[w], prev[w]
-            nxt[w], prev[w] = out + 1, out
-            heads[out] = tails[back] = v
-            outs.append(2 * out)
-            ins.append(2 * back + 1)
-        rotations.append(tuple(outs + ins))
-    vertices = tuple(vertex_of[i] for i in kept)
-    rm = RotationMap(vertices, tuple(zip(heads, tails)), tuple(rotations), tuple(signature))
-    return rm, tuple(tags)
 
 
 def _band_cells(

@@ -155,9 +155,9 @@ def _crossing_graph(
     ``HasDigons`` before G is checked.  Internal faces are listed as
     traced, band cell by band cell, since neither their order nor their
     first vertex reaches any output.  The outer walk places the polygon,
-    so it starts at its least dart: arc e, numbered as in
-    :func:`quasiline.wiring.faces.wire_map`, has dart 2e from its
-    earlier event and 2e + 1 from its later one.
+    so it starts at its least dart: arcs are numbered wire by wire, the
+    j-th arc of a wire joining its j-th and (j+1)-th events, and arc e
+    has dart 2e from its earlier event and 2e + 1 from its later one.
     G is connected, since every two wires cross, and a connected plane
     graph on 3 or more vertices is 2-connected exactly when every face
     walk is a simple cycle (Mohar-Thomassen); otherwise
@@ -549,7 +549,8 @@ def drawing_to_json_dict(drawing: StraightDrawing) -> dict:
 
 def drawing_from_json_dict(data: dict) -> StraightDrawing:
     """The drawing of :func:`drawing_to_json_dict`.  A chord or wire count
-    other than ``n``, or an event index past the positions, raises
+    other than ``n``, an event index past the positions, or a chord other
+    than the first and last events of its wire's path raises
     ValidationError."""
     drawing = StraightDrawing(**read(data, {
         "n": as_int, "positions": [(as_fraction, as_fraction)], "outer_cycle": [as_int],
@@ -560,4 +561,7 @@ def drawing_from_json_dict(data: dict) -> StraightDrawing:
         0 <= v < len(drawing.positions) for v in events
     ):
         raise ValidationError("drawing JSON: wires or event indices do not fit the positions")
+    for w, (chord, path) in enumerate(zip(drawing.chords, drawing.wire_paths), start=1):
+        if not path or chord != (path[0], path[-1]):
+            raise ValidationError(f"drawing JSON: chord {w} does not join the ends of its wire path")
     return drawing

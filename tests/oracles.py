@@ -83,7 +83,6 @@ from quasiline.wiring.euclid import (
     _cross,
     _shear_candidates,
 )
-from quasiline.wiring.faces import wire_map
 from quasiline.wiring.mutations import _check_triangle
 from quasiline.wiring.straighten import (
     _embedded,
@@ -882,16 +881,10 @@ class TupleMap:
             yield (e, 1)
 
 
-def arrangement_map(diagram: GeneralizedWiringDiagram) -> RotationMap:
-    """The diagram's cell complex as a signed rotation map, by the
-    library's one builder: every event is a vertex and every arc an edge
-    (see ``quasiline.wiring.faces.wire_map``)."""
-    return wire_map(diagram, {i: i for i in range(diagram.event_count)})[0]
-
-
 def arrangement_map_by_scan(diagram: GeneralizedWiringDiagram) -> RotationMap:
-    """The arrangement map built separately from the library's builder:
-    edge (w, j) joins the j-th and (j+1)-th events of wire w, the wrap
+    """The diagram's cell complex as a signed rotation map, every event a
+    vertex and every arc an edge; the library never builds it.  Edge
+    (w, j) joins the j-th and (j+1)-th events of wire w, the wrap
     edge is signed -1, and each rotation lists out-darts then in-darts of
     the window wires top to bottom, every dart found by a list scan."""
     edge_ids = {}
@@ -928,7 +921,7 @@ def faces_by_orbits(diagram: GeneralizedWiringDiagram) -> tuple[tuple[int, ...],
     whole arrangement map: every face is the cycle of events its orbit
     leaves, in orbit order.  Traversal state x leaves end x >> 1 & 1 of
     edge x >> 2."""
-    rm = arrangement_map(diagram)
+    rm = arrangement_map_by_scan(diagram)
     return tuple(tuple(rm.edges[x >> 2][x >> 1 & 1] for x in orbit) for orbit in rm.faces)
 
 

@@ -135,6 +135,32 @@ def test_bad_input_maps_to_exit_code(workdir, capsys, name, content, code):
     assert err.startswith("wiring: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [("validate", "fano.lines"), ("map", "fano.lines"), ("map", "fano.seq.json")],
+)
+def test_a_byte_order_mark_is_dropped(workdir, capsys, command, name):
+    """A file saved with a UTF-8 byte-order mark reads as the same file
+    without it: the same exit code and the same output bytes."""
+    assert main(["realize", str(workdir / "fano.lines"), "-o", str(workdir / "fano.seq.json")]) == 0
+    marked = workdir / f"marked.{name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + (workdir / name).read_bytes())
+    capsys.readouterr()
+    outputs = []
+    for path in (workdir / name, marked):
+        assert main([command, str(path)]) == 0
+        outputs.append(capsys.readouterr().out.encode("utf-8"))
+    assert outputs[0] == outputs[1]
+
+
+def test_an_undecodable_byte_after_a_byte_order_mark_names_its_line(workdir, capsys):
+    path = workdir / "marked.lines"
+    path.write_bytes(b"\xef\xbb\xbfab: a b\nbc: b\xff c\n")
+    assert main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validate: parse error: line 2, column 6: not UTF-8")
+
+
 @pytest.mark.parametrize("start", ["true", "1.5"])
 def test_map_refuses_a_non_integer_event_start(workdir, capsys, start):
     """A JSON boolean is not an integer: it exits 2, as a fraction does."""

@@ -20,7 +20,7 @@ from oracles import (
     PAPPUS_LABELS,
     PAPPUS_POINTS,
     WIDE_CHART_LINES,
-    arrangement_map,
+    arrangement_map_by_scan,
     diagram_from_lines_by_fractions,
     finite_crossings,
     random_line_arrangement,
@@ -95,7 +95,7 @@ def test_pappus_unwanted_crossings():
     assert all(d.moves[i].length == 2 for i in regular)
     assert len(regular) == topological_unwanted_bound(9, 3) == 9
     assert classify(d) is SequenceClass.ALLOWABLE
-    rm = arrangement_map(d)
+    rm = arrangement_map_by_scan(d)
     assert len(rm.vertices) - len(rm.edges) + len(rm.faces) == 1
     assert all(len(f) != 2 for f in trace_faces_disk(d))
 

@@ -124,6 +124,10 @@ DRAWING_ROWS = [
     ("text chord", changed(DRAWING, chords=["01"] + DRAWING["chords"][1:]), ValidationError),
     ("text wire paths", changed(DRAWING, wire_paths=["01"] + DRAWING["wire_paths"][1:]),
      ValidationError),
+    ("chord off its path's ends", changed(DRAWING, chords=[DRAWING["chords"][0], [0, 0]]
+     + DRAWING["chords"][2:]), ValidationError),
+    ("empty wire path", changed(DRAWING, wire_paths=[[]] + DRAWING["wire_paths"][1:]),
+     ValidationError),
 ]
 
 SCHEME_ROWS = [

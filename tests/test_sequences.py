@@ -24,14 +24,18 @@ from quasiline.errors import (
     ValidationError,
 )
 from quasiline.sequences import MAX_WIRES
+from quasiline.wiring import GeneralizedWiringDiagram, removable_digons, remove_digon
 from oracles import (
+    fano,
     pair_counts,
     permutation_after_by_replay,
     random_allowable_sequence,
     random_generalized_sequence,
     random_partial_sequence,
+    realized,
     swap_chain_by_bfs,
     window_wires_by_replay,
+    with_random_digons,
 )
 
 
@@ -164,6 +168,24 @@ def test_elementary_swap_not_disjoint():
         elementary_swap(seq, 1)
     with pytest.raises(IndexOutOfRange):
         elementary_swap(seq, 2)
+
+
+def test_elementary_swap_keeps_the_diagram_type():
+    """A swap keeps every pair of wires' crossing count, so a diagram swaps
+    to a diagram whose digons can be listed and removed, and a sequence
+    to a sequence."""
+    d = with_random_digons(random.Random(41), realized(fano()), 3)
+    sites = [i for i in range(1, d.event_count) if d.moves[i - 1].disjoint_from(d.moves[i])]
+    assert sites
+    digons = 0
+    for i in sites:
+        swapped = elementary_swap(d, i)
+        assert type(swapped) is GeneralizedWiringDiagram
+        for at, _ in removable_digons(swapped):
+            assert type(remove_digon(swapped, at)) is GeneralizedWiringDiagram
+            digons += 1
+        assert type(elementary_swap(PermSequence(d.n, d.moves), i)) is PermSequence
+    assert digons
 
 
 def test_elementary_swap_involution_and_invariants():

@@ -19,7 +19,6 @@ from quasiline.wiring import (
     straighten,
     trace_faces_disk,
 )
-from quasiline.wiring.faces import wire_map
 from quasiline.wiring.straighten import (
     _audit,
     _chords_alternate,
@@ -40,6 +39,7 @@ from oracles import (
     PAPPUS_LABELS,
     PAPPUS_POINTS,
     arcs_pairwise_disjoint,
+    arrangement_map_by_scan,
     audit_by_arrangement_map,
     chord_lines_meet_inside,
     circle_parameters,
@@ -76,7 +76,8 @@ from test_guards import optimized_mode_drawing
 
 def full_map(diagram):
     """The arrangement map of ``diagram`` and the wire of each edge."""
-    return wire_map(diagram, {i: i for i in range(diagram.event_count)})
+    tags = tuple(w for w in range(1, diagram.n + 1) for _ in diagram.wire_events(w))
+    return arrangement_map_by_scan(diagram), tags
 
 
 def reextracted_face_vector(diagram, drawing):

@@ -22,8 +22,8 @@ from quasiline.sequences import MAX_WIRES
 
 from oracles import (
     AbstractArrangement,
-    arrangement_map,
     arrangement_from_diagram,
+    arrangement_map_by_scan,
     as_diagram,
     cyclic,
     faces_by_orbits,
@@ -260,7 +260,7 @@ def test_triangle_faces():
     d = realized(triangle())
     faces = trace_faces_disk(d)
     assert len(faces) == 4
-    rm = arrangement_map(d)
+    rm = arrangement_map_by_scan(d)
     assert len(rm.vertices) == 3 and len(rm.edges) == 6
     assert len(rm.vertices) - len(rm.edges) + len(rm.faces) == 1
     assert all(len(f) != 2 for f in faces)
@@ -270,15 +270,15 @@ def test_digon_example_faces():
     d = realized(two_lines_three_points())
     faces = trace_faces_disk(d)
     assert sum(len(f) == 2 for f in faces) >= 2
-    rm = arrangement_map(d)
+    rm = arrangement_map_by_scan(d)
     assert len(rm.vertices) - len(rm.edges) + len(rm.faces) == 1
-    assert sum(len(f) for f in faces) == 2 * len(arrangement_map(d).edges)
+    assert sum(len(f) for f in faces) == 2 * len(arrangement_map_by_scan(d).edges)
 
 
 def test_euler_and_handshake_on_corpus():
     diagrams = random_diagrams(120) + [realized(triangle()), realized(fano()), realized(two_lines_three_points())]
     for d in diagrams:
-        rm = arrangement_map(d)
+        rm = arrangement_map_by_scan(d)
         faces = trace_faces_disk(d)
         assert len(rm.vertices) - len(rm.edges) + len(faces) == 1
         assert sum(len(f) for f in faces) == 2 * len(rm.edges)
